@@ -173,8 +173,8 @@ fn render(addr: &str, response: Response) -> Result<String, CliError> {
             let mut out = String::new();
             out.push_str(&attrs.join(" | "));
             out.push('\n');
-            for row in &rows {
-                let cells: Vec<String> = row.iter().map(cell).collect();
+            for row in rows.iter() {
+                let cells: Vec<String> = row.map(cell).collect();
                 out.push_str(&cells.join(" | "));
                 out.push('\n');
             }

@@ -13,7 +13,7 @@
 //! * every failure is a [`JsonError`] with a byte offset — the server turns
 //!   these into structured error responses, never panics.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Nesting depth above which the parser refuses to descend.
 pub const MAX_DEPTH: usize = 64;
@@ -94,12 +94,14 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact serialization of this value to `out` — what
+    /// [`Display`](fmt::Display) prints, without the intermediate string.
+    pub(crate) fn write_to(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => out.push_str(&n.to_string()),
+            Json::Int(n) => write!(out, "{n}").expect("writing to a String cannot fail"),
             Json::Float(x) => {
                 if x.is_finite() {
                     let text = format!("{x}");
@@ -121,7 +123,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    v.write(out);
+                    v.write_to(out);
                 }
                 out.push(']');
             }
@@ -133,7 +135,7 @@ impl Json {
                     }
                     write_escaped(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.write_to(out);
                 }
                 out.push('}');
             }
@@ -146,12 +148,13 @@ impl Json {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write_to(&mut out);
         f.write_str(&out)
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted, escaped JSON string.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -29,7 +29,7 @@ pub mod stats;
 
 pub use protocol::{
     parse_request, parse_response, render_request, render_response, EngineKind, ErrorKind,
-    Overrides, QuerySpec, Request, Response, StrategyKind, WireError, MAX_LINE,
+    Overrides, QuerySpec, Request, Response, Rows, StrategyKind, WireError, MAX_LINE,
 };
 pub use server::{answer_frame, ServeStats, Server, ServerConfig, ServerHandle};
 pub use stats::{Histogram, StatsRegistry};

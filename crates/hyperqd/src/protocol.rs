@@ -37,8 +37,9 @@
 //! proptests pin that, and the differential soak harness relies on it for
 //! byte-identical response comparison.
 
-use crate::json::{obj, parse as parse_json, Json};
+use crate::json::{parse as parse_json, write_escaped, Json};
 use reldb::EngineError;
+use std::fmt::Write as _;
 
 /// Hard cap on one protocol line, terminator included.  A peer that sends
 /// more without a newline gets a structured [`ErrorKind::Proto`] response
@@ -571,6 +572,119 @@ pub struct DbInfo {
     pub acyclic: bool,
 }
 
+/// The rows of a [`Response::Answer`] as a compact table: cell values in
+/// one list, rows as row-major indices into it.  The server stores each
+/// distinct value once, so a large answer costs one `u32` per cell instead
+/// of one [`Json`] per cell, and rendering formats each value once.
+///
+/// Equality is by content — two tables are equal when they hold the same
+/// rows in the same order, however their cell lists are laid out.
+#[derive(Debug, Clone)]
+pub struct Rows {
+    width: usize,
+    len: usize,
+    cells: Vec<Json>,
+    /// `len * width` positions in `cells`.
+    index: Vec<u32>,
+}
+
+impl Rows {
+    /// A table of `len` rows of `width` cells: row `r`, column `c` holds
+    /// `cells[index[r * width + c]]`.
+    ///
+    /// # Panics
+    /// Panics unless `index` has `len * width` entries, all within `cells`.
+    pub(crate) fn from_parts(width: usize, len: usize, cells: Vec<Json>, index: Vec<u32>) -> Rows {
+        assert_eq!(index.len(), len * width, "one index entry per cell");
+        assert!(
+            index.iter().all(|&c| (c as usize) < cells.len()),
+            "index entries point into the cell list"
+        );
+        Rows {
+            width,
+            len,
+            cells,
+            index,
+        }
+    }
+
+    /// A table from explicit rows; `None` if some row does not have exactly
+    /// `width` cells.
+    pub fn from_rows<R: AsRef<[Json]>>(width: usize, rows: &[R]) -> Option<Rows> {
+        if rows.iter().any(|row| row.as_ref().len() != width) {
+            return None;
+        }
+        let mut cells = Vec::with_capacity(rows.len() * width);
+        for row in rows {
+            cells.extend_from_slice(row.as_ref());
+        }
+        let index = (0..u32::try_from(cells.len()).ok()?).collect();
+        Some(Rows {
+            width,
+            len: rows.len(),
+            cells,
+            index,
+        })
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Row `r` as positions in `cells`.
+    fn row(&self, r: usize) -> &[u32] {
+        &self.index[r * self.width..(r + 1) * self.width]
+    }
+
+    /// The rows in order, each as its cells in attribute order.
+    pub fn iter(&self) -> impl Iterator<Item = impl Iterator<Item = &Json> + '_> + '_ {
+        (0..self.len).map(move |r| self.row(r).iter().map(move |&c| &self.cells[c as usize]))
+    }
+
+    /// Appends the rows as a JSON array of arrays, formatting each entry of
+    /// the cell list once.
+    fn write_to(&self, out: &mut String) {
+        let mut text = String::new();
+        let mut ends = Vec::with_capacity(self.cells.len());
+        for cell in &self.cells {
+            cell.write_to(&mut text);
+            ends.push(text.len());
+        }
+        out.push('[');
+        for r in 0..self.len {
+            out.push_str(if r == 0 { "[" } else { ",[" });
+            for (c, &cell) in self.row(r).iter().enumerate() {
+                if c > 0 {
+                    out.push(',');
+                }
+                let cell = cell as usize;
+                let start = if cell == 0 { 0 } else { ends[cell - 1] };
+                out.push_str(&text[start..ends[cell]]);
+            }
+            out.push(']');
+        }
+        out.push(']');
+    }
+}
+
+impl PartialEq for Rows {
+    fn eq(&self, other: &Rows) -> bool {
+        self.width == other.width
+            && self.len == other.len
+            && self
+                .index
+                .iter()
+                .zip(&other.index)
+                .all(|(&a, &b)| self.cells[a as usize] == other.cells[b as usize])
+    }
+}
+
 /// One server response frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -596,8 +710,9 @@ pub enum Response {
     Answer {
         /// Output attribute names, in schema-universe order.
         attrs: Vec<String>,
-        /// One row per tuple; cells are `Json::Int` or `Json::Str`.
-        rows: Vec<Vec<Json>>,
+        /// One row per tuple, one cell per attribute; cells are
+        /// `Json::Int` or `Json::Str`.
+        rows: Rows,
         /// Per-query metrics, when the request asked for them.
         metrics: Option<Json>,
         /// The per-query trace id the server assigned at accept time.
@@ -619,93 +734,98 @@ pub enum Response {
 
 /// Renders a response as one canonical protocol line (no trailing newline).
 pub fn render_response(r: &Response) -> String {
-    let v = match r {
-        Response::Pong => obj([("ok", Json::Bool(true)), ("op", Json::str("pong"))]),
-        Response::Bye => obj([("ok", Json::Bool(true)), ("op", Json::str("bye"))]),
-        Response::Prepared { name } => obj([
-            ("ok", Json::Bool(true)),
-            ("op", Json::str("prepared")),
-            ("name", Json::str(name)),
-        ]),
-        Response::Listing { databases, queries } => obj([
-            ("ok", Json::Bool(true)),
-            ("op", Json::str("list")),
-            (
-                "databases",
-                Json::Arr(
-                    databases
-                        .iter()
-                        .map(|d| {
-                            obj([
-                                ("name", Json::str(&d.name)),
-                                ("relations", Json::Int(d.relations as i64)),
-                                ("tuples", Json::Int(d.tuples as i64)),
-                                ("acyclic", Json::Bool(d.acyclic)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "queries",
-                Json::Arr(queries.iter().map(Json::str).collect()),
-            ),
-        ]),
+    let mut out = String::new();
+    render_response_into(r, &mut out);
+    out
+}
+
+/// Appends the canonical protocol line of `r` (no trailing newline) to
+/// `out` — how the server renders a reply straight into its connection's
+/// output buffer.
+pub(crate) fn render_response_into(r: &Response, out: &mut String) {
+    fn strings(items: &[String], out: &mut String) {
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(item, out);
+        }
+        out.push(']');
+    }
+    const INFALLIBLE: &str = "writing to a String cannot fail";
+    match r {
+        Response::Pong => out.push_str("{\"ok\":true,\"op\":\"pong\"}"),
+        Response::Bye => out.push_str("{\"ok\":true,\"op\":\"bye\"}"),
+        Response::Prepared { name } => {
+            out.push_str("{\"ok\":true,\"op\":\"prepared\",\"name\":");
+            write_escaped(name, out);
+            out.push('}');
+        }
+        Response::Listing { databases, queries } => {
+            out.push_str("{\"ok\":true,\"op\":\"list\",\"databases\":[");
+            for (i, d) in databases.iter().enumerate() {
+                out.push_str(if i == 0 { "{\"name\":" } else { ",{\"name\":" });
+                write_escaped(&d.name, out);
+                write!(
+                    out,
+                    ",\"relations\":{},\"tuples\":{},\"acyclic\":{}}}",
+                    d.relations, d.tuples, d.acyclic
+                )
+                .expect(INFALLIBLE);
+            }
+            out.push_str("],\"queries\":");
+            strings(queries, out);
+            out.push('}');
+        }
         Response::Answer {
             attrs,
             rows,
             metrics,
             trace,
         } => {
-            let mut pairs = vec![
-                ("ok".to_owned(), Json::Bool(true)),
-                ("op".to_owned(), Json::str("answer")),
-                (
-                    "attrs".to_owned(),
-                    Json::Arr(attrs.iter().map(Json::str).collect()),
-                ),
-                ("tuples".to_owned(), Json::Int(rows.len() as i64)),
-                (
-                    "rows".to_owned(),
-                    Json::Arr(rows.iter().map(|r| Json::Arr(r.clone())).collect()),
-                ),
-            ];
+            out.push_str("{\"ok\":true,\"op\":\"answer\",\"attrs\":");
+            strings(attrs, out);
+            write!(out, ",\"tuples\":{},\"rows\":", rows.len()).expect(INFALLIBLE);
+            rows.write_to(out);
             if let Some(m) = metrics {
-                pairs.push(("metrics".to_owned(), m.clone()));
+                out.push_str(",\"metrics\":");
+                m.write_to(out);
             }
             if let Some(t) = trace {
-                pairs.push(("trace".to_owned(), Json::str(t)));
+                out.push_str(",\"trace\":");
+                write_escaped(t, out);
             }
-            Json::Obj(pairs)
+            out.push('}');
         }
         Response::Stats { stats, text } => {
-            let mut pairs = vec![
-                ("ok".to_owned(), Json::Bool(true)),
-                ("op".to_owned(), Json::str("stats")),
-            ];
+            out.push_str("{\"ok\":true,\"op\":\"stats\"");
             if let Some(s) = stats {
-                pairs.push(("stats".to_owned(), s.clone()));
+                out.push_str(",\"stats\":");
+                s.write_to(out);
             }
             if let Some(t) = text {
-                pairs.push(("text".to_owned(), Json::str(t)));
+                out.push_str(",\"text\":");
+                write_escaped(t, out);
             }
-            Json::Obj(pairs)
+            out.push('}');
         }
         Response::Error(e) => {
-            let mut pairs = vec![
-                ("ok".to_owned(), Json::Bool(false)),
-                ("op".to_owned(), Json::str("error")),
-                ("kind".to_owned(), Json::str(e.kind.as_str())),
-                ("message".to_owned(), Json::str(&e.message)),
-                ("code".to_owned(), Json::Int(e.kind.code() as i64)),
-            ];
+            write!(
+                out,
+                "{{\"ok\":false,\"op\":\"error\",\"kind\":\"{}\",\"message\":",
+                e.kind.as_str()
+            )
+            .expect(INFALLIBLE);
+            write_escaped(&e.message, out);
+            write!(out, ",\"code\":{}", e.kind.code()).expect(INFALLIBLE);
             if let Some(t) = &e.trace {
-                pairs.push(("trace".to_owned(), Json::str(t)));
+                out.push_str(",\"trace\":");
+                write_escaped(t, out);
             }
-            Json::Obj(pairs)
+            out.push('}');
         }
-    };
-    v.to_string()
+    }
 }
 
 /// Parses one response line (the client side of [`render_response`]).
@@ -785,10 +905,11 @@ pub fn parse_response(line: &str) -> Result<Response, WireError> {
                 .iter()
                 .map(|r| {
                     r.as_arr()
-                        .map(<[Json]>::to_vec)
                         .ok_or_else(|| proto("\"rows\" entries must be arrays"))
                 })
-                .collect::<Result<Vec<Vec<Json>>, WireError>>()?;
+                .collect::<Result<Vec<&[Json]>, WireError>>()?;
+            let rows = Rows::from_rows(attrs.len(), &rows)
+                .ok_or_else(|| proto("every row must have one cell per attribute"))?;
             Ok(Response::Answer {
                 attrs,
                 rows,
@@ -834,6 +955,7 @@ pub fn parse_response(line: &str) -> Result<Response, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::obj;
 
     #[test]
     fn request_frames_round_trip() {
@@ -938,16 +1060,17 @@ mod tests {
             },
             Response::Answer {
                 attrs: vec!["B".into(), "D".into()],
-                rows: vec![
-                    vec![Json::Int(1), Json::str("x")],
-                    vec![Json::Int(2), Json::Int(9)],
-                ],
+                rows: Rows::from_rows(
+                    2,
+                    &[[Json::Int(1), Json::str("x")], [Json::Int(2), Json::Int(9)]],
+                )
+                .unwrap(),
                 metrics: None,
                 trace: None,
             },
             Response::Answer {
                 attrs: vec!["B".into()],
-                rows: vec![vec![Json::Int(1)]],
+                rows: Rows::from_rows(1, &[[Json::Int(1)]]).unwrap(),
                 metrics: None,
                 trace: Some("q-000017".into()),
             },

@@ -5,7 +5,12 @@
 //!
 //! The build environment is registry-less, so there is no async runtime:
 //! each accepted connection gets an OS thread that reads one line, answers
-//! it, and loops.  CPU between in-flight queries is arbitrated exactly as
+//! it, and loops.  Replies are rendered into one output buffer per
+//! connection and written — `TCP_NODELAY` on, in request order — when the
+//! connection's input holds no further complete request line or the buffer
+//! passes 64 KiB, so a pipelined batch is answered in one write and a lone
+//! request at once; a peer that takes no bytes for the write timeout loses
+//! its connection.  CPU between in-flight queries is arbitrated exactly as
 //! in the one-shot CLI — every query leases workers from the process-wide
 //! [`reldb::WorkerPool`] through its [`reldb::ExecPolicy`] (one lease per
 //! query, covering every phase), so N concurrent clients cannot
@@ -21,7 +26,8 @@
 //!
 //! A `shutdown` request stops the accept loop and *drains*: connections
 //! stop taking new queries, in-flight queries run to completion and their
-//! responses are flushed before [`Server::run`] returns.  `shutdown now`
+//! responses are flushed before [`Server::run`] returns (a query stays in
+//! flight until its reply's bytes are handed to the socket).  `shutdown now`
 //! additionally cancels in-flight queries through the shared
 //! [`CancelToken`] wired into every per-request governor, so they abort at
 //! their next checkpoint with a typed `cancelled` error response.
@@ -42,14 +48,14 @@
 use crate::json;
 use crate::load::{load_source, DbSource};
 use crate::protocol::{
-    parse_request, render_response, DbInfo, EngineKind, ErrorKind, Overrides, QuerySpec, Request,
-    Response, StrategyKind, WireError, MAX_LINE,
+    parse_request, render_response_into, DbInfo, EngineKind, ErrorKind, Overrides, QuerySpec,
+    Request, Response, Rows, StrategyKind, WireError, MAX_LINE,
 };
 use crate::stats::StatsRegistry;
 use reldb::{
     query_via_connection_traced, query_via_full_join_traced, query_yannakakis_traced, CancelToken,
     CollectingSink, CollectingTracer, Database, ExecPolicy, Governor, JoinStrategy, MetricsSink,
-    NoopMetrics, NoopTrace, QueryGovernor, Relation, Span, SpanKind, TraceReport, TraceSink,
+    NoopMetrics, NoopTrace, QueryGovernor, Relation, Span, SpanKind, TraceReport, TraceSink, Value,
 };
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -63,6 +69,18 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Upper bound on waiting for in-flight queries during a graceful drain.
 const DRAIN_LIMIT: Duration = Duration::from_secs(60);
+
+/// Size at which a connection's buffered replies are written even though
+/// more pipelined requests are waiting.
+const FLUSH_BOUND: usize = 64 * 1024;
+
+/// How long one socket write may wait for the peer to take data before
+/// the peer counts as gone: a client that pipelines requests but stops
+/// reading must not pin its thread, its buffered replies and their
+/// in-flight guards forever.  (A write that had queued part of its data
+/// when the wait ran out reports that part; the next one then fails, so a
+/// dead peer is dropped within twice this.)
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Server construction parameters.
 #[derive(Debug, Clone, Default)]
@@ -105,8 +123,8 @@ struct State {
 impl State {
     /// Marks a query/run request in flight (drain counter and the stats
     /// gauge together).  The returned guard is held across execution *and*
-    /// the response flush, so a clean drain guarantees every accepted
-    /// query was answered on the wire.
+    /// until the reply's bytes are written ([`Outbox::flush`]), so a clean
+    /// drain guarantees every accepted query was answered on the wire.
     fn begin_query(&self) -> QueryGuard<'_> {
         *self.active.lock().expect("active lock") += 1;
         self.stats.query_begin();
@@ -361,11 +379,58 @@ fn frame_from(mut buf: Vec<u8>) -> Frame {
     }
 }
 
-fn send(stream: &mut TcpStream, state: &State, response: &Response) -> bool {
-    let mut line = render_response(response);
-    line.push('\n');
-    state.stats.add_bytes_out(line.len() as u64);
-    stream.write_all(line.as_bytes()).is_ok() && stream.flush().is_ok()
+/// A connection's outgoing side: replies are rendered into one buffer and
+/// leave in one write per drained pipeline (see [`handle_connection`]).
+struct Outbox<'a> {
+    state: &'a State,
+    stream: TcpStream,
+    buf: String,
+    /// In-flight guards of the queries whose replies sit in `buf`.
+    guards: Vec<QueryGuard<'a>>,
+}
+
+impl<'a> Outbox<'a> {
+    fn push(&mut self, response: &Response, guard: Option<QueryGuard<'a>>) {
+        render_response_into(response, &mut self.buf);
+        self.buf.push('\n');
+        self.guards.extend(guard);
+    }
+
+    /// True when buffered replies must go out now: the buffer passed
+    /// [`FLUSH_BOUND`], or `reader` holds no further complete request line
+    /// (the pipeline is drained — the client may be waiting on these).
+    fn is_due(&self, reader: &BufReader<TcpStream>) -> bool {
+        !self.buf.is_empty() && (self.buf.len() >= FLUSH_BOUND || !reader.buffer().contains(&b'\n'))
+    }
+
+    /// Writes everything buffered, then releases the guards of the queries
+    /// it answered.  `bytes_out` counts what the socket actually took.
+    /// Returns false when the peer is gone or took nothing for
+    /// [`WRITE_TIMEOUT`]; the connection must close (the guards are
+    /// released all the same, so a drain never waits on a dead peer).
+    fn flush(&mut self) -> bool {
+        let mut rest = self.buf.as_bytes();
+        while !rest.is_empty() {
+            match self.stream.write(rest) {
+                Ok(0) => break,
+                Ok(n) => {
+                    self.state.stats.add_bytes_out(n as u64);
+                    rest = &rest[n..];
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        let sent = rest.is_empty();
+        if self.buf.capacity() > FLUSH_BOUND {
+            // A large answer went through; do not keep its allocation.
+            self.buf = String::new();
+        } else {
+            self.buf.clear();
+        }
+        self.guards.clear();
+        sent
+    }
 }
 
 /// The stats-registry op label of a parsed request.
@@ -381,24 +446,39 @@ fn op_label(request: &Request) -> &'static str {
     }
 }
 
+/// Serves one connection.  Replies go out in request order, rendered into
+/// the connection's [`Outbox`] and written when the input buffer holds no
+/// further complete request line or the buffer passes [`FLUSH_BOUND`]: a
+/// pipelined batch is answered in one write, a lone request immediately.
+/// `TCP_NODELAY` is on, so that write never waits for the peer's ACK.
 fn handle_connection(state: &State, stream: TcpStream, server_addr: SocketAddr) {
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let mut out = match stream.try_clone() {
+        Ok(stream) => Outbox {
+            state,
+            stream,
+            buf: String::new(),
+            guards: Vec::new(),
+        },
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
     loop {
+        if out.is_due(&reader) && !out.flush() {
+            return;
+        }
         match read_frame(&mut reader, state) {
-            Frame::Closed | Frame::ShuttingDown => return,
+            Frame::Closed | Frame::ShuttingDown => break,
             Frame::TooLong => {
                 state.stats.record_request("invalid");
                 let e = WireError::new(
                     ErrorKind::Proto,
                     format!("request line exceeds MAX_LINE ({MAX_LINE} bytes); closing"),
                 );
-                let _ = send(&mut writer, state, &Response::Error(e));
-                return;
+                out.push(&Response::Error(e), None);
+                break;
             }
             Frame::Line(line) => {
                 if line.is_empty() {
@@ -411,15 +491,13 @@ fn handle_connection(state: &State, stream: TcpStream, server_addr: SocketAddr) 
                     Err(e) => {
                         state.stats.record_request("invalid");
                         // Malformed frame: answer it, keep the connection.
-                        if !send(&mut writer, state, &Response::Error(e)) {
-                            return;
-                        }
+                        out.push(&Response::Error(e), None);
                         continue;
                     }
                 };
                 let parse_nanos = parse_t0.elapsed().as_nanos() as u64;
                 state.stats.record_request(op_label(&request));
-                // The in-flight guard spans execution AND the response
+                // The in-flight guard spans execution AND the reply's
                 // flush: the graceful drain in `Server::run` must not
                 // return while an answer is still in this thread's hands.
                 let guard = match &request {
@@ -427,21 +505,19 @@ fn handle_connection(state: &State, stream: TcpStream, server_addr: SocketAddr) 
                     _ => None,
                 };
                 let (response, close) = handle_request(state, request, parse_nanos);
-                let sent = send(&mut writer, state, &response);
-                drop(guard);
+                out.push(&response, guard);
                 if close {
-                    // The farewell is on the wire (or the peer is gone);
-                    // only now unblock the accept loop so the process
-                    // cannot exit before this response is flushed.
+                    // Every earlier reply and the farewell are on the wire
+                    // (or the peer is gone); only now unblock the accept
+                    // loop so the process cannot exit before they are.
+                    out.flush();
                     let _ = TcpStream::connect(server_addr);
-                    return;
-                }
-                if !sent {
                     return;
                 }
             }
         }
     }
+    out.flush();
 }
 
 fn handle_request(state: &State, request: Request, parse_nanos: u64) -> (Response, bool) {
@@ -797,39 +873,74 @@ fn execute_inner(
 /// universe order, rows sorted by value — so equal relations yield
 /// byte-identical frames no matter which engine or thread count produced
 /// them.  The differential soak harness depends on exactly this.
+///
+/// The frame is built from the answer's handle rows.  The handles the rows
+/// use are ranked once by [`Value`] order and each becomes one cell
+/// (`rank_cells`, the only part that reads the dictionary); rows are then
+/// sorted as tuples of ranks, plain integers.  No `Value` is cloned per
+/// cell.
 pub fn answer_frame(db: &Database, answer: &Relation, metrics: Option<json::Json>) -> Response {
     let universe = db.schema().universe();
-    let nodes: Vec<_> = answer.attributes().iter().collect();
-    let attrs: Vec<String> = nodes.iter().map(|&n| universe.name(n).to_owned()).collect();
-    let mut rows: Vec<Vec<reldb::Value>> = answer
-        .tuples()
-        .map(|t| {
-            nodes
-                .iter()
-                .map(|&n| {
-                    t.get(n)
-                        .expect("answer tuples cover their attributes")
-                        .clone()
-                })
-                .collect()
-        })
+    let columns = answer.columns();
+    let attrs = columns
+        .iter()
+        .map(|&n| universe.name(n).to_owned())
         .collect();
-    rows.sort_unstable();
-    let rows = rows
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|v| match v {
-                    reldb::Value::Int(n) => json::Json::Int(n),
-                    reldb::Value::Str(s) => json::Json::Str(s),
-                })
-                .collect()
-        })
-        .collect();
+    let (width, len) = (columns.len(), answer.len());
+    let handles = answer.handle_rows();
+    assert_eq!(handles.len(), len * width, "one handle per cell");
+    let (cells, ranked) = answer
+        .pool()
+        .with_values(|values| rank_cells(handles, values));
+    let row = |r: u32| &ranked[r as usize * width..(r as usize + 1) * width];
+    let mut order: Vec<u32> = (0..u32::try_from(len).expect("row ids are u32")).collect();
+    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+    let mut index = Vec::with_capacity(ranked.len());
+    for &r in &order {
+        index.extend_from_slice(row(r));
+    }
     Response::Answer {
         attrs,
-        rows,
+        rows: Rows::from_parts(width, len, cells, index),
         metrics,
         trace: None,
     }
+}
+
+/// The distinct values behind `handles` (`values[h]` decodes handle `h`)
+/// as JSON cells in [`Value`] order, and `handles` rewritten as positions
+/// in that list.
+///
+/// Values are sorted on keys copied out of the dictionary, so the sort does
+/// not chase it.  The handle → position table is indexed by handle and
+/// allocated zeroed, so the pages a small answer over a large dictionary
+/// never touches cost nothing.
+fn rank_cells(handles: &[u32], values: &[Value]) -> (Vec<json::Json>, Vec<u32>) {
+    // `rank[h]` is 0 while `h` is unseen, then 1 + its position in `cells`.
+    let mut rank = vec![0u32; handles.iter().max().map_or(0, |&h| h as usize + 1)];
+    let (mut ints, mut strs) = (Vec::new(), Vec::new());
+    for &h in handles {
+        if rank[h as usize] == 0 {
+            rank[h as usize] = 1;
+            match &values[h as usize] {
+                Value::Int(n) => ints.push((*n, h)),
+                Value::Str(s) => strs.push((s.as_str(), h)),
+            }
+        }
+    }
+    // `Value` orders every `Int` before every `Str`; keys are distinct, so
+    // the handle in each pair never decides.
+    ints.sort_unstable();
+    strs.sort_unstable();
+    let mut cells = Vec::with_capacity(ints.len() + strs.len());
+    for (n, h) in ints {
+        cells.push(json::Json::Int(n));
+        rank[h as usize] = cells.len() as u32;
+    }
+    for (s, h) in strs {
+        cells.push(json::Json::str(s));
+        rank[h as usize] = cells.len() as u32;
+    }
+    let ranked = handles.iter().map(|&h| rank[h as usize] - 1).collect();
+    (cells, ranked)
 }

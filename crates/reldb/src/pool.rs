@@ -165,6 +165,13 @@ impl ValuePool {
         self.inner.lock().expect("value pool lock").values[h as usize].clone()
     }
 
+    /// Lends the dictionary, indexed by handle, to `f` under the pool lock —
+    /// a bulk read of many handles with one lock and no [`Value`] clones.
+    /// `f` must not call back into this pool.
+    pub fn with_values<R>(&self, f: impl FnOnce(&[Value]) -> R) -> R {
+        f(&self.inner.lock().expect("value pool lock").values)
+    }
+
     /// A snapshot of the whole dictionary, indexed by handle — one lock for
     /// a bulk decode instead of one per [`ValuePool::value`] call.
     pub(crate) fn snapshot(&self) -> Vec<Value> {

@@ -549,6 +549,13 @@ impl Relation {
         &self.pool
     }
 
+    /// The stored rows as [`ValuePool`] handles: row-major, one handle per
+    /// [`column`](Relation::columns), `len() * columns().len()` in all, in
+    /// storage order.  Decode through [`ValuePool::with_values`].
+    pub fn handle_rows(&self) -> &[u32] {
+        &self.rows
+    }
+
     fn width(&self) -> usize {
         self.cols.len()
     }

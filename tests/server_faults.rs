@@ -7,10 +7,13 @@
 //! answers stay byte-identical to the oracle, the failing connection
 //! itself remains usable, and the server survives to shut down cleanly —
 //! including gracefully under load, draining or cancelling every
-//! in-flight query.
+//! in-flight query.  The last case needs no failpoint: a client that
+//! pipelines large queries and never reads a reply is cut off by the
+//! server's write timeout, alone.
 
 #![cfg(feature = "failpoints")]
 
+use acyclic_hypergraphs::hyperqd::json::Json;
 use acyclic_hypergraphs::hyperqd::protocol::{
     parse_response, render_request, render_response, EngineKind, ErrorKind, Overrides, QuerySpec,
     Request, Response,
@@ -18,10 +21,10 @@ use acyclic_hypergraphs::hyperqd::protocol::{
 use acyclic_hypergraphs::hyperqd::server::{answer_frame, Server, ServerHandle};
 use acyclic_hypergraphs::reldb::{query_yannakakis, Database};
 use acyclic_hypergraphs::workload::{chain, consistent_database, ring, DataParams};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn db(
     schema: &acyclic_hypergraphs::hypergraph::Hypergraph,
@@ -57,6 +60,8 @@ fn serve() -> (ServerHandle, Arc<Database>, Arc<Database>) {
 struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// Reply bytes read so far, newlines included.
+    received: u64,
 }
 
 impl Client {
@@ -69,6 +74,7 @@ impl Client {
         Client {
             reader: BufReader::new(stream),
             writer,
+            received: 0,
         }
     }
 
@@ -82,6 +88,7 @@ impl Client {
         let mut buf = String::new();
         let n = self.reader.read_line(&mut buf).expect("read in time");
         assert!(n > 0, "server closed the connection unexpectedly");
+        self.received += n as u64;
         parse_response(buf.trim_end()).expect("well-formed response")
     }
 }
@@ -315,4 +322,139 @@ fn shutdown_now_cancels_in_flight_queries_cleanly() {
     for w in workers {
         w.join().expect("worker saw a malformed cancellation");
     }
+}
+
+/// The counter `key` of a stats snapshot, or of its labelled family `key`
+/// summed over the labels.
+fn counter(stats: &Json, key: &str) -> u64 {
+    match stats.get(key) {
+        Some(Json::Obj(labels)) => labels.iter().filter_map(|(_, v)| v.as_u64()).sum(),
+        Some(v) => v
+            .as_u64()
+            .unwrap_or_else(|| panic!("{key} is not a counter: {v}")),
+        None => panic!("stats snapshot lacks {key}: {stats}"),
+    }
+}
+
+/// A client pipelines queries with large answers and never reads a byte.
+/// The server must not let it pin a thread, a reply buffer and an
+/// in-flight guard forever: once the socket has taken nothing for the
+/// write timeout, that connection — and only that one — is closed.  A
+/// second connection is served throughout, the registry's conservation
+/// invariants (`scripts/check_stats.py`) hold afterwards, `bytes_out`
+/// counts what sockets took rather than what was rendered, and a graceful
+/// shutdown drains clean.
+#[test]
+fn a_client_that_never_reads_is_cut_off_alone_and_the_drain_still_finishes() {
+    let wide_db = Arc::new(consistent_database(
+        &chain(3, 2, 1),
+        DataParams {
+            tuples_per_relation: 400,
+            domain: 50,
+            skew: 0.0,
+            key_cap: 0,
+        },
+        23,
+    ));
+    let select = ["N00000", "N00001", "N00002", "N00003"];
+    let handle = Server::bind_preloaded("127.0.0.1:0", vec![("wide".into(), Arc::clone(&wide_db))])
+        .expect("bind")
+        .spawn();
+    let addr = handle.addr();
+    let request = Request::Query(QuerySpec {
+        db: "wide".into(),
+        select: select.map(String::from).to_vec(),
+        engine: None,
+        overrides: Overrides::default(),
+    });
+    let want = render_response(&oracle_answer(&wide_db, &select));
+    // A reply as sent: the frame, its trace id, the newline.
+    let reply_len = (want.len() + ",\"trace\":\"q-000001\"".len() + 1) as u64;
+    assert!(reply_len > 64 << 10, "each reply must pass the flush bound");
+
+    // 64 MiB of replies is far more than loopback socket buffers take.
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    let line = format!("{}\n", render_request(&request));
+    let pipelined = (64 << 20) / reply_len + 1;
+    stalled
+        .write_all(line.repeat(pipelined as usize).as_bytes())
+        .expect("send the pipeline");
+
+    let started = Instant::now();
+    let mut bystander = Client::connect(addr);
+    let mut bystander_queries = 0;
+    let scrape = |c: &mut Client| match c.round_trip(&Request::Stats { prometheus: false }) {
+        Response::Stats {
+            stats: Some(stats), ..
+        } => stats,
+        other => panic!("stats scrape got {other:?}"),
+    };
+    // Served while the other connection is stuck; then wait for the server
+    // to give up on it: nothing in flight and no query finished between
+    // two scrapes (the stalled connection is either mid-query, blocked in
+    // its write with the query still in flight, or closed).
+    let mut last = None;
+    let stats = loop {
+        assert_eq!(stripped(bystander.round_trip(&request)), want);
+        bystander_queries += 1;
+        let stats = scrape(&mut bystander);
+        let seen = (
+            counter(&stats, "in_flight"),
+            counter(&stats, "queries_total"),
+        );
+        if seen.0 == 0 && last == Some((0, seen.1 - 1)) {
+            break stats;
+        }
+        last = Some(seen);
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "the stalled connection was never cut off: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(200));
+    };
+
+    // check_stats.py's conservation invariants.
+    assert_eq!(
+        counter(&stats, "requests_total"),
+        counter(&stats, "requests_by_op")
+    );
+    assert_eq!(
+        counter(&stats, "queries_total"),
+        counter(&stats, "queries_by_outcome")
+    );
+    assert!(counter(&stats, "queries_by_engine") <= counter(&stats, "queries_total"));
+    // Every executed query succeeded; the stalled client's share of them
+    // is what the bystander did not send.
+    let executed = counter(&stats, "queries_total");
+    assert_eq!(
+        stats.get("queries_by_outcome").and_then(|o| o.get("ok")),
+        Some(&Json::Int(executed as i64))
+    );
+    let stalled_queries = executed - bystander_queries;
+    assert!(
+        (1..pipelined).contains(&stalled_queries),
+        "the stalled pipeline ran {stalled_queries} of {pipelined} queries"
+    );
+    // The reply the write gave up on was rendered but not taken whole.
+    let bytes_out = counter(&stats, "bytes_out");
+    assert!(
+        bytes_out < stalled_queries * reply_len + bystander.received,
+        "bytes_out {bytes_out} counts bytes no socket took \
+         ({stalled_queries} stalled replies of {reply_len} B, bystander read {})",
+        bystander.received
+    );
+    assert!(bytes_out >= bystander.received);
+
+    shut_down_clean(handle, false);
+    // The server closed the stalled connection: reading it now ends (EOF,
+    // or a reset since requests were left unread) instead of blocking.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut sink = Vec::new();
+    if let Err(e) = stalled.read_to_end(&mut sink) {
+        assert_ne!(e.kind(), std::io::ErrorKind::WouldBlock, "still open");
+        assert_ne!(e.kind(), std::io::ErrorKind::TimedOut, "still open");
+    }
+    assert!((sink.len() as u64) < stalled_queries * reply_len);
 }

@@ -11,7 +11,7 @@
 use acyclic_hypergraphs::hyperqd::json::Json;
 use acyclic_hypergraphs::hyperqd::protocol::{
     parse_request, parse_response, render_request, render_response, DbInfo, EngineKind, ErrorKind,
-    Overrides, QuerySpec, Request, Response, StrategyKind, WireError, MAX_LINE,
+    Overrides, QuerySpec, Request, Response, Rows, StrategyKind, WireError, MAX_LINE,
 };
 use acyclic_hypergraphs::hyperqd::server::Server;
 use acyclic_hypergraphs::reldb::Database;
@@ -100,19 +100,23 @@ fn arb_response(sel: u64, bits: u64, a: u64, b: u64) -> Response {
         },
         4 => Response::Answer {
             attrs: (0..1 + a % 4).map(|i| format!("A{i}")).collect(),
-            rows: (0..b % 5)
-                .map(|r| {
-                    (0..1 + a % 4)
-                        .map(|c| {
-                            if (bits >> (r + c)) & 1 == 1 {
-                                Json::Int((a ^ (r << c)) as i64 - 500)
-                            } else {
-                                Json::Str(format!("v{r}\"{c}\\"))
-                            }
-                        })
-                        .collect()
-                })
-                .collect(),
+            rows: Rows::from_rows(
+                1 + (a % 4) as usize,
+                &(0..b % 5)
+                    .map(|r| {
+                        (0..1 + a % 4)
+                            .map(|c| {
+                                if (bits >> (r + c)) & 1 == 1 {
+                                    Json::Int((a ^ (r << c)) as i64 - 500)
+                                } else {
+                                    Json::Str(format!("v{r}\"{c}\\"))
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect::<Vec<Vec<Json>>>(),
+            )
+            .expect("every row has one cell per attribute"),
             metrics: (bits & 1 == 1).then(|| Json::Obj(vec![("x".into(), Json::Int(3))])),
             trace: (bits & 0b10 != 0).then(|| format!("q-{:06}", a % 1_000_000)),
         },
@@ -291,14 +295,20 @@ impl Client {
         self.writer.flush().expect("flush");
     }
 
-    fn read_response(&mut self) -> Response {
+    /// One reply line as sent, without its newline.
+    fn read_line(&mut self) -> String {
         let mut line = String::new();
         let n = self
             .reader
             .read_line(&mut line)
             .expect("read within timeout");
         assert!(n > 0, "server closed the connection instead of answering");
-        parse_response(line.trim_end()).expect("well-formed response frame")
+        assert_eq!(line.pop(), Some('\n'), "reply cut short: {line}");
+        line
+    }
+
+    fn read_response(&mut self) -> Response {
+        parse_response(&self.read_line()).expect("well-formed response frame")
     }
 
     fn round_trip(&mut self, request: &Request) -> Response {
@@ -460,5 +470,173 @@ fn fault_injection_requests_are_refused_without_the_feature() {
         }
         other => panic!("fault request without the feature got {other:?}"),
     }
+    shut_down(handle);
+}
+
+// ------------------------------------------------------------ pipelining
+
+/// A reply line without its per-query trace id (`,"trace":"q-NNNNNN"`, the
+/// frame's last field), so lines from different requests compare equal.
+fn without_trace(line: &str) -> String {
+    match line.rfind(",\"trace\":\"q-") {
+        Some(at) if line.ends_with("\"}") => format!("{}}}", &line[..at]),
+        _ => line.to_owned(),
+    }
+}
+
+fn all_attrs_query() -> String {
+    render_request(&Request::Query(QuerySpec {
+        db: "chain".into(),
+        select: ["N00000", "N00001", "N00002", "N00003"]
+            .map(String::from)
+            .to_vec(),
+        engine: None,
+        overrides: Overrides::default(),
+    }))
+}
+
+/// One write carrying 64 mixed lines is answered exactly like the same
+/// lines sent one at a time: same replies, same order, byte for byte once
+/// the trace ids are stripped; blank keep-alives stay unanswered.
+#[test]
+fn a_pipelined_batch_is_answered_like_depth_one() {
+    let (handle, _db) = tiny_server();
+    let mut setup = Client::connect(handle.addr());
+    let prepared = setup.round_trip(&Request::Prepare {
+        name: "far".into(),
+        spec: QuerySpec {
+            db: "chain".into(),
+            select: vec!["N00000".into(), "N00003".into()],
+            engine: Some(EngineKind::Connection),
+            overrides: Overrides::default(),
+        },
+    });
+    assert_eq!(prepared, Response::Prepared { name: "far".into() });
+
+    let kinds = [
+        all_attrs_query(),
+        render_request(&Request::Run {
+            name: "far".into(),
+            overrides: Overrides::default(),
+        }),
+        render_request(&Request::Ping),
+        "{\"op\":\"query\",\"db\":".to_owned(), // malformed frame
+        render_request(&Request::Query(QuerySpec {
+            db: "nowhere".into(),
+            select: vec!["N00000".into()],
+            engine: None,
+            overrides: Overrides::default(),
+        })),
+        String::new(), // blank keep-alive
+        render_request(&Request::Run {
+            name: "never-prepared".into(),
+            overrides: Overrides::default(),
+        }),
+    ];
+    let lines: Vec<&String> = (0..64).map(|i| &kinds[i % kinds.len()]).collect();
+    let answered = lines.iter().filter(|l| !l.is_empty()).count();
+
+    let mut one_by_one = Client::connect(handle.addr());
+    let want: Vec<String> = lines
+        .iter()
+        .filter_map(|line| {
+            one_by_one.send_raw(format!("{line}\n").as_bytes());
+            (!line.is_empty()).then(|| without_trace(&one_by_one.read_line()))
+        })
+        .collect();
+    assert_eq!(want.len(), answered);
+    assert!(want.iter().any(|l| l.contains("\"op\":\"answer\"")));
+    assert!(want.iter().any(|l| l.contains("\"kind\":\"unknown-db\"")));
+
+    let mut pipelined = Client::connect(handle.addr());
+    let batch: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    pipelined.send_raw(batch.as_bytes());
+    let got: Vec<String> = (0..answered)
+        .map(|_| without_trace(&pipelined.read_line()))
+        .collect();
+    assert_eq!(got, want);
+    // Nothing extra follows: the connection is idle and still in step.
+    assert_eq!(pipelined.round_trip(&Request::Ping), Response::Pong);
+    shut_down(handle);
+}
+
+/// A batch whose replies add up to several times the server's flush bound
+/// (64 KiB) and whose requests overflow its 8 KiB read buffer: the replies
+/// leave in several writes, every one complete and in order.
+#[test]
+fn a_batch_larger_than_the_flush_bound_arrives_whole_and_in_order() {
+    let (handle, _db) = tiny_server();
+    let mut c = Client::connect(handle.addr());
+    let query = all_attrs_query();
+    c.send_raw(format!("{query}\n").as_bytes());
+    let want = without_trace(&c.read_line());
+    let requests = 1 + 5 * (64 << 10) / want.len();
+    assert!(requests * (query.len() + 1) > 8 << 10);
+
+    // Every third request is a ping, so a reply out of place shows.
+    let batch: String = (0..requests)
+        .map(|i| {
+            if i % 3 == 2 {
+                format!("{}\n", render_request(&Request::Ping))
+            } else {
+                format!("{query}\n")
+            }
+        })
+        .collect();
+    c.send_raw(batch.as_bytes());
+    for i in 0..requests {
+        let got = c.read_line();
+        if i % 3 == 2 {
+            assert_eq!(got, render_response(&Response::Pong), "reply {i}");
+        } else {
+            assert_eq!(without_trace(&got), want, "reply {i}");
+        }
+    }
+    shut_down(handle);
+}
+
+/// A batch ending in `shutdown`: every earlier reply is delivered, in
+/// order, before `bye`; then the connection closes and the drain is clean.
+#[test]
+fn a_batch_ending_in_shutdown_delivers_every_reply_before_bye() {
+    let (handle, _db) = tiny_server();
+    let mut c = Client::connect(handle.addr());
+    let query = all_attrs_query();
+    c.send_raw(format!("{query}\n").as_bytes());
+    let want = without_trace(&c.read_line());
+
+    let batch = format!(
+        "{query}\n{query}\n{ping}\n{query}\n{bye}\n{ping}\n",
+        ping = render_request(&Request::Ping),
+        bye = render_request(&Request::Shutdown { now: false }),
+    );
+    c.send_raw(batch.as_bytes());
+    assert_eq!(without_trace(&c.read_line()), want);
+    assert_eq!(without_trace(&c.read_line()), want);
+    assert_eq!(c.read_response(), Response::Pong);
+    assert_eq!(without_trace(&c.read_line()), want);
+    assert_eq!(c.read_response(), Response::Bye);
+    // The request after `shutdown` is never served: the connection closes.
+    let mut rest = Vec::new();
+    let _ = c.reader.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "bytes after bye: {rest:?}");
+    let stats = handle.join();
+    assert!(stats.drained_clean, "drain must finish: {stats:?}");
+    assert_eq!(stats.queries, 4);
+}
+
+/// A partial trailing line does not hold back the replies already earned:
+/// they arrive while the server still waits for the rest of the line.
+#[test]
+fn a_partial_trailing_line_does_not_hold_back_earlier_replies() {
+    let (handle, _db) = tiny_server();
+    let mut c = Client::connect(handle.addr());
+    let ping = render_request(&Request::Ping);
+    let (head, tail) = ping.split_at(ping.len() / 2);
+    c.send_raw(format!("{ping}\n{}\n{head}", all_attrs_query()).as_bytes());
+    assert_eq!(c.read_response(), Response::Pong);
+    assert!(matches!(c.read_response(), Response::Answer { .. }));
+    c.send_raw(format!("{tail}\n").as_bytes());
+    assert_eq!(c.read_response(), Response::Pong);
     shut_down(handle);
 }
