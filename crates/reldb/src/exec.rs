@@ -61,7 +61,9 @@ pub enum JoinStrategy {
     /// at or below the operator's calibrated crossover
     /// ([`AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO`] for joins,
     /// [`AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO`] for semijoins, both
-    /// overridable via [`ExecPolicy`]), hash otherwise.
+    /// overridable via [`ExecPolicy`]), hash otherwise.  Semijoins whose
+    /// packed handle key space fits run the dense bitset kernel before that
+    /// choice is made (see `AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO`).
     #[default]
     Auto,
 }
@@ -118,9 +120,18 @@ pub const AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO: f64 = 0.55;
 /// the pipeline-level bench rows agree (`full_reduce` under the pinned
 /// sort-merge engine beats the pinned hash engine 1.5–2.2× on every
 /// workload).  Sorting interned `u32` key handles is simply cheaper than
-/// per-row hashing here, so `Auto` semijoins always take sort-merge: the
-/// threshold is 1.0 and the [`ExecPolicy`] field is the opt-out for
-/// hardware where the trade-off measures differently.
+/// per-row hashing here, so the threshold is 1.0 and the [`ExecPolicy`]
+/// field is the opt-out for hardware where the trade-off measures
+/// differently.
+///
+/// The threshold only decides semijoins the dense kernel does not take:
+/// `Auto` first runs a direct-address bitset over the packed handle key
+/// space whenever `pool.len()^k` is at most eight bits per input row (the
+/// bitset never outweighs one byte per row it serves; past that, zeroing
+/// and missing on a sparse bitset costs more than the sort), and falls back
+/// to this sort-merge-vs-hash choice otherwise.  With the default 1.0 that
+/// makes the order *dense if the key space fits, else sort-merge; hash only
+/// when pinned*.
 pub const AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO: f64 = 1.0;
 
 /// Default morsel size for [`ExecPolicy::morsel_rows`]: the number of rows
@@ -232,8 +243,12 @@ pub struct ExecPolicy {
     /// [`AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO`].
     pub auto_sortmerge_max_distinct_ratio: f64,
     /// Distinct-key-ratio threshold at or below which [`JoinStrategy::Auto`]
-    /// picks sort-merge for **semijoins**.  Defaults to the calibrated
-    /// [`AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO`].
+    /// picks sort-merge for **semijoins** the dense kernel does not take
+    /// (`Auto` runs the direct-address bitset first whenever the packed key
+    /// space is at most eight bits per input row; this threshold is never
+    /// consulted for those).  Defaults to the calibrated
+    /// [`AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO`] = 1.0: sort-merge for
+    /// every fallback, hash only when pinned.
     pub auto_semijoin_sortmerge_max_distinct_ratio: f64,
     /// Lease long-lived workers from the shared [`WorkerPool`] (`true`, the
     /// default) instead of spawning fresh threads per call (`false`, kept

@@ -60,6 +60,10 @@ pub enum Kernel {
     Hash,
     /// Sorted row-id permutations + merge.
     SortMerge,
+    /// Direct-address bitset over the packed handle key space — `Auto`
+    /// semijoins whose key space fits; see
+    /// [`Relation::retain_semijoin_with`](crate::Relation::retain_semijoin_with).
+    Dense,
 }
 
 impl Kernel {
@@ -68,6 +72,7 @@ impl Kernel {
         match self {
             Kernel::Hash => "hash",
             Kernel::SortMerge => "sort-merge",
+            Kernel::Dense => "dense",
         }
     }
 }
@@ -87,13 +92,15 @@ pub struct OpMetrics {
     /// semijoin.
     pub kept: u64,
     /// Entries added to the build-side structure: distinct keys for a hash
-    /// table, sorted permutation entries for sort-merge.
+    /// table or a dense bitset, sorted permutation entries for sort-merge.
     pub built: u64,
     /// Build-side input rows.
     pub build_rows: u64,
     /// The sampled distinct-key ratio of the strategy-deciding side, when it
-    /// was sampled (always under [`Auto`]; under a pinned strategy only when
-    /// the sink is enabled, so the no-op path never pays for sampling).
+    /// was sampled (always when [`Auto`] chose between hash and sort-merge
+    /// by it; under a pinned strategy, and for semijoins the dense kernel
+    /// took, only when the sink is enabled, so the no-op path never pays for
+    /// sampling).
     ///
     /// [`Auto`]: crate::JoinStrategy::Auto
     pub distinct_ratio: Option<f64>,
@@ -192,6 +199,8 @@ pub struct OpAgg {
     pub hash_ops: u64,
     /// Operations resolved to the sort-merge kernel.
     pub sortmerge_ops: u64,
+    /// Operations resolved to the dense (direct-address bitset) kernel.
+    pub dense_ops: u64,
     /// Total rows probed.
     pub probed: u64,
     /// Total rows kept (output rows for joins, survivors for semijoins).
@@ -216,6 +225,7 @@ impl OpAgg {
         match op.kernel {
             Kernel::Hash => self.hash_ops += 1,
             Kernel::SortMerge => self.sortmerge_ops += 1,
+            Kernel::Dense => self.dense_ops += 1,
         }
         self.probed += op.probed;
         self.kept += op.kept;
@@ -248,9 +258,16 @@ impl OpAgg {
             None => "null".to_owned(),
         };
         format!(
-            "{{\"ops\": {}, \"hash_ops\": {}, \"sortmerge_ops\": {}, \"probed\": {}, \"kept\": {}, \"built\": {}, \"build_rows\": {}, \"distinct_ratio\": {}}}",
-            self.ops, self.hash_ops, self.sortmerge_ops, self.probed, self.kept, self.built,
-            self.build_rows, ratio,
+            "{{\"ops\": {}, \"hash_ops\": {}, \"sortmerge_ops\": {}, \"dense_ops\": {}, \"probed\": {}, \"kept\": {}, \"built\": {}, \"build_rows\": {}, \"distinct_ratio\": {}}}",
+            self.ops,
+            self.hash_ops,
+            self.sortmerge_ops,
+            self.dense_ops,
+            self.probed,
+            self.kept,
+            self.built,
+            self.build_rows,
+            ratio,
         )
     }
 }
@@ -403,19 +420,20 @@ impl QueryMetrics {
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<10} {:>5} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12} {:>10}\n",
-            "op", "ops", "hash", "merge", "probed", "kept", "built", "build_rows", "ratio"
+            "{:<10} {:>5} {:>6} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12} {:>10}\n",
+            "op", "ops", "hash", "merge", "dense", "probed", "kept", "built", "build_rows", "ratio"
         ));
         for (name, agg) in [("join", &self.joins), ("semijoin", &self.semijoins)] {
             let ratio = agg
                 .ratio_mean()
                 .map_or("-".to_owned(), |m| format!("{m:.4}"));
             out.push_str(&format!(
-                "{:<10} {:>5} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12} {:>10}\n",
+                "{:<10} {:>5} {:>6} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12} {:>10}\n",
                 name,
                 agg.ops,
                 agg.hash_ops,
                 agg.sortmerge_ops,
+                agg.dense_ops,
                 agg.probed,
                 agg.kept,
                 agg.built,
@@ -602,6 +620,7 @@ mod tests {
         sink.record_op(op(OpKind::Join, Kernel::Hash, 100, 40, Some(0.5)));
         sink.record_op(op(OpKind::Join, Kernel::SortMerge, 50, 10, Some(0.01)));
         sink.record_op(op(OpKind::Semijoin, Kernel::Hash, 30, 30, None));
+        sink.record_op(op(OpKind::Semijoin, Kernel::Dense, 20, 5, None));
         let m = sink.snapshot();
         assert_eq!(m.joins.ops, 2);
         assert_eq!(m.joins.hash_ops, 1);
@@ -612,7 +631,10 @@ mod tests {
         assert!((m.joins.ratio_min - 0.01).abs() < 1e-12);
         assert!((m.joins.ratio_max - 0.5).abs() < 1e-12);
         assert!((m.joins.ratio_mean().unwrap() - 0.255).abs() < 1e-12);
-        assert_eq!(m.semijoins.ops, 1);
+        assert_eq!(m.semijoins.ops, 2);
+        assert_eq!(m.semijoins.hash_ops, 1);
+        assert_eq!(m.semijoins.dense_ops, 1);
+        assert_eq!(m.semijoins.probed, 50);
         assert_eq!(m.semijoins.ratio_samples, 0);
         assert_eq!(m.semijoins.ratio_mean(), None);
     }

@@ -17,6 +17,19 @@
 //! then work purely on handle rows: no `Value` is cloned, hashed or compared
 //! on the hot path.
 //!
+//! # Semijoin kernels
+//!
+//! Every semijoin computes a keep-mask first and moves rows only once the
+//! mask is complete.  Under [`JoinStrategy::Auto`] the mask kernel is chosen
+//! in this order: **dense** — a direct-address bitset over the packed handle
+//! key space — whenever that space fits (`pool.len()^k` at most eight bits
+//! per input row, i.e. the bitset never outweighs one byte per row it
+//! serves; wider or overflowing key spaces would cost more to zero and miss
+//! in cache than the sort they replace), else **sort-merge**; the **hash**
+//! mask runs only when pinned ([`JoinStrategy::Hash`]) or when a policy
+//! lowers the semijoin sort-merge threshold below the sampled ratio.  Pinned
+//! strategies mean exactly what they say and never take the dense kernel.
+//!
 //! [`Tuple`] remains the boundary type for building and reading individual
 //! tuples; it is decoded from / encoded into rows only at the edges.
 
@@ -365,6 +378,38 @@ impl JoinKeys {
         }
         keys
     }
+}
+
+/// The size `radix^k` of the packed key space of a `k`-column key over a
+/// pool of `radix` values, when the dense semijoin kernel may use it: the
+/// direct-address bitset costs one bit per *possible* key, and it is taken
+/// only while that is at most one byte per input row it serves (`rows` =
+/// both operands; the 1024-bit floor keeps tiny inputs dense).  Past that a
+/// sparse key space would make the bitset — allocation, zeroing and cache
+/// misses — outweigh the sort it replaces, so the caller falls back;
+/// `radix^k` overflowing `usize` is the same answer.  The bound is derived
+/// from the inputs, not tunable.
+fn dense_key_space(radix: usize, k: usize, rows: usize) -> Option<usize> {
+    let space = radix.checked_pow(u32::try_from(k).ok()?)?;
+    (space <= rows.saturating_mul(8).saturating_add(1024)).then_some(space)
+}
+
+/// Packs the key columns `pos` of `row` into one mixed-radix number
+/// (`Σ hᵢ·radix^(k−1−i)`, every handle below `radix`), translating each
+/// handle through `trans` first when given; `None` if a handle has no
+/// translation (the value is unknown to the target pool).
+#[inline]
+fn pack_key(row: &[u32], pos: &[usize], trans: Option<&[u32]>, radix: usize) -> Option<usize> {
+    let mut key = 0usize;
+    for &p in pos {
+        let h = trans.map_or(row[p], |t| t[row[p] as usize]);
+        if h == NO_HANDLE {
+            return None;
+        }
+        debug_assert!((h as usize) < radix, "handle outside the pool");
+        key = key * radix + h as usize;
+    }
+    Some(key)
 }
 
 /// Sorts the ids `0..n` by their flattened `k`-wide keys, returning the
@@ -1024,11 +1069,10 @@ impl Relation {
                 M::ENABLED,
             )
         };
-        let (out, built) = match kernel {
-            Kernel::SortMerge => self.sort_merge_join_into(other, &shared, out, gov)?,
-            Kernel::Hash => {
-                self.hash_join_into(other, &shared, out, probe_workers, morsel_rows, gov)?
-            }
+        let (out, built) = if kernel == Kernel::SortMerge {
+            self.sort_merge_join_into(other, &shared, out, gov)?
+        } else {
+            self.hash_join_into(other, &shared, out, probe_workers, morsel_rows, gov)?
         };
         if M::ENABLED {
             sink.record_op(OpMetrics {
@@ -1414,8 +1458,11 @@ impl Relation {
     /// parameterized by strategy and the probe-shard workers.  Alongside the
     /// mask, reports what the kernel did ([`MaskStats`]) so metered callers
     /// can record one semijoin [`OpMetrics`]; `sample_ratio` additionally
-    /// samples the distinct-key ratio under pinned strategies (`Auto`
-    /// samples regardless).
+    /// samples the distinct-key ratio where no kernel choice needed it
+    /// (pinned strategies, and `Auto` semijoins the dense kernel takes).
+    ///
+    /// `Auto` tries [`Relation::dense_mask`] first and resolves between
+    /// sort-merge and hash only when the packed key space does not fit.
     #[allow(clippy::too_many_arguments)]
     fn semijoin_mask<G: Governor>(
         &self,
@@ -1441,13 +1488,28 @@ impl Relation {
             };
             return Ok((mask, stats));
         };
-        // Gather the (translated) key columns of `other` into one buffer.
-        let other_keys = keys.gather_translated(other);
-        let (kernel, ratio) =
-            self.resolve_kernel(strategy, &keys.left_pos, auto_ratio, sample_ratio);
-        let (mask, built) = match kernel {
-            Kernel::SortMerge => self.sort_merge_mask(&keys, &other_keys, gov)?,
-            Kernel::Hash => self.hash_mask(&keys, other_keys, probe, morsel_rows, gov)?,
+        let dense = if strategy == JoinStrategy::Auto {
+            self.dense_mask(other, &keys, gov)?
+        } else {
+            None
+        };
+        let (kernel, ratio, (mask, built)) = match dense {
+            Some(done) => {
+                let ratio = sample_ratio.then(|| self.estimate_distinct_key_ratio(&keys.left_pos));
+                (Kernel::Dense, ratio, done)
+            }
+            None => {
+                // Gather the (translated) key columns of `other` into one buffer.
+                let other_keys = keys.gather_translated(other);
+                let (kernel, ratio) =
+                    self.resolve_kernel(strategy, &keys.left_pos, auto_ratio, sample_ratio);
+                let done = if kernel == Kernel::SortMerge {
+                    self.sort_merge_mask(&keys, &other_keys, gov)?
+                } else {
+                    self.hash_mask(&keys, other_keys, probe, morsel_rows, gov)?
+                };
+                (kernel, ratio, done)
+            }
         };
         let stats = MaskStats {
             kernel,
@@ -1456,6 +1518,61 @@ impl Relation {
             ratio,
         };
         Ok((mask, stats))
+    }
+
+    /// Dense flavor of the semijoin mask: a direct-address bitset over the
+    /// packed key space, or `None` when that space is too large (see
+    /// [`dense_key_space`]) and the caller must sort instead.
+    ///
+    /// Handles are dense `u32`s below the pool size `radix`, so a `k`-column
+    /// key is the mixed-radix number `Σ hᵢ·radix^(k−1−i)` and "is this key
+    /// present in `other`" is one bit.  The build loop sets bits straight
+    /// from `other`'s row buffer (translated across pools; rows holding a
+    /// value unknown to `self`'s pool are skipped), the probe loop tests
+    /// `self`'s rows against them: no gathered key buffers, no
+    /// permutations, no hashing.  Runs inline on the calling thread — at a
+    /// few ns per row there is nothing for a morsel hand-off to win back.
+    /// Returns the mask plus the number of distinct keys set (the "built"
+    /// metric).
+    fn dense_mask<G: Governor>(
+        &self,
+        other: &Relation,
+        keys: &JoinKeys,
+        gov: &G,
+    ) -> Result<Option<(Vec<bool>, usize)>, EngineError> {
+        // Read after `keys.trans` was built: every handle either loop packs
+        // (own rows, translated rows) was interned before this point.
+        let radix = self.pool.len();
+        let Some(space) = dense_key_space(radix, keys.k(), self.len + other.len) else {
+            return Ok(None);
+        };
+        let trans = keys.trans.as_deref();
+        let mut bits = vec![0u64; space.div_ceil(64)];
+        let mut built = 0usize;
+        for batch in other.raw_rows().chunks(CHECK_BATCH * other.width()) {
+            if G::ENABLED {
+                gov.checkpoint()?;
+            }
+            for row in batch.chunks_exact(other.width()) {
+                let Some(key) = pack_key(row, &keys.right_pos, trans, radix) else {
+                    continue;
+                };
+                let (word, bit) = (key / 64, 1u64 << (key % 64));
+                built += usize::from(bits[word] & bit == 0);
+                bits[word] |= bit;
+            }
+        }
+        let mut mask = Vec::with_capacity(self.len);
+        for batch in self.raw_rows().chunks(CHECK_BATCH * self.width()) {
+            if G::ENABLED {
+                gov.checkpoint()?;
+            }
+            mask.extend(batch.chunks_exact(self.width()).map(|row| {
+                pack_key(row, &keys.left_pos, None, radix)
+                    .is_some_and(|key| bits[key / 64] & (1u64 << (key % 64)) != 0)
+            }));
+        }
+        Ok(Some((mask, built)))
     }
 
     /// Hash flavor of the semijoin mask: index `other`'s distinct keys,
@@ -1661,9 +1778,18 @@ impl Relation {
             self.attributes.clone(),
             self.pool.clone(),
         );
+        // The kept rows are a subset of an already-distinct row set: append
+        // them unchecked and leave the dedup index to its lazy rebuild, as
+        // `retain_semijoin` does.  (Zero-width rows carry no words for the
+        // bulk path to append; they go through the deduplicating insert.)
         for (row, &keep) in self.rows_iter().zip(&mask) {
-            if keep {
+            if !keep {
+                continue;
+            }
+            if row.is_empty() {
                 out.insert_row(row);
+            } else {
+                out.push_rows_unchecked(row);
             }
         }
         out
@@ -1702,6 +1828,15 @@ impl Relation {
     /// times in a row and never consults the index in between, so eager
     /// rebuilds were pure waste.  With `threads > 1` the hash probe loop is
     /// sharded across workers leased from the shared [`WorkerPool`].
+    ///
+    /// Under [`JoinStrategy::Auto`] the keep-mask comes from the dense
+    /// kernel (a bitset over the packed handle key space, inline on the
+    /// calling thread) whenever `pool.len()^k` is at most eight bits per
+    /// input row of the two operands, and from sort-merge otherwise — a
+    /// sparser key space makes the bitset dearer than the sort.  The hash
+    /// mask runs only under a pinned [`JoinStrategy::Hash`] (or an `Auto`
+    /// policy whose semijoin threshold was lowered below the sampled
+    /// ratio); see the module docs.
     pub fn retain_semijoin_with(
         &mut self,
         other: &Relation,
@@ -2390,6 +2525,148 @@ mod tests {
         let removed_par = r2.retain_semijoin_with(&s, JoinStrategy::Hash, 4);
         assert_eq!(removed_seq, removed_par);
         assert!(r.same_contents(&r2));
+    }
+
+    /// `r ⋉ s` under `Auto` through the metered entry point: the reduced
+    /// relation plus the semijoin counters (one op, so exactly one of the
+    /// per-kernel counters is 1).
+    fn metered_auto_semijoin(r: &Relation, s: &Relation) -> (Relation, crate::metrics::OpAgg) {
+        let sink = crate::metrics::CollectingSink::new();
+        let mut out = r.clone();
+        out.retain_semijoin_metered(
+            s,
+            &ExecPolicy::sequential(JoinStrategy::Auto),
+            &WorkerLease::inline(),
+            &sink,
+        );
+        let agg = sink.snapshot().semijoins;
+        assert_eq!(agg.ops, 1);
+        assert_eq!(agg.hash_ops, 0, "Auto semijoins never hash by default");
+        (out, agg)
+    }
+
+    /// Interns fresh values until `pool` holds exactly `len`.
+    fn grow_pool_to(pool: &ValuePool, len: usize) {
+        assert!(pool.len() <= len);
+        let mut next = 1_000_000i64;
+        while pool.len() < len {
+            pool.intern(&Value::Int(next));
+            next += 1;
+        }
+    }
+
+    #[test]
+    fn dense_key_space_bound_is_eight_bits_per_row_plus_floor() {
+        // One column: the radix itself against 8·rows + 1024.
+        assert_eq!(dense_key_space(1040, 1, 2), Some(1040));
+        assert_eq!(dense_key_space(1041, 1, 2), None);
+        assert_eq!(dense_key_space(1024, 1, 0), Some(1024));
+        assert_eq!(dense_key_space(1025, 1, 0), None);
+        // Two and three columns: the radix raised to the key width.
+        assert_eq!(dense_key_space(40, 2, 72), Some(1600));
+        assert_eq!(dense_key_space(41, 2, 72), None);
+        assert_eq!(dense_key_space(10, 3, 0), Some(1000));
+        assert_eq!(dense_key_space(11, 3, 0), None);
+        // An empty pool has an empty key space.
+        assert_eq!(dense_key_space(0, 2, 0), Some(0));
+        // Overflow of radix^k is "does not fit", not a wrapped small number.
+        assert_eq!(dense_key_space(1 << 20, 4, 1 << 30), None);
+        assert_eq!(dense_key_space(usize::MAX, 2, usize::MAX), None);
+        // The bound itself saturates instead of wrapping.
+        assert_eq!(dense_key_space(1 << 40, 1, usize::MAX), Some(1 << 40));
+    }
+
+    #[test]
+    fn dense_kernel_runs_up_to_the_bound_and_sort_merge_past_it() {
+        let (_, r, s) = setup();
+        let s = s.reintern_into(r.pool());
+        let expected = r.semijoin(&s);
+        let rows = r.len() + s.len();
+        // Single-column key: the key space is the pool size.  Exactly at
+        // 8·rows + 1024 the bitset is taken…
+        grow_pool_to(r.pool(), 8 * rows + 1024);
+        let (out, agg) = metered_auto_semijoin(&r, &s);
+        assert_eq!((agg.dense_ops, agg.sortmerge_ops), (1, 0));
+        assert!(out.same_contents(&expected));
+        // …with the counters the other kernels report: distinct build keys
+        // (B ∈ {10, 30}), build-side rows, probed and kept.
+        assert_eq!(
+            (agg.built, agg.build_rows, agg.probed, agg.kept),
+            (2, 3, 3, 2)
+        );
+        // …and one value past it `Auto` sorts, to the same result.
+        grow_pool_to(r.pool(), 8 * rows + 1024 + 1);
+        let (out, agg) = metered_auto_semijoin(&r, &s);
+        assert_eq!((agg.dense_ops, agg.sortmerge_ops), (0, 1));
+        assert!(out.same_contents(&expected));
+        assert_eq!((agg.built, agg.build_rows), (2, 3));
+
+        // Two-column key over a 40-value pool: 40² = 1600 = 8·72 + 1024.
+        let h = Hypergraph::from_edges([vec!["A", "B", "C"], vec!["B", "C", "D"]]).unwrap();
+        let mut r = Relation::new("R", h.node_set(["A", "B", "C"]).unwrap());
+        let mut s =
+            Relation::with_pool("S", h.node_set(["B", "C", "D"]).unwrap(), r.pool().clone());
+        for i in 0..36i64 {
+            r.insert_values([i % 40, (i + 1) % 40, (i + 2) % 40]);
+            s.insert_values([(i + 3) % 40, (i + 4) % 40, (i + 5) % 40]);
+        }
+        grow_pool_to(r.pool(), 40);
+        assert_eq!((r.len() + s.len(), r.pool().len()), (72, 40));
+        let expected = r.semijoin(&s);
+        assert!(!expected.is_empty() && expected.len() < r.len());
+        let (out, agg) = metered_auto_semijoin(&r, &s);
+        assert_eq!((agg.dense_ops, agg.sortmerge_ops), (1, 0));
+        assert!(out.same_contents(&expected));
+        grow_pool_to(r.pool(), 41);
+        let (out, agg) = metered_auto_semijoin(&r, &s);
+        assert_eq!((agg.dense_ops, agg.sortmerge_ops), (0, 1));
+        assert!(out.same_contents(&expected));
+    }
+
+    #[test]
+    fn oversized_key_spaces_fall_back_without_allocating() {
+        // A 2²⁰-value pool: a 3-column key space is 2⁶⁰ bits (an allocation
+        // no machine survives, so passing at all shows none was attempted)
+        // and a 4-column one overflows `usize`.
+        let pool = ValuePool::from_dense_values((0..1i64 << 20).map(Value::Int).collect());
+        let names = ["A", "B", "C", "D", "L", "R"];
+        let h = Hypergraph::from_edges([names.to_vec()]).unwrap();
+        for k in [3usize, 4] {
+            let attrs = |extra: &'static str| {
+                h.node_set(names[..k].iter().copied().chain([extra]))
+                    .unwrap()
+            };
+            let mut r = Relation::with_pool("R", attrs("L"), pool.clone());
+            let mut s = Relation::with_pool("S", attrs("R"), pool.clone());
+            for i in 0..50i64 {
+                let key = (0..k as i64).map(|c| (i * 7 + c) % 1000);
+                r.insert_values(key.clone().chain([i]));
+                if i % 3 == 0 {
+                    s.insert_values(key.chain([i + 1]));
+                }
+            }
+            let (out, agg) = metered_auto_semijoin(&r, &s);
+            assert_eq!((agg.dense_ops, agg.sortmerge_ops), (0, 1), "k = {k}");
+            assert_eq!(out.len(), 17);
+            assert!(out.same_contents(&r.semijoin(&s)));
+        }
+    }
+
+    #[test]
+    fn dense_kernel_translates_and_skips_unknown_values_across_pools() {
+        // `s` interns into its own pool, numbered differently from `r`'s and
+        // holding values `r`'s pool has never seen.
+        let (h, r, _) = setup();
+        let (b, c) = (h.node("B").unwrap(), h.node("C").unwrap());
+        let mut s = Relation::new("S", h.node_set(["B", "C"]).unwrap());
+        s.insert(Tuple::from_pairs([(b, 777), (c, 888)]));
+        s.insert(Tuple::from_pairs([(b, 20), (c, 1)]));
+        s.insert(Tuple::from_pairs([(b, 999), (c, 20)]));
+        let (out, agg) = metered_auto_semijoin(&r, &s);
+        assert_eq!(agg.dense_ops, 1);
+        // Only B = 20 translates; the two unknown-B rows are skipped.
+        assert_eq!((agg.built, agg.build_rows, agg.kept), (1, 3, 1));
+        assert!(out.same_contents(&r.semijoin(&s)));
     }
 
     #[test]

@@ -33,14 +33,16 @@ def check(doc: dict, cyclic: bool) -> list[str]:
         if not isinstance(agg, dict):
             err(f"{op}: missing or not an object")
             continue
-        for key in ("ops", "hash_ops", "sortmerge_ops", "probed", "kept", "built", "build_rows"):
+        for key in (
+            "ops", "hash_ops", "sortmerge_ops", "dense_ops", "probed", "kept", "built", "build_rows",
+        ):
             v = agg.get(key)
             if not isinstance(v, int) or v < 0:
                 err(f"{op}.{key}: expected non-negative integer, got {v!r}")
         if errors:
             continue
-        if agg["hash_ops"] + agg["sortmerge_ops"] != agg["ops"]:
-            err(f"{op}: hash_ops + sortmerge_ops != ops ({agg})")
+        if agg["hash_ops"] + agg["sortmerge_ops"] + agg["dense_ops"] != agg["ops"]:
+            err(f"{op}: hash_ops + sortmerge_ops + dense_ops != ops ({agg})")
         # A (semi)join can only keep rows it probed.
         if agg["kept"] > agg["probed"]:
             err(f"{op}: kept {agg['kept']} > probed {agg['probed']}")

@@ -13,8 +13,9 @@ use acyclic_hypergraphs::reldb::reference::{
     naive_full_reduce, naive_yannakakis_join, NaiveRelation,
 };
 use acyclic_hypergraphs::reldb::{
-    full_reduce, full_reduce_with, yannakakis_join, yannakakis_join_with, Database, ExecPolicy,
-    JoinStrategy, Relation, Tuple, Value, DEFAULT_MORSEL_ROWS,
+    full_reduce, full_reduce_metered, full_reduce_with, yannakakis_join, yannakakis_join_with,
+    CollectingSink, Database, ExecPolicy, JoinStrategy, Relation, Tuple, Value, WorkerLease,
+    DEFAULT_MORSEL_ROWS,
 };
 use acyclic_hypergraphs::workload::{
     chain, random_database, snowflake, snowflake_tree, star, DataParams,
@@ -55,6 +56,33 @@ fn db_for_skewed(
 
 fn db_for(family: usize, shape: usize, tuples: usize, domain: i64, seed: u64) -> Database {
     db_for_skewed(family, shape, tuples, domain, 0.0, seed)
+}
+
+/// The same database with every relation rebuilt into a private pool of its
+/// own, each numbered from a different offset (the relation's name is
+/// interned first), so no two relations agree on any handle by accident.
+fn with_private_pools(db: &Database) -> Database {
+    let split = db.relations().iter().map(|r| {
+        let mut own = Relation::new(r.name().to_owned(), r.attributes().clone());
+        own.pool().intern(&Value::str(r.name()));
+        for t in r.tuples() {
+            own.insert(t);
+        }
+        own
+    });
+    Database::new(db.schema().clone(), split.collect()).expect("same schema")
+}
+
+/// A deterministic stream of small integers (an LCG) for hand-built
+/// operands: `draw(m)` is the next value in `0..m`.
+fn lcg(seed: u64) -> impl FnMut(i64) -> i64 {
+    let mut x = seed;
+    move |modulus| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((x >> 33) as i64).rem_euclid(modulus)
+    }
 }
 
 proptest! {
@@ -182,11 +210,8 @@ proptest! {
         let mut s_own = Relation::new("S", h.node_set(["B", "C"]).unwrap());
         let mut s_shared =
             Relation::with_pool("S", h.node_set(["B", "C"]).unwrap(), r.pool().clone());
-        let mut x = seed;
-        let mut next = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            Value::Int(((x >> 33) as i64).rem_euclid(domain))
-        };
+        let mut draw = lcg(seed);
+        let mut next = || Value::Int(draw(domain));
         for _ in 0..tuples {
             let (va, vb) = (next(), next());
             r.insert(Tuple::from_pairs([(a, va), (b, vb)]));
@@ -332,22 +357,11 @@ proptest! {
         threads in 2usize..5,
     ) {
         let db = db_for(family, shape, tuples, domain, seed);
-        // Rebuild every relation into its own private pool.
-        let split: Vec<Relation> = db
-            .relations()
-            .iter()
-            .map(|r| {
-                let mut own = Relation::new(r.name().to_owned(), r.attributes().clone());
-                for t in r.tuples() {
-                    own.insert(t);
-                }
-                own
-            })
-            .collect();
+        let split_db = with_private_pools(&db);
+        let split = split_db.relations();
         for (a, b) in split.iter().zip(split.iter().skip(1)) {
             prop_assert!(!a.pool().same_pool(b.pool()));
         }
-        let split_db = Database::new(db.schema().clone(), split).expect("same schema");
         let tree = join_tree(db.schema()).expect("generator schemas are acyclic");
         let output = db.schema().nodes();
         let want = yannakakis_join_with(&db, &tree, &output, &ExecPolicy::sequential(JoinStrategy::Hash));
@@ -455,6 +469,166 @@ proptest! {
         ] {
             let fast = yannakakis_join_with(&db, &tree, &output, &policy);
             prop_assert!(slow.agrees_with(&fast), "yannakakis diverged under {:?}", policy);
+        }
+    }
+}
+
+/// Every strategy a semijoin can run under: `Auto` (the dense bitset
+/// kernel wherever the packed key space fits, sort-merge past it) and the
+/// two pinned kernels.
+const STRATEGIES: [JoinStrategy; 3] = [
+    JoinStrategy::Auto,
+    JoinStrategy::Hash,
+    JoinStrategy::SortMerge,
+];
+
+/// Interns `extra` values no relation uses into `pool` — a dictionary that
+/// has grown since the relations over it were built.
+fn grow_pool(pool: &acyclic_hypergraphs::reldb::ValuePool, extra: usize) {
+    for i in 0..extra as i64 {
+        pool.intern(&Value::Int(1_000_000 + i));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One semijoin, every way its operands can be shaped: 0–3 shared key
+    /// columns, keys that are the whole row on either side, empty operands,
+    /// operands in unrelated pools (numbered differently, the right one
+    /// holding values the left pool has never seen), and a left pool that
+    /// grew after the relations were built — by a little (still dense) or
+    /// by enough that `Auto` must fall back to sorting.  `Auto`, pinned
+    /// `Hash` and pinned `SortMerge` agree with the reference tuple for
+    /// tuple on `semijoin_with` and `retain_semijoin_with`, removed count
+    /// included, and `Auto` runs the kernel the eligibility rule predicts
+    /// with the counters the hash kernel reports.
+    #[test]
+    fn auto_semijoin_matches_pinned_kernels_and_reference(
+        shared in 0usize..4,
+        left_extra in 0usize..2,
+        right_extra in 0usize..2,
+        left_rows in 0usize..24,
+        right_rows in 0usize..24,
+        domain in 1i64..5,
+        cross_pool in any::<bool>(),
+        grow in 0usize..3,
+        seed in 0u64..1_000,
+    ) {
+        // K* are the shared key; a side without key columns always gets a
+        // column of its own (no zero-width relations).
+        let side = |tag: &str, extra: usize| -> Vec<String> {
+            let own = if shared == 0 { 1 } else { extra };
+            (0..shared)
+                .map(|i| format!("K{i}"))
+                .chain((0..own).map(|i| format!("{tag}{i}")))
+                .collect()
+        };
+        let (left_names, right_names) = (side("L", left_extra), side("R", right_extra));
+        let h = Hypergraph::from_edges([left_names.clone(), right_names.clone()]).unwrap();
+        let attrs = |names: &[String]| h.node_set(names.iter().map(String::as_str)).unwrap();
+        let mut next = lcg(seed);
+        let mut left = Relation::new("L", attrs(&left_names));
+        let mut right = if cross_pool {
+            let own = Relation::new("R", attrs(&right_names));
+            // Offset the right pool's numbering from the left's.
+            own.pool().intern(&Value::Int(-1));
+            own
+        } else {
+            Relation::with_pool("R", attrs(&right_names), left.pool().clone())
+        };
+        for _ in 0..left_rows {
+            left.insert_values((0..left_names.len()).map(|_| next(domain)));
+        }
+        for _ in 0..right_rows {
+            // Every fourth right-side cell is a value the left never holds.
+            right.insert_values((0..right_names.len()).map(|_| {
+                if next(4) == 0 { 100 + next(2) } else { next(domain) }
+            }));
+        }
+        grow_pool(left.pool(), [0, 3, 2_000][grow]);
+
+        let naive =
+            NaiveRelation::from_relation(&left).semijoin(&NaiveRelation::from_relation(&right));
+        for strategy in STRATEGIES {
+            prop_assert!(
+                naive.agrees_with(&left.semijoin_with(&right, strategy)),
+                "{strategy:?} semijoin_with diverged from the reference"
+            );
+            let mut in_place = left.clone();
+            let removed = in_place.retain_semijoin_with(&right, strategy, 1);
+            prop_assert_eq!(removed, left.len() - naive.len(), "{:?} removed count", strategy);
+            prop_assert!(
+                naive.agrees_with(&in_place),
+                "{strategy:?} retain_semijoin_with diverged from the reference"
+            );
+        }
+
+        // The kernel `Auto` resolved to, and its counters next to pinned hash's.
+        let metered = |strategy| {
+            let sink = CollectingSink::new();
+            left.clone().retain_semijoin_metered(
+                &right,
+                &ExecPolicy::sequential(strategy),
+                &WorkerLease::inline(),
+                &sink,
+            );
+            sink.snapshot().semijoins
+        };
+        let (auto, hash) = (metered(JoinStrategy::Auto), metered(JoinStrategy::Hash));
+        let fits = (left.pool().len() as u128).pow(shared as u32)
+            <= 8 * (left.len() + right.len()) as u128 + 1024;
+        let expect_dense = u64::from(shared > 0 && fits);
+        prop_assert_eq!(auto.dense_ops, expect_dense, "eligibility rule ({:?})", auto);
+        prop_assert_eq!(auto.hash_ops + auto.sortmerge_ops, 1 - expect_dense);
+        prop_assert_eq!((auto.probed, auto.kept, auto.build_rows),
+            (hash.probed, hash.kept, hash.build_rows));
+        if expect_dense == 1 {
+            prop_assert_eq!(auto.built, hash.built, "distinct build keys");
+        }
+    }
+
+    /// The full reducer over chains whose separators are 1, 2 and 3 columns
+    /// wide — shared pool, one pool per relation, and a pool grown after
+    /// the load — removes exactly what the reference removes under `Auto`
+    /// and both pinned kernels, and under `Auto` every semijoin whose key
+    /// space fits takes the dense kernel.
+    #[test]
+    fn full_reduce_matches_reference_on_wide_separators(
+        key_width in 1usize..4,
+        edges in 2usize..5,
+        tuples in 0usize..24,
+        domain in 1i64..4,
+        cross_pool in any::<bool>(),
+        grow in 0usize..3,
+        seed in 0u64..1_000,
+    ) {
+        let db = random_database(
+            &chain(edges, key_width + 1, key_width),
+            DataParams { tuples_per_relation: tuples, domain, skew: 0.0, key_cap: 0 },
+            seed,
+        );
+        let db = if cross_pool { with_private_pools(&db) } else { db };
+        for r in db.relations() {
+            grow_pool(r.pool(), [0, 3, 2_000][grow]);
+        }
+        let tree = join_tree(db.schema()).expect("chains are acyclic");
+        let (naive_rels, naive_removed) = naive_full_reduce(&db, &tree);
+        for strategy in STRATEGIES {
+            let fast = full_reduce_with(&db, &tree, &ExecPolicy::sequential(strategy));
+            prop_assert_eq!(&fast.removed, &naive_removed, "{:?} removed counts", strategy);
+            for (n, f) in naive_rels.iter().zip(&fast.relations) {
+                prop_assert!(n.agrees_with(f), "{strategy:?} reduced contents diverged");
+            }
+        }
+        let sink = CollectingSink::new();
+        full_reduce_metered(&db, &tree, &ExecPolicy::sequential(JoinStrategy::Auto), &sink);
+        let m = sink.snapshot().semijoins;
+        prop_assert_eq!(m.ops, 2 * (edges as u64 - 1));
+        prop_assert_eq!(m.hash_ops, 0);
+        if grow < 2 {
+            // ≤ 3 + 3 + 1 values per pool: 7³ < 1024, every key space fits.
+            prop_assert_eq!(m.dense_ops, m.ops, "a fitting semijoin sorted: {:?}", m);
         }
     }
 }

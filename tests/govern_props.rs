@@ -14,14 +14,18 @@
 //!    still matches the naive-join oracle.
 
 use acyclic_hypergraphs::acyclic::join_tree;
+use acyclic_hypergraphs::hypergraph::EdgeId;
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
+use acyclic_hypergraphs::reldb::govern::CHECK_BATCH;
 use acyclic_hypergraphs::reldb::{
     full_reduce, full_reduce_governed, query_via_full_join, query_yannakakis,
-    query_yannakakis_governed, CancelToken, Database, EngineError, ExecPolicy, NoopMetrics,
-    QueryGovernor, Tuple,
+    query_yannakakis_governed, CancelToken, CollectingSink, Database, EngineError, ExecPolicy,
+    Governor, JoinStrategy, NoopMetrics, QueryGovernor, Tuple, WorkerLease,
 };
 use acyclic_hypergraphs::workload::{chain, random_database, ring, snowflake, star, DataParams};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Acyclic benchmark families plus the cyclic ring, so the governed paths
@@ -194,10 +198,165 @@ proptest! {
     }
 }
 
+/// A governor that cancels its own query at the `trip_at`-th in-kernel
+/// [`Governor::checkpoint`] (0-based) — a fault that lands *inside* a mask
+/// loop, where the operation-level checkpoints cannot put one.
+#[derive(Clone)]
+struct TripAtCheckpoint {
+    base: QueryGovernor,
+    seen: Arc<AtomicU64>,
+    trip_at: u64,
+}
+
+impl TripAtCheckpoint {
+    fn new(trip_at: u64) -> Self {
+        Self {
+            base: QueryGovernor::new(),
+            seen: Arc::default(),
+            trip_at,
+        }
+    }
+
+    fn checkpoints_seen(&self) -> u64 {
+        self.seen.load(Ordering::Relaxed)
+    }
+}
+
+impl Governor for TripAtCheckpoint {
+    const ENABLED: bool = true;
+
+    fn checkpoint(&self) -> Result<(), EngineError> {
+        if self.seen.fetch_add(1, Ordering::Relaxed) == self.trip_at {
+            self.base.token().cancel();
+        }
+        self.base.checkpoint()
+    }
+}
+
+/// Rows per relation of [`two_big_relations`]: a partial fourth batch on top
+/// of three full ones, so both mask loops checkpoint four times.
+const BIG_ROWS: usize = 3 * CHECK_BATCH + 100;
+
+/// `R(A,B)` and `S(B,C)` over one pool of `BIG_ROWS` values, sized so the
+/// semijoin's packed key space fits and `Auto` takes the dense kernel.  `B`
+/// ranges over 0..5000 in `R` and 2500..6000 in `S`, so rows dangle on both
+/// sides and either reducer pass has something to remove.
+fn two_big_relations() -> Database {
+    let mut db = Database::empty(chain(2, 2, 1));
+    for i in 0..BIG_ROWS as i64 {
+        db.insert_values(EdgeId(0), [i, i % 5000]);
+        db.insert_values(EdgeId(1), [2500 + i % 3500, i]);
+    }
+    db
+}
+
+/// Abort hygiene inside the dense semijoin kernel: a fault at *any* of its
+/// batch checkpoints (build loop or probe loop), a zero deadline and a
+/// cancelled token all return the structured error with the target relation
+/// bit-identical, and the whole-reducer form leaves `db` bit-identical.
+#[test]
+fn dense_mask_aborts_cleanly_at_every_checkpoint() {
+    let db = two_big_relations();
+    let policy = ExecPolicy::sequential(JoinStrategy::Auto);
+    let inline = WorkerLease::inline();
+    let (target, source) = (&db.relations()[0], &db.relations()[1]);
+    let want = target.semijoin(source);
+    assert!(!want.is_empty() && want.len() < target.len());
+
+    // A clean governed run: the dense kernel, one checkpoint per
+    // `CHECK_BATCH` rows of each loop.
+    let batches = 2 * BIG_ROWS.div_ceil(CHECK_BATCH) as u64;
+    let gov = TripAtCheckpoint::new(u64::MAX);
+    let sink = CollectingSink::new();
+    let mut reduced = target.clone();
+    let removed = reduced
+        .retain_semijoin_governed(source, &policy, &inline, &sink, &gov)
+        .expect("nothing trips");
+    assert_eq!(sink.snapshot().semijoins.dense_ops, 1);
+    assert_eq!(gov.checkpoints_seen(), batches);
+    assert_eq!(removed, target.len() - want.len());
+    assert!(reduced.same_contents(&want));
+
+    // The same semijoin, cancelled at each of those checkpoints in turn.
+    for trip_at in 0..batches {
+        let gov = TripAtCheckpoint::new(trip_at);
+        let mut victim = target.clone();
+        let got = victim.retain_semijoin_governed(source, &policy, &inline, &NoopMetrics, &gov);
+        assert_eq!(got, Err(EngineError::Cancelled), "checkpoint {trip_at}");
+        assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
+        assert_eq!(victim.len(), target.len());
+        assert_eq!(
+            victim.handle_rows(),
+            target.handle_rows(),
+            "checkpoint {trip_at}"
+        );
+    }
+
+    // A zero deadline and a cancelled token abort before the mask starts.
+    let token = CancelToken::new();
+    token.cancel();
+    for (gov, cancelled) in [
+        (QueryGovernor::new().with_deadline(Duration::ZERO), false),
+        (QueryGovernor::with_token(token), true),
+    ] {
+        let mut victim = target.clone();
+        match victim.retain_semijoin_governed(source, &policy, &inline, &NoopMetrics, &gov) {
+            Err(EngineError::Cancelled) if cancelled => {}
+            Err(EngineError::DeadlineExceeded { .. }) if !cancelled => {}
+            other => panic!("expected a structured abort, got {other:?}"),
+        }
+        assert_eq!(victim.handle_rows(), target.handle_rows());
+    }
+
+    // Through the reducer: the abort lands in the downward pass (whose
+    // build side the upward pass has shrunk to two or three batches), after
+    // the upward semijoin already compacted the reducer's working copy.
+    let tree = join_tree(db.schema()).expect("chains are acyclic");
+    let before = snapshot(&db);
+    let plain = full_reduce(&db, &tree);
+    assert!(plain.removed.iter().all(|&n| n > 0));
+    for trip_at in [batches, batches + 2, batches + 5] {
+        let gov = TripAtCheckpoint::new(trip_at);
+        let got = full_reduce_governed(&db, &tree, &policy, &NoopMetrics, &gov);
+        assert_eq!(
+            got.err(),
+            Some(EngineError::Cancelled),
+            "checkpoint {trip_at}"
+        );
+        assert_eq!(snapshot(&db), before, "abort mutated the database");
+    }
+    let again = full_reduce(&db, &tree);
+    assert_eq!(again.removed, plain.removed);
+}
+
 #[cfg(feature = "failpoints")]
 mod failpoints {
     use super::*;
     use acyclic_hypergraphs::reldb::{FailMode, FailpointGovernor};
+
+    /// An injected failpoint at either semijoin of the big dense reduction
+    /// (error and panic flavor) surfaces structurally and leaves the
+    /// database bit-identical.
+    #[test]
+    fn failpoint_during_dense_reduction_leaves_database_unchanged() {
+        let db = two_big_relations();
+        let x: NodeSet = db.schema().nodes();
+        let before = snapshot(&db);
+        let policy = ExecPolicy::sequential(JoinStrategy::Auto);
+        for nth in 0..2 {
+            for mode in [FailMode::Error, FailMode::Panic] {
+                let gov = FailpointGovernor::new()
+                    .fail_at_semijoin(nth)
+                    .fail_mode(mode);
+                match query_yannakakis_governed(&db, &x, &policy, &NoopMetrics, &gov) {
+                    Err(EngineError::Cancelled) if mode == FailMode::Error => {}
+                    Err(EngineError::WorkerPanic(_)) if mode == FailMode::Panic => {}
+                    other => panic!("semijoin {nth} {mode:?}: got {other:?}"),
+                }
+                assert_eq!(snapshot(&db), before, "abort mutated the database");
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]

@@ -10,6 +10,10 @@
 //!    is the same code monomorphized over [`NoopMetrics`]).
 //! 3. **Coverage** — a metered reducer run accounts for every semijoin the
 //!    join tree implies and times at least one level.
+//!
+//! Alongside each: **kernel conservation** — per op kind, every recorded op
+//! resolved to exactly one kernel (`hash + sort-merge + dense = ops`), and a
+//! pinned strategy never resolves to another kernel.
 
 use acyclic_hypergraphs::acyclic::join_tree;
 use acyclic_hypergraphs::decomp::{decompose, Heuristic};
@@ -17,7 +21,7 @@ use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::{
     full_reduce, full_reduce_metered, query_yannakakis, query_yannakakis_metered,
     yannakakis_join_decomposed, yannakakis_join_decomposed_metered, CollectingSink, Database,
-    ExecPolicy, JoinStrategy, WorkerLease,
+    ExecPolicy, JoinStrategy, QueryMetrics, WorkerLease,
 };
 use acyclic_hypergraphs::workload::{chain, random_database, ring, snowflake, star, DataParams};
 use proptest::prelude::*;
@@ -54,6 +58,30 @@ fn policies() -> [ExecPolicy; 3] {
     ]
 }
 
+/// Kernel conservation for one report: per op kind the three kernel
+/// counters add up to `ops`, the dense kernel runs only under `Auto`, and
+/// pinned `Hash` resolves nowhere else.  (Pinned `SortMerge` may still
+/// report hash ops: a key-less cross product / nonempty test has no key to
+/// sort and is recorded under the hash kernel.)
+fn kernels_conserved(m: &QueryMetrics, strategy: JoinStrategy) -> Result<(), String> {
+    for (kind, agg) in [("join", &m.joins), ("semijoin", &m.semijoins)] {
+        if agg.hash_ops + agg.sortmerge_ops + agg.dense_ops != agg.ops {
+            return Err(format!(
+                "{kind}: hash + sort-merge + dense != ops ({agg:?})"
+            ));
+        }
+        if strategy != JoinStrategy::Auto && agg.dense_ops != 0 {
+            return Err(format!(
+                "{kind}: pinned {strategy:?} ran the dense kernel ({agg:?})"
+            ));
+        }
+        if strategy == JoinStrategy::Hash && agg.hash_ops != agg.ops {
+            return Err(format!("{kind}: pinned hash resolved elsewhere ({agg:?})"));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -86,6 +114,7 @@ proptest! {
                     prop_assert_eq!(m.semijoins.probed, r0.len() as u64,
                         "a semijoin probes every input row exactly once");
                     prop_assert_eq!(removed, r0.len() - probe.len());
+                    prop_assert_eq!(kernels_conserved(&m, policy.strategy), Ok(()));
                 }
             }
         }
@@ -123,6 +152,7 @@ proptest! {
             if !x.is_empty() {
                 let sink = CollectingSink::new();
                 let metered = query_yannakakis_metered(&db, &x, &policy, &sink);
+                prop_assert_eq!(kernels_conserved(&sink.snapshot(), policy.strategy), Ok(()));
                 let plain = query_yannakakis(&db, &x);
                 match (metered, plain) {
                     (Ok(m), Ok(p)) => prop_assert!(m.same_contents(&p),
@@ -155,6 +185,7 @@ proptest! {
             prop_assert_eq!(m.semijoins.ops, 2 * tree_edges,
                 "one upward and one downward semijoin per join-tree edge");
             prop_assert!(m.semijoins.kept <= m.semijoins.probed);
+            prop_assert_eq!(kernels_conserved(&m, policy.strategy), Ok(()));
             prop_assert_eq!(
                 m.semijoins.probed - m.semijoins.kept,
                 reduced.total_removed() as u64,
