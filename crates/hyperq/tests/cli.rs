@@ -315,13 +315,17 @@ fn bench_writes_json_and_guards_against_regressions() {
         );
     }
 
-    // Checking against the run we just wrote passes (ratios ~1x).
+    // The test is of the guard's logic, not of the machine: a fresh debug
+    // run timed against another one can stray past the 2x guard, so the
+    // passing baseline is the run just written made 4x slower (ratios
+    // ~0.25x)...
+    std::fs::write(out_path, map_ns_per_iter(&json, |ns| ns * 4)).unwrap();
     let out = hyperq(&["bench", "--tiny", "--check", out_path]);
     assert!(out.status.success(), "stderr: {:?}", out.stderr);
     assert!(stdout(&out).contains("baseline check passed"));
 
-    // An absurdly fast baseline trips the regression guard.
-    std::fs::write(out_path, regression_baseline(&json)).unwrap();
+    // ...and an absurdly fast one (1 ns everywhere) trips it.
+    std::fs::write(out_path, map_ns_per_iter(&json, |_| 1)).unwrap();
     let out = hyperq(&["bench", "--tiny", "--check", out_path]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("regression"));
@@ -329,14 +333,20 @@ fn bench_writes_json_and_guards_against_regressions() {
     let _ = std::fs::remove_file(out_path);
 }
 
-/// Rewrites every ns_per_iter in a bench JSON document to 1 ns.
-fn regression_baseline(json: &str) -> String {
+/// Rewrites every ns_per_iter in a bench JSON document through `f`.
+fn map_ns_per_iter(json: &str, f: impl Fn(u64) -> u64) -> String {
     json.lines()
         .map(|l| {
             if let Some(start) = l.find("\"ns_per_iter\": ") {
                 let rest = &l[start + 15..];
                 let end = rest.find(',').unwrap();
-                format!("{}\"ns_per_iter\": 1{}\n", &l[..start], &rest[end..])
+                let ns: u64 = rest[..end].parse().expect("integer ns_per_iter");
+                format!(
+                    "{}\"ns_per_iter\": {}{}\n",
+                    &l[..start],
+                    f(ns),
+                    &rest[end..]
+                )
             } else {
                 format!("{l}\n")
             }

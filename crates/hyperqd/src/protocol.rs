@@ -588,6 +588,12 @@ pub struct Rows {
     index: Vec<u32>,
 }
 
+/// Bytes [`Rows::write_to`] reserves beyond the rows themselves for what
+/// closes an answer frame after them (the trace id, the brace, the
+/// newline).  A metrics document, when one was asked for, may still grow
+/// the buffer.
+const REPLY_TAIL_ROOM: usize = 64;
+
 impl Rows {
     /// A table of `len` rows of `width` cells: row `r`, column `c` holds
     /// `cells[index[r * width + c]]`.
@@ -651,11 +657,20 @@ impl Rows {
     /// the cell list once.
     fn write_to(&self, out: &mut String) {
         let mut text = String::new();
-        let mut ends = Vec::with_capacity(self.cells.len());
+        // Cell `i`'s text is `text[bounds[i]..bounds[i + 1]]`.
+        let mut bounds = Vec::with_capacity(self.cells.len() + 1);
+        bounds.push(0);
         for cell in &self.cells {
             cell.write_to(&mut text);
-            ends.push(text.len());
+            bounds.push(text.len());
         }
+        let span = |cell: u32| bounds[cell as usize]..bounds[cell as usize + 1];
+        // Size the reply once: the rows' text length is known here (cells,
+        // at most three bytes of brackets and comma per row and a comma per
+        // further cell, and room for the frame's tail).  Doubling into a
+        // multi-megabyte answer would copy it and hold twice its size.
+        let cells_len: usize = self.index.iter().map(|&cell| span(cell).len()).sum();
+        out.reserve(cells_len + self.len * (self.width + 3) + REPLY_TAIL_ROOM);
         out.push('[');
         for r in 0..self.len {
             out.push_str(if r == 0 { "[" } else { ",[" });
@@ -663,9 +678,7 @@ impl Rows {
                 if c > 0 {
                     out.push(',');
                 }
-                let cell = cell as usize;
-                let start = if cell == 0 { 0 } else { ends[cell - 1] };
-                out.push_str(&text[start..ends[cell]]);
+                out.push_str(&text[span(cell)]);
             }
             out.push(']');
         }
@@ -1041,6 +1054,26 @@ mod tests {
         assert_eq!(e.kind, ErrorKind::Cancelled);
         let e = WireError::from(EngineError::WorkerPanic("boom".into()));
         assert_eq!(e.kind, ErrorKind::Panic);
+    }
+
+    #[test]
+    fn answer_rows_render_into_a_buffer_sized_once() {
+        for (width, len) in [(1usize, 0usize), (1, 1), (3, 1), (7, 20_000)] {
+            let rows: Vec<Vec<Json>> = (0..len as i64)
+                .map(|r| (0..width as i64).map(|c| Json::Int(r * 31 + c)).collect())
+                .collect();
+            let table = Rows::from_rows(width, &rows).unwrap();
+            let mut out = String::new();
+            table.write_to(&mut out);
+            // Never doubled past the text: the reservation covered it, with
+            // at most a byte per row and the tail room to spare.
+            assert!(
+                out.capacity() <= out.len() + len + REPLY_TAIL_ROOM + 8,
+                "{width}x{len}: {} bytes in a {}-byte buffer",
+                out.len(),
+                out.capacity()
+            );
+        }
     }
 
     #[test]

@@ -158,7 +158,7 @@ fn join_cover<'a, M: MetricsSink, G: Governor>(
             "bag {name} has an empty cover"
         )));
     };
-    let rel = joined.project(bag_nodes).with_name(name.to_owned());
+    let rel = joined.into_project(bag_nodes).with_name(name.to_owned());
     // The bag relation outlives materialization as a stored relation of the
     // bag database, so charge it against the budget even when the cover was
     // a single relation and no join kernel ran.

@@ -11,7 +11,8 @@
 //! fixed-width row of `u32` handles laid out in the relation's schema
 //! attribute order (ascending [`NodeId`]), and all rows live in one
 //! contiguous `Vec<u32>` buffer.  Set semantics are enforced by an
-//! open-addressing hash index over the rows.  The relational kernels —
+//! open-addressing hash index over the rows (see *Set semantics* below for
+//! who consults it).  The relational kernels —
 //! [`Relation::join`], [`Relation::semijoin`], [`Relation::project`],
 //! [`Relation::select_eq`] — resolve attribute positions once per call and
 //! then work purely on handle rows: no `Value` is cloned, hashed or compared
@@ -29,6 +30,23 @@
 //! mask runs only when pinned ([`JoinStrategy::Hash`]) or when a policy
 //! lowers the semijoin sort-merge threshold below the sampled ratio.  Pinned
 //! strategies mean exactly what they say and never take the dense kernel.
+//!
+//! # Set semantics
+//!
+//! Invariant: stored rows are pairwise distinct; join, semijoin, selection,
+//! identity projection, re-interning and snapshot load preserve it by
+//! construction; only insertion and proper projection check it.  A join
+//! output row determines the pair of input rows it came from, a semijoin or
+//! selection keeps a subset, an identity projection keeps everything,
+//! re-interning is a bijection on values and a snapshot was written from a
+//! live relation — so those kernels append rows without hashing them
+//! (`push_distinct_row`) and leave the dedup index unbuilt.  The only
+//! callers of the deduplicating `insert_row` are [`Relation::insert`],
+//! [`Relation::insert_values`], a [`Relation::project`] that drops a column,
+//! and the zero-width fallback of `push_distinct_row` (the empty tuple has no
+//! words to append).  The index of such an output is built once, sized for
+//! the rows present, by the first insertion into it; until then
+//! [`Relation::contains`] on it is a row scan.
 //!
 //! [`Tuple`] remains the boundary type for building and reading individual
 //! tuples; it is decoded from / encoded into rows only at the edges.
@@ -205,6 +223,17 @@ struct RowTable {
 }
 
 impl RowTable {
+    /// A table allocated once for `entries` entries: [`RowTable::reserve`]
+    /// never grows (and so never re-hashes) it on the way there.
+    fn with_capacity(entries: usize) -> Self {
+        if entries == 0 {
+            return Self::default();
+        }
+        Self {
+            slots: vec![NO_HANDLE; (entries * 2).next_power_of_two().max(8)],
+        }
+    }
+
     /// Grows the table if inserting one more entry would exceed a 3/4 load
     /// factor, rehashing existing entries with `hash_of`.
     fn reserve(&mut self, occupied: usize, hash_of: impl Fn(u32) -> u64) {
@@ -698,12 +727,11 @@ impl Relation {
     }
 
     /// Appends already-encoded rows that are known to be distinct from each
-    /// other and from every stored row — the bulk merge path of the
-    /// morsel-parallel join (whose output rows are distinct by
-    /// construction) and the snapshot loader (whose rows were written from
-    /// a live, deduplicated relation).  The dedup-index rebuild is
-    /// deferred, so bulk loads never pay for an index they may not consult.
-    pub(crate) fn push_rows_unchecked(&mut self, rows: &[u32]) {
+    /// other and from every stored row — how every kernel whose output is
+    /// a set by construction emits (see *Set semantics* in the module
+    /// docs).  The dedup-index rebuild is deferred, so such outputs never
+    /// pay for an index they may not consult.
+    fn push_rows_unchecked(&mut self, rows: &[u32]) {
         let w = self.width();
         if w == 0 || rows.is_empty() {
             return;
@@ -718,6 +746,35 @@ impl Relation {
         self.rows.extend_from_slice(rows);
         self.len = new_len;
         self.index_stale = true;
+    }
+
+    /// Appends one row known to be distinct from every stored row.  A
+    /// zero-width row carries no words for the bulk path to append, so it
+    /// goes through the deduplicating insert.
+    #[inline]
+    fn push_distinct_row(&mut self, row: &[u32]) {
+        if row.is_empty() {
+            self.insert_row(row);
+        } else {
+            self.push_rows_unchecked(row);
+        }
+    }
+
+    /// A copy of the relation's rows without its dedup index (left to the
+    /// lazy rebuild) — for working copies that are only ever reduced, joined
+    /// or scanned, like the full reducer's.
+    pub(crate) fn clone_rows(&self) -> Relation {
+        Relation {
+            name: self.name.clone(),
+            attributes: self.attributes.clone(),
+            cols: self.cols.clone(),
+            pool: self.pool.clone(),
+            rows: self.rows.clone(),
+            len: self.len,
+            index: RowTable::default(),
+            index_stale: self.len > 0,
+            index_rebuilds: self.index_rebuilds,
+        }
     }
 
     /// The flat row buffer (`len * width` handle words, schema column
@@ -778,7 +835,7 @@ impl Relation {
     fn build_table(&self) -> RowTable {
         let w = self.width();
         let rows = &self.rows;
-        let mut table = RowTable::default();
+        let mut table = RowTable::with_capacity(self.len);
         for id in 0..self.len as u32 {
             let h = hash_row(row_of(rows, w, id));
             table.reserve(id as usize, |j| hash_row(row_of(rows, w, j)));
@@ -867,10 +924,17 @@ impl Relation {
     }
 
     /// Projection onto `attrs` (which need not be a subset of the schema;
-    /// extra attributes are ignored), with duplicate elimination.
+    /// extra attributes are ignored), with duplicate elimination.  A
+    /// projection that keeps every column cannot create duplicates: it
+    /// copies the row buffer without hashing a row.
     pub fn project(&self, attrs: &NodeSet) -> Relation {
+        let name = format!("π({})", self.name);
+        if self.attributes.is_subset(attrs) {
+            return self.clone_rows().with_name(name);
+        }
         let kept = self.attributes.intersection(attrs);
-        let mut out = Relation::with_pool(format!("π({})", self.name), kept, self.pool.clone());
+        let mut out = Relation::with_pool(name, kept, self.pool.clone());
+        out.index = RowTable::with_capacity(self.len);
         let pos: Vec<usize> = out
             .cols
             .iter()
@@ -885,6 +949,17 @@ impl Relation {
             out.insert_row(&buf);
         }
         out
+    }
+
+    /// [`Relation::project`] of a relation the caller is done with: a
+    /// projection that keeps every column moves the rows instead of copying
+    /// them.
+    pub(crate) fn into_project(self, attrs: &NodeSet) -> Relation {
+        if self.attributes.is_subset(attrs) {
+            let name = format!("π({})", self.name);
+            return self.with_name(name);
+        }
+        self.project(attrs)
     }
 
     /// Selection: keep tuples where attribute `a` equals `v`.
@@ -915,7 +990,7 @@ impl Relation {
         for i in 0..self.len {
             let row = self.row(i);
             if tests.iter().all(|&(p, h)| row[p] == h) {
-                out.insert_row(row);
+                out.push_distinct_row(row);
             }
         }
         out
@@ -1127,7 +1202,7 @@ impl Relation {
         let bw = build.width();
         let brows = &build.rows;
         let mut next: Vec<u32> = vec![NO_HANDLE; build.len];
-        let mut table = RowTable::default();
+        let mut table = RowTable::with_capacity(build.len);
         let mut distinct = 0usize;
         for r in 0..build.len as u32 {
             let h = hash_key(row_of(brows, bw, r), &build_key);
@@ -1261,7 +1336,8 @@ impl Relation {
             }
             return Ok((out, distinct));
         }
-        // Probe and emit.  Governance runs at batch granularity: every
+        // Probe and emit — appending unchecked, for the reason the morsel
+        // path gives above.  Governance runs at batch granularity: every
         // CHECK_BATCH probed/emitted rows the kernel checkpoints and charges
         // the output growth since the last charge against the budget.
         let mut keybuf = vec![0u32; k];
@@ -1291,7 +1367,7 @@ impl Relation {
                 for (c, &(from_probe, p)) in sources.iter().enumerate() {
                     rowbuf[c] = if from_probe { prow[p] } else { brow[p] };
                 }
-                out.insert_row(&rowbuf);
+                out.push_distinct_row(&rowbuf);
                 if G::ENABLED {
                     step += 1;
                 }
@@ -1363,7 +1439,9 @@ impl Relation {
                     step += 1;
                 }
                 std::cmp::Ordering::Equal => {
-                    // Bound the two equal-key runs, emit their cross product.
+                    // Bound the two equal-key runs, emit their cross product
+                    // (each output row embeds both of its input rows, so
+                    // the rows are distinct and append unchecked).
                     let lend = run_end(&left_keys, &left_sorted, li, k);
                     let rend = run_end(&right_keys, &right_sorted, ri, k);
                     for &lid in &left_sorted[li..lend] {
@@ -1373,7 +1451,7 @@ impl Relation {
                             for (c, &(from_left, p)) in sources.iter().enumerate() {
                                 rowbuf[c] = if from_left { lrow[p] } else { rrow[p] };
                             }
-                            out.insert_row(&rowbuf);
+                            out.push_distinct_row(&rowbuf);
                         }
                     }
                     step += (lend - li) * (rend - ri);
@@ -1600,7 +1678,7 @@ impl Relation {
         let k = keys.k();
         let nkeys = other_keys.len() / k;
         let key_at = |id: u32| row_of(&other_keys, k, id);
-        let mut table = RowTable::default();
+        let mut table = RowTable::with_capacity(nkeys);
         let mut distinct = 0usize;
         let mut step = 0usize;
         for i in 0..nkeys as u32 {
@@ -1778,18 +1856,10 @@ impl Relation {
             self.attributes.clone(),
             self.pool.clone(),
         );
-        // The kept rows are a subset of an already-distinct row set: append
-        // them unchecked and leave the dedup index to its lazy rebuild, as
-        // `retain_semijoin` does.  (Zero-width rows carry no words for the
-        // bulk path to append; they go through the deduplicating insert.)
+        // The kept rows are a subset of an already-distinct row set.
         for (row, &keep) in self.rows_iter().zip(&mask) {
-            if !keep {
-                continue;
-            }
-            if row.is_empty() {
-                out.insert_row(row);
-            } else {
-                out.push_rows_unchecked(row);
+            if keep {
+                out.push_distinct_row(row);
             }
         }
         out
@@ -2001,7 +2071,8 @@ impl Relation {
                 }
                 buf[j] = cache[h as usize];
             }
-            out.insert_row(&buf);
+            // Interning is a bijection on values: distinct rows stay so.
+            out.push_distinct_row(&buf);
         }
         out
     }
@@ -2403,6 +2474,45 @@ mod tests {
         assert!(!r.index_stale);
         // Dedup semantics survive the rebuild.
         assert!(!r.insert(Tuple::from_pairs([(a, 9), (b, 9)])));
+    }
+
+    #[test]
+    fn identity_projection_copies_or_moves_without_hashing() {
+        let (h, r, _) = setup();
+        let all = h.node_set(["A", "B", "C"]).unwrap();
+        // By reference: the rows are copied, the index is left to its lazy
+        // rebuild, the name is the projection's.
+        let copy = r.project(&all);
+        assert_eq!(copy.name(), "π(R)");
+        assert_eq!(copy.handle_rows(), r.handle_rows());
+        assert!(copy.index_stale && copy.index.slots.is_empty());
+        assert!(copy.same_contents(&r));
+        // Consuming: the very same row buffer comes back.
+        let buffer = copy.rows.as_ptr();
+        let moved = copy.into_project(&all);
+        assert_eq!(moved.name(), "π(π(R))");
+        assert_eq!(moved.rows.as_ptr(), buffer);
+        // A projection that drops a column still deduplicates, consuming
+        // or not, in a table sized once for its input.
+        let b = h.node_set(["B"]).unwrap();
+        let proper = moved.clone().into_project(&b);
+        assert_eq!(proper.len(), 2);
+        assert!(!proper.index_stale);
+        assert!(proper.same_contents(&r.project(&b)));
+    }
+
+    #[test]
+    fn presized_table_never_regrows() {
+        let mut table = RowTable::with_capacity(1000);
+        let slots = table.slots.len();
+        for id in 0..1000u32 {
+            table.reserve(id as usize, |j| hash_row(&[j]));
+            let (slot, occupied) = table.find_slot(hash_row(&[id]), |j| j == id);
+            assert!(!occupied);
+            table.set(slot, id);
+        }
+        assert_eq!(table.slots.len(), slots, "sized once, never re-hashed");
+        assert!(RowTable::with_capacity(0).find(0, |_| true).is_none());
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub fn query_via_connection_metered<M: MetricsSink>(
         });
     }
     match acc {
-        Some(a) => a.project(x),
+        Some(a) => a.into_project(x),
         None => Relation::new("∅", x.clone()),
     }
 }
@@ -120,7 +120,7 @@ pub fn query_via_connection_governed<M: MetricsSink, G: Governor>(
             });
         }
         Ok(match acc {
-            Some(a) => a.project(x),
+            Some(a) => a.into_project(x),
             None => Relation::new("∅", x.clone()),
         })
     })
@@ -158,7 +158,7 @@ pub fn query_via_full_join_metered<M: MetricsSink>(
     policy: &ExecPolicy,
     sink: &M,
 ) -> Relation {
-    db.full_join_metered(policy, sink).project(x)
+    db.full_join_metered(policy, sink).into_project(x)
 }
 
 /// The governed form of [`query_via_full_join_metered`]: the naive
@@ -173,7 +173,7 @@ pub fn query_via_full_join_governed<M: MetricsSink, G: Governor>(
     sink: &M,
     gov: &G,
 ) -> Result<Relation, EngineError> {
-    contain_panics(|| Ok(db.full_join_governed(policy, sink, gov)?.project(x)))
+    contain_panics(|| Ok(db.full_join_governed(policy, sink, gov)?.into_project(x)))
 }
 
 /// The traced form of [`query_via_full_join_governed`]: the naive

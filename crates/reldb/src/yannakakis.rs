@@ -267,7 +267,8 @@ fn full_reduce_leased<M: MetricsSink, G: Governor, T: TraceSink>(
     gov: &G,
     tracer: &T,
 ) -> Result<Reduced, EngineError> {
-    let mut relations: Vec<Relation> = db.relations().to_vec();
+    // Working copies of the rows only: the reducer never reads a dedup index.
+    let mut relations: Vec<Relation> = db.relations().iter().map(Relation::clone_rows).collect();
     let mut removed: Vec<usize> = vec![0; relations.len()];
     let levels = tree.levels();
     let rebuilds_before: usize = relations.iter().map(Relation::index_rebuild_count).sum();
@@ -574,7 +575,7 @@ pub(crate) fn yannakakis_join_leased<M: MetricsSink, G: Governor, T: TraceSink>(
     let root_result = partial[tree.root().index()]
         .take()
         .expect("root processed last");
-    Ok(root_result.project(output))
+    Ok(root_result.into_project(output))
 }
 
 /// Takes edge `e`'s children's partial results out of their slots (they are
@@ -606,13 +607,13 @@ fn join_subtree<M: MetricsSink, G: Governor>(
         acc = acc.join_sharded_governed(child, policy, probe, sink, gov)?;
     }
     keep.union_with(&acc.attributes().intersection(output));
-    Ok(acc.project(&keep))
+    Ok(acc.into_project(&keep))
 }
 
 /// The same projection computed naively: join every relation, then project.
 /// Used as the baseline in tests and benchmark B4.
 pub fn naive_join_project(db: &Database, output: &NodeSet) -> Relation {
-    db.full_join().project(output)
+    db.full_join().into_project(output)
 }
 
 #[cfg(test)]

@@ -8,17 +8,18 @@
 //! pre-rewrite engine kept alive as an oracle.
 
 use acyclic_hypergraphs::acyclic::join_tree;
+use acyclic_hypergraphs::decomp::{decompose, Heuristic};
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::reference::{
     naive_full_reduce, naive_yannakakis_join, NaiveRelation,
 };
 use acyclic_hypergraphs::reldb::{
-    full_reduce, full_reduce_metered, full_reduce_with, yannakakis_join, yannakakis_join_with,
-    CollectingSink, Database, ExecPolicy, JoinStrategy, Relation, Tuple, Value, WorkerLease,
-    DEFAULT_MORSEL_ROWS,
+    full_reduce, full_reduce_metered, full_reduce_with, materialize_bags, yannakakis_join,
+    yannakakis_join_with, CollectingSink, Database, ExecPolicy, JoinStrategy, NoopGovernor,
+    NoopMetrics, Relation, Tuple, Value, WorkerLease, WorkerPool, DEFAULT_MORSEL_ROWS,
 };
 use acyclic_hypergraphs::workload::{
-    chain, random_database, snowflake, snowflake_tree, star, DataParams,
+    chain, far_apart, random_database, ring, snowflake, snowflake_tree, star, DataParams,
 };
 use proptest::prelude::*;
 
@@ -490,6 +491,81 @@ fn grow_pool(pool: &acyclic_hypergraphs::reldb::ValuePool, extra: usize) {
     }
 }
 
+/// Two operands for a binary kernel: `shared` key columns `K*` on both
+/// sides plus `extra.0` / `extra.1` columns of their own (a side with
+/// neither is a zero-width relation), `rows.0` / `rows.1` drawn rows over
+/// `0..domain`.  Every fourth right-side cell is a value the left never
+/// holds; with `cross_pool` the right side interns into an unrelated pool
+/// numbered from a different offset.
+fn binary_operands(
+    shared: usize,
+    extra: (usize, usize),
+    rows: (usize, usize),
+    domain: i64,
+    cross_pool: bool,
+    seed: u64,
+) -> (Relation, Relation) {
+    let side = |tag: &str, own: usize| -> Vec<String> {
+        (0..shared)
+            .map(|i| format!("K{i}"))
+            .chain((0..own).map(|i| format!("{tag}{i}")))
+            .collect()
+    };
+    let (left_names, right_names) = (side("L", extra.0), side("R", extra.1));
+    // One edge naming every column (and a spare, so it is never empty)
+    // numbers the attributes K*, L*, R*.
+    let universe: Vec<String> = (left_names.iter())
+        .chain(&right_names)
+        .cloned()
+        .chain(["Z".to_owned()])
+        .collect();
+    let h = Hypergraph::from_edges([universe]).unwrap();
+    let attrs = |names: &[String]| h.node_set(names.iter().map(String::as_str)).unwrap();
+    let mut next = lcg(seed);
+    let mut left = Relation::new("L", attrs(&left_names));
+    let mut right = if cross_pool {
+        let own = Relation::new("R", attrs(&right_names));
+        // Offset the right pool's numbering from the left's.
+        own.pool().intern(&Value::Int(-1));
+        own
+    } else {
+        Relation::with_pool("R", attrs(&right_names), left.pool().clone())
+    };
+    for _ in 0..rows.0 {
+        left.insert_values((0..left_names.len()).map(|_| next(domain)));
+    }
+    for _ in 0..rows.1 {
+        right.insert_values((0..right_names.len()).map(|_| {
+            if next(4) == 0 {
+                100 + next(2)
+            } else {
+                next(domain)
+            }
+        }));
+    }
+    (left, right)
+}
+
+/// True if the stored rows are pairwise distinct — read off the handle rows
+/// themselves, sorted.  `same_contents` and `agrees_with` compare `len` plus
+/// membership, so on their own they accept a duplicate row that displaces a
+/// missing one; with this they amount to set equality.
+fn rows_distinct(r: &Relation) -> bool {
+    let w = r.columns().len();
+    if w == 0 {
+        return r.len() <= 1;
+    }
+    let mut rows: Vec<&[u32]> = r.handle_rows().chunks_exact(w).collect();
+    assert_eq!(rows.len(), r.len());
+    rows.sort_unstable();
+    rows.windows(2).all(|pair| pair[0] != pair[1])
+}
+
+/// `got` is a set, and the set `want`.
+fn is_the_set(want: &NaiveRelation, got: &Relation) -> bool {
+    rows_distinct(got) && want.agrees_with(got)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -515,37 +591,17 @@ proptest! {
         grow in 0usize..3,
         seed in 0u64..1_000,
     ) {
-        // K* are the shared key; a side without key columns always gets a
-        // column of its own (no zero-width relations).
-        let side = |tag: &str, extra: usize| -> Vec<String> {
-            let own = if shared == 0 { 1 } else { extra };
-            (0..shared)
-                .map(|i| format!("K{i}"))
-                .chain((0..own).map(|i| format!("{tag}{i}")))
-                .collect()
-        };
-        let (left_names, right_names) = (side("L", left_extra), side("R", right_extra));
-        let h = Hypergraph::from_edges([left_names.clone(), right_names.clone()]).unwrap();
-        let attrs = |names: &[String]| h.node_set(names.iter().map(String::as_str)).unwrap();
-        let mut next = lcg(seed);
-        let mut left = Relation::new("L", attrs(&left_names));
-        let mut right = if cross_pool {
-            let own = Relation::new("R", attrs(&right_names));
-            // Offset the right pool's numbering from the left's.
-            own.pool().intern(&Value::Int(-1));
-            own
-        } else {
-            Relation::with_pool("R", attrs(&right_names), left.pool().clone())
-        };
-        for _ in 0..left_rows {
-            left.insert_values((0..left_names.len()).map(|_| next(domain)));
-        }
-        for _ in 0..right_rows {
-            // Every fourth right-side cell is a value the left never holds.
-            right.insert_values((0..right_names.len()).map(|_| {
-                if next(4) == 0 { 100 + next(2) } else { next(domain) }
-            }));
-        }
+        // A side without key columns always gets a column of its own (no
+        // zero-width relations).
+        let own = |extra| if shared == 0 { 1 } else { extra };
+        let (left, right) = binary_operands(
+            shared,
+            (own(left_extra), own(right_extra)),
+            (left_rows, right_rows),
+            domain,
+            cross_pool,
+            seed,
+        );
         grow_pool(left.pool(), [0, 3, 2_000][grow]);
 
         let naive =
@@ -629,6 +685,138 @@ proptest! {
         if grow < 2 {
             // ≤ 3 + 3 + 1 values per pool: 7³ < 1024, every key space fits.
             prop_assert_eq!(m.dense_ops, m.ops, "a fitting semijoin sorted: {:?}", m);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Join kernels emit without re-deduplicating, so the set property is
+    /// checked where it is produced: under every strategy, inline and
+    /// through a 2-worker lease with morsels small enough to engage the
+    /// morsel probe, a join's rows are pairwise distinct and are the
+    /// reference's — over 0–3 shared columns (0 = cross product), operands
+    /// with one schema (join = intersection), empty and zero-width sides,
+    /// and a right operand in an unrelated pool holding values the left has
+    /// never seen.  An insert into the output afterwards still deduplicates,
+    /// building the deferred index exactly once.
+    #[test]
+    fn join_outputs_are_sets_equal_to_the_reference(
+        shared in 0usize..4,
+        left_extra in 0usize..2,
+        right_extra in 0usize..2,
+        left_rows in 0usize..24,
+        right_rows in 0usize..24,
+        domain in 1i64..5,
+        cross_pool in any::<bool>(),
+        seed in 0u64..1_000,
+    ) {
+        let (left, right) = binary_operands(
+            shared,
+            (left_extra, right_extra),
+            (left_rows, right_rows),
+            domain,
+            cross_pool,
+            seed,
+        );
+        let want = NaiveRelation::from_relation(&left).join(&NaiveRelation::from_relation(&right));
+        let lease = WorkerPool::lease(2);
+        for strategy in STRATEGIES {
+            let inline = left.join_with(&right, strategy);
+            prop_assert!(is_the_set(&want, &inline), "{strategy:?} inline join");
+            let policy = ExecPolicy {
+                morsel_rows: 2,
+                ..ExecPolicy::parallel(strategy, 2)
+            };
+            let morsel = left
+                .join_sharded_governed(&right, &policy, &lease, &NoopMetrics, &NoopGovernor)
+                .expect("the no-op governor never aborts");
+            prop_assert!(is_the_set(&want, &morsel), "{strategy:?} morsel join");
+            prop_assert_eq!(inline.handle_rows(), morsel.handle_rows(), "{:?} row order", strategy);
+
+            let mut out = inline;
+            if out.is_empty() || out.columns().is_empty() {
+                continue;
+            }
+            prop_assert_eq!(out.index_rebuild_count(), 0, "the output's index is deferred");
+            let (first, last) = (out.tuple_at(0), out.tuple_at(out.len() - 1));
+            prop_assert!(!out.insert(first), "{strategy:?}: duplicate accepted");
+            prop_assert!(!out.insert(last), "{strategy:?}: duplicate accepted");
+            let fresh = Tuple::from_pairs(out.columns().iter().map(|&a| (a, 7_777)));
+            prop_assert!(out.insert(fresh), "{strategy:?}: new tuple rejected");
+            prop_assert_eq!(out.index_rebuild_count(), 1, "one rebuild serves every insert");
+            prop_assert_eq!(out.len(), want.len() + 1);
+            prop_assert!(rows_distinct(&out));
+        }
+    }
+
+    /// The pipeline's projections: with every attribute in the output each
+    /// one is the identity (rows move, nothing is hashed); with a far-apart
+    /// pair each one drops a column (and must deduplicate).  Either way the
+    /// answer is a set and the reference's, sequentially under each
+    /// strategy and on two workers with two-row morsels.
+    #[test]
+    fn yannakakis_answers_are_sets_equal_to_the_reference(
+        family in 0usize..4,
+        shape in 0usize..4,
+        tuples in 1usize..24,
+        domain in 1i64..5,
+        seed in 0u64..1_000,
+    ) {
+        let db = db_for(family, shape, tuples, domain, seed);
+        let tree = join_tree(db.schema()).expect("generator schemas are acyclic");
+        let (all, ends) = (db.schema().nodes(), far_apart(db.schema()));
+        let policies = STRATEGIES.map(ExecPolicy::sequential).into_iter().chain([ExecPolicy {
+            morsel_rows: 2,
+            parallel_threshold: 0,
+            ..ExecPolicy::parallel(JoinStrategy::Auto, 2)
+        }]);
+        for policy in policies {
+            for output in [&all, &ends] {
+                let want = naive_yannakakis_join(&db, &tree, output);
+                let got = yannakakis_join_with(&db, &tree, output, &policy);
+                prop_assert!(
+                    is_the_set(&want, &got),
+                    "{} attributes under {policy:?}", output.len()
+                );
+            }
+        }
+    }
+
+    /// Every bag of a ring's decomposition is a set, and exactly the join
+    /// of its cover — assigned relations whole, overlapping extras trimmed
+    /// to the bag first — projected onto the bag.
+    #[test]
+    fn ring_bags_are_sets_equal_to_the_reference(
+        edges in 3usize..9,
+        tuples in 1usize..20,
+        domain in 1i64..5,
+        seed in 0u64..1_000,
+        threads in 1usize..3,
+    ) {
+        let db = random_database(
+            &ring(edges),
+            DataParams { tuples_per_relation: tuples, domain, skew: 0.0, key_cap: 0 },
+            seed,
+        );
+        let d = decompose(db.schema(), Heuristic::MinFill).expect("nonempty schema");
+        let policy = ExecPolicy {
+            morsel_rows: 2,
+            parallel_threshold: 0,
+            ..ExecPolicy::parallel(JoinStrategy::Auto, threads)
+        };
+        let bag_db = materialize_bags(&db, &d, &policy);
+        for (b, got) in bag_db.relations().iter().enumerate() {
+            let bag = &d.bags().edges()[b].nodes;
+            let want = d
+                .cover(b)
+                .map(|e| NaiveRelation::from_relation(&db.relations()[e.index()]))
+                .map(|r| if r.attributes.is_subset(bag) { r } else { r.project(bag) })
+                .reduce(|acc, r| acc.join(&r))
+                .expect("every bag has a cover")
+                .project(bag);
+            prop_assert!(is_the_set(&want, got), "bag {b}");
         }
     }
 }

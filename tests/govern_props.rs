@@ -19,10 +19,13 @@ use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::govern::CHECK_BATCH;
 use acyclic_hypergraphs::reldb::{
     full_reduce, full_reduce_governed, query_via_full_join, query_yannakakis,
-    query_yannakakis_governed, CancelToken, CollectingSink, Database, EngineError, ExecPolicy,
-    Governor, JoinStrategy, NoopMetrics, QueryGovernor, Tuple, WorkerLease,
+    query_yannakakis_governed, yannakakis_join_governed, CancelToken, CollectingSink, Database,
+    EngineError, ExecPolicy, Governor, JoinStrategy, NoopMetrics, QueryGovernor, Tuple,
+    WorkerLease,
 };
-use acyclic_hypergraphs::workload::{chain, random_database, ring, snowflake, star, DataParams};
+use acyclic_hypergraphs::workload::{
+    chain, far_apart, random_database, ring, snowflake, star, DataParams,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -200,11 +203,13 @@ proptest! {
 
 /// A governor that cancels its own query at the `trip_at`-th in-kernel
 /// [`Governor::checkpoint`] (0-based) — a fault that lands *inside* a mask
-/// loop, where the operation-level checkpoints cannot put one.
+/// loop, where the operation-level checkpoints cannot put one.  It also sums
+/// the words (`rows × width`) the kernels charge through `approve_alloc`.
 #[derive(Clone)]
 struct TripAtCheckpoint {
     base: QueryGovernor,
     seen: Arc<AtomicU64>,
+    words: Arc<AtomicU64>,
     trip_at: u64,
 }
 
@@ -213,12 +218,23 @@ impl TripAtCheckpoint {
         Self {
             base: QueryGovernor::new(),
             seen: Arc::default(),
+            words: Arc::default(),
             trip_at,
         }
     }
 
+    /// A governor that only counts: nothing ever trips it.
+    fn never() -> Self {
+        Self::new(u64::MAX)
+    }
+
     fn checkpoints_seen(&self) -> u64 {
         self.seen.load(Ordering::Relaxed)
+    }
+
+    /// `(checkpoints seen, words charged)` so far.
+    fn totals(&self) -> (u64, u64) {
+        (self.checkpoints_seen(), self.words.load(Ordering::Relaxed))
     }
 }
 
@@ -230,6 +246,11 @@ impl Governor for TripAtCheckpoint {
             self.base.token().cancel();
         }
         self.base.checkpoint()
+    }
+
+    fn approve_alloc(&self, rows: u64, width: usize) -> Result<(), EngineError> {
+        self.words.fetch_add(rows * width as u64, Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -327,6 +348,110 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     }
     let again = full_reduce(&db, &tree);
     assert_eq!(again.removed, plain.removed);
+}
+
+/// A four-edge chain with `BIG_ROWS` arithmetic rows per relation: every
+/// relation dangles somewhere, and the all-attributes answer outgrows two
+/// `CHECK_BATCH`es, so the join kernels checkpoint and charge mid-loop.
+fn big_chain() -> Database {
+    let mut db = Database::empty(chain(4, 2, 1));
+    for e in 0..4u32 {
+        let shift = 700 * i64::from(e);
+        for i in 0..BIG_ROWS as i64 {
+            db.insert_values(EdgeId(e), [(i + shift) % 9000, (i * 3) % 9000]);
+        }
+    }
+    db
+}
+
+/// Governance is unchanged by how the join kernels emit rows: the in-kernel
+/// checkpoint count and the words charged to the budget are the totals the
+/// parent commit (PR 13, per-row dedup on every emitted row) read on the same
+/// inputs — the numbers below were recorded there.
+#[test]
+fn join_governance_totals_match_the_recorded_ones() {
+    let db = two_big_relations();
+    let (r, s) = (&db.relations()[0], &db.relations()[1]);
+    for (strategy, want) in [
+        (JoinStrategy::Hash, RECORDED_HASH_JOIN),
+        (JoinStrategy::SortMerge, RECORDED_SORT_MERGE_JOIN),
+    ] {
+        let gov = TripAtCheckpoint::never();
+        let policy = ExecPolicy::sequential(strategy);
+        let out = r
+            .join_governed(s, &policy, &NoopMetrics, &gov)
+            .expect("nothing trips");
+        assert_eq!(out.len(), RECORDED_JOIN_ROWS, "{strategy:?}");
+        assert_eq!(gov.totals(), want, "{strategy:?}");
+    }
+
+    let db = big_chain();
+    let tree = join_tree(db.schema()).expect("chains are acyclic");
+    let (all, ends) = (db.schema().nodes(), far_apart(db.schema()));
+    for (x, want_rows, want) in [
+        (&all, RECORDED_CHAIN_ALL_ROWS, RECORDED_CHAIN_ALL),
+        (&ends, RECORDED_CHAIN_ENDS_ROWS, RECORDED_CHAIN_ENDS),
+    ] {
+        let gov = TripAtCheckpoint::never();
+        let policy = ExecPolicy::sequential(JoinStrategy::Auto);
+        let out = yannakakis_join_governed(&db, &tree, x, &policy, &NoopMetrics, &gov)
+            .expect("nothing trips");
+        assert_eq!(out.len(), want_rows);
+        assert_eq!(gov.totals(), want);
+    }
+}
+
+/// `(in-kernel checkpoints, words charged)` read at the parent commit.
+const RECORDED_HASH_JOIN: (u64, u64) = (8, 81_104);
+const RECORDED_SORT_MERGE_JOIN: (u64, u64) = (7, 81_104);
+const RECORDED_JOIN_ROWS: usize = 18_776;
+const RECORDED_CHAIN_ALL: (u64, u64) = (37, 118_000);
+const RECORDED_CHAIN_ALL_ROWS: usize = 9_000;
+const RECORDED_CHAIN_ENDS: (u64, u64) = (37, 91_000);
+const RECORDED_CHAIN_ENDS_ROWS: usize = 9_000;
+
+/// Cancelling at the n-th in-kernel checkpoint of a join — whichever kernel,
+/// wherever in its build or emit loop — returns `Cancelled` on the spot with
+/// both inputs bit-identical; through the whole pipeline, `db` is.
+#[test]
+fn join_cancelled_at_any_checkpoint_leaves_inputs_untouched() {
+    let db = two_big_relations();
+    let (r, s) = (&db.relations()[0], &db.relations()[1]);
+    let (r_rows, s_rows) = (r.handle_rows().to_vec(), s.handle_rows().to_vec());
+    for (strategy, recorded) in [
+        (JoinStrategy::Hash, RECORDED_HASH_JOIN),
+        (JoinStrategy::SortMerge, RECORDED_SORT_MERGE_JOIN),
+    ] {
+        let policy = ExecPolicy::sequential(strategy);
+        for trip_at in 0..recorded.0 {
+            let gov = TripAtCheckpoint::new(trip_at);
+            let got = r.join_governed(s, &policy, &NoopMetrics, &gov);
+            assert_eq!(
+                got.err(),
+                Some(EngineError::Cancelled),
+                "{strategy:?} checkpoint {trip_at}"
+            );
+            assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
+            assert_eq!(r.handle_rows(), r_rows);
+            assert_eq!(s.handle_rows(), s_rows);
+        }
+    }
+
+    let db = big_chain();
+    let tree = join_tree(db.schema()).expect("chains are acyclic");
+    let all: NodeSet = db.schema().nodes();
+    let before = snapshot(&db);
+    let policy = ExecPolicy::sequential(JoinStrategy::Auto);
+    for trip_at in [0, RECORDED_CHAIN_ALL.0 / 2, RECORDED_CHAIN_ALL.0 - 1] {
+        let gov = TripAtCheckpoint::new(trip_at);
+        let got = yannakakis_join_governed(&db, &tree, &all, &policy, &NoopMetrics, &gov);
+        assert_eq!(
+            got.err(),
+            Some(EngineError::Cancelled),
+            "checkpoint {trip_at}"
+        );
+        assert_eq!(snapshot(&db), before, "abort mutated the database");
+    }
 }
 
 #[cfg(feature = "failpoints")]
