@@ -24,9 +24,8 @@ use reldb::{
     full_reduce_governed, full_reduce_metered, full_reduce_with, naive_join_project,
     yannakakis_join_any, yannakakis_join_any_metered, yannakakis_join_governed,
     yannakakis_join_metered, yannakakis_join_with, CollectingSink, Database, ExecPolicy,
-    JoinStrategy, NoopMetrics, QueryGovernor, Relation, WorkerLease,
-    AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO, AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-    AUTO_SORTMERGE_MAX_DISTINCT_RATIO,
+    JoinStrategy, NoopMetrics, QueryGovernor, Relation, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
+    AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
 };
 use std::time::Instant;
 use workload::{
@@ -169,14 +168,9 @@ struct QueryWorkload {
 /// columnar hash engine.  The engine label is what lands in the JSON rows.
 ///
 /// `columnar-parallel` leases long-lived workers from the shared
-/// `WorkerPool` (the production parallel path); `columnar-parallel-spawn`
-/// runs the identical level-synchronous engine but spawns fresh threads per
-/// batch — the pair isolates what pool reuse saves in per-level overhead.
-///
-/// `columnar-auto` runs the Auto planner with its calibrated per-operator
-/// crossovers; `columnar-auto-guess` pins both crossovers back to the
-/// original one-size-fits-all 0.05 guess — the pair shows what per-operator
-/// calibration buys (informational rows, not regression-guarded).
+/// `WorkerPool` (the production parallel path); `columnar-auto` runs the
+/// Auto planner with its calibrated per-operator crossovers (an
+/// informational row, not regression-guarded).
 fn engine_policies(threads: usize) -> Vec<(&'static str, ExecPolicy)> {
     vec![
         (
@@ -185,23 +179,8 @@ fn engine_policies(threads: usize) -> Vec<(&'static str, ExecPolicy)> {
         ),
         ("columnar-auto", ExecPolicy::sequential(JoinStrategy::Auto)),
         (
-            "columnar-auto-guess",
-            ExecPolicy {
-                auto_sortmerge_max_distinct_ratio: AUTO_SORTMERGE_MAX_DISTINCT_RATIO,
-                auto_semijoin_sortmerge_max_distinct_ratio: AUTO_SORTMERGE_MAX_DISTINCT_RATIO,
-                ..ExecPolicy::sequential(JoinStrategy::Auto)
-            },
-        ),
-        (
             "columnar-parallel",
             ExecPolicy::parallel(JoinStrategy::Hash, threads),
-        ),
-        (
-            "columnar-parallel-spawn",
-            ExecPolicy {
-                reuse_pool: false,
-                ..ExecPolicy::parallel(JoinStrategy::Hash, threads)
-            },
         ),
     ]
 }
@@ -690,7 +669,7 @@ pub fn calibrate(profile: Profile) -> String {
                     )
                 } else {
                     let mut probe = r0.clone();
-                    probe.retain_semijoin_metered(&r1, &hash_policy, &WorkerLease::inline(), &sink);
+                    probe.retain_semijoin_metered(&r1, &hash_policy, &sink);
                     (
                         measure_min(|| r0.semijoin_with(&r1, JoinStrategy::Hash)),
                         measure_min(|| r0.semijoin_with(&r1, JoinStrategy::SortMerge)),
@@ -736,7 +715,7 @@ pub fn calibrate(profile: Profile) -> String {
             (None, None) => "no cells measured".to_owned(),
         };
         out.push_str(&format!(
-            "measured crossover, {op}: {span} (shipped Auto default {shipped}, old guess {AUTO_SORTMERGE_MAX_DISTINCT_RATIO})\n",
+            "measured crossover, {op}: {span} (shipped Auto default {shipped})\n",
         ));
     }
     out
@@ -997,22 +976,6 @@ mod tests {
     fn engine_policies_include_the_auto_pair() {
         let engines: Vec<&str> = engine_policies(2).into_iter().map(|(e, _)| e).collect();
         assert!(engines.contains(&"columnar-auto"));
-        assert!(engines.contains(&"columnar-auto-guess"));
-        let policies = engine_policies(2);
-        let guess = &policies
-            .iter()
-            .find(|(e, _)| *e == "columnar-auto-guess")
-            .unwrap()
-            .1;
-        assert!(
-            (guess.auto_sortmerge_max_distinct_ratio - AUTO_SORTMERGE_MAX_DISTINCT_RATIO).abs()
-                < 1e-12
-        );
-        assert!(
-            (guess.auto_semijoin_sortmerge_max_distinct_ratio - AUTO_SORTMERGE_MAX_DISTINCT_RATIO)
-                .abs()
-                < 1e-12
-        );
     }
 
     #[test]
@@ -1126,18 +1089,12 @@ mod tests {
         ];
         let err = check_baseline(&slow_join, &baseline, 2.0).unwrap_err();
         assert!(err.contains("yannakakis_join"), "err: {err}");
-        // The spawn-mode comparison rows are informational, not guarded.
-        let spawn_only = vec![
+        // The strategy-comparison rows are informational, not guarded.
+        let unguarded = vec![
             record("full_reduce", "columnar", "chain-6", 200, 900.0),
-            record(
-                "yannakakis_join",
-                "columnar-parallel-spawn",
-                "chain-6",
-                200,
-                1e9,
-            ),
+            record("yannakakis_join", "columnar-sortmerge", "chain-6", 200, 1e9),
         ];
-        assert!(check_baseline(&spawn_only, &baseline, 2.0).is_ok());
+        assert!(check_baseline(&unguarded, &baseline, 2.0).is_ok());
     }
 
     #[test]

@@ -252,10 +252,6 @@ fn bench_json_rows_carry_tuple_counters() {
         json.contains("\"engine\": \"columnar-auto\""),
         "got: {json}"
     );
-    assert!(
-        json.contains("\"engine\": \"columnar-auto-guess\""),
-        "got: {json}"
-    );
     let _ = std::fs::remove_file(out_path);
 }
 
@@ -297,7 +293,6 @@ fn bench_writes_json_and_guards_against_regressions() {
     assert!(json.contains("\"engine\": \"reference\""));
     assert!(json.contains("\"engine\": \"columnar-sortmerge\""));
     assert!(json.contains("\"engine\": \"columnar-parallel\""));
-    assert!(json.contains("\"engine\": \"columnar-parallel-spawn\""));
     assert!(json.contains("\"workload\": \"snowflake-2x2\""));
     assert!(json.contains("\"workload\": \"chain-6-zipf\""));
     assert!(json.contains("\"workload\": \"chain-6-zipf-capped\""));

@@ -8,18 +8,16 @@
 //! keys; sort-merge wins when keys are heavily duplicated (skewed data),
 //! where the pattern-defeating sort degenerates towards linear and the merge
 //! replaces per-row hashing.  [`JoinStrategy::Auto`] picks per operation
-//! from an estimated distinct-key ratio (the rows themselves are distinct —
-//! the relation's dedup index guarantees that — so sampled key duplication
-//! measures genuine key skew).
+//! from an estimated distinct-key ratio (the rows themselves are distinct by
+//! construction, so sampled key duplication measures genuine key skew).
 //!
 //! [`ExecPolicy`] bundles the strategy with the parallelism knobs used by
 //! the level-synchronous Yannakakis reducer and bottom-up join
 //! ([`full_reduce_with`](crate::full_reduce_with),
 //! [`yannakakis_join_with`](crate::yannakakis_join_with)): how many worker
-//! threads to use, the total-tuple threshold below which parallel execution
-//! costs more than it saves, whether workers are leased from the shared
-//! [`WorkerPool`] or spawned fresh, and the [`JoinStrategy::Auto`]
-//! distinct-key-ratio threshold.
+//! threads to lease from the shared [`WorkerPool`], the total-tuple threshold
+//! below which parallel execution costs more than it saves, and the morsel
+//! size of the work-pulling paths.
 //!
 //! # The worker pool
 //!
@@ -60,10 +58,10 @@ pub enum JoinStrategy {
     /// Pick per operation from the estimated distinct-key ratio: sort-merge
     /// at or below the operator's calibrated crossover
     /// ([`AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO`] for joins,
-    /// [`AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO`] for semijoins, both
-    /// overridable via [`ExecPolicy`]), hash otherwise.  Semijoins whose
-    /// packed handle key space fits run the dense bitset kernel before that
-    /// choice is made (see `AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO`).
+    /// [`AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO`] for semijoins), hash
+    /// otherwise.  Semijoins whose packed handle key space fits run the
+    /// dense bitset kernel before that choice is made (see
+    /// `AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO`).
     #[default]
     Auto,
 }
@@ -81,17 +79,6 @@ impl JoinStrategy {
         }
     }
 }
-
-/// The original one-size-fits-all [`JoinStrategy::Auto`] crossover guess:
-/// keys with an estimated distinct-key ratio at or below this were
-/// considered skewed enough for sort-merge, for joins and semijoins alike.
-///
-/// Superseded by the per-operator calibrated defaults
-/// [`AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO`] and
-/// [`AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO`]; kept so benchmarks can
-/// measure the calibrated policy against the guess it replaced
-/// (`columnar-auto` vs. `columnar-auto-guess` rows in `hyperq bench`).
-pub const AUTO_SORTMERGE_MAX_DISTINCT_RATIO: f64 = 0.05;
 
 /// Distinct-key-ratio crossover for **joins** under [`JoinStrategy::Auto`]:
 /// at or below this *sampled* ratio (the estimator samples ≤128 evenly
@@ -120,18 +107,16 @@ pub const AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO: f64 = 0.55;
 /// the pipeline-level bench rows agree (`full_reduce` under the pinned
 /// sort-merge engine beats the pinned hash engine 1.5–2.2× on every
 /// workload).  Sorting interned `u32` key handles is simply cheaper than
-/// per-row hashing here, so the threshold is 1.0 and the [`ExecPolicy`]
-/// field is the opt-out for hardware where the trade-off measures
-/// differently.
+/// per-row hashing here, so the threshold is 1.0.
 ///
 /// The threshold only decides semijoins the dense kernel does not take:
 /// `Auto` first runs a direct-address bitset over the packed handle key
 /// space whenever `pool.len()^k` is at most eight bits per input row (the
 /// bitset never outweighs one byte per row it serves; past that, zeroing
 /// and missing on a sparse bitset costs more than the sort), and falls back
-/// to this sort-merge-vs-hash choice otherwise.  With the default 1.0 that
-/// makes the order *dense if the key space fits, else sort-merge; hash only
-/// when pinned*.
+/// to this sort-merge-vs-hash choice otherwise.  At 1.0 that makes the
+/// order *dense if the key space fits, else sort-merge; hash only when
+/// pinned*.
 pub const AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO: f64 = 1.0;
 
 /// Default morsel size for [`ExecPolicy::morsel_rows`]: the number of rows
@@ -214,18 +199,13 @@ impl MorselQueue {
 /// use reldb::{ExecPolicy, JoinStrategy};
 ///
 /// // The default policy: auto strategy, auto-detected worker count,
-/// // sequential below the tuple threshold, leased pool workers.
+/// // sequential below the tuple threshold.
 /// let policy = ExecPolicy::default();
 /// assert_eq!(policy.strategy, JoinStrategy::Auto);
-/// assert!(policy.reuse_pool);
 /// assert_eq!(policy.effective_threads(16), 1); // small input stays sequential
 ///
-/// // A pinned policy for reproducible measurements, with the Auto
-/// // sort-merge threshold overridden.
-/// let pinned = ExecPolicy {
-///     auto_sortmerge_max_distinct_ratio: 0.2,
-///     ..ExecPolicy::parallel(JoinStrategy::Auto, 2)
-/// };
+/// // A pinned policy for reproducible measurements.
+/// let pinned = ExecPolicy::parallel(JoinStrategy::Auto, 2);
 /// assert_eq!(pinned.effective_threads(1_000_000), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -238,24 +218,8 @@ pub struct ExecPolicy {
     /// Total database tuples below which execution stays sequential even
     /// when `threads > 1` (worker hand-off would dominate).
     pub parallel_threshold: usize,
-    /// Distinct-key-ratio threshold at or below which [`JoinStrategy::Auto`]
-    /// picks sort-merge for **joins**.  Defaults to the calibrated
-    /// [`AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO`].
-    pub auto_sortmerge_max_distinct_ratio: f64,
-    /// Distinct-key-ratio threshold at or below which [`JoinStrategy::Auto`]
-    /// picks sort-merge for **semijoins** the dense kernel does not take
-    /// (`Auto` runs the direct-address bitset first whenever the packed key
-    /// space is at most eight bits per input row; this threshold is never
-    /// consulted for those).  Defaults to the calibrated
-    /// [`AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO`] = 1.0: sort-merge for
-    /// every fallback, hash only when pinned.
-    pub auto_semijoin_sortmerge_max_distinct_ratio: f64,
-    /// Lease long-lived workers from the shared [`WorkerPool`] (`true`, the
-    /// default) instead of spawning fresh threads per call (`false`, kept
-    /// for benchmarking the pool against the spawn overhead it removes).
-    pub reuse_pool: bool,
     /// Rows per morsel for the work-pulling parallel paths (join probe
-    /// sharding, level-wide reduction, bag materialization): workers claim
+    /// sharding in the bottom-up join and bag materialization): workers claim
     /// chunks of this many rows from a shared [`MorselQueue`] instead of
     /// receiving one pre-sliced shard each.  Inputs smaller than one morsel
     /// fall back to the sequential kernel.  Defaults to
@@ -269,9 +233,6 @@ impl Default for ExecPolicy {
             strategy: JoinStrategy::Auto,
             threads: 0,
             parallel_threshold: 4096,
-            auto_sortmerge_max_distinct_ratio: AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-            auto_semijoin_sortmerge_max_distinct_ratio: AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-            reuse_pool: true,
             morsel_rows: DEFAULT_MORSEL_ROWS,
         }
     }
@@ -321,17 +282,9 @@ impl ExecPolicy {
 
     /// Acquires the workers this policy wants for a workload of
     /// `total_tuples`: an inline (sequential) lease below the threshold,
-    /// leased [`WorkerPool`] threads when `reuse_pool` is set, fresh
-    /// spawn-per-batch threads otherwise.
+    /// leased [`WorkerPool`] threads otherwise.
     pub fn lease(&self, total_tuples: usize) -> WorkerLease {
-        let threads = self.effective_threads(total_tuples);
-        if threads <= 1 {
-            WorkerLease::inline()
-        } else if self.reuse_pool {
-            WorkerPool::lease(threads)
-        } else {
-            WorkerLease::spawning(threads)
-        }
+        WorkerPool::lease(self.effective_threads(total_tuples))
     }
 }
 
@@ -462,17 +415,13 @@ impl WorkerPool {
 enum LeaseMode {
     /// No workers: run batches inline on the caller thread.
     Inline,
-    /// Spawn fresh threads per batch (the pre-pool behavior, kept so the
-    /// benchmarks can measure what the pool saves).
-    Spawn(usize),
     /// Leased long-lived pool threads.
     Pooled(Vec<PoolWorker>),
 }
 
 /// A batch executor over some worker threads, handed out by
-/// [`WorkerPool::lease`] (or the spawn/inline constructors via
-/// [`ExecPolicy::lease`]).  Dropping a pooled lease returns its workers to
-/// the pool.
+/// [`WorkerPool::lease`] (or [`WorkerLease::inline`]).  Dropping a pooled
+/// lease returns its workers to the pool.
 pub struct WorkerLease {
     mode: LeaseMode,
 }
@@ -485,22 +434,10 @@ impl WorkerLease {
         }
     }
 
-    /// A lease that spawns `threads` fresh threads per batch instead of
-    /// using pool workers.
-    pub fn spawning(threads: usize) -> Self {
-        if threads <= 1 {
-            return Self::inline();
-        }
-        Self {
-            mode: LeaseMode::Spawn(threads),
-        }
-    }
-
     /// How many workers batches are spread across (`1` = inline).
     pub fn threads(&self) -> usize {
         match &self.mode {
             LeaseMode::Inline => 1,
-            LeaseMode::Spawn(t) => *t,
             LeaseMode::Pooled(w) => w.len(),
         }
     }
@@ -518,30 +455,6 @@ impl WorkerLease {
             LeaseMode::Inline => {
                 for job in jobs {
                     job();
-                }
-            }
-            LeaseMode::Spawn(threads) => {
-                let per = jobs.len().div_ceil(*threads).max(1);
-                let mut jobs = jobs;
-                let mut handles = Vec::new();
-                while !jobs.is_empty() {
-                    let batch: Vec<Job> = jobs.drain(..per.min(jobs.len())).collect();
-                    handles.push(std::thread::spawn(move || {
-                        for job in batch {
-                            job();
-                        }
-                    }));
-                }
-                // Join every handle before re-raising, preserving the first
-                // panic's payload.
-                let mut first_panic = None;
-                for h in handles {
-                    if let Err(payload) = h.join() {
-                        first_panic.get_or_insert(payload);
-                    }
-                }
-                if let Some(payload) = first_panic {
-                    resume_unwind(payload);
                 }
             }
             LeaseMode::Pooled(workers) => {
@@ -659,38 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_carries_auto_ratio_overrides() {
-        let d = ExecPolicy::default();
-        assert!(
-            (d.auto_sortmerge_max_distinct_ratio - AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO).abs()
-                < 1e-12
-        );
-        assert!(
-            (d.auto_semijoin_sortmerge_max_distinct_ratio
-                - AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO)
-                .abs()
-                < 1e-12
-        );
-        let p = ExecPolicy {
-            auto_sortmerge_max_distinct_ratio: 0.07,
-            auto_semijoin_sortmerge_max_distinct_ratio: 0.03,
-            ..ExecPolicy::sequential(JoinStrategy::Auto)
-        };
-        assert!((p.auto_sortmerge_max_distinct_ratio - 0.07).abs() < 1e-12);
-        assert!((p.auto_semijoin_sortmerge_max_distinct_ratio - 0.03).abs() < 1e-12);
-        assert!(
-            (p.auto_sortmerge_max_distinct_ratio - d.auto_sortmerge_max_distinct_ratio).abs()
-                > 1e-12
-        );
-        assert!(
-            (p.auto_semijoin_sortmerge_max_distinct_ratio
-                - d.auto_semijoin_sortmerge_max_distinct_ratio)
-                .abs()
-                > 1e-12
-        );
-    }
-
-    #[test]
     fn morsel_queue_covers_range_exactly_once() {
         let q = MorselQueue::new(100, 32);
         assert_eq!(q.total(), 100);
@@ -748,11 +629,7 @@ mod tests {
     /// them before returning.
     #[test]
     fn leases_run_all_jobs_to_completion() {
-        for lease in [
-            WorkerLease::inline(),
-            WorkerLease::spawning(3),
-            WorkerPool::lease(3),
-        ] {
+        for lease in [WorkerLease::inline(), WorkerPool::lease(3)] {
             let counter = Arc::new(AtomicUsize::new(0));
             let jobs: Vec<Job> = (0..17)
                 .map(|_| {
@@ -802,39 +679,33 @@ mod tests {
         assert_eq!(seq.lease(1_000_000).threads(), 1);
         let pooled = ExecPolicy::parallel(JoinStrategy::Hash, 2);
         assert_eq!(pooled.lease(0).threads(), 2);
-        let spawn = ExecPolicy {
-            reuse_pool: false,
-            ..ExecPolicy::parallel(JoinStrategy::Hash, 2)
-        };
-        assert_eq!(spawn.lease(0).threads(), 2);
         // Below the threshold every mode degrades to inline.
         let auto = ExecPolicy::default();
         assert_eq!(auto.lease(1).threads(), 1);
     }
 
-    /// A panicking job surfaces as a panic on the calling thread for both
-    /// thread-backed modes (the pool must not deadlock on a lost job), and
-    /// the original payload survives the trip — a parallel-only failure
-    /// must be as debuggable as a sequential one.
+    /// A panicking job on a pool worker surfaces as a panic on the calling
+    /// thread (the pool must not deadlock on a lost job), and the original
+    /// payload survives the trip — a parallel-only failure must be as
+    /// debuggable as a sequential one.
     #[test]
     fn panicking_jobs_propagate_with_payload() {
-        for lease in [WorkerLease::spawning(2), WorkerPool::lease(2)] {
-            let boom = catch_unwind(AssertUnwindSafe(|| {
-                lease.run(vec![
-                    Box::new(|| {}) as Job,
-                    Box::new(|| panic!("boom in job")) as Job,
-                ]);
-            }));
-            let payload = boom.expect_err("job panic must propagate");
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .map(str::to_owned)
-                .or_else(|| payload.downcast_ref::<String>().cloned());
-            assert_eq!(msg.as_deref(), Some("boom in job"));
-            // The lease stays usable afterwards.
-            lease.run(vec![Box::new(|| {}) as Job]);
-        }
+        let lease = WorkerPool::lease(2);
+        let boom = catch_unwind(AssertUnwindSafe(|| {
+            lease.run(vec![
+                Box::new(|| {}) as Job,
+                Box::new(|| panic!("boom in job")) as Job,
+            ]);
+        }));
+        let payload = boom.expect_err("job panic must propagate");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .map(str::to_owned)
+            .or_else(|| payload.downcast_ref::<String>().cloned());
+        assert_eq!(msg.as_deref(), Some("boom in job"));
+        // The lease stays usable afterwards.
+        lease.run(vec![Box::new(|| {}) as Job]);
     }
 
     /// A panicking job poisons its pool worker; returning the lease retires

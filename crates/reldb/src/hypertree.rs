@@ -779,10 +779,7 @@ mod tests {
             ExecPolicy::sequential(JoinStrategy::SortMerge),
             ExecPolicy::sequential(JoinStrategy::Auto),
             ExecPolicy::parallel(JoinStrategy::Hash, 3),
-            ExecPolicy {
-                reuse_pool: false,
-                ..ExecPolicy::parallel(JoinStrategy::Auto, 2)
-            },
+            ExecPolicy::parallel(JoinStrategy::Auto, 2),
         ] {
             let got = yannakakis_join_any(&db, &all, &policy).unwrap();
             assert!(got.same_contents(&want), "diverged under {policy:?}");

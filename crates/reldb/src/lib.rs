@@ -85,7 +85,7 @@ pub use database::{Database, DbError};
 pub use exec::{
     ExecPolicy, JoinStrategy, MorselQueue, WorkerLease, WorkerPool,
     AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO, AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-    AUTO_SORTMERGE_MAX_DISTINCT_RATIO, DEFAULT_MORSEL_ROWS,
+    DEFAULT_MORSEL_ROWS,
 };
 pub use govern::{CancelToken, EngineError, Governor, NoopGovernor, QueryGovernor};
 #[cfg(feature = "failpoints")]

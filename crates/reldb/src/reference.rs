@@ -59,11 +59,12 @@ impl NaiveRelation {
 
     /// True if the columnar relation `r` holds exactly these tuples over the
     /// same attributes — the tuple-for-tuple agreement check used by the
-    /// equivalence property suites.
+    /// equivalence property suites.  Equal lengths plus set equality: a
+    /// duplicated row in `r` cannot stand in for a missing one.
     pub fn agrees_with(&self, r: &Relation) -> bool {
         self.attributes == *r.attributes()
             && self.len() == r.len()
-            && r.tuples().all(|t| self.tuples.contains(&t))
+            && r.tuples().collect::<BTreeSet<_>>() == self.tuples
     }
 
     /// Projection with duplicate elimination (naive: clones every tuple).

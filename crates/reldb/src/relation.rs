@@ -52,7 +52,7 @@
 //! tuples; it is decoded from / encoded into rows only at the edges.
 
 use crate::exec::{
-    ExecPolicy, Job, JoinStrategy, MorselQueue, WorkerLease, WorkerPool,
+    ExecPolicy, Job, JoinStrategy, MorselQueue, WorkerLease,
     AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO, AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
     DEFAULT_MORSEL_ROWS,
 };
@@ -304,17 +304,6 @@ impl RowTable {
 #[inline]
 fn row_of(buf: &[u32], width: usize, id: u32) -> &[u32] {
     &buf[id as usize * width..(id as usize + 1) * width]
-}
-
-/// The probe step of the hash semijoin mask, shared verbatim by the
-/// sequential loop and every parallel shard so the two paths cannot drift
-/// apart: is `key` present in `table` (which indexes the `k`-wide keys of
-/// `other_keys`)?
-#[inline]
-fn probe_key(table: &RowTable, other_keys: &[u32], k: usize, key: &[u32]) -> bool {
-    table
-        .find(hash_row(key), |id| row_of(other_keys, k, id) == key)
-        .is_some()
 }
 
 /// Positions (column indices) of the attributes of `of` within `cols`.
@@ -1014,7 +1003,6 @@ impl Relation {
         unfail(self.join_impl(
             other,
             strategy,
-            AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
             &WorkerLease::inline(),
             DEFAULT_MORSEL_ROWS,
             &NoopMetrics,
@@ -1023,8 +1011,7 @@ impl Relation {
     }
 
     /// Natural join under an [`ExecPolicy`]: the policy picks the strategy
-    /// and the [`JoinStrategy::Auto`] distinct-key-ratio threshold (its
-    /// thread knobs do not apply to a single binary join).
+    /// (its thread knobs engage only past one morsel of probe rows).
     pub fn join_with_exec(&self, other: &Relation, policy: &ExecPolicy) -> Relation {
         self.join_metered(other, policy, &NoopMetrics)
     }
@@ -1087,23 +1074,13 @@ impl Relation {
         sink: &M,
         gov: &G,
     ) -> Result<Relation, EngineError> {
-        self.join_impl(
-            other,
-            policy.strategy,
-            policy.auto_sortmerge_max_distinct_ratio,
-            probe,
-            policy.morsel_rows,
-            sink,
-            gov,
-        )
+        self.join_impl(other, policy.strategy, probe, policy.morsel_rows, sink, gov)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn join_impl<M: MetricsSink, G: Governor>(
         &self,
         other: &Relation,
         strategy: JoinStrategy,
-        auto_ratio: f64,
         probe_workers: &WorkerLease,
         morsel_rows: usize,
         sink: &M,
@@ -1140,7 +1117,7 @@ impl Relation {
             larger.resolve_kernel(
                 strategy,
                 &positions(&shared, &larger.cols),
-                auto_ratio,
+                AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
                 M::ENABLED,
             )
         };
@@ -1533,22 +1510,18 @@ impl Relation {
 
     /// For each row of `self`, whether some row of `other` matches it on the
     /// shared attributes — the common kernel behind the semijoin family,
-    /// parameterized by strategy and the probe-shard workers.  Alongside the
-    /// mask, reports what the kernel did ([`MaskStats`]) so metered callers
-    /// can record one semijoin [`OpMetrics`]; `sample_ratio` additionally
+    /// parameterized by strategy.  Alongside the mask, reports what the
+    /// kernel did ([`MaskStats`]) so metered callers can record one
+    /// semijoin [`OpMetrics`]; `sample_ratio` additionally
     /// samples the distinct-key ratio where no kernel choice needed it
     /// (pinned strategies, and `Auto` semijoins the dense kernel takes).
     ///
     /// `Auto` tries [`Relation::dense_mask`] first and resolves between
     /// sort-merge and hash only when the packed key space does not fit.
-    #[allow(clippy::too_many_arguments)]
     fn semijoin_mask<G: Governor>(
         &self,
         other: &Relation,
         strategy: JoinStrategy,
-        auto_ratio: f64,
-        probe: &WorkerLease,
-        morsel_rows: usize,
         sample_ratio: bool,
         gov: &G,
     ) -> Result<(Vec<bool>, MaskStats), EngineError> {
@@ -1579,12 +1552,16 @@ impl Relation {
             None => {
                 // Gather the (translated) key columns of `other` into one buffer.
                 let other_keys = keys.gather_translated(other);
-                let (kernel, ratio) =
-                    self.resolve_kernel(strategy, &keys.left_pos, auto_ratio, sample_ratio);
+                let (kernel, ratio) = self.resolve_kernel(
+                    strategy,
+                    &keys.left_pos,
+                    AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
+                    sample_ratio,
+                );
                 let done = if kernel == Kernel::SortMerge {
                     self.sort_merge_mask(&keys, &other_keys, gov)?
                 } else {
-                    self.hash_mask(&keys, other_keys, probe, morsel_rows, gov)?
+                    self.hash_mask(&keys, &other_keys, gov)?
                 };
                 (kernel, ratio, done)
             }
@@ -1608,10 +1585,8 @@ impl Relation {
     /// from `other`'s row buffer (translated across pools; rows holding a
     /// value unknown to `self`'s pool are skipped), the probe loop tests
     /// `self`'s rows against them: no gathered key buffers, no
-    /// permutations, no hashing.  Runs inline on the calling thread — at a
-    /// few ns per row there is nothing for a morsel hand-off to win back.
-    /// Returns the mask plus the number of distinct keys set (the "built"
-    /// metric).
+    /// permutations, no hashing.  Returns the mask plus the number of
+    /// distinct keys set (the "built" metric).
     fn dense_mask<G: Governor>(
         &self,
         other: &Relation,
@@ -1654,30 +1629,21 @@ impl Relation {
     }
 
     /// Hash flavor of the semijoin mask: index `other`'s distinct keys,
-    /// probe every row of `self`.  With a multi-worker `probe` lease and
-    /// more than one morsel of rows, the probe loop (embarrassingly
-    /// parallel, read-only) runs morsel-driven: every worker pulls
-    /// `morsel_rows`-row chunks from a shared [`MorselQueue`] until the
-    /// range is drained, so an uneven probe cannot serialize on one
-    /// pre-sliced shard — the intra-operator parallelism the
-    /// level-synchronous reducer falls back to when a tree level has fewer
-    /// targets than workers (e.g. chain schemas, whose levels are
-    /// singletons).  Workers own a handle on the shared probe state (key
-    /// table + gathered key columns + queue behind one [`Arc`]), so they
-    /// run as ordinary owned pool jobs rather than scoped borrows.
-    /// Returns the mask plus the number of distinct keys indexed (the
-    /// "built" metric).
+    /// probe every row of `self`.  Returns the mask plus the number of
+    /// distinct keys indexed (the "built" metric).
+    // Pinned-strategy only, so kept out of line: inlined, it bloats the
+    // dense / sort-merge path every `Auto` semijoin takes through
+    // `semijoin_mask` (`ring8-cyclic` reads ≈ 5 % slower).
+    #[inline(never)]
     fn hash_mask<G: Governor>(
         &self,
         keys: &JoinKeys,
-        other_keys: Vec<u32>,
-        probe: &WorkerLease,
-        morsel_rows: usize,
+        other_keys: &[u32],
         gov: &G,
     ) -> Result<(Vec<bool>, usize), EngineError> {
         let k = keys.k();
         let nkeys = other_keys.len() / k;
-        let key_at = |id: u32| row_of(&other_keys, k, id);
+        let key_at = |id: u32| row_of(other_keys, k, id);
         let mut table = RowTable::with_capacity(nkeys);
         let mut distinct = 0usize;
         let mut step = 0usize;
@@ -1697,87 +1663,23 @@ impl Relation {
                 distinct += 1;
             }
         }
-        let threads = probe.threads();
-        let queue = MorselQueue::new(self.len, morsel_rows);
-        if threads <= 1 || queue.morsels() <= 1 {
-            let mut keybuf = vec![0u32; k];
-            let mut mask = Vec::with_capacity(self.len);
-            for row in self.rows_iter() {
-                if G::ENABLED {
-                    step += 1;
-                    if step >= CHECK_BATCH {
-                        step = 0;
-                        gov.checkpoint()?;
-                    }
+        let mut keybuf = vec![0u32; k];
+        let mut mask = Vec::with_capacity(self.len);
+        for row in self.rows_iter() {
+            if G::ENABLED {
+                step += 1;
+                if step >= CHECK_BATCH {
+                    step = 0;
+                    gov.checkpoint()?;
                 }
-                for (j, &p) in keys.left_pos.iter().enumerate() {
-                    keybuf[j] = row[p];
-                }
-                mask.push(probe_key(&table, &other_keys, k, &keybuf));
             }
-            return Ok((mask, distinct));
-        }
-        // Morsel-driven probe: one job per worker, each pulling row chunks
-        // from the shared queue and probing the gathered key columns
-        // (shared read-only behind one Arc with the table and the queue),
-        // sending each morsel's mask chunk back tagged with the range
-        // start.  Workers carry their own governor handle and checkpoint
-        // per batch; the first error anywhere aborts the whole mask.
-        let my_keys = keys.gather(self, &keys.left_pos);
-        let shared = Arc::new((table, other_keys, my_keys, queue));
-        let (tx, rx) = channel();
-        let jobs: Vec<Job> = (0..threads)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let tx = tx.clone();
-                let gov = gov.clone();
-                Box::new(move || {
-                    let (table, other_keys, my_keys, queue) = &*shared;
-                    let mut step = 0usize;
-                    while let Some(range) = queue.next() {
-                        let mut bits = Vec::with_capacity(range.len());
-                        let mut res = Ok(());
-                        for i in range.clone() {
-                            if G::ENABLED {
-                                step += 1;
-                                if step >= CHECK_BATCH {
-                                    step = 0;
-                                    if let Err(e) = gov.checkpoint() {
-                                        res = Err(e);
-                                        break;
-                                    }
-                                }
-                            }
-                            bits.push(probe_key(
-                                table,
-                                other_keys,
-                                k,
-                                row_of(my_keys, k, i as u32),
-                            ));
-                        }
-                        let failed = res.is_err();
-                        let _ = tx.send((range.start, res.map(|()| bits)));
-                        if failed {
-                            break; // stop pulling; peers abort on their next checkpoint
-                        }
-                    }
-                }) as Job
-            })
-            .collect();
-        drop(tx);
-        probe.run(jobs);
-        let mut mask = vec![false; self.len];
-        let mut first_err = None;
-        for (start, bits) in rx.try_iter() {
-            match bits {
-                Ok(bits) => mask[start..start + bits.len()].copy_from_slice(&bits),
-                Err(e) => first_err = first_err.or(Some(e)),
+            for (j, &p) in keys.left_pos.iter().enumerate() {
+                keybuf[j] = row[p];
             }
+            let hit = table.find(hash_row(&keybuf), |id| key_at(id) == keybuf);
+            mask.push(hit.is_some());
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok((mask, distinct)),
-        }
+        Ok((mask, distinct))
     }
 
     /// Sort-merge flavor of the semijoin mask: sort a row-id permutation of
@@ -1842,15 +1744,7 @@ impl Relation {
     /// Semijoin under an explicit [`JoinStrategy`] — see
     /// [`Relation::join_with`] for the strategy semantics.
     pub fn semijoin_with(&self, other: &Relation, strategy: JoinStrategy) -> Relation {
-        let (mask, _) = unfail(self.semijoin_mask(
-            other,
-            strategy,
-            AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-            &WorkerLease::inline(),
-            DEFAULT_MORSEL_ROWS,
-            false,
-            &NoopGovernor,
-        ));
+        let (mask, _) = unfail(self.semijoin_mask(other, strategy, false, &NoopGovernor));
         let mut out = Relation::with_pool(
             self.name.clone(),
             self.attributes.clone(),
@@ -1868,25 +1762,17 @@ impl Relation {
     /// Number of tuples the semijoin with `other` would keep, without
     /// materializing it.
     pub fn semijoin_count(&self, other: &Relation) -> usize {
-        unfail(self.semijoin_mask(
-            other,
-            JoinStrategy::Hash,
-            AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-            &WorkerLease::inline(),
-            DEFAULT_MORSEL_ROWS,
-            false,
-            &NoopGovernor,
-        ))
-        .0
-        .iter()
-        .filter(|&&b| b)
-        .count()
+        unfail(self.semijoin_mask(other, JoinStrategy::Hash, false, &NoopGovernor))
+            .0
+            .iter()
+            .filter(|&&b| b)
+            .count()
     }
 
     /// In-place semijoin with the default kernel — see
     /// [`Relation::retain_semijoin_with`].
     pub fn retain_semijoin(&mut self, other: &Relation) -> usize {
-        self.retain_semijoin_with(other, JoinStrategy::Hash, 1)
+        self.retain_semijoin_with(other, JoinStrategy::Hash)
     }
 
     /// In-place semijoin: removes the tuples of `self` that match no tuple
@@ -1896,53 +1782,25 @@ impl Relation {
     /// The dedup index rebuild is deferred (marked stale) rather than done
     /// eagerly: the Yannakakis reducer semijoins the same relation several
     /// times in a row and never consults the index in between, so eager
-    /// rebuilds were pure waste.  With `threads > 1` the hash probe loop is
-    /// sharded across workers leased from the shared [`WorkerPool`].
+    /// rebuilds were pure waste.
     ///
     /// Under [`JoinStrategy::Auto`] the keep-mask comes from the dense
-    /// kernel (a bitset over the packed handle key space, inline on the
-    /// calling thread) whenever `pool.len()^k` is at most eight bits per
-    /// input row of the two operands, and from sort-merge otherwise — a
+    /// kernel (a bitset over the packed handle key space) whenever
+    /// `pool.len()^k` is at most eight bits per input row of the two
+    /// operands, and from sort-merge otherwise — a
     /// sparser key space makes the bitset dearer than the sort.  The hash
-    /// mask runs only under a pinned [`JoinStrategy::Hash`] (or an `Auto`
-    /// policy whose semijoin threshold was lowered below the sampled
-    /// ratio); see the module docs.
-    pub fn retain_semijoin_with(
-        &mut self,
-        other: &Relation,
-        strategy: JoinStrategy,
-        threads: usize,
-    ) -> usize {
-        let probe = if threads <= 1 {
-            WorkerLease::inline()
-        } else {
-            WorkerPool::lease(threads)
-        };
-        unfail(self.retain_semijoin_impl(
-            other,
-            strategy,
-            AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-            &probe,
-            DEFAULT_MORSEL_ROWS,
-            &NoopMetrics,
-            &NoopGovernor,
-        ))
+    /// mask runs only under a pinned [`JoinStrategy::Hash`]; see the module
+    /// docs.  Every kernel runs inline on the calling thread.
+    pub fn retain_semijoin_with(&mut self, other: &Relation, strategy: JoinStrategy) -> usize {
+        unfail(self.retain_semijoin_impl(other, strategy, &NoopMetrics, &NoopGovernor))
     }
 
     /// In-place semijoin under an [`ExecPolicy`] — like
     /// [`Relation::retain_semijoin_with`], with the policy supplying the
-    /// strategy and the [`JoinStrategy::Auto`] threshold.  `probe` supplies
-    /// the workers the hash probe loop is sharded across (the policy's own
-    /// thread count governs level sharding in the reducer, not this
-    /// intra-operator knob); pass [`WorkerLease::inline`] for a sequential
-    /// probe.
-    pub fn retain_semijoin_exec(
-        &mut self,
-        other: &Relation,
-        policy: &ExecPolicy,
-        probe: &WorkerLease,
-    ) -> usize {
-        self.retain_semijoin_metered(other, policy, probe, &NoopMetrics)
+    /// strategy (its thread count governs level sharding in the reducer,
+    /// never a single semijoin).
+    pub fn retain_semijoin_exec(&mut self, other: &Relation, policy: &ExecPolicy) -> usize {
+        self.retain_semijoin_metered(other, policy, &NoopMetrics)
     }
 
     /// In-place semijoin under an [`ExecPolicy`], recording one semijoin
@@ -1953,18 +1811,9 @@ impl Relation {
         &mut self,
         other: &Relation,
         policy: &ExecPolicy,
-        probe: &WorkerLease,
         sink: &M,
     ) -> usize {
-        unfail(self.retain_semijoin_impl(
-            other,
-            policy.strategy,
-            policy.auto_semijoin_sortmerge_max_distinct_ratio,
-            probe,
-            policy.morsel_rows,
-            sink,
-            &NoopGovernor,
-        ))
+        unfail(self.retain_semijoin_impl(other, policy.strategy, sink, &NoopGovernor))
     }
 
     /// In-place semijoin under an [`ExecPolicy`] with governance
@@ -1980,29 +1829,16 @@ impl Relation {
         &mut self,
         other: &Relation,
         policy: &ExecPolicy,
-        probe: &WorkerLease,
         sink: &M,
         gov: &G,
     ) -> Result<usize, EngineError> {
-        self.retain_semijoin_impl(
-            other,
-            policy.strategy,
-            policy.auto_semijoin_sortmerge_max_distinct_ratio,
-            probe,
-            policy.morsel_rows,
-            sink,
-            gov,
-        )
+        self.retain_semijoin_impl(other, policy.strategy, sink, gov)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn retain_semijoin_impl<M: MetricsSink, G: Governor>(
         &mut self,
         other: &Relation,
         strategy: JoinStrategy,
-        auto_ratio: f64,
-        probe: &WorkerLease,
-        morsel_rows: usize,
         sink: &M,
         gov: &G,
     ) -> Result<usize, EngineError> {
@@ -2010,15 +1846,7 @@ impl Relation {
         // Every governance checkpoint fires inside the mask computation,
         // which only reads `self`; an abort propagates here before any row
         // is moved, leaving the relation bit-identical.
-        let (mask, stats) = self.semijoin_mask(
-            other,
-            strategy,
-            auto_ratio,
-            probe,
-            morsel_rows,
-            M::ENABLED,
-            gov,
-        )?;
+        let (mask, stats) = self.semijoin_mask(other, strategy, M::ENABLED, gov)?;
         let removed = mask.iter().filter(|&&b| !b).count();
         if removed > 0 {
             let w = self.width();
@@ -2078,46 +1906,35 @@ impl Relation {
     }
 
     /// True if the two relations hold exactly the same tuples over the same
-    /// attributes (names are ignored).
+    /// attributes (names are ignored).  Rows are compared as sorted lists in
+    /// `self`'s handle space, so a duplicated row on either side (a broken
+    /// set invariant) cannot stand in for a missing one.
     pub fn same_contents(&self, other: &Relation) -> bool {
         if self.attributes != other.attributes || self.len != other.len {
             return false;
         }
-        if self.width() == 0 {
+        let w = self.width();
+        if w == 0 {
             return true; // equal row counts of the empty tuple
         }
-        let trans = if self.pool.same_pool(&other.pool) {
-            None
+        let translated;
+        let theirs = if self.pool.same_pool(&other.pool) {
+            &other.rows
         } else {
-            Some(other.pool.translation_to(&self.pool, false))
-        };
-        let w = self.width();
-        // A stale index (deferred rebuild) is replaced by a transient table
-        // for the duration of this comparison.
-        let transient = self.index_stale.then(|| self.build_table());
-        let index = transient.as_ref().unwrap_or(&self.index);
-        let mut buf = vec![0u32; w];
-        for row in other.rows_iter() {
-            match &trans {
-                None => buf.copy_from_slice(row),
-                Some(table) => {
-                    for (j, &h) in row.iter().enumerate() {
-                        let t = table[h as usize];
-                        if t == NO_HANDLE {
-                            return false;
-                        }
-                        buf[j] = t;
-                    }
-                }
-            }
-            if index
-                .find(hash_row(&buf), |id| row_of(&self.rows, w, id) == &buf[..])
-                .is_none()
-            {
+            let table = other.pool.translation_to(&self.pool, false);
+            translated = other
+                .rows
+                .iter()
+                .map(|&h| table[h as usize])
+                .collect::<Vec<u32>>();
+            if translated.contains(&NO_HANDLE) {
                 return false;
             }
-        }
-        true
+            &translated
+        };
+        let mine = sort_ids_by_key(&self.rows, w, self.len);
+        let ids = sort_ids_by_key(theirs, w, self.len);
+        (mine.iter().zip(&ids)).all(|(&a, &b)| row_of(&self.rows, w, a) == row_of(theirs, w, b))
     }
 
     /// Renders the relation as a small table using `universe` for names.
@@ -2526,8 +2343,38 @@ mod tests {
         assert_eq!(
             r.index_rebuild_count(),
             0,
-            "same_contents uses a transient table"
+            "same_contents never rebuilds the index"
         );
+    }
+
+    /// A duplicated row displacing a missing one is not the same contents,
+    /// whichever side holds it, same pool or not.
+    #[test]
+    fn same_contents_rejects_a_duplicate_standing_in_for_a_missing_row() {
+        let (_, r, _) = setup();
+        let two = Relation::from_raw_parts(
+            "two".into(),
+            r.attributes.clone(),
+            r.pool.clone(),
+            r.rows[..2 * r.width()].to_vec(),
+            2,
+        )
+        .unwrap();
+        let doubled = [row_of(&r.rows, r.width(), 0); 2].concat();
+        let dup = Relation::from_raw_parts(
+            "dup".into(),
+            r.attributes.clone(),
+            r.pool.clone(),
+            doubled,
+            2,
+        )
+        .unwrap();
+        let foreign = two.reintern_into(&ValuePool::new());
+        assert!(!foreign.pool.same_pool(&dup.pool) && foreign.same_contents(&two));
+        for good in [&two, &foreign] {
+            assert!(!good.same_contents(&dup));
+            assert!(!dup.same_contents(good));
+        }
     }
 
     #[test]
@@ -2572,69 +2419,11 @@ mod tests {
             .resolve_kernel(JoinStrategy::SortMerge, &[0], 1.0, true)
             .1
             .is_some());
-        // An ExecPolicy override moves the crossover: with a threshold of
-        // 1.0 even unique keys resolve to sort-merge.
-        let lenient = ExecPolicy {
-            auto_sortmerge_max_distinct_ratio: 1.0,
-            ..ExecPolicy::sequential(JoinStrategy::Auto)
-        };
-        assert!(uniq
-            .join_with_exec(&dup, &lenient)
-            .same_contents(&uniq.join(&dup)));
+        // With a threshold of 1.0 even unique keys resolve to sort-merge.
         assert_eq!(
             uniq.resolve_kernel(JoinStrategy::Auto, &[0], 1.0, false).0,
             Kernel::SortMerge
         );
-    }
-
-    #[test]
-    fn parallel_hash_mask_matches_sequential() {
-        let h = Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"]]).unwrap();
-        let (a, b, c) = (
-            h.node("A").unwrap(),
-            h.node("B").unwrap(),
-            h.node("C").unwrap(),
-        );
-        let mut r = Relation::new("R", h.node_set(["A", "B"]).unwrap());
-        let mut s = Relation::with_pool("S", h.node_set(["B", "C"]).unwrap(), r.pool().clone());
-        // Morsels smaller than the row count so the probe loop shards.
-        for i in 0..3000i64 {
-            r.insert(Tuple::from_pairs([(a, i), (b, i % 101)]));
-            if i % 2 == 0 {
-                s.insert(Tuple::from_pairs([(b, i % 101), (c, i)]));
-            }
-        }
-        let (seq, seq_stats) = r
-            .semijoin_mask(
-                &s,
-                JoinStrategy::Hash,
-                AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-                &WorkerLease::inline(),
-                256,
-                false,
-                &NoopGovernor,
-            )
-            .unwrap();
-        let (par, par_stats) = r
-            .semijoin_mask(
-                &s,
-                JoinStrategy::Hash,
-                AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-                &WorkerPool::lease(4),
-                256,
-                false,
-                &NoopGovernor,
-            )
-            .unwrap();
-        assert_eq!(seq, par);
-        // Both paths index the same distinct build keys.
-        assert_eq!(seq_stats.built, par_stats.built);
-        assert_eq!(seq_stats.kernel, Kernel::Hash);
-        let mut r2 = r.clone();
-        let removed_seq = r.retain_semijoin_with(&s, JoinStrategy::Hash, 1);
-        let removed_par = r2.retain_semijoin_with(&s, JoinStrategy::Hash, 4);
-        assert_eq!(removed_seq, removed_par);
-        assert!(r.same_contents(&r2));
     }
 
     /// `r ⋉ s` under `Auto` through the metered entry point: the reduced
@@ -2643,12 +2432,7 @@ mod tests {
     fn metered_auto_semijoin(r: &Relation, s: &Relation) -> (Relation, crate::metrics::OpAgg) {
         let sink = crate::metrics::CollectingSink::new();
         let mut out = r.clone();
-        out.retain_semijoin_metered(
-            s,
-            &ExecPolicy::sequential(JoinStrategy::Auto),
-            &WorkerLease::inline(),
-            &sink,
-        );
+        out.retain_semijoin_metered(s, &ExecPolicy::sequential(JoinStrategy::Auto), &sink);
         let agg = sink.snapshot().semijoins;
         assert_eq!(agg.ops, 1);
         assert_eq!(agg.hash_ops, 0, "Auto semijoins never hash by default");

@@ -80,11 +80,9 @@ fn placeholder() -> Relation {
 /// their children at `d+1`; downward: targets at depth `d`, sources their
 /// parents at `d-1`), so target relations can be taken out of the vector
 /// and mutated concurrently while the remainder is shared read-only behind
-/// an [`Arc`] (moved in and out — never cloned).  When a level has fewer
-/// targets than workers (chains: every level is a singleton) the
-/// parallelism drops *inside* the semijoin instead: the hash probe loop is
-/// sharded across the same leased workers
-/// ([`Relation::retain_semijoin_exec`]).
+/// an [`Arc`] (moved in and out — never cloned).  A singleton level (chains:
+/// every level is one) runs inline on the calling thread — a semijoin
+/// ([`Relation::retain_semijoin_exec`]) is never split across workers.
 ///
 /// Jobs are dispatched **biggest first**: the lease hands jobs out
 /// round-robin, so a skewed level (a snowflake's fact relation next to its
@@ -106,12 +104,10 @@ fn run_level<M: MetricsSink, G: Governor>(
     }
     let threads = lease.threads();
     if threads <= 1 || jobs.len() == 1 {
-        let inline = WorkerLease::inline();
-        let probe = if jobs.len() == 1 { lease } else { &inline };
         for job in &jobs {
             for &s in &job.sources {
                 let (t, src) = pair_mut(relations, job.target, s);
-                removed[job.target] += t.retain_semijoin_governed(src, policy, probe, sink, gov)?;
+                removed[job.target] += t.retain_semijoin_governed(src, policy, sink, gov)?;
             }
         }
         return Ok(());
@@ -143,13 +139,7 @@ fn run_level<M: MetricsSink, G: Governor>(
                 let mut removed_here = 0usize;
                 let mut res = Ok(());
                 for &s in &job.sources {
-                    match target.retain_semijoin_governed(
-                        &shared[s],
-                        &policy,
-                        &WorkerLease::inline(),
-                        &sink,
-                        &gov,
-                    ) {
+                    match target.retain_semijoin_governed(&shared[s], &policy, &sink, &gov) {
                         Ok(n) => removed_here += n,
                         Err(e) => {
                             res = Err(e);
@@ -205,10 +195,10 @@ pub fn full_reduce(db: &Database, tree: &JoinTree) -> Reduced {
 /// write pairwise-distinct target relations and only read relations from
 /// the adjacent level, so each level's jobs run concurrently on workers
 /// leased once per call (`policy.threads` of them, from the shared
-/// [`WorkerPool`](crate::exec::WorkerPool) unless `policy.reuse_pool` is
-/// off, with a sequential fallback below `policy.parallel_threshold` total
-/// tuples).  The result is tuple-for-tuple identical to the sequential
-/// pass: surviving rows depend only on the *set* of semijoins applied, and
+/// [`WorkerPool`](crate::exec::WorkerPool), with a sequential fallback
+/// below `policy.parallel_threshold` total tuples).  The result is
+/// tuple-for-tuple identical to the sequential pass: surviving rows
+/// depend only on the *set* of semijoins applied, and
 /// within one target they are applied in the same child order as the
 /// sequential bottom-up walk.
 pub fn full_reduce_with(db: &Database, tree: &JoinTree, policy: &ExecPolicy) -> Reduced {
@@ -765,7 +755,7 @@ mod tests {
         let db = snowflake_db();
         let tree = join_tree(db.schema()).unwrap();
         // The snowflake tree has multi-edge levels, so the parallel path
-        // exercises target-sharding (not just probe-sharding).
+        // exercises target-sharding (singleton levels run inline).
         assert!(tree.levels().iter().any(|l| l.len() > 1));
         let baseline = full_reduce_with(&db, &tree, &ExecPolicy::sequential(JoinStrategy::Hash));
         for policy in [
@@ -774,11 +764,6 @@ mod tests {
             ExecPolicy::parallel(JoinStrategy::Hash, 4),
             ExecPolicy::parallel(JoinStrategy::SortMerge, 3),
             ExecPolicy::parallel(JoinStrategy::Auto, 2),
-            // Spawn-per-batch workers (no pool reuse) must agree too.
-            ExecPolicy {
-                reuse_pool: false,
-                ..ExecPolicy::parallel(JoinStrategy::Hash, 3)
-            },
         ] {
             let got = full_reduce_with(&db, &tree, &policy);
             assert_eq!(
@@ -799,10 +784,6 @@ mod tests {
             ExecPolicy::sequential(JoinStrategy::SortMerge),
             ExecPolicy::parallel(JoinStrategy::Auto, 4),
             ExecPolicy::parallel(JoinStrategy::Hash, 2),
-            ExecPolicy {
-                reuse_pool: false,
-                ..ExecPolicy::parallel(JoinStrategy::Auto, 3)
-            },
         ] {
             let fast = yannakakis_join_with(&db, &tree, &all, &policy);
             assert!(

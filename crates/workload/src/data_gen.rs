@@ -18,8 +18,8 @@ use reldb::{make_globally_consistent, Database, Tuple};
 
 /// The benchmark-B4 query attributes of a schema: the two "far apart"
 /// attributes (the first attribute of the first edge and the last of the
-/// last edge) — shared by the criterion bench and `hyperq bench` so both
-/// harnesses measure the same query.
+/// last edge) — shared by `hyperq bench` and the `benchmark/` harness so
+/// both measure the same query.
 ///
 /// # Panics
 /// Panics if the schema has no edges or an empty edge.

@@ -98,10 +98,7 @@ proptest! {
             ExecPolicy::sequential(JoinStrategy::Hash),
             ExecPolicy::sequential(JoinStrategy::SortMerge),
             ExecPolicy::parallel(JoinStrategy::Hash, threads),
-            ExecPolicy {
-                reuse_pool: false,
-                ..ExecPolicy::parallel(JoinStrategy::Auto, threads)
-            },
+            ExecPolicy::parallel(JoinStrategy::Auto, threads),
         ] {
             let got = yannakakis_join_any(&db, &all, &policy).expect("decomposable");
             prop_assert!(want.agrees_with(&got), "diverged under {:?}", policy);

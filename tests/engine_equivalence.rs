@@ -16,7 +16,7 @@ use acyclic_hypergraphs::reldb::reference::{
 use acyclic_hypergraphs::reldb::{
     full_reduce, full_reduce_metered, full_reduce_with, materialize_bags, yannakakis_join,
     yannakakis_join_with, CollectingSink, Database, ExecPolicy, JoinStrategy, NoopGovernor,
-    NoopMetrics, Relation, Tuple, Value, WorkerLease, WorkerPool, DEFAULT_MORSEL_ROWS,
+    NoopMetrics, Relation, Tuple, Value, WorkerPool, DEFAULT_MORSEL_ROWS,
 };
 use acyclic_hypergraphs::workload::{
     chain, far_apart, random_database, ring, snowflake, snowflake_tree, star, DataParams,
@@ -327,10 +327,6 @@ proptest! {
             yannakakis_join_with(&db, &tree, &output, &ExecPolicy::sequential(JoinStrategy::Hash));
         for policy in [
             ExecPolicy::parallel(JoinStrategy::Hash, threads),
-            ExecPolicy {
-                reuse_pool: false,
-                ..ExecPolicy::parallel(JoinStrategy::Hash, threads)
-            },
             ExecPolicy::parallel(JoinStrategy::Auto, threads),
         ] {
             let parallel = yannakakis_join_with(&db, &tree, &output, &policy);
@@ -369,10 +365,7 @@ proptest! {
         for policy in [
             ExecPolicy::sequential(JoinStrategy::Hash),
             ExecPolicy::parallel(JoinStrategy::Hash, threads),
-            ExecPolicy {
-                reuse_pool: false,
-                ..ExecPolicy::parallel(JoinStrategy::Auto, threads)
-            },
+            ExecPolicy::parallel(JoinStrategy::Auto, threads),
         ] {
             let got = yannakakis_join_with(&split_db, &tree, &output, &policy);
             prop_assert!(
@@ -612,7 +605,7 @@ proptest! {
                 "{strategy:?} semijoin_with diverged from the reference"
             );
             let mut in_place = left.clone();
-            let removed = in_place.retain_semijoin_with(&right, strategy, 1);
+            let removed = in_place.retain_semijoin_with(&right, strategy);
             prop_assert_eq!(removed, left.len() - naive.len(), "{:?} removed count", strategy);
             prop_assert!(
                 naive.agrees_with(&in_place),
@@ -623,12 +616,8 @@ proptest! {
         // The kernel `Auto` resolved to, and its counters next to pinned hash's.
         let metered = |strategy| {
             let sink = CollectingSink::new();
-            left.clone().retain_semijoin_metered(
-                &right,
-                &ExecPolicy::sequential(strategy),
-                &WorkerLease::inline(),
-                &sink,
-            );
+            left.clone()
+                .retain_semijoin_metered(&right, &ExecPolicy::sequential(strategy), &sink);
             sink.snapshot().semijoins
         };
         let (auto, hash) = (metered(JoinStrategy::Auto), metered(JoinStrategy::Hash));

@@ -21,7 +21,6 @@ use acyclic_hypergraphs::reldb::{
     full_reduce, full_reduce_governed, query_via_full_join, query_yannakakis,
     query_yannakakis_governed, yannakakis_join_governed, CancelToken, CollectingSink, Database,
     EngineError, ExecPolicy, Governor, JoinStrategy, NoopMetrics, QueryGovernor, Tuple,
-    WorkerLease,
 };
 use acyclic_hypergraphs::workload::{
     chain, far_apart, random_database, ring, snowflake, star, DataParams,
@@ -279,7 +278,6 @@ fn two_big_relations() -> Database {
 fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     let db = two_big_relations();
     let policy = ExecPolicy::sequential(JoinStrategy::Auto);
-    let inline = WorkerLease::inline();
     let (target, source) = (&db.relations()[0], &db.relations()[1]);
     let want = target.semijoin(source);
     assert!(!want.is_empty() && want.len() < target.len());
@@ -291,7 +289,7 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     let sink = CollectingSink::new();
     let mut reduced = target.clone();
     let removed = reduced
-        .retain_semijoin_governed(source, &policy, &inline, &sink, &gov)
+        .retain_semijoin_governed(source, &policy, &sink, &gov)
         .expect("nothing trips");
     assert_eq!(sink.snapshot().semijoins.dense_ops, 1);
     assert_eq!(gov.checkpoints_seen(), batches);
@@ -302,7 +300,7 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     for trip_at in 0..batches {
         let gov = TripAtCheckpoint::new(trip_at);
         let mut victim = target.clone();
-        let got = victim.retain_semijoin_governed(source, &policy, &inline, &NoopMetrics, &gov);
+        let got = victim.retain_semijoin_governed(source, &policy, &NoopMetrics, &gov);
         assert_eq!(got, Err(EngineError::Cancelled), "checkpoint {trip_at}");
         assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
         assert_eq!(victim.len(), target.len());
@@ -321,7 +319,7 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
         (QueryGovernor::with_token(token), true),
     ] {
         let mut victim = target.clone();
-        match victim.retain_semijoin_governed(source, &policy, &inline, &NoopMetrics, &gov) {
+        match victim.retain_semijoin_governed(source, &policy, &NoopMetrics, &gov) {
             Err(EngineError::Cancelled) if cancelled => {}
             Err(EngineError::DeadlineExceeded { .. }) if !cancelled => {}
             other => panic!("expected a structured abort, got {other:?}"),
@@ -362,6 +360,40 @@ fn big_chain() -> Database {
         }
     }
     db
+}
+
+/// A lease in the policy never reaches a semijoin: on a chain (singleton
+/// levels) whose relations span several morsels, the pinned-hash reducer on
+/// two workers fires exactly the in-kernel checkpoints of the sequential
+/// one, and a cancellation at each of them leaves `db` bit-identical.
+#[test]
+fn parallel_policy_reduces_a_chain_with_the_sequential_checkpoints() {
+    let db = big_chain();
+    let tree = join_tree(db.schema()).expect("chains are acyclic");
+    let before = snapshot(&db);
+    let sequential = ExecPolicy::sequential(JoinStrategy::Hash);
+    let parallel = ExecPolicy {
+        morsel_rows: CHECK_BATCH,
+        ..ExecPolicy::parallel(JoinStrategy::Hash, 2)
+    };
+    let untripped = |policy| {
+        let gov = TripAtCheckpoint::never();
+        let got = full_reduce_governed(&db, &tree, policy, &NoopMetrics, &gov);
+        (gov.totals(), got.expect("nothing trips").removed)
+    };
+    let want = untripped(&sequential);
+    let checkpoints = want.0 .0;
+    assert!(checkpoints > 8, "every mask loop spans several batches");
+    assert_eq!(untripped(&parallel), want);
+    for policy in [&sequential, &parallel] {
+        for trip_at in 0..checkpoints {
+            let gov = TripAtCheckpoint::new(trip_at);
+            let got = full_reduce_governed(&db, &tree, policy, &NoopMetrics, &gov);
+            assert_eq!(got.err(), Some(EngineError::Cancelled), "{trip_at}");
+            assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
+            assert_eq!(snapshot(&db), before, "abort mutated the database");
+        }
+    }
 }
 
 /// Governance is unchanged by how the join kernels emit rows: the in-kernel

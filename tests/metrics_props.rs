@@ -21,7 +21,7 @@ use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::{
     full_reduce, full_reduce_metered, query_yannakakis, query_yannakakis_metered,
     yannakakis_join_decomposed, yannakakis_join_decomposed_metered, CollectingSink, Database,
-    ExecPolicy, JoinStrategy, QueryMetrics, WorkerLease,
+    ExecPolicy, JoinStrategy, QueryMetrics,
 };
 use acyclic_hypergraphs::workload::{chain, random_database, ring, snowflake, star, DataParams};
 use proptest::prelude::*;
@@ -103,7 +103,7 @@ proptest! {
                     let sink = CollectingSink::new();
                     let mut probe = r0.clone();
                     let removed =
-                        probe.retain_semijoin_metered(r1, &policy, &WorkerLease::inline(), &sink);
+                        probe.retain_semijoin_metered(r1, &policy, &sink);
                     let m = sink.snapshot();
                     prop_assert_eq!(m.joins.ops, 0, "a semijoin must not record joins");
                     prop_assert_eq!(m.semijoins.ops, 1);
