@@ -21,11 +21,8 @@ use hypergraph::EdgeId;
 use hypergraph::Hypergraph;
 use reldb::reference::{naive_full_reduce, naive_yannakakis_join};
 use reldb::{
-    full_reduce_governed, full_reduce_metered, full_reduce_with, naive_join_project,
-    yannakakis_join_any, yannakakis_join_any_metered, yannakakis_join_governed,
-    yannakakis_join_metered, yannakakis_join_with, CollectingSink, Database, ExecPolicy,
-    JoinStrategy, NoopMetrics, QueryGovernor, Relation, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-    AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
+    naive_join_project, CollectingSink, Database, ExecCtx, ExecPolicy, JoinStrategy, QueryGovernor,
+    Relation, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO, AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
 };
 use std::time::Instant;
 use workload::{
@@ -185,6 +182,39 @@ fn engine_policies(threads: usize) -> Vec<(&'static str, ExecPolicy)> {
     ]
 }
 
+/// The two pipeline rows every engine gets: `full_reduce` and
+/// `yannakakis_join` timed under `ctx` as given (nobody watching), each
+/// with one extra run under a collecting sink for the row's counters.
+fn reduce_and_join_rows(
+    push: &mut impl FnMut(&str, &str, (usize, f64), Option<RowMetrics>),
+    engine: &str,
+    ctx: &ExecCtx<'_>,
+    db: &Database,
+    tree: &acyclic::JoinTree,
+    x: &hypergraph::NodeSet,
+) {
+    push(
+        "full_reduce",
+        engine,
+        measure(|| ctx.full_reduce(db, tree)),
+        Some(RowMetrics::capture(|s| {
+            ctx.metrics(s)
+                .full_reduce(db, tree)
+                .expect("no governor to abort");
+        })),
+    );
+    push(
+        "yannakakis_join",
+        engine,
+        measure(|| ctx.yannakakis_join(db, tree, x)),
+        Some(RowMetrics::capture(|s| {
+            ctx.metrics(s)
+                .yannakakis_join(db, tree, x)
+                .expect("no governor to abort");
+        })),
+    );
+}
+
 fn query_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecord>) {
     let sizes: &[usize] = match profile {
         Profile::Full => &[200, 1000, 4000],
@@ -271,40 +301,25 @@ fn query_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecord
                         metrics,
                     });
                 };
-            push(
-                "full_reduce",
-                "columnar",
-                measure(|| full_reduce_with(&db, &tree, &hash_seq)),
-                Some(RowMetrics::capture(|s| {
-                    full_reduce_metered(&db, &tree, &hash_seq, s);
-                })),
-            );
-            push(
-                "yannakakis_join",
-                "columnar",
-                measure(|| yannakakis_join_with(&db, &tree, &x, &hash_seq)),
-                Some(RowMetrics::capture(|s| {
-                    yannakakis_join_metered(&db, &tree, &x, &hash_seq, s);
-                })),
-            );
+            let columnar = ExecCtx::new(&hash_seq);
+            reduce_and_join_rows(&mut push, "columnar", &columnar, &db, &tree, &x);
             // The same kernels with Governor checkpoints live but no limit
             // set: these rows hold the governance layer's overhead under
             // the regression guard alongside the ungoverned engine.
             let gov = QueryGovernor::new();
+            let governed = columnar.gov(&gov);
             push(
                 "full_reduce",
                 "columnar-governed",
-                measure(|| {
-                    full_reduce_governed(&db, &tree, &hash_seq, &NoopMetrics, &gov)
-                        .expect("no limit set")
-                }),
+                measure(|| governed.full_reduce(&db, &tree).expect("no limit set")),
                 None,
             );
             push(
                 "yannakakis_join",
                 "columnar-governed",
                 measure(|| {
-                    yannakakis_join_governed(&db, &tree, &x, &hash_seq, &NoopMetrics, &gov)
+                    governed
+                        .yannakakis_join(&db, &tree, &x)
                         .expect("no limit set")
                 }),
                 None,
@@ -325,22 +340,8 @@ fn query_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecord
             }
             if w.variants {
                 for (engine, policy) in engine_policies(threads) {
-                    push(
-                        "full_reduce",
-                        engine,
-                        measure(|| full_reduce_with(&db, &tree, &policy)),
-                        Some(RowMetrics::capture(|s| {
-                            full_reduce_metered(&db, &tree, &policy, s);
-                        })),
-                    );
-                    push(
-                        "yannakakis_join",
-                        engine,
-                        measure(|| yannakakis_join_with(&db, &tree, &x, &policy)),
-                        Some(RowMetrics::capture(|s| {
-                            yannakakis_join_metered(&db, &tree, &x, &policy, s);
-                        })),
-                    );
+                    let ctx = ExecCtx::new(&policy);
+                    reduce_and_join_rows(&mut push, engine, &ctx, &db, &tree, &x);
                 }
                 // A single binary join of the schema's first two relations,
                 // isolating the strategy difference from the Yannakakis
@@ -352,22 +353,23 @@ fn query_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecord
                     !r0.attributes().intersection(r1.attributes()).is_empty(),
                     "join_pair workload relations must share a key"
                 );
-                push(
-                    "join_pair",
-                    "columnar",
-                    measure(|| r0.join_with(r1, JoinStrategy::Hash)),
-                    Some(RowMetrics::capture(|s| {
-                        r0.join_metered(r1, &ExecPolicy::sequential(JoinStrategy::Hash), s);
-                    })),
-                );
-                push(
-                    "join_pair",
-                    "columnar-sortmerge",
-                    measure(|| r0.join_with(r1, JoinStrategy::SortMerge)),
-                    Some(RowMetrics::capture(|s| {
-                        r0.join_metered(r1, &ExecPolicy::sequential(JoinStrategy::SortMerge), s);
-                    })),
-                );
+                for (engine, strategy) in [
+                    ("columnar", JoinStrategy::Hash),
+                    ("columnar-sortmerge", JoinStrategy::SortMerge),
+                ] {
+                    let policy = ExecPolicy::sequential(strategy);
+                    push(
+                        "join_pair",
+                        engine,
+                        measure(|| r0.join_with(r1, strategy)),
+                        Some(RowMetrics::capture(|s| {
+                            ExecCtx::new(&policy)
+                                .metrics(s)
+                                .join(r0, r1)
+                                .expect("no governor to abort");
+                        })),
+                    );
+                }
             }
         }
     }
@@ -434,22 +436,22 @@ fn cyclic_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecor
                 measure(|| decompose(&schema, Heuristic::MinFill).expect("nonempty schema")),
                 None,
             );
-            push(
-                "cyclic_join",
-                "columnar-decomp",
-                measure(|| yannakakis_join_any(&db, &x, &seq).expect("decomposable")),
-                Some(RowMetrics::capture(|s| {
-                    yannakakis_join_any_metered(&db, &x, &seq, s).expect("decomposable");
-                })),
-            );
-            push(
-                "cyclic_join",
-                "columnar-decomp-parallel",
-                measure(|| yannakakis_join_any(&db, &x, &par).expect("decomposable")),
-                Some(RowMetrics::capture(|s| {
-                    yannakakis_join_any_metered(&db, &x, &par, s).expect("decomposable");
-                })),
-            );
+            for (engine, policy) in [
+                ("columnar-decomp", &seq),
+                ("columnar-decomp-parallel", &par),
+            ] {
+                let ctx = ExecCtx::new(policy);
+                push(
+                    "cyclic_join",
+                    engine,
+                    measure(|| ctx.yannakakis_join_any(&db, &x).expect("decomposable")),
+                    Some(RowMetrics::capture(|s| {
+                        ctx.metrics(s)
+                            .yannakakis_join_any(&db, &x)
+                            .expect("no governor to abort");
+                    })),
+                );
+            }
             push(
                 "cyclic_join",
                 "naive",
@@ -550,22 +552,7 @@ fn scale_records(threads: usize, records: &mut Vec<BenchRecord>) {
     let seq = ExecPolicy::sequential(JoinStrategy::Hash);
     let morsel = ExecPolicy::parallel(JoinStrategy::Hash, threads);
     for (engine, policy) in [("columnar", &seq), ("columnar-morsel", &morsel)] {
-        push(
-            "full_reduce",
-            engine,
-            measure(|| full_reduce_with(&db, &tree, policy)),
-            Some(RowMetrics::capture(|s| {
-                full_reduce_metered(&db, &tree, policy, s);
-            })),
-        );
-        push(
-            "yannakakis_join",
-            engine,
-            measure(|| yannakakis_join_with(&db, &tree, &x, policy)),
-            Some(RowMetrics::capture(|s| {
-                yannakakis_join_metered(&db, &tree, &x, policy, s);
-            })),
-        );
+        reduce_and_join_rows(&mut push, engine, &ExecCtx::new(policy), &db, &tree, &x);
     }
 }
 
@@ -644,6 +631,7 @@ pub fn calibrate(profile: Profile) -> String {
     };
     let ratios = [0.005, 0.01, 0.02, 0.05, 0.10, 0.20, 0.50, 1.0];
     let hash_policy = ExecPolicy::sequential(JoinStrategy::Hash);
+    let hash_ctx = ExecCtx::new(&hash_policy);
     let mut out = String::new();
     out.push_str("calibration sweep: R0(A,B) join/semijoin R1(B,C), best-of-3 timings\n");
     out.push_str(&format!(
@@ -661,7 +649,10 @@ pub fn calibrate(profile: Profile) -> String {
                 let (r0, r1) = calibration_pair(n, r);
                 let sink = CollectingSink::new();
                 let (hash_ns, merge_ns, sampled) = if op == "join" {
-                    r0.join_metered(&r1, &hash_policy, &sink);
+                    hash_ctx
+                        .metrics(&sink)
+                        .join(&r0, &r1)
+                        .expect("no governor to abort");
                     (
                         measure_min(|| r0.join_with(&r1, JoinStrategy::Hash)),
                         measure_min(|| r0.join_with(&r1, JoinStrategy::SortMerge)),
@@ -669,7 +660,10 @@ pub fn calibrate(profile: Profile) -> String {
                     )
                 } else {
                     let mut probe = r0.clone();
-                    probe.retain_semijoin_metered(&r1, &hash_policy, &sink);
+                    hash_ctx
+                        .metrics(&sink)
+                        .retain_semijoin(&mut probe, &r1)
+                        .expect("no governor to abort");
                     (
                         measure_min(|| r0.semijoin_with(&r1, JoinStrategy::Hash)),
                         measure_min(|| r0.semijoin_with(&r1, JoinStrategy::SortMerge)),

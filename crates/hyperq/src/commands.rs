@@ -6,10 +6,8 @@ use acyclic::{
 use decomp::{decompose, Heuristic};
 use hypergraph::{Hypergraph, NodeSet};
 use reldb::{
-    is_globally_consistent, is_pairwise_consistent, plan_connection, query_via_connection_governed,
-    query_via_connection_metered, query_via_full_join_governed, query_via_full_join_metered,
-    query_yannakakis_governed, query_yannakakis_metered, CollectingSink, Database, EngineError,
-    ExecPolicy, Governor, MetricsSink, NoopMetrics, QueryGovernor, Relation,
+    is_globally_consistent, is_pairwise_consistent, plan_connection, CollectingSink, Database,
+    EngineError, ExecCtx, ExecPolicy, Governor, MetricsSink, QueryGovernor, Relation,
 };
 
 /// A CLI failure: the one-line diagnostic printed to stderr plus the
@@ -79,7 +77,8 @@ impl CliError {
 pub enum Engine {
     /// Join only the objects in the canonical connection `CC(X)` (default).
     Connection,
-    /// Yannakakis full reducer + join over the join tree (acyclic only).
+    /// Yannakakis full reducer + join over the join tree; cyclic schemas
+    /// route through a hypertree decomposition first.
     Yannakakis,
     /// Join every relation in the database, then project (baseline).
     Naive,
@@ -178,28 +177,17 @@ pub enum MetricsMode {
     Json,
 }
 
-/// Runs one engine over `X`, governed when a [`QueryGovernor`] is present
-/// (deadline / budget / cancellation checkpoints active), ungoverned —
-/// checkpoints compiled away — otherwise.
-fn execute<M: MetricsSink>(
+/// Runs one engine over `X` under `ctx`.
+fn execute<M: MetricsSink, G: Governor>(
     db: &Database,
     x: &NodeSet,
     engine: Engine,
-    sink: &M,
-    gov: Option<&QueryGovernor>,
+    ctx: &ExecCtx<'_, M, G>,
 ) -> Result<Relation, EngineError> {
-    let policy = ExecPolicy::default();
-    match gov {
-        Some(g) => match engine {
-            Engine::Connection => query_via_connection_governed(db, x, &policy, sink, g),
-            Engine::Naive => query_via_full_join_governed(db, x, &policy, sink, g),
-            Engine::Yannakakis => query_yannakakis_governed(db, x, &policy, sink, g),
-        },
-        None => match engine {
-            Engine::Connection => Ok(query_via_connection_metered(db, x, &policy, sink)),
-            Engine::Naive => Ok(query_via_full_join_metered(db, x, &policy, sink)),
-            Engine::Yannakakis => query_yannakakis_metered(db, x, &policy, sink),
-        },
+    match engine {
+        Engine::Connection => ctx.query_via_connection(db, x),
+        Engine::Naive => ctx.query_via_full_join(db, x),
+        Engine::Yannakakis => ctx.query_yannakakis(db, x),
     }
 }
 
@@ -240,9 +228,16 @@ pub fn run_query(
         is_globally_consistent(db),
     ));
     let sink = (metrics != MetricsMode::Off).then(CollectingSink::new);
-    let answer: Relation = match &sink {
-        None => execute(db, &x, engine, &NoopMetrics, gov),
-        Some(s) => execute(db, &x, engine, s, gov),
+    // Governed when a [`QueryGovernor`] is present (deadline / budget /
+    // cancellation checkpoints active), metered when a sink is; what is
+    // absent keeps its no-op default and compiles away.
+    let policy = ExecPolicy::default();
+    let ctx = ExecCtx::new(&policy);
+    let answer: Relation = match (&sink, gov) {
+        (None, None) => execute(db, &x, engine, &ctx),
+        (Some(s), None) => execute(db, &x, engine, &ctx.metrics(s)),
+        (None, Some(g)) => execute(db, &x, engine, &ctx.gov(g)),
+        (Some(s), Some(g)) => execute(db, &x, engine, &ctx.metrics(s).gov(g)),
     }?;
     if let Some(g) = gov {
         // A result produced after the deadline still counts as a timeout:

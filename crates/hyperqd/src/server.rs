@@ -40,9 +40,9 @@
 //! bytes in/out and in-flight queries, and buckets server-side latency;
 //! the `stats` op snapshots it.  When the slow-query log is armed
 //! ([`ServerConfig::slow_ms`]), queries run their engine under a
-//! [`reldb::CollectingTracer`] — otherwise the untraced
-//! ([`reldb::NoopTrace`]-monomorphized) pipelines run, so tracing costs
-//! nothing when off — and any query at or over the threshold writes one
+//! [`reldb::CollectingTracer`] — otherwise their [`reldb::ExecCtx`] keeps
+//! its [`reldb::NoopTrace`] default, so tracing costs nothing when off —
+//! and any query at or over the threshold writes one
 //! JSON line to stderr with its trace id, stage spans and outcome.
 
 use crate::json;
@@ -53,9 +53,9 @@ use crate::protocol::{
 };
 use crate::stats::StatsRegistry;
 use reldb::{
-    query_via_connection_traced, query_via_full_join_traced, query_yannakakis_traced, CancelToken,
-    CollectingSink, CollectingTracer, Database, ExecPolicy, Governor, JoinStrategy, MetricsSink,
-    NoopMetrics, NoopTrace, QueryGovernor, Relation, Span, SpanKind, TraceReport, TraceSink, Value,
+    CancelToken, CollectingSink, CollectingTracer, Database, ExecCtx, ExecPolicy, Governor,
+    JoinStrategy, MetricsSink, QueryGovernor, Relation, Span, SpanKind, TraceReport, TraceSink,
+    Value,
 };
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -690,23 +690,20 @@ fn governor_for(state: &State, o: &Overrides, started: Instant) -> QueryGovernor
 fn run_engine<M: MetricsSink, G: Governor, T: TraceSink>(
     db: &Database,
     spec: &QuerySpec,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-    tracer: &T,
+    ctx: &ExecCtx<'_, M, G, T>,
 ) -> Result<Relation, WireError> {
     let x = db
         .attributes(spec.select.iter().map(String::as_str))
         .map_err(|e| WireError::new(ErrorKind::Schema, format!("bad select: {e}")))?;
     let result = match spec.engine.unwrap_or_default() {
-        EngineKind::Yannakakis => query_yannakakis_traced(db, &x, policy, sink, gov, tracer),
-        EngineKind::Connection => query_via_connection_traced(db, &x, policy, sink, gov, tracer),
-        EngineKind::Naive => query_via_full_join_traced(db, &x, policy, sink, gov, tracer),
+        EngineKind::Yannakakis => ctx.query_yannakakis(db, &x),
+        EngineKind::Connection => ctx.query_via_connection(db, &x),
+        EngineKind::Naive => ctx.query_via_full_join(db, &x),
     };
     let answer = result.map_err(WireError::from)?;
     // A result produced after the deadline still counts as a timeout —
     // the same contract as the one-shot CLI.
-    gov.checkpoint().map_err(WireError::from)?;
+    ctx.gov.checkpoint().map_err(WireError::from)?;
     Ok(answer)
 }
 
@@ -816,16 +813,20 @@ fn execute_inner(
         );
     }
 
-    let run = |sink_metrics: Option<&CollectingSink>| -> Result<Relation, WireError> {
+    let sink = want_metrics.then(CollectingSink::new);
+    let run = || -> Result<Relation, WireError> {
+        // The sinks are optional per request but static per call: attach
+        // whichever are present to the governed context.
         macro_rules! with_gov {
-            ($gov:expr) => {
-                match (sink_metrics, tracer) {
-                    (Some(sink), Some(t)) => run_engine(&db, spec, &policy, sink, $gov, t),
-                    (Some(sink), None) => run_engine(&db, spec, &policy, sink, $gov, &NoopTrace),
-                    (None, Some(t)) => run_engine(&db, spec, &policy, &NoopMetrics, $gov, t),
-                    (None, None) => run_engine(&db, spec, &policy, &NoopMetrics, $gov, &NoopTrace),
+            ($gov:expr) => {{
+                let ctx = ExecCtx::new(&policy).gov($gov);
+                match (&sink, tracer) {
+                    (Some(sink), Some(t)) => run_engine(&db, spec, &ctx.metrics(sink).trace(t)),
+                    (Some(sink), None) => run_engine(&db, spec, &ctx.metrics(sink)),
+                    (None, Some(t)) => run_engine(&db, spec, &ctx.trace(t)),
+                    (None, None) => run_engine(&db, spec, &ctx),
                 }
-            };
+            }};
         }
         #[cfg(feature = "failpoints")]
         if fail_requested {
@@ -841,14 +842,8 @@ fn execute_inner(
         with_gov!(&base)
     };
 
-    let (result, metrics) = if want_metrics {
-        let sink = CollectingSink::new();
-        let result = run(Some(&sink));
-        let metrics = json::parse(&sink.snapshot().to_json()).ok();
-        (result, metrics)
-    } else {
-        (run(None), None)
-    };
+    let result = run();
+    let metrics = sink.and_then(|s| json::parse(&s.snapshot().to_json()).ok());
 
     match result {
         Err(e) => {

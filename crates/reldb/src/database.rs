@@ -1,5 +1,8 @@
 //! Databases: one relation ("object") per hyperedge of a schema hypergraph.
 
+use crate::exec::{ExecCtx, ExecPolicy, JoinStrategy};
+use crate::govern::{unfail, EngineError, Governor};
+use crate::metrics::MetricsSink;
 use crate::pool::ValuePool;
 use crate::relation::{Relation, Tuple};
 use crate::value::Value;
@@ -164,43 +167,26 @@ impl Database {
     /// The natural join of *all* relations: the paper's universal-relation
     /// interpretation joins every object.  Exponential in the worst case —
     /// this is the naive baseline the canonical-connection and Yannakakis
-    /// query paths are compared against.
+    /// query paths are compared against.  Runs [`ExecCtx::full_join`] on the
+    /// sequential hash kernel with nobody watching.
     pub fn full_join(&self) -> Relation {
-        self.full_join_metered(
-            &crate::ExecPolicy::sequential(crate::JoinStrategy::Hash),
-            &crate::metrics::NoopMetrics,
-        )
+        unfail(ExecCtx::new(&ExecPolicy::sequential(JoinStrategy::Hash)).full_join(self))
     }
+}
 
-    /// The metered form of [`Database::full_join`]: the same all-objects
-    /// fold, with each binary join executed under `policy` and recorded
-    /// into `sink`.
-    pub fn full_join_metered<M: crate::metrics::MetricsSink>(
-        &self,
-        policy: &crate::ExecPolicy,
-        sink: &M,
-    ) -> Relation {
-        crate::govern::unfail(self.full_join_governed(policy, sink, &crate::govern::NoopGovernor))
-    }
-
-    /// The governed form of [`Database::full_join_metered`]: the same
-    /// all-objects fold, with every binary join checkpointed against the
-    /// [`Governor`](crate::govern::Governor) and its output charged to the
-    /// governor's memory budget.  [`Database::full_join_metered`] is this
-    /// function monomorphized over [`NoopGovernor`](crate::govern::NoopGovernor).
-    pub fn full_join_governed<M: crate::metrics::MetricsSink, G: crate::govern::Governor>(
-        &self,
-        policy: &crate::ExecPolicy,
-        sink: &M,
-        gov: &G,
-    ) -> Result<Relation, crate::govern::EngineError> {
-        let mut it = self.relations.iter();
+impl<M: MetricsSink, G: Governor, T> ExecCtx<'_, M, G, T> {
+    /// The natural join of *all* of `db`'s relations, folded in schema-edge
+    /// order: each binary join runs under the policy, records into the
+    /// metrics sink, and is checkpointed against the governor with its
+    /// output charged to the memory budget ([`ExecCtx::join`]).
+    pub fn full_join(&self, db: &Database) -> Result<Relation, EngineError> {
+        let mut it = db.relations.iter();
         let Some(first) = it.next() else {
             return Ok(Relation::new("∅", NodeSet::new()));
         };
         let mut acc = first.clone();
         for r in it {
-            acc = acc.join_governed(r, policy, sink, gov)?;
+            acc = self.join(&acc, r)?;
         }
         Ok(acc)
     }

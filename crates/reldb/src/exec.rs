@@ -13,11 +13,14 @@
 //!
 //! [`ExecPolicy`] bundles the strategy with the parallelism knobs used by
 //! the level-synchronous Yannakakis reducer and bottom-up join
-//! ([`full_reduce_with`](crate::full_reduce_with),
-//! [`yannakakis_join_with`](crate::yannakakis_join_with)): how many worker
+//! ([`ExecCtx::full_reduce`], [`ExecCtx::yannakakis_join`]): how many worker
 //! threads to lease from the shared [`WorkerPool`], the total-tuple threshold
 //! below which parallel execution costs more than it saves, and the morsel
 //! size of the work-pulling paths.
+//!
+//! [`ExecCtx`] is what a pipeline actually runs under: the policy plus the
+//! three instrumentation sinks (metrics, governance, trace spans).  Every
+//! pipeline has exactly one generic entry point, a method on it.
 //!
 //! # The worker pool
 //!
@@ -30,6 +33,9 @@
 //! on drop).  Jobs own their data (`'static` closures), which is what lets
 //! safe Rust hand them to threads that outlive any one call.
 
+use crate::govern::{Governor, NoopGovernor};
+use crate::metrics::{MetricsSink, NoopMetrics};
+use crate::trace::NoopTrace;
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -285,6 +291,129 @@ impl ExecPolicy {
     /// leased [`WorkerPool`] threads otherwise.
     pub fn lease(&self, total_tuples: usize) -> WorkerLease {
         WorkerPool::lease(self.effective_threads(total_tuples))
+    }
+}
+
+/// What one engine call runs under: the [`ExecPolicy`] plus the three
+/// instrumentation sinks — [`MetricsSink`], [`Governor`], and
+/// [`TraceSink`](crate::TraceSink) — and nothing else.
+///
+/// Every pipeline has exactly **one** generic entry point, a method on this
+/// type defined next to the pipeline it runs (the query engines, the
+/// Yannakakis stages, [`Query`](crate::Query) execution, the single
+/// operators — see the method list).  All return `Result<_, EngineError>`;
+/// who is watching is a property of the context, not of a function name.
+///
+/// The context borrows everything and is `Copy`.  [`ExecCtx::new`] starts
+/// with the three zero-sized no-op sinks and each builder call swaps one type
+/// parameter, so an entry point is monomorphized per sink combination and
+/// the all-no-op context compiles every hook away: the plain wrappers
+/// ([`full_reduce`](crate::full_reduce()), [`Relation::join`](crate::Relation::join)…)
+/// are the same code under `ExecCtx::new(&policy)` — one engine, not two.
+///
+/// # Examples
+///
+/// ```
+/// # use reldb::{CollectingSink, CollectingTracer, Database, ExecCtx, ExecPolicy, QueryGovernor};
+/// # use hypergraph::{EdgeId, Hypergraph};
+/// # let mut db = Database::empty(Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"]]).unwrap());
+/// # db.insert_values(EdgeId(0), [1, 2]);
+/// # db.insert_values(EdgeId(1), [2, 3]);
+/// # let x = db.attributes(["A", "C"]).unwrap();
+/// let policy = ExecPolicy::default();
+/// let plain = ExecCtx::new(&policy).query_yannakakis(&db, &x)?;
+///
+/// // The same call, with whichever sinks the caller wants attached.
+/// let (sink, gov, tracer) = (CollectingSink::new(), QueryGovernor::new(), CollectingTracer::new());
+/// let ctx = ExecCtx::new(&policy).metrics(&sink).gov(&gov).trace(&tracer);
+/// assert!(ctx.query_yannakakis(&db, &x)?.same_contents(&plain));
+/// assert_eq!(sink.snapshot().semijoins.ops, 2);
+/// assert!(!tracer.take().roots.is_empty());
+/// # Ok::<(), reldb::EngineError>(())
+/// ```
+#[derive(Debug)]
+pub struct ExecCtx<'a, M = NoopMetrics, G = NoopGovernor, T = NoopTrace> {
+    /// Join strategy and parallelism knobs.
+    pub policy: &'a ExecPolicy,
+    /// Where kernels and drivers record what they did.
+    pub metrics: &'a M,
+    /// Who may abort the call: cancellation, deadline, memory budget.
+    pub gov: &'a G,
+    /// Where pipeline stages report their wall-clock spans.
+    pub trace: &'a T,
+}
+
+impl<M, G, T> Clone for ExecCtx<'_, M, G, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M, G, T> Copy for ExecCtx<'_, M, G, T> {}
+
+impl<'a> ExecCtx<'a> {
+    /// A context that runs under `policy` with nobody watching.
+    pub fn new(policy: &'a ExecPolicy) -> Self {
+        Self {
+            policy,
+            metrics: &NoopMetrics,
+            gov: &NoopGovernor,
+            trace: &NoopTrace,
+        }
+    }
+}
+
+impl<'a, M, G, T> ExecCtx<'a, M, G, T> {
+    /// The same context recording into `metrics`.
+    pub fn metrics<M2>(self, metrics: &'a M2) -> ExecCtx<'a, M2, G, T> {
+        ExecCtx {
+            policy: self.policy,
+            metrics,
+            gov: self.gov,
+            trace: self.trace,
+        }
+    }
+
+    /// The same context checkpointed against `gov`.
+    pub fn gov<G2>(self, gov: &'a G2) -> ExecCtx<'a, M, G2, T> {
+        ExecCtx {
+            policy: self.policy,
+            metrics: self.metrics,
+            gov,
+            trace: self.trace,
+        }
+    }
+
+    /// The same context reporting its stage spans into `trace`.
+    pub fn trace<T2>(self, trace: &'a T2) -> ExecCtx<'a, M, G, T2> {
+        ExecCtx {
+            policy: self.policy,
+            metrics: self.metrics,
+            gov: self.gov,
+            trace,
+        }
+    }
+}
+
+impl<M: MetricsSink, G: Governor, T> ExecCtx<'_, M, G, T> {
+    /// Acquires the workers the policy wants for `total_tuples` of input
+    /// ([`ExecPolicy::lease`]) and records the lease — the one place a
+    /// pipeline leases, so each pipeline leases (and reports) exactly once
+    /// for all its phases.
+    pub(crate) fn lease(&self, total_tuples: usize) -> WorkerLease {
+        let lease = self.policy.lease(total_tuples);
+        if M::ENABLED {
+            self.metrics
+                .record_lease(lease.threads(), WorkerPool::idle_workers());
+        }
+        lease
+    }
+
+    /// Owned clones of the policy and the two sinks kernels consult, for a
+    /// `'static` worker job to rebuild its context from.  Span hooks fire on
+    /// the dispatching thread only, so the tracer stays behind.
+    pub(crate) fn owned(&self) -> (ExecPolicy, M, G) {
+        (self.policy.clone(), self.metrics.clone(), self.gov.clone())
     }
 }
 

@@ -21,12 +21,13 @@
 //! | [`Governor::at_bag`] | before each hypertree bag materialization | one bag's cover join |
 //! | [`Governor::approve_alloc`] | before building hash tables / sort permutations, per output batch, per materialized bag | one batch of over-budget output |
 //!
-//! Every governed entry point is monomorphized per governor type, so the
-//! default [`NoopGovernor`] compiles to nothing — its checkpoint methods are
-//! `#[inline] Ok(())` bodies the optimizer erases, and anything with a
-//! runtime cost of its own is gated on the compile-time constant
-//! [`Governor::ENABLED`].  The ungoverned public API is the governed path
-//! monomorphized over [`NoopGovernor`]: one engine, not two.
+//! A pipeline's one entry point takes the governor inside its
+//! [`ExecCtx`](crate::ExecCtx) (`ExecCtx::new(&policy).gov(&gov)`) and is
+//! monomorphized per governor type, so the default [`NoopGovernor`] compiles
+//! to nothing — its checkpoint methods are `#[inline] Ok(())` bodies the
+//! optimizer erases, and anything with a runtime cost of its own is gated on
+//! the compile-time constant [`Governor::ENABLED`].  The plain wrappers are
+//! that same entry point under the all-no-op context: one engine, not two.
 //!
 //! # The abort invariant
 //!
@@ -68,7 +69,7 @@ pub const CHECK_BATCH: usize = 4096;
 /// value handle).
 const BYTES_PER_CELL: u64 = 4;
 
-/// A structured error from a governed engine entry point.
+/// A structured error from an engine entry point.
 ///
 /// Every public `reldb` query path returns this instead of panicking: the
 /// govern layer's checkpoints surface as [`Cancelled`], [`DeadlineExceeded`]
@@ -110,8 +111,8 @@ pub enum EngineError {
         /// What was wrong with it.
         message: String,
     },
-    /// A panic escaped an engine worker and was contained at the governed
-    /// entry point.
+    /// A panic escaped an engine worker and was contained at the entry
+    /// point.
     WorkerPanic(String),
 }
 
@@ -153,8 +154,8 @@ impl From<DbError> for EngineError {
 /// carry their own handle).  All checkpoint methods default to `Ok(())`
 /// with `#[inline]` bodies; [`ENABLED`] is the compile-time switch the
 /// engine consults before doing governance-only work (clock reads, batch
-/// counting).  Returning an error from any checkpoint aborts the governed
-/// entry point with that error before any in-place mutation happens.
+/// counting).  Returning an error from any checkpoint aborts the entry
+/// point with that error before any in-place mutation happens.
 ///
 /// [`ENABLED`]: Governor::ENABLED
 pub trait Governor: Clone + Send + Sync + 'static {
@@ -205,9 +206,8 @@ pub trait Governor: Clone + Send + Sync + 'static {
     }
 }
 
-/// The default governor: checks nothing, costs nothing.  Every ungoverned
-/// entry point in the engine is the governed one monomorphized over this
-/// type.
+/// The default governor: checks nothing, costs nothing — what
+/// [`ExecCtx::new`](crate::ExecCtx::new) starts with.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopGovernor;
 
@@ -215,13 +215,15 @@ impl Governor for NoopGovernor {
     const ENABLED: bool = false;
 }
 
-/// Unwraps a governed result that was produced under [`NoopGovernor`],
-/// which cannot fail at any checkpoint.
+/// Unwraps the result of a plain wrapper's all-no-op context.  No
+/// checkpoint can abort under [`NoopGovernor`], so an `Err` here is a panic
+/// the entry point contained (or a schema the pipeline cannot run on): it
+/// is re-raised with its message, as if it had never been caught.
 #[inline]
 pub(crate) fn unfail<T>(r: Result<T, EngineError>) -> T {
     match r {
         Ok(v) => v,
-        Err(e) => unreachable!("no-op governor cannot abort a query: {e}"),
+        Err(e) => panic!("{e}"),
     }
 }
 
@@ -444,7 +446,7 @@ mod failpoints {
         /// Surface a structured [`EngineError`] from the checkpoint.
         Error,
         /// Panic at the checkpoint — exercises the worker-panic containment
-        /// on governed entry points.
+        /// of the query entry points.
         Panic,
     }
 
@@ -606,7 +608,7 @@ mod failpoints {
 #[cfg(feature = "failpoints")]
 pub use failpoints::{FailMode, FailpointGovernor};
 
-/// Runs a governed entry point with panic containment: a panic escaping the
+/// Runs an entry point with panic containment: a panic escaping the
 /// engine (a worker job, a kernel bug, an injected failpoint panic) is
 /// caught and surfaced as [`EngineError::WorkerPanic`] instead of unwinding
 /// through the caller.

@@ -30,9 +30,9 @@
 //! take the direct join-tree path, cyclic schemas the decomposition path.
 
 use crate::database::Database;
-use crate::exec::{ExecPolicy, Job, WorkerLease};
-use crate::govern::{contain_panics, unfail, EngineError, Governor, NoopGovernor};
-use crate::metrics::{MetricsSink, NoopMetrics, Phase};
+use crate::exec::{ExecCtx, ExecPolicy, Job, WorkerLease};
+use crate::govern::{contain_panics, unfail, EngineError, Governor};
+use crate::metrics::{MetricsSink, Phase};
 use crate::relation::Relation;
 use crate::trace::{with_span, NoopTrace, SpanKind, TraceSink};
 use crate::yannakakis::yannakakis_join_leased;
@@ -59,24 +59,20 @@ use std::time::Instant;
 /// hundred distinct values instead of its full tuple count to the
 /// (inherently width-bounded) bag cross product.
 fn materialize_one<M: MetricsSink, G: Governor>(
+    ctx: &ExecCtx<'_, M, G>,
+    probe: &WorkerLease,
     d: &Decomposition,
     bag: usize,
     relations: &[Relation],
-    policy: &ExecPolicy,
-    probe: &WorkerLease,
-    sink: &M,
-    gov: &G,
 ) -> Result<Relation, EngineError> {
     let bag_edge = &d.bags().edges()[bag];
     join_cover(
+        ctx,
+        probe,
         d.cover(bag)
             .map(|e| trim_to_bag(&relations[e.index()], &bag_edge.nodes)),
         &bag_edge.nodes,
         &bag_edge.label,
-        policy,
-        probe,
-        sink,
-        gov,
     )
 }
 
@@ -131,18 +127,16 @@ fn order_cover(cover: &mut [Cow<'_, Relation>]) {
 /// The single bag-join fold both materialization paths run: joins the
 /// (already trimmed) cover relations — reordered smallest estimated
 /// intermediate first by [`order_cover`] — and projects onto the bag's
-/// nodes.  Large probe sides shard over `probe`'s workers at morsel
-/// granularity ([`Relation::join_sharded_governed`]); single-bag
+/// nodes.  Large probe sides spread over `probe`'s workers at morsel
+/// granularity ([`ExecCtx::join_on_lease`]); single-bag
 /// materializations pass the whole lease here so one wide bag still uses
 /// every worker.
 fn join_cover<'a, M: MetricsSink, G: Governor>(
+    ctx: &ExecCtx<'_, M, G>,
+    probe: &WorkerLease,
     cover: impl IntoIterator<Item = Cow<'a, Relation>>,
     bag_nodes: &NodeSet,
     name: &str,
-    policy: &ExecPolicy,
-    probe: &WorkerLease,
-    sink: &M,
-    gov: &G,
 ) -> Result<Relation, EngineError> {
     let mut cover: Vec<Cow<'a, Relation>> = cover.into_iter().collect();
     order_cover(&mut cover);
@@ -150,7 +144,7 @@ fn join_cover<'a, M: MetricsSink, G: Governor>(
     for r in cover {
         acc = Some(match acc {
             None => r.into_owned(),
-            Some(a) => a.join_sharded_governed(&r, policy, probe, sink, gov)?,
+            Some(a) => ctx.join_on_lease(&a, &r, probe)?,
         });
     }
     let Some(joined) = acc else {
@@ -163,112 +157,111 @@ fn join_cover<'a, M: MetricsSink, G: Governor>(
     // bag database, so charge it against the budget even when the cover was
     // a single relation and no join kernel ran.
     if G::ENABLED {
-        gov.approve_alloc(rel.len() as u64, rel.attributes().len())?;
+        ctx.gov
+            .approve_alloc(rel.len() as u64, rel.attributes().len())?;
     }
     Ok(rel)
 }
 
-/// Materializes every bag of `d` against `db`, producing a database over
-/// the bag hypergraph.
-///
-/// Bags only read the original relations and write their own slot, so with
-/// a parallel [`ExecPolicy`] the bag joins fan out across leased
-/// [`WorkerPool`](crate::exec::WorkerPool) workers (subject to the policy's
-/// sequential-fallback tuple threshold).  Bigger bags are dispatched first
-/// so a single wide bag does not serialize the tail of the batch.
-pub fn materialize_bags(db: &Database, d: &Decomposition, policy: &ExecPolicy) -> Database {
-    materialize_bags_metered(db, d, policy, &NoopMetrics)
-}
-
-/// The metered form of [`materialize_bags`]: records each bag's
-/// materialized size, the per-bag join ops and one
-/// [`Phase::Materialize`] wall timing into `sink`.  [`materialize_bags`] is
-/// this function monomorphized over [`NoopMetrics`].
-pub fn materialize_bags_metered<M: MetricsSink>(
-    db: &Database,
-    d: &Decomposition,
-    policy: &ExecPolicy,
-    sink: &M,
-) -> Database {
-    unfail(materialize_bags_governed(
-        db,
-        d,
-        policy,
-        sink,
-        &NoopGovernor,
-    ))
-}
-
-/// The governed form of [`materialize_bags_metered`]: consults the
-/// [`Governor`] once per bag (on the dispatching thread, so an armed
-/// failpoint or tripped deadline aborts before any worker runs) and charges
-/// every materialized bag relation — plus the join kernels' intermediate
-/// output batches — against its memory budget.  An abort surfaces as
-/// `Err(EngineError)` and leaves `db` untouched: materialization only reads
-/// the original relations.  [`materialize_bags_metered`] is this function
-/// monomorphized over [`NoopGovernor`].
-pub fn materialize_bags_governed<M: MetricsSink, G: Governor>(
-    db: &Database,
-    d: &Decomposition,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-) -> Result<Database, EngineError> {
-    let lease = policy.lease(db.tuple_count());
-    if M::ENABLED {
-        sink.record_lease(lease.threads(), crate::exec::WorkerPool::idle_workers());
+impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
+    /// Materializes every bag of `d` against `db`, producing a database over
+    /// the bag hypergraph.
+    ///
+    /// Bags only read the original relations and write their own slot, so
+    /// with a parallel [`ExecPolicy`] the bag joins fan out across leased
+    /// [`WorkerPool`](crate::exec::WorkerPool) workers (subject to the
+    /// policy's sequential-fallback tuple threshold).  Bigger bags are
+    /// dispatched first so a single wide bag does not serialize the tail of
+    /// the batch.
+    ///
+    /// The metrics sink receives each bag's materialized size, the per-bag
+    /// join ops and one [`Phase::Materialize`] wall timing; the governor is
+    /// consulted once per bag (on the dispatching thread, so an armed
+    /// failpoint or tripped deadline aborts before any worker runs) and
+    /// charged for every materialized bag relation plus the join kernels'
+    /// intermediate output batches; the tracer brackets the whole bag pass in
+    /// one [`SpanKind::Materialize`] span.  An abort surfaces as
+    /// `Err(EngineError)` and leaves `db` untouched: materialization only
+    /// reads the original relations.
+    pub fn materialize_bags(
+        &self,
+        db: &Database,
+        d: &Decomposition,
+    ) -> Result<Database, EngineError> {
+        materialize_bags_leased(self, &self.lease(db.tuple_count()), db, d)
     }
-    materialize_bags_leased(db, d, policy, &lease, sink, gov, &NoopTrace)
+
+    /// Runs the full cyclic pipeline over an already-computed decomposition:
+    /// materialize the bags ([`ExecCtx::materialize_bags`]), then full-reduce
+    /// and join bottom-up along the bag tree ([`ExecCtx::yannakakis_join`]),
+    /// projecting onto `output` — every sink active in both phases.  An
+    /// abort surfaces as `Err(EngineError)` and leaves `db` untouched.
+    pub fn yannakakis_join_decomposed(
+        &self,
+        db: &Database,
+        d: &Decomposition,
+        output: &NodeSet,
+    ) -> Result<Relation, EngineError> {
+        // One lease serves bag materialization, the reducer passes and the join
+        // levels alike: sized on the input database, which bounds every bag.
+        let lease = self.lease(db.tuple_count());
+        let bag_db = materialize_bags_leased(self, &lease, db, d)?;
+        yannakakis_join_leased(self, &lease, &bag_db, d.tree(), output)
+    }
 }
 
-/// The materialization body, on an already-acquired lease — shared by
-/// [`materialize_bags_governed`] and [`yannakakis_join_decomposed_governed`]
-/// so the cyclic pipeline leases its workers exactly once for all phases.
-/// The whole bag pass is bracketed in one [`SpanKind::Materialize`] trace
-/// span; [`NoopTrace`] compiles the bracket away.
-#[allow(clippy::too_many_arguments)]
-fn materialize_bags_leased<M: MetricsSink, G: Governor, T: TraceSink>(
+/// [`ExecCtx::materialize_bags`] with nobody watching, under an explicit
+/// [`ExecPolicy`].
+// pinned by benchmark/src/layers.rs
+pub fn materialize_bags(db: &Database, d: &Decomposition, policy: &ExecPolicy) -> Database {
+    unfail(ExecCtx::new(policy).materialize_bags(db, d))
+}
+
+/// [`ExecCtx::yannakakis_join_decomposed`] with nobody watching, under an
+/// explicit [`ExecPolicy`].
+pub fn yannakakis_join_decomposed(
     db: &Database,
     d: &Decomposition,
+    output: &NodeSet,
     policy: &ExecPolicy,
+) -> Relation {
+    unfail(ExecCtx::new(policy).yannakakis_join_decomposed(db, d, output))
+}
+
+/// The materialization pass on an already-acquired lease — shared by
+/// [`ExecCtx::materialize_bags`] and [`ExecCtx::yannakakis_join_decomposed`]
+/// so the cyclic pipeline leases its workers exactly once for all phases.
+fn materialize_bags_leased<M: MetricsSink, G: Governor, T: TraceSink>(
+    ctx: &ExecCtx<'_, M, G, T>,
     lease: &WorkerLease,
-    sink: &M,
-    gov: &G,
-    tracer: &T,
+    db: &Database,
+    d: &Decomposition,
 ) -> Result<Database, EngineError> {
-    with_span(tracer, SpanKind::Materialize, || {
-        materialize_bags_body(db, d, policy, lease, sink, gov)
+    with_span(ctx.trace, SpanKind::Materialize, || {
+        materialize_bags_body(&ctx.trace(&NoopTrace), lease, db, d)
     })
 }
 
-/// The span-free materialization body behind [`materialize_bags_leased`].
+/// The span-free materialization body behind [`materialize_bags_leased`]:
+/// nothing from here down is instantiated per tracer type.
 fn materialize_bags_body<M: MetricsSink, G: Governor>(
+    ctx: &ExecCtx<'_, M, G>,
+    lease: &WorkerLease,
     db: &Database,
     d: &Decomposition,
-    policy: &ExecPolicy,
-    lease: &WorkerLease,
-    sink: &M,
-    gov: &G,
 ) -> Result<Database, EngineError> {
+    let (sink, gov) = (ctx.metrics, ctx.gov);
     let nbags = d.bag_count();
     let t0 = M::ENABLED.then(Instant::now);
     let relations: Vec<Relation> = if lease.threads() <= 1 || nbags <= 1 {
         // One bag (or one worker): instead of bag-level fan-out, the whole
-        // lease shards the bag's join probe loops at morsel granularity.
+        // lease pulls the bag's join probe morsels.
         let mut rels = Vec::with_capacity(nbags);
         for b in 0..nbags {
             if G::ENABLED {
                 gov.at_bag(b)?;
             }
-            rels.push(materialize_one(
-                d,
-                b,
-                db.relations(),
-                policy,
-                lease,
-                sink,
-                gov,
-            )?);
+            rels.push(materialize_one(ctx, lease, d, b, db.relations())?);
         }
         rels
     } else {
@@ -305,19 +298,15 @@ fn materialize_bags_body<M: MetricsSink, G: Governor>(
                     .collect();
                 let bag_nodes = bag_edge.nodes.clone();
                 let name = bag_edge.label.clone();
-                let policy = policy.clone();
                 let tx = tx.clone();
-                let sink = sink.clone();
-                let gov = gov.clone();
+                let (policy, sink, gov) = ctx.owned();
                 Box::new(move || {
                     let rel = join_cover(
+                        &ExecCtx::new(&policy).metrics(&sink).gov(&gov),
+                        &WorkerLease::inline(),
                         cover.into_iter().map(Cow::Owned),
                         &bag_nodes,
                         &name,
-                        &policy,
-                        &WorkerLease::inline(),
-                        &sink,
-                        &gov,
                     );
                     let _ = tx.send((b, rel));
                 }) as Job
@@ -353,78 +342,6 @@ fn materialize_bags_body<M: MetricsSink, G: Governor>(
         }
     }
     Database::new(d.bags().clone(), relations).map_err(EngineError::from)
-}
-
-/// Runs the full cyclic pipeline over an already-computed decomposition:
-/// materialize the bags, then full-reduce and join bottom-up along the bag
-/// tree, projecting onto `output`.
-pub fn yannakakis_join_decomposed(
-    db: &Database,
-    d: &Decomposition,
-    output: &NodeSet,
-    policy: &ExecPolicy,
-) -> Relation {
-    yannakakis_join_decomposed_metered(db, d, output, policy, &NoopMetrics)
-}
-
-/// The metered form of [`yannakakis_join_decomposed`]: bag sizes and
-/// materialization timing from [`materialize_bags_metered`], then the full
-/// metered acyclic pipeline over the bag tree.
-pub fn yannakakis_join_decomposed_metered<M: MetricsSink>(
-    db: &Database,
-    d: &Decomposition,
-    output: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-) -> Relation {
-    unfail(yannakakis_join_decomposed_governed(
-        db,
-        d,
-        output,
-        policy,
-        sink,
-        &NoopGovernor,
-    ))
-}
-
-/// The governed form of [`yannakakis_join_decomposed_metered`]: the same
-/// materialize-then-Yannakakis pipeline over an explicit decomposition,
-/// with the [`Governor`]'s checkpoints and budget charges active in both
-/// phases.  An abort surfaces as `Err(EngineError)` and leaves `db`
-/// untouched.
-pub fn yannakakis_join_decomposed_governed<M: MetricsSink, G: Governor>(
-    db: &Database,
-    d: &Decomposition,
-    output: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-) -> Result<Relation, EngineError> {
-    yannakakis_join_decomposed_traced(db, d, output, policy, sink, gov, &NoopTrace)
-}
-
-/// The traced form of [`yannakakis_join_decomposed_governed`]: identical
-/// pipeline, with [`SpanKind::Materialize`] and the reducer/join spans
-/// reported into `tracer`.  [`yannakakis_join_decomposed_governed`] is this
-/// function monomorphized over [`NoopTrace`].
-#[allow(clippy::too_many_arguments)]
-fn yannakakis_join_decomposed_traced<M: MetricsSink, G: Governor, T: TraceSink>(
-    db: &Database,
-    d: &Decomposition,
-    output: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-    tracer: &T,
-) -> Result<Relation, EngineError> {
-    // One lease serves bag materialization, the reducer passes and the join
-    // levels alike: sized on the input database, which bounds every bag.
-    let lease = policy.lease(db.tuple_count());
-    if M::ENABLED {
-        sink.record_lease(lease.threads(), crate::exec::WorkerPool::idle_workers());
-    }
-    let bag_db = materialize_bags_leased(db, d, policy, &lease, sink, gov, tracer)?;
-    yannakakis_join_leased(&bag_db, d.tree(), output, policy, &lease, sink, gov, tracer)
 }
 
 /// Both heuristics' decompositions of one schema, in preference order, plus
@@ -562,11 +479,93 @@ fn worst_bag_estimate(db: &Database, d: &Decomposition) -> (u64, usize) {
     worst
 }
 
-/// Computes the projection of the full join onto `output` for **any**
-/// schema: acyclic schemas route to the direct join-tree pipeline
-/// ([`yannakakis_join_with`](crate::yannakakis_join_with)), cyclic schemas through
-/// decompose → materialize → reduce → join.  Fails only when the schema has
-/// no edges at all.
+impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
+    /// Computes the projection of the full join onto `output` for **any**
+    /// schema: acyclic schemas route to the direct join-tree pipeline
+    /// ([`ExecCtx::yannakakis_join`]), cyclic schemas through decompose →
+    /// materialize → reduce → join
+    /// ([`ExecCtx::yannakakis_join_decomposed`]).  Fails only when the
+    /// schema has no edges at all, or when the governor aborts.
+    ///
+    /// Every layer underneath records into the metrics sink — on the cyclic
+    /// path including both decomposition heuristics' widths (the engine runs
+    /// min-fill *and* min-degree and keeps the smaller width) — and the
+    /// tracer receives the pipeline stages as wall-clock spans:
+    /// [`SpanKind::Decompose`] around the heuristic pair (cache hits
+    /// included), then [`SpanKind::Materialize`], [`SpanKind::ReduceUp`] /
+    /// [`SpanKind::ReduceDown`] and [`SpanKind::Join`].
+    ///
+    /// Under an enabled governor the cyclic path runs the memory-budget
+    /// **degradation ladder**.  Before materializing anything, the widest
+    /// bag's pessimistic cost (cover cardinality product × bag width) is
+    /// tested against the governor's budget:
+    ///
+    /// 1. the smaller-width decomposition runs if its estimate fits;
+    /// 2. otherwise the *other* elimination heuristic's tree is tried — the
+    ///    heuristics disagree on some schemas, and the runner-up by width can
+    ///    still have the smaller worst bag;
+    /// 3. otherwise the smaller-*estimate* tree runs **sequentially** (one bag
+    ///    materialized at a time, no parallel cover copies in flight), letting
+    ///    the kernels' actual allocation charges decide;
+    /// 4. only when those charges genuinely exceed the limit does the query
+    ///    abort with [`EngineError::BudgetExceeded`].
+    ///
+    /// Every panic escaping the engine below this point — worker jobs
+    /// included, whose payloads [`WorkerLease::run`](crate::exec::WorkerLease::run)
+    /// re-raises on the caller thread — is contained and surfaced as
+    /// [`EngineError::WorkerPanic`], whatever the sinks: this entry point
+    /// never unwinds.  An aborted query leaves `db` untouched.
+    pub fn yannakakis_join_any(
+        &self,
+        db: &Database,
+        output: &NodeSet,
+    ) -> Result<Relation, EngineError> {
+        contain_panics(|| match join_tree(db.schema()) {
+            Some(tree) => self.yannakakis_join(db, &tree, output),
+            None => {
+                let pair = with_span(self.trace, SpanKind::Decompose, || {
+                    decompose_pair(db.schema(), self.metrics)
+                })?;
+                let (chosen, other) = (&pair.chosen, &pair.other);
+                if G::ENABLED {
+                    let (rows, width) = worst_bag_estimate(db, chosen);
+                    if self.gov.alloc_would_exceed(rows, width) {
+                        let (orows, owidth) = worst_bag_estimate(db, other);
+                        if !self.gov.alloc_would_exceed(orows, owidth) {
+                            // Rung 2: the runner-up heuristic's worst bag fits.
+                            return self.yannakakis_join_decomposed(db, other, output);
+                        }
+                        // Rung 3: both estimates blow the budget — stream the
+                        // smaller-estimate tree one bag at a time and let the
+                        // actual charges decide (the estimate is a cross-product
+                        // worst case; real bags are usually far smaller).
+                        let streaming = ExecPolicy {
+                            threads: 1,
+                            ..self.policy.clone()
+                        };
+                        let smaller = if orows.saturating_mul(owidth as u64)
+                            < rows.saturating_mul(width as u64)
+                        {
+                            other
+                        } else {
+                            chosen
+                        };
+                        let ctx = ExecCtx {
+                            policy: &streaming,
+                            ..*self
+                        };
+                        return ctx.yannakakis_join_decomposed(db, smaller, output);
+                    }
+                }
+                self.yannakakis_join_decomposed(db, chosen, output)
+            }
+        })
+    }
+}
+
+/// [`ExecCtx::yannakakis_join_any`] with nobody watching, under an explicit
+/// [`ExecPolicy`]: the Yannakakis answer for **any** schema, acyclic or
+/// cyclic.
 ///
 /// # Examples
 ///
@@ -598,120 +597,7 @@ pub fn yannakakis_join_any(
     output: &NodeSet,
     policy: &ExecPolicy,
 ) -> Result<Relation, EngineError> {
-    yannakakis_join_any_metered(db, output, policy, &NoopMetrics)
-}
-
-/// The metered form of [`yannakakis_join_any`]: the same transparent
-/// routing, with every layer underneath recording into `sink` — and, on the
-/// cyclic path, both decomposition heuristics' widths (the engine runs
-/// min-fill *and* min-degree and keeps the smaller width).
-/// [`yannakakis_join_any`] is this function monomorphized over
-/// [`NoopMetrics`].
-pub fn yannakakis_join_any_metered<M: MetricsSink>(
-    db: &Database,
-    output: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-) -> Result<Relation, EngineError> {
-    yannakakis_join_any_governed(db, output, policy, sink, &NoopGovernor)
-}
-
-/// The governed form of [`yannakakis_join_any_metered`]: transparent
-/// acyclic/cyclic routing under a [`Governor`], with panic containment and
-/// the memory-budget **degradation ladder** on the cyclic path.
-///
-/// Before materializing anything, the widest bag's pessimistic cost (cover
-/// cardinality product × bag width) is tested against the governor's
-/// budget:
-///
-/// 1. the smaller-width decomposition runs if its estimate fits;
-/// 2. otherwise the *other* elimination heuristic's tree is tried — the
-///    heuristics disagree on some schemas, and the runner-up by width can
-///    still have the smaller worst bag;
-/// 3. otherwise the smaller-*estimate* tree runs **sequentially** (one bag
-///    materialized at a time, no parallel cover copies in flight), letting
-///    the kernels' actual allocation charges decide;
-/// 4. only when those charges genuinely exceed the limit does the query
-///    abort with [`EngineError::BudgetExceeded`].
-///
-/// Every panic escaping the engine below this point — worker jobs
-/// included, whose payloads [`WorkerLease::run`](crate::exec::WorkerLease::run)
-/// re-raises on the caller thread — is contained and surfaced as
-/// [`EngineError::WorkerPanic`], so this entry point never unwinds.  An
-/// aborted query leaves `db` untouched.
-pub fn yannakakis_join_any_governed<M: MetricsSink, G: Governor>(
-    db: &Database,
-    output: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-) -> Result<Relation, EngineError> {
-    yannakakis_join_any_traced(db, output, policy, sink, gov, &NoopTrace)
-}
-
-/// The traced form of [`yannakakis_join_any_governed`]: the same routing,
-/// ladder and panic containment, with the pipeline stages reported into
-/// `tracer` as wall-clock spans — [`SpanKind::Decompose`] around the
-/// heuristic pair (cache hits included), then [`SpanKind::Materialize`],
-/// [`SpanKind::ReduceUp`] / [`SpanKind::ReduceDown`] and [`SpanKind::Join`]
-/// from the pipeline underneath.  [`yannakakis_join_any_governed`] is this
-/// function monomorphized over [`NoopTrace`], which compiles every span —
-/// and its clock reads — away.
-pub fn yannakakis_join_any_traced<M: MetricsSink, G: Governor, T: TraceSink>(
-    db: &Database,
-    output: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-    tracer: &T,
-) -> Result<Relation, EngineError> {
-    contain_panics(|| match join_tree(db.schema()) {
-        Some(tree) => {
-            // Acyclic: one lease serves the reducer passes and join levels.
-            let lease = policy.lease(db.tuple_count());
-            if M::ENABLED {
-                sink.record_lease(lease.threads(), crate::exec::WorkerPool::idle_workers());
-            }
-            yannakakis_join_leased(db, &tree, output, policy, &lease, sink, gov, tracer)
-        }
-        None => {
-            let pair = with_span(tracer, SpanKind::Decompose, || {
-                decompose_pair(db.schema(), sink)
-            })?;
-            let (chosen, other) = (&pair.chosen, &pair.other);
-            if G::ENABLED {
-                let (rows, width) = worst_bag_estimate(db, chosen);
-                if gov.alloc_would_exceed(rows, width) {
-                    let (orows, owidth) = worst_bag_estimate(db, other);
-                    if !gov.alloc_would_exceed(orows, owidth) {
-                        // Rung 2: the runner-up heuristic's worst bag fits.
-                        return yannakakis_join_decomposed_traced(
-                            db, other, output, policy, sink, gov, tracer,
-                        );
-                    }
-                    // Rung 3: both estimates blow the budget — stream the
-                    // smaller-estimate tree one bag at a time and let the
-                    // actual charges decide (the estimate is a cross-product
-                    // worst case; real bags are usually far smaller).
-                    let streaming = ExecPolicy {
-                        threads: 1,
-                        ..policy.clone()
-                    };
-                    let smaller = if orows.saturating_mul(owidth as u64)
-                        < rows.saturating_mul(width as u64)
-                    {
-                        other
-                    } else {
-                        chosen
-                    };
-                    return yannakakis_join_decomposed_traced(
-                        db, smaller, output, &streaming, sink, gov, tracer,
-                    );
-                }
-            }
-            yannakakis_join_decomposed_traced(db, chosen, output, policy, sink, gov, tracer)
-        }
-    })
+    ExecCtx::new(policy).yannakakis_join_any(db, output)
 }
 
 #[cfg(test)]

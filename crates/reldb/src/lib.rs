@@ -23,6 +23,11 @@
 //! * pairwise vs. global consistency, the semantic face of acyclicity
 //!   ([`is_pairwise_consistent`], [`is_globally_consistent`]).
 //!
+//! Each pipeline has one generic entry point, a method on [`ExecCtx`] — the
+//! [`ExecPolicy`] plus the metrics, governance and trace sinks, all no-ops
+//! by default — and at most one plain wrapper beside it (the functions named
+//! above) that runs it with nobody watching.
+//!
 //! # Module map
 //!
 //! | Module | Paper concept / engine role |
@@ -35,10 +40,10 @@
 //! | `yannakakis` | the Yannakakis full reducer and bottom-up join over a join tree, level-synchronous in both phases (§7's efficiency payoff) |
 //! | [`hypertree`] | cyclic schemas: bag materialization over a hypertree decomposition (`decomp` crate) and the acyclic-vs-cyclic router [`yannakakis_join_any`] |
 //! | [`snapshot`] | the versioned binary snapshot format behind [`Database::save_snapshot`] / [`Database::load_snapshot`] — scale-up loads in milliseconds instead of re-parsing text |
-//! | [`exec`] | [`ExecPolicy`], [`JoinStrategy`] cost-pick, the [`MorselQueue`] work-pull cursor, and the leased [`WorkerPool`] the parallel engine runs on |
-//! | [`metrics`] | zero-cost-when-off observability: the [`MetricsSink`] threaded through every kernel, collected into a [`QueryMetrics`] report |
-//! | [`govern`] | zero-cost-when-off governance: the [`Governor`] checkpoints (cancellation, deadlines, memory budgets) threaded through every kernel, structured [`EngineError`] aborts, and the `failpoints` fault-injection harness |
-//! | [`trace`] | zero-cost-when-off trace spans: the [`TraceSink`] stage hooks threaded through the pipelines, collected into a hierarchical [`TraceReport`] (decompose → materialize → reduce → join wall clock) |
+//! | [`exec`] | [`ExecCtx`] (the one execution context every pipeline entry point is a method of), [`ExecPolicy`], [`JoinStrategy`] cost-pick, the [`MorselQueue`] work-pull cursor, and the leased [`WorkerPool`] the parallel engine runs on |
+//! | [`metrics`] | zero-cost-when-off observability: the [`MetricsSink`] an [`ExecCtx`] carries into every kernel, collected into a [`QueryMetrics`] report |
+//! | [`govern`] | zero-cost-when-off governance: the [`Governor`] checkpoints (cancellation, deadlines, memory budgets) an [`ExecCtx`] carries into every kernel, structured [`EngineError`] aborts, and the `failpoints` fault-injection harness |
+//! | [`trace`] | zero-cost-when-off trace spans: the [`TraceSink`] stage hooks an [`ExecCtx`] carries through the pipelines, collected into a hierarchical [`TraceReport`] (decompose → materialize → reduce → join wall clock) |
 //! | `consistency` | pairwise vs. global consistency and repairs — the semantic characterization of acyclicity (§7) |
 //! | [`mod@reference`] | the pre-rewrite naive engine, kept as the equivalence-test oracle and benchmark baseline |
 //!
@@ -83,19 +88,14 @@ pub use consistency::{
 };
 pub use database::{Database, DbError};
 pub use exec::{
-    ExecPolicy, JoinStrategy, MorselQueue, WorkerLease, WorkerPool,
+    ExecCtx, ExecPolicy, JoinStrategy, MorselQueue, WorkerLease, WorkerPool,
     AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO, AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
     DEFAULT_MORSEL_ROWS,
 };
 pub use govern::{CancelToken, EngineError, Governor, NoopGovernor, QueryGovernor};
 #[cfg(feature = "failpoints")]
 pub use govern::{FailMode, FailpointGovernor};
-pub use hypertree::{
-    materialize_bags, materialize_bags_governed, materialize_bags_metered, yannakakis_join_any,
-    yannakakis_join_any_governed, yannakakis_join_any_metered, yannakakis_join_any_traced,
-    yannakakis_join_decomposed, yannakakis_join_decomposed_governed,
-    yannakakis_join_decomposed_metered,
-};
+pub use hypertree::{materialize_bags, yannakakis_join_any, yannakakis_join_decomposed};
 pub use metrics::{CollectingSink, MetricsSink, NoopMetrics, Phase, QueryMetrics};
 pub use pool::ValuePool;
 pub use query::{Query, QueryPlan, Selection};
@@ -103,16 +103,13 @@ pub use relation::{Relation, Tuple};
 pub use snapshot::is_snapshot;
 pub use trace::{CollectingTracer, NoopTrace, Span, SpanKind, TraceReport, TraceSink};
 pub use universal::{
-    plan_connection, query_attributes, query_via_connection, query_via_connection_governed,
-    query_via_connection_metered, query_via_connection_traced, query_via_full_join,
-    query_via_full_join_governed, query_via_full_join_metered, query_via_full_join_traced,
-    query_yannakakis, query_yannakakis_governed, query_yannakakis_metered, query_yannakakis_traced,
-    ConnectionPlan,
+    plan_connection, query_attributes, query_via_connection, query_via_full_join,
+    query_via_full_join_metered, query_yannakakis, query_yannakakis_governed,
+    query_yannakakis_metered, ConnectionPlan,
 };
 pub use value::Value;
 pub use yannakakis::{
-    full_reduce, full_reduce_governed, full_reduce_metered, full_reduce_with, naive_join_project,
-    yannakakis_join, yannakakis_join_governed, yannakakis_join_metered, yannakakis_join_with,
+    full_reduce, full_reduce_with, naive_join_project, yannakakis_join, yannakakis_join_with,
     Reduced,
 };
 
@@ -122,7 +119,7 @@ pub mod prelude {
         full_reduce, full_reduce_with, is_globally_consistent, is_pairwise_consistent,
         plan_connection, query_via_connection, query_via_full_join, query_yannakakis,
         yannakakis_join, yannakakis_join_any, yannakakis_join_with, CancelToken, Database, DbError,
-        EngineError, ExecPolicy, JoinStrategy, NoopGovernor, Query, QueryGovernor, Relation, Tuple,
-        Value,
+        EngineError, ExecCtx, ExecPolicy, JoinStrategy, NoopGovernor, Query, QueryGovernor,
+        Relation, Tuple, Value,
     };
 }

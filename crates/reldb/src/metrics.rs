@@ -5,14 +5,15 @@
 //! better than a guess.  This module supplies the evidence channel: a
 //! [`MetricsSink`] trait threaded generically through the relation kernels,
 //! the Yannakakis reducer/join, bag materialization and the worker pool.
-//! Every metered entry point is monomorphized per sink type, so the default
-//! [`NoopMetrics`] sink compiles to *nothing*: its recording methods are
-//! empty `#[inline]` bodies the optimizer erases, and everything with a
-//! runtime cost of its own (wall-clock reads, ratio sampling that `Auto`
-//! would not already do) is gated on the compile-time constant
-//! [`MetricsSink::ENABLED`].  The unmetered public API
-//! ([`full_reduce_with`](crate::full_reduce_with), [`Relation::join_with`]…)
-//! simply calls the metered path with [`NoopMetrics`] — there is one engine,
+//! A pipeline's one entry point takes the sink inside its
+//! [`ExecCtx`](crate::ExecCtx) (`ExecCtx::new(&policy).metrics(&sink)`) and
+//! is monomorphized per sink type, so the default [`NoopMetrics`] sink
+//! compiles to *nothing*: its recording methods are empty `#[inline]` bodies
+//! the optimizer erases, and everything with a runtime cost of its own
+//! (wall-clock reads, ratio sampling that `Auto` would not already do) is
+//! gated on the compile-time constant [`MetricsSink::ENABLED`].  The plain
+//! wrappers ([`full_reduce`](crate::full_reduce()), [`Relation::join`]…) are
+//! that same entry point under the all-no-op context — there is one engine,
 //! not two.
 //!
 //! # What is measured
@@ -37,7 +38,7 @@
 //! embedded in `hyperq bench` records.
 //!
 //! [`JoinStrategy::Auto`]: crate::JoinStrategy::Auto
-//! [`Relation::join_with`]: crate::Relation::join_with
+//! [`Relation::join`]: crate::Relation::join
 
 use std::sync::{Arc, Mutex};
 
@@ -181,8 +182,8 @@ pub trait MetricsSink: Clone + Send + Sync + 'static {
     fn record_decomp_cache(&self, _hit: bool) {}
 }
 
-/// The default sink: records nothing, costs nothing.  Every unmetered entry
-/// point in the engine is the metered one monomorphized over this type.
+/// The default sink: records nothing, costs nothing — what
+/// [`ExecCtx::new`](crate::ExecCtx::new) starts with.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopMetrics;
 
@@ -495,7 +496,7 @@ impl QueryMetrics {
 ///
 /// ```
 /// use reldb::metrics::{CollectingSink, MetricsSink};
-/// use reldb::{full_reduce_metered, Database, ExecPolicy, Tuple};
+/// use reldb::{Database, ExecCtx, ExecPolicy, Tuple};
 /// use hypergraph::{EdgeId, Hypergraph};
 /// use acyclic::join_tree;
 ///
@@ -512,7 +513,8 @@ impl QueryMetrics {
 ///
 /// let tree = join_tree(db.schema()).unwrap();
 /// let sink = CollectingSink::new();
-/// let reduced = full_reduce_metered(&db, &tree, &ExecPolicy::default(), &sink);
+/// let policy = ExecPolicy::default();
+/// let reduced = ExecCtx::new(&policy).metrics(&sink).full_reduce(&db, &tree).unwrap();
 /// let report = sink.snapshot();
 /// assert_eq!(reduced.total_removed(), 1);
 /// assert!(report.semijoins.ops > 0);

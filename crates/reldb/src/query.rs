@@ -10,11 +10,11 @@
 //! tests and the query benchmark.
 
 use crate::database::Database;
-use crate::exec::{ExecPolicy, JoinStrategy};
-use crate::govern::{contain_panics, EngineError, Governor};
-use crate::hypertree::{yannakakis_join_any_governed, yannakakis_join_any_metered};
-use crate::metrics::{MetricsSink, NoopMetrics};
+use crate::exec::{ExecCtx, ExecPolicy};
+use crate::govern::{contain_panics, unfail, EngineError, Governor};
+use crate::metrics::MetricsSink;
 use crate::relation::Relation;
+use crate::trace::TraceSink;
 use crate::universal::plan_connection;
 use crate::value::Value;
 use hypergraph::{NodeId, NodeSet};
@@ -60,7 +60,6 @@ pub struct Selection {
 pub struct Query {
     output: Vec<NodeId>,
     selections: Vec<Selection>,
-    policy: ExecPolicy,
 }
 
 impl Query {
@@ -92,33 +91,6 @@ impl Query {
             value: value.into(),
         });
         self
-    }
-
-    /// Pins the physical join strategy for every join and semijoin this
-    /// query executes (default: [`JoinStrategy::Auto`], the cost-pick
-    /// planner).  The explicit override exists for benchmarking and for
-    /// workloads whose skew the sampler cannot see.
-    pub fn with_strategy(mut self, strategy: JoinStrategy) -> Self {
-        self.policy.strategy = strategy;
-        self
-    }
-
-    /// Replaces the whole execution policy — strategy, worker threads,
-    /// sequential-fallback threshold, and the [`JoinStrategy::Auto`]
-    /// distinct-key-ratio override — for every engine this query runs.
-    pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The query's join strategy.
-    pub fn strategy(&self) -> JoinStrategy {
-        self.policy.strategy
-    }
-
-    /// The query's execution policy.
-    pub fn policy(&self) -> &ExecPolicy {
-        &self.policy
     }
 
     /// The output attributes as a node set.
@@ -173,98 +145,17 @@ impl Query {
         relation.select_eq_all(&preds)
     }
 
-    /// Executes via the canonical connection: filter each chosen object,
-    /// join them, apply any remaining selections, project onto the output.
+    /// Executes via the canonical connection under the default
+    /// [`ExecPolicy`] with nobody watching — see [`ExecCtx::execute`].
     pub fn execute(&self, db: &Database) -> Relation {
-        self.execute_metered(db, &NoopMetrics)
+        unfail(ExecCtx::new(&ExecPolicy::default()).execute(self, db))
     }
 
-    /// The metered form of [`Query::execute`]: the same canonical-connection
-    /// plan, with each join recording into `sink`.
-    pub fn execute_metered<M: MetricsSink>(&self, db: &Database, sink: &M) -> Relation {
-        let plan = self.plan(db);
-        let mut acc: Option<Relation> = None;
-        for &i in &plan.objects {
-            let filtered = self.filtered(&db.relations()[i]);
-            acc = Some(match acc {
-                None => filtered,
-                Some(a) => a.join_metered(&filtered, &self.policy, sink),
-            });
-        }
-        let joined = acc.unwrap_or_else(|| Relation::new("∅", self.mentioned()));
-        self.finish(joined)
-    }
-
-    /// The governed form of [`Query::execute`]: the same canonical-
-    /// connection plan under a [`Governor`] — every join checkpointed for
-    /// cancellation and deadline, output charged to the memory budget, and
-    /// engine panics contained as [`EngineError::WorkerPanic`].
-    pub fn execute_governed<M: MetricsSink, G: Governor>(
-        &self,
-        db: &Database,
-        sink: &M,
-        gov: &G,
-    ) -> Result<Relation, EngineError> {
-        contain_panics(|| {
-            let plan = self.plan(db);
-            let mut acc: Option<Relation> = None;
-            for &i in &plan.objects {
-                let filtered = self.filtered(&db.relations()[i]);
-                acc = Some(match acc {
-                    None => filtered,
-                    Some(a) => a.join_governed(&filtered, &self.policy, sink, gov)?,
-                });
-            }
-            let joined = acc.unwrap_or_else(|| Relation::new("∅", self.mentioned()));
-            Ok(self.finish(joined))
-        })
-    }
-
-    /// Executes with the Yannakakis algorithm: over the schema's join tree
-    /// when it is acyclic, or transparently through the hypertree-
-    /// decomposition pipeline (decompose → materialize bags → reduce → join,
-    /// see [`crate::hypertree`]) when it is cyclic.  Selections are applied
-    /// to the relevant relations before reduction either way, which is where
-    /// pushing selections below semijoins (and below bag materialization)
-    /// pays off.
+    /// Executes with the Yannakakis algorithm under the default
+    /// [`ExecPolicy`] with nobody watching — see
+    /// [`ExecCtx::execute_yannakakis`].
     pub fn execute_yannakakis(&self, db: &Database) -> Result<Relation, EngineError> {
-        self.execute_yannakakis_metered(db, &NoopMetrics)
-    }
-
-    /// The metered form of [`Query::execute_yannakakis`]: the same routed
-    /// pipeline (join tree or hypertree decomposition), with every engine
-    /// layer underneath recording into `sink` — this is what
-    /// `hyperq query --metrics` runs.
-    pub fn execute_yannakakis_metered<M: MetricsSink>(
-        &self,
-        db: &Database,
-        sink: &M,
-    ) -> Result<Relation, EngineError> {
-        let filtered: Vec<Relation> = db.relations().iter().map(|r| self.filtered(r)).collect();
-        let filtered_db = Database::new(db.schema().clone(), filtered)?;
-        let joined =
-            yannakakis_join_any_metered(&filtered_db, &self.mentioned(), &self.policy, sink)?;
-        Ok(self.finish(joined))
-    }
-
-    /// The governed form of [`Query::execute_yannakakis`]: selections are
-    /// pushed down exactly as in the metered form, then the routed pipeline
-    /// runs under the [`Governor`] — level and kernel-batch checkpoints,
-    /// memory-budget charges (and the cyclic path's degradation ladder),
-    /// and panic containment.  An abort leaves `db` untouched: the pushdown
-    /// filters into fresh relations and the engine below never mutates its
-    /// input database.
-    pub fn execute_yannakakis_governed<M: MetricsSink, G: Governor>(
-        &self,
-        db: &Database,
-        sink: &M,
-        gov: &G,
-    ) -> Result<Relation, EngineError> {
-        let filtered: Vec<Relation> = db.relations().iter().map(|r| self.filtered(r)).collect();
-        let filtered_db = Database::new(db.schema().clone(), filtered)?;
-        let joined =
-            yannakakis_join_any_governed(&filtered_db, &self.mentioned(), &self.policy, sink, gov)?;
-        Ok(self.finish(joined))
+        ExecCtx::new(&ExecPolicy::default()).execute_yannakakis(self, db)
     }
 
     /// Executes against the full join of every object — the baseline.
@@ -282,6 +173,51 @@ impl Query {
             joined.select_eq_all(&preds)
         };
         r.project(&self.output_set())
+    }
+}
+
+impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
+    /// Executes `query` via the canonical connection: filter each chosen
+    /// object, join them, apply any remaining selections, project onto the
+    /// output.  Every join records into the metrics sink and is checkpointed
+    /// against the governor (cancellation, deadline, output charged to the
+    /// memory budget); engine panics are contained as
+    /// [`EngineError::WorkerPanic`].
+    pub fn execute(&self, query: &Query, db: &Database) -> Result<Relation, EngineError> {
+        contain_panics(|| {
+            let plan = query.plan(db);
+            let mut acc: Option<Relation> = None;
+            for &i in &plan.objects {
+                let filtered = query.filtered(&db.relations()[i]);
+                acc = Some(match acc {
+                    None => filtered,
+                    Some(a) => self.join(&a, &filtered)?,
+                });
+            }
+            let joined = acc.unwrap_or_else(|| Relation::new("∅", query.mentioned()));
+            Ok(query.finish(joined))
+        })
+    }
+
+    /// Executes `query` with the Yannakakis algorithm: over the schema's join
+    /// tree when it is acyclic, or transparently through the hypertree-
+    /// decomposition pipeline (decompose → materialize bags → reduce → join,
+    /// see [`crate::hypertree`]) when it is cyclic.  Selections are applied
+    /// to the relevant relations before reduction either way, which is where
+    /// pushing selections below semijoins (and below bag materialization)
+    /// pays off; the routed pipeline then runs as
+    /// [`ExecCtx::yannakakis_join_any`].  An abort leaves `db` untouched:
+    /// the pushdown filters into fresh relations and the engine below never
+    /// mutates its input database.
+    pub fn execute_yannakakis(
+        &self,
+        query: &Query,
+        db: &Database,
+    ) -> Result<Relation, EngineError> {
+        let filtered: Vec<Relation> = db.relations().iter().map(|r| query.filtered(r)).collect();
+        let filtered_db = Database::new(db.schema().clone(), filtered)?;
+        let joined = self.yannakakis_join_any(&filtered_db, &query.mentioned())?;
+        Ok(query.finish(joined))
     }
 }
 

@@ -52,9 +52,8 @@
 //! tuples; it is decoded from / encoded into rows only at the edges.
 
 use crate::exec::{
-    ExecPolicy, Job, JoinStrategy, MorselQueue, WorkerLease,
-    AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO, AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-    DEFAULT_MORSEL_ROWS,
+    ExecCtx, Job, JoinStrategy, MorselQueue, WorkerLease, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
+    AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO, DEFAULT_MORSEL_ROWS,
 };
 use crate::govern::{unfail, EngineError, Governor, NoopGovernor, CHECK_BATCH};
 use crate::metrics::{Kernel, MetricsSink, NoopMetrics, OpKind, OpMetrics};
@@ -998,7 +997,9 @@ impl Relation {
     /// merges equal-key runs; `Auto` picks by the estimated distinct-key
     /// ratio of the larger side (heavy key duplication favors sort-merge),
     /// against the calibrated [`AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO`]
-    /// threshold.
+    /// threshold.  Runs inline with nobody watching; [`ExecCtx::join`] is
+    /// the form that takes a policy and sinks.
+    // pinned by benchmark/src/layers.rs
     pub fn join_with(&self, other: &Relation, strategy: JoinStrategy) -> Relation {
         unfail(self.join_impl(
             other,
@@ -1008,73 +1009,6 @@ impl Relation {
             &NoopMetrics,
             &NoopGovernor,
         ))
-    }
-
-    /// Natural join under an [`ExecPolicy`]: the policy picks the strategy
-    /// (its thread knobs engage only past one morsel of probe rows).
-    pub fn join_with_exec(&self, other: &Relation, policy: &ExecPolicy) -> Relation {
-        self.join_metered(other, policy, &NoopMetrics)
-    }
-
-    /// Natural join under an [`ExecPolicy`], recording one
-    /// [`OpMetrics`] record into `sink` — the metered form of
-    /// [`Relation::join_with_exec`], which is this function monomorphized
-    /// over [`NoopMetrics`].
-    pub fn join_metered<M: MetricsSink>(
-        &self,
-        other: &Relation,
-        policy: &ExecPolicy,
-        sink: &M,
-    ) -> Relation {
-        unfail(self.join_governed(other, policy, sink, &NoopGovernor))
-    }
-
-    /// Natural join under an [`ExecPolicy`] with governance checkpoints:
-    /// the governed form of [`Relation::join_metered`] (which is this
-    /// function monomorphized over [`NoopGovernor`]).  The join aborts with
-    /// the governor's error at the next probe-batch checkpoint after a
-    /// cancellation, deadline overrun or budget exhaustion; neither input
-    /// relation is ever mutated.
-    ///
-    /// When the policy asks for threads and the probe side spans more than
-    /// one morsel ([`ExecPolicy::morsel_rows`]), workers are leased and the
-    /// hash probe loop runs morsel-driven; callers already holding a lease
-    /// should use [`Relation::join_sharded_governed`] instead.
-    pub fn join_governed<M: MetricsSink, G: Governor>(
-        &self,
-        other: &Relation,
-        policy: &ExecPolicy,
-        sink: &M,
-        gov: &G,
-    ) -> Result<Relation, EngineError> {
-        let probe_rows = self.len.max(other.len);
-        // Only pay for a lease when the morsel path could actually engage.
-        let probe =
-            if probe_rows > policy.morsel_rows.max(1) && policy.effective_threads(probe_rows) > 1 {
-                policy.lease(probe_rows)
-            } else {
-                WorkerLease::inline()
-            };
-        self.join_sharded_governed(other, policy, &probe, sink, gov)
-    }
-
-    /// Natural join with the probe loop sharded across an explicit worker
-    /// lease: workers pull [`ExecPolicy::morsel_rows`]-row morsels of the
-    /// probe side from a shared [`MorselQueue`] and emit their output
-    /// chunks independently (the hash kernel's output rows are distinct by
-    /// construction — every output row embeds its probe row — so chunks
-    /// concatenate without a dedup pass).  This is the entry the
-    /// level-synchronous join phase uses when a level has fewer targets
-    /// than workers; [`Relation::join_governed`] is the self-leasing form.
-    pub fn join_sharded_governed<M: MetricsSink, G: Governor>(
-        &self,
-        other: &Relation,
-        policy: &ExecPolicy,
-        probe: &WorkerLease,
-        sink: &M,
-        gov: &G,
-    ) -> Result<Relation, EngineError> {
-        self.join_impl(other, policy.strategy, probe, policy.morsel_rows, sink, gov)
     }
 
     fn join_impl<M: MetricsSink, G: Governor>(
@@ -1147,7 +1081,7 @@ impl Relation {
     ///
     /// With a multi-worker lease and a probe side spanning more than one
     /// morsel, the probe loop runs morsel-driven (see
-    /// [`Relation::join_sharded_governed`]); otherwise it runs inline.
+    /// [`ExecCtx::join_on_lease`]); otherwise it runs inline.
     fn hash_join_into<G: Governor>(
         &self,
         other: &Relation,
@@ -1791,48 +1725,10 @@ impl Relation {
     /// sparser key space makes the bitset dearer than the sort.  The hash
     /// mask runs only under a pinned [`JoinStrategy::Hash`]; see the module
     /// docs.  Every kernel runs inline on the calling thread.
+    /// [`ExecCtx::retain_semijoin`] is the form that takes a policy and
+    /// sinks.
     pub fn retain_semijoin_with(&mut self, other: &Relation, strategy: JoinStrategy) -> usize {
         unfail(self.retain_semijoin_impl(other, strategy, &NoopMetrics, &NoopGovernor))
-    }
-
-    /// In-place semijoin under an [`ExecPolicy`] — like
-    /// [`Relation::retain_semijoin_with`], with the policy supplying the
-    /// strategy (its thread count governs level sharding in the reducer,
-    /// never a single semijoin).
-    pub fn retain_semijoin_exec(&mut self, other: &Relation, policy: &ExecPolicy) -> usize {
-        self.retain_semijoin_metered(other, policy, &NoopMetrics)
-    }
-
-    /// In-place semijoin under an [`ExecPolicy`], recording one semijoin
-    /// [`OpMetrics`] record into `sink` — the metered form of
-    /// [`Relation::retain_semijoin_exec`], which is this function
-    /// monomorphized over [`NoopMetrics`].
-    pub fn retain_semijoin_metered<M: MetricsSink>(
-        &mut self,
-        other: &Relation,
-        policy: &ExecPolicy,
-        sink: &M,
-    ) -> usize {
-        unfail(self.retain_semijoin_impl(other, policy.strategy, sink, &NoopGovernor))
-    }
-
-    /// In-place semijoin under an [`ExecPolicy`] with governance
-    /// checkpoints — the governed form of
-    /// [`Relation::retain_semijoin_metered`] (which is this function
-    /// monomorphized over [`NoopGovernor`]).
-    ///
-    /// All checkpoints fire during the read-only mask computation; the
-    /// in-place compaction runs unconditionally after the mask is complete.
-    /// An abort therefore returns `Err` with `self` exactly as it was — the
-    /// rollback guarantee the governed reducer relies on.
-    pub fn retain_semijoin_governed<M: MetricsSink, G: Governor>(
-        &mut self,
-        other: &Relation,
-        policy: &ExecPolicy,
-        sink: &M,
-        gov: &G,
-    ) -> Result<usize, EngineError> {
-        self.retain_semijoin_impl(other, policy.strategy, sink, gov)
     }
 
     fn retain_semijoin_impl<M: MetricsSink, G: Governor>(
@@ -1962,6 +1858,75 @@ impl Relation {
             out.push('\n');
         }
         out
+    }
+}
+
+/// The single-operator entry points.  They peel the context at the door:
+/// the kernels underneath take exactly the strategy, sink and governor they
+/// read, so nothing below is instantiated per tracer type.
+impl<M: MetricsSink, G: Governor, T> ExecCtx<'_, M, G, T> {
+    /// Natural join `left ⋈ right` under the policy's strategy, recording one
+    /// [`OpMetrics`] into the metrics sink.  The join aborts with the
+    /// governor's error at the next probe-batch checkpoint after a
+    /// cancellation, deadline overrun or budget exhaustion; neither input
+    /// relation is ever mutated.
+    ///
+    /// When the policy asks for threads and the probe side spans more than
+    /// one morsel (`policy.morsel_rows`), workers are leased and the hash
+    /// probe loop runs morsel-driven; callers already holding a lease use
+    /// [`ExecCtx::join_on_lease`] instead.
+    pub fn join(&self, left: &Relation, right: &Relation) -> Result<Relation, EngineError> {
+        let policy = self.policy;
+        let probe_rows = left.len.max(right.len);
+        // Only pay for a lease when the morsel path could actually engage.
+        let probe =
+            if probe_rows > policy.morsel_rows.max(1) && policy.effective_threads(probe_rows) > 1 {
+                policy.lease(probe_rows)
+            } else {
+                WorkerLease::inline()
+            };
+        self.join_on_lease(left, right, &probe)
+    }
+
+    /// [`ExecCtx::join`] on workers the caller already leased: they pull
+    /// `policy.morsel_rows`-row morsels of the probe side from a shared
+    /// [`MorselQueue`] and emit their output chunks independently (the hash
+    /// kernel's output rows are distinct by construction — every output row
+    /// embeds its probe row — so chunks concatenate without a dedup pass).
+    /// This is the entry the level-synchronous join phase and bag
+    /// materialization use when a level has fewer targets than workers.
+    pub fn join_on_lease(
+        &self,
+        left: &Relation,
+        right: &Relation,
+        probe: &WorkerLease,
+    ) -> Result<Relation, EngineError> {
+        left.join_impl(
+            right,
+            self.policy.strategy,
+            probe,
+            self.policy.morsel_rows,
+            self.metrics,
+            self.gov,
+        )
+    }
+
+    /// In-place semijoin `target ⋉ other` under the policy's strategy
+    /// ([`Relation::retain_semijoin_with`] documents the kernels), recording
+    /// one semijoin [`OpMetrics`] into the metrics sink.  Returns the number
+    /// of tuples removed.  The policy's thread count governs level fan-out
+    /// in the reducer, never a single semijoin.
+    ///
+    /// All governor checkpoints fire during the read-only mask computation;
+    /// the in-place compaction runs unconditionally after the mask is
+    /// complete.  An abort therefore returns `Err` with `target` exactly as
+    /// it was — the rollback guarantee the reducer relies on.
+    pub fn retain_semijoin(
+        &self,
+        target: &mut Relation,
+        other: &Relation,
+    ) -> Result<usize, EngineError> {
+        target.retain_semijoin_impl(other, self.policy.strategy, self.metrics, self.gov)
     }
 }
 
@@ -2426,13 +2391,16 @@ mod tests {
         );
     }
 
-    /// `r ⋉ s` under `Auto` through the metered entry point: the reduced
+    /// `r ⋉ s` under `Auto` with a collecting sink: the reduced
     /// relation plus the semijoin counters (one op, so exactly one of the
     /// per-kernel counters is 1).
     fn metered_auto_semijoin(r: &Relation, s: &Relation) -> (Relation, crate::metrics::OpAgg) {
         let sink = crate::metrics::CollectingSink::new();
         let mut out = r.clone();
-        out.retain_semijoin_metered(s, &ExecPolicy::sequential(JoinStrategy::Auto), &sink);
+        ExecCtx::new(&crate::ExecPolicy::sequential(JoinStrategy::Auto))
+            .metrics(&sink)
+            .retain_semijoin(&mut out, s)
+            .unwrap();
         let agg = sink.snapshot().semijoins;
         assert_eq!(agg.ops, 1);
         assert_eq!(agg.hash_ops, 0, "Auto semijoins never hash by default");

@@ -3,12 +3,14 @@
 //!
 //! This is the third leg of the engine's instrumentation tripod, built on
 //! the same monomorphization pattern as [`MetricsSink`](crate::MetricsSink)
-//! and [`Governor`](crate::Governor): every traced pipeline is generic over
-//! a [`TraceSink`] whose `const ENABLED` flag gates each hook behind an
-//! `if T::ENABLED` the compiler resolves at monomorphization time.  The
-//! ungoverned, unmetered, untraced production path is bit-identical to code
-//! with no hooks at all — [`NoopTrace`] is a zero-sized type and its hooks
-//! are empty `#[inline]` bodies.
+//! and [`Governor`](crate::Governor): a pipeline's one entry point takes the
+//! tracer inside its [`ExecCtx`](crate::ExecCtx)
+//! (`ExecCtx::new(&policy).trace(&tracer)`) and is generic over a
+//! [`TraceSink`] whose `const ENABLED` flag gates each hook behind an
+//! `if T::ENABLED` the compiler resolves at monomorphization time.  Under
+//! the all-no-op context the production path is bit-identical to code with
+//! no hooks at all — [`NoopTrace`] is a zero-sized type and its hooks are
+//! empty `#[inline]` bodies.
 //!
 //! Where metrics answer "how much work" (tuples probed, kernels picked) and
 //! governance answers "may I continue", spans answer "where did the wall
@@ -60,8 +62,8 @@ impl SpanKind {
     }
 }
 
-/// A sink for hierarchical span events, threaded through the traced
-/// pipelines exactly as [`MetricsSink`](crate::MetricsSink) is.
+/// A sink for hierarchical span events, threaded through the pipelines
+/// exactly as [`MetricsSink`](crate::MetricsSink) is.
 ///
 /// `Clone + Send + Sync` for the same reason as the metrics sink: worker
 /// jobs capture a clone.  Span hooks only fire on the dispatching thread

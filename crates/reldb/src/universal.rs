@@ -17,13 +17,9 @@
 //!   (the naive baseline).
 
 use crate::database::Database;
-use crate::exec::ExecPolicy;
-use crate::govern::{contain_panics, EngineError, Governor};
-use crate::hypertree::{
-    yannakakis_join_any, yannakakis_join_any_governed, yannakakis_join_any_metered,
-    yannakakis_join_any_traced,
-};
-use crate::metrics::{MetricsSink, NoopMetrics};
+use crate::exec::{ExecCtx, ExecPolicy};
+use crate::govern::{contain_panics, unfail, EngineError, Governor};
+use crate::metrics::MetricsSink;
 use crate::relation::Relation;
 use crate::trace::{with_span, SpanKind, TraceSink};
 use crate::yannakakis::naive_join_project;
@@ -70,154 +66,109 @@ pub fn plan_connection(schema: &Hypergraph, x: &NodeSet) -> ConnectionPlan {
     }
 }
 
-/// Answers the query `π_X (⋈ of the objects in CC(X))`.
-pub fn query_via_connection(db: &Database, x: &NodeSet) -> Relation {
-    query_via_connection_metered(db, x, &ExecPolicy::default(), &NoopMetrics)
-}
-
-/// The metered form of [`query_via_connection`]: the same plan, with every
-/// join executed under `policy` and recorded into `sink`.
-pub fn query_via_connection_metered<M: MetricsSink>(
-    db: &Database,
-    x: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-) -> Relation {
-    let plan = plan_connection(db.schema(), x);
-    let mut acc: Option<Relation> = None;
-    for &i in &plan.objects {
-        let r = &db.relations()[i];
-        acc = Some(match acc {
-            None => r.clone(),
-            Some(a) => a.join_metered(r, policy, sink),
-        });
-    }
-    match acc {
-        Some(a) => a.into_project(x),
-        None => Relation::new("∅", x.clone()),
-    }
-}
-
-/// The governed form of [`query_via_connection_metered`]: the same
-/// canonical-connection plan, with every join checkpointed against the
-/// [`Governor`] and its output charged to the governor's memory budget, and
-/// any engine panic contained as [`EngineError::WorkerPanic`].
-pub fn query_via_connection_governed<M: MetricsSink, G: Governor>(
-    db: &Database,
-    x: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-) -> Result<Relation, EngineError> {
-    contain_panics(|| {
-        let plan = plan_connection(db.schema(), x);
-        let mut acc: Option<Relation> = None;
-        for &i in &plan.objects {
-            let r = &db.relations()[i];
-            acc = Some(match acc {
-                None => r.clone(),
-                Some(a) => a.join_governed(r, policy, sink, gov)?,
-            });
-        }
-        Ok(match acc {
-            Some(a) => a.into_project(x),
-            None => Relation::new("∅", x.clone()),
+/// The three universal-relation query engines.  Each runs inside panic
+/// containment whatever the sinks: a panic escaping the engine — a kernel
+/// bug, a worker job, a sink — surfaces as [`EngineError::WorkerPanic`],
+/// never as an unwind through the caller.
+impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
+    /// Answers the query `π_X (⋈ of the objects in CC(X))`: every join
+    /// executed under the policy, recorded into the metrics sink,
+    /// checkpointed against the governor with its output charged to the
+    /// memory budget.  The whole join-then-project plan is bracketed in one
+    /// [`SpanKind::Join`] span (this engine has no reducer phases to break
+    /// out).
+    pub fn query_via_connection(
+        &self,
+        db: &Database,
+        x: &NodeSet,
+    ) -> Result<Relation, EngineError> {
+        with_span(self.trace, SpanKind::Join, || {
+            contain_panics(|| {
+                let plan = plan_connection(db.schema(), x);
+                let mut acc: Option<Relation> = None;
+                for &i in &plan.objects {
+                    let r = &db.relations()[i];
+                    acc = Some(match acc {
+                        None => r.clone(),
+                        Some(a) => self.join(&a, r)?,
+                    });
+                }
+                Ok(match acc {
+                    Some(a) => a.into_project(x),
+                    None => Relation::new("∅", x.clone()),
+                })
+            })
         })
-    })
+    }
+
+    /// Answers the query by joining **all** objects (the universal relation)
+    /// and projecting — the naive baseline, under one [`SpanKind::Join`]
+    /// span.  The governor's checkpoints matter most here: this is the one
+    /// engine whose intermediate results can explode, which is exactly what a
+    /// deadline or memory budget is for.
+    pub fn query_via_full_join(&self, db: &Database, x: &NodeSet) -> Result<Relation, EngineError> {
+        with_span(self.trace, SpanKind::Join, || {
+            contain_panics(|| Ok(self.full_join(db)?.into_project(x)))
+        })
+    }
+
+    /// Answers the query with the Yannakakis algorithm: over the schema's
+    /// join tree when it is acyclic, or through the hypertree-decomposition
+    /// pipeline when it is cyclic ([`ExecCtx::yannakakis_join_any`], which
+    /// documents the spans, the governor's degradation ladder and the panic
+    /// containment).  Fails only on an edgeless schema or a governor abort.
+    pub fn query_yannakakis(&self, db: &Database, x: &NodeSet) -> Result<Relation, EngineError> {
+        self.yannakakis_join_any(db, x)
+    }
 }
 
-/// The traced form of [`query_via_connection_governed`]: the whole
-/// join-then-project plan is bracketed in one [`SpanKind::Join`] wall-clock
-/// span (this engine has no reducer phases to break out).
-/// [`query_via_connection_governed`] is this function monomorphized over
-/// [`NoopTrace`](crate::NoopTrace).
-pub fn query_via_connection_traced<M: MetricsSink, G: Governor, T: TraceSink>(
-    db: &Database,
-    x: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-    tracer: &T,
-) -> Result<Relation, EngineError> {
-    with_span(tracer, SpanKind::Join, || {
-        query_via_connection_governed(db, x, policy, sink, gov)
-    })
+/// [`ExecCtx::query_via_connection`] with nobody watching, under the default
+/// [`ExecPolicy`].
+pub fn query_via_connection(db: &Database, x: &NodeSet) -> Relation {
+    unfail(ExecCtx::new(&ExecPolicy::default()).query_via_connection(db, x))
 }
 
-/// Answers the query by joining **all** objects (the universal relation) and
-/// projecting — the naive baseline.
+/// [`ExecCtx::query_via_full_join`] with nobody watching, on the sequential
+/// hash kernel ([`Database::full_join`]).
 pub fn query_via_full_join(db: &Database, x: &NodeSet) -> Relation {
     naive_join_project(db, x)
 }
 
-/// The metered form of [`query_via_full_join`]: the naive all-objects join,
-/// with each binary join recorded into `sink`.
+/// [`ExecCtx::query_via_full_join`] under `policy`, recording into `sink`.
+// pinned by benchmark/src/workloads.rs
 pub fn query_via_full_join_metered<M: MetricsSink>(
     db: &Database,
     x: &NodeSet,
     policy: &ExecPolicy,
     sink: &M,
 ) -> Relation {
-    db.full_join_metered(policy, sink).into_project(x)
+    unfail(
+        ExecCtx::new(policy)
+            .metrics(sink)
+            .query_via_full_join(db, x),
+    )
 }
 
-/// The governed form of [`query_via_full_join_metered`]: the naive
-/// all-objects join under a [`Governor`], with panics contained.  The
-/// checkpoints matter most here — this is the one engine whose intermediate
-/// results can explode, which is exactly what a deadline or memory budget
-/// is for.
-pub fn query_via_full_join_governed<M: MetricsSink, G: Governor>(
-    db: &Database,
-    x: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-) -> Result<Relation, EngineError> {
-    contain_panics(|| Ok(db.full_join_governed(policy, sink, gov)?.into_project(x)))
-}
-
-/// The traced form of [`query_via_full_join_governed`]: the naive
-/// all-objects join and projection under one [`SpanKind::Join`] wall-clock
-/// span.  [`query_via_full_join_governed`] is this function monomorphized
-/// over [`NoopTrace`](crate::NoopTrace).
-pub fn query_via_full_join_traced<M: MetricsSink, G: Governor, T: TraceSink>(
-    db: &Database,
-    x: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-    tracer: &T,
-) -> Result<Relation, EngineError> {
-    with_span(tracer, SpanKind::Join, || {
-        query_via_full_join_governed(db, x, policy, sink, gov)
-    })
-}
-
-/// Answers the query with the Yannakakis algorithm: over the schema's join
-/// tree when it is acyclic, or through the hypertree-decomposition pipeline
-/// ([`yannakakis_join_any`]) when it is cyclic.  Fails only on an edgeless
-/// schema.
+/// [`ExecCtx::query_yannakakis`] with nobody watching, under the default
+/// [`ExecPolicy`].
 pub fn query_yannakakis(db: &Database, x: &NodeSet) -> Result<Relation, EngineError> {
-    yannakakis_join_any(db, x, &ExecPolicy::default())
+    ExecCtx::new(&ExecPolicy::default()).query_yannakakis(db, x)
 }
 
-/// The metered form of [`query_yannakakis`], under an explicit policy:
-/// routes through [`yannakakis_join_any_metered`] so acyclic and cyclic
-/// schemas alike fill `sink`.
+/// [`ExecCtx::query_yannakakis`] under `policy`, recording into `sink`.
+// pinned by benchmark/src/layers.rs
 pub fn query_yannakakis_metered<M: MetricsSink>(
     db: &Database,
     x: &NodeSet,
     policy: &ExecPolicy,
     sink: &M,
 ) -> Result<Relation, EngineError> {
-    yannakakis_join_any_metered(db, x, policy, sink)
+    ExecCtx::new(policy).metrics(sink).query_yannakakis(db, x)
 }
 
-/// The governed form of [`query_yannakakis_metered`]: the same routed
-/// pipeline under a [`Governor`] — cancellation, deadline and budget
-/// checkpoints at every level and kernel batch, panic containment, and the
-/// cyclic path's budget degradation ladder
-/// ([`yannakakis_join_any_governed`]).
+/// [`ExecCtx::query_yannakakis`] under `policy`, recording into `sink` and
+/// checkpointed against `gov`.
+// pinned by benchmark/src/layers.rs
 pub fn query_yannakakis_governed<M: MetricsSink, G: Governor>(
     db: &Database,
     x: &NodeSet,
@@ -225,23 +176,10 @@ pub fn query_yannakakis_governed<M: MetricsSink, G: Governor>(
     sink: &M,
     gov: &G,
 ) -> Result<Relation, EngineError> {
-    yannakakis_join_any_governed(db, x, policy, sink, gov)
-}
-
-/// The traced form of [`query_yannakakis_governed`]: identical routing and
-/// governance, with the pipeline's stage spans — decompose, materialize,
-/// reduce-up/down, join — reported into `tracer`
-/// ([`yannakakis_join_any_traced`]).  [`query_yannakakis_governed`] is this
-/// function monomorphized over [`NoopTrace`](crate::NoopTrace).
-pub fn query_yannakakis_traced<M: MetricsSink, G: Governor, T: TraceSink>(
-    db: &Database,
-    x: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-    tracer: &T,
-) -> Result<Relation, EngineError> {
-    yannakakis_join_any_traced(db, x, policy, sink, gov, tracer)
+    ExecCtx::new(policy)
+        .metrics(sink)
+        .gov(gov)
+        .query_yannakakis(db, x)
 }
 
 /// Convenience: answer a query given attribute names.
@@ -400,6 +338,34 @@ mod tests {
                 yann.same_contents(&naive),
                 "decomposed Yannakakis differs from full join for {names:?}"
             );
+        }
+    }
+
+    /// Stands in for any panic escaping the engine below an entry point.
+    #[derive(Clone)]
+    struct PanickingSink;
+
+    impl MetricsSink for PanickingSink {
+        const ENABLED: bool = true;
+
+        fn record_op(&self, _op: crate::metrics::OpMetrics) {
+            panic!("sink exploded");
+        }
+    }
+
+    #[test]
+    fn every_engine_contains_a_panic_whatever_the_sinks() {
+        let db = fig1_db();
+        let x = db.attributes(["A", "D"]).unwrap();
+        let policy = ExecPolicy::default();
+        let ctx = ExecCtx::new(&policy).metrics(&PanickingSink);
+        for (engine, got) in [
+            ("connection", ctx.query_via_connection(&db, &x)),
+            ("naive", ctx.query_via_full_join(&db, &x)),
+            ("yannakakis", ctx.query_yannakakis(&db, &x)),
+        ] {
+            let want = EngineError::WorkerPanic("sink exploded".to_owned());
+            assert_eq!(got.err(), Some(want), "{engine}");
         }
     }
 

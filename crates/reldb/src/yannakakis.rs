@@ -16,9 +16,9 @@
 //! [`WorkerPool`](crate::exec::WorkerPool) (no per-level thread spawning).
 
 use crate::database::Database;
-use crate::exec::{ExecPolicy, Job, WorkerLease, WorkerPool};
-use crate::govern::{unfail, EngineError, Governor, NoopGovernor};
-use crate::metrics::{MetricsSink, NoopMetrics, Phase};
+use crate::exec::{ExecCtx, ExecPolicy, Job, WorkerLease};
+use crate::govern::{unfail, EngineError, Governor};
+use crate::metrics::{MetricsSink, Phase};
 use crate::relation::Relation;
 use crate::trace::{with_span, NoopTrace, SpanKind, TraceSink};
 use acyclic::JoinTree;
@@ -82,7 +82,7 @@ fn placeholder() -> Relation {
 /// and mutated concurrently while the remainder is shared read-only behind
 /// an [`Arc`] (moved in and out — never cloned).  A singleton level (chains:
 /// every level is one) runs inline on the calling thread — a semijoin
-/// ([`Relation::retain_semijoin_exec`]) is never split across workers.
+/// ([`ExecCtx::retain_semijoin`]) is never split across workers.
 ///
 /// Jobs are dispatched **biggest first**: the lease hands jobs out
 /// round-robin, so a skewed level (a snowflake's fact relation next to its
@@ -91,13 +91,11 @@ fn placeholder() -> Relation {
 /// plus source tuples) approximates longest-processing-time scheduling
 /// without a work queue.
 fn run_level<M: MetricsSink, G: Governor>(
+    ctx: &ExecCtx<'_, M, G>,
+    lease: &WorkerLease,
     relations: &mut Vec<Relation>,
     removed: &mut [usize],
     mut jobs: Vec<LevelJob>,
-    policy: &ExecPolicy,
-    lease: &WorkerLease,
-    sink: &M,
-    gov: &G,
 ) -> Result<(), EngineError> {
     if jobs.is_empty() {
         return Ok(());
@@ -107,7 +105,7 @@ fn run_level<M: MetricsSink, G: Governor>(
         for job in &jobs {
             for &s in &job.sources {
                 let (t, src) = pair_mut(relations, job.target, s);
-                removed[job.target] += t.retain_semijoin_governed(src, policy, sink, gov)?;
+                removed[job.target] += ctx.retain_semijoin(t, src)?;
             }
         }
         return Ok(());
@@ -131,15 +129,14 @@ fn run_level<M: MetricsSink, G: Governor>(
         .zip(targets)
         .map(|(job, mut target)| {
             let shared = Arc::clone(&shared);
-            let policy = policy.clone();
             let tx = tx.clone();
-            let sink = sink.clone();
-            let gov = gov.clone();
+            let (policy, sink, gov) = ctx.owned();
             Box::new(move || {
+                let ctx = ExecCtx::new(&policy).metrics(&sink).gov(&gov);
                 let mut removed_here = 0usize;
                 let mut res = Ok(());
                 for &s in &job.sources {
-                    match target.retain_semijoin_governed(&shared[s], &policy, &sink, &gov) {
+                    match ctx.retain_semijoin(&mut target, &shared[s]) {
                         Ok(n) => removed_here += n,
                         Err(e) => {
                             res = Err(e);
@@ -173,90 +170,96 @@ fn run_level<M: MetricsSink, G: Governor>(
     }
 }
 
-/// Runs the two semijoin passes of the Yannakakis full reducer over `tree`
-/// with the default [`ExecPolicy`] (auto strategy, parallel above the
-/// tuple threshold) — see [`full_reduce_with`].
+impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
+    /// Runs the two semijoin passes of the Yannakakis full reducer over
+    /// `tree`, level-synchronously.
+    ///
+    /// The upward pass semijoins every parent with each of its children
+    /// (deepest levels first); the downward pass semijoins every child with
+    /// its parent (top-down).  Afterwards every remaining tuple participates
+    /// in the full join.  Each semijoin reduces the relation *in place*
+    /// ([`ExecCtx::retain_semijoin`]): the row buffer is compacted by a
+    /// keep-mask rather than rebuilding the relation every pass, and the
+    /// dedup index rebuild is deferred until something actually reads it.
+    ///
+    /// Within one tree level the semijoins write pairwise-distinct target
+    /// relations and only read relations from the adjacent level, so each
+    /// level's jobs run concurrently on workers leased once per call
+    /// (`policy.threads` of them, from the shared
+    /// [`WorkerPool`](crate::exec::WorkerPool), with a sequential fallback
+    /// below `policy.parallel_threshold` total tuples).  The result is
+    /// tuple-for-tuple identical to the sequential pass: surviving rows
+    /// depend only on the *set* of semijoins applied, and within one target
+    /// they are applied in the same child order as the sequential walk.
+    ///
+    /// The metrics sink receives per-semijoin counters, per-level wall
+    /// timings and the pool lease; the governor is consulted before every
+    /// tree level and at every [`CHECK_BATCH`](crate::govern::CHECK_BATCH)
+    /// rows inside the semijoin kernels; the tracer brackets each pass
+    /// ([`SpanKind::ReduceUp`] / [`SpanKind::ReduceDown`]).  An abort —
+    /// cancellation, deadline, budget or injected failpoint — surfaces as
+    /// `Err(EngineError)` and leaves `db` untouched: the reducer operates on
+    /// copies of the stored relations, and every checkpoint fires during
+    /// read-only kernel phases.
+    pub fn full_reduce(&self, db: &Database, tree: &JoinTree) -> Result<Reduced, EngineError> {
+        full_reduce_leased(self, &self.lease(db.tuple_count()), db, tree)
+    }
+
+    /// Computes the projection of the full join onto `output` by the
+    /// Yannakakis algorithm: full-reduce, then join bottom-up along the tree,
+    /// projecting intermediate results onto (needed separator ∪ output)
+    /// attributes to keep them small.  The policy picks the physical join
+    /// strategy ([`crate::JoinStrategy`]) for every semijoin and join, and
+    /// the worker parallelism of *both* phases: sibling subtrees at one tree
+    /// level are independent, so their joins run concurrently on the same
+    /// workers the reducer leased, merging each subtree's partial result into
+    /// its own slot (disjoint writes).  The output is tuple-for-tuple
+    /// identical to the sequential engine: every subtree job computes exactly
+    /// the sequential walk's intermediate relation, and sibling subtrees
+    /// never read each other.
+    ///
+    /// On top of what [`ExecCtx::full_reduce`] reports, the governor is
+    /// consulted before every join level and inside every kernel loop, output
+    /// allocations are charged against its memory budget, and the tracer
+    /// brackets the bottom-up join levels ([`SpanKind::Join`]).  An abort
+    /// surfaces as `Err(EngineError)`; `db` is never mutated, so an aborted
+    /// query leaves the database exactly as loaded.
+    pub fn yannakakis_join(
+        &self,
+        db: &Database,
+        tree: &JoinTree,
+        output: &NodeSet,
+    ) -> Result<Relation, EngineError> {
+        // One lease serves the reducer passes and the join levels alike.
+        yannakakis_join_leased(self, &self.lease(db.tuple_count()), db, tree, output)
+    }
+}
+
+/// [`ExecCtx::full_reduce`] with nobody watching, under the default
+/// [`ExecPolicy`] (auto strategy, parallel above the tuple threshold).
 pub fn full_reduce(db: &Database, tree: &JoinTree) -> Reduced {
     full_reduce_with(db, tree, &ExecPolicy::default())
 }
 
-/// Runs the two semijoin passes of the Yannakakis full reducer over `tree`,
-/// level-synchronously, under an explicit [`ExecPolicy`].
-///
-/// The upward pass semijoins every parent with each of its children
-/// (deepest levels first); the downward pass semijoins every child with its
-/// parent (top-down).  Afterwards every remaining tuple participates in the
-/// full join.  Each semijoin reduces the relation *in place*
-/// ([`Relation::retain_semijoin_with`]): the row buffer is compacted by a
-/// keep-mask rather than rebuilding the relation every pass, and the dedup
-/// index rebuild is deferred until something actually reads it.
-///
-/// Parallelism is level-synchronous: within one tree level the semijoins
-/// write pairwise-distinct target relations and only read relations from
-/// the adjacent level, so each level's jobs run concurrently on workers
-/// leased once per call (`policy.threads` of them, from the shared
-/// [`WorkerPool`](crate::exec::WorkerPool), with a sequential fallback
-/// below `policy.parallel_threshold` total tuples).  The result is
-/// tuple-for-tuple identical to the sequential pass: surviving rows
-/// depend only on the *set* of semijoins applied, and
-/// within one target they are applied in the same child order as the
-/// sequential bottom-up walk.
+/// [`ExecCtx::full_reduce`] with nobody watching, under an explicit
+/// [`ExecPolicy`].
+// pinned by benchmark/src/layers.rs
 pub fn full_reduce_with(db: &Database, tree: &JoinTree, policy: &ExecPolicy) -> Reduced {
-    full_reduce_metered(db, tree, policy, &NoopMetrics)
-}
-
-/// The metered form of [`full_reduce_with`]: runs the same two semijoin
-/// passes, recording per-semijoin counters, per-level wall timings and the
-/// pool lease into `sink`.  [`full_reduce_with`] is this function
-/// monomorphized over [`NoopMetrics`].
-pub fn full_reduce_metered<M: MetricsSink>(
-    db: &Database,
-    tree: &JoinTree,
-    policy: &ExecPolicy,
-    sink: &M,
-) -> Reduced {
-    unfail(full_reduce_governed(db, tree, policy, sink, &NoopGovernor))
-}
-
-/// The governed form of [`full_reduce_metered`]: the same two semijoin
-/// passes, with the [`Governor`]'s checkpoints consulted before every tree
-/// level and at every [`CHECK_BATCH`](crate::govern::CHECK_BATCH) rows
-/// inside the semijoin kernels.  An abort — cancellation, deadline, budget
-/// or injected failpoint — surfaces as `Err(EngineError)` and leaves `db`
-/// untouched: the reducer operates on copies of the stored relations, and
-/// every checkpoint fires during read-only kernel phases.
-/// [`full_reduce_metered`] is this function monomorphized over
-/// [`NoopGovernor`], which compiles the checkpoints away.
-pub fn full_reduce_governed<M: MetricsSink, G: Governor>(
-    db: &Database,
-    tree: &JoinTree,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-) -> Result<Reduced, EngineError> {
-    let lease = policy.lease(db.tuple_count());
-    if M::ENABLED {
-        sink.record_lease(lease.threads(), WorkerPool::idle_workers());
-    }
-    full_reduce_leased(db, tree, policy, &lease, sink, gov, &NoopTrace)
+    unfail(ExecCtx::new(policy).full_reduce(db, tree))
 }
 
 /// The reducer body, on an already-acquired lease — shared by
-/// [`full_reduce_governed`] and [`yannakakis_join_governed`] so the join
-/// pipeline leases its workers exactly once for both phases.  The
-/// [`TraceSink`] brackets each semijoin pass in a wall-clock span
-/// ([`SpanKind::ReduceUp`] / [`SpanKind::ReduceDown`]); [`NoopTrace`]
-/// compiles the brackets away.
-#[allow(clippy::too_many_arguments)]
+/// [`ExecCtx::full_reduce`] and [`yannakakis_join_leased`] so the join
+/// pipeline leases its workers exactly once for both phases.
 fn full_reduce_leased<M: MetricsSink, G: Governor, T: TraceSink>(
+    ctx: &ExecCtx<'_, M, G, T>,
+    lease: &WorkerLease,
     db: &Database,
     tree: &JoinTree,
-    policy: &ExecPolicy,
-    lease: &WorkerLease,
-    sink: &M,
-    gov: &G,
-    tracer: &T,
 ) -> Result<Reduced, EngineError> {
+    let (sink, gov, tracer) = (ctx.metrics, ctx.gov, ctx.trace);
+    // Nothing below a pass reports spans, so it is not instantiated per tracer.
+    let untraced = ctx.trace(&NoopTrace);
     // Working copies of the rows only: the reducer never reads a dedup index.
     let mut relations: Vec<Relation> = db.relations().iter().map(Relation::clone_rows).collect();
     let mut removed: Vec<usize> = vec![0; relations.len()];
@@ -282,7 +285,7 @@ fn full_reduce_leased<M: MetricsSink, G: Governor, T: TraceSink>(
                 .collect();
             let n = jobs.len();
             let t0 = M::ENABLED.then(Instant::now);
-            run_level(&mut relations, &mut removed, jobs, policy, lease, sink, gov)?;
+            run_level(&untraced, lease, &mut relations, &mut removed, jobs)?;
             if let Some(t0) = t0 {
                 if n > 0 {
                     sink.record_level(Phase::ReduceUp, depth, n, t0.elapsed().as_nanos() as u64);
@@ -309,7 +312,7 @@ fn full_reduce_leased<M: MetricsSink, G: Governor, T: TraceSink>(
                     .collect();
                 let n = jobs.len();
                 let t0 = M::ENABLED.then(Instant::now);
-                run_level(&mut relations, &mut removed, jobs, policy, lease, sink, gov)?;
+                run_level(&untraced, lease, &mut relations, &mut removed, jobs)?;
                 if let Some(t0) = t0 {
                     if n > 0 {
                         sink.record_level(
@@ -335,24 +338,14 @@ fn full_reduce_leased<M: MetricsSink, G: Governor, T: TraceSink>(
     Ok(Reduced { relations, removed })
 }
 
-/// Computes the projection of the full join onto `output` by the Yannakakis
-/// algorithm with the default [`ExecPolicy`] — see [`yannakakis_join_with`].
+/// [`ExecCtx::yannakakis_join`] with nobody watching, under the default
+/// [`ExecPolicy`].
 pub fn yannakakis_join(db: &Database, tree: &JoinTree, output: &NodeSet) -> Relation {
     yannakakis_join_with(db, tree, output, &ExecPolicy::default())
 }
 
-/// Computes the projection of the full join onto `output` by the Yannakakis
-/// algorithm: full-reduce, then join bottom-up along the tree, projecting
-/// intermediate results onto (needed separator ∪ output) attributes to keep
-/// them small.  The policy picks the physical join strategy
-/// ([`crate::JoinStrategy`]) for every semijoin and join, and the worker
-/// parallelism of *both* phases: sibling subtrees at one tree level are
-/// independent, so their joins run concurrently on the same workers the
-/// reducer leased, merging each subtree's partial result into its own slot
-/// (disjoint writes).  The output is tuple-for-tuple identical to the
-/// sequential engine: every subtree job computes exactly the sequential
-/// walk's intermediate relation, and sibling subtrees never read each
-/// other.
+/// [`ExecCtx::yannakakis_join`] with nobody watching, under an explicit
+/// [`ExecPolicy`].
 ///
 /// # Examples
 ///
@@ -379,78 +372,31 @@ pub fn yannakakis_join(db: &Database, tree: &JoinTree, output: &NodeSet) -> Rela
 /// let answer = yannakakis_join_with(&db, &tree, &output, &policy);
 /// assert_eq!(answer.len(), 1);
 /// ```
+// pinned by benchmark/src/layers.rs
 pub fn yannakakis_join_with(
     db: &Database,
     tree: &JoinTree,
     output: &NodeSet,
     policy: &ExecPolicy,
 ) -> Relation {
-    yannakakis_join_metered(db, tree, output, policy, &NoopMetrics)
-}
-
-/// The metered form of [`yannakakis_join_with`]: the same reduce-then-join
-/// pipeline, recording per-op counters, per-level wall timings for both
-/// phases and the pool lease into `sink`.  [`yannakakis_join_with`] is this
-/// function monomorphized over [`NoopMetrics`].
-pub fn yannakakis_join_metered<M: MetricsSink>(
-    db: &Database,
-    tree: &JoinTree,
-    output: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-) -> Relation {
-    unfail(yannakakis_join_governed(
-        db,
-        tree,
-        output,
-        policy,
-        sink,
-        &NoopGovernor,
-    ))
-}
-
-/// The governed form of [`yannakakis_join_metered`]: the same
-/// reduce-then-join pipeline, with the [`Governor`]'s checkpoints consulted
-/// before every reducer and join level and inside every kernel loop, and
-/// output allocations charged against its memory budget.  An abort surfaces
-/// as `Err(EngineError)`; `db` is never mutated, so an aborted query leaves
-/// the database exactly as loaded.  [`yannakakis_join_metered`] is this
-/// function monomorphized over [`NoopGovernor`].
-pub fn yannakakis_join_governed<M: MetricsSink, G: Governor>(
-    db: &Database,
-    tree: &JoinTree,
-    output: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-) -> Result<Relation, EngineError> {
-    // One lease serves the reducer passes and the join levels alike.
-    let lease = policy.lease(db.tuple_count());
-    if M::ENABLED {
-        sink.record_lease(lease.threads(), WorkerPool::idle_workers());
-    }
-    yannakakis_join_leased(db, tree, output, policy, &lease, sink, gov, &NoopTrace)
+    unfail(ExecCtx::new(policy).yannakakis_join(db, tree, output))
 }
 
 /// The reduce-then-join pipeline on an already-acquired lease — shared by
-/// [`yannakakis_join_governed`] and the decomposed cyclic pipeline
-/// ([`crate::yannakakis_join_decomposed_governed`]), so a cyclic query
-/// leases its workers exactly once across bag materialization, the reducer
-/// passes and the join levels.  The [`TraceSink`] wraps the reducer passes
-/// (inside [`full_reduce_leased`]) and the bottom-up join levels
-/// ([`SpanKind::Join`]) in wall-clock spans.
-#[allow(clippy::too_many_arguments)]
+/// [`ExecCtx::yannakakis_join`] and the decomposed cyclic pipeline
+/// ([`ExecCtx::yannakakis_join_decomposed`]), so a cyclic query leases its
+/// workers exactly once across bag materialization, the reducer passes and
+/// the join levels.
 pub(crate) fn yannakakis_join_leased<M: MetricsSink, G: Governor, T: TraceSink>(
+    ctx: &ExecCtx<'_, M, G, T>,
+    lease: &WorkerLease,
     db: &Database,
     tree: &JoinTree,
     output: &NodeSet,
-    policy: &ExecPolicy,
-    lease: &WorkerLease,
-    sink: &M,
-    gov: &G,
-    tracer: &T,
 ) -> Result<Relation, EngineError> {
-    let reduced = full_reduce_leased(db, tree, policy, lease, sink, gov, tracer)?;
+    let (sink, gov, tracer) = (ctx.metrics, ctx.gov, ctx.trace);
+    let untraced = ctx.trace(&NoopTrace);
+    let reduced = full_reduce_leased(ctx, lease, db, tree)?;
     let mut relations = reduced.relations;
 
     // Attributes that must be kept while processing each subtree: the output
@@ -482,20 +428,18 @@ pub(crate) fn yannakakis_join_leased<M: MetricsSink, G: Governor, T: TraceSink>(
                 // Fewer targets than workers (chains: every join level is a
                 // singleton): parallelism drops *inside* the join instead — the
                 // whole lease pulls probe morsels from the shared queue
-                // ([`Relation::join_sharded_governed`]), so one huge binary
+                // ([`ExecCtx::join_on_lease`]), so one huge binary
                 // join no longer serializes the level.
                 for &e in level {
                     let base = std::mem::replace(&mut relations[e.index()], placeholder());
                     let children = take_children(tree, e, &mut partial);
                     partial[e.index()] = Some(join_subtree(
+                        &untraced,
+                        lease,
                         base,
                         &children,
                         keep_for(e),
                         output,
-                        policy,
-                        lease,
-                        sink,
-                        gov,
                     )?);
                 }
             } else {
@@ -521,24 +465,15 @@ pub(crate) fn yannakakis_join_leased<M: MetricsSink, G: Governor, T: TraceSink>(
                         let children = take_children(tree, e, &mut partial);
                         let keep = keep_for(e);
                         let output = output.clone();
-                        let policy = policy.clone();
                         let tx = tx.clone();
-                        let sink = sink.clone();
-                        let gov = gov.clone();
+                        let (policy, sink, gov) = ctx.owned();
                         let idx = e.index();
                         Box::new(move || {
+                            let ctx = ExecCtx::new(&policy).metrics(&sink).gov(&gov);
+                            let inline = WorkerLease::inline();
                             let _ = tx.send((
                                 idx,
-                                join_subtree(
-                                    base,
-                                    &children,
-                                    keep,
-                                    &output,
-                                    &policy,
-                                    &WorkerLease::inline(),
-                                    &sink,
-                                    &gov,
-                                ),
+                                join_subtree(&ctx, &inline, base, &children, keep, &output),
                             ));
                         }) as Job
                     })
@@ -581,20 +516,17 @@ fn take_children(tree: &JoinTree, e: EdgeId, partial: &mut [Option<Relation>]) -
 /// children's subtree results (in child order, matching the sequential
 /// walk) and projects onto the attributes still needed above it — the
 /// output attributes surfaced so far plus the separator towards the parent.
-#[allow(clippy::too_many_arguments)]
 fn join_subtree<M: MetricsSink, G: Governor>(
+    ctx: &ExecCtx<'_, M, G>,
+    probe: &WorkerLease,
     base: Relation,
     children: &[Relation],
     mut keep: NodeSet,
     output: &NodeSet,
-    policy: &ExecPolicy,
-    probe: &WorkerLease,
-    sink: &M,
-    gov: &G,
 ) -> Result<Relation, EngineError> {
     let mut acc = base;
     for child in children {
-        acc = acc.join_sharded_governed(child, policy, probe, sink, gov)?;
+        acc = ctx.join_on_lease(&acc, child, probe)?;
     }
     keep.union_with(&acc.attributes().intersection(output));
     Ok(acc.into_project(&keep))

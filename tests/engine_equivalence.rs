@@ -14,9 +14,9 @@ use acyclic_hypergraphs::reldb::reference::{
     naive_full_reduce, naive_yannakakis_join, NaiveRelation,
 };
 use acyclic_hypergraphs::reldb::{
-    full_reduce, full_reduce_metered, full_reduce_with, materialize_bags, yannakakis_join,
-    yannakakis_join_with, CollectingSink, Database, ExecPolicy, JoinStrategy, NoopGovernor,
-    NoopMetrics, Relation, Tuple, Value, WorkerPool, DEFAULT_MORSEL_ROWS,
+    full_reduce, full_reduce_with, materialize_bags, yannakakis_join, yannakakis_join_with,
+    CollectingSink, Database, ExecCtx, ExecPolicy, JoinStrategy, Relation, Tuple, Value,
+    WorkerPool, DEFAULT_MORSEL_ROWS,
 };
 use acyclic_hypergraphs::workload::{
     chain, far_apart, random_database, ring, snowflake, snowflake_tree, star, DataParams,
@@ -616,8 +616,10 @@ proptest! {
         // The kernel `Auto` resolved to, and its counters next to pinned hash's.
         let metered = |strategy| {
             let sink = CollectingSink::new();
-            left.clone()
-                .retain_semijoin_metered(&right, &ExecPolicy::sequential(strategy), &sink);
+            ExecCtx::new(&ExecPolicy::sequential(strategy))
+                .metrics(&sink)
+                .retain_semijoin(&mut left.clone(), &right)
+                .expect("nobody can abort");
             sink.snapshot().semijoins
         };
         let (auto, hash) = (metered(JoinStrategy::Auto), metered(JoinStrategy::Hash));
@@ -667,7 +669,10 @@ proptest! {
             }
         }
         let sink = CollectingSink::new();
-        full_reduce_metered(&db, &tree, &ExecPolicy::sequential(JoinStrategy::Auto), &sink);
+        ExecCtx::new(&ExecPolicy::sequential(JoinStrategy::Auto))
+            .metrics(&sink)
+            .full_reduce(&db, &tree)
+            .expect("nobody can abort");
         let m = sink.snapshot().semijoins;
         prop_assert_eq!(m.ops, 2 * (edges as u64 - 1));
         prop_assert_eq!(m.hash_ops, 0);
@@ -718,8 +723,8 @@ proptest! {
                 morsel_rows: 2,
                 ..ExecPolicy::parallel(strategy, 2)
             };
-            let morsel = left
-                .join_sharded_governed(&right, &policy, &lease, &NoopMetrics, &NoopGovernor)
+            let morsel = ExecCtx::new(&policy)
+                .join_on_lease(&left, &right, &lease)
                 .expect("the no-op governor never aborts");
             prop_assert!(is_the_set(&want, &morsel), "{strategy:?} morsel join");
             prop_assert_eq!(inline.handle_rows(), morsel.handle_rows(), "{:?} row order", strategy);

@@ -4,8 +4,8 @@
 //! Three invariant families over random acyclic *and* cyclic databases:
 //!
 //! 1. **Transparency** — a governor with no limits set yields tuple-for-tuple
-//!    the same answer as the ungoverned path (the same code monomorphized
-//!    over [`NoopGovernor`]).
+//!    the same answer as the ungoverned path (the same entry point under a
+//!    context whose governor is the no-op).
 //! 2. **No wrong answers** — a racing deadline either returns the correct
 //!    answer or `Err(DeadlineExceeded)`; it never returns a wrong relation.
 //! 3. **Abort hygiene** — however a query is aborted (cancellation, a zero
@@ -18,9 +18,8 @@ use acyclic_hypergraphs::hypergraph::EdgeId;
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::govern::CHECK_BATCH;
 use acyclic_hypergraphs::reldb::{
-    full_reduce, full_reduce_governed, query_via_full_join, query_yannakakis,
-    query_yannakakis_governed, yannakakis_join_governed, CancelToken, CollectingSink, Database,
-    EngineError, ExecPolicy, Governor, JoinStrategy, NoopMetrics, QueryGovernor, Tuple,
+    full_reduce, query_via_full_join, query_yannakakis, CancelToken, CollectingSink, Database,
+    EngineError, ExecCtx, ExecPolicy, Governor, JoinStrategy, Query, QueryGovernor, Tuple,
 };
 use acyclic_hypergraphs::workload::{
     chain, far_apart, random_database, ring, snowflake, star, DataParams,
@@ -70,6 +69,13 @@ fn select(db: &Database, selector: u64) -> NodeSet {
     }
 }
 
+/// `π_x σ_{first attribute = 0}`: a [`Query`] with a selection, for the two
+/// engines of the declarative layer.
+fn selecting(db: &Database, x: &NodeSet) -> Query {
+    let first = db.schema().nodes().iter().next().expect("nonempty schema");
+    Query::new().select_all(x.iter()).filter_eq(first, 0)
+}
+
 /// The database's observable state: every relation's exact tuple sequence.
 fn snapshot(db: &Database) -> Vec<Vec<Tuple>> {
     db.relations()
@@ -110,7 +116,7 @@ proptest! {
         let policy = ExecPolicy::default();
         let gov = QueryGovernor::new();
         if let Some(tree) = join_tree(db.schema()) {
-            let governed = full_reduce_governed(&db, &tree, &policy, &NoopMetrics, &gov)
+            let governed = ExecCtx::new(&policy).gov(&gov).full_reduce(&db, &tree)
                 .expect("no limit can trip");
             let plain = full_reduce(&db, &tree);
             prop_assert_eq!(&governed.removed, &plain.removed);
@@ -118,10 +124,16 @@ proptest! {
                 prop_assert!(g.same_contents(p), "governed reducer changed a relation");
             }
         }
-        let governed = query_yannakakis_governed(&db, &x, &policy, &NoopMetrics, &gov)
+        let governed = ExecCtx::new(&policy).gov(&gov).query_yannakakis(&db, &x)
             .expect("no limit can trip");
         let plain = query_yannakakis(&db, &x).expect("ungoverned query");
         prop_assert!(governed.same_contents(&plain), "governed query changed the answer");
+        let (q, ctx) = (selecting(&db, &x), ExecCtx::new(&policy).gov(&gov));
+        let governed = ctx.execute(&q, &db).expect("no limit can trip");
+        prop_assert!(governed.same_contents(&q.execute(&db)), "governed Query::execute");
+        let governed = ctx.execute_yannakakis(&q, &db).expect("no limit can trip");
+        let plain = q.execute_yannakakis(&db).expect("ungoverned query");
+        prop_assert!(governed.same_contents(&plain), "governed Query::execute_yannakakis");
     }
 
     /// No wrong answers under deadline pressure: whatever instant the clock
@@ -140,7 +152,7 @@ proptest! {
         let db = db_for(family, shape, tuples, domain, seed);
         let x = select(&db, selector);
         let gov = QueryGovernor::new().with_deadline(Duration::from_micros(deadline_us));
-        match query_yannakakis_governed(&db, &x, &ExecPolicy::default(), &NoopMetrics, &gov) {
+        match ExecCtx::new(&ExecPolicy::default()).gov(&gov).query_yannakakis(&db, &x) {
             Ok(answer) => {
                 let oracle = query_via_full_join(&db, &x);
                 prop_assert!(answer.same_contents(&oracle),
@@ -171,23 +183,36 @@ proptest! {
         let token = CancelToken::new();
         token.cancel();
         let gov = QueryGovernor::with_token(token);
-        match query_yannakakis_governed(&db, &x, &policy, &NoopMetrics, &gov) {
+        match ExecCtx::new(&policy).gov(&gov).query_yannakakis(&db, &x) {
             Err(EngineError::Cancelled) => {}
             other => prop_assert!(false, "cancelled token must abort, got {other:?}"),
         }
         assert_untouched(&db, &before, &x);
 
         let gov = QueryGovernor::new().with_deadline(Duration::ZERO);
-        match query_yannakakis_governed(&db, &x, &policy, &NoopMetrics, &gov) {
+        match ExecCtx::new(&policy).gov(&gov).query_yannakakis(&db, &x) {
             Err(EngineError::DeadlineExceeded { .. }) => {}
             other => prop_assert!(false, "zero deadline must abort, got {other:?}"),
+        }
+        assert_untouched(&db, &before, &x);
+        let (q, ctx) = (selecting(&db, &x), ExecCtx::new(&policy).gov(&gov));
+        match ctx.execute_yannakakis(&q, &db) {
+            Err(EngineError::DeadlineExceeded { .. }) => {}
+            other => prop_assert!(false, "zero deadline must abort, got {other:?}"),
+        }
+        match ctx.execute(&q, &db) {
+            Err(EngineError::DeadlineExceeded { .. }) => {}
+            // The connection plan only checkpoints inside a join of two
+            // nonempty operands; without one it legitimately finishes.
+            Ok(answer) => prop_assert!(answer.same_contents(&q.execute(&db))),
+            Err(other) => prop_assert!(false, "unexpected abort: {other}"),
         }
         assert_untouched(&db, &before, &x);
 
         // One byte of budget: anything that materializes a row trips; a
         // query whose every intermediate is empty may legitimately finish.
         let gov = QueryGovernor::new().with_memory_budget(1);
-        match query_yannakakis_governed(&db, &x, &policy, &NoopMetrics, &gov) {
+        match ExecCtx::new(&policy).gov(&gov).query_yannakakis(&db, &x) {
             Err(EngineError::BudgetExceeded { .. }) => {}
             Ok(answer) => {
                 let oracle = query_via_full_join(&db, &x);
@@ -288,8 +313,10 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     let gov = TripAtCheckpoint::new(u64::MAX);
     let sink = CollectingSink::new();
     let mut reduced = target.clone();
-    let removed = reduced
-        .retain_semijoin_governed(source, &policy, &sink, &gov)
+    let removed = ExecCtx::new(&policy)
+        .metrics(&sink)
+        .gov(&gov)
+        .retain_semijoin(&mut reduced, source)
         .expect("nothing trips");
     assert_eq!(sink.snapshot().semijoins.dense_ops, 1);
     assert_eq!(gov.checkpoints_seen(), batches);
@@ -300,7 +327,9 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     for trip_at in 0..batches {
         let gov = TripAtCheckpoint::new(trip_at);
         let mut victim = target.clone();
-        let got = victim.retain_semijoin_governed(source, &policy, &NoopMetrics, &gov);
+        let got = ExecCtx::new(&policy)
+            .gov(&gov)
+            .retain_semijoin(&mut victim, source);
         assert_eq!(got, Err(EngineError::Cancelled), "checkpoint {trip_at}");
         assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
         assert_eq!(victim.len(), target.len());
@@ -319,7 +348,10 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
         (QueryGovernor::with_token(token), true),
     ] {
         let mut victim = target.clone();
-        match victim.retain_semijoin_governed(source, &policy, &NoopMetrics, &gov) {
+        match ExecCtx::new(&policy)
+            .gov(&gov)
+            .retain_semijoin(&mut victim, source)
+        {
             Err(EngineError::Cancelled) if cancelled => {}
             Err(EngineError::DeadlineExceeded { .. }) if !cancelled => {}
             other => panic!("expected a structured abort, got {other:?}"),
@@ -336,7 +368,7 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     assert!(plain.removed.iter().all(|&n| n > 0));
     for trip_at in [batches, batches + 2, batches + 5] {
         let gov = TripAtCheckpoint::new(trip_at);
-        let got = full_reduce_governed(&db, &tree, &policy, &NoopMetrics, &gov);
+        let got = ExecCtx::new(&policy).gov(&gov).full_reduce(&db, &tree);
         assert_eq!(
             got.err(),
             Some(EngineError::Cancelled),
@@ -378,7 +410,7 @@ fn parallel_policy_reduces_a_chain_with_the_sequential_checkpoints() {
     };
     let untripped = |policy| {
         let gov = TripAtCheckpoint::never();
-        let got = full_reduce_governed(&db, &tree, policy, &NoopMetrics, &gov);
+        let got = ExecCtx::new(policy).gov(&gov).full_reduce(&db, &tree);
         (gov.totals(), got.expect("nothing trips").removed)
     };
     let want = untripped(&sequential);
@@ -388,7 +420,7 @@ fn parallel_policy_reduces_a_chain_with_the_sequential_checkpoints() {
     for policy in [&sequential, &parallel] {
         for trip_at in 0..checkpoints {
             let gov = TripAtCheckpoint::new(trip_at);
-            let got = full_reduce_governed(&db, &tree, policy, &NoopMetrics, &gov);
+            let got = ExecCtx::new(policy).gov(&gov).full_reduce(&db, &tree);
             assert_eq!(got.err(), Some(EngineError::Cancelled), "{trip_at}");
             assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
             assert_eq!(snapshot(&db), before, "abort mutated the database");
@@ -410,8 +442,9 @@ fn join_governance_totals_match_the_recorded_ones() {
     ] {
         let gov = TripAtCheckpoint::never();
         let policy = ExecPolicy::sequential(strategy);
-        let out = r
-            .join_governed(s, &policy, &NoopMetrics, &gov)
+        let out = ExecCtx::new(&policy)
+            .gov(&gov)
+            .join(r, s)
             .expect("nothing trips");
         assert_eq!(out.len(), RECORDED_JOIN_ROWS, "{strategy:?}");
         assert_eq!(gov.totals(), want, "{strategy:?}");
@@ -426,7 +459,9 @@ fn join_governance_totals_match_the_recorded_ones() {
     ] {
         let gov = TripAtCheckpoint::never();
         let policy = ExecPolicy::sequential(JoinStrategy::Auto);
-        let out = yannakakis_join_governed(&db, &tree, x, &policy, &NoopMetrics, &gov)
+        let out = ExecCtx::new(&policy)
+            .gov(&gov)
+            .yannakakis_join(&db, &tree, x)
             .expect("nothing trips");
         assert_eq!(out.len(), want_rows);
         assert_eq!(gov.totals(), want);
@@ -457,7 +492,7 @@ fn join_cancelled_at_any_checkpoint_leaves_inputs_untouched() {
         let policy = ExecPolicy::sequential(strategy);
         for trip_at in 0..recorded.0 {
             let gov = TripAtCheckpoint::new(trip_at);
-            let got = r.join_governed(s, &policy, &NoopMetrics, &gov);
+            let got = ExecCtx::new(&policy).gov(&gov).join(r, s);
             assert_eq!(
                 got.err(),
                 Some(EngineError::Cancelled),
@@ -476,7 +511,9 @@ fn join_cancelled_at_any_checkpoint_leaves_inputs_untouched() {
     let policy = ExecPolicy::sequential(JoinStrategy::Auto);
     for trip_at in [0, RECORDED_CHAIN_ALL.0 / 2, RECORDED_CHAIN_ALL.0 - 1] {
         let gov = TripAtCheckpoint::new(trip_at);
-        let got = yannakakis_join_governed(&db, &tree, &all, &policy, &NoopMetrics, &gov);
+        let got = ExecCtx::new(&policy)
+            .gov(&gov)
+            .yannakakis_join(&db, &tree, &all);
         assert_eq!(
             got.err(),
             Some(EngineError::Cancelled),
@@ -505,7 +542,7 @@ mod failpoints {
                 let gov = FailpointGovernor::new()
                     .fail_at_semijoin(nth)
                     .fail_mode(mode);
-                match query_yannakakis_governed(&db, &x, &policy, &NoopMetrics, &gov) {
+                match ExecCtx::new(&policy).gov(&gov).query_yannakakis(&db, &x) {
                     Err(EngineError::Cancelled) if mode == FailMode::Error => {}
                     Err(EngineError::WorkerPanic(_)) if mode == FailMode::Panic => {}
                     other => panic!("semijoin {nth} {mode:?}: got {other:?}"),
@@ -534,7 +571,7 @@ mod failpoints {
             let x = select(&db, selector);
             let before = snapshot(&db);
             let gov = FailpointGovernor::new().fail_at_semijoin(nth);
-            match query_yannakakis_governed(&db, &x, &ExecPolicy::default(), &NoopMetrics, &gov) {
+            match ExecCtx::new(&ExecPolicy::default()).gov(&gov).query_yannakakis(&db, &x) {
                 Ok(answer) => {
                     let oracle = query_via_full_join(&db, &x);
                     prop_assert!(answer.same_contents(&oracle),
@@ -564,7 +601,7 @@ mod failpoints {
             let gov = FailpointGovernor::new()
                 .fail_at_semijoin(1)
                 .fail_mode(FailMode::Panic);
-            match query_yannakakis_governed(&db, &x, &ExecPolicy::default(), &NoopMetrics, &gov) {
+            match ExecCtx::new(&ExecPolicy::default()).gov(&gov).query_yannakakis(&db, &x) {
                 Err(EngineError::WorkerPanic(msg)) => {
                     prop_assert!(msg.contains("injected"), "payload: {msg}");
                 }

@@ -19,8 +19,7 @@ use acyclic_hypergraphs::acyclic::join_tree;
 use acyclic_hypergraphs::decomp::{decompose, Heuristic};
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::{
-    full_reduce, full_reduce_metered, query_yannakakis, query_yannakakis_metered,
-    yannakakis_join_decomposed, yannakakis_join_decomposed_metered, CollectingSink, Database,
+    full_reduce, query_yannakakis, yannakakis_join_decomposed, CollectingSink, Database, ExecCtx,
     ExecPolicy, JoinStrategy, QueryMetrics,
 };
 use acyclic_hypergraphs::workload::{chain, random_database, ring, snowflake, star, DataParams};
@@ -102,8 +101,8 @@ proptest! {
                 for r0 in db.relations() {
                     let sink = CollectingSink::new();
                     let mut probe = r0.clone();
-                    let removed =
-                        probe.retain_semijoin_metered(r1, &policy, &sink);
+                    let removed = ExecCtx::new(&policy).metrics(&sink)
+                        .retain_semijoin(&mut probe, r1).expect("nobody can abort");
                     let m = sink.snapshot();
                     prop_assert_eq!(m.joins.ops, 0, "a semijoin must not record joins");
                     prop_assert_eq!(m.semijoins.ops, 1);
@@ -143,7 +142,8 @@ proptest! {
             .collect();
         for policy in policies() {
             let sink = CollectingSink::new();
-            let metered = full_reduce_metered(&db, &tree, &policy, &sink);
+            let metered = ExecCtx::new(&policy).metrics(&sink)
+                .full_reduce(&db, &tree).expect("nobody can abort");
             let plain = full_reduce(&db, &tree);
             prop_assert_eq!(&metered.removed, &plain.removed);
             for (m, p) in metered.relations.iter().zip(&plain.relations) {
@@ -151,7 +151,7 @@ proptest! {
             }
             if !x.is_empty() {
                 let sink = CollectingSink::new();
-                let metered = query_yannakakis_metered(&db, &x, &policy, &sink);
+                let metered = ExecCtx::new(&policy).metrics(&sink).query_yannakakis(&db, &x);
                 prop_assert_eq!(kernels_conserved(&sink.snapshot(), policy.strategy), Ok(()));
                 let plain = query_yannakakis(&db, &x);
                 match (metered, plain) {
@@ -179,7 +179,8 @@ proptest! {
         let tree = join_tree(db.schema()).expect("schemas are acyclic by construction");
         for policy in policies() {
             let sink = CollectingSink::new();
-            let reduced = full_reduce_metered(&db, &tree, &policy, &sink);
+            let reduced = ExecCtx::new(&policy).metrics(&sink)
+                .full_reduce(&db, &tree).expect("nobody can abort");
             let m = sink.snapshot();
             let tree_edges = (db.relations().len() - 1) as u64;
             prop_assert_eq!(m.semijoins.ops, 2 * tree_edges,
@@ -230,7 +231,10 @@ fn decomposed_pipeline_leases_workers_exactly_once() {
     policies.push(pooled);
     for policy in policies {
         let sink = CollectingSink::new();
-        let got = yannakakis_join_decomposed_metered(&db, &d, &output, &policy, &sink);
+        let got = ExecCtx::new(&policy)
+            .metrics(&sink)
+            .yannakakis_join_decomposed(&db, &d, &output)
+            .expect("nobody can abort");
         let want = yannakakis_join_decomposed(&db, &d, &output, &ExecPolicy::default());
         assert!(got.same_contents(&want), "lease sharing changed the answer");
         let m = sink.snapshot();
@@ -253,7 +257,10 @@ fn acyclic_pipeline_leases_workers_exactly_once() {
         ExecPolicy::parallel(JoinStrategy::Auto, 2),
     ] {
         let sink = CollectingSink::new();
-        query_yannakakis_metered(&db, &x, &policy, &sink).expect("full output is joinable");
+        ExecCtx::new(&policy)
+            .metrics(&sink)
+            .query_yannakakis(&db, &x)
+            .expect("full output is joinable");
         assert_eq!(sink.snapshot().leases.len(), 1);
     }
 }
