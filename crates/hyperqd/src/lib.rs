@@ -24,6 +24,7 @@
 pub mod json;
 pub mod load;
 pub mod protocol;
+mod rank;
 pub mod server;
 pub mod stats;
 

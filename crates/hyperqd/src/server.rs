@@ -51,11 +51,11 @@ use crate::protocol::{
     parse_request, render_response_into, DbInfo, EngineKind, ErrorKind, Overrides, QuerySpec,
     Request, Response, Rows, StrategyKind, WireError, MAX_LINE,
 };
+use crate::rank::rank_cells;
 use crate::stats::StatsRegistry;
 use reldb::{
     CancelToken, CollectingSink, CollectingTracer, Database, ExecCtx, ExecPolicy, Governor,
     JoinStrategy, MetricsSink, QueryGovernor, Relation, Span, SpanKind, TraceReport, TraceSink,
-    Value,
 };
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -869,11 +869,19 @@ fn execute_inner(
 /// byte-identical frames no matter which engine or thread count produced
 /// them.  The differential soak harness depends on exactly this.
 ///
-/// The frame is built from the answer's handle rows.  The handles the rows
-/// use are ranked once by [`Value`] order and each becomes one cell
-/// (`rank_cells`, the only part that reads the dictionary); rows are then
-/// sorted as tuples of ranks, plain integers.  No `Value` is cloned per
-/// cell.
+/// The frame is built from the answer's handle rows, and neither ordering
+/// compares tuples or chases the dictionary.  The handles the rows use are
+/// ranked once by [`reldb::Value`] order and each becomes one cell
+/// (`rank::rank_cells`: bitmaps and one front-to-back read of the
+/// dictionary); rows are then ordered as tuples of ranks by
+/// [`reldb::sort_ids_by_key`], the sort-merge kernels' LSD counting sort.
+/// No `Value` is cloned per cell.
+///
+/// The pool lock — database-wide, so shared by every connection querying
+/// that database — is held for the dictionary read (and the sort of the
+/// answer's strings, which borrow from it), not for the answer: marking,
+/// integer ranking, the per-cell rewrite and the row order all run outside
+/// it.
 pub fn answer_frame(db: &Database, answer: &Relation, metrics: Option<json::Json>) -> Response {
     let universe = db.schema().universe();
     let columns = answer.columns();
@@ -884,15 +892,10 @@ pub fn answer_frame(db: &Database, answer: &Relation, metrics: Option<json::Json
     let (width, len) = (columns.len(), answer.len());
     let handles = answer.handle_rows();
     assert_eq!(handles.len(), len * width, "one handle per cell");
-    let (cells, ranked) = answer
-        .pool()
-        .with_values(|values| rank_cells(handles, values));
-    let row = |r: u32| &ranked[r as usize * width..(r as usize + 1) * width];
-    let mut order: Vec<u32> = (0..u32::try_from(len).expect("row ids are u32")).collect();
-    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+    let (cells, ranked) = rank_cells(answer.pool(), handles);
     let mut index = Vec::with_capacity(ranked.len());
-    for &r in &order {
-        index.extend_from_slice(row(r));
+    for r in reldb::sort_ids_by_key(&ranked, width, len) {
+        index.extend_from_slice(&ranked[r as usize * width..(r as usize + 1) * width]);
     }
     Response::Answer {
         attrs,
@@ -900,42 +903,4 @@ pub fn answer_frame(db: &Database, answer: &Relation, metrics: Option<json::Json
         metrics,
         trace: None,
     }
-}
-
-/// The distinct values behind `handles` (`values[h]` decodes handle `h`)
-/// as JSON cells in [`Value`] order, and `handles` rewritten as positions
-/// in that list.
-///
-/// Values are sorted on keys copied out of the dictionary, so the sort does
-/// not chase it.  The handle → position table is indexed by handle and
-/// allocated zeroed, so the pages a small answer over a large dictionary
-/// never touches cost nothing.
-fn rank_cells(handles: &[u32], values: &[Value]) -> (Vec<json::Json>, Vec<u32>) {
-    // `rank[h]` is 0 while `h` is unseen, then 1 + its position in `cells`.
-    let mut rank = vec![0u32; handles.iter().max().map_or(0, |&h| h as usize + 1)];
-    let (mut ints, mut strs) = (Vec::new(), Vec::new());
-    for &h in handles {
-        if rank[h as usize] == 0 {
-            rank[h as usize] = 1;
-            match &values[h as usize] {
-                Value::Int(n) => ints.push((*n, h)),
-                Value::Str(s) => strs.push((s.as_str(), h)),
-            }
-        }
-    }
-    // `Value` orders every `Int` before every `Str`; keys are distinct, so
-    // the handle in each pair never decides.
-    ints.sort_unstable();
-    strs.sort_unstable();
-    let mut cells = Vec::with_capacity(ints.len() + strs.len());
-    for (n, h) in ints {
-        cells.push(json::Json::Int(n));
-        rank[h as usize] = cells.len() as u32;
-    }
-    for (s, h) in strs {
-        cells.push(json::Json::str(s));
-        rank[h as usize] = cells.len() as u32;
-    }
-    let ranked = handles.iter().map(|&h| rank[h as usize] - 1).collect();
-    (cells, ranked)
 }

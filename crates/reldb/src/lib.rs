@@ -33,7 +33,7 @@
 //! | Module | Paper concept / engine role |
 //! |---|---|
 //! | `value`, `pool` | attribute values and the interning dictionary behind the columnar `u32`-handle rows |
-//! | `relation` | one stored *object* (hyperedge) as a relation: flat interned rows, hash and sort-merge join/semijoin kernels (§7) |
+//! | `relation` | one stored *object* (hyperedge) as a relation: flat interned rows, hash and sort-merge join/semijoin kernels (§7), and the LSD counting/radix id sorter they share with the server's answer frame ([`sort_ids_by_key`]) |
 //! | `database` | a database bound to a schema hypergraph — one relation per object (§7) |
 //! | `universal` | universal-relation queries `π_X(⋈ CC(X))` over canonical connections (§5, §7) |
 //! | `query` | the declarative [`Query`] layer: tableau-expressible output + equality selections, selection pushdown |
@@ -99,7 +99,7 @@ pub use hypertree::{materialize_bags, yannakakis_join_any, yannakakis_join_decom
 pub use metrics::{CollectingSink, MetricsSink, NoopMetrics, Phase, QueryMetrics};
 pub use pool::ValuePool;
 pub use query::{Query, QueryPlan, Selection};
-pub use relation::{Relation, Tuple};
+pub use relation::{sort_ids_by_key, Relation, Tuple};
 pub use snapshot::is_snapshot;
 pub use trace::{CollectingTracer, NoopTrace, Span, SpanKind, TraceReport, TraceSink};
 pub use universal::{

@@ -168,6 +168,13 @@ impl ValuePool {
     /// Lends the dictionary, indexed by handle, to `f` under the pool lock —
     /// a bulk read of many handles with one lock and no [`Value`] clones.
     /// `f` must not call back into this pool.
+    ///
+    /// The lock is the whole database's: every relation of a database, and
+    /// every answer derived from them, shares this pool, so whatever `f`
+    /// does is serialized against every other connection reading or
+    /// interning.  Hold it for the reads, not for the answer: copy out what
+    /// the dictionary must supply (ideally in ascending handle order, one
+    /// front-to-back pass) and do the rest after `f` returns.
     pub fn with_values<R>(&self, f: impl FnOnce(&[Value]) -> R) -> R {
         f(&self.inner.lock().expect("value pool lock").values)
     }

@@ -429,95 +429,128 @@ fn pack_key(row: &[u32], pos: &[usize], trans: Option<&[u32]>, radix: usize) -> 
     Some(key)
 }
 
-/// Sorts the ids `0..n` by their flattened `k`-wide keys, returning the
-/// permutation.  Single-column keys go through a counting/radix pass
-/// ([`sort_ids_single_key`]); wider keys compare key slices.  The row
-/// buffers themselves are never reordered.
-fn sort_ids_by_key(keys: &[u32], k: usize, n: usize) -> Vec<u32> {
-    debug_assert_eq!(keys.len(), n * k);
-    if k == 1 {
-        return sort_ids_single_key(keys, n);
+/// Sorts the ids `0..n` by their flattened `k`-wide keys — id `i` owns
+/// `keys[i * k..(i + 1) * k]` — equal keys by ascending id, and returns the
+/// permutation.  The key buffer itself is never reordered.
+///
+/// Keys are interned [`ValuePool`] handles, or ranks of them: dense small
+/// integers.  So above the small-input thresholds nothing is compared; the
+/// sort is LSD, one stable distribution per key column, last column first,
+/// and each column picks its kernel by its own largest key:
+///
+/// * a **counting** pass when that key is within a small factor of the row
+///   count — `O(n + max)` instead of `O(n log n)` comparisons;
+/// * two 16-bit **radix** passes when the column is sparse and the input
+///   large enough to amortize the fixed 64Ki-entry count arrays.
+///
+/// Fewer than 64 rows, or a sparse column on fewer than 4096, keep the
+/// comparison sort and its single allocation.  All paths return the same
+/// permutation, so no caller — the sort-merge join and semijoin kernels,
+/// `same_contents`, `hyperqd`'s canonical answer frame — can tell which ran.
+///
+/// # Panics
+/// Panics unless `keys` holds exactly `n * k` entries and `n` fits `u32`.
+pub fn sort_ids_by_key(keys: &[u32], k: usize, n: usize) -> Vec<u32> {
+    assert_eq!(keys.len(), n * k, "one k-wide key per id");
+    let ids = 0..u32::try_from(n).expect("row ids are u32");
+    let dense = |key: u32| key as usize <= 4 * n;
+    if n < SORT_COUNTING_MIN_ROWS || (n < SORT_RADIX_MIN_ROWS && !keys.iter().all(|&h| dense(h))) {
+        return comparison_sort(keys, k, ids);
     }
-    let mut ids: Vec<u32> = (0..n as u32).collect();
-    ids.sort_unstable_by(|&a, &b| {
-        keys[a as usize * k..(a as usize + 1) * k].cmp(&keys[b as usize * k..(b as usize + 1) * k])
-    });
-    ids
+    // From here every column has a kernel, so it is picked pass by pass.
+    // An empty `cur` stands for the identity permutation, which the first
+    // pass reads without it ever being stored.
+    let (mut cur, mut next, mut copy) = (Vec::new(), Vec::new(), Vec::new());
+    for col in (0..k).rev() {
+        // A pass reads its keys in permutation order, so at random: out of
+        // an `n`-word copy of the column rather than the `k·n`-word key
+        // buffer — unless the keys are that column already.
+        let column: &[u32] = if k == 1 {
+            keys
+        } else {
+            copy.clear();
+            copy.extend(keys.iter().skip(col).step_by(k));
+            &copy
+        };
+        let max = column.iter().copied().max().unwrap_or(0);
+        if dense(max) {
+            let digit = |id: u32| column[id as usize] as usize;
+            distribute(&mut cur, &mut next, n, max as usize + 1, digit);
+        } else {
+            for shift in [0, 16] {
+                let digit = |id: u32| (column[id as usize] >> shift) as usize & 0xffff;
+                distribute(&mut cur, &mut next, n, 1 << 16, digit);
+            }
+        }
+    }
+    if cur.is_empty() {
+        return ids.collect(); // zero-width keys: every id ties
+    }
+    cur
 }
 
-/// Inputs below which [`sort_ids_single_key`] keeps the packed comparison
-/// sort: count-array setup would dominate the handful of comparisons.
+/// Inputs below which [`sort_ids_by_key`] keeps the comparison sort:
+/// count-array setup would dominate the handful of comparisons.
 const SORT_COUNTING_MIN_ROWS: usize = 64;
 
-/// Inputs below which sparse (non-counting) keys keep the packed comparison
-/// sort: the radix passes touch two 64Ki-entry count arrays regardless of
-/// `n`, so they only pay off once `n log n` comparisons outweigh ~128Ki of
-/// fixed bookkeeping.
+/// Inputs below which a sparse (non-counting) key column keeps the
+/// comparison sort: the radix passes touch two 64Ki-entry count arrays
+/// regardless of `n`, so they only pay off once `n log n` comparisons
+/// outweigh ~128Ki of fixed bookkeeping.
 const SORT_RADIX_MIN_ROWS: usize = 4096;
 
-/// Sorts the ids `0..n` by a single `u32` key column, exploiting that keys
-/// are interned [`ValuePool`] handles — dense small integers:
-///
-/// * **counting sort** when the largest key is within a small factor of the
-///   row count: one `O(n + max)` pass instead of `O(n log n)` comparisons;
-/// * **LSD radix sort** (two stable 16-bit passes) when the key space is
-///   sparse and the input is large enough to amortize the fixed count
-///   arrays;
-/// * the original packed `(key, id)` comparison sort otherwise.
-///
-/// All three paths order equal keys by ascending id (the packed sort's tie
-/// rule), so callers observe identical permutations regardless of path.
-fn sort_ids_single_key(keys: &[u32], n: usize) -> Vec<u32> {
-    if n >= SORT_COUNTING_MIN_ROWS {
-        let max = keys.iter().copied().max().unwrap_or(0) as usize;
-        if max <= 4 * n {
-            // Dense handles: one stable counting pass.
-            let mut counts = vec![0u32; max + 2];
-            for &key in keys {
-                counts[key as usize + 1] += 1;
-            }
-            for i in 1..counts.len() {
-                counts[i] += counts[i - 1];
-            }
-            let mut out = vec![0u32; n];
-            for (id, &key) in keys.iter().enumerate() {
-                let slot = &mut counts[key as usize];
-                out[*slot as usize] = id as u32;
-                *slot += 1;
-            }
-            return out;
-        }
-        if n >= SORT_RADIX_MIN_ROWS {
-            // Sparse keys: two stable 16-bit LSD radix passes over
-            // (key → id).
-            let mut cur: Vec<u32> = (0..n as u32).collect();
-            let mut next = vec![0u32; n];
-            for shift in [0u32, 16] {
-                let mut counts = vec![0u32; (1 << 16) + 1];
-                for &id in &cur {
-                    counts[((keys[id as usize] >> shift) & 0xffff) as usize + 1] += 1;
-                }
-                for i in 1..counts.len() {
-                    counts[i] += counts[i - 1];
-                }
-                for &id in &cur {
-                    let d = ((keys[id as usize] >> shift) & 0xffff) as usize;
-                    next[counts[d] as usize] = id;
-                    counts[d] += 1;
-                }
-                std::mem::swap(&mut cur, &mut next);
-            }
-            return cur;
-        }
+/// One stable distribution pass over the ids `0..n`: replaces the
+/// permutation `cur` (empty: the identity) by itself ordered by `digit(id)`
+/// — every digit below `buckets` — ids of equal digit keeping their order.
+/// `next` is scratch, swapped with `cur`.  A histogram does not depend on
+/// the order, so it is counted over the ids ascending, keys front to back.
+fn distribute(
+    cur: &mut Vec<u32>,
+    next: &mut Vec<u32>,
+    n: usize,
+    buckets: usize,
+    digit: impl Fn(u32) -> usize,
+) {
+    let ids = 0..n as u32;
+    let mut starts = vec![0u32; buckets + 1];
+    for id in ids.clone() {
+        starts[digit(id) + 1] += 1;
     }
-    let mut packed: Vec<u64> = (0..n)
-        .map(|i| (u64::from(keys[i]) << 32) | i as u64)
-        .collect();
-    packed.sort_unstable();
-    packed
-        .into_iter()
-        .map(|p| (p & 0xffff_ffff) as u32)
-        .collect()
+    for i in 1..starts.len() {
+        starts[i] += starts[i - 1];
+    }
+    next.resize(n, 0);
+    let mut place = |id: u32| {
+        let slot = &mut starts[digit(id)];
+        next[*slot as usize] = id;
+        *slot += 1;
+    };
+    if cur.is_empty() {
+        ids.for_each(&mut place);
+    } else {
+        cur.iter().copied().for_each(&mut place);
+    }
+    std::mem::swap(cur, next);
+}
+
+/// The comparison sort behind the small inputs of [`sort_ids_by_key`]:
+/// packed `(key, id)` words for a single column, key slices then id for
+/// wider keys.
+fn comparison_sort(keys: &[u32], k: usize, ids: std::ops::Range<u32>) -> Vec<u32> {
+    if k == 1 {
+        let mut packed: Vec<u64> = ids
+            .map(|i| (u64::from(keys[i as usize]) << 32) | u64::from(i))
+            .collect();
+        packed.sort_unstable();
+        return packed
+            .into_iter()
+            .map(|p| (p & 0xffff_ffff) as u32)
+            .collect();
+    }
+    let key = |id: u32| &keys[id as usize * k..(id as usize + 1) * k];
+    let mut ids: Vec<u32> = ids.collect();
+    ids.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+    ids
 }
 
 /// The end (exclusive) of the equal-key run starting at `start` in a
@@ -2560,6 +2593,14 @@ mod tests {
             .collect()
     }
 
+    /// The reference permutation for wider keys: key slices compared, the
+    /// stable sort keeping equal keys in ascending id order.
+    fn slice_comparison_sort(keys: &[u32], k: usize, n: usize) -> Vec<u32> {
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        ids.sort_by_key(|&id| &keys[id as usize * k..(id as usize + 1) * k]);
+        ids
+    }
+
     mod sort_props {
         use super::*;
         use proptest::prelude::*;
@@ -2603,6 +2644,53 @@ mod tests {
                     .collect();
                 prop_assert_eq!(sort_ids_by_key(&keys, 1, n), packed_comparison_sort(&keys));
             }
+
+            /// Wider keys, the LSD passes: whatever mix of duplicate-heavy,
+            /// dense (largest key exactly `4n`), just-sparse (`4n + 1`),
+            /// sparse and constant columns, on both sides of both row
+            /// thresholds, the permutation is the slice comparison's.
+            #[test]
+            fn multi_column_sort_matches_slice_comparison(seed in any::<u64>(), k in 2usize..5) {
+                let mut x = seed | 1;
+                let mut roll = |bound: u64| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (x >> 33) % bound
+                };
+                for n in [
+                    0,
+                    1,
+                    2,
+                    SORT_COUNTING_MIN_ROWS - 1,
+                    SORT_COUNTING_MIN_ROWS,
+                    300,
+                    SORT_RADIX_MIN_ROWS - 1,
+                    SORT_RADIX_MIN_ROWS,
+                    SORT_RADIX_MIN_ROWS + 57,
+                ] {
+                    let mut keys = vec![0u32; n * k];
+                    for c in 0..k {
+                        // (keys drawn below, one planted key that sets the maximum)
+                        let (bound, planted) = match roll(5) {
+                            0 => (5, 4),
+                            1 => (n as u64 + 1, 4 * n as u64),
+                            2 => (n as u64 + 1, 4 * n as u64 + 1),
+                            3 => (1 << 32, u64::from(u32::MAX)),
+                            _ => (1, 0),
+                        };
+                        for i in 0..n {
+                            keys[i * k + c] = roll(bound) as u32;
+                        }
+                        if n > 0 {
+                            keys[roll(n as u64) as usize * k + c] = planted as u32;
+                        }
+                    }
+                    prop_assert_eq!(
+                        sort_ids_by_key(&keys, k, n),
+                        slice_comparison_sort(&keys, k, n),
+                        "n = {}, k = {}", n, k
+                    );
+                }
+            }
         }
     }
 
@@ -2634,5 +2722,19 @@ mod tests {
         );
         // Empty input.
         assert!(sort_ids_by_key(&[], 1, 0).is_empty());
+    }
+
+    #[test]
+    fn wide_key_sort_orders_last_column_first_and_keeps_ties_by_id() {
+        // Two columns of three values over 90 rows: every key repeats ten
+        // times, so a pass that reordered equal digits would show.
+        let keys: Vec<u32> = (0..90u32).flat_map(|i| [i % 3, (i / 3) % 3]).collect();
+        let sorted = sort_ids_by_key(&keys, 2, 90);
+        assert_eq!(sorted, slice_comparison_sort(&keys, 2, 90));
+        assert_eq!(sorted[..10], [0, 9, 18, 27, 36, 45, 54, 63, 72, 81]);
+        // Zero-width keys all tie: the identity, on either side of the
+        // counting threshold.
+        assert_eq!(sort_ids_by_key(&[], 0, 3), [0, 1, 2]);
+        assert_eq!(sort_ids_by_key(&[], 0, 100), (0..100).collect::<Vec<u32>>());
     }
 }

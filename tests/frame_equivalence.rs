@@ -1,11 +1,18 @@
 //! The canonical answer frame, held to the implementation it replaced.
 //!
 //! `answer_frame` + `render_response` build a frame from the answer's
-//! `u32` handle rows (handles ranked once by value, rows sorted as rank
-//! tuples, each distinct value rendered once).  The implementation before
+//! `u32` handle rows (handles ranked once by value, rows ordered as rank
+//! tuples by counting passes, each distinct value rendered once).  The implementation before
 //! it decoded every tuple into owned `Value`s, sorted those, and cloned the
 //! result into a `Json` tree; it survives here, as [`oracle_frame`], and
 //! the two must agree byte for byte on every relation.
+//!
+//! Two generators feed the comparison.  [`generate`] draws small relations
+//! over awkward values (escapes, extremes, mixed columns).  [`generate_large`]
+//! draws relations big enough, over integer domains shaped enough, to reach
+//! every ordering path behind `answer_frame`: the bitmap ranking of a dense
+//! integer range and the sort it falls back to, numbered and per-handle
+//! position slots, and the counting, radix and comparison row sorts.
 
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::hyperqd::json::Json;
@@ -13,6 +20,7 @@ use acyclic_hypergraphs::hyperqd::protocol::{parse_response, render_response, Re
 use acyclic_hypergraphs::hyperqd::server::answer_frame;
 use acyclic_hypergraphs::reldb::{Database, Relation, Tuple, Value};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// The retired frame builder: decode, sort by `Value`, clone into a `Json`
 /// tree, serialize the tree.
@@ -185,6 +193,193 @@ fn generate(seed: u64, mask: u64, rows: usize, wide: bool, own_pool: bool) -> (D
         }
     }
     (db, answer)
+}
+
+/// The integer domains `answer_frame`'s value ranking has to tell apart.
+/// Every integer of an answer is `base + offset` (wrapping), offsets drawn
+/// from `1..draw`; a domain with a `top` also plants offset 0 and its top
+/// offset, which fixes the answer's `[min, max]` exactly.
+#[derive(Debug, Clone, Copy)]
+enum IntDomain {
+    /// A few values per row: far inside the density bound.
+    Dense,
+    /// 2³¹ wide: far outside it, so the integers are sorted.
+    Sparse,
+    /// Dense, and straddling zero.
+    NegativeSpanning,
+    /// `i64::MIN` and `i64::MAX` both present: `max − min` overflows.
+    Extremes,
+    /// `max − min + 1` exactly 8 bits per answer cell + 1024: the last
+    /// range ranked by bitmap.
+    AtBound,
+    /// One value wider: the first range that is sorted.
+    PastBound,
+}
+
+const INT_DOMAINS: [IntDomain; 6] = [
+    IntDomain::Dense,
+    IntDomain::Sparse,
+    IntDomain::NegativeSpanning,
+    IntDomain::Extremes,
+    IntDomain::AtBound,
+    IntDomain::PastBound,
+];
+
+impl IntDomain {
+    /// `(base, draw, top)`, given how many cells the answer will have.
+    fn shape(self, cells: u64) -> (i64, u64, Option<u64>) {
+        let bound = 8 * cells + 1024;
+        match self {
+            IntDomain::Dense => (7_000_000_000, 2_000, None),
+            IntDomain::Sparse => (-(1 << 30), 1 << 31, None),
+            IntDomain::NegativeSpanning => (-600, 1_200, None),
+            IntDomain::Extremes => (i64::MIN, 1_000, Some(u64::MAX)),
+            IntDomain::AtBound => (-123, 1_000, Some(bound - 1)),
+            IntDomain::PastBound => (-123, 1_000, Some(bound)),
+        }
+    }
+}
+
+/// A cell before it has a value: an integer offset or a string number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Draft {
+    Int(u64),
+    Str(u64),
+}
+
+/// A database over [`schema`] and an answer of up to `rows` distinct rows
+/// over its first `width` attributes, integers from `domain`.  Columns are
+/// all-integer, all-string, mixed or constant.  The answer interns into its
+/// own pool (handles dense, fewer than cells once rows repeat values) or
+/// into the database's, which first grows by `pregrown` values — in an order
+/// unrelated to their sort order, most of them never used by the answer, so
+/// its handles are sparse.
+fn generate_large(
+    seed: u64,
+    width: usize,
+    rows: usize,
+    domain: IntDomain,
+    pregrown: Option<usize>,
+) -> (Database, Relation) {
+    let mut dice = Dice(seed);
+    let kinds: Vec<u64> = (0..width).map(|_| dice.roll(6)).collect();
+    let draw = domain.shape(0).1;
+    let mut draft = |kind: u64| match kind {
+        0..=2 => Draft::Int(1 + dice.roll(draw - 1)),
+        3 => Draft::Str(dice.roll(3_000)),
+        4 if dice.roll(2) == 0 => Draft::Int(1 + dice.roll(draw - 1)),
+        4 => Draft::Str(dice.roll(3_000)),
+        _ => Draft::Int(7),
+    };
+    let mut drafts: BTreeSet<Vec<Draft>> = (0..rows)
+        .map(|_| kinds.iter().map(|&k| draft(k)).collect())
+        .collect();
+    // Plant the domain's extremes in a column that holds integers: two rows
+    // no draw can produce, so the final cell count is known beforehand.
+    let cells = ((drafts.len() + 2) * width) as u64;
+    let (base, _, top) = domain.shape(cells);
+    if let (Some(top), Some(c)) = (top, kinds.iter().position(|&k| k != 3)) {
+        for offset in [0, top] {
+            let mut row: Vec<Draft> = kinds.iter().map(|&k| draft(k)).collect();
+            row[c] = Draft::Int(offset);
+            drafts.insert(row);
+        }
+        assert_eq!((drafts.len() * width) as u64, cells);
+    }
+    let value = |d: Draft| match d {
+        Draft::Int(offset) => Value::Int(base.wrapping_add(offset as i64)),
+        Draft::Str(n) => Value::str(format!("{}{n}", STRS[n as usize % STRS.len()])),
+    };
+
+    let schema = schema();
+    let db = Database::empty(schema.clone());
+    for i in 0..pregrown.unwrap_or(0) as u64 {
+        // A multiplicative scramble of the draws the answer may also make.
+        let n = i.wrapping_mul(2_654_435_761);
+        db.pool().intern(&value(match i % 4 {
+            0 => Draft::Str(n % 3_000),
+            _ => Draft::Int(1 + n % (draw - 1)),
+        }));
+    }
+    let attrs = NodeSet::from_ids(schema.nodes().iter().take(width));
+    let mut answer = match pregrown {
+        None => Relation::new("answer", attrs),
+        Some(_) => Relation::with_pool("answer", attrs, db.pool().clone()),
+    };
+    // Insert in a shuffled order, so new handles are not in value order.
+    let mut drafts: Vec<Vec<Draft>> = drafts.into_iter().collect();
+    for i in (1..drafts.len()).rev() {
+        drafts.swap(i, dice.roll(i as u64 + 1) as usize);
+    }
+    for row in drafts {
+        if width == 0 {
+            answer.insert(Tuple::new());
+        } else {
+            answer.insert_values(row.into_iter().map(value));
+        }
+    }
+    (db, answer)
+}
+
+/// `answer_frame` == the oracle on one large relation.
+fn assert_large_frame_matches(
+    seed: u64,
+    width: usize,
+    rows: usize,
+    domain: IntDomain,
+    pregrown: Option<usize>,
+) {
+    let (db, answer) = generate_large(seed, width, rows, domain, pregrown);
+    let (_, got) = served_frame(&db, &answer, None, None);
+    assert!(
+        got == oracle_frame(&db, &answer, None, None),
+        "frames differ: seed {seed}, width {width}, {} rows, {domain:?}, pregrown {pregrown:?}",
+        answer.len()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// New frame == retired frame on relations large and regular enough
+    /// for the counting and radix passes and the dense integer ranking:
+    /// every integer domain on each drawn shape.
+    #[test]
+    fn large_frames_match_the_retired_implementation(
+        seed in any::<u64>(),
+        width in 0usize..6,
+        rows in 0usize..6_000,
+        size in 0u64..4,
+        pool in 0u64..3,
+    ) {
+        let rows = match size {
+            0 => rows % 70,
+            1 => rows % 700,
+            _ => rows,
+        };
+        let pregrown = [None, Some(500), Some(40_000)][pool as usize];
+        for domain in INT_DOMAINS {
+            assert_large_frame_matches(seed, width, rows, domain, pregrown);
+        }
+    }
+}
+
+/// The shapes the proptest above is least likely to draw, pinned: five
+/// all-distinct columns over ≥ 4096 rows (ranks past `4n`: radix passes),
+/// the same below the radix floor (comparison), one wide duplicate-heavy
+/// answer (counting passes, a position slot per handle), each in its own
+/// pool and in a sparse one, at both edges of the density bound.
+#[test]
+fn large_frames_reach_every_ordering_path() {
+    for pregrown in [None, Some(60_000)] {
+        for domain in [IntDomain::Sparse, IntDomain::AtBound, IntDomain::PastBound] {
+            for rows in [300, 5_000] {
+                assert_large_frame_matches(0xC0FFEE, 5, rows, domain, pregrown);
+            }
+        }
+        assert_large_frame_matches(0xBEEF, 2, 5_500, IntDomain::Dense, pregrown);
+        assert_large_frame_matches(0xBEEF, 1, 5_500, IntDomain::Extremes, pregrown);
+    }
 }
 
 proptest! {
