@@ -19,11 +19,13 @@ use acyclic::{is_acyclic_mcs, join_tree, AcyclicityExt};
 use decomp::{decompose, Heuristic};
 use hypergraph::EdgeId;
 use hypergraph::Hypergraph;
+use hyperqd::json::{self, Json};
 use reldb::reference::{naive_full_reduce, naive_yannakakis_join};
 use reldb::{
     naive_join_project, CollectingSink, Database, ExecCtx, ExecPolicy, JoinStrategy, QueryGovernor,
     Relation, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO, AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
 };
+use std::collections::HashMap;
 use std::time::Instant;
 use workload::{
     chain, far_apart, hyper_ring, pair_clique, random_database, ring, snowflake_tree, star,
@@ -90,25 +92,30 @@ impl BenchRecord {
         self.units as f64 * 1e9 / self.ns_per_iter
     }
 
-    fn to_json_line(&self) -> String {
-        let metrics = self.metrics.map_or(String::new(), |m| {
-            format!(
-                ", \"probed\": {}, \"kept\": {}, \"join_ops\": {}, \"semijoin_ops\": {}",
-                m.probed, m.kept, m.join_ops, m.semijoin_ops
-            )
-        });
-        format!(
-            "    {{\"op\": \"{}\", \"engine\": \"{}\", \"workload\": \"{}\", \"size\": {}, \"units\": {}, \"iters\": {}, \"ns_per_iter\": {:.0}, \"units_per_sec\": {:.0}{}}}",
-            self.op,
-            self.engine,
-            self.workload,
-            self.size,
-            self.units,
-            self.iters,
-            self.ns_per_iter,
-            self.units_per_sec(),
-            metrics,
-        )
+    /// The record as one JSON object: identity, timing (whole nanoseconds),
+    /// then the row's counters when it has them.
+    fn json(&self) -> Json {
+        let int = |n: usize| Json::Int(n as i64);
+        let per_sec = self.units_per_sec().round() as i64;
+        let mut pairs = vec![
+            ("op", Json::str(&self.op)),
+            ("engine", Json::str(&self.engine)),
+            ("workload", Json::str(&self.workload)),
+            ("size", int(self.size)),
+            ("units", int(self.units)),
+            ("iters", int(self.iters)),
+            ("ns_per_iter", Json::Int(self.ns_per_iter.round() as i64)),
+            ("units_per_sec", Json::Int(per_sec)),
+        ];
+        if let Some(m) = self.metrics {
+            pairs.extend([
+                ("probed", Json::Int(m.probed as i64)),
+                ("kept", Json::Int(m.kept as i64)),
+                ("join_ops", Json::Int(m.join_ops as i64)),
+                ("semijoin_ops", Json::Int(m.semijoin_ops as i64)),
+            ]);
+        }
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
     }
 }
 
@@ -718,38 +725,13 @@ pub fn calibrate(profile: Profile) -> String {
 /// Renders the records as the `BENCH_results.json` document (one record per
 /// line, so the file diffs and greps cleanly).
 pub fn to_json(records: &[BenchRecord]) -> String {
-    render_document(records.iter().map(BenchRecord::to_json_line).collect())
-}
-
-/// Merges new records into an existing `BENCH_results.json` document:
-/// existing record lines whose (op, engine, workload, size) identity
-/// collides with a new record are replaced, the rest are kept verbatim,
-/// and the new rows are appended.  `hyperq client bench --out` uses this
-/// so its server-latency rows join the engine rows written by `hyperq
-/// bench --out` in one document instead of clobbering them.  An empty or
-/// record-free `existing` degenerates to [`to_json`].
-pub fn merge_json(existing: &str, records: &[BenchRecord]) -> String {
-    let mut lines: Vec<String> = existing
-        .lines()
-        .filter(|line| {
-            field_str(line, "op").is_some()
-                && !records.iter().any(|r| {
-                    field_str(line, "op") == Some(r.op.as_str())
-                        && field_str(line, "engine") == Some(r.engine.as_str())
-                        && field_str(line, "workload") == Some(r.workload.as_str())
-                        && field_num(line, "size") == Some(r.size as f64)
-                })
-        })
-        .map(|line| line.trim_end_matches(',').to_owned())
-        .collect();
-    lines.extend(records.iter().map(BenchRecord::to_json_line));
-    render_document(lines)
-}
-
-fn render_document(lines: Vec<String>) -> String {
     let created = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
+    let lines: Vec<String> = records
+        .iter()
+        .map(|r| format!("    {}", r.json()))
+        .collect();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema_version\": 1,\n");
@@ -758,24 +740,6 @@ fn render_document(lines: Vec<String>) -> String {
     out.push_str(&lines.join(",\n"));
     out.push_str("\n  ]\n}\n");
     out
-}
-
-/// Extracts a string field from a single-record JSON line.
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(&line[start..end])
-}
-
-/// Extracts a numeric field from a single-record JSON line.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..]
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .map_or(line.len(), |i| i + start);
-    line[start..end].parse().ok()
 }
 
 /// Compares measured columnar `full_reduce` and `yannakakis_join` records
@@ -787,6 +751,21 @@ pub fn check_baseline(
     baseline: &str,
     max_regression: f64,
 ) -> Result<String, String> {
+    let doc = json::parse(baseline).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
+    // (op, engine, workload, size) → ns_per_iter; rows without all five
+    // members (other documents' rows, say) are not baseline records.
+    let base: HashMap<(&str, &str, &str, u64), f64> = doc
+        .get("results")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|row| {
+            let text = |key| row.get(key).and_then(Json::as_str);
+            let size = row.get("size")?.as_u64()?;
+            let key = (text("op")?, text("engine")?, text("workload")?, size);
+            Some((key, row.get("ns_per_iter")?.as_i64()? as f64))
+        })
+        .collect();
     let mut compared = 0usize;
     let mut failures = Vec::new();
     let mut out = String::new();
@@ -797,10 +776,7 @@ pub fn check_baseline(
         // regression in a production path.  The scale rows join the guard
         // too — the morsel-parallel engine, and both sides of the
         // snapshot-vs-text load shoot-out (a snapshot decoder that slows
-        // toward text-parse speed has lost its reason to exist).  So do
-        // the server-side latency quantiles measured by `hyperq client
-        // bench`: the end-to-end accept → parse → execute → serialize
-        // path is the production surface clients actually see.
+        // toward text-parse speed has lost its reason to exist).
         let guarded = matches!(
             (r.op.as_str(), r.engine.as_str()),
             (
@@ -810,23 +786,17 @@ pub fn check_baseline(
                 "cyclic_join",
                 "columnar-decomp" | "columnar-decomp-parallel"
             ) | ("data_load", "snapshot-load" | "text-parse")
-                | (
-                    "server_query_p50" | "server_query_p90" | "server_query_p99",
-                    "server"
-                )
         );
         if !guarded {
             continue;
         }
-        let base = baseline.lines().find_map(|line| {
-            (field_str(line, "op") == Some(r.op.as_str())
-                && field_str(line, "engine") == Some(r.engine.as_str())
-                && field_str(line, "workload") == Some(r.workload.as_str())
-                && field_num(line, "size") == Some(r.size as f64))
-            .then(|| field_num(line, "ns_per_iter"))
-            .flatten()
-        });
-        let Some(base_ns) = base else {
+        let key = (
+            r.op.as_str(),
+            r.engine.as_str(),
+            r.workload.as_str(),
+            r.size as u64,
+        );
+        let Some(&base_ns) = base.get(&key) else {
             // A measured record the baseline does not cover must not
             // silently narrow the guard.
             failures.push(format!(
@@ -912,15 +882,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_roundtrips_through_field_extractors() {
-        let records = vec![record("full_reduce", "columnar", "chain-6", 200, 12345.0)];
-        let json = to_json(&records);
-        let line = json.lines().find(|l| l.contains("\"op\"")).unwrap();
-        assert_eq!(field_str(line, "op"), Some("full_reduce"));
-        assert_eq!(field_str(line, "engine"), Some("columnar"));
-        assert_eq!(field_num(line, "size"), Some(200.0));
-        assert_eq!(field_num(line, "ns_per_iter"), Some(12345.0));
+    /// The `results` rows of a bench document.
+    fn rows(document: &str) -> Vec<Json> {
+        let doc = json::parse(document).expect("a bench document is valid JSON");
+        doc.get("results").and_then(Json::as_arr).unwrap().to_vec()
     }
 
     #[test]
@@ -932,16 +897,22 @@ mod tests {
             join_ops: 0,
             semijoin_ops: 10,
         });
-        let json = to_json(&[r]);
-        let line = json.lines().find(|l| l.contains("\"op\"")).unwrap();
-        assert_eq!(field_num(line, "probed"), Some(500.0));
-        assert_eq!(field_num(line, "kept"), Some(400.0));
-        assert_eq!(field_num(line, "semijoin_ops"), Some(10.0));
-        // Timing fields keep parsing with the metrics appended after them.
-        assert_eq!(field_num(line, "ns_per_iter"), Some(1000.0));
+        let document = to_json(&[r, record("full_reduce", "reference", "chain-6", 200, 1.0)]);
+        // One record per line, so the checked-in documents diff by row.
+        assert_eq!(document.lines().filter(|l| l.contains("\"op\"")).count(), 2);
+        let rows = rows(&document);
+        let [metered, bare] = &rows[..] else {
+            panic!("two rows in: {document}");
+        };
+        assert_eq!(metered.get("probed"), Some(&Json::Int(500)));
+        assert_eq!(metered.get("kept"), Some(&Json::Int(400)));
+        assert_eq!(metered.get("semijoin_ops"), Some(&Json::Int(10)));
+        // Identity and timing sit beside the metrics.
+        assert_eq!(metered.get("op"), Some(&Json::str("full_reduce")));
+        assert_eq!(metered.get("size"), Some(&Json::Int(200)));
+        assert_eq!(metered.get("ns_per_iter"), Some(&Json::Int(1000)));
         // A metric-less record emits no metrics keys at all.
-        let bare = to_json(&[record("full_reduce", "reference", "chain-6", 200, 1.0)]);
-        assert!(!bare.contains("probed"), "bare: {bare}");
+        assert_eq!(bare.get("probed"), None, "bare: {bare}");
     }
 
     #[test]
@@ -1211,64 +1182,23 @@ mod tests {
     }
 
     #[test]
-    fn merge_json_replaces_colliding_rows_and_keeps_the_rest() {
-        let existing = to_json(&[
-            record("full_reduce", "columnar", "chain-6", 200, 1000.0),
-            record("server_query_p50", "server", "fig1", 100, 9999.0),
-        ]);
-        let merged = merge_json(
-            &existing,
-            &[
-                record("server_query_p50", "server", "fig1", 100, 500.0),
-                record("server_query_p90", "server", "fig1", 100, 800.0),
-            ],
-        );
-        let lines: Vec<&str> = merged.lines().filter(|l| l.contains("\"op\"")).collect();
-        assert_eq!(lines.len(), 3, "merged: {merged}");
-        // The untouched engine row survives verbatim; the colliding p50 row
-        // is replaced, not duplicated.
-        assert!(merged.contains("\"op\": \"full_reduce\""));
-        let p50 = lines
-            .iter()
-            .find(|l| field_str(l, "op") == Some("server_query_p50"))
-            .unwrap();
-        assert_eq!(field_num(p50, "ns_per_iter"), Some(500.0));
-        assert!(merged.contains("\"op\": \"server_query_p90\""));
-        // The merged document still parses as a results document: every
-        // record line but the last carries a trailing comma.
-        assert!(
-            merged.contains("}},\n") || merged.contains("},\n"),
-            "merged: {merged}"
-        );
-        // Merging into nothing degenerates to a fresh document.
-        let fresh = merge_json("", &[record("server_query_p50", "server", "fig1", 1, 1.0)]);
-        assert_eq!(
-            fresh.lines().filter(|l| l.contains("\"op\"")).count(),
-            1,
-            "fresh: {fresh}"
-        );
-    }
-
-    #[test]
-    fn baseline_check_covers_the_server_latency_rows() {
-        let baseline = to_json(&[
-            record("server_query_p50", "server", "fig1", 100, 1000.0),
-            record("server_query_p90", "server", "fig1", 100, 2000.0),
-            record("server_query_p99", "server", "fig1", 100, 4000.0),
-        ]);
-        let ok = vec![
-            record("server_query_p50", "server", "fig1", 100, 1100.0),
-            record("server_query_p90", "server", "fig1", 100, 1900.0),
-            record("server_query_p99", "server", "fig1", 100, 4400.0),
+    fn baseline_check_reads_any_json_layout() {
+        // The committed baseline, as checked in (a space after every colon
+        // and comma) and re-serialized compactly: the same lookup.
+        let committed = include_str!("../../../BENCH_baseline.json");
+        let compact = json::parse(committed).unwrap().to_string();
+        assert!(!compact.contains("\": "), "compact: {compact}");
+        let measured = [
+            record("full_reduce", "columnar", "chain-6", 200, 1.0),
+            record("cyclic_join", "columnar-decomp", "ring-8", 200, 1.0),
         ];
-        assert!(check_baseline(&ok, &baseline, 2.0).is_ok());
-        // A regressed tail latency trips the guard like any engine row.
-        let slow = vec![record("server_query_p99", "server", "fig1", 100, 9000.0)];
-        let err = check_baseline(&slow, &baseline, 2.0).unwrap_err();
-        assert!(err.contains("server_query_p99"), "err: {err}");
-        // A server row missing from the baseline is flagged, not skipped.
-        let unknown = vec![record("server_query_p50", "server", "other-db", 100, 10.0)];
-        assert!(check_baseline(&unknown, &baseline, 2.0).is_err());
+        for baseline in [committed, compact.as_str()] {
+            let report = check_baseline(&measured, baseline, 2.0).unwrap();
+            assert!(report.contains("passed: 2 records"), "report: {report}");
+        }
+        // Text that is not a JSON document is an error, not an empty baseline.
+        let err = check_baseline(&measured, r#"{"results": ["#, 2.0).unwrap_err();
+        assert!(err.contains("not valid JSON"), "err: {err}");
     }
 
     #[test]

@@ -5,14 +5,18 @@ use acyclic::{
 };
 use decomp::{decompose, Heuristic};
 use hypergraph::{Hypergraph, NodeSet};
+use hyperqd::protocol::{metrics_json, EngineKind, WireError};
+use hyperqd::server::run_engine;
 use reldb::{
     is_globally_consistent, is_pairwise_consistent, plan_connection, CollectingSink, Database,
-    EngineError, ExecCtx, ExecPolicy, Governor, MetricsSink, QueryGovernor, Relation,
+    EngineError, ExecCtx, ExecPolicy, QueryGovernor, Relation,
 };
 
 /// A CLI failure: the one-line diagnostic printed to stderr plus the
 /// process exit code.  The codes are part of the documented interface
-/// (scripts and CI branch on them):
+/// (scripts and CI branch on them); engine failures get theirs from the
+/// protocol's [`hyperqd::protocol::ErrorKind::code`], the one table both
+/// front ends exit by:
 ///
 /// | code | meaning |
 /// |---|---|
@@ -43,15 +47,10 @@ impl From<&str> for CliError {
 
 impl From<EngineError> for CliError {
     fn from(e: EngineError) -> Self {
-        let code = match &e {
-            EngineError::Cancelled | EngineError::DeadlineExceeded { .. } => 3,
-            EngineError::BudgetExceeded { .. } => 4,
-            EngineError::WorkerPanic(_) => 5,
-            _ => 2,
-        };
+        let wire = WireError::from(e);
         Self {
-            code,
-            message: e.to_string(),
+            code: wire.kind.code(),
+            message: wire.message,
         }
     }
 }
@@ -68,32 +67,6 @@ impl CliError {
         Self {
             code: 2,
             message: format!("{path}: {engine}"),
-        }
-    }
-}
-
-/// Which join engine `hyperq query` uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Join only the objects in the canonical connection `CC(X)` (default).
-    Connection,
-    /// Yannakakis full reducer + join over the join tree; cyclic schemas
-    /// route through a hypertree decomposition first.
-    Yannakakis,
-    /// Join every relation in the database, then project (baseline).
-    Naive,
-}
-
-impl Engine {
-    /// Parses an `--engine` argument value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "connection" => Ok(Engine::Connection),
-            "yannakakis" => Ok(Engine::Yannakakis),
-            "naive" => Ok(Engine::Naive),
-            other => Err(format!(
-                "unknown engine {other:?} (expected connection, yannakakis or naive)"
-            )),
         }
     }
 }
@@ -172,30 +145,17 @@ pub enum MetricsMode {
     Off,
     /// `--metrics`: append the human-readable counter table to the report.
     Table,
-    /// `--metrics-json`: print *only* the metrics JSON document, so the
+    /// `--metrics-json`: print *only* the metrics JSON document (one
+    /// compact line, the same one a server embeds in an answer), so the
     /// output pipes cleanly into a checker.
     Json,
-}
-
-/// Runs one engine over `X` under `ctx`.
-fn execute<M: MetricsSink, G: Governor>(
-    db: &Database,
-    x: &NodeSet,
-    engine: Engine,
-    ctx: &ExecCtx<'_, M, G>,
-) -> Result<Relation, EngineError> {
-    match engine {
-        Engine::Connection => ctx.query_via_connection(db, x),
-        Engine::Naive => ctx.query_via_full_join(db, x),
-        Engine::Yannakakis => ctx.query_yannakakis(db, x),
-    }
 }
 
 /// `hyperq query`: answers `π_X(⋈ CC(X))` over a loaded database.
 pub fn run_query(
     db: &Database,
     attrs: &[&str],
-    engine: Engine,
+    engine: EngineKind,
     metrics: MetricsMode,
     gov: Option<&QueryGovernor>,
 ) -> Result<String, CliError> {
@@ -227,40 +187,29 @@ pub fn run_query(
         is_pairwise_consistent(db),
         is_globally_consistent(db),
     ));
-    let sink = (metrics != MetricsMode::Off).then(CollectingSink::new);
     // Governed when a [`QueryGovernor`] is present (deadline / budget /
-    // cancellation checkpoints active), metered when a sink is; what is
-    // absent keeps its no-op default and compiles away.
+    // cancellation checkpoints active), metered when a metrics mode asks
+    // for the sink; what is absent keeps its no-op default and compiles
+    // away.
+    let sink = CollectingSink::new();
     let policy = ExecPolicy::default();
     let ctx = ExecCtx::new(&policy);
-    let answer: Relation = match (&sink, gov) {
-        (None, None) => execute(db, &x, engine, &ctx),
-        (Some(s), None) => execute(db, &x, engine, &ctx.metrics(s)),
-        (None, Some(g)) => execute(db, &x, engine, &ctx.gov(g)),
-        (Some(s), Some(g)) => execute(db, &x, engine, &ctx.metrics(s).gov(g)),
+    let answer: Relation = match (metrics, gov) {
+        (MetricsMode::Off, None) => run_engine(db, engine, &x, &ctx),
+        (MetricsMode::Off, Some(g)) => run_engine(db, engine, &x, &ctx.gov(g)),
+        (_, None) => run_engine(db, engine, &x, &ctx.metrics(&sink)),
+        (_, Some(g)) => run_engine(db, engine, &x, &ctx.metrics(&sink).gov(g)),
     }?;
-    if let Some(g) = gov {
-        // A result produced after the deadline still counts as a timeout:
-        // the caller asked for an answer *within* the budgeted time, so the
-        // exit code must not depend on which checkpoint happened to notice.
-        g.checkpoint()?;
-    }
     if metrics == MetricsMode::Json {
         // JSON mode replaces the report entirely: stdout is the document.
-        let Some(s) = sink else {
-            return Err(CliError {
-                code: 2,
-                message: "internal: metrics sink missing in JSON mode".to_owned(),
-            });
-        };
-        return Ok(s.snapshot().to_json());
+        return Ok(format!("{}\n", metrics_json(&sink.snapshot())));
     }
     out.push_str(&format!("engine: {engine:?}\n"));
     out.push_str(&format!("answer ({} tuples):\n", answer.len()));
     out.push_str(&answer.display(schema.universe()));
-    if let Some(s) = sink {
+    if metrics == MetricsMode::Table {
         out.push_str("metrics:\n");
-        out.push_str(&s.snapshot().render_table());
+        out.push_str(&sink.snapshot().render_table());
     }
     Ok(out)
 }
@@ -446,6 +395,8 @@ pub fn run_stats(h: &Hypergraph) -> String {
 mod tests {
     use super::*;
     use crate::load::{parse_database, parse_schema};
+    use hyperqd::json::{parse as parse_json, Json};
+    use EngineKind::{Connection, Naive, Yannakakis};
 
     fn fig1() -> Hypergraph {
         parse_schema("R1: A B C\nR2: C D E\nR3: A E F\nR4: A C E\n").unwrap()
@@ -475,9 +426,9 @@ mod tests {
             "R1: A=1 B=2 C=3\nR2: C=3 D=4 E=5\nR3: A=1 E=5 F=6\nR4: A=1 C=3 E=5\n",
         )
         .unwrap();
-        let a = run_query(&db, &["A", "D"], Engine::Connection, MetricsMode::Off, None).unwrap();
-        let b = run_query(&db, &["A", "D"], Engine::Naive, MetricsMode::Off, None).unwrap();
-        let c = run_query(&db, &["A", "D"], Engine::Yannakakis, MetricsMode::Off, None).unwrap();
+        let a = run_query(&db, &["A", "D"], Connection, MetricsMode::Off, None).unwrap();
+        let b = run_query(&db, &["A", "D"], Naive, MetricsMode::Off, None).unwrap();
+        let c = run_query(&db, &["A", "D"], Yannakakis, MetricsMode::Off, None).unwrap();
         for report in [&a, &b, &c] {
             assert!(report.contains("answer (1 tuples):"), "report: {report}");
         }
@@ -488,7 +439,7 @@ mod tests {
     fn query_rejects_unknown_attributes() {
         let h = fig1();
         let db = parse_database(&h, "").unwrap();
-        assert!(run_query(&db, &["Z"], Engine::Connection, MetricsMode::Off, None).is_err());
+        assert!(run_query(&db, &["Z"], Connection, MetricsMode::Off, None).is_err());
     }
 
     #[test]
@@ -523,8 +474,8 @@ mod tests {
              E0: A=2 B=2\nE1: B=2 C=2\nE2: C=2 D=2\nE3: D=2 A=9\n",
         )
         .unwrap();
-        let yann = run_query(&db, &["A", "C"], Engine::Yannakakis, MetricsMode::Off, None).unwrap();
-        let naive = run_query(&db, &["A", "C"], Engine::Naive, MetricsMode::Off, None).unwrap();
+        let yann = run_query(&db, &["A", "C"], Yannakakis, MetricsMode::Off, None).unwrap();
+        let naive = run_query(&db, &["A", "C"], Naive, MetricsMode::Off, None).unwrap();
         for report in [&yann, &naive] {
             assert!(report.contains("answer (1 tuples):"), "report: {report}");
         }
@@ -538,14 +489,7 @@ mod tests {
             "R1: A=1 B=2 C=3\nR2: C=3 D=4 E=5\nR3: A=1 E=5 F=6\nR4: A=1 C=3 E=5\n",
         )
         .unwrap();
-        let report = run_query(
-            &db,
-            &["A", "D"],
-            Engine::Yannakakis,
-            MetricsMode::Table,
-            None,
-        )
-        .unwrap();
+        let report = run_query(&db, &["A", "D"], Yannakakis, MetricsMode::Table, None).unwrap();
         // The normal report survives, the counter table is appended.
         assert!(report.contains("answer (1 tuples):"), "report: {report}");
         assert!(report.contains("metrics:"), "report: {report}");
@@ -561,29 +505,19 @@ mod tests {
             "R1: A=1 B=2 C=3\nR2: C=3 D=4 E=5\nR3: A=1 E=5 F=6\nR4: A=1 C=3 E=5\n",
         )
         .unwrap();
-        let json = run_query(
-            &db,
-            &["A", "D"],
-            Engine::Yannakakis,
-            MetricsMode::Json,
-            None,
-        )
-        .unwrap();
-        assert!(json.starts_with("{\n"), "json: {json}");
+        let json = run_query(&db, &["A", "D"], Yannakakis, MetricsMode::Json, None).unwrap();
         assert!(
             !json.contains("answer ("),
             "json must replace the report: {json}"
         );
-        for needle in [
-            "\"join\":",
-            "\"semijoin\":",
-            "\"levels\":",
-            "\"index_rebuilds\":",
-        ] {
-            assert!(json.contains(needle), "missing {needle:?} in: {json}");
+        // One compact line, every section present.
+        assert_eq!(json.matches('\n').count(), 1, "json: {json}");
+        let doc = parse_json(&json).expect("the output is one JSON document");
+        for member in ["join", "semijoin", "levels", "index_rebuilds"] {
+            assert!(doc.get(member).is_some(), "missing {member:?} in: {json}");
         }
         // An acyclic schema took no decomposition.
-        assert!(json.contains("\"decomposition\": null"), "json: {json}");
+        assert_eq!(doc.get("decomposition"), Some(&Json::Null));
     }
 
     #[test]
@@ -594,16 +528,12 @@ mod tests {
             "E0: A=1 B=1\nE1: B=1 C=1\nE2: C=1 D=1\nE3: D=1 A=1\n",
         )
         .unwrap();
-        let json = run_query(
-            &db,
-            &["A", "C"],
-            Engine::Yannakakis,
-            MetricsMode::Json,
-            None,
-        )
-        .unwrap();
-        assert!(json.contains("\"min_fill_width\":"), "json: {json}");
-        assert!(json.contains("\"bags\": [\n"), "bags recorded: {json}");
+        let json = run_query(&db, &["A", "C"], Yannakakis, MetricsMode::Json, None).unwrap();
+        let doc = parse_json(&json).expect("the output is one JSON document");
+        let widths = doc.get("decomposition").expect("decomposition member");
+        assert!(widths.get("min_fill_width").is_some(), "json: {json}");
+        let bags = doc.get("bags").and_then(|b| b.as_arr());
+        assert!(bags.is_some_and(|b| !b.is_empty()), "bags recorded: {json}");
     }
 
     #[test]
@@ -630,39 +560,20 @@ mod tests {
         let gov = reldb::QueryGovernor::new()
             .with_deadline(std::time::Duration::from_secs(3600))
             .with_memory_budget(1 << 30);
-        let governed = run_query(
-            &db,
-            &["A", "D"],
-            Engine::Yannakakis,
-            MetricsMode::Off,
-            Some(&gov),
-        )
-        .unwrap();
-        let plain =
-            run_query(&db, &["A", "D"], Engine::Yannakakis, MetricsMode::Off, None).unwrap();
+        let governed =
+            run_query(&db, &["A", "D"], Yannakakis, MetricsMode::Off, Some(&gov)).unwrap();
+        let plain = run_query(&db, &["A", "D"], Yannakakis, MetricsMode::Off, None).unwrap();
         assert_eq!(governed, plain);
         // A zero deadline trips deterministically, mapped to exit code 3.
         let gov = reldb::QueryGovernor::new().with_deadline(std::time::Duration::ZERO);
-        let err = run_query(
-            &db,
-            &["A", "D"],
-            Engine::Yannakakis,
-            MetricsMode::Off,
-            Some(&gov),
-        )
-        .unwrap_err();
+        let err =
+            run_query(&db, &["A", "D"], Yannakakis, MetricsMode::Off, Some(&gov)).unwrap_err();
         assert_eq!(err.code, 3, "message: {}", err.message);
         assert!(err.message.contains("deadline exceeded"), "{}", err.message);
         // A one-byte budget trips the allocation guard, mapped to code 4.
         let gov = reldb::QueryGovernor::new().with_memory_budget(1);
-        let err = run_query(
-            &db,
-            &["A", "D"],
-            Engine::Yannakakis,
-            MetricsMode::Off,
-            Some(&gov),
-        )
-        .unwrap_err();
+        let err =
+            run_query(&db, &["A", "D"], Yannakakis, MetricsMode::Off, Some(&gov)).unwrap_err();
         assert_eq!(err.code, 4, "message: {}", err.message);
     }
 
@@ -680,9 +591,13 @@ mod tests {
 
     #[test]
     fn engine_parsing() {
-        assert_eq!(Engine::parse("connection").unwrap(), Engine::Connection);
-        assert_eq!(Engine::parse("yannakakis").unwrap(), Engine::Yannakakis);
-        assert_eq!(Engine::parse("naive").unwrap(), Engine::Naive);
-        assert!(Engine::parse("turbo").is_err());
+        // `--engine` reads through the protocol's one table: `hyperq query`
+        // and `hyperq client` take and refuse the same spellings, with the
+        // same message.
+        for engine in [Connection, Yannakakis, Naive] {
+            assert_eq!(EngineKind::parse(engine.as_str()), Ok(engine));
+        }
+        let err = EngineKind::parse("turbo").unwrap_err();
+        assert!(err.contains("expected connection, yannakakis or naive"));
     }
 }

@@ -29,7 +29,8 @@ mod client;
 mod commands;
 mod load;
 
-use commands::{CliError, Engine, MetricsMode};
+use commands::{CliError, MetricsMode};
+use hyperqd::protocol::EngineKind;
 use reldb::QueryGovernor;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -57,9 +58,6 @@ USAGE:
                      [--timeout-ms N] [--mem-budget-mb N] [--metrics] [--raw]
     hyperq client    <addr> prepare <name> <db> --select A,B[,..] [flags]
     hyperq client    <addr> run <name> [override flags] [--raw]
-    hyperq client    <addr> bench <db> --select A,B[,..] [--engine ENGINE]
-                     [--clients N] [--requests N] [--out FILE]
-                     [--check BASELINE] [--max-regression F]
 
 COMMANDS:
     classify   Decide acyclic vs. cyclic and print the Theorem 6.1
@@ -71,7 +69,9 @@ COMMANDS:
                --metrics appends the execution counter table (tuples
                probed/kept/built, kernel picks, level timings, pool
                leases); --metrics-json prints only the machine-readable
-               metrics document, for piping into checkers.
+               metrics document — one compact line, the document a server
+               embeds in an answer asked for with \"metrics\":true — for
+               piping into checkers.
                --timeout-ms bounds wall-clock time (measured from process
                start, so load time counts; 0 expires immediately) and
                --mem-budget-mb bounds estimated engine-held row memory;
@@ -118,15 +118,12 @@ COMMANDS:
                (stats; --prometheus switches the canonical JSON snapshot
                to the Prometheus text exposition), or ask the server to
                shut down (--now cancels in-flight queries instead of
-               draining).  bench drives --clients concurrent threads each
-               issuing --requests queries and reports the server-side
-               p50/p90/p99 latency of exactly that window (two stats
-               scrapes, histograms diffed); --out merges the rows into a
-               BENCH_results.json document and --check guards them
-               against a baseline.  --raw prints the server's response
-               frame verbatim.  Server errors map to the exit codes below
-               via the protocol's \"code\" field, so scripts assert on $?
-               exactly as for the one-shot query command
+               draining).  ENGINE is spelled as for query (the server's
+               default is yannakakis); --strategy also accepts sortmerge.
+               --raw prints the server's response frame verbatim.  Server
+               errors map to the exit codes below via the protocol's
+               \"code\" field, so scripts assert on $? exactly as for the
+               one-shot query command
 
 FILES:
     <schema>   One edge per line: 'LABEL: A B C' (label optional)
@@ -211,8 +208,8 @@ fn run(started: Instant) -> Result<String, CliError> {
             let select =
                 take_flag(&mut args, "--select")?.ok_or("query requires --select A,B[,..]")?;
             let engine = match take_flag(&mut args, "--engine")? {
-                Some(e) => Engine::parse(&e)?,
-                None => Engine::Connection,
+                Some(e) => EngineKind::parse(&e)?,
+                None => EngineKind::Connection,
             };
             let metrics = match (
                 take_switch(&mut args, "--metrics"),

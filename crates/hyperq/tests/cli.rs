@@ -1,6 +1,7 @@
 //! End-to-end tests driving the compiled `hyperq` binary on the paper's
 //! Fig. 1 hypergraph and the 4-ring — the acceptance scenario for the CLI.
 
+use hyperqd::json::{self, Json};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -184,13 +185,14 @@ fn query_metrics_flags_drive_the_observability_surface() {
         "--metrics-json",
     ]);
     assert!(out.status.success());
-    let json = stdout(&out);
-    assert!(json.starts_with("{\n"), "got: {json}");
+    let text = stdout(&out);
     assert!(
-        !json.contains("answer ("),
+        !text.contains("answer ("),
         "json mode must not print the report"
     );
-    assert!(json.contains("\"decomposition\": null"), "got: {json}");
+    let doc = json::parse(&text).expect("stdout is one JSON document");
+    assert_eq!(doc.get("decomposition"), Some(&Json::Null), "got: {text}");
+    assert_eq!(doc.get("bags"), Some(&Json::Arr(Vec::new())), "got: {text}");
 
     let out = hyperq(&[
         "query",
@@ -203,10 +205,13 @@ fn query_metrics_flags_drive_the_observability_surface() {
         "--metrics-json",
     ]);
     assert!(out.status.success());
-    let json = stdout(&out);
-    assert!(json.contains("\"min_fill_width\":"), "got: {json}");
-    assert!(json.contains("\"min_degree_width\":"), "got: {json}");
-    assert!(json.contains("\"bags\": [\n"), "got: {json}");
+    let text = stdout(&out);
+    let doc = json::parse(&text).expect("stdout is one JSON document");
+    let widths = doc.get("decomposition").expect("a decomposition report");
+    assert!(widths.get("min_fill_width").is_some(), "got: {text}");
+    assert!(widths.get("min_degree_width").is_some(), "got: {text}");
+    let bags = doc.get("bags").and_then(Json::as_arr);
+    assert!(bags.is_some_and(|b| !b.is_empty()), "got: {text}");
 
     // The two flags are mutually exclusive.
     let out = hyperq(&[
@@ -220,6 +225,31 @@ fn query_metrics_flags_drive_the_observability_surface() {
     ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"));
+}
+
+#[test]
+fn both_front_ends_read_engine_and_strategy_through_one_table() {
+    // An unknown --engine: same exit code, same line, with the hint, from
+    // the one-shot command and from the client (flags are read before any
+    // file is opened or any connection made).
+    let one_shot = hyperq(&[
+        "query", "s.hg", "s.data", "--select", "A", "--engine", "turbo",
+    ]);
+    let client = hyperq(&["client", "127.0.0.1:1", "query", "db", "--engine", "turbo"]);
+    for out in [&one_shot, &client] {
+        assert_eq!(out.status.code(), Some(2));
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "hyperq: unknown engine \"turbo\" (expected connection, yannakakis or naive)\n"
+        );
+    }
+    // --strategy takes what `JoinStrategy::parse` takes: `sortmerge` gets
+    // as far as dialling the (closed) port, `quantum` does not.
+    let run = |strategy| hyperq(&["client", "127.0.0.1:1", "run", "q", "--strategy", strategy]);
+    let err = String::from_utf8_lossy(&run("sortmerge").stderr).into_owned();
+    assert!(err.contains("cannot connect"), "stderr: {err}");
+    let err = String::from_utf8_lossy(&run("quantum").stderr).into_owned();
+    assert!(err.contains("unknown join strategy"), "stderr: {err}");
 }
 
 #[test]
@@ -241,17 +271,17 @@ fn bench_json_rows_carry_tuple_counters() {
     let out_path = out_path.to_str().expect("utf-8 path");
     let out = hyperq(&["bench", "--tiny", "--out", out_path]);
     assert!(out.status.success(), "stderr: {:?}", out.stderr);
-    let json = std::fs::read_to_string(out_path).expect("bench JSON written");
+    let rows = bench_rows(&std::fs::read_to_string(out_path).expect("bench JSON written"));
     // The guarded engine rows embed the per-row metrics counters.
-    assert!(json.contains("\"probed\": "), "got: {json}");
-    assert!(json.contains("\"kept\": "), "got: {json}");
-    assert!(json.contains("\"join_ops\": "), "got: {json}");
-    assert!(json.contains("\"semijoin_ops\": "), "got: {json}");
+    let guarded = rows
+        .iter()
+        .find(|r| r.get("op") == Some(&Json::str("full_reduce")))
+        .expect("a full_reduce row");
+    for counter in ["probed", "kept", "join_ops", "semijoin_ops"] {
+        assert!(guarded.get(counter).is_some(), "no {counter}: {guarded}");
+    }
     // The calibrated-Auto engine rows ride along for the trajectory.
-    assert!(
-        json.contains("\"engine\": \"columnar-auto\""),
-        "got: {json}"
-    );
+    assert!(has_row(&rows, "engine", "columnar-auto"));
     let _ = std::fs::remove_file(out_path);
 }
 
@@ -289,23 +319,31 @@ fn bench_writes_json_and_guards_against_regressions() {
     assert!(text.contains("full_reduce"), "summary: {text}");
     assert!(text.contains("vs_columnar"), "summary: {text}");
     let json = std::fs::read_to_string(out_path).expect("bench JSON written");
-    assert!(json.contains("\"engine\": \"columnar\""));
-    assert!(json.contains("\"engine\": \"reference\""));
-    assert!(json.contains("\"engine\": \"columnar-sortmerge\""));
-    assert!(json.contains("\"engine\": \"columnar-parallel\""));
-    assert!(json.contains("\"workload\": \"snowflake-2x2\""));
-    assert!(json.contains("\"workload\": \"chain-6-zipf\""));
-    assert!(json.contains("\"workload\": \"chain-6-zipf-capped\""));
-    assert!(json.contains("\"op\": \"join_pair\""));
-    assert!(json.contains("\"op\": \"acyclicity_mcs\""));
-    // The cyclic decomposition pipeline rows.
-    assert!(json.contains("\"op\": \"decompose\""));
-    assert!(json.contains("\"op\": \"cyclic_join\""));
-    assert!(json.contains("\"engine\": \"columnar-decomp\""));
-    assert!(json.contains("\"engine\": \"columnar-decomp-parallel\""));
-    for workload in ["ring-8", "hyper-ring-5x3", "clique-5"] {
+    let rows = bench_rows(&json);
+    for engine in [
+        "columnar",
+        "reference",
+        "columnar-sortmerge",
+        "columnar-parallel",
+        // The cyclic decomposition pipeline rows.
+        "columnar-decomp",
+        "columnar-decomp-parallel",
+    ] {
+        assert!(has_row(&rows, "engine", engine), "missing {engine} rows");
+    }
+    for op in ["join_pair", "acyclicity_mcs", "decompose", "cyclic_join"] {
+        assert!(has_row(&rows, "op", op), "missing {op} rows");
+    }
+    for workload in [
+        "snowflake-2x2",
+        "chain-6-zipf",
+        "chain-6-zipf-capped",
+        "ring-8",
+        "hyper-ring-5x3",
+        "clique-5",
+    ] {
         assert!(
-            json.contains(&format!("\"workload\": \"{workload}\"")),
+            has_row(&rows, "workload", workload),
             "missing {workload} rows"
         );
     }
@@ -328,25 +366,38 @@ fn bench_writes_json_and_guards_against_regressions() {
     let _ = std::fs::remove_file(out_path);
 }
 
-/// Rewrites every ns_per_iter in a bench JSON document through `f`.
-fn map_ns_per_iter(json: &str, f: impl Fn(u64) -> u64) -> String {
-    json.lines()
-        .map(|l| {
-            if let Some(start) = l.find("\"ns_per_iter\": ") {
-                let rest = &l[start + 15..];
-                let end = rest.find(',').unwrap();
-                let ns: u64 = rest[..end].parse().expect("integer ns_per_iter");
-                format!(
-                    "{}\"ns_per_iter\": {}{}\n",
-                    &l[..start],
-                    f(ns),
-                    &rest[end..]
-                )
-            } else {
-                format!("{l}\n")
+/// The `results` rows of a bench JSON document.
+fn bench_rows(document: &str) -> Vec<Json> {
+    let doc = json::parse(document).expect("a bench document is valid JSON");
+    doc.get("results")
+        .and_then(Json::as_arr)
+        .expect("a results array")
+        .to_vec()
+}
+
+/// True if some row's string member `key` is `value`.
+fn has_row(rows: &[Json], key: &str, value: &str) -> bool {
+    rows.iter().any(|r| r.get(key) == Some(&Json::str(value)))
+}
+
+/// Rewrites every ns_per_iter in a bench JSON document through `f` (and
+/// the document compactly: `--check` reads JSON, not a layout).
+fn map_ns_per_iter(document: &str, f: impl Fn(i64) -> i64) -> String {
+    let rows = bench_rows(document)
+        .into_iter()
+        .map(|row| {
+            let Json::Obj(mut members) = row else {
+                panic!("a bench row is an object: {row}");
+            };
+            for (key, value) in &mut members {
+                if key == "ns_per_iter" {
+                    *value = Json::Int(f(value.as_i64().expect("integer ns_per_iter")));
+                }
             }
+            Json::Obj(members)
         })
-        .collect()
+        .collect();
+    json::obj([("results", Json::Arr(rows))]).to_string()
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`json`] | dependency-free JSON value, parser and serializer |
-//! | [`protocol`] | typed request/response frames, canonical (round-tripping) serialization, the error-kind → exit-code contract |
+//! | [`protocol`] | typed request/response frames, canonical (round-tripping) serialization, the engine vocabulary and the error-kind → exit-code contract, and the JSON documents of `reldb`'s metrics and span reports — every wire rendering |
 //! | [`load`] | the text schema/data parsers and snapshot loading, shared with the `hyperq` CLI |
 //! | [`stats`] | server telemetry: log-bucketed latency [`stats::Histogram`]s, the atomic [`stats::StatsRegistry`], canonical JSON snapshots and Prometheus-style exposition |
 //! | [`server`] | the TCP server: thread-per-connection, per-request [`reldb::QueryGovernor`]s over one shared [`reldb::WorkerPool`], prepared queries, per-query trace ids, a slow-query log, graceful shutdown |
@@ -30,7 +30,7 @@ pub mod stats;
 
 pub use protocol::{
     parse_request, parse_response, render_request, render_response, EngineKind, ErrorKind,
-    Overrides, QuerySpec, Request, Response, Rows, StrategyKind, WireError, MAX_LINE,
+    Overrides, QuerySpec, Request, Response, Rows, WireError, MAX_LINE,
 };
 pub use server::{answer_frame, ServeStats, Server, ServerConfig, ServerHandle};
 pub use stats::{Histogram, StatsRegistry};

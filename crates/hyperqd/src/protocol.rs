@@ -37,8 +37,9 @@
 //! proptests pin that, and the differential soak harness relies on it for
 //! byte-identical response comparison.
 
-use crate::json::{parse as parse_json, write_escaped, Json};
-use reldb::EngineError;
+use crate::json::{obj, parse as parse_json, write_escaped, Json};
+use reldb::metrics::OpAgg;
+use reldb::{EngineError, JoinStrategy, QueryMetrics, Span, TraceReport};
 use std::fmt::Write as _;
 
 /// Hard cap on one protocol line, terminator included.  A peer that sends
@@ -71,42 +72,17 @@ impl EngineKind {
         }
     }
 
-    fn from_str(s: &str) -> Option<Self> {
+    /// Parses a wire name.  The `--engine` flag of `hyperq query` and of
+    /// `hyperq client`, and the protocol's `"engine"` member, all read
+    /// through this.
+    pub fn parse(s: &str) -> Result<Self, String> {
         match s {
-            "yannakakis" => Some(EngineKind::Yannakakis),
-            "connection" => Some(EngineKind::Connection),
-            "naive" => Some(EngineKind::Naive),
-            _ => None,
-        }
-    }
-}
-
-/// Physical join-kernel selection, mirroring [`reldb::JoinStrategy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StrategyKind {
-    /// Hash join/semijoin kernels.
-    Hash,
-    /// Sort-merge kernels.
-    SortMerge,
-    /// The calibrated per-operator planner.
-    Auto,
-}
-
-impl StrategyKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            StrategyKind::Hash => "hash",
-            StrategyKind::SortMerge => "sort-merge",
-            StrategyKind::Auto => "auto",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "hash" => Some(StrategyKind::Hash),
-            "sort-merge" => Some(StrategyKind::SortMerge),
-            "auto" => Some(StrategyKind::Auto),
-            _ => None,
+            "yannakakis" => Ok(EngineKind::Yannakakis),
+            "connection" => Ok(EngineKind::Connection),
+            "naive" => Ok(EngineKind::Naive),
+            other => Err(format!(
+                "unknown engine {other:?} (expected connection, yannakakis or naive)"
+            )),
         }
     }
 }
@@ -116,8 +92,9 @@ impl StrategyKind {
 /// values stored at `prepare` time, field by field.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Overrides {
-    /// Join-kernel selection ([`reldb::ExecPolicy::strategy`]).
-    pub strategy: Option<StrategyKind>,
+    /// Join-kernel selection ([`reldb::ExecPolicy::strategy`]), on the wire
+    /// in [`JoinStrategy::as_str`]'s spelling.
+    pub strategy: Option<JoinStrategy>,
     /// Worker threads ([`reldb::ExecPolicy::threads`]; 0 = auto).
     pub threads: Option<u64>,
     /// Wall-clock deadline for the query, in milliseconds.
@@ -185,10 +162,7 @@ impl Overrides {
             let name = s
                 .as_str()
                 .ok_or_else(|| proto("strategy must be a string"))?;
-            o.strategy = Some(
-                StrategyKind::from_str(name)
-                    .ok_or_else(|| proto(format!("unknown strategy {name:?}")))?,
-            );
+            o.strategy = Some(JoinStrategy::parse(name).map_err(proto)?);
         }
         for (field, slot) in [
             ("threads", &mut o.threads),
@@ -267,10 +241,7 @@ impl QuerySpec {
             None => None,
             Some(e) => {
                 let name = e.as_str().ok_or_else(|| proto("engine must be a string"))?;
-                Some(
-                    EngineKind::from_str(name)
-                        .ok_or_else(|| proto(format!("unknown engine {name:?}")))?,
-                )
+                Some(EngineKind::parse(name).map_err(proto)?)
             }
         };
         Ok(QuerySpec {
@@ -453,9 +424,9 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
-    /// The exit code a CLI client maps this error to — the same contract
-    /// as one-shot `hyperq` (3 deadline/cancelled, 4 budget, 5 panic,
-    /// 2 everything else).
+    /// The exit code a CLI client maps this error to: 3 deadline/cancelled,
+    /// 4 budget, 5 panic, 2 everything else.  One-shot `hyperq query` exits
+    /// by this table too (its engine errors convert through [`WireError`]).
     pub fn code(self) -> u8 {
         match self {
             ErrorKind::Deadline | ErrorKind::Cancelled => 3,
@@ -745,6 +716,96 @@ pub enum Response {
     Error(WireError),
 }
 
+/// The JSON document of a [`QueryMetrics`] report: the `metrics` member of
+/// a [`Response::Answer`], and the whole output of `hyperq query
+/// --metrics-json` (`scripts/check_metrics.py` is its schema contract).
+/// Ratios are rounded to six decimals; an operator kind with no sampled
+/// ratio and a query that took no decomposition report `null`.
+pub fn metrics_json(m: &QueryMetrics) -> Json {
+    let int = |n: u64| Json::Int(n as i64);
+    let micro = |x: f64| Json::Float((x * 1e6).round() / 1e6);
+    let agg = |a: &OpAgg| {
+        let ratio = a.ratio_mean().map_or(Json::Null, |mean| {
+            obj([
+                ("samples", int(a.ratio_samples)),
+                ("mean", micro(mean)),
+                ("min", micro(a.ratio_min)),
+                ("max", micro(a.ratio_max)),
+            ])
+        });
+        obj([
+            ("ops", int(a.ops)),
+            ("hash_ops", int(a.hash_ops)),
+            ("sortmerge_ops", int(a.sortmerge_ops)),
+            ("dense_ops", int(a.dense_ops)),
+            ("probed", int(a.probed)),
+            ("kept", int(a.kept)),
+            ("built", int(a.built)),
+            ("build_rows", int(a.build_rows)),
+            ("distinct_ratio", ratio),
+        ])
+    };
+    let levels = m.levels.iter().map(|l| {
+        obj([
+            ("phase", Json::str(l.phase.label())),
+            ("level", int(l.level as u64)),
+            ("jobs", int(l.jobs as u64)),
+            ("nanos", int(l.nanos)),
+        ])
+    });
+    let bags = m
+        .bags
+        .iter()
+        .map(|b| obj([("name", Json::str(&b.name)), ("rows", int(b.rows))]));
+    let leases = m.leases.iter().map(|l| {
+        obj([
+            ("threads", int(l.threads as u64)),
+            ("idle", int(l.idle as u64)),
+        ])
+    });
+    let cache = obj([
+        ("hits", int(m.decomp_cache_hits)),
+        ("misses", int(m.decomp_cache_misses)),
+    ]);
+    let decomposition = m.widths.map_or(Json::Null, |w| {
+        obj([
+            ("min_fill_width", int(w.min_fill as u64)),
+            ("min_degree_width", int(w.min_degree as u64)),
+            ("chosen", Json::str(w.chosen)),
+        ])
+    });
+    obj([
+        ("join", agg(&m.joins)),
+        ("semijoin", agg(&m.semijoins)),
+        ("levels", Json::Arr(levels.collect())),
+        ("bags", Json::Arr(bags.collect())),
+        ("pool", obj([("leases", Json::Arr(leases.collect()))])),
+        ("index_rebuilds", int(m.index_rebuilds)),
+        ("decomp_cache", cache),
+        ("decomposition", decomposition),
+    ])
+}
+
+/// The span forest of a [`TraceReport`] as a JSON array — the `spans`
+/// member of a slow-query log line: span names from
+/// [`reldb::SpanKind::as_str`], durations in whole microseconds, `children`
+/// only where there are any, e.g.
+/// `[{"span":"join","us":184,"children":[…]}]`.
+pub fn spans_json(report: &TraceReport) -> Json {
+    fn span(s: &Span) -> Json {
+        let mut pairs = vec![
+            ("span".to_owned(), Json::str(s.kind.as_str())),
+            ("us".to_owned(), Json::Int((s.nanos / 1_000) as i64)),
+        ];
+        if !s.children.is_empty() {
+            let children = s.children.iter().map(span).collect();
+            pairs.push(("children".to_owned(), Json::Arr(children)));
+        }
+        Json::Obj(pairs)
+    }
+    Json::Arr(report.roots.iter().map(span).collect())
+}
+
 /// Renders a response as one canonical protocol line (no trailing newline).
 pub fn render_response(r: &Response) -> String {
     let mut out = String::new();
@@ -968,7 +1029,8 @@ pub fn parse_response(line: &str) -> Result<Response, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::obj;
+    use reldb::metrics::{Kernel, OpKind, OpMetrics};
+    use reldb::{CollectingSink, MetricsSink, Phase, SpanKind};
 
     #[test]
     fn request_frames_round_trip() {
@@ -982,7 +1044,7 @@ mod tests {
                 select: vec!["B".into(), "D".into()],
                 engine: Some(EngineKind::Connection),
                 overrides: Overrides {
-                    strategy: Some(StrategyKind::SortMerge),
+                    strategy: Some(JoinStrategy::SortMerge),
                     threads: Some(2),
                     timeout_ms: Some(500),
                     mem_budget_mb: Some(64),
@@ -1039,6 +1101,18 @@ mod tests {
     }
 
     #[test]
+    fn strategy_spellings_read_through_join_strategy() {
+        // Every spelling `JoinStrategy::parse` takes is a valid frame; the
+        // rendered form is always the canonical one (all three round-trip
+        // in `tests/server_protocol.rs`).
+        let r = parse_request(r#"{"op":"run","name":"q","strategy":"sortmerge"}"#).unwrap();
+        assert_eq!(
+            render_request(&r),
+            r#"{"op":"run","name":"q","strategy":"sort-merge"}"#
+        );
+    }
+
+    #[test]
     fn error_codes_match_the_cli_contract() {
         assert_eq!(ErrorKind::Deadline.code(), 3);
         assert_eq!(ErrorKind::Cancelled.code(), 3);
@@ -1054,6 +1128,122 @@ mod tests {
         assert_eq!(e.kind, ErrorKind::Cancelled);
         let e = WireError::from(EngineError::WorkerPanic("boom".into()));
         assert_eq!(e.kind, ErrorKind::Panic);
+    }
+
+    fn op(kind: OpKind, probed: u64, kept: u64, ratio: Option<f64>) -> OpMetrics {
+        OpMetrics {
+            kind,
+            kernel: Kernel::Hash,
+            probed,
+            kept,
+            built: kept,
+            build_rows: probed / 2,
+            distinct_ratio: ratio,
+        }
+    }
+
+    /// `doc` at `path`: member names and array indices joined by dots.
+    fn at<'a>(doc: &'a Json, path: &str) -> &'a Json {
+        path.split('.')
+            .fold(doc, |v, step| match step.parse::<usize>() {
+                Ok(i) => &v.as_arr().expect(path)[i],
+                Err(_) => v.get(step).expect(path),
+            })
+    }
+
+    #[test]
+    fn metrics_json_report_is_well_formed_and_complete() {
+        // A bag name no hand-rolled writer got right: quote, backslash,
+        // newline.
+        let bag = "B0\"B1\\\n";
+        let sink = CollectingSink::new();
+        sink.record_op(op(OpKind::Semijoin, 10, 7, Some(1.0 / 3.0)));
+        sink.record_level(Phase::ReduceUp, 1, 2, 1234);
+        sink.record_bag(bag, 42);
+        sink.record_lease(2, 0);
+        sink.record_index_rebuilds(1);
+        sink.record_widths(2, 3, "min-fill");
+        sink.record_decomp_cache(false);
+        let doc = metrics_json(&sink.snapshot());
+        assert_eq!(parse_json(&doc.to_string()).unwrap(), doc);
+
+        // Every member `scripts/check_metrics.py` reads, in document order.
+        let Json::Obj(members) = &doc else {
+            panic!("not an object: {doc}");
+        };
+        let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            names.join(" "),
+            "join semijoin levels bags pool index_rebuilds decomp_cache decomposition"
+        );
+        for (path, want) in [
+            ("join.ops", Json::Int(0)),
+            ("semijoin.ops", Json::Int(1)),
+            ("semijoin.hash_ops", Json::Int(1)),
+            ("semijoin.sortmerge_ops", Json::Int(0)),
+            ("semijoin.dense_ops", Json::Int(0)),
+            ("semijoin.probed", Json::Int(10)),
+            ("semijoin.kept", Json::Int(7)),
+            ("semijoin.built", Json::Int(7)),
+            ("semijoin.build_rows", Json::Int(5)),
+            ("semijoin.distinct_ratio.samples", Json::Int(1)),
+            // Ratios are rounded to six decimals.
+            ("semijoin.distinct_ratio.mean", Json::Float(0.333333)),
+            ("semijoin.distinct_ratio.min", Json::Float(0.333333)),
+            ("semijoin.distinct_ratio.max", Json::Float(0.333333)),
+            ("levels.0.phase", Json::str("reduce-up")),
+            ("levels.0.level", Json::Int(1)),
+            ("levels.0.jobs", Json::Int(2)),
+            ("levels.0.nanos", Json::Int(1234)),
+            ("bags.0.name", Json::str(bag)),
+            ("bags.0.rows", Json::Int(42)),
+            ("pool.leases.0.threads", Json::Int(2)),
+            ("pool.leases.0.idle", Json::Int(0)),
+            ("index_rebuilds", Json::Int(1)),
+            ("decomp_cache.hits", Json::Int(0)),
+            ("decomp_cache.misses", Json::Int(1)),
+            ("decomposition.min_fill_width", Json::Int(2)),
+            ("decomposition.min_degree_width", Json::Int(3)),
+            ("decomposition.chosen", Json::str("min-fill")),
+        ] {
+            assert_eq!(at(&doc, path), &want, "{path}");
+        }
+    }
+
+    #[test]
+    fn empty_metrics_report_renders_null_sections() {
+        let doc = metrics_json(&QueryMetrics::default());
+        for path in ["levels", "bags", "pool.leases"] {
+            assert_eq!(at(&doc, path), &Json::Arr(Vec::new()), "{path}");
+        }
+        for path in [
+            "join.distinct_ratio",
+            "semijoin.distinct_ratio",
+            "decomposition",
+        ] {
+            assert_eq!(at(&doc, path), &Json::Null, "{path}");
+        }
+    }
+
+    #[test]
+    fn trace_report_renders_canonical_json() {
+        let report = TraceReport {
+            roots: vec![Span {
+                kind: SpanKind::Join,
+                nanos: 184_000,
+                children: vec![Span {
+                    kind: SpanKind::ReduceUp,
+                    nanos: 41_500,
+                    children: Vec::new(),
+                }],
+            }],
+        };
+        assert_eq!(
+            spans_json(&report).to_string(),
+            "[{\"span\":\"join\",\"us\":184,\"children\":[{\"span\":\"reduce-up\",\"us\":41}]}]"
+        );
+        assert_eq!(report.total_nanos(), 184_000);
+        assert_eq!(spans_json(&TraceReport::default()), Json::Arr(Vec::new()));
     }
 
     #[test]

@@ -45,17 +45,18 @@
 //! and any query at or over the threshold writes one
 //! JSON line to stderr with its trace id, stage spans and outcome.
 
-use crate::json;
+use crate::json::{self, Json};
 use crate::load::{load_source, DbSource};
 use crate::protocol::{
-    parse_request, render_response_into, DbInfo, EngineKind, ErrorKind, Overrides, QuerySpec,
-    Request, Response, Rows, StrategyKind, WireError, MAX_LINE,
+    metrics_json, parse_request, render_response_into, spans_json, DbInfo, EngineKind, ErrorKind,
+    Overrides, QuerySpec, Request, Response, Rows, WireError, MAX_LINE,
 };
 use crate::rank::rank_cells;
 use crate::stats::StatsRegistry;
+use hypergraph::NodeSet;
 use reldb::{
-    CancelToken, CollectingSink, CollectingTracer, Database, ExecCtx, ExecPolicy, Governor,
-    JoinStrategy, MetricsSink, QueryGovernor, Relation, Span, SpanKind, TraceReport, TraceSink,
+    CancelToken, CollectingSink, CollectingTracer, Database, EngineError, ExecCtx, ExecPolicy,
+    Governor, MetricsSink, QueryGovernor, Relation, Span, SpanKind, TraceReport, TraceSink,
 };
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -661,11 +662,7 @@ fn validate(state: &State, spec: &QuerySpec) -> Result<(), WireError> {
 fn policy_for(o: &Overrides) -> ExecPolicy {
     let mut policy = ExecPolicy::default();
     if let Some(s) = o.strategy {
-        policy.strategy = match s {
-            StrategyKind::Hash => JoinStrategy::Hash,
-            StrategyKind::SortMerge => JoinStrategy::SortMerge,
-            StrategyKind::Auto => JoinStrategy::Auto,
-        };
+        policy.strategy = s;
     }
     if let Some(t) = o.threads {
         policy.threads = t as usize;
@@ -687,23 +684,23 @@ fn governor_for(state: &State, o: &Overrides, started: Instant) -> QueryGovernor
     g
 }
 
-fn run_engine<M: MetricsSink, G: Governor, T: TraceSink>(
+/// Runs `engine` over the attribute set `x` under `ctx` — the one engine
+/// dispatch, which the one-shot CLI (`hyperq query`) calls too.  A result
+/// produced after the deadline still counts as a timeout: the caller asked
+/// for an answer *within* its budget, so the outcome must not depend on
+/// which checkpoint happened to notice.
+pub fn run_engine<M: MetricsSink, G: Governor, T: TraceSink>(
     db: &Database,
-    spec: &QuerySpec,
+    engine: EngineKind,
+    x: &NodeSet,
     ctx: &ExecCtx<'_, M, G, T>,
-) -> Result<Relation, WireError> {
-    let x = db
-        .attributes(spec.select.iter().map(String::as_str))
-        .map_err(|e| WireError::new(ErrorKind::Schema, format!("bad select: {e}")))?;
-    let result = match spec.engine.unwrap_or_default() {
-        EngineKind::Yannakakis => ctx.query_yannakakis(db, &x),
-        EngineKind::Connection => ctx.query_via_connection(db, &x),
-        EngineKind::Naive => ctx.query_via_full_join(db, &x),
-    };
-    let answer = result.map_err(WireError::from)?;
-    // A result produced after the deadline still counts as a timeout —
-    // the same contract as the one-shot CLI.
-    ctx.gov.checkpoint().map_err(WireError::from)?;
+) -> Result<Relation, EngineError> {
+    let answer = match engine {
+        EngineKind::Yannakakis => ctx.query_yannakakis(db, x),
+        EngineKind::Connection => ctx.query_via_connection(db, x),
+        EngineKind::Naive => ctx.query_via_full_join(db, x),
+    }?;
+    ctx.gov.checkpoint()?;
     Ok(answer)
 }
 
@@ -755,15 +752,17 @@ fn log_slow_query(
         Ok(()) => "ok",
         Err(k) => k.as_str(),
     };
-    let select = json::Json::Arr(spec.select.iter().map(json::Json::str).collect()).to_string();
-    eprintln!(
-        "{{\"slow_query\":\"{trace_id}\",\"db\":{},\"select\":{select},\"engine\":\"{}\",\
-         \"outcome\":\"{outcome_label}\",\"elapsed_us\":{},\"spans\":{}}}",
-        json::Json::str(&spec.db),
-        engine.as_str(),
-        elapsed.as_micros(),
-        report.to_json(),
-    );
+    let select = spec.select.iter().map(Json::str).collect();
+    let line = json::obj([
+        ("slow_query", Json::str(trace_id)),
+        ("db", Json::str(&spec.db)),
+        ("select", Json::Arr(select)),
+        ("engine", Json::str(engine.as_str())),
+        ("outcome", Json::str(outcome_label)),
+        ("elapsed_us", Json::Int(elapsed.as_micros() as i64)),
+        ("spans", spans_json(report)),
+    ]);
+    eprintln!("{line}");
 }
 
 /// The engine-dispatch half of [`execute`]: returns the response plus what
@@ -815,17 +814,24 @@ fn execute_inner(
 
     let sink = want_metrics.then(CollectingSink::new);
     let run = || -> Result<Relation, WireError> {
+        let x = db
+            .attributes(spec.select.iter().map(String::as_str))
+            .map_err(|e| WireError::new(ErrorKind::Schema, format!("bad select: {e}")))?;
+        let engine = spec.engine.unwrap_or_default();
         // The sinks are optional per request but static per call: attach
         // whichever are present to the governed context.
         macro_rules! with_gov {
             ($gov:expr) => {{
                 let ctx = ExecCtx::new(&policy).gov($gov);
                 match (&sink, tracer) {
-                    (Some(sink), Some(t)) => run_engine(&db, spec, &ctx.metrics(sink).trace(t)),
-                    (Some(sink), None) => run_engine(&db, spec, &ctx.metrics(sink)),
-                    (None, Some(t)) => run_engine(&db, spec, &ctx.trace(t)),
-                    (None, None) => run_engine(&db, spec, &ctx),
+                    (Some(sink), Some(t)) => {
+                        run_engine(&db, engine, &x, &ctx.metrics(sink).trace(t))
+                    }
+                    (Some(sink), None) => run_engine(&db, engine, &x, &ctx.metrics(sink)),
+                    (None, Some(t)) => run_engine(&db, engine, &x, &ctx.trace(t)),
+                    (None, None) => run_engine(&db, engine, &x, &ctx),
                 }
+                .map_err(WireError::from)
             }};
         }
         #[cfg(feature = "failpoints")]
@@ -843,7 +849,7 @@ fn execute_inner(
     };
 
     let result = run();
-    let metrics = sink.and_then(|s| json::parse(&s.snapshot().to_json()).ok());
+    let metrics = sink.map(|s| metrics_json(&s.snapshot()));
 
     match result {
         Err(e) => {

@@ -20,9 +20,9 @@
 //! **6.25 % (1/16)** of any sample in the bucket.  The exact maximum is
 //! tracked separately, and quantiles never report beyond it.  64 octaves ×
 //! 8 sub-buckets = [`BUCKETS`] = 496 buckets cover the full `u64` range —
-//! small enough to ship raw counts over the wire, which is what lets
-//! `hyperq client bench` diff two snapshots and quote quantiles of just
-//! its own run.
+//! small enough to ship raw counts over the wire, which is what lets a
+//! load generator (`benchmark/`) diff two snapshots and quote quantiles of
+//! just its own run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

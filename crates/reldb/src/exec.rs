@@ -50,8 +50,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// ```
 /// use reldb::JoinStrategy;
 ///
-/// // The CLI spellings round-trip; `Auto` is the default cost-pick planner.
+/// // The spellings round-trip; `Auto` is the default cost-pick planner.
 /// assert_eq!(JoinStrategy::parse("sort-merge"), Ok(JoinStrategy::SortMerge));
+/// assert_eq!(JoinStrategy::parse("sortmerge"), Ok(JoinStrategy::SortMerge));
+/// assert_eq!(JoinStrategy::SortMerge.as_str(), "sort-merge");
 /// assert_eq!(JoinStrategy::default(), JoinStrategy::Auto);
 /// assert!(JoinStrategy::parse("quantum").is_err());
 /// ```
@@ -73,14 +75,26 @@ pub enum JoinStrategy {
 }
 
 impl JoinStrategy {
-    /// Parses a CLI spelling (`hash`, `sortmerge`/`sort-merge`, `auto`).
+    /// The canonical spelling (`hash`, `sort-merge`, `auto`) — what the
+    /// wire protocol renders and [`parse`](Self::parse) reads back.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Self::Hash => "hash",
+            Self::SortMerge => "sort-merge",
+            Self::Auto => "auto",
+        }
+    }
+
+    /// Parses a spelling: the canonical ones of [`as_str`](Self::as_str),
+    /// plus `sortmerge`.  The `--strategy` flag and the protocol's
+    /// `"strategy"` member both read through this.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "hash" => Ok(Self::Hash),
             "sortmerge" | "sort-merge" => Ok(Self::SortMerge),
             "auto" => Ok(Self::Auto),
             other => Err(format!(
-                "unknown join strategy {other:?} (expected hash, sortmerge or auto)"
+                "unknown join strategy {other:?} (expected hash, sort-merge or auto)"
             )),
         }
     }

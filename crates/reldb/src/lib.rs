@@ -41,9 +41,9 @@
 //! | [`hypertree`] | cyclic schemas: bag materialization over a hypertree decomposition (`decomp` crate) and the acyclic-vs-cyclic router [`yannakakis_join_any`] |
 //! | [`snapshot`] | the versioned binary snapshot format behind [`Database::save_snapshot`] / [`Database::load_snapshot`] — scale-up loads in milliseconds instead of re-parsing text |
 //! | [`exec`] | [`ExecCtx`] (the one execution context every pipeline entry point is a method of), [`ExecPolicy`], [`JoinStrategy`] cost-pick, the [`MorselQueue`] work-pull cursor, and the leased [`WorkerPool`] the parallel engine runs on |
-//! | [`metrics`] | zero-cost-when-off observability: the [`MetricsSink`] an [`ExecCtx`] carries into every kernel, collected into a [`QueryMetrics`] report |
+//! | [`metrics`] | zero-cost-when-off observability: the [`MetricsSink`] an [`ExecCtx`] carries into every kernel, collected into a [`QueryMetrics`] report — a struct and a text table; its JSON document is rendered by `hyperqd::protocol` |
 //! | [`govern`] | zero-cost-when-off governance: the [`Governor`] checkpoints (cancellation, deadlines, memory budgets) an [`ExecCtx`] carries into every kernel, structured [`EngineError`] aborts, and the `failpoints` fault-injection harness |
-//! | [`trace`] | zero-cost-when-off trace spans: the [`TraceSink`] stage hooks an [`ExecCtx`] carries through the pipelines, collected into a hierarchical [`TraceReport`] (decompose → materialize → reduce → join wall clock) |
+//! | [`trace`] | zero-cost-when-off trace spans: the [`TraceSink`] stage hooks an [`ExecCtx`] carries through the pipelines, collected into a hierarchical [`TraceReport`] (decompose → materialize → reduce → join wall clock; rendered for the slow-query log by `hyperqd::protocol`) |
 //! | `consistency` | pairwise vs. global consistency and repairs — the semantic characterization of acyclicity (§7) |
 //! | [`mod@reference`] | the pre-rewrite naive engine, kept as the equivalence-test oracle and benchmark baseline |
 //!

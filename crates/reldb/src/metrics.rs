@@ -32,10 +32,11 @@
 //! [`CollectingSink`] aggregates everything into a [`QueryMetrics`] report
 //! (shareable across the pool's worker threads — recording happens at
 //! operation granularity, never per tuple, so a mutex is plenty).  The
-//! report renders as a human table ([`QueryMetrics::render_table`]) and as
-//! machine-readable JSON ([`QueryMetrics::to_json`]) — the formats behind
-//! `hyperq query --metrics` / `--metrics-json` and the per-row metrics
-//! embedded in `hyperq bench` records.
+//! report is a plain struct; this crate renders it only as a human table
+//! ([`QueryMetrics::render_table`], behind `hyperq query --metrics`).  Its
+//! JSON document — `--metrics-json`, the `metrics` member of a served
+//! answer — is written by `hyperqd::protocol::metrics_json`, where every
+//! other wire rendering lives.
 //!
 //! [`JoinStrategy::Auto`]: crate::JoinStrategy::Auto
 //! [`Relation::join`]: crate::Relation::join
@@ -249,28 +250,6 @@ impl OpAgg {
     pub fn ratio_mean(&self) -> Option<f64> {
         (self.ratio_samples > 0).then(|| self.ratio_sum / self.ratio_samples as f64)
     }
-
-    fn json(&self) -> String {
-        let ratio = match self.ratio_mean() {
-            Some(mean) => format!(
-                "{{\"samples\": {}, \"mean\": {:.6}, \"min\": {:.6}, \"max\": {:.6}}}",
-                self.ratio_samples, mean, self.ratio_min, self.ratio_max
-            ),
-            None => "null".to_owned(),
-        };
-        format!(
-            "{{\"ops\": {}, \"hash_ops\": {}, \"sortmerge_ops\": {}, \"dense_ops\": {}, \"probed\": {}, \"kept\": {}, \"built\": {}, \"build_rows\": {}, \"distinct_ratio\": {}}}",
-            self.ops,
-            self.hash_ops,
-            self.sortmerge_ops,
-            self.dense_ops,
-            self.probed,
-            self.kept,
-            self.built,
-            self.build_rows,
-            ratio,
-        )
-    }
 }
 
 /// One recorded level timing.
@@ -350,71 +329,6 @@ impl QueryMetrics {
     /// Total rows kept across joins and semijoins.
     pub fn total_kept(&self) -> u64 {
         self.joins.kept + self.semijoins.kept
-    }
-
-    /// Renders the report as a machine-readable JSON document (single
-    /// trailing-newline object; lists one element per line so the output
-    /// greps cleanly).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"join\": {},\n", self.joins.json()));
-        out.push_str(&format!("  \"semijoin\": {},\n", self.semijoins.json()));
-        out.push_str("  \"levels\": [");
-        for (i, l) in self.levels.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"phase\": \"{}\", \"level\": {}, \"jobs\": {}, \"nanos\": {}}}",
-                l.phase.label(),
-                l.level,
-                l.jobs,
-                l.nanos
-            ));
-        }
-        out.push_str(if self.levels.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"bags\": [");
-        for (i, b) in self.bags.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"rows\": {}}}",
-                b.name.replace('"', "'"),
-                b.rows
-            ));
-        }
-        out.push_str(if self.bags.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"pool\": {\"leases\": [");
-        for (i, l) in self.leases.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"threads\": {}, \"idle\": {}}}",
-                l.threads, l.idle
-            ));
-        }
-        out.push_str("]},\n");
-        out.push_str(&format!("  \"index_rebuilds\": {},\n", self.index_rebuilds));
-        out.push_str(&format!(
-            "  \"decomp_cache\": {{\"hits\": {}, \"misses\": {}}},\n",
-            self.decomp_cache_hits, self.decomp_cache_misses
-        ));
-        match &self.widths {
-            Some(w) => out.push_str(&format!(
-                "  \"decomposition\": {{\"min_fill_width\": {}, \"min_degree_width\": {}, \"chosen\": \"{}\"}}\n",
-                w.min_fill, w.min_degree, w.chosen
-            )),
-            None => out.push_str("  \"decomposition\": null\n"),
-        }
-        out.push_str("}\n");
-        out
     }
 
     /// Renders the report as a human-readable table.
@@ -655,47 +569,6 @@ mod tests {
                 idle: 2
             }]
         );
-    }
-
-    #[test]
-    fn json_report_is_well_formed_and_complete() {
-        let sink = CollectingSink::new();
-        sink.record_op(op(OpKind::Semijoin, Kernel::Hash, 10, 7, Some(0.3)));
-        sink.record_level(Phase::ReduceUp, 1, 2, 1234);
-        sink.record_bag("B0-B1", 42);
-        sink.record_lease(2, 0);
-        sink.record_index_rebuilds(1);
-        sink.record_widths(2, 3, "min-fill");
-        let json = sink.snapshot().to_json();
-        for needle in [
-            "\"semijoin\": {\"ops\": 1",
-            "\"probed\": 10",
-            "\"kept\": 7",
-            "\"phase\": \"reduce-up\"",
-            "\"nanos\": 1234",
-            "\"name\": \"B0-B1\", \"rows\": 42",
-            "\"threads\": 2, \"idle\": 0",
-            "\"index_rebuilds\": 1",
-            "\"min_fill_width\": 2, \"min_degree_width\": 3, \"chosen\": \"min-fill\"",
-        ] {
-            assert!(json.contains(needle), "missing {needle:?} in:\n{json}");
-        }
-        // Balanced braces/brackets — the document must parse as JSON.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn empty_report_renders_null_sections() {
-        let json = QueryMetrics::default().to_json();
-        assert!(json.contains("\"levels\": []"));
-        assert!(json.contains("\"bags\": []"));
-        assert!(json.contains("\"distinct_ratio\": null"));
-        assert!(json.contains("\"decomposition\": null"));
     }
 
     #[test]

@@ -119,26 +119,6 @@ pub struct Span {
     pub children: Vec<Span>,
 }
 
-impl Span {
-    fn to_json(&self, out: &mut String) {
-        out.push_str("{\"span\":\"");
-        out.push_str(self.kind.as_str());
-        out.push_str("\",\"us\":");
-        out.push_str(&(self.nanos / 1_000).to_string());
-        if !self.children.is_empty() {
-            out.push_str(",\"children\":[");
-            for (i, c) in self.children.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                c.to_json(out);
-            }
-            out.push(']');
-        }
-        out.push('}');
-    }
-}
-
 /// A finished span tree, as taken from a [`CollectingTracer`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceReport {
@@ -147,21 +127,6 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Renders the span forest as a canonical JSON array (span names from
-    /// [`SpanKind::as_str`], durations in integer microseconds), e.g.
-    /// `[{"span":"join","us":184,"children":[…]}]`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, s) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            s.to_json(&mut out);
-        }
-        out.push(']');
-        out
-    }
-
     /// Total nanoseconds across the top-level spans.
     pub fn total_nanos(&self) -> u64 {
         self.roots.iter().map(|s| s.nanos).sum()
@@ -273,26 +238,6 @@ mod tests {
         assert_eq!(report.roots[1].kind, SpanKind::Serialize);
         // A taken tracer is empty again.
         assert_eq!(t.take(), TraceReport::default());
-    }
-
-    #[test]
-    fn report_renders_canonical_json() {
-        let report = TraceReport {
-            roots: vec![Span {
-                kind: SpanKind::Join,
-                nanos: 184_000,
-                children: vec![Span {
-                    kind: SpanKind::ReduceUp,
-                    nanos: 41_500,
-                    children: Vec::new(),
-                }],
-            }],
-        };
-        assert_eq!(
-            report.to_json(),
-            "[{\"span\":\"join\",\"us\":184,\"children\":[{\"span\":\"reduce-up\",\"us\":41}]}]"
-        );
-        assert_eq!(report.total_nanos(), 184_000);
     }
 
     #[test]

@@ -14,12 +14,6 @@ gate is `hyperq bench --check` against the padded baseline).
 Old-format documents whose rows lack the metrics fields (probed/kept/
 join_ops/semijoin_ops) diff fine: rows are keyed and compared on the
 timing fields both formats share.
-
-Server-latency rows (`server_query_p50`/`p90`/`p99`, engine `server`,
-written by `hyperq client bench --out`) carry a quantile of the server's
-own latency histogram in ns_per_iter rather than a mean; they diff like
-any other row and are flagged in the table so a tail-latency regression
-reads as what it is.
 """
 
 import json
@@ -91,16 +85,13 @@ def main() -> int:
             pct = (now / before - 1.0) * 100.0
             delta = f"{pct:+.1f}%"
             before_s = fmt_ns(before)
-        # Server rows are latency quantiles, not per-iteration means.
-        label = f"{op} ⏱" if op.startswith("server_query_") else op
-        print(f"| {label} | {engine} | {workload} | {size} | {before_s} | {fmt_ns(now)} | {delta} |")
+        print(f"| {op} | {engine} | {workload} | {size} | {before_s} | {fmt_ns(now)} | {delta} |")
     for key in dropped:
         print(f"| {key[0]} | {key[1]} | {key[2]} | {key[3]} | {fmt_ns(prev[key]['ns_per_iter'])} | — | dropped |")
     print()
     print(f"{len(deltas)} rows diffed, {len(dropped)} dropped "
           "(positive delta = slower than the previous run; runner noise "
-          "routinely reaches ±30%, so read trends, not single rows; "
-          "⏱ marks server-side latency quantiles from `hyperq client bench`).")
+          "routinely reaches ±30%, so read trends, not single rows).")
     return 0
 
 

@@ -10,11 +10,11 @@
 
 use acyclic_hypergraphs::hyperqd::json::Json;
 use acyclic_hypergraphs::hyperqd::protocol::{
-    parse_request, parse_response, render_request, render_response, DbInfo, EngineKind, ErrorKind,
-    Overrides, QuerySpec, Request, Response, Rows, StrategyKind, WireError, MAX_LINE,
+    metrics_json, parse_request, parse_response, render_request, render_response, DbInfo,
+    EngineKind, ErrorKind, Overrides, QuerySpec, Request, Response, Rows, WireError, MAX_LINE,
 };
-use acyclic_hypergraphs::hyperqd::server::Server;
-use acyclic_hypergraphs::reldb::Database;
+use acyclic_hypergraphs::hyperqd::server::{run_engine, Server};
+use acyclic_hypergraphs::reldb::{CollectingSink, Database, ExecCtx, ExecPolicy, JoinStrategy};
 use acyclic_hypergraphs::workload::{chain, consistent_database, DataParams};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -29,9 +29,9 @@ fn arb_overrides(bits: u64, a: u64, b: u64) -> Overrides {
     Overrides {
         strategy: match bits & 0b11 {
             0 => None,
-            1 => Some(StrategyKind::Hash),
-            2 => Some(StrategyKind::SortMerge),
-            _ => Some(StrategyKind::Auto),
+            1 => Some(JoinStrategy::Hash),
+            2 => Some(JoinStrategy::SortMerge),
+            _ => Some(JoinStrategy::Auto),
         },
         threads: (bits & 0b100 != 0).then_some(a % 9),
         timeout_ms: (bits & 0b1000 != 0).then_some(b % 10_000),
@@ -470,6 +470,77 @@ fn fault_injection_requests_are_refused_without_the_feature() {
         }
         other => panic!("fault request without the feature got {other:?}"),
     }
+    shut_down(handle);
+}
+
+// --------------------------------------------------------------- metrics
+
+/// A metrics document without what differs from run to run: each level's
+/// wall clock and the pool's lease records (occupancy of a shared pool).
+fn without_clocks(doc: &Json) -> Json {
+    let Json::Obj(members) = doc else {
+        panic!("a metrics document is an object: {doc}");
+    };
+    let members = members.iter().map(|(name, value)| {
+        let value = match name.as_str() {
+            "levels" => Json::Arr(
+                value
+                    .as_arr()
+                    .expect("levels is an array")
+                    .iter()
+                    .map(|level| {
+                        let Json::Obj(fields) = level else {
+                            panic!("a level is an object: {level}");
+                        };
+                        let timeless = fields.iter().filter(|(k, _)| k != "nanos");
+                        Json::Obj(timeless.cloned().collect())
+                    })
+                    .collect(),
+            ),
+            "pool" => Json::Null,
+            _ => value.clone(),
+        };
+        (name.clone(), value)
+    });
+    Json::Obj(members.collect())
+}
+
+/// `hyperq query --metrics-json` and a served `"metrics":true` answer emit
+/// one document: same members, same order, same counters for the same
+/// query under the same policy.
+#[test]
+fn a_served_metrics_member_is_the_document_the_cli_prints() {
+    let (handle, db) = tiny_server();
+    let select = ["N00000", "N00003"];
+    let mut c = Client::connect(handle.addr());
+    let response = c.round_trip(&Request::Query(QuerySpec {
+        db: "chain".into(),
+        select: select.map(String::from).to_vec(),
+        engine: Some(EngineKind::Yannakakis),
+        overrides: Overrides {
+            metrics: Some(true),
+            ..Overrides::default()
+        },
+    }));
+    let Response::Answer {
+        metrics: Some(served),
+        ..
+    } = response
+    else {
+        panic!("a metrics request is answered with metrics: {response:?}");
+    };
+
+    // What the one-shot CLI runs and prints.
+    let policy = ExecPolicy::default();
+    let sink = CollectingSink::new();
+    let x = db.attributes(select).unwrap();
+    let ctx = ExecCtx::new(&policy).metrics(&sink);
+    run_engine(&db, EngineKind::Yannakakis, &x, &ctx).unwrap();
+    let printed = metrics_json(&sink.snapshot());
+
+    assert_eq!(without_clocks(&served), without_clocks(&printed));
+    let semijoins = served.get("semijoin").and_then(|s| s.get("ops"));
+    assert!(semijoins.and_then(Json::as_u64) > Some(0), "{served}");
     shut_down(handle);
 }
 

@@ -16,13 +16,12 @@
 //! rest.
 
 use acyclic_hypergraphs::hyperqd::protocol::{
-    render_request, render_response, EngineKind, ErrorKind, Overrides, QuerySpec, Request,
-    Response, StrategyKind,
+    render_request, render_response, EngineKind, ErrorKind, Overrides, QuerySpec, Request, Response,
 };
 use acyclic_hypergraphs::hyperqd::server::{answer_frame, Server};
 use acyclic_hypergraphs::hyperqd::{parse_response, ServerHandle};
 use acyclic_hypergraphs::reldb::{
-    query_via_connection, query_via_full_join, query_yannakakis, Database,
+    query_via_connection, query_via_full_join, query_yannakakis, Database, JoinStrategy,
 };
 use acyclic_hypergraphs::workload::{chain, consistent_database, ring, star, DataParams};
 use std::collections::BTreeMap;
@@ -124,15 +123,15 @@ fn build_workloads(dbs: &BTreeMap<String, Arc<Database>>) -> Vec<Workload> {
     let policies = [
         Overrides::default(),
         Overrides {
-            strategy: Some(StrategyKind::Hash),
+            strategy: Some(JoinStrategy::Hash),
             ..Overrides::default()
         },
         Overrides {
-            strategy: Some(StrategyKind::SortMerge),
+            strategy: Some(JoinStrategy::SortMerge),
             ..Overrides::default()
         },
         Overrides {
-            strategy: Some(StrategyKind::Auto),
+            strategy: Some(JoinStrategy::Auto),
             threads: Some(2),
             ..Overrides::default()
         },

@@ -2,8 +2,8 @@
 //! latency [`Histogram`] behind `hyperqd`'s `stats` op, and the live
 //! registry driven over the wire.
 //!
-//! The histogram properties pin the algebra the `hyperq client bench`
-//! scrape-diff workflow depends on: recording is order-insensitive and
+//! The histogram properties pin the algebra the repo benchmark's
+//! scrape-diff workflow (`benchmark/src/e2e.rs`) depends on: recording is order-insensitive and
 //! merge-associative (so two scrapes bracket a window exactly), quantiles
 //! are monotone (p50 ≤ p90 ≤ p99 ≤ max), every recorded value lands in a
 //! bucket whose representative is within the bucketing scheme's 1/16
@@ -112,8 +112,8 @@ proptest! {
     }
 
     /// The sparse wire form (what the `stats` op ships) reconstructs the
-    /// histogram exactly — the contract `hyperq client bench` relies on
-    /// when it diffs two scrapes client-side.
+    /// histogram exactly — the contract the repo benchmark relies on when
+    /// it diffs two scrapes client-side.
     #[test]
     fn sparse_wire_form_round_trips(
         values in arb_vec(0u64..5_000_000, 0..120),
