@@ -1,32 +1,33 @@
-//! `hyperq bench` — the machine-readable perf harness.
+//! `hyperq bench` — the in-repo perf harness: the ratios one run can know.
 //!
-//! Runs the query-engine (B4: Yannakakis full reduce + join) and
-//! acyclicity micro-benchmarks at fixed workload sizes, timing both the
-//! columnar engine and the retained naive reference engine, and writes the
-//! results as `BENCH_results.json` so the perf trajectory accumulates in
-//! CI artifacts.  The full profile (and `--scale` alone) adds the
-//! 10⁶-tuple-per-relation scale rows: `data_load` (binary snapshot decode
-//! vs text parse — the ≥20× load-speedup acceptance row) and the
-//! sequential vs morsel-driven engines on the same workload.  With
-//! `--check <baseline.json>` it additionally compares the measured
-//! columnar `full_reduce` and `yannakakis_join` numbers (the sequential,
-//! pool-leased parallel and morsel engines), the `cyclic_join`
-//! decomposition rows and the `data_load` rows against a checked-in
-//! baseline and fails on a regression beyond `--max-regression` (default
-//! 2×, deliberately generous to tolerate runner noise).
+//! Times the engine `hyperqd` serves — [`ExecPolicy::default`] on one
+//! thread, the `columnar` rows — on `full_reduce` and `yannakakis_join`
+//! (the paper's full reducer and the join over the unique connection)
+//! beside what it is compared with: the same policy with Governor
+//! checkpoints live (`columnar-governed`), the naive `reference` oracle,
+//! the pinned kernels (`columnar-hash`, `columnar-sortmerge`) and the
+//! fan-out engines (`columnar-parallel`, `-morsel`, `-decomp-parallel`);
+//! plus the cyclic decomposition pipeline, the GYO/MCS acyclicity tests
+//! and, under the full profile or `--scale` alone, the 10⁶-tuple rows.
+//!
+//! Every run ends with a `ratios:` block computed from its own rows (see
+//! [`ratios`]) and `--check` fails the run when a bounded ratio is out of
+//! bound.  Nothing is compared with numbers recorded on another machine or
+//! in another run: absolute latency is measured end to end, with
+//! alternating parent/change pairs, by the repo benchmark under
+//! `benchmark/`.
 
-use acyclic::{is_acyclic_mcs, join_tree, AcyclicityExt};
+use acyclic::{is_acyclic_mcs, join_tree, AcyclicityExt, JoinTree};
 use decomp::{decompose, Heuristic};
-use hypergraph::EdgeId;
-use hypergraph::Hypergraph;
-use hyperqd::json::{self, Json};
+use hypergraph::{EdgeId, Hypergraph, NodeSet};
+use hyperqd::json::Json;
 use reldb::reference::{naive_full_reduce, naive_yannakakis_join};
 use reldb::{
     naive_join_project, CollectingSink, Database, ExecCtx, ExecPolicy, JoinStrategy, QueryGovernor,
     Relation, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO, AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
 };
-use std::collections::HashMap;
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 use workload::{
     chain, far_apart, hyper_ring, pair_clique, random_database, ring, snowflake_tree, star,
     DataParams,
@@ -68,7 +69,8 @@ impl RowMetrics {
 pub struct BenchRecord {
     /// Operation name (`full_reduce`, `yannakakis_join`, `acyclicity_gyo`, …).
     pub op: String,
-    /// `columnar` (the engine) or `reference` (the naive baseline).
+    /// `columnar` (the served engine), `reference` (the naive oracle), or
+    /// one of the comparison engines.
     pub engine: String,
     /// Workload name (`chain-6`, `star-6`, `chain-64`, …).
     pub workload: String,
@@ -76,10 +78,13 @@ pub struct BenchRecord {
     pub size: usize,
     /// Work items processed per iteration: database tuples, or edges.
     pub units: usize,
-    /// Timed iterations.
+    /// Timed iterations, over all batches.
     pub iters: usize,
-    /// Mean nanoseconds per iteration.
+    /// Nanoseconds per iteration of the fastest batch — what the ratios
+    /// are computed from.
     pub ns_per_iter: f64,
+    /// Nanoseconds per iteration of the median batch: the row's dispersion.
+    pub ns_median: f64,
     /// Engine counters for the row's operation, when it has a metered path.
     pub metrics: Option<RowMetrics>,
 }
@@ -105,6 +110,7 @@ impl BenchRecord {
             ("units", int(self.units)),
             ("iters", int(self.iters)),
             ("ns_per_iter", Json::Int(self.ns_per_iter.round() as i64)),
+            ("ns_median", Json::Int(self.ns_median.round() as i64)),
             ("units_per_sec", Json::Int(per_sec)),
         ];
         if let Some(m) = self.metrics {
@@ -119,27 +125,68 @@ impl BenchRecord {
     }
 }
 
-/// Times `f`: one warmup/calibration run, then enough iterations to fill
-/// roughly 200ms (between 2 and 100), returning `(iters, mean ns/iter)`.
-fn measure<T>(mut f: impl FnMut() -> T) -> (usize, f64) {
-    let start = Instant::now();
-    std::hint::black_box(f());
-    let once_ns = start.elapsed().as_nanos().max(1);
-    let iters = (200_000_000 / once_ns).clamp(2, 100) as usize;
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
+/// What one timed side reports: iterations over all batches, and the
+/// per-iteration nanoseconds of its fastest and of its median batch.
+#[derive(Debug, Clone, Copy)]
+struct Sample {
+    iters: usize,
+    ns_min: f64,
+    ns_median: f64,
+}
+
+/// One side of an interleaved measurement.
+type Side<'a> = Box<dyn FnMut() + 'a>;
+
+fn side<'a, T>(mut f: impl FnMut() -> T + 'a) -> Side<'a> {
+    Box::new(move || drop(black_box(f())))
+}
+
+/// Timed batches per side.
+const BATCHES: usize = 5;
+
+/// Times every side, interleaved.  One warm-up run sizes a side: enough
+/// iterations to fill roughly 200 ms (between 2 and 100), split evenly
+/// over up to [`BATCHES`] batches — a side whose single iteration already exceeds
+/// the budget gets two batches of one.  The batches then run round-robin
+/// (A B A B …), so a noisy second on a shared box hits every side of a
+/// compared pair rather than one of them.
+fn measure_interleaved(sides: &mut [Side<'_>]) -> Vec<Sample> {
+    let mut plans = Vec::new();
+    for f in sides.iter_mut() {
+        let start = Instant::now();
+        f();
+        let once_ns = start.elapsed().as_nanos().max(1);
+        let iters = (200_000_000 / once_ns).clamp(2, 100) as usize;
+        let batches = iters.min(BATCHES);
+        plans.push((batches, iters / batches, Vec::new()));
     }
-    (iters, start.elapsed().as_nanos() as f64 / iters as f64)
+    for round in 0..BATCHES {
+        for (f, (batches, per_batch, ns)) in sides.iter_mut().zip(&mut plans) {
+            if round < *batches {
+                let start = Instant::now();
+                (0..*per_batch).for_each(|_| f());
+                ns.push(start.elapsed().as_nanos() as f64 / *per_batch as f64);
+            }
+        }
+    }
+    let sample = |(batches, per_batch, mut ns): (usize, usize, Vec<f64>)| {
+        ns.sort_by(f64::total_cmp);
+        Sample {
+            iters: batches * per_batch,
+            ns_min: ns[0],
+            ns_median: ns[ns.len() / 2],
+        }
+    };
+    plans.into_iter().map(sample).collect()
 }
 
 /// Which workload sizes to run: the full trajectory, the trimmed CI set,
 /// a smoke-sized profile for tests, or the scale-up rows alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {
-    /// All sizes (200/1000/4000 tuples per relation), plus the scale rows.
+    /// All sizes (1000/4000 tuples per relation), plus the scale rows.
     Full,
-    /// CI sizes (200/1000) — fast enough for every push.
+    /// CI sizes (1000) — fast enough for every push.
     Quick,
     /// Smoke sizes (60) — for the CLI test suite under debug builds.
     Tiny,
@@ -148,236 +195,171 @@ pub enum Profile {
     Scale,
 }
 
-/// One benchmark schema family: its name, schema, data skew, and which
-/// engine rows to measure on it.
-struct QueryWorkload {
-    name: &'static str,
-    schema: Hypergraph,
-    /// Zipf skew for the generated data (`0.0` = uniform).
-    skew: f64,
-    /// Divisor mapping tuples/relation to the value domain: small divisors
-    /// mean more distinct keys.
-    domain_div: i64,
-    /// Per-join-column value cap (`0` = unbounded): the output-bounded
-    /// skewed regime that isolates kernel cost from join-output size.
-    key_cap: usize,
-    /// Measure the naive reference engine (slow; kept for the original
-    /// chain/star trajectory rows).
-    reference: bool,
-    /// Measure the sort-merge and parallel engine variants.
-    variants: bool,
+/// A row to be measured: its op and engine names and its counters, and the
+/// code to time.
+type Row<'a> = ((&'static str, &'static str, Option<RowMetrics>), Side<'a>);
+
+fn row<'a, T>(
+    op: &'static str,
+    engine: &'static str,
+    metrics: Option<RowMetrics>,
+    f: impl FnMut() -> T + 'a,
+) -> Row<'a> {
+    ((op, engine, metrics), side(f))
 }
 
-/// The strategy/parallelism engine variants measured alongside the default
-/// columnar hash engine.  The engine label is what lands in the JSON rows.
-///
-/// `columnar-parallel` leases long-lived workers from the shared
-/// `WorkerPool` (the production parallel path); `columnar-auto` runs the
-/// Auto planner with its calibrated per-operator crossovers (an
-/// informational row, not regression-guarded).
-fn engine_policies(threads: usize) -> Vec<(&'static str, ExecPolicy)> {
-    vec![
-        (
-            "columnar-sortmerge",
-            ExecPolicy::sequential(JoinStrategy::SortMerge),
-        ),
-        ("columnar-auto", ExecPolicy::sequential(JoinStrategy::Auto)),
-        (
-            "columnar-parallel",
-            ExecPolicy::parallel(JoinStrategy::Hash, threads),
-        ),
-    ]
-}
-
-/// The two pipeline rows every engine gets: `full_reduce` and
-/// `yannakakis_join` timed under `ctx` as given (nobody watching), each
-/// with one extra run under a collecting sink for the row's counters.
-fn reduce_and_join_rows(
-    push: &mut impl FnMut(&str, &str, (usize, f64), Option<RowMetrics>),
-    engine: &str,
-    ctx: &ExecCtx<'_>,
-    db: &Database,
-    tree: &acyclic::JoinTree,
-    x: &hypergraph::NodeSet,
+/// Times the rows of one (workload, size) cell, interleaved, and appends a
+/// record for each.
+fn record_cell(
+    records: &mut Vec<BenchRecord>,
+    workload: &str,
+    size: usize,
+    units: usize,
+    rows: Vec<Row<'_>>,
 ) {
-    push(
-        "full_reduce",
-        engine,
-        measure(|| ctx.full_reduce(db, tree)),
-        Some(RowMetrics::capture(|s| {
-            ctx.metrics(s)
-                .full_reduce(db, tree)
-                .expect("no governor to abort");
-        })),
-    );
-    push(
-        "yannakakis_join",
-        engine,
-        measure(|| ctx.yannakakis_join(db, tree, x)),
-        Some(RowMetrics::capture(|s| {
-            ctx.metrics(s)
-                .yannakakis_join(db, tree, x)
-                .expect("no governor to abort");
-        })),
-    );
+    let (names, mut sides): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+    let samples = measure_interleaved(&mut sides);
+    for ((op, engine, metrics), sample) in names.into_iter().zip(samples) {
+        records.push(BenchRecord {
+            op: op.to_owned(),
+            engine: engine.to_owned(),
+            workload: workload.to_owned(),
+            size,
+            units,
+            iters: sample.iters,
+            ns_per_iter: sample.ns_min,
+            ns_median: sample.ns_median,
+            metrics,
+        });
+    }
+}
+
+/// The seeded random database every row of a cell runs on: `size` tuples
+/// per relation over `domain` values, Zipf-skewed and key-capped on request.
+fn data(schema: &Hypergraph, size: usize, domain: usize, skew: f64, key_cap: usize) -> Database {
+    let params = DataParams {
+        tuples_per_relation: size,
+        domain: domain as i64,
+        skew,
+        key_cap,
+    };
+    random_database(schema, params, 9)
+}
+
+/// The policy `hyperqd` serves, on one thread: the `columnar` rows.  Built
+/// from [`ExecPolicy::default`] so the bench follows the served default
+/// (today `Auto`: the dense bitset kernel where it fits, else sort-merge
+/// or hash by sampled key duplication) instead of pinning a kernel no
+/// default request runs.
+fn served() -> ExecPolicy {
+    ExecPolicy::sequential(ExecPolicy::default().strategy)
+}
+
+/// The served policy with fan-out forced on: `threads` leased pool workers
+/// and no tuple threshold, so the parallel rows time the fan-out even
+/// where the default would stay sequential.
+fn served_parallel(threads: usize) -> ExecPolicy {
+    ExecPolicy::parallel(ExecPolicy::default().strategy, threads)
+}
+
+/// The `full_reduce` and `yannakakis_join` rows of one cell.  Each policy
+/// of `engines` is timed with nobody watching (plus one run under a
+/// collecting sink for the row's counters).  `gov` adds `columnar-governed`
+/// — `engines[0]`, the `columnar` policy, checkpointing against it — right
+/// behind the `columnar` rows it is compared with, and `reference` adds
+/// the naive oracle.
+fn pipeline_rows<'a>(
+    engines: &'a [(&'static str, ExecPolicy)],
+    gov: Option<&'a QueryGovernor>,
+    reference: bool,
+    db: &'a Database,
+    tree: &'a JoinTree,
+    x: &'a NodeSet,
+) -> Vec<Row<'a>> {
+    let mut rows = Vec::new();
+    for (i, (engine, policy)) in engines.iter().enumerate() {
+        let ctx = ExecCtx::new(policy);
+        let counters = RowMetrics::capture(|s| drop(ctx.metrics(s).full_reduce(db, tree)));
+        rows.push(row("full_reduce", engine, Some(counters), move || {
+            ctx.full_reduce(db, tree)
+        }));
+        let counters = RowMetrics::capture(|s| drop(ctx.metrics(s).yannakakis_join(db, tree, x)));
+        rows.push(row("yannakakis_join", engine, Some(counters), move || {
+            ctx.yannakakis_join(db, tree, x)
+        }));
+        if let (0, Some(gov)) = (i, gov) {
+            let ctx = ctx.gov(gov);
+            rows.push(row("full_reduce", "columnar-governed", None, move || {
+                ctx.full_reduce(db, tree).expect("limits never fire")
+            }));
+            rows.push(row(
+                "yannakakis_join",
+                "columnar-governed",
+                None,
+                move || ctx.yannakakis_join(db, tree, x).expect("limits never fire"),
+            ));
+        }
+    }
+    if reference {
+        rows.push(row("full_reduce", "reference", None, || {
+            naive_full_reduce(db, tree)
+        }));
+        rows.push(row("yannakakis_join", "reference", None, || {
+            naive_yannakakis_join(db, tree, x)
+        }));
+    }
+    rows
 }
 
 fn query_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecord>) {
     let sizes: &[usize] = match profile {
-        Profile::Full => &[200, 1000, 4000],
-        Profile::Quick => &[200, 1000],
+        Profile::Full => &[1000, 4000],
+        Profile::Quick => &[1000],
         Profile::Tiny => &[60],
         Profile::Scale => &[],
     };
-    let workloads = vec![
-        QueryWorkload {
-            name: "chain-6",
-            schema: chain(6, 2, 1),
-            skew: 0.0,
-            domain_div: 2,
-            key_cap: 0,
-            reference: true,
-            variants: true,
-        },
-        QueryWorkload {
-            name: "star-6",
-            schema: star(6, 2),
-            skew: 0.0,
-            domain_div: 2,
-            key_cap: 0,
-            reference: true,
-            variants: false,
-        },
-        QueryWorkload {
-            name: "snowflake-2x2",
-            schema: snowflake_tree(2, 2, 3),
-            skew: 0.0,
-            domain_div: 2,
-            key_cap: 0,
-            reference: false,
-            variants: true,
-        },
-        QueryWorkload {
-            name: "chain-6-zipf",
-            schema: chain(6, 2, 1),
-            skew: 1.1,
-            domain_div: 1,
-            key_cap: 0,
-            reference: false,
-            variants: true,
-        },
-        // The output-bounded skewed regime: same Zipf draw, but join-column
-        // values are capped so join outputs stay proportional to the input
-        // and the row measures kernel cost, not output materialization.
-        QueryWorkload {
-            name: "chain-6-zipf-capped",
-            schema: chain(6, 2, 1),
-            skew: 1.1,
-            domain_div: 1,
-            key_cap: 8,
-            reference: false,
-            variants: true,
-        },
+    // Name, schema, whether the data is the skewed regime, whether to time
+    // the naive reference engine (slow; kept for the chain/star rows) and
+    // whether to time the comparison engines.  Skewed means a Zipf draw
+    // (exponent 1.1) whose join-column values are capped at 8 occurrences,
+    // so join outputs stay proportional to the input and the rows measure
+    // kernel cost, not output materialization (which `chain6-wide` in
+    // `benchmark/` measures end to end); the other workloads draw uniformly
+    // from half as many values as tuples.
+    let workloads = [
+        ("chain-6", chain(6, 2, 1), false, true, true),
+        ("star-6", star(6, 2), false, true, false),
+        ("snowflake-2x2", snowflake_tree(2, 2, 3), false, false, true),
+        ("chain-6-zipf-capped", chain(6, 2, 1), true, false, true),
     ];
-    let hash_seq = ExecPolicy::sequential(JoinStrategy::Hash);
-    for w in &workloads {
-        let tree = join_tree(&w.schema).expect("benchmark schemas are acyclic");
-        let x = far_apart(&w.schema);
+    // Armed with limits that never fire, so every checkpoint reads the
+    // clock and every allocation is charged: all the work governance does
+    // for a request with a deadline and a budget.
+    let gov = QueryGovernor::new()
+        .with_deadline(Duration::from_secs(3600))
+        .with_memory_budget(u64::MAX);
+    for (name, schema, skewed, reference, variants) in workloads {
+        let tree = join_tree(&schema).expect("benchmark schemas are acyclic");
+        let x = far_apart(&schema);
+        let mut engines = vec![("columnar", served())];
+        if variants {
+            engines.extend([
+                ("columnar-hash", ExecPolicy::sequential(JoinStrategy::Hash)),
+                (
+                    "columnar-sortmerge",
+                    ExecPolicy::sequential(JoinStrategy::SortMerge),
+                ),
+                ("columnar-parallel", served_parallel(threads)),
+            ]);
+        }
         for &size in sizes {
-            let db: Database = random_database(
-                &w.schema,
-                DataParams {
-                    tuples_per_relation: size,
-                    domain: (size as i64 / w.domain_div).max(2),
-                    skew: w.skew,
-                    key_cap: w.key_cap,
-                },
-                9,
-            );
-            let units = db.tuple_count();
-            let mut push =
-                |op: &str, engine: &str, (iters, ns): (usize, f64), metrics: Option<RowMetrics>| {
-                    records.push(BenchRecord {
-                        op: op.to_owned(),
-                        engine: engine.to_owned(),
-                        workload: w.name.to_owned(),
-                        size,
-                        units,
-                        iters,
-                        ns_per_iter: ns,
-                        metrics,
-                    });
-                };
-            let columnar = ExecCtx::new(&hash_seq);
-            reduce_and_join_rows(&mut push, "columnar", &columnar, &db, &tree, &x);
-            // The same kernels with Governor checkpoints live but no limit
-            // set: these rows hold the governance layer's overhead under
-            // the regression guard alongside the ungoverned engine.
-            let gov = QueryGovernor::new();
-            let governed = columnar.gov(&gov);
-            push(
-                "full_reduce",
-                "columnar-governed",
-                measure(|| governed.full_reduce(&db, &tree).expect("no limit set")),
-                None,
-            );
-            push(
-                "yannakakis_join",
-                "columnar-governed",
-                measure(|| {
-                    governed
-                        .yannakakis_join(&db, &tree, &x)
-                        .expect("no limit set")
-                }),
-                None,
-            );
-            if w.reference {
-                push(
-                    "full_reduce",
-                    "reference",
-                    measure(|| naive_full_reduce(&db, &tree)),
-                    None,
-                );
-                push(
-                    "yannakakis_join",
-                    "reference",
-                    measure(|| naive_yannakakis_join(&db, &tree, &x)),
-                    None,
-                );
-            }
-            if w.variants {
-                for (engine, policy) in engine_policies(threads) {
-                    let ctx = ExecCtx::new(&policy);
-                    reduce_and_join_rows(&mut push, engine, &ctx, &db, &tree, &x);
-                }
-                // A single binary join of the schema's first two relations,
-                // isolating the strategy difference from the Yannakakis
-                // pipeline.  Every bench schema's first two edges share a
-                // key; assert it so a future workload cannot silently turn
-                // this row into a cross-product measurement.
-                let (r0, r1) = (&db.relations()[0], &db.relations()[1]);
-                assert!(
-                    !r0.attributes().intersection(r1.attributes()).is_empty(),
-                    "join_pair workload relations must share a key"
-                );
-                for (engine, strategy) in [
-                    ("columnar", JoinStrategy::Hash),
-                    ("columnar-sortmerge", JoinStrategy::SortMerge),
-                ] {
-                    let policy = ExecPolicy::sequential(strategy);
-                    push(
-                        "join_pair",
-                        engine,
-                        measure(|| r0.join_with(r1, strategy)),
-                        Some(RowMetrics::capture(|s| {
-                            ExecCtx::new(&policy)
-                                .metrics(s)
-                                .join(r0, r1)
-                                .expect("no governor to abort");
-                        })),
-                    );
-                }
-            }
+            let db = if skewed {
+                data(&schema, size, size, 1.1, 8)
+            } else {
+                data(&schema, size, size / 2, 0.0, 0)
+            };
+            let rows = pipeline_rows(&engines, Some(&gov), reference, &db, &tree, &x);
+            record_cell(records, name, size, db.tuple_count(), rows);
         }
     }
 }
@@ -388,7 +370,7 @@ fn query_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecord
 /// path).  The op rows are
 ///
 /// * `decompose` — structural cost only (min-fill triangulation, bag tree);
-/// * `cyclic_join` / `columnar-decomp` — the sequential pipeline;
+/// * `cyclic_join` / `columnar-decomp` — the served policy on one thread;
 /// * `cyclic_join` / `columnar-decomp-parallel` — bag materialization and
 ///   both Yannakakis phases on leased pool workers;
 /// * `cyclic_join` / `naive` — join-everything-then-project baseline.
@@ -404,8 +386,10 @@ fn cyclic_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecor
         ("hyper-ring-5x3", hyper_ring(5, 3)),
         ("clique-5", pair_clique(5)),
     ];
-    let seq = ExecPolicy::sequential(JoinStrategy::Hash);
-    let par = ExecPolicy::parallel(JoinStrategy::Hash, threads);
+    let engines = [
+        ("columnar-decomp", served()),
+        ("columnar-decomp-parallel", served_parallel(threads)),
+    ];
     for (name, schema) in workloads {
         assert!(
             join_tree(&schema).is_none(),
@@ -413,58 +397,23 @@ fn cyclic_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecor
         );
         let x = far_apart(&schema);
         for &size in sizes {
-            let db: Database = random_database(
-                &schema,
-                DataParams {
-                    tuples_per_relation: size,
-                    domain: (size as i64 / 2).max(2),
-                    skew: 0.0,
-                    key_cap: 0,
-                },
-                9,
-            );
-            let units = db.tuple_count();
-            let mut push =
-                |op: &str, engine: &str, (iters, ns): (usize, f64), metrics: Option<RowMetrics>| {
-                    records.push(BenchRecord {
-                        op: op.to_owned(),
-                        engine: engine.to_owned(),
-                        workload: name.to_owned(),
-                        size,
-                        units,
-                        iters,
-                        ns_per_iter: ns,
-                        metrics,
-                    });
-                };
-            push(
-                "decompose",
-                "columnar",
-                measure(|| decompose(&schema, Heuristic::MinFill).expect("nonempty schema")),
-                None,
-            );
-            for (engine, policy) in [
-                ("columnar-decomp", &seq),
-                ("columnar-decomp-parallel", &par),
-            ] {
+            let db = data(&schema, size, size / 2, 0.0, 0);
+            let (db, x) = (&db, &x);
+            let mut rows = vec![row("decompose", "columnar", None, || {
+                decompose(&schema, Heuristic::MinFill).expect("nonempty schema")
+            })];
+            for (engine, policy) in &engines {
                 let ctx = ExecCtx::new(policy);
-                push(
-                    "cyclic_join",
-                    engine,
-                    measure(|| ctx.yannakakis_join_any(&db, &x).expect("decomposable")),
-                    Some(RowMetrics::capture(|s| {
-                        ctx.metrics(s)
-                            .yannakakis_join_any(&db, &x)
-                            .expect("no governor to abort");
-                    })),
-                );
+                let counters =
+                    RowMetrics::capture(|s| drop(ctx.metrics(s).yannakakis_join_any(db, x)));
+                rows.push(row("cyclic_join", engine, Some(counters), move || {
+                    ctx.yannakakis_join_any(db, x).expect("decomposable")
+                }));
             }
-            push(
-                "cyclic_join",
-                "naive",
-                measure(|| naive_join_project(&db, &x)),
-                None,
-            );
+            rows.push(row("cyclic_join", "naive", None, || {
+                naive_join_project(db, x)
+            }));
+            record_cell(records, name, size, db.tuple_count(), rows);
         }
     }
 }
@@ -478,37 +427,30 @@ fn acyclicity_records(profile: Profile, records: &mut Vec<BenchRecord>) {
     };
     for &size in sizes {
         let schema = chain(size, 3, 1);
-        let units = schema.edge_count();
-        let mut push = |op: &str, (iters, ns): (usize, f64)| {
-            records.push(BenchRecord {
-                op: op.to_owned(),
-                engine: "columnar".to_owned(),
-                workload: format!("chain-{size}"),
-                size,
-                units,
-                iters,
-                ns_per_iter: ns,
-                metrics: None,
-            });
-        };
-        push("acyclicity_gyo", measure(|| schema.is_acyclic()));
-        push("acyclicity_mcs", measure(|| is_acyclic_mcs(&schema)));
+        let rows = vec![
+            row("acyclicity_gyo", "columnar", None, || schema.is_acyclic()),
+            row("acyclicity_mcs", "columnar", None, || {
+                is_acyclic_mcs(&schema)
+            }),
+        ];
+        let workload = format!("chain-{size}");
+        record_cell(records, &workload, size, schema.edge_count(), rows);
     }
 }
 
-/// The scale workload: the first bench rows at 10⁶ tuples/relation.
+/// The scale workload: the bench rows at 10⁶ tuples/relation.
 ///
-/// One schema (a 3-relation chain), one size, four kinds of rows:
+/// One schema (a 3-relation chain), one size, two kinds of rows:
 ///
 /// * `data_load` / `text-parse` vs `data_load` / `snapshot-load` — parsing
 ///   the text rendering of the database against decoding its binary
 ///   snapshot, on byte-identical data (the ≥20× snapshot payoff the
 ///   format exists for);
-/// * `full_reduce` / `yannakakis_join` on the sequential `columnar` engine
-///   and on `columnar-morsel` — the pool-leased parallel engine whose
-///   probe loops pull [`reldb::MorselQueue`] morsels (at 10⁶ rows a join
-///   spans ~61 default-sized morsels, so the work-pull path is exercised
-///   for real rather than falling back to sequential).
+/// * `full_reduce` / `yannakakis_join` on `columnar` and on
+///   `columnar-morsel` — the pool-leased parallel engine whose probe loops
+///   pull [`reldb::MorselQueue`] morsels (at 10⁶ rows a join spans ~61
+///   default-sized morsels, so the work-pull path is exercised for real
+///   rather than falling back to sequential).
 ///
 /// The value domain equals the relation size, so each probe key expects
 /// about one match and the pipeline stays O(n): the rows measure kernel
@@ -516,58 +458,36 @@ fn acyclicity_records(profile: Profile, records: &mut Vec<BenchRecord>) {
 fn scale_records(threads: usize, records: &mut Vec<BenchRecord>) {
     let schema = chain(3, 2, 1);
     let size = 1_000_000;
-    let tree = join_tree(&schema).expect("chains are acyclic");
-    let x = far_apart(&schema);
-    let db: Database = random_database(
-        &schema,
-        DataParams {
-            tuples_per_relation: size,
-            domain: size as i64,
-            skew: 0.0,
-            key_cap: 0,
-        },
-        9,
-    );
-    let units = db.tuple_count();
-    let mut push =
-        |op: &str, engine: &str, (iters, ns): (usize, f64), metrics: Option<RowMetrics>| {
-            records.push(BenchRecord {
-                op: op.to_owned(),
-                engine: engine.to_owned(),
-                workload: "scale-chain-3".to_owned(),
-                size,
-                units,
-                iters,
-                ns_per_iter: ns,
-                metrics,
-            });
-        };
+    let db = data(&schema, size, size, 0.0, 0);
+    let (name, units) = ("scale-chain-3", db.tuple_count());
     let text = crate::load::render_database(&db);
     let bytes = db.to_snapshot_bytes();
-    push(
-        "data_load",
-        "text-parse",
-        measure(|| crate::load::parse_database(&schema, &text).expect("rendered text re-parses")),
-        None,
-    );
-    push(
-        "data_load",
-        "snapshot-load",
-        measure(|| Database::from_snapshot_bytes(&bytes).expect("fresh snapshot decodes")),
-        None,
-    );
-    let seq = ExecPolicy::sequential(JoinStrategy::Hash);
-    let morsel = ExecPolicy::parallel(JoinStrategy::Hash, threads);
-    for (engine, policy) in [("columnar", &seq), ("columnar-morsel", &morsel)] {
-        reduce_and_join_rows(&mut push, engine, &ExecCtx::new(policy), &db, &tree, &x);
-    }
+    let loads = vec![
+        row("data_load", "text-parse", None, || {
+            crate::load::parse_database(&schema, &text).expect("rendered text re-parses")
+        }),
+        row("data_load", "snapshot-load", None, || {
+            Database::from_snapshot_bytes(&bytes).expect("fresh snapshot decodes")
+        }),
+    ];
+    record_cell(records, name, size, units, loads);
+    // ~150 MB the engine rows below have no use for.
+    drop((text, bytes));
+    let tree = join_tree(&schema).expect("chains are acyclic");
+    let x = far_apart(&schema);
+    let engines = [
+        ("columnar", served()),
+        ("columnar-morsel", served_parallel(threads)),
+    ];
+    let rows = pipeline_rows(&engines, None, false, &db, &tree, &x);
+    record_cell(records, name, size, units, rows);
 }
 
 /// Runs every benchmark, returning the records.  `threads` pins the worker
-/// count of the `columnar-parallel` engine rows (CI passes a fixed value so
-/// the trajectory is reproducible across runners).  The 10⁶-tuple scale
-/// rows run under the [`Profile::Full`] trajectory and alone under
-/// [`Profile::Scale`]; the per-push Quick/Tiny profiles skip them.
+/// count of the parallel engine rows (CI passes a fixed value so runs are
+/// comparable across runners).  The 10⁶-tuple scale rows run under the
+/// [`Profile::Full`] trajectory and alone under [`Profile::Scale`]; the
+/// per-push Quick/Tiny profiles skip them.
 pub fn run_all(profile: Profile, threads: usize) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     if profile != Profile::Scale {
@@ -609,21 +529,13 @@ fn calibration_pair(n: usize, ratio: f64) -> (Relation, Relation) {
     (r0, r1)
 }
 
-/// The nanoseconds of the best of three [`measure`] calls — the standard
-/// minimum-of-repeats noise filter, which matters on shared single-CPU
-/// runners where any one timing can absorb a scheduling hiccup.
-fn measure_min<T>(mut f: impl FnMut() -> T) -> f64 {
-    (0..3)
-        .map(|_| measure(&mut f).1)
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// `hyperq bench --calibrate`: sweeps the two-relation workload of
 /// [`calibration_pair`] across distinct-key counts and relation sizes,
 /// timing the hash and sort-merge kernels separately for joins and for
 /// semijoins (their cost structures differ: a join materializes output rows
 /// where a semijoin only flags survivors), and reports the measured
-/// crossover next to the shipped [`JoinStrategy::Auto`] defaults.
+/// crossover next to the shipped [`JoinStrategy::Auto`] defaults.  The two
+/// kernels of a cell are sampled interleaved, fastest batch each.
 ///
 /// The `sampled` column is the engine's own distinct-key-ratio estimate
 /// (distinct keys among ≤128 evenly spaced rows, over the sample size) —
@@ -640,7 +552,7 @@ pub fn calibrate(profile: Profile) -> String {
     let hash_policy = ExecPolicy::sequential(JoinStrategy::Hash);
     let hash_ctx = ExecCtx::new(&hash_policy);
     let mut out = String::new();
-    out.push_str("calibration sweep: R0(A,B) join/semijoin R1(B,C), best-of-3 timings\n");
+    out.push_str("calibration sweep: R0(A,B) join/semijoin R1(B,C), fastest-batch timings\n");
     out.push_str(&format!(
         "{:<9} {:>6} {:>8} {:>9} {:>12} {:>12}  {}\n",
         "op", "rows", "ratio", "sampled", "hash_ns", "merge_ns", "winner"
@@ -655,28 +567,29 @@ pub fn calibrate(profile: Profile) -> String {
             for &r in &ratios {
                 let (r0, r1) = calibration_pair(n, r);
                 let sink = CollectingSink::new();
-                let (hash_ns, merge_ns, sampled) = if op == "join" {
+                let (timed, sampled) = if op == "join" {
                     hash_ctx
                         .metrics(&sink)
                         .join(&r0, &r1)
                         .expect("no governor to abort");
-                    (
-                        measure_min(|| r0.join_with(&r1, JoinStrategy::Hash)),
-                        measure_min(|| r0.join_with(&r1, JoinStrategy::SortMerge)),
-                        sink.snapshot().joins.ratio_mean(),
-                    )
+                    let timed = measure_interleaved(&mut [
+                        side(|| r0.join_with(&r1, JoinStrategy::Hash)),
+                        side(|| r0.join_with(&r1, JoinStrategy::SortMerge)),
+                    ]);
+                    (timed, sink.snapshot().joins.ratio_mean())
                 } else {
                     let mut probe = r0.clone();
                     hash_ctx
                         .metrics(&sink)
                         .retain_semijoin(&mut probe, &r1)
                         .expect("no governor to abort");
-                    (
-                        measure_min(|| r0.semijoin_with(&r1, JoinStrategy::Hash)),
-                        measure_min(|| r0.semijoin_with(&r1, JoinStrategy::SortMerge)),
-                        sink.snapshot().semijoins.ratio_mean(),
-                    )
+                    let timed = measure_interleaved(&mut [
+                        side(|| r0.semijoin_with(&r1, JoinStrategy::Hash)),
+                        side(|| r0.semijoin_with(&r1, JoinStrategy::SortMerge)),
+                    ]);
+                    (timed, sink.snapshot().semijoins.ratio_mean())
                 };
+                let (hash_ns, merge_ns) = (timed[0].ns_min, timed[1].ns_min);
                 let s = sampled.unwrap_or(1.0);
                 if merge_ns <= hash_ns {
                     merge_best = Some(merge_best.map_or(s, |m: f64| m.max(s)));
@@ -734,7 +647,7 @@ pub fn to_json(records: &[BenchRecord]) -> String {
         .collect();
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema_version\": 1,\n");
+    out.push_str("  \"schema_version\": 2,\n");
     out.push_str(&format!("  \"created_unix\": {created},\n"));
     out.push_str("  \"results\": [\n");
     out.push_str(&lines.join(",\n"));
@@ -742,124 +655,120 @@ pub fn to_json(records: &[BenchRecord]) -> String {
     out
 }
 
-/// Compares measured columnar `full_reduce` and `yannakakis_join` records
-/// against a baseline document (the format written by [`to_json`]).
-/// Returns a summary, or an error naming every regression beyond
-/// `max_regression`.
-pub fn check_baseline(
-    records: &[BenchRecord],
-    baseline: &str,
-    max_regression: f64,
-) -> Result<String, String> {
-    let doc = json::parse(baseline).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    // (op, engine, workload, size) → ns_per_iter; rows without all five
-    // members (other documents' rows, say) are not baseline records.
-    let base: HashMap<(&str, &str, &str, u64), f64> = doc
-        .get("results")
-        .and_then(Json::as_arr)
-        .unwrap_or_default()
-        .iter()
-        .filter_map(|row| {
-            let text = |key| row.get(key).and_then(Json::as_str);
-            let size = row.get("size")?.as_u64()?;
-            let key = (text("op")?, text("engine")?, text("workload")?, size);
-            Some((key, row.get("ns_per_iter")?.as_i64()? as f64))
-        })
-        .collect();
-    let mut compared = 0usize;
+/// Which side of its bound a ratio must stay on.
+#[derive(Debug, Clone, Copy)]
+enum Bound {
+    AtMost(f64),
+    AtLeast(f64),
+}
+
+/// What [`ratios`] reports, as `(line, numerator engine, denominator
+/// engine, bound)`: each is the geometric mean of `num ÷ den` fastest-batch
+/// times over every pair of rows that differ only in engine.  The bounded
+/// three are what `--check` guards: governance stays near free (ten runs
+/// of an unchanged tree on a shared 2-CPU box read 0.93–1.06, checkpointing
+/// every 8 rows instead of every 4096 reads 1.55–1.57), the engine keeps its
+/// order of magnitude over the naive oracle (a healthy build reads 34–45),
+/// and a snapshot loads ≥ 20× faster than its text (README's acceptance
+/// figure).  `parallel` is ROADMAP 3(f)'s trial record and `pinned` the
+/// Auto planner's (< 1: the numerator engine is the faster one).
+#[rustfmt::skip]
+const RATIOS: [(&str, &str, &str, Option<Bound>); 8] = [
+    ("governed_overhead", "columnar-governed", "columnar", Some(Bound::AtMost(1.25))),
+    ("engine_speedup", "reference", "columnar", Some(Bound::AtLeast(10.0))),
+    ("snapshot_speedup", "text-parse", "snapshot-load", Some(Bound::AtLeast(20.0))),
+    ("parallel", "columnar-parallel", "columnar", None),
+    ("parallel", "columnar-decomp-parallel", "columnar-decomp", None),
+    ("parallel", "columnar-morsel", "columnar", None),
+    ("pinned", "columnar-hash", "columnar", None),
+    ("pinned", "columnar-sortmerge", "columnar", None),
+];
+
+/// The row that differs from `of` only in being measured on `engine`.
+fn partner<'a>(
+    records: &'a [BenchRecord],
+    of: &BenchRecord,
+    engine: &str,
+) -> Option<&'a BenchRecord> {
+    records.iter().find(|r| {
+        r.engine == engine && r.op == of.op && r.workload == of.workload && r.size == of.size
+    })
+}
+
+/// The geometric mean: one 4× outlier among sixteen ratios moves it 9 %,
+/// where it would move the arithmetic mean 19 %.
+fn geomean(ratios: &[f64]) -> f64 {
+    (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp()
+}
+
+/// The `ratios:` block of a run, computed from its own rows, and what
+/// `--check` fails on: a bounded ratio out of bound (compared as printed,
+/// to three decimals), a numerator row whose partner row is missing (a
+/// silently smaller mean otherwise), or no bounded ratio measured at all
+/// (a profile or a rename must not empty the guard).
+pub fn ratios(records: &[BenchRecord]) -> (String, Vec<String>) {
+    let mut out = String::from("ratios: geometric mean of fastest-batch time, num / den\n");
     let mut failures = Vec::new();
-    let mut out = String::new();
-    for r in records {
-        // Guard the sequential hash engine and the parallel (pool-leased)
-        // engine alike, on the reducer, the full join pipeline, *and* the
-        // cyclic decomposition pipeline: a regression in any of them is a
-        // regression in a production path.  The scale rows join the guard
-        // too — the morsel-parallel engine, and both sides of the
-        // snapshot-vs-text load shoot-out (a snapshot decoder that slows
-        // toward text-parse speed has lost its reason to exist).
-        let guarded = matches!(
-            (r.op.as_str(), r.engine.as_str()),
-            (
-                "full_reduce" | "yannakakis_join",
-                "columnar" | "columnar-parallel" | "columnar-governed" | "columnar-morsel"
-            ) | (
-                "cyclic_join",
-                "columnar-decomp" | "columnar-decomp-parallel"
-            ) | ("data_load", "snapshot-load" | "text-parse")
-        );
-        if !guarded {
+    let mut bounded = 0;
+    for (line, num_engine, den_engine, bound) in RATIOS {
+        let mut pairs = Vec::new();
+        for num in records.iter().filter(|r| r.engine == num_engine) {
+            match partner(records, num, den_engine) {
+                Some(den) => pairs.push(num.ns_per_iter / den.ns_per_iter),
+                None => failures.push(format!(
+                    "{}/{}/{} size {} has no {den_engine} row to pair with",
+                    num.op, num.engine, num.workload, num.size
+                )),
+            }
+        }
+        let name = format!("{num_engine} / {den_engine}");
+        if pairs.is_empty() {
+            out.push_str(&format!("  {line:<17} {name:<42} not measured\n"));
             continue;
         }
-        let key = (
-            r.op.as_str(),
-            r.engine.as_str(),
-            r.workload.as_str(),
-            r.size as u64,
-        );
-        let Some(&base_ns) = base.get(&key) else {
-            // A measured record the baseline does not cover must not
-            // silently narrow the guard.
-            failures.push(format!(
-                "{}/{}/{} size {} has no baseline record",
-                r.op, r.engine, r.workload, r.size
-            ));
-            continue;
+        let value = (geomean(&pairs) * 1000.0).round() / 1000.0;
+        let verdict = match bound {
+            None => String::new(),
+            Some(bound) => {
+                bounded += 1;
+                let (ok, text) = match bound {
+                    Bound::AtMost(b) => (value <= b, format!("<= {b}")),
+                    Bound::AtLeast(b) => (value >= b, format!(">= {b}")),
+                };
+                if !ok {
+                    failures.push(format!("{line} {value:.3} is not {text}"));
+                }
+                format!("  bound {text}: {}", if ok { "ok" } else { "OUT OF BOUND" })
+            }
         };
-        compared += 1;
-        let ratio = r.ns_per_iter / base_ns;
         out.push_str(&format!(
-            "check {}/{}/{} size {}: {:.0} ns vs baseline {:.0} ns ({}{:.2}x)\n",
-            r.op,
-            r.engine,
-            r.workload,
-            r.size,
-            r.ns_per_iter,
-            base_ns,
-            if ratio >= 1.0 { "+" } else { "" },
-            ratio,
+            "  {line:<17} {name:<42} {value:>8.3} over {:>2} pairs{verdict}\n",
+            pairs.len(),
         ));
-        if ratio > max_regression {
-            failures.push(format!(
-                "{}/{}/{} size {} regressed {ratio:.2}x (limit {max_regression:.2}x)",
-                r.op, r.engine, r.workload, r.size
-            ));
-        }
     }
-    if compared == 0 {
-        return Err(
-            "baseline contains no matching columnar full_reduce/yannakakis_join/cyclic_join records"
-                .to_owned(),
-        );
+    if bounded == 0 {
+        failures.push("no bounded ratio was measured".to_owned());
     }
-    if !failures.is_empty() {
-        return Err(format!("bench regression: {}", failures.join("; ")));
-    }
-    out.push_str(&format!(
-        "baseline check passed: {compared} records within {max_regression:.2}x\n"
-    ));
-    Ok(out)
+    (out, failures)
 }
 
 /// A human-readable summary table of the records: every engine row, with
-/// the speedup over the sequential columnar hash engine where both were
-/// measured (reference rows show their slowdown the same way).
+/// the speedup over the `columnar` row where both were measured (reference
+/// rows show their slowdown the same way).
 pub fn summary(records: &[BenchRecord]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<16} {:<19} {:<13} {:>6} {:>8} {:>14} {:>12}\n",
-        "op", "engine", "workload", "size", "units", "ns_per_iter", "vs_columnar"
+        "{:<16} {:<24} {:<19} {:>7} {:>8} {:>14} {:>14} {:>12}\n",
+        "op", "engine", "workload", "size", "units", "ns_per_iter", "ns_median", "vs_columnar"
     ));
     for r in records {
-        let baseline = records.iter().find(|b| {
-            b.engine == "columnar" && b.op == r.op && b.workload == r.workload && b.size == r.size
-        });
-        let vs = match baseline {
+        let vs = match partner(records, r, "columnar") {
             Some(b) if r.engine != "columnar" => format!("{:.2}x", b.ns_per_iter / r.ns_per_iter),
             _ => "-".to_owned(),
         };
         out.push_str(&format!(
-            "{:<16} {:<19} {:<13} {:>6} {:>8} {:>14.0} {:>12}\n",
-            r.op, r.engine, r.workload, r.size, r.units, r.ns_per_iter, vs,
+            "{:<16} {:<24} {:<19} {:>7} {:>8} {:>14.0} {:>14.0} {:>12}\n",
+            r.op, r.engine, r.workload, r.size, r.units, r.ns_per_iter, r.ns_median, vs,
         ));
     }
     out
@@ -868,6 +777,7 @@ pub fn summary(records: &[BenchRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperqd::json;
 
     fn record(op: &str, engine: &str, workload: &str, size: usize, ns: f64) -> BenchRecord {
         BenchRecord {
@@ -878,8 +788,17 @@ mod tests {
             units: 100,
             iters: 3,
             ns_per_iter: ns,
+            ns_median: ns * 1.5,
             metrics: None,
         }
+    }
+
+    /// One pair of rows: `num` at `num_ns` beside `den` at 1000 ns.
+    fn pair(num: &str, den: &str, num_ns: f64) -> Vec<BenchRecord> {
+        vec![
+            record("full_reduce", den, "chain-6", 1000, 1000.0),
+            record("full_reduce", num, "chain-6", 1000, num_ns),
+        ]
     }
 
     /// The `results` rows of a bench document.
@@ -898,7 +817,7 @@ mod tests {
             semijoin_ops: 10,
         });
         let document = to_json(&[r, record("full_reduce", "reference", "chain-6", 200, 1.0)]);
-        // One record per line, so the checked-in documents diff by row.
+        // One record per line, so the checked-in document diffs by row.
         assert_eq!(document.lines().filter(|l| l.contains("\"op\"")).count(), 2);
         let rows = rows(&document);
         let [metered, bare] = &rows[..] else {
@@ -907,40 +826,127 @@ mod tests {
         assert_eq!(metered.get("probed"), Some(&Json::Int(500)));
         assert_eq!(metered.get("kept"), Some(&Json::Int(400)));
         assert_eq!(metered.get("semijoin_ops"), Some(&Json::Int(10)));
-        // Identity and timing sit beside the metrics.
+        // Identity and both timings sit beside the metrics.
         assert_eq!(metered.get("op"), Some(&Json::str("full_reduce")));
         assert_eq!(metered.get("size"), Some(&Json::Int(200)));
         assert_eq!(metered.get("ns_per_iter"), Some(&Json::Int(1000)));
+        assert_eq!(metered.get("ns_median"), Some(&Json::Int(1500)));
         // A metric-less record emits no metrics keys at all.
         assert_eq!(bare.get("probed"), None, "bare: {bare}");
     }
 
     #[test]
-    fn baseline_check_tolerates_old_format_baselines() {
-        // Pre-metrics BENCH_baseline.json records carry no probed/kept/
-        // join_ops/semijoin_ops fields; the check only reads the identity
-        // and timing fields, so new-format measurements must still compare
-        // cleanly against them.
-        let old_baseline = to_json(&[record("full_reduce", "columnar", "chain-6", 200, 1000.0)]);
-        assert!(!old_baseline.contains("probed"));
-        let mut measured = record("full_reduce", "columnar", "chain-6", 200, 1100.0);
-        measured.metrics = Some(RowMetrics {
-            probed: 123,
-            kept: 45,
-            join_ops: 6,
-            semijoin_ops: 7,
-        });
-        let report = check_baseline(&[measured], &old_baseline, 2.0).unwrap();
-        assert!(
-            report.contains("baseline check passed: 1 records"),
-            "report: {report}"
+    fn interleaved_sides_each_report_fastest_and_median_batch() {
+        let (mut fast, mut slow) = (0usize, 0usize);
+        let samples = measure_interleaved(&mut [
+            side(|| fast += 1),
+            side(|| {
+                slow += 1;
+                std::thread::sleep(Duration::from_millis(45));
+            }),
+        ]);
+        // A trivial side fills the iteration clamp in five batches; a side
+        // of ≥ 45 ms an iteration fits at most four single runs into the
+        // budget (fewer if the sleep overshoots on a loaded box).
+        assert_eq!(samples[0].iters, 100);
+        assert!((2..=4).contains(&samples[1].iters), "{:?}", samples[1]);
+        for s in &samples {
+            assert!(s.ns_median >= s.ns_min && s.ns_min >= 0.0, "{s:?}");
+        }
+        assert!(samples[1].ns_min >= 45e6, "{:?}", samples[1]);
+        // Every timed iteration ran, plus the sizing run.
+        assert_eq!((fast, slow), (101, samples[1].iters + 1));
+    }
+
+    #[test]
+    fn the_columnar_rows_run_the_served_policy() {
+        // If hyperqd's default ever changes, the headline rows follow.
+        let default = ExecPolicy::default();
+        for policy in [served(), served_parallel(2)] {
+            assert_eq!(policy.strategy, default.strategy);
+            assert_eq!(policy.morsel_rows, default.morsel_rows);
+        }
+        assert_eq!(served().effective_threads(usize::MAX), 1);
+        assert_eq!(served_parallel(2).effective_threads(0), 2);
+    }
+
+    #[test]
+    fn bounded_ratios_pass_at_the_bound_and_fail_past_it() {
+        for (line, num, den, at_bound, past_bound) in [
+            (
+                "governed_overhead",
+                "columnar-governed",
+                "columnar",
+                1250.0,
+                1260.0,
+            ),
+            ("engine_speedup", "reference", "columnar", 10_000.0, 9_900.0),
+            (
+                "snapshot_speedup",
+                "text-parse",
+                "snapshot-load",
+                20_000.0,
+                19_900.0,
+            ),
+        ] {
+            let (block, failures) = ratios(&pair(num, den, at_bound));
+            assert!(failures.is_empty(), "{line} at its bound: {failures:?}");
+            assert!(block.contains(": ok"), "block: {block}");
+            let (block, failures) = ratios(&pair(num, den, past_bound));
+            assert_eq!(failures.len(), 1, "{line} past its bound: {failures:?}");
+            assert!(failures[0].starts_with(line), "{failures:?}");
+            assert!(block.contains("OUT OF BOUND"), "block: {block}");
+        }
+    }
+
+    #[test]
+    fn a_row_without_its_partner_is_an_error_naming_the_row() {
+        // A second governed row whose `columnar` partner is missing must not
+        // just make the mean one pair smaller.
+        let mut records = pair("columnar-governed", "columnar", 1000.0);
+        records.push(record(
+            "full_reduce",
+            "columnar-governed",
+            "star-6",
+            1000,
+            1.0,
+        ));
+        let (block, failures) = ratios(&records);
+        assert!(block.contains("over  1 pairs"), "block: {block}");
+        assert_eq!(
+            failures,
+            ["full_reduce/columnar-governed/star-6 size 1000 has no columnar row to pair with"]
         );
     }
 
     #[test]
-    fn engine_policies_include_the_auto_pair() {
-        let engines: Vec<&str> = engine_policies(2).into_iter().map(|(e, _)| e).collect();
-        assert!(engines.contains(&"columnar-auto"));
+    fn a_run_without_a_bounded_pair_fails_the_check() {
+        // Report lines alone (or nothing at all) leave the guard empty.
+        for records in [pair("columnar-parallel", "columnar", 900.0), Vec::new()] {
+            assert_eq!(ratios(&records).1, ["no bounded ratio was measured"]);
+        }
+    }
+
+    #[test]
+    fn ratios_are_geometric_means() {
+        // One 4x outlier among sixteen pairs at 1.0: 4^(1/16) = 1.09, where
+        // the arithmetic mean would read 1.19.
+        let mut records = Vec::new();
+        for size in 0..16 {
+            let governed_ns = if size == 0 { 4000.0 } else { 1000.0 };
+            records.push(record("full_reduce", "columnar", "chain-6", size, 1000.0));
+            let governed = record(
+                "full_reduce",
+                "columnar-governed",
+                "chain-6",
+                size,
+                governed_ns,
+            );
+            records.push(governed);
+        }
+        let (block, failures) = ratios(&records);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert!(block.contains("1.091 over 16 pairs"), "block: {block}");
     }
 
     #[test]
@@ -969,19 +975,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_check_passes_and_fails_on_ratio() {
-        let baseline = to_json(&[record("full_reduce", "columnar", "chain-6", 200, 1000.0)]);
-        let ok = vec![record("full_reduce", "columnar", "chain-6", 200, 1500.0)];
-        assert!(check_baseline(&ok, &baseline, 2.0).is_ok());
-        let slow = vec![record("full_reduce", "columnar", "chain-6", 200, 2500.0)];
-        let err = check_baseline(&slow, &baseline, 2.0).unwrap_err();
-        assert!(err.contains("regressed"));
-        // Records missing from the baseline are an error, not a silent pass.
-        let other = vec![record("full_reduce", "columnar", "star-6", 200, 10.0)];
-        assert!(check_baseline(&other, &baseline, 2.0).is_err());
-    }
-
-    #[test]
     fn summary_pairs_engines() {
         let records = vec![
             record("full_reduce", "columnar", "chain-6", 200, 1000.0),
@@ -991,214 +984,6 @@ mod tests {
         let s = summary(&records);
         assert!(s.contains("0.11x"), "reference slowdown shown: {s}");
         assert!(s.contains("2.00x"), "parallel speedup shown: {s}");
-    }
-
-    #[test]
-    fn baseline_check_covers_parallel_engine() {
-        let baseline = to_json(&[
-            record("full_reduce", "columnar", "chain-6", 200, 1000.0),
-            record("full_reduce", "columnar-parallel", "chain-6", 200, 1000.0),
-        ]);
-        let ok = vec![
-            record("full_reduce", "columnar", "chain-6", 200, 900.0),
-            record("full_reduce", "columnar-parallel", "chain-6", 200, 1100.0),
-        ];
-        assert!(check_baseline(&ok, &baseline, 2.0).is_ok());
-        let slow_par = vec![
-            record("full_reduce", "columnar", "chain-6", 200, 900.0),
-            record("full_reduce", "columnar-parallel", "chain-6", 200, 5000.0),
-        ];
-        let err = check_baseline(&slow_par, &baseline, 2.0).unwrap_err();
-        assert!(err.contains("columnar-parallel"), "err: {err}");
-        // A parallel row missing from the baseline is flagged, not skipped.
-        let unknown = vec![record(
-            "full_reduce",
-            "columnar-parallel",
-            "star-6",
-            200,
-            10.0,
-        )];
-        assert!(check_baseline(&unknown, &baseline, 2.0).is_err());
-    }
-
-    #[test]
-    fn baseline_check_covers_yannakakis_join() {
-        let baseline = to_json(&[
-            record("full_reduce", "columnar", "chain-6", 200, 1000.0),
-            record("yannakakis_join", "columnar", "chain-6", 200, 1000.0),
-            record(
-                "yannakakis_join",
-                "columnar-parallel",
-                "chain-6",
-                200,
-                1000.0,
-            ),
-        ]);
-        let ok = vec![
-            record("full_reduce", "columnar", "chain-6", 200, 900.0),
-            record("yannakakis_join", "columnar", "chain-6", 200, 1100.0),
-            record(
-                "yannakakis_join",
-                "columnar-parallel",
-                "chain-6",
-                200,
-                1200.0,
-            ),
-        ];
-        assert!(check_baseline(&ok, &baseline, 2.0).is_ok());
-        // A regressed join pipeline trips the guard even when the reducer
-        // is fine.
-        let slow_join = vec![
-            record("full_reduce", "columnar", "chain-6", 200, 900.0),
-            record("yannakakis_join", "columnar", "chain-6", 200, 5000.0),
-        ];
-        let err = check_baseline(&slow_join, &baseline, 2.0).unwrap_err();
-        assert!(err.contains("yannakakis_join"), "err: {err}");
-        // The strategy-comparison rows are informational, not guarded.
-        let unguarded = vec![
-            record("full_reduce", "columnar", "chain-6", 200, 900.0),
-            record("yannakakis_join", "columnar-sortmerge", "chain-6", 200, 1e9),
-        ];
-        assert!(check_baseline(&unguarded, &baseline, 2.0).is_ok());
-    }
-
-    #[test]
-    fn baseline_check_covers_cyclic_join() {
-        let baseline = to_json(&[
-            record("cyclic_join", "columnar-decomp", "ring-8", 200, 1000.0),
-            record(
-                "cyclic_join",
-                "columnar-decomp-parallel",
-                "ring-8",
-                200,
-                1000.0,
-            ),
-        ]);
-        let ok = vec![
-            record("cyclic_join", "columnar-decomp", "ring-8", 200, 1100.0),
-            record(
-                "cyclic_join",
-                "columnar-decomp-parallel",
-                "ring-8",
-                200,
-                900.0,
-            ),
-        ];
-        assert!(check_baseline(&ok, &baseline, 2.0).is_ok());
-        // A regressed cyclic pipeline trips the guard.
-        let slow = vec![record(
-            "cyclic_join",
-            "columnar-decomp",
-            "ring-8",
-            200,
-            5000.0,
-        )];
-        let err = check_baseline(&slow, &baseline, 2.0).unwrap_err();
-        assert!(err.contains("cyclic_join"), "err: {err}");
-        // A cyclic row missing from the baseline is flagged, not skipped.
-        let unknown = vec![record(
-            "cyclic_join",
-            "columnar-decomp",
-            "clique-5",
-            200,
-            10.0,
-        )];
-        assert!(check_baseline(&unknown, &baseline, 2.0).is_err());
-        // The naive cyclic baseline rows are informational, not guarded.
-        let naive_only = vec![
-            record("cyclic_join", "columnar-decomp", "ring-8", 200, 1000.0),
-            record("cyclic_join", "naive", "ring-8", 200, 1e9),
-        ];
-        assert!(check_baseline(&naive_only, &baseline, 2.0).is_ok());
-    }
-
-    #[test]
-    fn baseline_check_covers_the_scale_rows() {
-        let baseline = to_json(&[
-            record(
-                "data_load",
-                "snapshot-load",
-                "scale-chain-3",
-                1_000_000,
-                1e8,
-            ),
-            record("data_load", "text-parse", "scale-chain-3", 1_000_000, 4e9),
-            record(
-                "full_reduce",
-                "columnar-morsel",
-                "scale-chain-3",
-                1_000_000,
-                1e9,
-            ),
-        ]);
-        let ok = vec![
-            record(
-                "data_load",
-                "snapshot-load",
-                "scale-chain-3",
-                1_000_000,
-                9e7,
-            ),
-            record("data_load", "text-parse", "scale-chain-3", 1_000_000, 4e9),
-            record(
-                "full_reduce",
-                "columnar-morsel",
-                "scale-chain-3",
-                1_000_000,
-                1.1e9,
-            ),
-        ];
-        assert!(check_baseline(&ok, &baseline, 2.0).is_ok());
-        // A snapshot decoder drifting toward text-parse speed trips the
-        // guard like any other regression.
-        let slow_load = vec![record(
-            "data_load",
-            "snapshot-load",
-            "scale-chain-3",
-            1_000_000,
-            3e8,
-        )];
-        let err = check_baseline(&slow_load, &baseline, 2.0).unwrap_err();
-        assert!(err.contains("snapshot-load"), "err: {err}");
-        // So does the morsel-parallel engine.
-        let slow_morsel = vec![record(
-            "full_reduce",
-            "columnar-morsel",
-            "scale-chain-3",
-            1_000_000,
-            5e9,
-        )];
-        let err = check_baseline(&slow_morsel, &baseline, 2.0).unwrap_err();
-        assert!(err.contains("columnar-morsel"), "err: {err}");
-        // A scale row missing from the baseline is flagged, not skipped.
-        let unknown = vec![record(
-            "yannakakis_join",
-            "columnar-morsel",
-            "scale-chain-3",
-            1_000_000,
-            10.0,
-        )];
-        assert!(check_baseline(&unknown, &baseline, 2.0).is_err());
-    }
-
-    #[test]
-    fn baseline_check_reads_any_json_layout() {
-        // The committed baseline, as checked in (a space after every colon
-        // and comma) and re-serialized compactly: the same lookup.
-        let committed = include_str!("../../../BENCH_baseline.json");
-        let compact = json::parse(committed).unwrap().to_string();
-        assert!(!compact.contains("\": "), "compact: {compact}");
-        let measured = [
-            record("full_reduce", "columnar", "chain-6", 200, 1.0),
-            record("cyclic_join", "columnar-decomp", "ring-8", 200, 1.0),
-        ];
-        for baseline in [committed, compact.as_str()] {
-            let report = check_baseline(&measured, baseline, 2.0).unwrap();
-            assert!(report.contains("passed: 2 records"), "report: {report}");
-        }
-        // Text that is not a JSON document is an error, not an empty baseline.
-        let err = check_baseline(&measured, r#"{"results": ["#, 2.0).unwrap_err();
-        assert!(err.contains("not valid JSON"), "err: {err}");
     }
 
     #[test]

@@ -14,11 +14,19 @@
 use crate::commands::CliError;
 use hyperqd::json::Json;
 use hyperqd::protocol::{
-    parse_response, render_request, EngineKind, Overrides, QuerySpec, Request, Response, MAX_LINE,
+    parse_response, render_request, EngineKind, Overrides, QuerySpec, Request, Response,
 };
 use reldb::JoinStrategy;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+
+/// The most bytes of one reply line the client buffers.  Answers are far
+/// larger than requests (the protocol's `MAX_LINE` bounds only those: an
+/// all-attributes answer over a few thousand tuples is megabytes), so the
+/// reply has a cap of its own — large enough for any answer `hyperqd`
+/// renders, and still a bound: a server bug cannot make the client buffer
+/// without limit.
+const MAX_REPLY: u64 = 256 << 20;
 
 /// Runs `hyperq client <addr> <op> ...`.  `args` holds everything after
 /// the `client` word; flags are extracted in place, positionals remain.
@@ -93,8 +101,15 @@ pub fn run_client(args: &mut Vec<String>) -> Result<String, CliError> {
     if raw {
         return Ok(format!("{line}\n"));
     }
-    let response = parse_response(&line)
-        .map_err(|e| CliError::from(format!("{addr}: unparseable response ({e}): {line}")))?;
+    let response = parse_response(&line).map_err(|e| {
+        // Enough of the line to see what answered, not a megabyte of it.
+        let mut end = line.len().min(200);
+        while !line.is_char_boundary(end) {
+            end -= 1;
+        }
+        let head = &line[..end];
+        CliError::from(format!("{addr}: unparseable response ({e}): {head}"))
+    })?;
     render(&addr, response)
 }
 
@@ -107,18 +122,23 @@ fn exchange(addr: &str, request_line: &str) -> Result<String, CliError> {
         .and_then(|()| stream.write_all(b"\n"))
         .and_then(|()| stream.flush())
         .map_err(|e| io_err("cannot send request", e))?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    // Cap the read at the protocol frame limit: a server bug cannot make
-    // the client buffer without bound.
+    read_reply(BufReader::new(stream), MAX_REPLY).map_err(|e| format!("{addr}: {e}").into())
+}
+
+/// Reads one reply line of at most `cap` bytes, without its line ending.
+fn read_reply(reader: impl BufRead, cap: u64) -> Result<String, String> {
+    let mut bytes = Vec::new();
     reader
-        .by_ref()
-        .take(MAX_LINE as u64)
-        .read_line(&mut line)
-        .map_err(|e| io_err("cannot read response", e))?;
-    if line.is_empty() {
-        return Err(format!("{addr}: server closed the connection without a response").into());
+        .take(cap)
+        .read_until(b'\n', &mut bytes)
+        .map_err(|e| format!("cannot read response: {e}"))?;
+    if bytes.is_empty() {
+        return Err("server closed the connection without a response".to_owned());
     }
+    if bytes.len() as u64 == cap && bytes.last() != Some(&b'\n') {
+        return Err(format!("response exceeds {cap} bytes"));
+    }
+    let mut line = String::from_utf8(bytes).map_err(|_| "response is not UTF-8".to_owned())?;
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
@@ -247,4 +267,25 @@ fn take_overrides(args: &mut Vec<String>) -> Result<Overrides, CliError> {
         o.fail_panic = Some(true);
     }
     Ok(o)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::read_reply;
+
+    #[test]
+    fn a_reply_is_read_whole_up_to_its_cap() {
+        assert_eq!(
+            read_reply(&b"{\"ok\":true}\r\nnext"[..], 64).unwrap(),
+            "{\"ok\":true}"
+        );
+        // A line that just fits, with and without its newline inside the cap.
+        assert_eq!(read_reply(&b"abc\n"[..], 4).unwrap(), "abc");
+        assert_eq!(read_reply(&b"abc"[..], 4).unwrap(), "abc");
+        // One that does not is reported as such, not handed on cut short.
+        let err = read_reply(&b"abcdef\n"[..], 4).unwrap_err();
+        assert_eq!(err, "response exceeds 4 bytes");
+        let err = read_reply(&b""[..], 4).unwrap_err();
+        assert!(err.contains("closed the connection"), "err: {err}");
+    }
 }

@@ -11,7 +11,7 @@
 //! hyperq decompose <schema> [--heuristic min-fill|min-degree] [--dot]
 //! hyperq dot       <schema> [--name G]
 //! hyperq stats     <schema>
-//! hyperq bench     [--out FILE] [--check BASELINE] [--threads N]
+//! hyperq bench     [--out FILE] [--check] [--threads N]
 //! ```
 //!
 //! Module map: `load` parses the edge-list/tuple file formats into
@@ -19,8 +19,9 @@
 //! Theorem 6.1 dichotomy with certificates), query (§7 universal-relation
 //! answering, cyclic schemas routed through hypertree decomposition),
 //! decompose (bag-tree stats/DOT for cyclic schemas), dot and stats;
-//! `bench` is the machine-readable perf harness behind
-//! `BENCH_results.json` and the CI regression guard.
+//! `bench` is the in-repo perf harness behind `BENCH_results.json`: the
+//! served engine beside its comparison rows, guarded by ratios between rows
+//! of one run.
 
 #![forbid(unsafe_code)]
 
@@ -49,8 +50,8 @@ USAGE:
     hyperq snapshot  save <schema> <data> <out> | load <snapshot>
     hyperq gen       <schema> <out> [--tuples N] [--domain N] [--skew F]
                      [--seed N] [--snapshot]
-    hyperq bench     [--out FILE] [--check BASELINE] [--max-regression F]
-                     [--threads N] [--quick | --tiny | --scale] [--calibrate]
+    hyperq bench     [--out FILE] [--check] [--threads N]
+                     [--quick | --tiny | --scale] [--calibrate]
     hyperq client    <addr> ping | list | shutdown [--now]
     hyperq client    <addr> stats [--prometheus] [--raw]
     hyperq client    <addr> query <db> --select A,B[,..] [--engine ENGINE]
@@ -97,13 +98,17 @@ COMMANDS:
                --skew Zipf exponent (default 0 = uniform), --seed (default
                9).  Text tuple format by default; --snapshot writes the
                binary snapshot directly
-    bench      Run the query/acyclicity benchmarks at fixed workload sizes
-               (columnar engine vs naive reference); --out writes machine-
-               readable JSON, --check fails on a columnar full_reduce
-               regression beyond --max-regression (default 2.0) against a
-               baseline JSON, --quick trims the workload sizes for CI,
-               --scale runs only the 10^6-tuple rows (snapshot-load vs
-               text-parse, morsel-parallel engine),
+    bench      Run the query/acyclicity benchmarks at fixed workload sizes:
+               the policy hyperqd serves (engine columnar) beside its
+               governed twin, the naive reference, the pinned kernels and
+               the parallel engines.  Every run ends with a ratios: block
+               computed from its own rows; --check exits non-zero unless
+               governed_overhead <= 1.25, engine_speedup >= 10 and
+               snapshot_speedup >= 20 hold for each one the profile
+               measured (at least one).  --out writes the rows as JSON,
+               --quick trims the workload sizes for CI, --scale runs only
+               the 10^6-tuple rows (snapshot-load vs text-parse,
+               morsel-parallel engine),
                --threads pins the parallel-engine worker count (default 4;
                0 = auto-detect the machine's parallelism) so CI runs are
                reproducible across runners.  --calibrate instead sweeps
@@ -333,13 +338,7 @@ fn run(started: Instant) -> Result<String, CliError> {
         }
         "bench" => {
             let out_path = take_flag(&mut args, "--out")?;
-            let check_path = take_flag(&mut args, "--check")?;
-            let max_regression = match take_flag(&mut args, "--max-regression")? {
-                Some(s) => s
-                    .parse::<f64>()
-                    .map_err(|_| format!("--max-regression: not a number: {s:?}"))?,
-                None => 2.0,
-            };
+            let check = take_switch(&mut args, "--check");
             let threads = match take_flag(&mut args, "--threads")? {
                 // `--threads 0` means "use whatever the machine has" —
                 // the same auto-detect convention as ExecPolicy.threads.
@@ -371,7 +370,7 @@ fn run(started: Instant) -> Result<String, CliError> {
             };
             if calibrate {
                 // The calibration sweep replaces the benchmark run: its
-                // output is the measurement, not a record set to check.
+                // output is the measurement, not a record set with ratios.
                 return Ok(bench::calibrate(profile));
             }
             let records = bench::run_all(profile, threads);
@@ -381,12 +380,13 @@ fn run(started: Instant) -> Result<String, CliError> {
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
                 out.push_str(&format!("wrote {path}\n"));
             }
-            if let Some(path) = check_path {
-                out.push_str(&bench::check_baseline(
-                    &records,
-                    &read(&path)?,
-                    max_regression,
-                )?);
+            let (block, failures) = bench::ratios(&records);
+            out.push_str(&block);
+            if check && !failures.is_empty() {
+                // A failed check is exactly when the measured rows are
+                // needed: print them before the error.
+                print!("{out}");
+                return Err(format!("bench check failed: {}", failures.join("; ")).into());
             }
             Ok(out)
         }

@@ -252,6 +252,59 @@ fn both_front_ends_read_engine_and_strategy_through_one_table() {
     assert!(err.contains("unknown join strategy"), "stderr: {err}");
 }
 
+/// An answer far past the protocol's 1 MiB *request*-line limit comes
+/// through `hyperq client` whole: every tuple printed, and `--raw` equal to
+/// the bytes a raw socket reads.
+#[test]
+fn client_prints_an_answer_larger_than_the_request_line_limit() {
+    use std::io::{BufRead, BufReader, Write};
+    const TUPLES: i64 = 120_000;
+    let schema = hypergraph::Hypergraph::from_edges([vec!["A", "B"]]).expect("one edge");
+    let mut db = reldb::Database::empty(schema);
+    for i in 0..TUPLES {
+        db.insert_values(hypergraph::EdgeId(0), [i, i + 1]);
+    }
+    let served = vec![("big".to_owned(), std::sync::Arc::new(db))];
+    let handle = hyperqd::server::Server::bind_preloaded("127.0.0.1:0", served)
+        .expect("bind")
+        .spawn();
+    let addr = handle.addr().to_string();
+    // Each answer carries its own trace id, the frame's last member.
+    let without_trace = |frame: &str| {
+        let at = frame.rfind(",\"trace\":\"").expect("a trace id");
+        frame[..at].to_owned()
+    };
+
+    let mut socket = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    socket
+        .write_all(b"{\"op\":\"query\",\"db\":\"big\",\"select\":[\"A\",\"B\"]}\n")
+        .expect("send");
+    let mut wire = String::new();
+    BufReader::new(socket)
+        .read_line(&mut wire)
+        .expect("read the answer frame");
+    assert!(wire.len() > hyperqd::protocol::MAX_LINE, "{} B", wire.len());
+
+    let query = ["client", &addr, "query", "big", "--select", "A,B"];
+    let raw = hyperq(&[&query[..], &["--raw"]].concat());
+    assert!(raw.status.success(), "stderr: {:?}", raw.stderr);
+    assert_eq!(without_trace(&stdout(&raw)), without_trace(&wire));
+
+    let out = hyperq(&query);
+    assert!(out.status.success(), "stderr: {:?}", out.stderr);
+    let text = stdout(&out);
+    let mut lines = text.lines();
+    assert_eq!(lines.next(), Some("A | B"));
+    for i in 0..TUPLES {
+        assert_eq!(lines.next(), Some(format!("{i} | {}", i + 1).as_str()));
+    }
+    assert_eq!(lines.next(), Some(format!("({TUPLES} tuples)").as_str()));
+
+    let bye = hyperq(&["client", &addr, "shutdown"]);
+    assert!(bye.status.success(), "stderr: {:?}", bye.stderr);
+    assert!(handle.join().drained_clean);
+}
+
 #[test]
 fn bench_calibrate_sweeps_both_operators() {
     let out = hyperq(&["bench", "--tiny", "--calibrate"]);
@@ -272,16 +325,14 @@ fn bench_json_rows_carry_tuple_counters() {
     let out = hyperq(&["bench", "--tiny", "--out", out_path]);
     assert!(out.status.success(), "stderr: {:?}", out.stderr);
     let rows = bench_rows(&std::fs::read_to_string(out_path).expect("bench JSON written"));
-    // The guarded engine rows embed the per-row metrics counters.
-    let guarded = rows
+    // The engine rows embed the per-row metrics counters.
+    let metered = rows
         .iter()
         .find(|r| r.get("op") == Some(&Json::str("full_reduce")))
         .expect("a full_reduce row");
     for counter in ["probed", "kept", "join_ops", "semijoin_ops"] {
-        assert!(guarded.get(counter).is_some(), "no {counter}: {guarded}");
+        assert!(metered.get(counter).is_some(), "no {counter}: {metered}");
     }
-    // The calibrated-Auto engine rows ride along for the trajectory.
-    assert!(has_row(&rows, "engine", "columnar-auto"));
     let _ = std::fs::remove_file(out_path);
 }
 
@@ -312,7 +363,8 @@ fn bench_writes_json_and_guards_against_regressions() {
     let out_path = std::env::temp_dir().join(format!("hyperq_bench_{}.json", std::process::id()));
     let out_path = out_path.to_str().expect("utf-8 path");
 
-    // Tiny profile: measure, print the summary, write the JSON document.
+    // Tiny profile: measure, print the summary and the ratios, write the
+    // JSON document.
     let out = hyperq(&["bench", "--tiny", "--out", out_path]);
     assert!(out.status.success(), "stderr: {:?}", out.stderr);
     let text = stdout(&out);
@@ -322,21 +374,32 @@ fn bench_writes_json_and_guards_against_regressions() {
     let rows = bench_rows(&json);
     for engine in [
         "columnar",
+        "columnar-governed",
         "reference",
+        "columnar-hash",
         "columnar-sortmerge",
         "columnar-parallel",
         // The cyclic decomposition pipeline rows.
         "columnar-decomp",
         "columnar-decomp-parallel",
+        "naive",
     ] {
         assert!(has_row(&rows, "engine", engine), "missing {engine} rows");
     }
-    for op in ["join_pair", "acyclicity_mcs", "decompose", "cyclic_join"] {
+    for op in [
+        "full_reduce",
+        "yannakakis_join",
+        "acyclicity_gyo",
+        "acyclicity_mcs",
+        "decompose",
+        "cyclic_join",
+    ] {
         assert!(has_row(&rows, "op", op), "missing {op} rows");
     }
     for workload in [
+        "chain-6",
+        "star-6",
         "snowflake-2x2",
-        "chain-6-zipf",
         "chain-6-zipf-capped",
         "ring-8",
         "hyper-ring-5x3",
@@ -347,21 +410,34 @@ fn bench_writes_json_and_guards_against_regressions() {
             "missing {workload} rows"
         );
     }
+    // Every row carries its dispersion: the median batch beside the fastest.
+    for row in &rows {
+        let ns = |key| row.get(key).and_then(Json::as_i64);
+        assert!(ns("ns_median") >= ns("ns_per_iter"), "row: {row}");
+        assert!(ns("ns_per_iter").is_some(), "row: {row}");
+    }
 
-    // The test is of the guard's logic, not of the machine: a fresh debug
-    // run timed against another one can stray past the 2x guard, so the
-    // passing baseline is the run just written made 4x slower (ratios
-    // ~0.25x)...
-    std::fs::write(out_path, map_ns_per_iter(&json, |ns| ns * 4)).unwrap();
-    let out = hyperq(&["bench", "--tiny", "--check", out_path]);
-    assert!(out.status.success(), "stderr: {:?}", out.stderr);
-    assert!(stdout(&out).contains("baseline check passed"));
+    // The run ends with the ratios computed from its own rows.  Values are
+    // not asserted: a debug build at 60 tuples proves nothing about them.
+    let ratios = &text[text.find("ratios:").expect("a ratios: block")..];
+    for line in [
+        "governed_overhead",
+        "engine_speedup",
+        "snapshot_speedup",
+        "parallel",
+        "pinned",
+    ] {
+        assert!(ratios.contains(line), "no {line} line in: {ratios}");
+    }
 
-    // ...and an absurdly fast one (1 ns everywhere) trips it.
-    std::fs::write(out_path, map_ns_per_iter(&json, |_| 1)).unwrap();
+    // The guard reads nothing but the run itself: `--check` is a bare switch.
     let out = hyperq(&["bench", "--tiny", "--check", out_path]);
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("regression"));
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(
+        err.contains("takes no positional arguments"),
+        "stderr: {err}"
+    );
 
     let _ = std::fs::remove_file(out_path);
 }
@@ -378,26 +454,6 @@ fn bench_rows(document: &str) -> Vec<Json> {
 /// True if some row's string member `key` is `value`.
 fn has_row(rows: &[Json], key: &str, value: &str) -> bool {
     rows.iter().any(|r| r.get(key) == Some(&Json::str(value)))
-}
-
-/// Rewrites every ns_per_iter in a bench JSON document through `f` (and
-/// the document compactly: `--check` reads JSON, not a layout).
-fn map_ns_per_iter(document: &str, f: impl Fn(i64) -> i64) -> String {
-    let rows = bench_rows(document)
-        .into_iter()
-        .map(|row| {
-            let Json::Obj(mut members) = row else {
-                panic!("a bench row is an object: {row}");
-            };
-            for (key, value) in &mut members {
-                if key == "ns_per_iter" {
-                    *value = Json::Int(f(value.as_i64().expect("integer ns_per_iter")));
-                }
-            }
-            Json::Obj(members)
-        })
-        .collect();
-    json::obj([("results", Json::Arr(rows))]).to_string()
 }
 
 #[test]
