@@ -13,7 +13,8 @@
 //! * every failure is a [`JsonError`] with a byte offset — the server turns
 //!   these into structured error responses, never panics.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
+use std::io::Write as _;
 
 /// Nesting depth above which the parser refuses to descend.
 pub const MAX_DEPTH: usize = 64;
@@ -95,81 +96,90 @@ impl Json {
     }
 
     /// Appends the compact serialization of this value to `out` — what
-    /// [`Display`](fmt::Display) prints, without the intermediate string.
-    pub(crate) fn write_to(&self, out: &mut String) {
+    /// [`Display`](fmt::Display) prints, as the bytes that go on the wire.
+    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => write!(out, "{n}").expect("writing to a String cannot fail"),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(true) => out.extend_from_slice(b"true"),
+            Json::Bool(false) => out.extend_from_slice(b"false"),
+            Json::Int(n) => write!(out, "{n}").expect(INFALLIBLE),
             Json::Float(x) => {
                 if x.is_finite() {
                     let text = format!("{x}");
                     // `{}` prints integral floats without a dot; keep the
                     // value unambiguously a float on the wire.
                     let needs_dot = !text.contains(['.', 'e', 'E']);
-                    out.push_str(&text);
+                    out.extend_from_slice(text.as_bytes());
                     if needs_dot {
-                        out.push_str(".0");
+                        out.extend_from_slice(b".0");
                     }
                 } else {
-                    out.push_str("null"); // JSON has no NaN/Inf
+                    out.extend_from_slice(b"null"); // JSON has no NaN/Inf
                 }
             }
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     v.write_to(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(pairs) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_escaped(k, out);
-                    out.push(':');
+                    out.push(b':');
                     v.write_to(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
+}
+
+/// Why the writers `expect` their `write!`s.
+pub(crate) const INFALLIBLE: &str = "writing to a Vec cannot fail";
+
+/// The text the writers of this crate produced: they only ever append whole
+/// `str`s and ASCII, so the bytes are UTF-8.
+pub(crate) fn into_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("the JSON writers emit UTF-8")
 }
 
 /// Serializes to compact JSON (no whitespace), deterministically — the
 /// canonical wire form the protocol round-trip tests pin.
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write_to(&mut out);
-        f.write_str(&out)
+        f.write_str(&into_text(out))
     }
 }
 
 /// Appends `s` to `out` as a quoted, escaped JSON string.
-pub(crate) fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
+pub(crate) fn write_escaped(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            '"' => out.extend_from_slice(b"\\\""),
+            '\\' => out.extend_from_slice(b"\\\\"),
+            '\n' => out.extend_from_slice(b"\\n"),
+            '\r' => out.extend_from_slice(b"\\r"),
+            '\t' => out.extend_from_slice(b"\\t"),
+            '\u{08}' => out.extend_from_slice(b"\\b"),
+            '\u{0C}' => out.extend_from_slice(b"\\f"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).expect(INFALLIBLE),
+            c => out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes()),
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
 /// A JSON parse failure: what went wrong and where.

@@ -37,10 +37,10 @@
 //! proptests pin that, and the differential soak harness relies on it for
 //! byte-identical response comparison.
 
-use crate::json::{obj, parse as parse_json, write_escaped, Json};
+use crate::json::{into_text, obj, parse as parse_json, write_escaped, Json, INFALLIBLE};
 use reldb::metrics::OpAgg;
 use reldb::{EngineError, JoinStrategy, QueryMetrics, Span, TraceReport};
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Hard cap on one protocol line, terminator included.  A peer that sends
 /// more without a newline gets a structured [`ErrorKind::Proto`] response
@@ -544,19 +544,25 @@ pub struct DbInfo {
 }
 
 /// The rows of a [`Response::Answer`] as a compact table: cell values in
-/// one list, rows as row-major indices into it.  The server stores each
-/// distinct value once, so a large answer costs one `u32` per cell instead
-/// of one [`Json`] per cell, and rendering formats each value once.
+/// one list, rows as indices into it, and the order the rows come in as a
+/// permutation over them.  The server stores each distinct value once, so a
+/// large answer costs one `u32` per cell instead of one [`Json`] per cell;
+/// its rows stay where the engine left them, only `order` is sorted, and
+/// they are gathered in that order once, while the reply is rendered —
+/// which also formats each value once.
 ///
 /// Equality is by content — two tables are equal when they hold the same
-/// rows in the same order, however their cell lists are laid out.
+/// rows in the same order, however their cell lists and rows are laid out.
 #[derive(Debug, Clone)]
 pub struct Rows {
     width: usize,
     len: usize,
     cells: Vec<Json>,
-    /// `len * width` positions in `cells`.
+    /// `len * width` positions in `cells`: stored row `s` is
+    /// `index[s * width..(s + 1) * width]`.
     index: Vec<u32>,
+    /// Row `r` of the table is stored row `order[r]`.
+    order: Vec<u32>,
 }
 
 /// Bytes [`Rows::write_to`] reserves beyond the rows themselves for what
@@ -565,23 +571,44 @@ pub struct Rows {
 /// the buffer.
 const REPLY_TAIL_ROOM: usize = 64;
 
+/// [`Rows::write_to`] copies a cell's text as one chunk of this many bytes
+/// — a copy of fixed size is a register move, one of measured size a call —
+/// and only a longer text takes a second, sized copy.  Sixteen covers a
+/// quoted 13-byte string or a 15-digit number with its comma.
+const CHUNK: usize = 16;
+
+/// The invariant of [`Rows`] that is checked at each read of an entry.
+const INDEX_WITHIN_CELLS: &str = "index entries point into the cell list";
+
 impl Rows {
     /// A table of `len` rows of `width` cells: row `r`, column `c` holds
-    /// `cells[index[r * width + c]]`.
+    /// `cells[index[order[r] * width + c]]`.
     ///
     /// # Panics
-    /// Panics unless `index` has `len * width` entries, all within `cells`.
-    pub(crate) fn from_parts(width: usize, len: usize, cells: Vec<Json>, index: Vec<u32>) -> Rows {
+    /// Panics unless `index` has `len * width` entries and `order` has
+    /// `len`, all of them `< len`.  That the entries of `index` lie within
+    /// `cells` is checked where each is read, so that a frame pays for one
+    /// pass over them, not two: rendering, [`iter`](Rows::iter) and `==`
+    /// panic on the first that does not, naming it.
+    pub(crate) fn from_parts(
+        width: usize,
+        len: usize,
+        cells: Vec<Json>,
+        index: Vec<u32>,
+        order: Vec<u32>,
+    ) -> Rows {
         assert_eq!(index.len(), len * width, "one index entry per cell");
+        assert_eq!(order.len(), len, "one order entry per row");
         assert!(
-            index.iter().all(|&c| (c as usize) < cells.len()),
-            "index entries point into the cell list"
+            order.iter().all(|&s| (s as usize) < len),
+            "order entries name rows of the table"
         );
         Rows {
             width,
             len,
             cells,
             index,
+            order,
         }
     }
 
@@ -596,11 +623,13 @@ impl Rows {
             cells.extend_from_slice(row.as_ref());
         }
         let index = (0..u32::try_from(cells.len()).ok()?).collect();
+        let order = (0..u32::try_from(rows.len()).ok()?).collect();
         Some(Rows {
             width,
             len: rows.len(),
             cells,
             index,
+            order,
         })
     }
 
@@ -616,56 +645,85 @@ impl Rows {
 
     /// Row `r` as positions in `cells`.
     fn row(&self, r: usize) -> &[u32] {
-        &self.index[r * self.width..(r + 1) * self.width]
+        let stored = self.order[r] as usize;
+        &self.index[stored * self.width..(stored + 1) * self.width]
     }
 
     /// The rows in order, each as its cells in attribute order.
     pub fn iter(&self) -> impl Iterator<Item = impl Iterator<Item = &Json> + '_> + '_ {
-        (0..self.len).map(move |r| self.row(r).iter().map(move |&c| &self.cells[c as usize]))
+        (0..self.len).map(move |r| self.row(r).iter().map(move |&c| self.cell(c)))
+    }
+
+    /// Entry `c` of the cell list.
+    fn cell(&self, c: u32) -> &Json {
+        self.cells.get(c as usize).expect(INDEX_WITHIN_CELLS)
     }
 
     /// Appends the rows as a JSON array of arrays, formatting each entry of
-    /// the cell list once.
-    fn write_to(&self, out: &mut String) {
-        let mut text = String::new();
-        // Cell `i`'s text is `text[bounds[i]..bounds[i + 1]]`.
+    /// the cell list once and gathering the rows in table order.
+    fn write_to(&self, out: &mut Vec<u8>) {
+        // Every cell's token — its text and the comma after it — back to
+        // back, then one chunk of padding so that a chunk read at the last
+        // token stays inside.  Token `c` is `text[bounds[c]..bounds[c + 1]]`.
+        let mut text = Vec::new();
         let mut bounds = Vec::with_capacity(self.cells.len() + 1);
         bounds.push(0);
         for cell in &self.cells {
             cell.write_to(&mut text);
+            text.push(b',');
             bounds.push(text.len());
         }
-        let span = |cell: u32| bounds[cell as usize]..bounds[cell as usize + 1];
-        // Size the reply once: the rows' text length is known here (cells,
-        // at most three bytes of brackets and comma per row and a comma per
-        // further cell, and room for the frame's tail).  Doubling into a
-        // multi-megabyte answer would copy it and hold twice its size.
-        let cells_len: usize = self.index.iter().map(|&cell| span(cell).len()).sum();
-        out.reserve(cells_len + self.len * (self.width + 3) + REPLY_TAIL_ROOM);
-        out.push('[');
+        text.resize(text.len() + CHUNK, 0);
+        let token = |c: u32| {
+            let ends = bounds
+                .get(c as usize..c as usize + 2)
+                .expect(INDEX_WITHIN_CELLS);
+            (ends[0], ends[1] - ends[0])
+        };
+        // Size the reply once: the rows' exact length is known here — the
+        // tokens (a row's last comma turns into its closing bracket), each
+        // row's opening bracket and the comma after it (the last one turns
+        // into the array's closing bracket), a closing bracket of its own
+        // for a row without cells or an array without rows.  Doubling into
+        // a multi-megabyte answer would copy it and hold twice its size.
+        let tokens: usize = self.index.iter().map(|&c| token(c).1).sum();
+        let brackets = self.len * (2 + usize::from(self.width == 0));
+        let total = 1 + tokens + brackets + usize::from(self.len == 0);
+        let start = out.len();
+        out.reserve(total + CHUNK + REPLY_TAIL_ROOM);
+        out.resize(start + total + CHUNK, 0);
+        out[start] = b'[';
+        let mut at = start + 1;
         for r in 0..self.len {
-            out.push_str(if r == 0 { "[" } else { ",[" });
-            for (c, &cell) in self.row(r).iter().enumerate() {
-                if c > 0 {
-                    out.push(',');
+            out[at] = b'[';
+            at += 1;
+            for &c in self.row(r) {
+                // The bytes a chunk carries past its token's end are the
+                // next thing written over.
+                let (from, n) = token(c);
+                out[at..at + CHUNK].copy_from_slice(&text[from..from + CHUNK]);
+                if n > CHUNK {
+                    out[at + CHUNK..at + n].copy_from_slice(&text[from + CHUNK..from + n]);
                 }
-                out.push_str(&text[span(cell)]);
+                at += n;
             }
-            out.push(']');
+            at -= usize::from(self.width > 0);
+            out[at..at + 2].copy_from_slice(b"],");
+            at += 2;
         }
-        out.push(']');
+        at -= usize::from(self.len > 0);
+        out[at] = b']';
+        assert_eq!(at + 1, start + total, "the rows' length was computed");
+        out.truncate(start + total);
     }
 }
 
 impl PartialEq for Rows {
     fn eq(&self, other: &Rows) -> bool {
+        let same = |(&a, &b): (&u32, &u32)| self.cell(a) == other.cell(b);
         self.width == other.width
             && self.len == other.len
-            && self
-                .index
-                .iter()
-                .zip(&other.index)
-                .all(|(&a, &b)| self.cells[a as usize] == other.cells[b as usize])
+            && (0..self.len).all(|r| self.row(r).iter().zip(other.row(r)).all(same))
     }
 }
 
@@ -808,38 +866,40 @@ pub fn spans_json(report: &TraceReport) -> Json {
 
 /// Renders a response as one canonical protocol line (no trailing newline).
 pub fn render_response(r: &Response) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     render_response_into(r, &mut out);
-    out
+    into_text(out)
 }
 
 /// Appends the canonical protocol line of `r` (no trailing newline) to
 /// `out` — how the server renders a reply straight into its connection's
 /// output buffer.
-pub(crate) fn render_response_into(r: &Response, out: &mut String) {
-    fn strings(items: &[String], out: &mut String) {
-        out.push('[');
+pub(crate) fn render_response_into(r: &Response, out: &mut Vec<u8>) {
+    fn strings(items: &[String], out: &mut Vec<u8>) {
+        out.push(b'[');
         for (i, item) in items.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
             write_escaped(item, out);
         }
-        out.push(']');
+        out.push(b']');
     }
-    const INFALLIBLE: &str = "writing to a String cannot fail";
     match r {
-        Response::Pong => out.push_str("{\"ok\":true,\"op\":\"pong\"}"),
-        Response::Bye => out.push_str("{\"ok\":true,\"op\":\"bye\"}"),
+        Response::Pong => out.extend_from_slice(b"{\"ok\":true,\"op\":\"pong\"}"),
+        Response::Bye => out.extend_from_slice(b"{\"ok\":true,\"op\":\"bye\"}"),
         Response::Prepared { name } => {
-            out.push_str("{\"ok\":true,\"op\":\"prepared\",\"name\":");
+            out.extend_from_slice(b"{\"ok\":true,\"op\":\"prepared\",\"name\":");
             write_escaped(name, out);
-            out.push('}');
+            out.push(b'}');
         }
         Response::Listing { databases, queries } => {
-            out.push_str("{\"ok\":true,\"op\":\"list\",\"databases\":[");
+            out.extend_from_slice(b"{\"ok\":true,\"op\":\"list\",\"databases\":[");
             for (i, d) in databases.iter().enumerate() {
-                out.push_str(if i == 0 { "{\"name\":" } else { ",{\"name\":" });
+                if i > 0 {
+                    out.push(b',');
+                }
+                out.extend_from_slice(b"{\"name\":");
                 write_escaped(&d.name, out);
                 write!(
                     out,
@@ -848,9 +908,9 @@ pub(crate) fn render_response_into(r: &Response, out: &mut String) {
                 )
                 .expect(INFALLIBLE);
             }
-            out.push_str("],\"queries\":");
+            out.extend_from_slice(b"],\"queries\":");
             strings(queries, out);
-            out.push('}');
+            out.push(b'}');
         }
         Response::Answer {
             attrs,
@@ -858,31 +918,31 @@ pub(crate) fn render_response_into(r: &Response, out: &mut String) {
             metrics,
             trace,
         } => {
-            out.push_str("{\"ok\":true,\"op\":\"answer\",\"attrs\":");
+            out.extend_from_slice(b"{\"ok\":true,\"op\":\"answer\",\"attrs\":");
             strings(attrs, out);
             write!(out, ",\"tuples\":{},\"rows\":", rows.len()).expect(INFALLIBLE);
             rows.write_to(out);
             if let Some(m) = metrics {
-                out.push_str(",\"metrics\":");
+                out.extend_from_slice(b",\"metrics\":");
                 m.write_to(out);
             }
             if let Some(t) = trace {
-                out.push_str(",\"trace\":");
+                out.extend_from_slice(b",\"trace\":");
                 write_escaped(t, out);
             }
-            out.push('}');
+            out.push(b'}');
         }
         Response::Stats { stats, text } => {
-            out.push_str("{\"ok\":true,\"op\":\"stats\"");
+            out.extend_from_slice(b"{\"ok\":true,\"op\":\"stats\"");
             if let Some(s) = stats {
-                out.push_str(",\"stats\":");
+                out.extend_from_slice(b",\"stats\":");
                 s.write_to(out);
             }
             if let Some(t) = text {
-                out.push_str(",\"text\":");
+                out.extend_from_slice(b",\"text\":");
                 write_escaped(t, out);
             }
-            out.push('}');
+            out.push(b'}');
         }
         Response::Error(e) => {
             write!(
@@ -894,10 +954,10 @@ pub(crate) fn render_response_into(r: &Response, out: &mut String) {
             write_escaped(&e.message, out);
             write!(out, ",\"code\":{}", e.kind.code()).expect(INFALLIBLE);
             if let Some(t) = &e.trace {
-                out.push_str(",\"trace\":");
+                out.extend_from_slice(b",\"trace\":");
                 write_escaped(t, out);
             }
-            out.push('}');
+            out.push(b'}');
         }
     }
 }
@@ -1248,22 +1308,107 @@ mod tests {
 
     #[test]
     fn answer_rows_render_into_a_buffer_sized_once() {
-        for (width, len) in [(1usize, 0usize), (1, 1), (3, 1), (7, 20_000)] {
+        // The last shape appends to the earlier replies of a pipelined batch.
+        let earlier = b"{\"ok\":true,\"op\":\"pong\"}\n";
+        for (width, len, prefix) in [
+            (1usize, 0usize, &b""[..]),
+            (1, 1, b""),
+            (3, 1, b""),
+            (7, 20_000, b""),
+            (7, 20_000, earlier),
+        ] {
             let rows: Vec<Vec<Json>> = (0..len as i64)
                 .map(|r| (0..width as i64).map(|c| Json::Int(r * 31 + c)).collect())
                 .collect();
             let table = Rows::from_rows(width, &rows).unwrap();
-            let mut out = String::new();
+            let mut out = prefix.to_vec();
             table.write_to(&mut out);
+            assert_eq!(&out[..prefix.len()], prefix, "{width}x{len}");
             // Never doubled past the text: the reservation covered it, with
-            // at most a byte per row and the tail room to spare.
+            // exactly the copy's slack and the tail room to spare.
             assert!(
-                out.capacity() <= out.len() + len + REPLY_TAIL_ROOM + 8,
+                out.capacity() <= out.len() + CHUNK + REPLY_TAIL_ROOM,
                 "{width}x{len}: {} bytes in a {}-byte buffer",
                 out.len(),
                 out.capacity()
             );
         }
+    }
+
+    #[test]
+    fn rows_come_in_the_order_of_their_permutation() {
+        let x = || Json::str("x");
+        // Stored rows (7,"x") (9,7) ("x",9), served third, first, second.
+        let cells = vec![Json::Int(7), x(), Json::Int(9)];
+        let index = vec![0, 1, 2, 0, 1, 2];
+        let table = Rows::from_parts(2, 3, cells.clone(), index.clone(), vec![2, 0, 1]);
+        let written_out = [
+            [x(), Json::Int(9)],
+            [Json::Int(7), x()],
+            [Json::Int(9), Json::Int(7)],
+        ];
+        let explicit = Rows::from_rows(2, &written_out).unwrap();
+        assert_eq!(table, explicit);
+        assert_eq!(explicit, table);
+        let unpermuted = Rows::from_parts(2, 3, cells, index, vec![0, 1, 2]);
+        assert_ne!(table, unpermuted);
+        assert_ne!(unpermuted, table);
+        let listed: Vec<Vec<Json>> = table.iter().map(|row| row.cloned().collect()).collect();
+        assert_eq!(listed, written_out);
+        let (mut permuted, mut plain) = (Vec::new(), Vec::new());
+        table.write_to(&mut permuted);
+        explicit.write_to(&mut plain);
+        assert_eq!(permuted, plain);
+        assert_eq!(into_text(plain), "[[\"x\",9],[7,\"x\"],[9,7]]");
+    }
+
+    #[test]
+    fn a_malformed_table_panics_naming_the_broken_invariant() {
+        // One column, two rows, one cell value.
+        for (index, order, invariant) in [
+            (vec![0], vec![0, 1], "one index entry per cell"),
+            (vec![0, 0], vec![0], "one order entry per row"),
+            (
+                vec![0, 0],
+                vec![0, 2],
+                "order entries name rows of the table",
+            ),
+            (
+                vec![0, 1],
+                vec![1, 0],
+                "index entries point into the cell list",
+            ),
+        ] {
+            let reads: [fn(&Rows); 3] = [
+                |t| t.write_to(&mut Vec::new()),
+                |t| assert_eq!(t.iter().flatten().count(), 2),
+                |t| assert!(*t == t.clone()),
+            ];
+            for read in reads {
+                let (index, order) = (index.clone(), order.clone());
+                let panic = std::panic::catch_unwind(move || {
+                    read(&Rows::from_parts(1, 2, vec![Json::Int(5)], index, order))
+                })
+                .expect_err(invariant);
+                let message = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .expect("a panic message");
+                assert!(message.contains(invariant), "{message:?} for {invariant:?}");
+            }
+        }
+    }
+
+    /// A frame as the server builds it, from rows that do not arrive sorted.
+    fn served_answer() -> Response {
+        let schema = hypergraph::Hypergraph::from_edges([vec!["A", "B"]]).expect("one edge");
+        let db = reldb::Database::empty(schema.clone());
+        let mut answer = reldb::Relation::new("answer", schema.nodes());
+        for (a, b) in [(3, "z"), (1, "y"), (2, "x"), (1, "x")] {
+            answer.insert_values([reldb::Value::Int(a), reldb::Value::str(b)]);
+        }
+        crate::server::answer_frame(&db, &answer, None)
     }
 
     #[test]
@@ -1297,6 +1442,7 @@ mod tests {
                 metrics: None,
                 trace: Some("q-000017".into()),
             },
+            served_answer(),
             Response::Stats {
                 stats: Some(obj([("queries_total", Json::Int(3))])),
                 text: None,

@@ -385,7 +385,7 @@ fn frame_from(mut buf: Vec<u8>) -> Frame {
 struct Outbox<'a> {
     state: &'a State,
     stream: TcpStream,
-    buf: String,
+    buf: Vec<u8>,
     /// In-flight guards of the queries whose replies sit in `buf`.
     guards: Vec<QueryGuard<'a>>,
 }
@@ -393,7 +393,7 @@ struct Outbox<'a> {
 impl<'a> Outbox<'a> {
     fn push(&mut self, response: &Response, guard: Option<QueryGuard<'a>>) {
         render_response_into(response, &mut self.buf);
-        self.buf.push('\n');
+        self.buf.push(b'\n');
         self.guards.extend(guard);
     }
 
@@ -410,7 +410,7 @@ impl<'a> Outbox<'a> {
     /// [`WRITE_TIMEOUT`]; the connection must close (the guards are
     /// released all the same, so a drain never waits on a dead peer).
     fn flush(&mut self) -> bool {
-        let mut rest = self.buf.as_bytes();
+        let mut rest = self.buf.as_slice();
         while !rest.is_empty() {
             match self.stream.write(rest) {
                 Ok(0) => break,
@@ -425,7 +425,7 @@ impl<'a> Outbox<'a> {
         let sent = rest.is_empty();
         if self.buf.capacity() > FLUSH_BOUND {
             // A large answer went through; do not keep its allocation.
-            self.buf = String::new();
+            self.buf = Vec::new();
         } else {
             self.buf.clear();
         }
@@ -460,7 +460,7 @@ fn handle_connection(state: &State, stream: TcpStream, server_addr: SocketAddr) 
         Ok(stream) => Outbox {
             state,
             stream,
-            buf: String::new(),
+            buf: Vec::new(),
             guards: Vec::new(),
         },
         Err(_) => return,
@@ -881,7 +881,10 @@ fn execute_inner(
 /// (`rank::rank_cells`: bitmaps and one front-to-back read of the
 /// dictionary); rows are then ordered as tuples of ranks by
 /// [`reldb::sort_ids_by_key`], the sort-merge kernels' LSD counting sort.
-/// No `Value` is cloned per cell.
+/// No `Value` is cloned per cell, and no row is moved: the frame's [`Rows`]
+/// hold the ranked rows where the engine left them plus the sort's
+/// permutation, and the rows are gathered in that order when the reply is
+/// rendered, straight into its text.
 ///
 /// The pool lock — database-wide, so shared by every connection querying
 /// that database — is held for the dictionary read (and the sort of the
@@ -899,13 +902,10 @@ pub fn answer_frame(db: &Database, answer: &Relation, metrics: Option<json::Json
     let handles = answer.handle_rows();
     assert_eq!(handles.len(), len * width, "one handle per cell");
     let (cells, ranked) = rank_cells(answer.pool(), handles);
-    let mut index = Vec::with_capacity(ranked.len());
-    for r in reldb::sort_ids_by_key(&ranked, width, len) {
-        index.extend_from_slice(&ranked[r as usize * width..(r as usize + 1) * width]);
-    }
+    let order = reldb::sort_ids_by_key(&ranked, width, len);
     Response::Answer {
         attrs,
-        rows: Rows::from_parts(width, len, cells, index),
+        rows: Rows::from_parts(width, len, cells, ranked, order),
         metrics,
         trace: None,
     }

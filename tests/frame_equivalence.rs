@@ -7,12 +7,16 @@
 //! result into a `Json` tree; it survives here, as [`oracle_frame`], and
 //! the two must agree byte for byte on every relation.
 //!
-//! Two generators feed the comparison.  [`generate`] draws small relations
+//! Three generators feed the comparison.  [`generate`] draws small relations
 //! over awkward values (escapes, extremes, mixed columns).  [`generate_large`]
 //! draws relations big enough, over integer domains shaped enough, to reach
 //! every ordering path behind `answer_frame`: the bitmap ranking of a dense
 //! integer range and the sort it falls back to, numbered and per-handle
 //! position slots, and the counting, radix and comparison row sorts.
+//! [`generate_chunk_edges`] fills relations of those sizes with values whose
+//! rendered text has every length around the 16-byte chunk `render_response`
+//! copies a cell by, so that the chunk's end falls after, at and inside the
+//! text — and inside one multi-byte character of it.
 
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::hyperqd::json::Json;
@@ -379,6 +383,146 @@ fn large_frames_reach_every_ordering_path() {
         }
         assert_large_frame_matches(0xBEEF, 2, 5_500, IntDomain::Dense, pregrown);
         assert_large_frame_matches(0xBEEF, 1, 5_500, IntDomain::Extremes, pregrown);
+    }
+}
+
+/// Value number `k` of [`generate_chunk_edges`]: an integer or a string
+/// whose rendered text — digits, or the escaped string in its quotes — is
+/// 1 to 40 bytes long, the lengths interleaved so that every row mixes
+/// them.  From six bytes up the text carries `k`, so distinct numbers give
+/// distinct values.  The strings hold what a byte-wise copy can break: an
+/// escape that grows (`"` to two bytes, U+0001 to six), and a character of
+/// two, three or four bytes that starts before the 16th byte of the text
+/// and ends after it.
+fn chunk_edge_value(k: u64) -> Value {
+    // `k` as the first digits of a `len`-byte ASCII string.
+    let padded = |len: usize| format!("{k:_<len$}");
+    let (kind, turn) = (k % 8, k / 8);
+    match kind {
+        // 6 to 19 digits, and a sign: 6 to 20 bytes.
+        0 | 1 => {
+            let digits = 6 + (turn % 14) as u32;
+            let n = 10i64.pow(digits - 1) + k as i64;
+            Value::Int(if kind == 0 { n } else { -n })
+        }
+        // 1 to 5 bytes, the extremes, and the empty string.
+        2 if turn % 8 == 0 => match turn / 8 % 8 {
+            0 => Value::Int(i64::MIN),
+            1 => Value::Int(i64::MAX),
+            2 => Value::str(""),
+            3 => Value::str("a"),
+            4 => Value::str("ab"),
+            5 => Value::str("abc"),
+            6 => Value::Int(7),
+            _ => Value::Int(-42),
+        },
+        // Quoted ASCII of 6 to 38 bytes: 8 to 40.
+        2 | 3 => Value::str(padded(6 + (turn % 33) as usize)),
+        // An escape that expands, with 6 to 19 bytes before it.
+        4 => {
+            let escaped = ["\"", "\u{1}", "\\", "\n"][(turn % 4) as usize];
+            Value::str(format!(
+                "{}{escaped}z",
+                padded(6 + (turn / 4 % 14) as usize)
+            ))
+        }
+        // A character of `wide` bytes that starts 1 to `wide - 1` bytes
+        // before byte 16 of the text (the quote is byte 0), then 0 to 3 more.
+        _ => {
+            let (wide, scalar) = [(2, "é"), (3, "日"), (4, "😀")][(kind - 5) as usize];
+            let before = 15 - 1 - (turn % (wide - 1)) as usize;
+            let after = &"xyz"[..(turn / 3 % 4) as usize];
+            Value::str(format!("{}{scalar}{after}", padded(before)))
+        }
+    }
+}
+
+/// A database over [`schema`] and an answer of `rows` rows over its first
+/// `width` attributes, every cell a [`chunk_edge_value`]: all of them
+/// different (`distinct`: ranks past four times the row count on five
+/// columns, so the radix row order, or the comparison one below its floor)
+/// or drawn from 200 (the counting one).  In its own pool, or the
+/// database's after that grew by values the answer never uses.
+fn generate_chunk_edges(
+    seed: u64,
+    width: usize,
+    rows: usize,
+    distinct: bool,
+    own_pool: bool,
+) -> (Database, Relation) {
+    let mut dice = Dice(seed);
+    let schema = schema();
+    let db = Database::empty(schema.clone());
+    let attrs = NodeSet::from_ids(schema.nodes().iter().take(width));
+    let mut answer = if own_pool {
+        Relation::new("answer", attrs)
+    } else {
+        for k in 0..3_000 {
+            db.pool().intern(&chunk_edge_value(1_000_000 + 17 * k));
+        }
+        Relation::with_pool("answer", attrs, db.pool().clone())
+    };
+    let first = dice.roll(1_000);
+    // Rows go in shuffled, so handles are not in value order.
+    let mut numbers: Vec<u64> = (0..rows as u64).collect();
+    for i in (1..numbers.len()).rev() {
+        numbers.swap(i, dice.roll(i as u64 + 1) as usize);
+    }
+    for i in numbers {
+        answer.insert_values((0..width as u64).map(|c| {
+            chunk_edge_value(match distinct {
+                true => first + i * width as u64 + c,
+                false => first + dice.roll(200),
+            })
+        }));
+    }
+    (db, answer)
+}
+
+/// Tokens shorter than, as long as and longer than the chunk a cell is
+/// copied by — in every column and every row, the first and the last among
+/// them — under each of the three row orders, in both kinds of pool.
+#[test]
+fn tokens_around_the_copy_chunk_render_like_the_retired_implementation() {
+    let rendered = |k| match chunk_edge_value(k) {
+        Value::Int(n) => Json::Int(n).to_string(),
+        Value::Str(s) => Json::Str(s).to_string(),
+    };
+    let lengths: BTreeSet<usize> = (0..4_096).map(|k| rendered(k).len()).collect();
+    assert_eq!(lengths, (1..=40).collect(), "every text length is drawn");
+    // é, 日 and 😀 across the end of the chunk: bytes 15-16, 14-16, 13-16.
+    for (k, straddler) in [(5, "é"), (6 + 8, "日"), (7 + 16, "😀")] {
+        let text = rendered(k);
+        let at = text.find(straddler).expect("the character is there");
+        assert!(
+            at < 16 && at + straddler.len() > 16,
+            "{text} has it at {at}"
+        );
+    }
+
+    for own_pool in [true, false] {
+        for (width, rows, distinct) in [
+            (1, 50, true),
+            (3, 300, true),
+            (5, 300, true),
+            (5, 5_000, true),
+            (3, 5_000, false),
+            (5, 5_000, false),
+        ] {
+            let (db, answer) = generate_chunk_edges(0xC4A2, width, rows, distinct, own_pool);
+            assert!(
+                answer.len() > rows / 2,
+                "rows repeat: {} of {rows}",
+                answer.len()
+            );
+            let (frame, got) = served_frame(&db, &answer, None, None);
+            assert!(
+                got == oracle_frame(&db, &answer, None, None),
+                "frames differ: width {width}, {} rows, distinct {distinct}, own pool {own_pool}",
+                answer.len()
+            );
+            assert_eq!(parse_response(&got).unwrap(), frame);
+        }
     }
 }
 
