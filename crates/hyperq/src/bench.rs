@@ -371,8 +371,9 @@ fn query_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecord
 ///
 /// * `decompose` — structural cost only (min-fill triangulation, bag tree);
 /// * `cyclic_join` / `columnar-decomp` — the served policy on one thread;
-/// * `cyclic_join` / `columnar-decomp-parallel` — bag materialization and
-///   both Yannakakis phases on leased pool workers;
+/// * `cyclic_join` / `columnar-decomp-parallel` — the same pipeline with a
+///   worker lease: bags still build one at a time (children first), their
+///   join probes and both Yannakakis phases spread over the workers;
 /// * `cyclic_join` / `naive` — join-everything-then-project baseline.
 fn cyclic_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecord>) {
     let sizes: &[usize] = match profile {

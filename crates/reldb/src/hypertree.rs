@@ -9,28 +9,34 @@
 //! 1. **decompose** — triangulate the schema's primal graph into maximal-
 //!    clique *bags* with a running-intersection tree
 //!    ([`decompose()`](decomp::decompose()));
-//! 2. **materialize** — each bag becomes one relation: the join of the
-//!    original relations in its cover (assigned edges joined whole, extra
-//!    overlapping edges joined and projected down), projected onto the bag's
-//!    nodes ([`materialize_bags`]).  Bags are independent, so they
-//!    materialize in parallel on workers leased from the shared
-//!    [`WorkerPool`](crate::exec::WorkerPool) under the caller's
-//!    [`ExecPolicy`];
+//! 2. **materialize** — bags build one at a time, children before parents
+//!    along the bag tree ([`materialize_bags`]).  Each bag becomes one
+//!    relation: the join of the original relations in its cover (assigned
+//!    edges joined whole, extra overlapping edges projected down) and of one
+//!    *message* per child — the already-built child bag projected onto the
+//!    separator `child ∩ bag` — projected onto the bag's nodes.  A message
+//!    lies inside the bag, so joining it is a semijoin filter: this is the
+//!    upward pass of the full reducer run while the bags are built, and it
+//!    keeps a ring's bags from being the cross products their covers alone
+//!    would give;
 //! 3. **reduce + join** — the bag database is an ordinary acyclic database
 //!    over the bag hypergraph, so the existing full reducer and bottom-up
 //!    join run on it unchanged.
 //!
-//! The result is tuple-for-tuple the projection of the full join: every
-//! original edge is wholly contained in the bag it is assigned to, so the
-//! join of all bag relations equals the join of all original relations
-//! (extra cover edges only shrink bags further — they can never add a tuple
-//! the original join would not produce, and Yannakakis handles the rest).
+//! The result is tuple-for-tuple the projection of the full join.  Every
+//! original edge is wholly contained in the bag it is assigned to and
+//! enters it whole, so the join of the bags is contained in the full join.
+//! Conversely every bag contains the full join's projection onto it: by
+//! induction up the tree each child does, so each message contains the
+//! full join's projection onto the separator, and filtering by it (or by a
+//! trimmed extra edge) never drops a tuple the full join needs.  Messages
+//! and extras only ever shrink bags; Yannakakis handles the rest.
 //!
 //! [`yannakakis_join_any`] is the transparent entry point: acyclic schemas
 //! take the direct join-tree path, cyclic schemas the decomposition path.
 
 use crate::database::Database;
-use crate::exec::{ExecCtx, ExecPolicy, Job, WorkerLease};
+use crate::exec::{ExecCtx, ExecPolicy, WorkerLease};
 use crate::govern::{contain_panics, unfail, EngineError, Governor};
 use crate::metrics::{MetricsSink, Phase};
 use crate::relation::Relation;
@@ -41,44 +47,22 @@ use decomp::{decompose, Decomposition, Heuristic};
 use hypergraph::{Edge, Hypergraph, NodeSet};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Materializes one bag: joins its cover relations (assigned edges first,
-/// then the overlapping extras) and projects onto the bag's nodes.
+/// Trims one bag-cover input to the bag: relations already inside the bag
+/// pass through (borrowed); overlapping extras and child bags are projected
+/// onto their in-bag attributes (owned) — for a child bag that is its
+/// separator message.
 ///
-/// Extra-cover relations are projected onto their in-bag attributes
-/// *before* joining.  This may lose join constraints those extras carried
-/// on out-of-bag attributes, making the bag relation a superset of
-/// `π_bag(⋈ cover)` on the extra part — which is harmless: a bag relation
-/// only needs to (a) contain the bag's projection of the full join
-/// (supersets qualify) and (b) enforce its *assigned* edges exactly, and
-/// assigned relations always enter the join whole.  The payoff is that an
-/// extra edge overlapping the bag in one attribute contributes its few
-/// hundred distinct values instead of its full tuple count to the
-/// (inherently width-bounded) bag cross product.
-fn materialize_one<M: MetricsSink, G: Governor>(
-    ctx: &ExecCtx<'_, M, G>,
-    probe: &WorkerLease,
-    d: &Decomposition,
-    bag: usize,
-    relations: &[Relation],
-) -> Result<Relation, EngineError> {
-    let bag_edge = &d.bags().edges()[bag];
-    join_cover(
-        ctx,
-        probe,
-        d.cover(bag)
-            .map(|e| trim_to_bag(&relations[e.index()], &bag_edge.nodes)),
-        &bag_edge.nodes,
-        &bag_edge.label,
-    )
-}
-
-/// Trims one cover relation for a bag: relations already inside the bag
-/// pass through (borrowed), overlapping extras are projected onto their
-/// in-bag attributes (owned).
+/// Projecting an extra *before* joining may lose join constraints it
+/// carried on out-of-bag attributes, making the bag a superset of
+/// `π_bag(⋈ cover)` on the extra part — which is harmless: a bag only needs
+/// to (a) contain the full join's projection onto it (supersets qualify)
+/// and (b) enforce its *assigned* edges exactly, and assigned relations
+/// always enter whole.  The payoff is that an extra edge overlapping the
+/// bag in one attribute contributes its few hundred distinct values
+/// instead of its full tuple count.
 fn trim_to_bag<'a>(r: &'a Relation, bag_nodes: &NodeSet) -> Cow<'a, Relation> {
     if r.attributes().is_subset(bag_nodes) {
         Cow::Borrowed(r)
@@ -93,10 +77,11 @@ fn trim_to_bag<'a>(r: &'a Relation, bag_nodes: &NodeSet) -> Cow<'a, Relation> {
 /// so far, using the same sampled distinct-key estimator the `Auto`
 /// strategy planner runs on.  The estimate is the textbook
 /// `|A|·|B| / max(d_B(shared), 1)` with `d_B` the sampled distinct count of
-/// the shared columns on the candidate's side; relations sharing no
-/// attribute degenerate to the cross-product estimate and naturally sort
-/// last.  Joins are commutative under set semantics, so any order is
-/// correct — this one just keeps intermediates small.
+/// the shared columns on the candidate's side; a relation sharing no
+/// attribute takes `d_B = 1`, the cross-product estimate `|A|·|B|`, so it
+/// sorts after any candidate that shares a key.  Joins are commutative
+/// under set semantics, so any order is correct — this one just keeps
+/// intermediates small.
 fn order_cover(cover: &mut [Cow<'_, Relation>]) {
     let n = cover.len();
     if n <= 1 {
@@ -108,7 +93,11 @@ fn order_cover(cover: &mut [Cow<'_, Relation>]) {
     let mut acc_est = cover[0].len() as f64;
     for k in 1..n - 1 {
         let estimate = |r: &Relation| -> f64 {
-            let d = (r.estimate_distinct_ratio_on(&acc_attrs) * r.len() as f64).max(1.0);
+            let d = if r.attributes().is_disjoint(&acc_attrs) {
+                1.0
+            } else {
+                (r.estimate_distinct_ratio_on(&acc_attrs) * r.len() as f64).max(1.0)
+            };
             acc_est * r.len() as f64 / d
         };
         let best = (k..n)
@@ -124,13 +113,12 @@ fn order_cover(cover: &mut [Cow<'_, Relation>]) {
     }
 }
 
-/// The single bag-join fold both materialization paths run: joins the
-/// (already trimmed) cover relations — reordered smallest estimated
-/// intermediate first by [`order_cover`] — and projects onto the bag's
-/// nodes.  Large probe sides spread over `probe`'s workers at morsel
-/// granularity ([`ExecCtx::join_on_lease`]); single-bag
-/// materializations pass the whole lease here so one wide bag still uses
-/// every worker.
+/// The bag-join fold: joins the (already trimmed) cover relations and
+/// child messages — reordered smallest estimated intermediate first by
+/// [`order_cover`] — and projects onto the bag's nodes.  Large probe sides
+/// spread over `probe`'s workers at morsel granularity
+/// ([`ExecCtx::join_on_lease`]), so one wide bag still uses every leased
+/// worker.
 fn join_cover<'a, M: MetricsSink, G: Governor>(
     ctx: &ExecCtx<'_, M, G>,
     probe: &WorkerLease,
@@ -167,20 +155,18 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
     /// Materializes every bag of `d` against `db`, producing a database over
     /// the bag hypergraph.
     ///
-    /// Bags only read the original relations and write their own slot, so
-    /// with a parallel [`ExecPolicy`] the bag joins fan out across leased
-    /// [`WorkerPool`](crate::exec::WorkerPool) workers (subject to the
-    /// policy's sequential-fallback tuple threshold).  Bigger bags are
-    /// dispatched first so a single wide bag does not serialize the tail of
-    /// the batch.
+    /// Bags build one at a time, children first: each bag joins its cover
+    /// with its children's separator messages (module docs), so every bag
+    /// is a subset of its cover's join and still a superset of the full
+    /// join's projection onto it.  A parallel [`ExecPolicy`] spreads each
+    /// bag join's probe side over the leased workers.
     ///
-    /// The metrics sink receives each bag's materialized size, the per-bag
-    /// join ops and one [`Phase::Materialize`] wall timing; the governor is
-    /// consulted once per bag (on the dispatching thread, so an armed
-    /// failpoint or tripped deadline aborts before any worker runs) and
-    /// charged for every materialized bag relation plus the join kernels'
-    /// intermediate output batches; the tracer brackets the whole bag pass in
-    /// one [`SpanKind::Materialize`] span.  An abort surfaces as
+    /// The metrics sink receives each bag's materialized size (in bag-index
+    /// order), the per-bag join ops and one [`Phase::Materialize`] wall
+    /// timing; the governor is consulted once before each bag, in build
+    /// order, and charged for every materialized bag relation plus the join
+    /// kernels' intermediate output batches; the tracer brackets the whole
+    /// bag pass in one [`SpanKind::Materialize`] span.  An abort surfaces as
     /// `Err(EngineError)` and leaves `db` untouched: materialization only
     /// reads the original relations.
     pub fn materialize_bags(
@@ -244,95 +230,41 @@ fn materialize_bags_leased<M: MetricsSink, G: Governor, T: TraceSink>(
 
 /// The span-free materialization body behind [`materialize_bags_leased`]:
 /// nothing from here down is instantiated per tracer type.
+///
+/// Walks the bag tree bottom-up, one bag at a time.  A bag's join inputs
+/// are its cover relations trimmed to the bag plus, for each child (built
+/// already), the child's *message*: the child bag projected onto the
+/// separator `child ∩ bag`.  The message's attributes lie inside the bag,
+/// so it only filters — the bag shrinks, never grows — and it still
+/// contains the full join's projection onto the separator, so nothing the
+/// answer needs is lost.
 fn materialize_bags_body<M: MetricsSink, G: Governor>(
     ctx: &ExecCtx<'_, M, G>,
     lease: &WorkerLease,
     db: &Database,
     d: &Decomposition,
 ) -> Result<Database, EngineError> {
-    let (sink, gov) = (ctx.metrics, ctx.gov);
-    let nbags = d.bag_count();
+    let (sink, tree, nbags) = (ctx.metrics, d.tree(), d.bag_count());
     let t0 = M::ENABLED.then(Instant::now);
-    let relations: Vec<Relation> = if lease.threads() <= 1 || nbags <= 1 {
-        // One bag (or one worker): instead of bag-level fan-out, the whole
-        // lease pulls the bag's join probe morsels.
-        let mut rels = Vec::with_capacity(nbags);
-        for b in 0..nbags {
-            if G::ENABLED {
-                gov.at_bag(b)?;
-            }
-            rels.push(materialize_one(ctx, lease, d, b, db.relations())?);
-        }
-        rels
-    } else {
-        // Estimated cost of a bag: total tuples of its cover relations.
-        // Dispatching big bags first keeps the round-robin balanced.
-        let mut order: Vec<usize> = (0..nbags).collect();
-        let cost = |b: usize| -> usize {
-            d.cover(b)
-                .map(|e| db.relations()[e.index()].len())
-                .sum::<usize>()
-        };
-        order.sort_by_key(|&b| std::cmp::Reverse(cost(b)));
-        // Per-bag checkpoints fire on the dispatching thread, before any
-        // cover relation is cloned into a job: an armed failpoint or an
-        // already-tripped deadline aborts with zero worker-side work.
+    let mut built: Vec<Option<Relation>> = vec![None; nbags];
+    for bag in tree.bottom_up_order() {
+        let b = bag.index();
         if G::ENABLED {
-            for b in 0..nbags {
-                gov.at_bag(b)?;
-            }
+            ctx.gov.at_bag(b)?;
         }
-        // Each job owns exactly its bag's cover: assigned relations are
-        // cloned (every original edge is assigned to one bag, so the whole
-        // database is copied at most once in total) and extras are
-        // projected down to their in-bag attributes here on the caller —
-        // usually a small fraction of the relation they come from.
-        let (tx, rx) = channel();
-        let jobs: Vec<Job> = order
-            .into_iter()
-            .map(|b| {
-                let bag_edge = &d.bags().edges()[b];
-                let cover: Vec<Relation> = d
-                    .cover(b)
-                    .map(|e| trim_to_bag(&db.relations()[e.index()], &bag_edge.nodes).into_owned())
-                    .collect();
-                let bag_nodes = bag_edge.nodes.clone();
-                let name = bag_edge.label.clone();
-                let tx = tx.clone();
-                let (policy, sink, gov) = ctx.owned();
-                Box::new(move || {
-                    let rel = join_cover(
-                        &ExecCtx::new(&policy).metrics(&sink).gov(&gov),
-                        &WorkerLease::inline(),
-                        cover.into_iter().map(Cow::Owned),
-                        &bag_nodes,
-                        &name,
-                    );
-                    let _ = tx.send((b, rel));
-                }) as Job
-            })
-            .collect();
-        drop(tx);
-        lease.run(jobs);
-        let mut out: Vec<Option<Relation>> = vec![None; nbags];
-        let mut first_err = None;
-        for (b, r) in rx.try_iter() {
-            match r {
-                Ok(rel) => out[b] = Some(rel),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        out.into_iter()
-            .map(|r| {
-                r.ok_or_else(|| {
-                    EngineError::WorkerPanic("bag job died before reporting a result".to_owned())
-                })
-            })
-            .collect::<Result<Vec<Relation>, EngineError>>()?
-    };
+        let bag_edge = &d.bags().edges()[b];
+        let cover = d.cover(b).map(|e| &db.relations()[e.index()]);
+        let messages = tree
+            .children(bag)
+            .iter()
+            .map(|c| built[c.index()].as_ref().expect("children build first"));
+        let inputs = cover
+            .chain(messages)
+            .map(|r| trim_to_bag(r, &bag_edge.nodes));
+        let rel = join_cover(ctx, lease, inputs, &bag_edge.nodes, &bag_edge.label)?;
+        built[b] = Some(rel);
+    }
+    let relations: Vec<Relation> = built.into_iter().flatten().collect();
     if M::ENABLED {
         for r in &relations {
             sink.record_bag(r.name(), r.len() as u64);
@@ -461,9 +393,9 @@ fn decompose_pair<M: MetricsSink>(
 
 /// Pessimistic cost of the widest bag of `d` against `db`: the product of
 /// its cover relations' cardinalities (the cross-product worst case —
-/// joins only shrink it) and that bag's attribute count.  This is what the
-/// budget degradation ladder compares against the governor's memory limit
-/// *before* materializing anything.
+/// joins and child messages only shrink it) and that bag's attribute
+/// count.  This is what the budget degradation ladder compares against the
+/// governor's memory limit *before* materializing anything.
 fn worst_bag_estimate(db: &Database, d: &Decomposition) -> (u64, usize) {
     let mut worst = (0u64, 0usize);
     for b in 0..d.bag_count() {
@@ -504,9 +436,9 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
     /// 2. otherwise the *other* elimination heuristic's tree is tried — the
     ///    heuristics disagree on some schemas, and the runner-up by width can
     ///    still have the smaller worst bag;
-    /// 3. otherwise the smaller-*estimate* tree runs **sequentially** (one bag
-    ///    materialized at a time, no parallel cover copies in flight), letting
-    ///    the kernels' actual allocation charges decide;
+    /// 3. otherwise the smaller-*estimate* tree runs **on one thread** (no
+    ///    morsel-probe copies in flight; bags always build one at a time),
+    ///    letting the kernels' actual allocation charges decide;
     /// 4. only when those charges genuinely exceed the limit does the query
     ///    abort with [`EngineError::BudgetExceeded`].
     ///
@@ -535,8 +467,8 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
                             // Rung 2: the runner-up heuristic's worst bag fits.
                             return self.yannakakis_join_decomposed(db, other, output);
                         }
-                        // Rung 3: both estimates blow the budget — stream the
-                        // smaller-estimate tree one bag at a time and let the
+                        // Rung 3: both estimates blow the budget — run the
+                        // smaller-estimate tree on one thread and let the
                         // actual charges decide (the estimate is a cross-product
                         // worst case; real bags are usually far smaller).
                         let streaming = ExecPolicy {
@@ -711,6 +643,37 @@ mod tests {
                 .project(&all)
                 .same_contents(&db.full_join().project(&all)));
         }
+    }
+
+    /// The cover `X(B,C)` (20 rows), `S(A)` (2 rows), `Y(A,B)` (50 rows,
+    /// 10 distinct `A`).  `order_cover` starts from `S`, the smallest; `Y`
+    /// shares `A` with it and estimates `2·50/10 = 10` rows, while `X`
+    /// shares nothing and its real estimate is the cross product
+    /// `2·20 = 40`.  So `Y` must come second.
+    #[test]
+    fn order_cover_ranks_a_cross_product_after_a_shared_key() {
+        let h = Hypergraph::from_edges([vec!["A", "B", "C"]]).unwrap();
+        let (a, b, c) = (
+            h.node("A").unwrap(),
+            h.node("B").unwrap(),
+            h.node("C").unwrap(),
+        );
+        let mut x = Relation::new("X", h.node_set(["B", "C"]).unwrap());
+        for i in 0..20 {
+            x.insert(Tuple::from_pairs([(b, i), (c, i)]));
+        }
+        let mut s = Relation::new("S", h.node_set(["A"]).unwrap());
+        for i in 0..2 {
+            s.insert(Tuple::from_pairs([(a, i)]));
+        }
+        let mut y = Relation::new("Y", h.node_set(["A", "B"]).unwrap());
+        for i in 0..50 {
+            y.insert(Tuple::from_pairs([(a, i % 10), (b, i)]));
+        }
+        let mut cover = vec![Cow::Owned(x), Cow::Owned(s), Cow::Owned(y)];
+        order_cover(&mut cover);
+        let names: Vec<&str> = cover.iter().map(|r| r.name()).collect();
+        assert_eq!(names, ["S", "Y", "X"]);
     }
 
     #[test]

@@ -805,9 +805,10 @@ impl Relation {
     }
 
     /// Planning-time selectivity probe: the sampled distinct-key ratio on
-    /// the columns shared with `attrs` (`1.0` when nothing is shared, i.e.
-    /// a join on those attributes would be a cross product).  Used by bag
-    /// materialization to order cover joins smallest-intermediate-first.
+    /// the columns shared with `attrs` (`1.0` when nothing is shared — a
+    /// ratio, not a key count: a caller sizing a join must still treat
+    /// that case as the cross product it is).  Used by bag materialization
+    /// to order cover joins smallest-intermediate-first.
     pub(crate) fn estimate_distinct_ratio_on(&self, attrs: &NodeSet) -> f64 {
         let shared = self.attributes.intersection(attrs);
         if shared.is_empty() {

@@ -8,20 +8,23 @@
 //! pre-rewrite engine kept alive as an oracle.
 
 use acyclic_hypergraphs::acyclic::join_tree;
-use acyclic_hypergraphs::decomp::{decompose, Heuristic};
+use acyclic_hypergraphs::decomp::{decompose, Decomposition, Heuristic};
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::reference::{
-    naive_full_reduce, naive_yannakakis_join, NaiveRelation,
+    naive_full_join, naive_full_reduce, naive_yannakakis_join, NaiveRelation,
 };
 use acyclic_hypergraphs::reldb::{
-    full_reduce, full_reduce_with, materialize_bags, yannakakis_join, yannakakis_join_with,
-    CollectingSink, Database, ExecCtx, ExecPolicy, JoinStrategy, Relation, Tuple, Value,
-    WorkerPool, DEFAULT_MORSEL_ROWS,
+    full_reduce, full_reduce_with, yannakakis_join, yannakakis_join_with, CollectingSink, Database,
+    EngineError, ExecCtx, ExecPolicy, Governor, JoinStrategy, Relation, Tuple, Value, WorkerPool,
+    DEFAULT_MORSEL_ROWS,
 };
 use acyclic_hypergraphs::workload::{
-    chain, far_apart, random_database, ring, snowflake, snowflake_tree, star, DataParams,
+    chain, far_apart, hyper_ring, pair_clique, random_database, ring, snowflake, snowflake_tree,
+    star, DataParams,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// One of the acyclic benchmark schema families, scaled by `shape`.
 fn schema(family: usize, shape: usize) -> Hypergraph {
@@ -778,19 +781,28 @@ proptest! {
         }
     }
 
-    /// Every bag of a ring's decomposition is a set, and exactly the join
-    /// of its cover — assigned relations whole, overlapping extras trimmed
-    /// to the bag first — projected onto the bag.
+    /// Every bag of a cyclic schema's decomposition (rings, hyper-rings and
+    /// pair-cliques) is a set, and exactly the children-first reference
+    /// bag.  It sits between the two bounds that make the bag join correct:
+    /// inside the old definition's bag (its cover's join alone) and around
+    /// the full join's projection onto it.  No join intermediate charged
+    /// while a bag builds is wider than that bag.
     #[test]
     fn ring_bags_are_sets_equal_to_the_reference(
-        edges in 3usize..9,
+        family in 0usize..3,
+        shape in 0usize..6,
         tuples in 1usize..20,
         domain in 1i64..5,
         seed in 0u64..1_000,
         threads in 1usize..3,
     ) {
+        let schema = match family {
+            0 => ring(3 + shape),
+            1 => hyper_ring(3 + shape % 2, 2 + shape / 3),
+            _ => pair_clique(3 + shape % 3),
+        };
         let db = random_database(
-            &ring(edges),
+            &schema,
             DataParams { tuples_per_relation: tuples, domain, skew: 0.0, key_cap: 0 },
             seed,
         );
@@ -800,18 +812,78 @@ proptest! {
             parallel_threshold: 0,
             ..ExecPolicy::parallel(JoinStrategy::Auto, threads)
         };
-        let bag_db = materialize_bags(&db, &d, &policy);
+        let watch = BagWidthWatch::default();
+        let bag_db = ExecCtx::new(&policy)
+            .gov(&watch)
+            .materialize_bags(&db, &d)
+            .expect("nothing aborts");
+        let (want, old) = (naive_bags(&db, &d, true), naive_bags(&db, &d, false));
+        let full = naive_full_join(&db);
         for (b, got) in bag_db.relations().iter().enumerate() {
             let bag = &d.bags().edges()[b].nodes;
-            let want = d
-                .cover(b)
-                .map(|e| NaiveRelation::from_relation(&db.relations()[e.index()]))
-                .map(|r| if r.attributes.is_subset(bag) { r } else { r.project(bag) })
-                .reduce(|acc, r| acc.join(&r))
-                .expect("every bag has a cover")
-                .project(bag);
-            prop_assert!(is_the_set(&want, got), "bag {b}");
+            prop_assert!(is_the_set(&want[b], got), "bag {b}");
+            let got = NaiveRelation::from_relation(got);
+            prop_assert!(got.tuples.is_subset(&old[b].tuples), "bag {b} grew");
+            prop_assert!(
+                got.tuples.is_superset(&full.project(bag).tuples),
+                "bag {b} lost a tuple of the full join"
+            );
         }
+        for (b, width) in watch.charges.lock().unwrap().iter().copied() {
+            let bag = d.bags().edges()[b].nodes.len();
+            prop_assert!(width <= bag, "bag {b} ({bag} nodes) charged {width} columns");
+        }
+    }
+}
+
+/// The reference bags of `d`, built children-first along the bag tree: each
+/// is the join of its cover (assigned relations whole, extras trimmed to
+/// the bag) and, with `messages`, of every child bag projected onto the
+/// separator — then projected onto the bag.  Without `messages` this is
+/// the old definition, the cover's join alone.
+fn naive_bags(db: &Database, d: &Decomposition, messages: bool) -> Vec<NaiveRelation> {
+    let tree = d.tree();
+    let mut bags: Vec<Option<NaiveRelation>> = vec![None; d.bag_count()];
+    for bag in tree.bottom_up_order() {
+        let nodes = &d.bags().edges()[bag.index()].nodes;
+        let cover = d
+            .cover(bag.index())
+            .map(|e| NaiveRelation::from_relation(&db.relations()[e.index()]));
+        let children = tree
+            .children(bag)
+            .iter()
+            .filter(|_| messages)
+            .map(|c| bags[c.index()].clone().expect("children build first"));
+        let joined = cover
+            .chain(children)
+            .map(|r| r.project(nodes))
+            .reduce(|acc, r| acc.join(&r))
+            .expect("every bag has a cover");
+        bags[bag.index()] = Some(joined.project(nodes));
+    }
+    bags.into_iter().flatten().collect()
+}
+
+/// A governor that records, for every allocation the engine charges, the
+/// bag being built ([`Governor::at_bag`]) and the charged row width.
+#[derive(Clone, Default)]
+struct BagWidthWatch {
+    bag: Arc<AtomicUsize>,
+    charges: Arc<Mutex<Vec<(usize, usize)>>>,
+}
+
+impl Governor for BagWidthWatch {
+    const ENABLED: bool = true;
+
+    fn at_bag(&self, bag: usize) -> Result<(), EngineError> {
+        self.bag.store(bag, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn approve_alloc(&self, _rows: u64, width: usize) -> Result<(), EngineError> {
+        let bag = self.bag.load(Ordering::Relaxed);
+        self.charges.lock().unwrap().push((bag, width));
+        Ok(())
     }
 }
 

@@ -526,7 +526,9 @@ fn join_cancelled_at_any_checkpoint_leaves_inputs_untouched() {
 #[cfg(feature = "failpoints")]
 mod failpoints {
     use super::*;
+    use acyclic_hypergraphs::decomp::{decompose, Heuristic};
     use acyclic_hypergraphs::reldb::{FailMode, FailpointGovernor};
+    use acyclic_hypergraphs::workload::hyper_ring;
 
     /// An injected failpoint at either semijoin of the big dense reduction
     /// (error and panic flavor) surfaces structurally and leaves the
@@ -550,6 +552,66 @@ mod failpoints {
                 assert_eq!(snapshot(&db), before, "abort mutated the database");
             }
         }
+    }
+
+    /// Bags build children-first, so a bag's checkpoint fires after its
+    /// children's relations exist.  A refused allocation at the root bag
+    /// (built last) or at a middle bag still aborts with the database
+    /// byte-identical, and an untripped run reports the bags in bag-index
+    /// order — on `ring(8)` and on `hyper_ring(5, 3)`, whose min-fill bags
+    /// build out of index order.
+    #[test]
+    fn bag_failpoint_in_build_order_leaves_database_unchanged() {
+        let params = DataParams {
+            tuples_per_relation: 60,
+            domain: 12,
+            skew: 0.0,
+            key_cap: 0,
+        };
+        let mut out_of_index_order = false;
+        for schema in [ring(8), hyper_ring(5, 3)] {
+            let db = random_database(&schema, params, 7);
+            let d = decompose(db.schema(), Heuristic::MinFill).expect("nonempty schema");
+            let tree = d.tree();
+            let order = tree.bottom_up_order();
+            let root = tree.root();
+            let middle = *order
+                .iter()
+                .find(|&&b| tree.parent(b).is_some() && !tree.children(b).is_empty())
+                .expect("a ring's bag tree has an inner bag");
+            assert_eq!(order.last(), Some(&root));
+            out_of_index_order |= order.iter().enumerate().any(|(i, b)| b.index() != i);
+
+            let x: NodeSet = db.schema().nodes();
+            let before = db.to_snapshot_bytes();
+            let policy = ExecPolicy::default();
+            for bag in [root, middle] {
+                let gov = FailpointGovernor::new().alloc_fail_bag(bag.index());
+                let got = ExecCtx::new(&policy)
+                    .gov(&gov)
+                    .yannakakis_join_decomposed(&db, &d, &x);
+                assert!(
+                    matches!(got, Err(EngineError::BudgetExceeded { .. })),
+                    "bag {bag:?}: {got:?}"
+                );
+                assert_eq!(db.to_snapshot_bytes(), before, "abort mutated the database");
+            }
+
+            let sink = CollectingSink::new();
+            let answer = ExecCtx::new(&policy)
+                .metrics(&sink)
+                .gov(&FailpointGovernor::new())
+                .yannakakis_join_decomposed(&db, &d, &x)
+                .expect("nothing armed");
+            assert!(answer.same_contents(&query_via_full_join(&db, &x)));
+            let names: Vec<String> = sink.snapshot().bags.into_iter().map(|b| b.name).collect();
+            let labels: Vec<String> = d.bags().edges().iter().map(|e| e.label.clone()).collect();
+            assert_eq!(names, labels, "bags reported in bag-index order");
+        }
+        assert!(
+            out_of_index_order,
+            "some bag tree builds out of index order"
+        );
     }
 
     proptest! {
