@@ -75,12 +75,11 @@ impl JoinTree {
     /// The edges grouped by depth: `levels()[0]` holds the roots (edges with
     /// no parent), `levels()[d]` the edges whose parent sits at depth `d-1`.
     ///
-    /// This is the partition the level-synchronous Yannakakis reducer runs
-    /// over: within one level, the upward semijoins (parent ⋉ child) write
-    /// distinct parents and only read children one level deeper, and the
-    /// downward semijoins (child ⋉ parent) write distinct children and only
-    /// read parents one level shallower — so each level can be sharded
-    /// across threads.
+    /// This is the partition the Yannakakis reducer walks: within one level,
+    /// the upward semijoins (parent ⋉ child) write distinct parents and only
+    /// read children one level deeper, and the downward semijoins
+    /// (child ⋉ parent) write distinct children and only read parents one
+    /// level shallower.
     pub fn levels(&self) -> Vec<Vec<EdgeId>> {
         let mut levels: Vec<Vec<EdgeId>> = Vec::new();
         let mut frontier: Vec<EdgeId> = (0..self.len())
@@ -101,11 +100,10 @@ impl JoinTree {
     /// The depth levels in bottom-up order: deepest level first, the root
     /// level last — [`JoinTree::levels`] reversed.
     ///
-    /// This is the iteration order of both parallel Yannakakis phases.  The
-    /// upward reducer pass walks it directly (parents semijoin children one
-    /// level deeper), and so does the bottom-up join: when a level is
+    /// The upward reducer pass walks it directly (parents semijoin children
+    /// one level deeper), and so does the bottom-up join: when a level is
     /// processed, every child's subtree result already exists, and sibling
-    /// subtrees within the level are independent — the level-synchronous
+    /// subtrees within the level are independent — the level-grouped
     /// counterpart of [`JoinTree::bottom_up_order`], which linearizes the
     /// same partial order one edge at a time.
     pub fn levels_bottom_up(&self) -> Vec<Vec<EdgeId>> {

@@ -1,13 +1,12 @@
 //! `hyperq bench` — the in-repo perf harness: the ratios one run can know.
 //!
-//! Times the engine `hyperqd` serves — [`ExecPolicy::default`] on one
-//! thread, the `columnar` rows — on `full_reduce` and `yannakakis_join`
-//! (the paper's full reducer and the join over the unique connection)
-//! beside what it is compared with: the same policy with Governor
-//! checkpoints live (`columnar-governed`), the naive `reference` oracle,
-//! the pinned kernels (`columnar-hash`, `columnar-sortmerge`) and the
-//! fan-out engines (`columnar-parallel`, `-morsel`, `-decomp-parallel`);
-//! plus the cyclic decomposition pipeline, the GYO/MCS acyclicity tests
+//! Times the engine `hyperqd` serves — [`ExecPolicy::default`], the
+//! `columnar` rows — on `full_reduce` and `yannakakis_join` (the paper's
+//! full reducer and the join over the unique connection) beside what it is
+//! compared with: the same policy with Governor checkpoints live
+//! (`columnar-governed`), the naive `reference` oracle and the pinned
+//! kernels (`columnar-hash`, `columnar-sortmerge`); plus the cyclic
+//! decomposition pipeline, the GYO/MCS acyclicity tests
 //! and, under the full profile or `--scale` alone, the 10⁶-tuple rows.
 //!
 //! Every run ends with a `ratios:` block computed from its own rows (see
@@ -191,7 +190,7 @@ pub enum Profile {
     /// Smoke sizes (60) — for the CLI test suite under debug builds.
     Tiny,
     /// Only the 10⁶-tuple scale rows (snapshot-load vs text-parse, and the
-    /// morsel-parallel engine) — the CI `scale` job's profile.
+    /// served engine at that size) — the CI `scale` job's profile.
     Scale,
 }
 
@@ -246,20 +245,13 @@ fn data(schema: &Hypergraph, size: usize, domain: usize, skew: f64, key_cap: usi
     random_database(schema, params, 9)
 }
 
-/// The policy `hyperqd` serves, on one thread: the `columnar` rows.  Built
-/// from [`ExecPolicy::default`] so the bench follows the served default
-/// (today `Auto`: the dense bitset kernel where it fits, else sort-merge
-/// or hash by sampled key duplication) instead of pinning a kernel no
-/// default request runs.
+/// The policy `hyperqd` serves: the `columnar` rows.  Built from
+/// [`ExecPolicy::default`] so the bench follows the served default (today
+/// `Auto`: the dense bitset kernel where it fits, else sort-merge or hash by
+/// sampled key duplication) instead of pinning a kernel no default request
+/// runs.
 fn served() -> ExecPolicy {
     ExecPolicy::sequential(ExecPolicy::default().strategy)
-}
-
-/// The served policy with fan-out forced on: `threads` leased pool workers
-/// and no tuple threshold, so the parallel rows time the fan-out even
-/// where the default would stay sequential.
-fn served_parallel(threads: usize) -> ExecPolicy {
-    ExecPolicy::parallel(ExecPolicy::default().strategy, threads)
 }
 
 /// The `full_reduce` and `yannakakis_join` rows of one cell.  Each policy
@@ -311,7 +303,7 @@ fn pipeline_rows<'a>(
     rows
 }
 
-fn query_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecord>) {
+fn query_records(profile: Profile, records: &mut Vec<BenchRecord>) {
     let sizes: &[usize] = match profile {
         Profile::Full => &[1000, 4000],
         Profile::Quick => &[1000],
@@ -349,7 +341,6 @@ fn query_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecord
                     "columnar-sortmerge",
                     ExecPolicy::sequential(JoinStrategy::SortMerge),
                 ),
-                ("columnar-parallel", served_parallel(threads)),
             ]);
         }
         for &size in sizes {
@@ -370,12 +361,9 @@ fn query_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecord
 /// path).  The op rows are
 ///
 /// * `decompose` — structural cost only (min-fill triangulation, bag tree);
-/// * `cyclic_join` / `columnar-decomp` — the served policy on one thread;
-/// * `cyclic_join` / `columnar-decomp-parallel` — the same pipeline with a
-///   worker lease: bags still build one at a time (children first), their
-///   join probes and both Yannakakis phases spread over the workers;
+/// * `cyclic_join` / `columnar-decomp` — the served policy;
 /// * `cyclic_join` / `naive` — join-everything-then-project baseline.
-fn cyclic_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecord>) {
+fn cyclic_records(profile: Profile, records: &mut Vec<BenchRecord>) {
     let sizes: &[usize] = match profile {
         Profile::Full => &[200, 1000],
         Profile::Quick => &[200],
@@ -387,10 +375,7 @@ fn cyclic_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecor
         ("hyper-ring-5x3", hyper_ring(5, 3)),
         ("clique-5", pair_clique(5)),
     ];
-    let engines = [
-        ("columnar-decomp", served()),
-        ("columnar-decomp-parallel", served_parallel(threads)),
-    ];
+    let policy = served();
     for (name, schema) in workloads {
         assert!(
             join_tree(&schema).is_none(),
@@ -403,14 +388,14 @@ fn cyclic_records(profile: Profile, threads: usize, records: &mut Vec<BenchRecor
             let mut rows = vec![row("decompose", "columnar", None, || {
                 decompose(&schema, Heuristic::MinFill).expect("nonempty schema")
             })];
-            for (engine, policy) in &engines {
-                let ctx = ExecCtx::new(policy);
-                let counters =
-                    RowMetrics::capture(|s| drop(ctx.metrics(s).yannakakis_join_any(db, x)));
-                rows.push(row("cyclic_join", engine, Some(counters), move || {
-                    ctx.yannakakis_join_any(db, x).expect("decomposable")
-                }));
-            }
+            let ctx = ExecCtx::new(&policy);
+            let counters = RowMetrics::capture(|s| drop(ctx.metrics(s).yannakakis_join_any(db, x)));
+            rows.push(row(
+                "cyclic_join",
+                "columnar-decomp",
+                Some(counters),
+                move || ctx.yannakakis_join_any(db, x).expect("decomposable"),
+            ));
             rows.push(row("cyclic_join", "naive", None, || {
                 naive_join_project(db, x)
             }));
@@ -447,16 +432,12 @@ fn acyclicity_records(profile: Profile, records: &mut Vec<BenchRecord>) {
 ///   the text rendering of the database against decoding its binary
 ///   snapshot, on byte-identical data (the ≥20× snapshot payoff the
 ///   format exists for);
-/// * `full_reduce` / `yannakakis_join` on `columnar` and on
-///   `columnar-morsel` — the pool-leased parallel engine whose probe loops
-///   pull [`reldb::MorselQueue`] morsels (at 10⁶ rows a join spans ~61
-///   default-sized morsels, so the work-pull path is exercised for real
-///   rather than falling back to sequential).
+/// * `full_reduce` / `yannakakis_join` on `columnar`, the served engine.
 ///
 /// The value domain equals the relation size, so each probe key expects
 /// about one match and the pipeline stays O(n): the rows measure kernel
 /// and load throughput, not join-output materialization.
-fn scale_records(threads: usize, records: &mut Vec<BenchRecord>) {
+fn scale_records(records: &mut Vec<BenchRecord>) {
     let schema = chain(3, 2, 1);
     let size = 1_000_000;
     let db = data(&schema, size, size, 0.0, 0);
@@ -476,28 +457,23 @@ fn scale_records(threads: usize, records: &mut Vec<BenchRecord>) {
     drop((text, bytes));
     let tree = join_tree(&schema).expect("chains are acyclic");
     let x = far_apart(&schema);
-    let engines = [
-        ("columnar", served()),
-        ("columnar-morsel", served_parallel(threads)),
-    ];
+    let engines = [("columnar", served())];
     let rows = pipeline_rows(&engines, None, false, &db, &tree, &x);
     record_cell(records, name, size, units, rows);
 }
 
-/// Runs every benchmark, returning the records.  `threads` pins the worker
-/// count of the parallel engine rows (CI passes a fixed value so runs are
-/// comparable across runners).  The 10⁶-tuple scale rows run under the
-/// [`Profile::Full`] trajectory and alone under [`Profile::Scale`]; the
-/// per-push Quick/Tiny profiles skip them.
-pub fn run_all(profile: Profile, threads: usize) -> Vec<BenchRecord> {
+/// Runs every benchmark, returning the records.  The 10⁶-tuple scale rows
+/// run under the [`Profile::Full`] trajectory and alone under
+/// [`Profile::Scale`]; the per-push Quick/Tiny profiles skip them.
+pub fn run_all(profile: Profile) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     if profile != Profile::Scale {
-        query_records(profile, threads, &mut records);
-        cyclic_records(profile, threads, &mut records);
+        query_records(profile, &mut records);
+        cyclic_records(profile, &mut records);
         acyclicity_records(profile, &mut records);
     }
     if matches!(profile, Profile::Full | Profile::Scale) {
-        scale_records(threads, &mut records);
+        scale_records(&mut records);
     }
     records
 }
@@ -671,16 +647,13 @@ enum Bound {
 /// every 8 rows instead of every 4096 reads 1.55–1.57), the engine keeps its
 /// order of magnitude over the naive oracle (a healthy build reads 34–45),
 /// and a snapshot loads ≥ 20× faster than its text (README's acceptance
-/// figure).  `parallel` is ROADMAP 3(f)'s trial record and `pinned` the
-/// Auto planner's (< 1: the numerator engine is the faster one).
+/// figure).  `pinned` is the Auto planner's record (< 1: the numerator
+/// engine is the faster one).
 #[rustfmt::skip]
-const RATIOS: [(&str, &str, &str, Option<Bound>); 8] = [
+const RATIOS: [(&str, &str, &str, Option<Bound>); 5] = [
     ("governed_overhead", "columnar-governed", "columnar", Some(Bound::AtMost(1.25))),
     ("engine_speedup", "reference", "columnar", Some(Bound::AtLeast(10.0))),
     ("snapshot_speedup", "text-parse", "snapshot-load", Some(Bound::AtLeast(20.0))),
-    ("parallel", "columnar-parallel", "columnar", None),
-    ("parallel", "columnar-decomp-parallel", "columnar-decomp", None),
-    ("parallel", "columnar-morsel", "columnar", None),
     ("pinned", "columnar-hash", "columnar", None),
     ("pinned", "columnar-sortmerge", "columnar", None),
 ];
@@ -862,13 +835,7 @@ mod tests {
     #[test]
     fn the_columnar_rows_run_the_served_policy() {
         // If hyperqd's default ever changes, the headline rows follow.
-        let default = ExecPolicy::default();
-        for policy in [served(), served_parallel(2)] {
-            assert_eq!(policy.strategy, default.strategy);
-            assert_eq!(policy.morsel_rows, default.morsel_rows);
-        }
-        assert_eq!(served().effective_threads(usize::MAX), 1);
-        assert_eq!(served_parallel(2).effective_threads(0), 2);
+        assert_eq!(served().strategy, ExecPolicy::default().strategy);
     }
 
     #[test]
@@ -923,7 +890,7 @@ mod tests {
     #[test]
     fn a_run_without_a_bounded_pair_fails_the_check() {
         // Report lines alone (or nothing at all) leave the guard empty.
-        for records in [pair("columnar-parallel", "columnar", 900.0), Vec::new()] {
+        for records in [pair("columnar-hash", "columnar", 900.0), Vec::new()] {
             assert_eq!(ratios(&records).1, ["no bounded ratio was measured"]);
         }
     }
@@ -980,17 +947,17 @@ mod tests {
         let records = vec![
             record("full_reduce", "columnar", "chain-6", 200, 1000.0),
             record("full_reduce", "reference", "chain-6", 200, 9000.0),
-            record("full_reduce", "columnar-parallel", "chain-6", 200, 500.0),
+            record("full_reduce", "columnar-sortmerge", "chain-6", 200, 500.0),
         ];
         let s = summary(&records);
         assert!(s.contains("0.11x"), "reference slowdown shown: {s}");
-        assert!(s.contains("2.00x"), "parallel speedup shown: {s}");
+        assert!(s.contains("2.00x"), "pinned-kernel speedup shown: {s}");
     }
 
     #[test]
     fn cyclic_records_cover_the_decomposition_pipeline() {
         let mut records = Vec::new();
-        cyclic_records(Profile::Tiny, 2, &mut records);
+        cyclic_records(Profile::Tiny, &mut records);
         for workload in ["ring-8", "hyper-ring-5x3", "clique-5"] {
             assert!(
                 records
@@ -998,7 +965,7 @@ mod tests {
                     .any(|r| r.workload == workload && r.op == "decompose"),
                 "missing decompose row for {workload}"
             );
-            for engine in ["columnar-decomp", "columnar-decomp-parallel", "naive"] {
+            for engine in ["columnar-decomp", "naive"] {
                 assert!(
                     records.iter().any(|r| r.workload == workload
                         && r.op == "cyclic_join"

@@ -238,8 +238,8 @@ fn take_engine(args: &mut Vec<String>) -> Result<Option<EngineKind>, CliError> {
     Ok(name.as_deref().map(EngineKind::parse).transpose()?)
 }
 
-/// Extracts the shared override flags (`--strategy`, `--threads`,
-/// `--timeout-ms`, `--mem-budget-mb`, `--metrics`, and the
+/// Extracts the shared override flags (`--strategy`, `--timeout-ms`,
+/// `--mem-budget-mb`, `--metrics`, and the
 /// failpoints-feature fault-injection pair).
 fn take_overrides(args: &mut Vec<String>) -> Result<Overrides, CliError> {
     let strategy = crate::take_flag(args, "--strategy")?;
@@ -248,7 +248,6 @@ fn take_overrides(args: &mut Vec<String>) -> Result<Overrides, CliError> {
         ..Overrides::default()
     };
     for (flag, slot) in [
-        ("--threads", &mut o.threads),
         ("--timeout-ms", &mut o.timeout_ms),
         ("--mem-budget-mb", &mut o.mem_budget_mb),
         ("--fail-at-semijoin", &mut o.fail_at_semijoin),

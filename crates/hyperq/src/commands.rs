@@ -24,7 +24,7 @@ use reldb::{
 /// | 2 | usage, parse, schema or I/O error |
 /// | 3 | deadline exceeded or query cancelled |
 /// | 4 | memory budget exceeded |
-/// | 5 | an engine worker panicked |
+/// | 5 | the engine panicked (contained) |
 #[derive(Debug)]
 pub struct CliError {
     /// Process exit code (see the table above).

@@ -11,7 +11,7 @@
 //! hyperq decompose <schema> [--heuristic min-fill|min-degree] [--dot]
 //! hyperq dot       <schema> [--name G]
 //! hyperq stats     <schema>
-//! hyperq bench     [--out FILE] [--check] [--threads N]
+//! hyperq bench     [--out FILE] [--check]
 //! ```
 //!
 //! Module map: `load` parses the edge-list/tuple file formats into
@@ -50,12 +50,12 @@ USAGE:
     hyperq snapshot  save <schema> <data> <out> | load <snapshot>
     hyperq gen       <schema> <out> [--tuples N] [--domain N] [--skew F]
                      [--seed N] [--snapshot]
-    hyperq bench     [--out FILE] [--check] [--threads N]
+    hyperq bench     [--out FILE] [--check]
                      [--quick | --tiny | --scale] [--calibrate]
     hyperq client    <addr> ping | list | shutdown [--now]
     hyperq client    <addr> stats [--prometheus] [--raw]
     hyperq client    <addr> query <db> --select A,B[,..] [--engine ENGINE]
-                     [--strategy hash|sort-merge|auto] [--threads N]
+                     [--strategy hash|sort-merge|auto]
                      [--timeout-ms N] [--mem-budget-mb N] [--metrics] [--raw]
     hyperq client    <addr> prepare <name> <db> --select A,B[,..] [flags]
     hyperq client    <addr> run <name> [override flags] [--raw]
@@ -68,8 +68,8 @@ COMMANDS:
                yannakakis or naive.  The yannakakis engine handles cyclic
                schemas transparently via hypertree decomposition.
                --metrics appends the execution counter table (tuples
-               probed/kept/built, kernel picks, level timings, pool
-               leases); --metrics-json prints only the machine-readable
+               probed/kept/built, kernel picks, level timings, bag
+               sizes); --metrics-json prints only the machine-readable
                metrics document — one compact line, the document a server
                embeds in an answer asked for with \"metrics\":true — for
                piping into checkers.
@@ -100,18 +100,15 @@ COMMANDS:
                binary snapshot directly
     bench      Run the query/acyclicity benchmarks at fixed workload sizes:
                the policy hyperqd serves (engine columnar) beside its
-               governed twin, the naive reference, the pinned kernels and
-               the parallel engines.  Every run ends with a ratios: block
+               governed twin, the naive reference and the pinned kernels.
+               Every run ends with a ratios: block
                computed from its own rows; --check exits non-zero unless
                governed_overhead <= 1.25, engine_speedup >= 10 and
                snapshot_speedup >= 20 hold for each one the profile
                measured (at least one).  --out writes the rows as JSON,
                --quick trims the workload sizes for CI, --scale runs only
-               the 10^6-tuple rows (snapshot-load vs text-parse,
-               morsel-parallel engine),
-               --threads pins the parallel-engine worker count (default 4;
-               0 = auto-detect the machine's parallelism) so CI runs are
-               reproducible across runners.  --calibrate instead sweeps
+               the 10^6-tuple rows (snapshot-load vs text-parse, and the
+               served engine at that size).  --calibrate instead sweeps
                two-relation join/semijoin workloads across distinct-key
                ratios and reports the measured hash vs sort-merge
                crossover per operator (the measurement behind the Auto
@@ -140,7 +137,7 @@ EXIT CODES:
     2   usage, parse, schema or I/O error
     3   deadline exceeded or query cancelled (--timeout-ms)
     4   memory budget exceeded (--mem-budget-mb)
-    5   an engine worker panicked
+    5   the engine panicked (contained)
 ";
 
 fn fail(e: &CliError) -> ExitCode {
@@ -339,21 +336,6 @@ fn run(started: Instant) -> Result<String, CliError> {
         "bench" => {
             let out_path = take_flag(&mut args, "--out")?;
             let check = take_switch(&mut args, "--check");
-            let threads = match take_flag(&mut args, "--threads")? {
-                // `--threads 0` means "use whatever the machine has" —
-                // the same auto-detect convention as ExecPolicy.threads.
-                Some(s) => match s.parse::<usize>() {
-                    Ok(0) => std::thread::available_parallelism().map_or(1, usize::from),
-                    Ok(n) => n,
-                    Err(_) => {
-                        return Err(format!(
-                            "--threads: expected a worker count (0 = auto-detect), got {s:?}"
-                        )
-                        .into())
-                    }
-                },
-                None => 4,
-            };
             let quick = take_switch(&mut args, "--quick");
             let tiny = take_switch(&mut args, "--tiny");
             let scale = take_switch(&mut args, "--scale");
@@ -373,7 +355,7 @@ fn run(started: Instant) -> Result<String, CliError> {
                 // output is the measurement, not a record set with ratios.
                 return Ok(bench::calibrate(profile));
             }
-            let records = bench::run_all(profile, threads);
+            let records = bench::run_all(profile);
             let mut out = bench::summary(&records);
             if let Some(path) = out_path {
                 std::fs::write(&path, bench::to_json(&records))

@@ -378,10 +378,8 @@ fn bench_writes_json_and_guards_against_regressions() {
         "reference",
         "columnar-hash",
         "columnar-sortmerge",
-        "columnar-parallel",
         // The cyclic decomposition pipeline rows.
         "columnar-decomp",
-        "columnar-decomp-parallel",
         "naive",
     ] {
         assert!(has_row(&rows, "engine", engine), "missing {engine} rows");
@@ -424,11 +422,11 @@ fn bench_writes_json_and_guards_against_regressions() {
         "governed_overhead",
         "engine_speedup",
         "snapshot_speedup",
-        "parallel",
         "pinned",
     ] {
         assert!(ratios.contains(line), "no {line} line in: {ratios}");
     }
+    assert!(!ratios.contains("parallel"), "{ratios}");
 
     // The guard reads nothing but the run itself: `--check` is a bare switch.
     let out = hyperq(&["bench", "--tiny", "--check", out_path]);
@@ -454,28 +452,6 @@ fn bench_rows(document: &str) -> Vec<Json> {
 /// True if some row's string member `key` is `value`.
 fn has_row(rows: &[Json], key: &str, value: &str) -> bool {
     rows.iter().any(|r| r.get(key) == Some(&Json::str(value)))
-}
-
-#[test]
-fn bench_threads_zero_means_auto_detect() {
-    // `--threads 0` used to be rejected as "not a positive integer"; it now
-    // maps to the machine's available parallelism (the ExecPolicy
-    // convention), so the bench still runs and produces the parallel rows.
-    let out = hyperq(&["bench", "--tiny", "--threads", "0"]);
-    assert!(out.status.success(), "stderr: {:?}", out.stderr);
-    let text = stdout(&out);
-    assert!(text.contains("columnar-parallel"), "summary: {text}");
-
-    // Garbage worker counts are still rejected, with a hint about 0.
-    for bad in ["banana", "-1", "1.5"] {
-        let out = hyperq(&["bench", "--tiny", "--threads", bad]);
-        assert!(!out.status.success(), "--threads {bad} must fail");
-        let err = String::from_utf8_lossy(&out.stderr).into_owned();
-        assert!(
-            err.contains("--threads") && err.contains("auto-detect"),
-            "unclear error for --threads {bad}: {err}"
-        );
-    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! {"op":"ping"}
 //! {"op":"list"}
 //! {"op":"query","db":"fig1","select":["B","D"],"engine":"yannakakis",
-//!  "strategy":"auto","threads":2,"timeout_ms":500,"mem_budget_mb":64,
+//!  "strategy":"auto","timeout_ms":500,"mem_budget_mb":64,
 //!  "metrics":true}
 //! {"op":"prepare","name":"bd","db":"fig1","select":["B","D"]}
 //! {"op":"run","name":"bd","timeout_ms":250}
@@ -15,6 +15,9 @@
 //! {"op":"shutdown"}            // graceful: drain in-flight queries
 //! {"op":"shutdown","mode":"now"}  // cancel in-flight queries, then stop
 //! ```
+//!
+//! Unknown members are ignored, so an older client's request — one still
+//! carrying the retired `"threads"` member, say — keeps working.
 //!
 //! # Responses
 //!
@@ -95,8 +98,6 @@ pub struct Overrides {
     /// Join-kernel selection ([`reldb::ExecPolicy::strategy`]), on the wire
     /// in [`JoinStrategy::as_str`]'s spelling.
     pub strategy: Option<JoinStrategy>,
-    /// Worker threads ([`reldb::ExecPolicy::threads`]; 0 = auto).
-    pub threads: Option<u64>,
     /// Wall-clock deadline for the query, in milliseconds.
     pub timeout_ms: Option<u64>,
     /// Memory budget for intermediate results, in mebibytes.
@@ -123,7 +124,6 @@ impl Overrides {
     pub fn layered_over(&self, base: &Overrides) -> Overrides {
         Overrides {
             strategy: self.strategy.or(base.strategy),
-            threads: self.threads.or(base.threads),
             timeout_ms: self.timeout_ms.or(base.timeout_ms),
             mem_budget_mb: self.mem_budget_mb.or(base.mem_budget_mb),
             metrics: self.metrics.or(base.metrics),
@@ -135,9 +135,6 @@ impl Overrides {
     fn push_fields(&self, pairs: &mut Vec<(String, Json)>) {
         if let Some(s) = self.strategy {
             pairs.push(("strategy".to_owned(), Json::str(s.as_str())));
-        }
-        if let Some(n) = self.threads {
-            pairs.push(("threads".to_owned(), Json::Int(n as i64)));
         }
         if let Some(n) = self.timeout_ms {
             pairs.push(("timeout_ms".to_owned(), Json::Int(n as i64)));
@@ -165,7 +162,6 @@ impl Overrides {
             o.strategy = Some(JoinStrategy::parse(name).map_err(proto)?);
         }
         for (field, slot) in [
-            ("threads", &mut o.threads),
             ("timeout_ms", &mut o.timeout_ms),
             ("mem_budget_mb", &mut o.mem_budget_mb),
             ("fail_at_semijoin", &mut o.fail_at_semijoin),
@@ -748,7 +744,7 @@ pub enum Response {
     },
     /// A query answer.  `rows` are sorted lexicographically, so equal
     /// relations serialize to byte-identical frames regardless of which
-    /// engine (or how many threads) produced them.
+    /// engine produced them.
     Answer {
         /// Output attribute names, in schema-universe order.
         attrs: Vec<String>,
@@ -815,12 +811,6 @@ pub fn metrics_json(m: &QueryMetrics) -> Json {
         .bags
         .iter()
         .map(|b| obj([("name", Json::str(&b.name)), ("rows", int(b.rows))]));
-    let leases = m.leases.iter().map(|l| {
-        obj([
-            ("threads", int(l.threads as u64)),
-            ("idle", int(l.idle as u64)),
-        ])
-    });
     let cache = obj([
         ("hits", int(m.decomp_cache_hits)),
         ("misses", int(m.decomp_cache_misses)),
@@ -837,7 +827,6 @@ pub fn metrics_json(m: &QueryMetrics) -> Json {
         ("semijoin", agg(&m.semijoins)),
         ("levels", Json::Arr(levels.collect())),
         ("bags", Json::Arr(bags.collect())),
-        ("pool", obj([("leases", Json::Arr(leases.collect()))])),
         ("index_rebuilds", int(m.index_rebuilds)),
         ("decomp_cache", cache),
         ("decomposition", decomposition),
@@ -1105,7 +1094,6 @@ mod tests {
                 engine: Some(EngineKind::Connection),
                 overrides: Overrides {
                     strategy: Some(JoinStrategy::SortMerge),
-                    threads: Some(2),
                     timeout_ms: Some(500),
                     mem_budget_mb: Some(64),
                     metrics: Some(true),
@@ -1150,7 +1138,7 @@ mod tests {
             "{\"op\":\"query\",\"db\":\"d\",\"select\":[1]}",
             "{\"op\":\"run\"}",
             "{\"op\":\"prepare\",\"name\":\"\"}",
-            "{\"op\":\"query\",\"db\":\"d\",\"select\":[],\"threads\":-1}",
+            "{\"op\":\"query\",\"db\":\"d\",\"select\":[],\"timeout_ms\":-1}",
             "{\"op\":\"query\",\"db\":\"d\",\"select\":[],\"strategy\":\"quantum\"}",
             "{\"op\":\"shutdown\",\"mode\":\"later\"}",
             "{\"op\":\"stats\",\"format\":\"xml\"}",
@@ -1220,7 +1208,6 @@ mod tests {
         sink.record_op(op(OpKind::Semijoin, 10, 7, Some(1.0 / 3.0)));
         sink.record_level(Phase::ReduceUp, 1, 2, 1234);
         sink.record_bag(bag, 42);
-        sink.record_lease(2, 0);
         sink.record_index_rebuilds(1);
         sink.record_widths(2, 3, "min-fill");
         sink.record_decomp_cache(false);
@@ -1234,7 +1221,7 @@ mod tests {
         let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
             names.join(" "),
-            "join semijoin levels bags pool index_rebuilds decomp_cache decomposition"
+            "join semijoin levels bags index_rebuilds decomp_cache decomposition"
         );
         for (path, want) in [
             ("join.ops", Json::Int(0)),
@@ -1257,8 +1244,6 @@ mod tests {
             ("levels.0.nanos", Json::Int(1234)),
             ("bags.0.name", Json::str(bag)),
             ("bags.0.rows", Json::Int(42)),
-            ("pool.leases.0.threads", Json::Int(2)),
-            ("pool.leases.0.idle", Json::Int(0)),
             ("index_rebuilds", Json::Int(1)),
             ("decomp_cache.hits", Json::Int(0)),
             ("decomp_cache.misses", Json::Int(1)),
@@ -1273,7 +1258,7 @@ mod tests {
     #[test]
     fn empty_metrics_report_renders_null_sections() {
         let doc = metrics_json(&QueryMetrics::default());
-        for path in ["levels", "bags", "pool.leases"] {
+        for path in ["levels", "bags"] {
             assert_eq!(at(&doc, path), &Json::Arr(Vec::new()), "{path}");
         }
         for path in [

@@ -10,11 +10,9 @@
 //! connection's input holds no further complete request line or the buffer
 //! passes 64 KiB, so a pipelined batch is answered in one write and a lone
 //! request at once; a peer that takes no bytes for the write timeout loses
-//! its connection.  CPU between in-flight queries is arbitrated exactly as
-//! in the one-shot CLI — every query leases workers from the process-wide
-//! [`reldb::WorkerPool`] through its [`reldb::ExecPolicy`] (one lease per
-//! query, covering every phase), so N concurrent clients cannot
-//! oversubscribe the machine.
+//! its connection.  A query runs start to finish on its connection's thread
+//! — the engine spawns no threads of its own — so N busy connections use at
+//! most N cores, and the OS scheduler arbitrates between them.
 //!
 //! Databases are immutable once loaded and shared as `Arc<Database>`: a
 //! query never mutates its database (governed pipelines abort by returning
@@ -660,14 +658,8 @@ fn validate(state: &State, spec: &QuerySpec) -> Result<(), WireError> {
 
 /// Builds the [`ExecPolicy`] a request asked for.
 fn policy_for(o: &Overrides) -> ExecPolicy {
-    let mut policy = ExecPolicy::default();
-    if let Some(s) = o.strategy {
-        policy.strategy = s;
-    }
-    if let Some(t) = o.threads {
-        policy.threads = t as usize;
-    }
-    policy
+    o.strategy
+        .map_or_else(ExecPolicy::default, ExecPolicy::sequential)
 }
 
 /// Builds the per-request governor: the server-wide cancel token (so

@@ -411,23 +411,6 @@ impl StatsRegistry {
             ("bytes_out", Json::Int(load(&self.bytes_out) as i64)),
             ("in_flight", Json::Int(load(&self.in_flight) as i64)),
             (
-                "pool",
-                obj([
-                    (
-                        "idle_workers",
-                        Json::Int(reldb::WorkerPool::idle_workers() as i64),
-                    ),
-                    (
-                        "respawned_workers",
-                        Json::Int(reldb::WorkerPool::respawned_workers() as i64),
-                    ),
-                    (
-                        "lease_spawned",
-                        Json::Int(reldb::WorkerPool::lease_spawned_workers() as i64),
-                    ),
-                ]),
-            ),
-            (
                 "latency_us",
                 obj([
                     ("count", Json::Int(lat.count() as i64)),
@@ -509,27 +492,6 @@ impl StatsRegistry {
             "gauge",
             "hyperqd_in_flight_queries",
             &[(String::new(), load(&self.in_flight))],
-        );
-        metric(
-            "Idle threads parked in the shared worker pool.",
-            "gauge",
-            "hyperqd_pool_idle_workers",
-            &[(String::new(), reldb::WorkerPool::idle_workers() as u64)],
-        );
-        metric(
-            "Pool workers retired after a panicking job and replaced.",
-            "counter",
-            "hyperqd_pool_respawned_workers_total",
-            &[(String::new(), reldb::WorkerPool::respawned_workers() as u64)],
-        );
-        metric(
-            "Threads spawned because a lease found the free list short.",
-            "counter",
-            "hyperqd_pool_lease_spawned_total",
-            &[(
-                String::new(),
-                reldb::WorkerPool::lease_spawned_workers() as u64,
-            )],
         );
         let lat = self.latency.snapshot();
         let quantile_lines: Vec<(String, u64)> = [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99")]
@@ -655,7 +617,7 @@ mod tests {
             "hyperqd_requests_total",
             "hyperqd_queries_total",
             "hyperqd_query_latency_us",
-            "hyperqd_pool_lease_spawned_total",
+            "hyperqd_in_flight_queries",
             "hyperqd_slow_queries_total",
         ] {
             assert!(text.contains(family), "missing {family}");

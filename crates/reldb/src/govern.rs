@@ -15,9 +15,9 @@
 //!
 //! | Checkpoint | Site | Worst-case overrun before the next check |
 //! |---|---|---|
-//! | [`Governor::checkpoint`] | every [`CHECK_BATCH`] rows in probe/emit loops | one batch (4096 rows) per worker |
+//! | [`Governor::checkpoint`] | every [`CHECK_BATCH`] rows in probe/emit loops | one batch (4096 rows) |
 //! | [`Governor::at_semijoin`] | before each semijoin (reducer step) | one semijoin's mask scan |
-//! | [`Governor::at_level`] | before each reducer/join level | one level of parallel jobs |
+//! | [`Governor::at_level`] | before each reducer/join level | one level's semijoins or joins |
 //! | [`Governor::at_bag`] | before each hypertree bag materialization | one bag's cover join |
 //! | [`Governor::approve_alloc`] | before building hash tables / sort permutations, per output batch, per materialized bag | one batch of over-budget output |
 //!
@@ -37,7 +37,7 @@
 //! [`Database`](crate::Database)).  The in-place compaction step of
 //! `retain_semijoin` runs unconditionally *after* the mask is complete.  An
 //! aborted query — cancelled, past deadline, over budget, or
-//! worker-panicked — therefore leaves the source database observably
+//! panicked — therefore leaves the source database observably
 //! unchanged, and the next query over it is still tuple-for-tuple correct.
 //! `tests/govern_props.rs` proves this by snapshot comparison under random
 //! failpoints.
@@ -49,9 +49,10 @@
 //! permutations, output rows × width per emitted batch, and materialized
 //! rows per hypertree bag.  For cyclic schemas the router additionally
 //! pre-screens bag-cover cardinality products: a decomposition whose
-//! estimated widest bag exceeds the budget falls back to the *other*
-//! elimination heuristic's tree, then to a sequential streaming
-//! materialization, before erroring with [`EngineError::BudgetExceeded`].
+//! estimated widest bag exceeds the budget falls back to the tree with the
+//! smaller estimate (the *other* elimination heuristic's, when its worst
+//! bag is smaller), before erroring with [`EngineError::BudgetExceeded`]
+//! once the actual charges exceed it.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -74,8 +75,8 @@ const BYTES_PER_CELL: u64 = 4;
 /// Every public `reldb` query path returns this instead of panicking: the
 /// govern layer's checkpoints surface as [`Cancelled`], [`DeadlineExceeded`]
 /// and [`BudgetExceeded`]; schema and input problems surface as
-/// [`SchemaMismatch`], [`Io`] and [`Parse`]; a panic caught escaping a
-/// worker surfaces as [`WorkerPanic`].
+/// [`SchemaMismatch`], [`Io`] and [`Parse`]; a panic caught escaping the
+/// engine surfaces as [`WorkerPanic`].
 ///
 /// [`Cancelled`]: EngineError::Cancelled
 /// [`DeadlineExceeded`]: EngineError::DeadlineExceeded
@@ -111,8 +112,7 @@ pub enum EngineError {
         /// What was wrong with it.
         message: String,
     },
-    /// A panic escaped an engine worker and was contained at the entry
-    /// point.
+    /// A panic escaped the engine and was contained at the entry point.
     WorkerPanic(String),
 }
 
@@ -134,7 +134,7 @@ impl fmt::Display for EngineError {
             Self::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),
             Self::Io(msg) => write!(f, "io error: {msg}"),
             Self::Parse { line, message } => write!(f, "line {line}: {message}"),
-            Self::WorkerPanic(msg) => write!(f, "engine worker panicked: {msg}"),
+            Self::WorkerPanic(msg) => write!(f, "engine panicked: {msg}"),
         }
     }
 }
@@ -150,15 +150,14 @@ impl From<DbError> for EngineError {
 /// The governance hook threaded through every engine layer, mirroring
 /// [`MetricsSink`](crate::MetricsSink).
 ///
-/// Implementations must be cheaply cloneable (jobs handed to pool workers
-/// carry their own handle).  All checkpoint methods default to `Ok(())`
+/// All checkpoint methods default to `Ok(())`
 /// with `#[inline]` bodies; [`ENABLED`] is the compile-time switch the
 /// engine consults before doing governance-only work (clock reads, batch
 /// counting).  Returning an error from any checkpoint aborts the entry
 /// point with that error before any in-place mutation happens.
 ///
 /// [`ENABLED`]: Governor::ENABLED
-pub trait Governor: Clone + Send + Sync + 'static {
+pub trait Governor {
     /// Whether this governor checks anything.  `false` lets the engine skip
     /// governance work entirely at compile time.
     const ENABLED: bool;
@@ -262,7 +261,7 @@ struct GovernorInner {
 }
 
 /// The production governor: a cancellation token, an optional deadline and
-/// an optional memory budget, shared across the worker pool by cloning.
+/// an optional memory budget.  Clones share one token, clock and budget.
 ///
 /// A default `QueryGovernor` (no deadline, no budget, nobody holding the
 /// token) still pays for its checkpoints — an atomic load per batch, a
@@ -445,7 +444,7 @@ mod failpoints {
     pub enum FailMode {
         /// Surface a structured [`EngineError`] from the checkpoint.
         Error,
-        /// Panic at the checkpoint — exercises the worker-panic containment
+        /// Panic at the checkpoint — exercises the panic containment
         /// of the query entry points.
         Panic,
     }
@@ -609,7 +608,7 @@ mod failpoints {
 pub use failpoints::{FailMode, FailpointGovernor};
 
 /// Runs an entry point with panic containment: a panic escaping the
-/// engine (a worker job, a kernel bug, an injected failpoint panic) is
+/// engine (a kernel bug, an injected failpoint panic) is
 /// caught and surfaced as [`EngineError::WorkerPanic`] instead of unwinding
 /// through the caller.
 ///

@@ -36,12 +36,11 @@
 //! take the direct join-tree path, cyclic schemas the decomposition path.
 
 use crate::database::Database;
-use crate::exec::{ExecCtx, ExecPolicy, WorkerLease};
+use crate::exec::{ExecCtx, ExecPolicy};
 use crate::govern::{contain_panics, unfail, EngineError, Governor};
 use crate::metrics::{MetricsSink, Phase};
 use crate::relation::Relation;
 use crate::trace::{with_span, NoopTrace, SpanKind, TraceSink};
-use crate::yannakakis::yannakakis_join_leased;
 use acyclic::join_tree;
 use decomp::{decompose, Decomposition, Heuristic};
 use hypergraph::{Edge, Hypergraph, NodeSet};
@@ -115,13 +114,9 @@ fn order_cover(cover: &mut [Cow<'_, Relation>]) {
 
 /// The bag-join fold: joins the (already trimmed) cover relations and
 /// child messages — reordered smallest estimated intermediate first by
-/// [`order_cover`] — and projects onto the bag's nodes.  Large probe sides
-/// spread over `probe`'s workers at morsel granularity
-/// ([`ExecCtx::join_on_lease`]), so one wide bag still uses every leased
-/// worker.
+/// [`order_cover`] — and projects onto the bag's nodes.
 fn join_cover<'a, M: MetricsSink, G: Governor>(
     ctx: &ExecCtx<'_, M, G>,
-    probe: &WorkerLease,
     cover: impl IntoIterator<Item = Cow<'a, Relation>>,
     bag_nodes: &NodeSet,
     name: &str,
@@ -132,7 +127,7 @@ fn join_cover<'a, M: MetricsSink, G: Governor>(
     for r in cover {
         acc = Some(match acc {
             None => r.into_owned(),
-            Some(a) => ctx.join_on_lease(&a, &r, probe)?,
+            Some(a) => ctx.join(&a, &r)?,
         });
     }
     let Some(joined) = acc else {
@@ -158,8 +153,7 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
     /// Bags build one at a time, children first: each bag joins its cover
     /// with its children's separator messages (module docs), so every bag
     /// is a subset of its cover's join and still a superset of the full
-    /// join's projection onto it.  A parallel [`ExecPolicy`] spreads each
-    /// bag join's probe side over the leased workers.
+    /// join's projection onto it.
     ///
     /// The metrics sink receives each bag's materialized size (in bag-index
     /// order), the per-bag join ops and one [`Phase::Materialize`] wall
@@ -174,7 +168,9 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
         db: &Database,
         d: &Decomposition,
     ) -> Result<Database, EngineError> {
-        materialize_bags_leased(self, &self.lease(db.tuple_count()), db, d)
+        with_span(self.trace, SpanKind::Materialize, || {
+            materialize_bags_body(&self.trace(&NoopTrace), db, d)
+        })
     }
 
     /// Runs the full cyclic pipeline over an already-computed decomposition:
@@ -188,11 +184,8 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
         d: &Decomposition,
         output: &NodeSet,
     ) -> Result<Relation, EngineError> {
-        // One lease serves bag materialization, the reducer passes and the join
-        // levels alike: sized on the input database, which bounds every bag.
-        let lease = self.lease(db.tuple_count());
-        let bag_db = materialize_bags_leased(self, &lease, db, d)?;
-        yannakakis_join_leased(self, &lease, &bag_db, d.tree(), output)
+        let bag_db = self.materialize_bags(db, d)?;
+        self.yannakakis_join(&bag_db, d.tree(), output)
     }
 }
 
@@ -214,21 +207,7 @@ pub fn yannakakis_join_decomposed(
     unfail(ExecCtx::new(policy).yannakakis_join_decomposed(db, d, output))
 }
 
-/// The materialization pass on an already-acquired lease — shared by
-/// [`ExecCtx::materialize_bags`] and [`ExecCtx::yannakakis_join_decomposed`]
-/// so the cyclic pipeline leases its workers exactly once for all phases.
-fn materialize_bags_leased<M: MetricsSink, G: Governor, T: TraceSink>(
-    ctx: &ExecCtx<'_, M, G, T>,
-    lease: &WorkerLease,
-    db: &Database,
-    d: &Decomposition,
-) -> Result<Database, EngineError> {
-    with_span(ctx.trace, SpanKind::Materialize, || {
-        materialize_bags_body(&ctx.trace(&NoopTrace), lease, db, d)
-    })
-}
-
-/// The span-free materialization body behind [`materialize_bags_leased`]:
+/// The span-free materialization body behind [`ExecCtx::materialize_bags`]:
 /// nothing from here down is instantiated per tracer type.
 ///
 /// Walks the bag tree bottom-up, one bag at a time.  A bag's join inputs
@@ -240,7 +219,6 @@ fn materialize_bags_leased<M: MetricsSink, G: Governor, T: TraceSink>(
 /// answer needs is lost.
 fn materialize_bags_body<M: MetricsSink, G: Governor>(
     ctx: &ExecCtx<'_, M, G>,
-    lease: &WorkerLease,
     db: &Database,
     d: &Decomposition,
 ) -> Result<Database, EngineError> {
@@ -261,7 +239,7 @@ fn materialize_bags_body<M: MetricsSink, G: Governor>(
         let inputs = cover
             .chain(messages)
             .map(|r| trim_to_bag(r, &bag_edge.nodes));
-        let rel = join_cover(ctx, lease, inputs, &bag_edge.nodes, &bag_edge.label)?;
+        let rel = join_cover(ctx, inputs, &bag_edge.nodes, &bag_edge.label)?;
         built[b] = Some(rel);
     }
     let relations: Vec<Relation> = built.into_iter().flatten().collect();
@@ -433,20 +411,17 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
     /// tested against the governor's budget:
     ///
     /// 1. the smaller-width decomposition runs if its estimate fits;
-    /// 2. otherwise the *other* elimination heuristic's tree is tried — the
-    ///    heuristics disagree on some schemas, and the runner-up by width can
-    ///    still have the smaller worst bag;
-    /// 3. otherwise the smaller-*estimate* tree runs **on one thread** (no
-    ///    morsel-probe copies in flight; bags always build one at a time),
-    ///    letting the kernels' actual allocation charges decide;
-    /// 4. only when those charges genuinely exceed the limit does the query
+    /// 2. otherwise whichever tree has the smaller estimate runs — the
+    ///    heuristics disagree on some schemas, so the runner-up by width can
+    ///    have the smaller worst bag — letting the kernels' actual allocation
+    ///    charges decide (the estimate is a cross-product worst case; real
+    ///    bags are usually far smaller);
+    /// 3. only when those charges genuinely exceed the limit does the query
     ///    abort with [`EngineError::BudgetExceeded`].
     ///
-    /// Every panic escaping the engine below this point — worker jobs
-    /// included, whose payloads [`WorkerLease::run`](crate::exec::WorkerLease::run)
-    /// re-raises on the caller thread — is contained and surfaced as
-    /// [`EngineError::WorkerPanic`], whatever the sinks: this entry point
-    /// never unwinds.  An aborted query leaves `db` untouched.
+    /// Every panic escaping the engine below this point is contained and
+    /// surfaced as [`EngineError::WorkerPanic`], whatever the sinks: this
+    /// entry point never unwinds.  An aborted query leaves `db` untouched.
     pub fn yannakakis_join_any(
         &self,
         db: &Database,
@@ -458,38 +433,20 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
                 let pair = with_span(self.trace, SpanKind::Decompose, || {
                     decompose_pair(db.schema(), self.metrics)
                 })?;
-                let (chosen, other) = (&pair.chosen, &pair.other);
+                let (mut d, other) = (&pair.chosen, &pair.other);
                 if G::ENABLED {
-                    let (rows, width) = worst_bag_estimate(db, chosen);
+                    // Rung 2: the chosen tree's worst bag blows the budget, so
+                    // run the smaller estimate.  A runner-up that fits is
+                    // always the smaller one.
+                    let (rows, width) = worst_bag_estimate(db, d);
                     if self.gov.alloc_would_exceed(rows, width) {
                         let (orows, owidth) = worst_bag_estimate(db, other);
-                        if !self.gov.alloc_would_exceed(orows, owidth) {
-                            // Rung 2: the runner-up heuristic's worst bag fits.
-                            return self.yannakakis_join_decomposed(db, other, output);
+                        if orows.saturating_mul(owidth as u64) < rows.saturating_mul(width as u64) {
+                            d = other;
                         }
-                        // Rung 3: both estimates blow the budget — run the
-                        // smaller-estimate tree on one thread and let the
-                        // actual charges decide (the estimate is a cross-product
-                        // worst case; real bags are usually far smaller).
-                        let streaming = ExecPolicy {
-                            threads: 1,
-                            ..self.policy.clone()
-                        };
-                        let smaller = if orows.saturating_mul(owidth as u64)
-                            < rows.saturating_mul(width as u64)
-                        {
-                            other
-                        } else {
-                            chosen
-                        };
-                        let ctx = ExecCtx {
-                            policy: &streaming,
-                            ..*self
-                        };
-                        return ctx.yannakakis_join_decomposed(db, smaller, output);
                     }
                 }
-                self.yannakakis_join_decomposed(db, chosen, output)
+                self.yannakakis_join_decomposed(db, d, output)
             }
         })
     }
@@ -596,8 +553,6 @@ mod tests {
         for policy in [
             ExecPolicy::sequential(JoinStrategy::SortMerge),
             ExecPolicy::sequential(JoinStrategy::Auto),
-            ExecPolicy::parallel(JoinStrategy::Hash, 3),
-            ExecPolicy::parallel(JoinStrategy::Auto, 2),
         ] {
             let got = yannakakis_join_any(&db, &all, &policy).unwrap();
             assert!(got.same_contents(&want), "diverged under {policy:?}");
@@ -626,23 +581,18 @@ mod tests {
         let db = ring4_db();
         let d = decompose(db.schema(), Heuristic::MinFill).unwrap();
         assert!(d.verify(db.schema()));
-        for policy in [
-            ExecPolicy::sequential(JoinStrategy::Hash),
-            ExecPolicy::parallel(JoinStrategy::Hash, 3),
-        ] {
-            let bag_db = materialize_bags(&db, &d, &policy);
-            assert_eq!(bag_db.relations().len(), d.bag_count());
-            for (bag, rel) in d.bags().edges().iter().zip(bag_db.relations()) {
-                assert_eq!(rel.attributes(), &bag.nodes);
-                assert_eq!(rel.name(), bag.label);
-            }
-            // The bag join equals the original full join.
-            let all = db.schema().nodes();
-            assert!(bag_db
-                .full_join()
-                .project(&all)
-                .same_contents(&db.full_join().project(&all)));
+        let bag_db = materialize_bags(&db, &d, &ExecPolicy::sequential(JoinStrategy::Hash));
+        assert_eq!(bag_db.relations().len(), d.bag_count());
+        for (bag, rel) in d.bags().edges().iter().zip(bag_db.relations()) {
+            assert_eq!(rel.attributes(), &bag.nodes);
+            assert_eq!(rel.name(), bag.label);
         }
+        // The bag join equals the original full join.
+        let all = db.schema().nodes();
+        assert!(bag_db
+            .full_join()
+            .project(&all)
+            .same_contents(&db.full_join().project(&all)));
     }
 
     /// The cover `X(B,C)` (20 rows), `S(A)` (2 rows), `Y(A,B)` (50 rows,

@@ -37,10 +37,10 @@
 //! | `database` | a database bound to a schema hypergraph — one relation per object (§7) |
 //! | `universal` | universal-relation queries `π_X(⋈ CC(X))` over canonical connections (§5, §7) |
 //! | `query` | the declarative [`Query`] layer: tableau-expressible output + equality selections, selection pushdown |
-//! | `yannakakis` | the Yannakakis full reducer and bottom-up join over a join tree, level-synchronous in both phases (§7's efficiency payoff) |
+//! | `yannakakis` | the Yannakakis full reducer and bottom-up join over a join tree, level by level in both phases (§7's efficiency payoff) |
 //! | [`hypertree`] | cyclic schemas: bag materialization over a hypertree decomposition (`decomp` crate) and the acyclic-vs-cyclic router [`yannakakis_join_any`] |
 //! | [`snapshot`] | the versioned binary snapshot format behind [`Database::save_snapshot`] / [`Database::load_snapshot`] — scale-up loads in milliseconds instead of re-parsing text |
-//! | [`exec`] | [`ExecCtx`] (the one execution context every pipeline entry point is a method of), [`ExecPolicy`], [`JoinStrategy`] cost-pick, the [`MorselQueue`] work-pull cursor, and the leased [`WorkerPool`] the parallel engine runs on |
+//! | [`exec`] | [`ExecCtx`] (the one execution context every pipeline entry point is a method of), [`ExecPolicy`] and the [`JoinStrategy`] cost-pick; every query runs on its caller's thread |
 //! | [`metrics`] | zero-cost-when-off observability: the [`MetricsSink`] an [`ExecCtx`] carries into every kernel, collected into a [`QueryMetrics`] report — a struct and a text table; its JSON document is rendered by `hyperqd::protocol` |
 //! | [`govern`] | zero-cost-when-off governance: the [`Governor`] checkpoints (cancellation, deadlines, memory budgets) an [`ExecCtx`] carries into every kernel, structured [`EngineError`] aborts, and the `failpoints` fault-injection harness |
 //! | [`trace`] | zero-cost-when-off trace spans: the [`TraceSink`] stage hooks an [`ExecCtx`] carries through the pipelines, collected into a hierarchical [`TraceReport`] (decompose → materialize → reduce → join wall clock; rendered for the slow-query log by `hyperqd::protocol`) |
@@ -88,9 +88,8 @@ pub use consistency::{
 };
 pub use database::{Database, DbError};
 pub use exec::{
-    ExecCtx, ExecPolicy, JoinStrategy, MorselQueue, WorkerLease, WorkerPool,
-    AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO, AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-    DEFAULT_MORSEL_ROWS,
+    ExecCtx, ExecPolicy, JoinStrategy, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
+    AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
 };
 pub use govern::{CancelToken, EngineError, Governor, NoopGovernor, QueryGovernor};
 #[cfg(feature = "failpoints")]

@@ -4,7 +4,7 @@
 //! distinct-key-ratio crossover — needs *measured* evidence to be anything
 //! better than a guess.  This module supplies the evidence channel: a
 //! [`MetricsSink`] trait threaded generically through the relation kernels,
-//! the Yannakakis reducer/join, bag materialization and the worker pool.
+//! the Yannakakis reducer/join and bag materialization.
 //! A pipeline's one entry point takes the sink inside its
 //! [`ExecCtx`](crate::ExecCtx) (`ExecCtx::new(&policy).metrics(&sink)`) and
 //! is monomorphized per sink type, so the default [`NoopMetrics`] sink
@@ -23,15 +23,13 @@
 //! | per-op counters: tuples probed / kept / built, build-side rows, resolved kernel, sampled distinct-key ratio | join/semijoin kernels ([`OpMetrics`]) | [`QueryMetrics::joins`], [`QueryMetrics::semijoins`] |
 //! | per-level wall timings (reducer passes, bottom-up join, bag materialization) | the level-synchronous drivers | [`QueryMetrics::levels`] |
 //! | bag materialization sizes | [`materialize_bags`](crate::materialize_bags) | [`QueryMetrics::bags`] |
-//! | pool lease / occupancy | lease acquisition | [`QueryMetrics::leases`] |
 //! | dedup-index rebuilds saved by deferral | the reducer | [`QueryMetrics::index_rebuilds`] |
 //! | min-fill vs. min-degree decomposition widths | [`yannakakis_join_any`](crate::yannakakis_join_any) | [`QueryMetrics::widths`] |
 //!
 //! # Collecting
 //!
 //! [`CollectingSink`] aggregates everything into a [`QueryMetrics`] report
-//! (shareable across the pool's worker threads — recording happens at
-//! operation granularity, never per tuple, so a mutex is plenty).  The
+//! (recording happens at operation granularity, never per tuple).  The
 //! report is a plain struct; this crate renders it only as a human table
 //! ([`QueryMetrics::render_table`], behind `hyperq query --metrics`).  Its
 //! JSON document — `--metrics-json`, the `metrics` member of a served
@@ -135,10 +133,9 @@ impl Phase {
 
 /// The metrics sink threaded through every engine layer.
 ///
-/// Implementations must be cheaply cloneable (jobs handed to pool workers
-/// carry their own handle) and record at *operation* granularity — kernels
-/// accumulate per-tuple counts locally and report once per op, so a sink is
-/// never invoked inside a probe loop.
+/// Implementations record at *operation* granularity — kernels accumulate
+/// per-tuple counts locally and report once per op, so a sink is never
+/// invoked inside a probe loop.
 ///
 /// All recording methods default to empty bodies; [`ENABLED`] is the
 /// compile-time switch the engine consults before doing work that only
@@ -146,7 +143,7 @@ impl Phase {
 /// would not sample).  See the module docs for the zero-cost argument.
 ///
 /// [`ENABLED`]: MetricsSink::ENABLED
-pub trait MetricsSink: Clone + Send + Sync + 'static {
+pub trait MetricsSink {
     /// Whether this sink records anything.  `false` lets the engine skip
     /// metric-only work entirely at compile time.
     const ENABLED: bool;
@@ -163,11 +160,6 @@ pub trait MetricsSink: Clone + Send + Sync + 'static {
     /// A decomposition bag materialized with `_rows` tuples.
     #[inline]
     fn record_bag(&self, _name: &str, _rows: u64) {}
-
-    /// A worker lease was acquired: `_threads` workers serving the call,
-    /// `_idle` workers left parked in the shared pool.
-    #[inline]
-    fn record_lease(&self, _threads: usize, _idle: usize) {}
 
     /// The reducer triggered `_n` deferred dedup-index rebuilds.
     #[inline]
@@ -275,15 +267,6 @@ pub struct BagStat {
     pub rows: u64,
 }
 
-/// One worker-pool lease acquisition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseStat {
-    /// Workers serving the leasing call (`1` = inline/sequential).
-    pub threads: usize,
-    /// Workers left idle in the shared pool after the lease.
-    pub idle: usize,
-}
-
 /// Widths measured by running both decomposition heuristics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WidthReport {
@@ -308,8 +291,6 @@ pub struct QueryMetrics {
     pub levels: Vec<LevelTiming>,
     /// Materialized bag sizes (cyclic pipeline only).
     pub bags: Vec<BagStat>,
-    /// Worker-pool lease acquisitions.
-    pub leases: Vec<LeaseStat>,
     /// Deferred dedup-index rebuilds the reduced relations actually paid.
     pub index_rebuilds: u64,
     /// Decomposition widths, when the cyclic pipeline ran both heuristics.
@@ -374,15 +355,6 @@ impl QueryMetrics {
                 out.push_str(&format!("  {:<24} {:>10} rows\n", b.name, b.rows));
             }
         }
-        if !self.leases.is_empty() {
-            out.push_str("pool leases:\n");
-            for l in &self.leases {
-                out.push_str(&format!(
-                    "  {} worker(s), {} idle in pool\n",
-                    l.threads, l.idle
-                ));
-            }
-        }
         out.push_str(&format!("index rebuilds: {}\n", self.index_rebuilds));
         if self.decomp_cache_hits + self.decomp_cache_misses > 0 {
             out.push_str(&format!(
@@ -402,9 +374,9 @@ impl QueryMetrics {
 
 /// A sink that aggregates everything into a [`QueryMetrics`] report.
 ///
-/// Cloning shares the underlying report (handles ride into pool-worker
-/// jobs); recording locks a mutex per *operation* — never per tuple — so
-/// contention is negligible next to the work being measured.
+/// Cloning shares the underlying report; recording locks a mutex per
+/// *operation* — never per tuple — so its cost is negligible next to the
+/// work being measured.
 ///
 /// # Examples
 ///
@@ -485,10 +457,6 @@ impl MetricsSink for CollectingSink {
         });
     }
 
-    fn record_lease(&self, threads: usize, idle: usize) {
-        self.with(|m| m.leases.push(LeaseStat { threads, idle }));
-    }
-
     fn record_index_rebuilds(&self, n: u64) {
         self.with(|m| m.index_rebuilds += n);
     }
@@ -560,15 +528,7 @@ mod tests {
         let sink = CollectingSink::new();
         let clone = sink.clone();
         clone.record_index_rebuilds(3);
-        clone.record_lease(4, 2);
         assert_eq!(sink.snapshot().index_rebuilds, 3);
-        assert_eq!(
-            sink.snapshot().leases,
-            vec![LeaseStat {
-                threads: 4,
-                idle: 2
-            }]
-        );
     }
 
     #[test]
@@ -577,17 +537,9 @@ mod tests {
         sink.record_op(op(OpKind::Join, Kernel::SortMerge, 100, 80, Some(0.02)));
         sink.record_level(Phase::Join, 0, 3, 999);
         sink.record_bag("bag", 5);
-        sink.record_lease(2, 1);
         sink.record_widths(2, 2, "min-fill");
         let t = sink.snapshot().render_table();
-        for needle in [
-            "join",
-            "0.0200",
-            "levels:",
-            "bags:",
-            "pool leases:",
-            "min-degree 2",
-        ] {
+        for needle in ["join", "0.0200", "levels:", "bags:", "min-degree 2"] {
             assert!(t.contains(needle), "missing {needle:?} in:\n{t}");
         }
     }

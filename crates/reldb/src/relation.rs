@@ -52,8 +52,8 @@
 //! tuples; it is decoded from / encoded into rows only at the edges.
 
 use crate::exec::{
-    ExecCtx, Job, JoinStrategy, MorselQueue, WorkerLease, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-    AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO, DEFAULT_MORSEL_ROWS,
+    ExecCtx, JoinStrategy, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
+    AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
 };
 use crate::govern::{unfail, EngineError, Governor, NoopGovernor, CHECK_BATCH};
 use crate::metrics::{Kernel, MetricsSink, NoopMetrics, OpKind, OpMetrics};
@@ -61,8 +61,6 @@ use crate::pool::{ValuePool, NO_HANDLE};
 use crate::value::Value;
 use hypergraph::{NodeId, NodeSet, Universe};
 use std::fmt;
-use std::sync::mpsc::channel;
-use std::sync::Arc;
 
 /// What a semijoin mask kernel did, reported alongside the mask so metered
 /// callers can assemble one semijoin [`OpMetrics`] record.
@@ -1035,22 +1033,13 @@ impl Relation {
     /// the form that takes a policy and sinks.
     // pinned by benchmark/src/layers.rs
     pub fn join_with(&self, other: &Relation, strategy: JoinStrategy) -> Relation {
-        unfail(self.join_impl(
-            other,
-            strategy,
-            &WorkerLease::inline(),
-            DEFAULT_MORSEL_ROWS,
-            &NoopMetrics,
-            &NoopGovernor,
-        ))
+        unfail(self.join_impl(other, strategy, &NoopMetrics, &NoopGovernor))
     }
 
     fn join_impl<M: MetricsSink, G: Governor>(
         &self,
         other: &Relation,
         strategy: JoinStrategy,
-        probe_workers: &WorkerLease,
-        morsel_rows: usize,
         sink: &M,
         gov: &G,
     ) -> Result<Relation, EngineError> {
@@ -1089,11 +1078,17 @@ impl Relation {
                 M::ENABLED,
             )
         };
-        let (out, built) = if kernel == Kernel::SortMerge {
+        let (mut out, built) = if kernel == Kernel::SortMerge {
             self.sort_merge_join_into(other, &shared, out, gov)?
         } else {
-            self.hash_join_into(other, &shared, out, probe_workers, morsel_rows, gov)?
+            self.hash_join_into(other, &shared, out, gov)?
         };
+        // The kernels append rows without knowing the output size, so the
+        // buffer ends up to twice as large as its rows.  The result lives on
+        // (projected, joined again, rendered), so drop the spare capacity
+        // now: it would otherwise double this relation's footprint, or not,
+        // depending only on where its size falls between two powers of two.
+        out.rows.shrink_to_fit();
         if M::ENABLED {
             sink.record_op(OpMetrics {
                 kind: OpKind::Join,
@@ -1112,17 +1107,11 @@ impl Relation {
     /// Pools are already unified.  Also returns the number of distinct keys
     /// the build side contributed (the table's entry count — the "built"
     /// metric).
-    ///
-    /// With a multi-worker lease and a probe side spanning more than one
-    /// morsel, the probe loop runs morsel-driven (see
-    /// [`ExecCtx::join_on_lease`]); otherwise it runs inline.
     fn hash_join_into<G: Governor>(
         &self,
         other: &Relation,
         shared: &NodeSet,
         mut out: Relation,
-        probe_workers: &WorkerLease,
-        morsel_rows: usize,
         gov: &G,
     ) -> Result<(Relation, usize), EngineError> {
         let (build, probe) = if self.len <= other.len {
@@ -1164,128 +1153,13 @@ impl Relation {
                 distinct += 1;
             }
         }
-        let k = probe_key.len();
-        let threads = probe_workers.threads();
-        let queue = MorselQueue::new(probe.len, morsel_rows);
-        if threads > 1 && queue.morsels() > 1 {
-            // Morsel-driven probe: clone the flat row buffers once into
-            // shared read-only state (jobs are 'static owned closures),
-            // then let every worker pull morsels from the queue and emit
-            // its output chunks.  Each output row embeds its (distinct)
-            // probe row, so chunks hold pairwise-distinct rows and
-            // concatenate — in morsel order, reproducing the sequential
-            // probe's output order — without a dedup pass.
-            if G::ENABLED {
-                // Charge the shared row-buffer clones (4 bytes per word).
-                gov.approve_alloc((build.rows.len() + probe.rows.len()) as u64, 1)?;
-            }
-            let out_w = out.width();
-            let bw = build.width();
-            let pw = probe.width();
-            let state = Arc::new((
-                table,
-                next,
-                build.rows.clone(),
-                probe.rows.clone(),
-                queue,
-                build_key,
-                probe_key,
-                sources,
-            ));
-            let (tx, rx) = channel();
-            let jobs: Vec<Job> = (0..threads)
-                .map(|_| {
-                    let state = Arc::clone(&state);
-                    let tx = tx.clone();
-                    let gov = gov.clone();
-                    Box::new(move || {
-                        let (table, next, brows, prows, queue, build_key, probe_key, sources) =
-                            &*state;
-                        let mut keybuf = vec![0u32; k];
-                        let mut rowbuf = vec![0u32; out_w];
-                        let mut step = 0usize;
-                        while let Some(range) = queue.next() {
-                            let mut chunk: Vec<u32> = Vec::new();
-                            let mut res = Ok(());
-                            let mut charged = 0usize;
-                            'rows: for pi in range.clone() {
-                                let prow = row_of(prows, pw, pi as u32);
-                                if G::ENABLED {
-                                    step += 1;
-                                    if step >= CHECK_BATCH {
-                                        step = 0;
-                                        let emitted = chunk.len() / out_w.max(1);
-                                        res = gov.checkpoint().and_then(|()| {
-                                            gov.approve_alloc((emitted - charged) as u64, out_w)
-                                        });
-                                        if res.is_err() {
-                                            break 'rows;
-                                        }
-                                        charged = emitted;
-                                    }
-                                }
-                                for (j, &p) in probe_key.iter().enumerate() {
-                                    keybuf[j] = prow[p];
-                                }
-                                let head = table.find(hash_row(&keybuf), |id| {
-                                    let b = row_of(brows, bw, id);
-                                    build_key.iter().zip(&keybuf).all(|(&p, &v)| b[p] == v)
-                                });
-                                let Some(mut cur) = head else { continue };
-                                loop {
-                                    let brow = row_of(brows, bw, cur);
-                                    for (c, &(from_probe, p)) in sources.iter().enumerate() {
-                                        rowbuf[c] = if from_probe { prow[p] } else { brow[p] };
-                                    }
-                                    chunk.extend_from_slice(&rowbuf);
-                                    if G::ENABLED {
-                                        step += 1;
-                                    }
-                                    if next[cur as usize] == NO_HANDLE {
-                                        break;
-                                    }
-                                    cur = next[cur as usize];
-                                }
-                            }
-                            if G::ENABLED && res.is_ok() {
-                                let emitted = chunk.len() / out_w.max(1);
-                                if emitted > charged {
-                                    res = gov.approve_alloc((emitted - charged) as u64, out_w);
-                                }
-                            }
-                            let failed = res.is_err();
-                            let _ = tx.send((range.start, res.map(|()| chunk)));
-                            if failed {
-                                break; // stop pulling; peers abort at their next checkpoint
-                            }
-                        }
-                    }) as Job
-                })
-                .collect();
-            drop(tx);
-            probe_workers.run(jobs);
-            let mut chunks: Vec<(usize, Vec<u32>)> = Vec::new();
-            let mut first_err = None;
-            for (start, chunk) in rx.try_iter() {
-                match chunk {
-                    Ok(chunk) => chunks.push((start, chunk)),
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-            }
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-            chunks.sort_unstable_by_key(|&(start, _)| start);
-            for (_, chunk) in &chunks {
-                out.push_rows_unchecked(chunk);
-            }
-            return Ok((out, distinct));
-        }
-        // Probe and emit — appending unchecked, for the reason the morsel
-        // path gives above.  Governance runs at batch granularity: every
+        // Probe and emit — appending unchecked: an output row holds every
+        // column of its probe row and of its build row, so it determines
+        // the pair and output rows are distinct by construction (see *Set
+        // semantics*).  Governance runs at batch granularity: every
         // CHECK_BATCH probed/emitted rows the kernel checkpoints and charges
         // the output growth since the last charge against the budget.
-        let mut keybuf = vec![0u32; k];
+        let mut keybuf = vec![0u32; probe_key.len()];
         let mut rowbuf = vec![0u32; out.width()];
         let mut step = 0usize;
         let mut charged = 0usize;
@@ -1758,8 +1632,7 @@ impl Relation {
     /// operands, and from sort-merge otherwise — a
     /// sparser key space makes the bitset dearer than the sort.  The hash
     /// mask runs only under a pinned [`JoinStrategy::Hash`]; see the module
-    /// docs.  Every kernel runs inline on the calling thread.
-    /// [`ExecCtx::retain_semijoin`] is the form that takes a policy and
+    /// docs.  [`ExecCtx::retain_semijoin`] is the form that takes a policy and
     /// sinks.
     pub fn retain_semijoin_with(&mut self, other: &Relation, strategy: JoinStrategy) -> usize {
         unfail(self.retain_semijoin_impl(other, strategy, &NoopMetrics, &NoopGovernor))
@@ -1904,52 +1777,14 @@ impl<M: MetricsSink, G: Governor, T> ExecCtx<'_, M, G, T> {
     /// governor's error at the next probe-batch checkpoint after a
     /// cancellation, deadline overrun or budget exhaustion; neither input
     /// relation is ever mutated.
-    ///
-    /// When the policy asks for threads and the probe side spans more than
-    /// one morsel (`policy.morsel_rows`), workers are leased and the hash
-    /// probe loop runs morsel-driven; callers already holding a lease use
-    /// [`ExecCtx::join_on_lease`] instead.
     pub fn join(&self, left: &Relation, right: &Relation) -> Result<Relation, EngineError> {
-        let policy = self.policy;
-        let probe_rows = left.len.max(right.len);
-        // Only pay for a lease when the morsel path could actually engage.
-        let probe =
-            if probe_rows > policy.morsel_rows.max(1) && policy.effective_threads(probe_rows) > 1 {
-                policy.lease(probe_rows)
-            } else {
-                WorkerLease::inline()
-            };
-        self.join_on_lease(left, right, &probe)
-    }
-
-    /// [`ExecCtx::join`] on workers the caller already leased: they pull
-    /// `policy.morsel_rows`-row morsels of the probe side from a shared
-    /// [`MorselQueue`] and emit their output chunks independently (the hash
-    /// kernel's output rows are distinct by construction — every output row
-    /// embeds its probe row — so chunks concatenate without a dedup pass).
-    /// This is the entry the level-synchronous join phase and bag
-    /// materialization use when a level has fewer targets than workers.
-    pub fn join_on_lease(
-        &self,
-        left: &Relation,
-        right: &Relation,
-        probe: &WorkerLease,
-    ) -> Result<Relation, EngineError> {
-        left.join_impl(
-            right,
-            self.policy.strategy,
-            probe,
-            self.policy.morsel_rows,
-            self.metrics,
-            self.gov,
-        )
+        left.join_impl(right, self.policy.strategy, self.metrics, self.gov)
     }
 
     /// In-place semijoin `target ⋉ other` under the policy's strategy
     /// ([`Relation::retain_semijoin_with`] documents the kernels), recording
     /// one semijoin [`OpMetrics`] into the metrics sink.  Returns the number
-    /// of tuples removed.  The policy's thread count governs level fan-out
-    /// in the reducer, never a single semijoin.
+    /// of tuples removed.
     ///
     /// All governor checkpoints fire during the read-only mask computation;
     /// the in-place compaction runs unconditionally after the mask is

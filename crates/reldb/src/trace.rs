@@ -65,11 +65,9 @@ impl SpanKind {
 /// A sink for hierarchical span events, threaded through the pipelines
 /// exactly as [`MetricsSink`](crate::MetricsSink) is.
 ///
-/// `Clone + Send + Sync` for the same reason as the metrics sink: worker
-/// jobs capture a clone.  Span hooks only fire on the dispatching thread
-/// (stages, not kernels), so a collecting implementation needs interior
-/// mutability but no per-event contention.
-pub trait TraceSink: Clone + Send + Sync {
+/// Span hooks fire per pipeline stage, never per kernel, so a collecting
+/// implementation needs interior mutability but no per-event contention.
+pub trait TraceSink {
     /// Whether this sink records anything.  `false` compiles every hook —
     /// and the `Instant::now()` reads around it — out of the pipelines.
     const ENABLED: bool;
@@ -154,8 +152,8 @@ struct TracerState {
 /// Cloning shares the underlying state (like
 /// [`CollectingSink`](crate::CollectingSink)), so the clone a pipeline
 /// carries reports into the same tree the caller snapshots.  Events arrive
-/// from the dispatching thread only, so the mutex is uncontended; an
-/// unmatched exit (impossible through [`with_span`]) is ignored rather than
+/// from the query's thread only, so the mutex is uncontended; an unmatched
+/// exit (impossible through [`with_span`]) is ignored rather than
 /// panicking.
 #[derive(Debug, Clone, Default)]
 pub struct CollectingTracer {

@@ -68,7 +68,7 @@ pub fn plan_connection(schema: &Hypergraph, x: &NodeSet) -> ConnectionPlan {
 
 /// The three universal-relation query engines.  Each runs inside panic
 /// containment whatever the sinks: a panic escaping the engine — a kernel
-/// bug, a worker job, a sink — surfaces as [`EngineError::WorkerPanic`],
+/// bug, a sink — surfaces as [`EngineError::WorkerPanic`],
 /// never as an unwind through the caller.
 impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
     /// Answers the query `π_X (⋈ of the objects in CC(X))`: every join

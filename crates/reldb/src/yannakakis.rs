@@ -8,23 +8,18 @@
 //! intermediate results.  This is the practical payoff of acyclicity that
 //! the paper's §7 interpretation points at, and the subject of benchmark B4.
 //!
-//! Both phases are *level-synchronous*: the join tree is partitioned into
-//! depth levels ([`JoinTree::levels`]), and within one level the reducer's
-//! semijoins write pairwise-distinct targets while the join phase's subtree
-//! jobs write disjoint partial-result slots — so each level's work runs
-//! concurrently on workers leased once per call from the shared
-//! [`WorkerPool`](crate::exec::WorkerPool) (no per-level thread spawning).
+//! Both phases walk the join tree level by level ([`JoinTree::levels`]) on
+//! the calling thread: the reducer's passes deepest-first and top-down, the
+//! join bottom-up, so every child is done before its parent reads it.
 
 use crate::database::Database;
-use crate::exec::{ExecCtx, ExecPolicy, Job, WorkerLease};
+use crate::exec::{ExecCtx, ExecPolicy};
 use crate::govern::{unfail, EngineError, Governor};
 use crate::metrics::{MetricsSink, Phase};
 use crate::relation::Relation;
 use crate::trace::{with_span, NoopTrace, SpanKind, TraceSink};
 use acyclic::JoinTree;
-use hypergraph::{EdgeId, NodeSet};
-use std::sync::mpsc::channel;
-use std::sync::Arc;
+use hypergraph::NodeSet;
 use std::time::Instant;
 
 /// The result of running a full reducer: the reduced relations (in schema
@@ -56,123 +51,38 @@ fn pair_mut(rels: &mut [Relation], i: usize, j: usize) -> (&mut Relation, &Relat
     }
 }
 
-/// One level's worth of reducer work: semijoin the target relation with
-/// each source relation in turn, in place.
-struct LevelJob {
-    /// Index of the relation being reduced.
-    target: usize,
-    /// Indices of the relations it is semijoined against (children in the
-    /// upward pass; the single parent in the downward pass).
-    sources: Vec<usize>,
-}
-
-/// An empty throwaway relation left in a slot whose real relation has been
-/// moved into a worker job.  Never read: within a level no job's sources
-/// intersect the level's targets.
-fn placeholder() -> Relation {
-    Relation::new("·", NodeSet::new())
-}
-
-/// Runs one level of reducer jobs, sequentially or across leased workers.
-///
-/// Within a level the targets are pairwise distinct and never appear among
-/// any job's sources (upward: targets are parents at depth `d`, sources
-/// their children at `d+1`; downward: targets at depth `d`, sources their
-/// parents at `d-1`), so target relations can be taken out of the vector
-/// and mutated concurrently while the remainder is shared read-only behind
-/// an [`Arc`] (moved in and out — never cloned).  A singleton level (chains:
-/// every level is one) runs inline on the calling thread — a semijoin
-/// ([`ExecCtx::retain_semijoin`]) is never split across workers.
-///
-/// Jobs are dispatched **biggest first**: the lease hands jobs out
-/// round-robin, so a skewed level (a snowflake's fact relation next to its
-/// dimensions) would otherwise park the fat job behind small ones on one
-/// worker while the rest idle.  Sorting by estimated cost (target tuples
-/// plus source tuples) approximates longest-processing-time scheduling
-/// without a work queue.
-fn run_level<M: MetricsSink, G: Governor>(
+/// One level of a reducer pass: each `(target, sources)` job semijoins the
+/// target relation with each source relation in turn, in place.  The
+/// governor is consulted once per level even when the level has no job, so
+/// a zero deadline trips deterministically on any tree, single-edge schemas
+/// included.
+fn reduce_level<M: MetricsSink, G: Governor>(
     ctx: &ExecCtx<'_, M, G>,
-    lease: &WorkerLease,
-    relations: &mut Vec<Relation>,
+    (phase, depth): (Phase, usize),
+    jobs: &[(usize, Vec<usize>)],
+    relations: &mut [Relation],
     removed: &mut [usize],
-    mut jobs: Vec<LevelJob>,
 ) -> Result<(), EngineError> {
-    if jobs.is_empty() {
-        return Ok(());
+    if G::ENABLED {
+        ctx.gov.at_level(phase, depth)?;
     }
-    let threads = lease.threads();
-    if threads <= 1 || jobs.len() == 1 {
-        for job in &jobs {
-            for &s in &job.sources {
-                let (t, src) = pair_mut(relations, job.target, s);
-                removed[job.target] += ctx.retain_semijoin(t, src)?;
-            }
-        }
-        return Ok(());
-    }
-    let cost = |j: &LevelJob| -> usize {
-        relations[j.target].len() + j.sources.iter().map(|&s| relations[s].len()).sum::<usize>()
-    };
-    jobs.sort_by_key(|j| std::cmp::Reverse(cost(j)));
-    // Take the targets out, move the remaining relations into an Arc the
-    // jobs share, run one owned job per target on the lease, then
-    // reassemble.  Jobs drop their Arc handle *before* signalling their
-    // result so the unwrap below cannot race a worker still holding one.
-    let targets: Vec<Relation> = jobs
-        .iter()
-        .map(|j| std::mem::replace(&mut relations[j.target], placeholder()))
-        .collect();
-    let shared = Arc::new(std::mem::take(relations));
-    let (tx, rx) = channel();
-    let work: Vec<Job> = jobs
-        .into_iter()
-        .zip(targets)
-        .map(|(job, mut target)| {
-            let shared = Arc::clone(&shared);
-            let tx = tx.clone();
-            let (policy, sink, gov) = ctx.owned();
-            Box::new(move || {
-                let ctx = ExecCtx::new(&policy).metrics(&sink).gov(&gov);
-                let mut removed_here = 0usize;
-                let mut res = Ok(());
-                for &s in &job.sources {
-                    match ctx.retain_semijoin(&mut target, &shared[s]) {
-                        Ok(n) => removed_here += n,
-                        Err(e) => {
-                            res = Err(e);
-                            break;
-                        }
-                    }
-                }
-                drop(shared);
-                // The target relation is sent back even on abort: a governed
-                // semijoin that errors leaves it untouched, so reassembly
-                // below restores the level exactly as it was.
-                let _ = tx.send((job.target, target, removed_here, res));
-            }) as Job
-        })
-        .collect();
-    drop(tx);
-    lease.run(work);
-    *relations = Arc::try_unwrap(shared)
-        .unwrap_or_else(|_| unreachable!("level jobs returned their shared handles"));
-    let mut first_err = None;
-    for (t, rel, rem, res) in rx.try_iter() {
-        relations[t] = rel;
-        removed[t] += rem;
-        if let Err(e) = res {
-            first_err = first_err.or(Some(e));
+    let t0 = M::ENABLED.then(Instant::now);
+    for (target, sources) in jobs {
+        for &source in sources {
+            let (t, s) = pair_mut(relations, *target, source);
+            removed[*target] += ctx.retain_semijoin(t, s)?;
         }
     }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
+    if let (Some(t0), false) = (t0, jobs.is_empty()) {
+        let nanos = t0.elapsed().as_nanos() as u64;
+        ctx.metrics.record_level(phase, depth, jobs.len(), nanos);
     }
+    Ok(())
 }
 
 impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
     /// Runs the two semijoin passes of the Yannakakis full reducer over
-    /// `tree`, level-synchronously.
+    /// `tree`, level by level.
     ///
     /// The upward pass semijoins every parent with each of its children
     /// (deepest levels first); the downward pass semijoins every child with
@@ -182,41 +92,81 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
     /// keep-mask rather than rebuilding the relation every pass, and the
     /// dedup index rebuild is deferred until something actually reads it.
     ///
-    /// Within one tree level the semijoins write pairwise-distinct target
-    /// relations and only read relations from the adjacent level, so each
-    /// level's jobs run concurrently on workers leased once per call
-    /// (`policy.threads` of them, from the shared
-    /// [`WorkerPool`](crate::exec::WorkerPool), with a sequential fallback
-    /// below `policy.parallel_threshold` total tuples).  The result is
-    /// tuple-for-tuple identical to the sequential pass: surviving rows
-    /// depend only on the *set* of semijoins applied, and within one target
-    /// they are applied in the same child order as the sequential walk.
-    ///
-    /// The metrics sink receives per-semijoin counters, per-level wall
-    /// timings and the pool lease; the governor is consulted before every
-    /// tree level and at every [`CHECK_BATCH`](crate::govern::CHECK_BATCH)
-    /// rows inside the semijoin kernels; the tracer brackets each pass
+    /// The metrics sink receives per-semijoin counters and per-level wall
+    /// timings; the governor is consulted before every tree level and at
+    /// every [`CHECK_BATCH`](crate::govern::CHECK_BATCH) rows inside the
+    /// semijoin kernels; the tracer brackets each pass
     /// ([`SpanKind::ReduceUp`] / [`SpanKind::ReduceDown`]).  An abort —
     /// cancellation, deadline, budget or injected failpoint — surfaces as
     /// `Err(EngineError)` and leaves `db` untouched: the reducer operates on
     /// copies of the stored relations, and every checkpoint fires during
     /// read-only kernel phases.
     pub fn full_reduce(&self, db: &Database, tree: &JoinTree) -> Result<Reduced, EngineError> {
-        full_reduce_leased(self, &self.lease(db.tuple_count()), db, tree)
+        // Nothing below a pass reports spans, so it is not instantiated per tracer.
+        let untraced = self.trace(&NoopTrace);
+        // Working copies of the rows only: the reducer never reads a dedup index.
+        let mut relations: Vec<Relation> =
+            db.relations().iter().map(Relation::clone_rows).collect();
+        let mut removed: Vec<usize> = vec![0; relations.len()];
+        let levels = tree.levels();
+        let rebuilds_before: usize = relations.iter().map(Relation::index_rebuild_count).sum();
+
+        // Upward pass: parent ⋉ each child, deepest parent level first.
+        with_span(
+            self.trace,
+            SpanKind::ReduceUp,
+            || -> Result<(), EngineError> {
+                for (depth, level) in levels.iter().enumerate().rev() {
+                    let jobs: Vec<(usize, Vec<usize>)> = level
+                        .iter()
+                        .filter(|&&e| !tree.children(e).is_empty())
+                        .map(|&e| {
+                            let children = tree.children(e).iter().map(|c| c.index());
+                            (e.index(), children.collect())
+                        })
+                        .collect();
+                    let at = (Phase::ReduceUp, depth);
+                    reduce_level(&untraced, at, &jobs, &mut relations, &mut removed)?;
+                }
+                Ok(())
+            },
+        )?;
+        // Downward pass: child ⋉ parent, top-down.
+        with_span(
+            self.trace,
+            SpanKind::ReduceDown,
+            || -> Result<(), EngineError> {
+                for (depth, level) in levels.iter().enumerate().skip(1) {
+                    let jobs: Vec<(usize, Vec<usize>)> = level
+                        .iter()
+                        .map(|&e| {
+                            let parent = tree.parent(e).expect("non-root level");
+                            (e.index(), vec![parent.index()])
+                        })
+                        .collect();
+                    let at = (Phase::ReduceDown, depth);
+                    reduce_level(&untraced, at, &jobs, &mut relations, &mut removed)?;
+                }
+                Ok(())
+            },
+        )?;
+
+        if M::ENABLED {
+            // Rebuilds the reduction itself paid: with the deferred-rebuild
+            // optimization this stays 0 (each retain only marks the index
+            // stale), which is exactly what the counter is there to prove.
+            let after: usize = relations.iter().map(Relation::index_rebuild_count).sum();
+            self.metrics
+                .record_index_rebuilds((after - rebuilds_before) as u64);
+        }
+        Ok(Reduced { relations, removed })
     }
 
     /// Computes the projection of the full join onto `output` by the
     /// Yannakakis algorithm: full-reduce, then join bottom-up along the tree,
     /// projecting intermediate results onto (needed separator ∪ output)
     /// attributes to keep them small.  The policy picks the physical join
-    /// strategy ([`crate::JoinStrategy`]) for every semijoin and join, and
-    /// the worker parallelism of *both* phases: sibling subtrees at one tree
-    /// level are independent, so their joins run concurrently on the same
-    /// workers the reducer leased, merging each subtree's partial result into
-    /// its own slot (disjoint writes).  The output is tuple-for-tuple
-    /// identical to the sequential engine: every subtree job computes exactly
-    /// the sequential walk's intermediate relation, and sibling subtrees
-    /// never read each other.
+    /// strategy ([`crate::JoinStrategy`]) for every semijoin and join.
     ///
     /// On top of what [`ExecCtx::full_reduce`] reports, the governor is
     /// consulted before every join level and inside every kernel loop, output
@@ -230,13 +180,53 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
         tree: &JoinTree,
         output: &NodeSet,
     ) -> Result<Relation, EngineError> {
-        // One lease serves the reducer passes and the join levels alike.
-        yannakakis_join_leased(self, &self.lease(db.tuple_count()), db, tree, output)
+        let untraced = self.trace(&NoopTrace);
+        let reduced = self.full_reduce(db, tree)?;
+        let edges = db.schema().edges();
+
+        // Bottom-up join: each edge's slot starts as its reduced relation and
+        // ends as the join of its subtree — its relation joined with its
+        // children's results, in child order — projected onto the output
+        // attributes gathered so far plus the separator towards its parent.
+        // Children sit at deeper levels, so they are done (and consumed)
+        // before their parent.
+        let mut slots: Vec<Option<Relation>> = reduced.relations.into_iter().map(Some).collect();
+        with_span(self.trace, SpanKind::Join, || -> Result<(), EngineError> {
+            for (li, level) in tree.levels_bottom_up().iter().enumerate() {
+                if G::ENABLED {
+                    self.gov.at_level(Phase::Join, li)?;
+                }
+                let t0 = M::ENABLED.then(Instant::now);
+                for &e in level {
+                    let mut acc = slots[e.index()].take().expect("each edge joins once");
+                    for c in tree.children(e) {
+                        let child = slots[c.index()].take().expect("children join first");
+                        acc = untraced.join(&acc, &child)?;
+                    }
+                    let mut keep = acc.attributes().intersection(output);
+                    if let Some(p) = tree.parent(e) {
+                        let own = &edges[e.index()].nodes;
+                        keep.union_with(&own.intersection(&edges[p.index()].nodes));
+                    }
+                    slots[e.index()] = Some(acc.into_project(&keep));
+                }
+                if let Some(t0) = t0 {
+                    let nanos = t0.elapsed().as_nanos() as u64;
+                    self.metrics
+                        .record_level(Phase::Join, li, level.len(), nanos);
+                }
+            }
+            Ok(())
+        })?;
+        let root_result = slots[tree.root().index()]
+            .take()
+            .expect("root processed last");
+        Ok(root_result.into_project(output))
     }
 }
 
 /// [`ExecCtx::full_reduce`] with nobody watching, under the default
-/// [`ExecPolicy`] (auto strategy, parallel above the tuple threshold).
+/// [`ExecPolicy`].
 pub fn full_reduce(db: &Database, tree: &JoinTree) -> Reduced {
     full_reduce_with(db, tree, &ExecPolicy::default())
 }
@@ -246,96 +236,6 @@ pub fn full_reduce(db: &Database, tree: &JoinTree) -> Reduced {
 // pinned by benchmark/src/layers.rs
 pub fn full_reduce_with(db: &Database, tree: &JoinTree, policy: &ExecPolicy) -> Reduced {
     unfail(ExecCtx::new(policy).full_reduce(db, tree))
-}
-
-/// The reducer body, on an already-acquired lease — shared by
-/// [`ExecCtx::full_reduce`] and [`yannakakis_join_leased`] so the join
-/// pipeline leases its workers exactly once for both phases.
-fn full_reduce_leased<M: MetricsSink, G: Governor, T: TraceSink>(
-    ctx: &ExecCtx<'_, M, G, T>,
-    lease: &WorkerLease,
-    db: &Database,
-    tree: &JoinTree,
-) -> Result<Reduced, EngineError> {
-    let (sink, gov, tracer) = (ctx.metrics, ctx.gov, ctx.trace);
-    // Nothing below a pass reports spans, so it is not instantiated per tracer.
-    let untraced = ctx.trace(&NoopTrace);
-    // Working copies of the rows only: the reducer never reads a dedup index.
-    let mut relations: Vec<Relation> = db.relations().iter().map(Relation::clone_rows).collect();
-    let mut removed: Vec<usize> = vec![0; relations.len()];
-    let levels = tree.levels();
-    let rebuilds_before: usize = relations.iter().map(Relation::index_rebuild_count).sum();
-
-    // Upward pass: parent ⋉ each child, deepest parent level first.  The
-    // governor is consulted once per level even when the level has no
-    // semijoin work, so a zero deadline trips deterministically on any
-    // tree, single-edge schemas included.
-    with_span(tracer, SpanKind::ReduceUp, || -> Result<(), EngineError> {
-        for (depth, level) in levels.iter().enumerate().rev() {
-            if G::ENABLED {
-                gov.at_level(Phase::ReduceUp, depth)?;
-            }
-            let jobs: Vec<LevelJob> = level
-                .iter()
-                .filter(|&&e| !tree.children(e).is_empty())
-                .map(|&e| LevelJob {
-                    target: e.index(),
-                    sources: tree.children(e).iter().map(|c| c.index()).collect(),
-                })
-                .collect();
-            let n = jobs.len();
-            let t0 = M::ENABLED.then(Instant::now);
-            run_level(&untraced, lease, &mut relations, &mut removed, jobs)?;
-            if let Some(t0) = t0 {
-                if n > 0 {
-                    sink.record_level(Phase::ReduceUp, depth, n, t0.elapsed().as_nanos() as u64);
-                }
-            }
-        }
-        Ok(())
-    })?;
-    // Downward pass: child ⋉ parent, top-down.
-    with_span(
-        tracer,
-        SpanKind::ReduceDown,
-        || -> Result<(), EngineError> {
-            for (depth, level) in levels.iter().enumerate().skip(1) {
-                if G::ENABLED {
-                    gov.at_level(Phase::ReduceDown, depth)?;
-                }
-                let jobs: Vec<LevelJob> = level
-                    .iter()
-                    .map(|&e| LevelJob {
-                        target: e.index(),
-                        sources: vec![tree.parent(e).expect("non-root level").index()],
-                    })
-                    .collect();
-                let n = jobs.len();
-                let t0 = M::ENABLED.then(Instant::now);
-                run_level(&untraced, lease, &mut relations, &mut removed, jobs)?;
-                if let Some(t0) = t0 {
-                    if n > 0 {
-                        sink.record_level(
-                            Phase::ReduceDown,
-                            depth,
-                            n,
-                            t0.elapsed().as_nanos() as u64,
-                        );
-                    }
-                }
-            }
-            Ok(())
-        },
-    )?;
-
-    if M::ENABLED {
-        // Rebuilds the reduction itself paid: with the deferred-rebuild
-        // optimization this stays 0 (each retain only marks the index
-        // stale), which is exactly what the counter is there to prove.
-        let after: usize = relations.iter().map(Relation::index_rebuild_count).sum();
-        sink.record_index_rebuilds((after - rebuilds_before) as u64);
-    }
-    Ok(Reduced { relations, removed })
 }
 
 /// [`ExecCtx::yannakakis_join`] with nobody watching, under the default
@@ -367,8 +267,8 @@ pub fn yannakakis_join(db: &Database, tree: &JoinTree, output: &NodeSet) -> Rela
 ///
 /// let tree = join_tree(db.schema()).expect("chain schemas are acyclic");
 /// let output = db.attributes(["A", "C"]).unwrap();
-/// // Two leased workers; the sequential default policy gives the same rows.
-/// let policy = ExecPolicy::parallel(JoinStrategy::Auto, 2);
+/// // A pinned kernel; the default policy gives the same rows.
+/// let policy = ExecPolicy::sequential(JoinStrategy::SortMerge);
 /// let answer = yannakakis_join_with(&db, &tree, &output, &policy);
 /// assert_eq!(answer.len(), 1);
 /// ```
@@ -382,156 +282,6 @@ pub fn yannakakis_join_with(
     unfail(ExecCtx::new(policy).yannakakis_join(db, tree, output))
 }
 
-/// The reduce-then-join pipeline on an already-acquired lease — shared by
-/// [`ExecCtx::yannakakis_join`] and the decomposed cyclic pipeline
-/// ([`ExecCtx::yannakakis_join_decomposed`]), so a cyclic query leases its
-/// workers exactly once across bag materialization, the reducer passes and
-/// the join levels.
-pub(crate) fn yannakakis_join_leased<M: MetricsSink, G: Governor, T: TraceSink>(
-    ctx: &ExecCtx<'_, M, G, T>,
-    lease: &WorkerLease,
-    db: &Database,
-    tree: &JoinTree,
-    output: &NodeSet,
-) -> Result<Relation, EngineError> {
-    let (sink, gov, tracer) = (ctx.metrics, ctx.gov, ctx.trace);
-    let untraced = ctx.trace(&NoopTrace);
-    let reduced = full_reduce_leased(ctx, lease, db, tree)?;
-    let mut relations = reduced.relations;
-
-    // Attributes that must be kept while processing each subtree: the output
-    // attributes plus anything shared with the edge's parent.
-    let keep_for = |e: EdgeId| -> NodeSet {
-        let own = db.schema().edges()[e.index()].nodes.clone();
-        let mut keep = own.intersection(output);
-        if let Some(p) = tree.parent(e) {
-            keep.union_with(&own.intersection(&db.schema().edges()[p.index()].nodes));
-        }
-        keep
-    };
-
-    // Bottom-up join, level-synchronous: each edge accumulates the join of
-    // its subtree, projected onto the attributes still needed above it.
-    // Within a level the jobs consume their own reduced relation and their
-    // children's partials and write disjoint `partial` slots, so a
-    // multi-edge level fans out across the leased workers.
-    let mut partial: Vec<Option<Relation>> = vec![None; relations.len()];
-    let levels = tree.levels_bottom_up();
-    let threads = lease.threads();
-    with_span(tracer, SpanKind::Join, || -> Result<(), EngineError> {
-        for (li, level) in levels.iter().enumerate() {
-            if G::ENABLED {
-                gov.at_level(Phase::Join, li)?;
-            }
-            let t0 = M::ENABLED.then(Instant::now);
-            if threads <= 1 || level.len() <= 1 {
-                // Fewer targets than workers (chains: every join level is a
-                // singleton): parallelism drops *inside* the join instead — the
-                // whole lease pulls probe morsels from the shared queue
-                // ([`ExecCtx::join_on_lease`]), so one huge binary
-                // join no longer serializes the level.
-                for &e in level {
-                    let base = std::mem::replace(&mut relations[e.index()], placeholder());
-                    let children = take_children(tree, e, &mut partial);
-                    partial[e.index()] = Some(join_subtree(
-                        &untraced,
-                        lease,
-                        base,
-                        &children,
-                        keep_for(e),
-                        output,
-                    )?);
-                }
-            } else {
-                // Biggest subtree jobs first, for the same longest-processing-
-                // time reason as the reducer levels: round-robin dispatch over
-                // the leased workers balances best when the fat job leads the
-                // batch.
-                let mut order: Vec<EdgeId> = level.clone();
-                let cost = |e: EdgeId| -> usize {
-                    relations[e.index()].len()
-                        + tree
-                            .children(e)
-                            .iter()
-                            .map(|c| partial[c.index()].as_ref().map_or(0, Relation::len))
-                            .sum::<usize>()
-                };
-                order.sort_by_key(|&e| std::cmp::Reverse(cost(e)));
-                let (tx, rx) = channel();
-                let work: Vec<Job> = order
-                    .iter()
-                    .map(|&e| {
-                        let base = std::mem::replace(&mut relations[e.index()], placeholder());
-                        let children = take_children(tree, e, &mut partial);
-                        let keep = keep_for(e);
-                        let output = output.clone();
-                        let tx = tx.clone();
-                        let (policy, sink, gov) = ctx.owned();
-                        let idx = e.index();
-                        Box::new(move || {
-                            let ctx = ExecCtx::new(&policy).metrics(&sink).gov(&gov);
-                            let inline = WorkerLease::inline();
-                            let _ = tx.send((
-                                idx,
-                                join_subtree(&ctx, &inline, base, &children, keep, &output),
-                            ));
-                        }) as Job
-                    })
-                    .collect();
-                drop(tx);
-                lease.run(work);
-                let mut first_err = None;
-                for (idx, res) in rx.try_iter() {
-                    match res {
-                        Ok(rel) => partial[idx] = Some(rel),
-                        Err(e) => first_err = first_err.or(Some(e)),
-                    }
-                }
-                if let Some(e) = first_err {
-                    return Err(e);
-                }
-            }
-            if let Some(t0) = t0 {
-                sink.record_level(Phase::Join, li, level.len(), t0.elapsed().as_nanos() as u64);
-            }
-        }
-        Ok(())
-    })?;
-    let root_result = partial[tree.root().index()]
-        .take()
-        .expect("root processed last");
-    Ok(root_result.into_project(output))
-}
-
-/// Takes edge `e`'s children's partial results out of their slots (they are
-/// each consumed exactly once, by their parent).
-fn take_children(tree: &JoinTree, e: EdgeId, partial: &mut [Option<Relation>]) -> Vec<Relation> {
-    tree.children(e)
-        .iter()
-        .map(|c| partial[c.index()].take().expect("children processed first"))
-        .collect()
-}
-
-/// One bottom-up join job: joins an edge's reduced relation with its
-/// children's subtree results (in child order, matching the sequential
-/// walk) and projects onto the attributes still needed above it — the
-/// output attributes surfaced so far plus the separator towards the parent.
-fn join_subtree<M: MetricsSink, G: Governor>(
-    ctx: &ExecCtx<'_, M, G>,
-    probe: &WorkerLease,
-    base: Relation,
-    children: &[Relation],
-    mut keep: NodeSet,
-    output: &NodeSet,
-) -> Result<Relation, EngineError> {
-    let mut acc = base;
-    for child in children {
-        acc = ctx.join_on_lease(&acc, child, probe)?;
-    }
-    keep.union_with(&acc.attributes().intersection(output));
-    Ok(acc.into_project(&keep))
-}
-
 /// The same projection computed naively: join every relation, then project.
 /// Used as the baseline in tests and benchmark B4.
 pub fn naive_join_project(db: &Database, output: &NodeSet) -> Relation {
@@ -543,7 +293,7 @@ mod tests {
     use super::*;
     use crate::relation::Tuple;
     use acyclic::join_tree;
-    use hypergraph::Hypergraph;
+    use hypergraph::{EdgeId, Hypergraph};
 
     /// A chain schema R(A,B), S(B,C), T(C,D) with data containing dangling
     /// tuples.
@@ -681,23 +431,24 @@ mod tests {
         db
     }
 
+    /// Every strategy reduces the snowflake (a tree with multi-edge levels)
+    /// to the same relations, and its full pipeline agrees with the naive
+    /// join.
     #[test]
-    fn snowflake_parallel_and_strategies_agree_with_sequential() {
+    fn snowflake_strategies_agree_with_sequential() {
         use crate::exec::{ExecPolicy, JoinStrategy};
         let db = snowflake_db();
         let tree = join_tree(db.schema()).unwrap();
-        // The snowflake tree has multi-edge levels, so the parallel path
-        // exercises target-sharding (singleton levels run inline).
         assert!(tree.levels().iter().any(|l| l.len() > 1));
-        let baseline = full_reduce_with(&db, &tree, &ExecPolicy::sequential(JoinStrategy::Hash));
-        for policy in [
-            ExecPolicy::sequential(JoinStrategy::SortMerge),
-            ExecPolicy::sequential(JoinStrategy::Auto),
-            ExecPolicy::parallel(JoinStrategy::Hash, 4),
-            ExecPolicy::parallel(JoinStrategy::SortMerge, 3),
-            ExecPolicy::parallel(JoinStrategy::Auto, 2),
-        ] {
-            let got = full_reduce_with(&db, &tree, &policy);
+        let policies = [
+            JoinStrategy::Hash,
+            JoinStrategy::SortMerge,
+            JoinStrategy::Auto,
+        ]
+        .map(ExecPolicy::sequential);
+        let baseline = full_reduce_with(&db, &tree, &policies[0]);
+        for policy in &policies[1..] {
+            let got = full_reduce_with(&db, &tree, policy);
             assert_eq!(
                 got.removed, baseline.removed,
                 "removed counts diverged under {policy:?}"
@@ -706,18 +457,10 @@ mod tests {
                 assert!(b.same_contents(g), "relations diverged under {policy:?}");
             }
         }
-        // The full pipeline agrees with the naive join on every policy; the
-        // parallel rows exercise the level-synchronous bottom-up join (the
-        // snowflake tree has multi-edge levels, so sibling subtree jobs run
-        // on the leased workers).
         let all = db.schema().nodes();
         let naive = naive_join_project(&db, &all);
-        for policy in [
-            ExecPolicy::sequential(JoinStrategy::SortMerge),
-            ExecPolicy::parallel(JoinStrategy::Auto, 4),
-            ExecPolicy::parallel(JoinStrategy::Hash, 2),
-        ] {
-            let fast = yannakakis_join_with(&db, &tree, &all, &policy);
+        for policy in &policies {
+            let fast = yannakakis_join_with(&db, &tree, &all, policy);
             assert!(
                 fast.same_contents(&naive),
                 "pipeline diverged under {policy:?}"
@@ -725,28 +468,28 @@ mod tests {
         }
     }
 
-    /// The parallel join phase produces tuple-for-tuple the sequential
-    /// engine's projections, not just the full output (projection decisions
-    /// happen inside the per-subtree jobs).
+    /// Every strategy's join phase produces tuple-for-tuple the hash
+    /// engine's projections and the naive join's, not just the full output
+    /// (projection decisions happen per subtree).
     #[test]
-    fn parallel_join_matches_sequential_on_projections() {
+    fn join_strategies_match_sequential_on_projections() {
         use crate::exec::{ExecPolicy, JoinStrategy};
         let db = snowflake_db();
         let tree = join_tree(db.schema()).unwrap();
-        let sequential = ExecPolicy::sequential(JoinStrategy::Hash);
+        let hash = ExecPolicy::sequential(JoinStrategy::Hash);
         for attrs in [vec!["K0", "D10"], vec!["D0", "D1"], vec!["K0"]] {
             let output = db.attributes(attrs.iter().copied()).unwrap();
-            let want = yannakakis_join_with(&db, &tree, &output, &sequential);
-            for threads in [2, 4] {
-                let got = yannakakis_join_with(
-                    &db,
-                    &tree,
-                    &output,
-                    &ExecPolicy::parallel(JoinStrategy::Hash, threads),
-                );
+            let want = yannakakis_join_with(&db, &tree, &output, &hash);
+            assert!(
+                want.same_contents(&naive_join_project(&db, &output)),
+                "projection {attrs:?} diverged from the naive join"
+            );
+            for strategy in [JoinStrategy::SortMerge, JoinStrategy::Auto] {
+                let got =
+                    yannakakis_join_with(&db, &tree, &output, &ExecPolicy::sequential(strategy));
                 assert!(
                     want.same_contents(&got),
-                    "projection {attrs:?} diverged at {threads} threads"
+                    "projection {attrs:?} diverged under {strategy:?}"
                 );
             }
         }

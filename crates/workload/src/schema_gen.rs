@@ -35,8 +35,8 @@ pub fn snowflake(arms: usize, depth: usize, width: usize) -> Hypergraph {
 ///
 /// Unlike [`snowflake`] (whose arms are chains), the dimension tree is a
 /// complete `fanout`-ary tree, so the join tree has `fanout^d` edges at
-/// depth `d` — the shape that exercises the level-synchronous reducer's
-/// target-sharding (a chain's levels are singletons and run inline).
+/// depth `d` — multi-edge join-tree levels, where a chain's levels are
+/// singletons.
 pub fn snowflake_tree(depth: usize, fanout: usize, width: usize) -> Hypergraph {
     assert!(depth >= 1 && fanout >= 1 && width >= 2);
     let mut builder = HypergraphBuilder::new();

@@ -69,12 +69,6 @@ def check(doc: dict, cyclic: bool) -> list[str]:
         if not any(lvl.get("nanos", 0) > 0 for lvl in levels):
             err("levels: every timing is zero nanos — the clock did not run")
 
-    leases = doc.get("pool", {}).get("leases")
-    if not isinstance(leases, list) or not leases:
-        err("pool.leases: expected at least one lease record")
-    elif any(lease.get("threads", 0) < 1 for lease in leases):
-        err(f"pool.leases: lease with no threads: {leases}")
-
     if not isinstance(doc.get("index_rebuilds"), int):
         err(f"index_rebuilds: expected integer, got {doc.get('index_rebuilds')!r}")
 

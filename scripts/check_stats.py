@@ -74,13 +74,6 @@ def check(doc: dict, allow_empty: bool) -> list[str]:
         if by_engine > doc["queries_total"]:
             err(f"sum(by_engine) {by_engine} > queries_total {doc['queries_total']}")
 
-    pool = doc.get("pool")
-    if not isinstance(pool, dict):
-        err("pool: missing or not an object")
-    else:
-        for key in ("idle_workers", "respawned_workers", "lease_spawned"):
-            counter(pool, key, "pool")
-
     lat = doc.get("latency_us")
     if not isinstance(lat, dict):
         err("latency_us: missing or not an object")

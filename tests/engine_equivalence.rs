@@ -15,8 +15,7 @@ use acyclic_hypergraphs::reldb::reference::{
 };
 use acyclic_hypergraphs::reldb::{
     full_reduce, full_reduce_with, yannakakis_join, yannakakis_join_with, CollectingSink, Database,
-    EngineError, ExecCtx, ExecPolicy, Governor, JoinStrategy, Relation, Tuple, Value, WorkerPool,
-    DEFAULT_MORSEL_ROWS,
+    EngineError, ExecCtx, ExecPolicy, Governor, JoinStrategy, Relation, Tuple, Value,
 };
 use acyclic_hypergraphs::workload::{
     chain, far_apart, hyper_ring, pair_clique, random_database, ring, snowflake, snowflake_tree,
@@ -32,8 +31,7 @@ fn schema(family: usize, shape: usize) -> Hypergraph {
         0 => chain(2 + shape % 4, 2 + shape % 2, 1),
         1 => star(2 + shape % 4, 2),
         2 => snowflake(2 + shape % 2, 2, 2),
-        // The fanout-tree snowflake: multi-edge join-tree levels, the shape
-        // that exercises the parallel reducer's target-sharding.
+        // The fanout-tree snowflake: multi-edge join-tree levels.
         _ => snowflake_tree(1 + shape % 2, 2, 2 + shape % 2),
     }
 }
@@ -237,32 +235,27 @@ proptest! {
         prop_assert_eq!(r.semijoin_count(&s_own), r.semijoin_count(&s_shared));
     }
 
-    /// The level-synchronous parallel reducer is tuple-for-tuple identical
-    /// to the sequential pass and to the reference oracle, across schema
-    /// families (chains stress probe-sharding, fanout trees stress
-    /// target-sharding) and Zipf-skewed data.
+    /// The full reducer removes exactly the reference oracle's tuples under
+    /// every strategy, across schema families (fanout trees have multi-edge
+    /// levels) and Zipf-skewed data.
     #[test]
-    fn parallel_full_reduce_matches_sequential_and_reference(
+    fn full_reduce_strategies_match_reference_on_skewed_data(
         family in 0usize..4,
         shape in 0usize..4,
         tuples in 1usize..32,
         domain in 1i64..8,
         skew_tenths in 0usize..16,
         seed in 0u64..1_000,
-        threads in 2usize..6,
     ) {
         let db = db_for_skewed(family, shape, tuples, domain, skew_tenths as f64 / 10.0, seed);
         let tree = join_tree(db.schema()).expect("generator schemas are acyclic");
-        let sequential = full_reduce_with(&db, &tree, &ExecPolicy::sequential(JoinStrategy::Hash));
-        let parallel = full_reduce_with(&db, &tree, &ExecPolicy::parallel(JoinStrategy::Hash, threads));
-        prop_assert_eq!(&sequential.removed, &parallel.removed, "removed counts diverged");
-        for (s, p) in sequential.relations.iter().zip(&parallel.relations) {
-            prop_assert!(s.same_contents(p), "parallel reducer diverged from sequential");
-        }
         let (naive_rels, naive_removed) = naive_full_reduce(&db, &tree);
-        prop_assert_eq!(&parallel.removed, &naive_removed, "removed counts diverged from oracle");
-        for (n, p) in naive_rels.iter().zip(&parallel.relations) {
-            prop_assert!(n.agrees_with(p), "parallel reducer diverged from oracle");
+        for strategy in STRATEGIES {
+            let fast = full_reduce_with(&db, &tree, &ExecPolicy::sequential(strategy));
+            prop_assert_eq!(&fast.removed, &naive_removed, "{:?} removed counts", strategy);
+            for (n, f) in naive_rels.iter().zip(&fast.relations) {
+                prop_assert!(n.agrees_with(f), "{strategy:?} reducer diverged from oracle");
+            }
         }
     }
 
@@ -299,21 +292,18 @@ proptest! {
         }
     }
 
-    /// The level-synchronous parallel bottom-up join is tuple-for-tuple
-    /// identical to the sequential join and the reference oracle, across
-    /// schema families (fanout snowflake trees have multi-edge levels, so
-    /// sibling subtree jobs genuinely fan out; chains degrade to the
-    /// sequential per-level path), Zipf-skewed data, random projections,
-    /// and both worker modes (leased pool and spawn-per-batch).
+    /// The bottom-up join is tuple-for-tuple identical under every strategy
+    /// to the hash engine, and the hash engine agrees with the reference
+    /// oracle, across schema families (fanout snowflake trees have
+    /// multi-edge levels), Zipf-skewed data and random projections.
     #[test]
-    fn parallel_bottom_up_join_matches_sequential_and_reference(
+    fn bottom_up_join_strategies_match_sequential_and_reference(
         family in 0usize..4,
         shape in 0usize..4,
         tuples in 1usize..24,
         domain in 1i64..6,
         skew_tenths in 0usize..16,
         seed in 0u64..1_000,
-        threads in 2usize..6,
         pick in 0usize..64,
     ) {
         let db = db_for_skewed(family, shape, tuples, domain, skew_tenths as f64 / 10.0, seed);
@@ -326,35 +316,32 @@ proptest! {
             .filter(|(i, _)| pick & (1 << (i % 6)) != 0)
             .map(|(_, n)| n)
             .collect();
-        let sequential =
+        let hash =
             yannakakis_join_with(&db, &tree, &output, &ExecPolicy::sequential(JoinStrategy::Hash));
-        for policy in [
-            ExecPolicy::parallel(JoinStrategy::Hash, threads),
-            ExecPolicy::parallel(JoinStrategy::Auto, threads),
-        ] {
-            let parallel = yannakakis_join_with(&db, &tree, &output, &policy);
+        for policy in [JoinStrategy::SortMerge, JoinStrategy::Auto].map(ExecPolicy::sequential) {
+            let got = yannakakis_join_with(&db, &tree, &output, &policy);
             prop_assert!(
-                sequential.same_contents(&parallel),
-                "parallel join diverged from sequential under {:?}",
+                hash.same_contents(&got),
+                "bottom-up join diverged from the hash engine under {:?}",
                 policy
             );
         }
         let slow = naive_yannakakis_join(&db, &tree, &output);
-        prop_assert!(slow.agrees_with(&sequential), "sequential diverged from oracle");
+        prop_assert!(slow.agrees_with(&hash), "hash engine diverged from oracle");
     }
 
-    /// The parallel pipeline also holds when the database's relations were
-    /// built independently (one value pool each): every semijoin and join
-    /// in both phases pays the cross-pool handle translation, and the
-    /// result still matches the oracle and the sequential engine.
+    /// The pipeline also holds when the database's relations were built
+    /// independently (one value pool each): every semijoin and join in both
+    /// phases pays the cross-pool handle translation, and under every
+    /// strategy the result still matches the oracle and the shared-pool
+    /// engine.
     #[test]
-    fn parallel_pipeline_matches_on_cross_pool_relations(
+    fn pipeline_strategies_match_on_cross_pool_relations(
         family in 0usize..4,
         shape in 0usize..4,
         tuples in 1usize..16,
         domain in 1i64..5,
         seed in 0u64..1_000,
-        threads in 2usize..5,
     ) {
         let db = db_for(family, shape, tuples, domain, seed);
         let split_db = with_private_pools(&db);
@@ -365,11 +352,7 @@ proptest! {
         let tree = join_tree(db.schema()).expect("generator schemas are acyclic");
         let output = db.schema().nodes();
         let want = yannakakis_join_with(&db, &tree, &output, &ExecPolicy::sequential(JoinStrategy::Hash));
-        for policy in [
-            ExecPolicy::sequential(JoinStrategy::Hash),
-            ExecPolicy::parallel(JoinStrategy::Hash, threads),
-            ExecPolicy::parallel(JoinStrategy::Auto, threads),
-        ] {
+        for policy in STRATEGIES.map(ExecPolicy::sequential) {
             let got = yannakakis_join_with(&split_db, &tree, &output, &policy);
             prop_assert!(
                 want.same_contents(&got),
@@ -381,63 +364,8 @@ proptest! {
         prop_assert!(slow.agrees_with(&want), "cross-pool oracle diverged");
     }
 
-    /// Morsel-driven execution is tuple-for-tuple identical to the
-    /// sequential engine and the reference oracle at every morsel size:
-    /// one-row morsels (maximal scheduling interleaving), the default, and
-    /// morsels larger than any input (degenerating to one chunk per scan).
-    /// Covers both pipeline phases — reduce and the bottom-up join with its
-    /// materialized output — across schema families and Zipf skew.
-    #[test]
-    fn morsel_sizes_match_sequential_and_reference(
-        family in 0usize..4,
-        shape in 0usize..4,
-        tuples in 1usize..32,
-        domain in 1i64..6,
-        skew_tenths in 0usize..16,
-        seed in 0u64..1_000,
-        threads in 2usize..6,
-        pick in 0usize..64,
-    ) {
-        let db = db_for_skewed(family, shape, tuples, domain, skew_tenths as f64 / 10.0, seed);
-        let tree = join_tree(db.schema()).expect("generator schemas are acyclic");
-        let output: NodeSet = db
-            .schema()
-            .nodes()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| pick & (1 << (i % 6)) != 0)
-            .map(|(_, n)| n)
-            .collect();
-        let sequential = ExecPolicy::sequential(JoinStrategy::Hash);
-        let reduced = full_reduce_with(&db, &tree, &sequential);
-        let joined = yannakakis_join_with(&db, &tree, &output, &sequential);
-        for morsel_rows in [1usize, 3, DEFAULT_MORSEL_ROWS, usize::MAX / 2] {
-            let policy = ExecPolicy {
-                morsel_rows,
-                ..ExecPolicy::parallel(JoinStrategy::Hash, threads)
-            };
-            let r = full_reduce_with(&db, &tree, &policy);
-            prop_assert_eq!(&reduced.removed, &r.removed,
-                "removed counts diverged at morsel_rows={}", morsel_rows);
-            for (s, p) in reduced.relations.iter().zip(&r.relations) {
-                prop_assert!(s.same_contents(p),
-                    "morsel reducer diverged at morsel_rows={morsel_rows}");
-            }
-            let j = yannakakis_join_with(&db, &tree, &output, &policy);
-            prop_assert!(joined.same_contents(&j),
-                "morsel join diverged at morsel_rows={morsel_rows}");
-        }
-        let (naive_rels, naive_removed) = naive_full_reduce(&db, &tree);
-        prop_assert_eq!(&reduced.removed, &naive_removed, "reduce diverged from oracle");
-        for (n, s) in naive_rels.iter().zip(&reduced.relations) {
-            prop_assert!(n.agrees_with(s), "reduced contents diverged from oracle");
-        }
-        let slow = naive_yannakakis_join(&db, &tree, &output);
-        prop_assert!(slow.agrees_with(&joined), "join diverged from oracle");
-    }
-
     /// The full Yannakakis pipeline agrees with the reference under every
-    /// policy combination (strategy × parallelism) on skewed data.
+    /// strategy on Zipf-skewed data and random projections.
     #[test]
     fn yannakakis_policies_match_reference_on_skewed_data(
         family in 0usize..4,
@@ -459,11 +387,7 @@ proptest! {
             .map(|(_, n)| n)
             .collect();
         let slow = naive_yannakakis_join(&db, &tree, &output);
-        for policy in [
-            ExecPolicy::sequential(JoinStrategy::SortMerge),
-            ExecPolicy::sequential(JoinStrategy::Auto),
-            ExecPolicy::parallel(JoinStrategy::Auto, 3),
-        ] {
+        for policy in STRATEGIES.map(ExecPolicy::sequential) {
             let fast = yannakakis_join_with(&db, &tree, &output, &policy);
             prop_assert!(slow.agrees_with(&fast), "yannakakis diverged under {:?}", policy);
         }
@@ -690,10 +614,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Join kernels emit without re-deduplicating, so the set property is
-    /// checked where it is produced: under every strategy, inline and
-    /// through a 2-worker lease with morsels small enough to engage the
-    /// morsel probe, a join's rows are pairwise distinct and are the
-    /// reference's — over 0–3 shared columns (0 = cross product), operands
+    /// checked where it is produced: under every strategy a join's rows are
+    /// pairwise distinct and are the reference's — over 0–3 shared columns (0 = cross product), operands
     /// with one schema (join = intersection), empty and zero-width sides,
     /// and a right operand in an unrelated pool holding values the left has
     /// never seen.  An insert into the output afterwards still deduplicates,
@@ -718,21 +640,10 @@ proptest! {
             seed,
         );
         let want = NaiveRelation::from_relation(&left).join(&NaiveRelation::from_relation(&right));
-        let lease = WorkerPool::lease(2);
         for strategy in STRATEGIES {
-            let inline = left.join_with(&right, strategy);
-            prop_assert!(is_the_set(&want, &inline), "{strategy:?} inline join");
-            let policy = ExecPolicy {
-                morsel_rows: 2,
-                ..ExecPolicy::parallel(strategy, 2)
-            };
-            let morsel = ExecCtx::new(&policy)
-                .join_on_lease(&left, &right, &lease)
-                .expect("the no-op governor never aborts");
-            prop_assert!(is_the_set(&want, &morsel), "{strategy:?} morsel join");
-            prop_assert_eq!(inline.handle_rows(), morsel.handle_rows(), "{:?} row order", strategy);
+            let mut out = left.join_with(&right, strategy);
+            prop_assert!(is_the_set(&want, &out), "{strategy:?} join");
 
-            let mut out = inline;
             if out.is_empty() || out.columns().is_empty() {
                 continue;
             }
@@ -751,8 +662,7 @@ proptest! {
     /// The pipeline's projections: with every attribute in the output each
     /// one is the identity (rows move, nothing is hashed); with a far-apart
     /// pair each one drops a column (and must deduplicate).  Either way the
-    /// answer is a set and the reference's, sequentially under each
-    /// strategy and on two workers with two-row morsels.
+    /// answer is a set and the reference's under each strategy.
     #[test]
     fn yannakakis_answers_are_sets_equal_to_the_reference(
         family in 0usize..4,
@@ -764,12 +674,7 @@ proptest! {
         let db = db_for(family, shape, tuples, domain, seed);
         let tree = join_tree(db.schema()).expect("generator schemas are acyclic");
         let (all, ends) = (db.schema().nodes(), far_apart(db.schema()));
-        let policies = STRATEGIES.map(ExecPolicy::sequential).into_iter().chain([ExecPolicy {
-            morsel_rows: 2,
-            parallel_threshold: 0,
-            ..ExecPolicy::parallel(JoinStrategy::Auto, 2)
-        }]);
-        for policy in policies {
+        for policy in STRATEGIES.map(ExecPolicy::sequential) {
             for output in [&all, &ends] {
                 let want = naive_yannakakis_join(&db, &tree, output);
                 let got = yannakakis_join_with(&db, &tree, output, &policy);
@@ -794,7 +699,6 @@ proptest! {
         tuples in 1usize..20,
         domain in 1i64..5,
         seed in 0u64..1_000,
-        threads in 1usize..3,
     ) {
         let schema = match family {
             0 => ring(3 + shape),
@@ -807,11 +711,7 @@ proptest! {
             seed,
         );
         let d = decompose(db.schema(), Heuristic::MinFill).expect("nonempty schema");
-        let policy = ExecPolicy {
-            morsel_rows: 2,
-            parallel_threshold: 0,
-            ..ExecPolicy::parallel(JoinStrategy::Auto, threads)
-        };
+        let policy = ExecPolicy::default();
         let watch = BagWidthWatch::default();
         let bag_db = ExecCtx::new(&policy)
             .gov(&watch)

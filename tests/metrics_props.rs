@@ -16,13 +16,12 @@
 //! pinned strategy never resolves to another kernel.
 
 use acyclic_hypergraphs::acyclic::join_tree;
-use acyclic_hypergraphs::decomp::{decompose, Heuristic};
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::{
-    full_reduce, query_yannakakis, yannakakis_join_decomposed, CollectingSink, Database, ExecCtx,
-    ExecPolicy, JoinStrategy, QueryMetrics,
+    full_reduce, query_yannakakis, CollectingSink, Database, ExecCtx, ExecPolicy, JoinStrategy,
+    QueryMetrics,
 };
-use acyclic_hypergraphs::workload::{chain, random_database, ring, snowflake, star, DataParams};
+use acyclic_hypergraphs::workload::{chain, random_database, snowflake, star, DataParams};
 use proptest::prelude::*;
 
 /// One of the acyclic benchmark schema families, scaled by `shape`.
@@ -196,71 +195,6 @@ proptest! {
                 prop_assert!(!m.levels.is_empty(), "no level timings recorded");
                 prop_assert!(m.levels.iter().any(|l| l.jobs > 0));
             }
-            prop_assert!(!m.leases.is_empty(), "the reducer leases workers exactly once");
         }
-    }
-}
-
-/// Regression for the carried-over lease item: the decomposed cyclic
-/// pipeline — bag materialization, both reducer passes and the bottom-up
-/// join — acquires **one** worker lease per query.  It used to lease once
-/// per phase (materialize, then reduce+join), doubling pool traffic and
-/// letting a concurrent query steal workers between the phases.
-#[test]
-fn decomposed_pipeline_leases_workers_exactly_once() {
-    let schema = ring(5);
-    let db = random_database(
-        &schema,
-        DataParams {
-            tuples_per_relation: 48,
-            domain: 8,
-            skew: 0.0,
-            key_cap: 0,
-        },
-        7,
-    );
-    let d = decompose(db.schema(), Heuristic::MinFill).expect("rings are nonempty");
-    let output: NodeSet = db.schema().nodes().iter().collect();
-    let mut policies = vec![
-        ExecPolicy::sequential(JoinStrategy::Hash),
-        ExecPolicy::parallel(JoinStrategy::Auto, 2),
-    ];
-    // A pooled lease too: drop the threshold so 240 tuples go parallel.
-    let mut pooled = ExecPolicy::parallel(JoinStrategy::Hash, 2);
-    pooled.parallel_threshold = 1;
-    policies.push(pooled);
-    for policy in policies {
-        let sink = CollectingSink::new();
-        let got = ExecCtx::new(&policy)
-            .metrics(&sink)
-            .yannakakis_join_decomposed(&db, &d, &output)
-            .expect("nobody can abort");
-        let want = yannakakis_join_decomposed(&db, &d, &output, &ExecPolicy::default());
-        assert!(got.same_contents(&want), "lease sharing changed the answer");
-        let m = sink.snapshot();
-        assert_eq!(
-            m.leases.len(),
-            1,
-            "decomposed pipeline must lease exactly once (threads={})",
-            policy.threads
-        );
-    }
-}
-
-/// The acyclic pipeline held this invariant already — keep it pinned.
-#[test]
-fn acyclic_pipeline_leases_workers_exactly_once() {
-    let db = db_for(0, 2, 20, 4, 11);
-    let x: NodeSet = db.schema().nodes().iter().collect();
-    for policy in [
-        ExecPolicy::sequential(JoinStrategy::Hash),
-        ExecPolicy::parallel(JoinStrategy::Auto, 2),
-    ] {
-        let sink = CollectingSink::new();
-        ExecCtx::new(&policy)
-            .metrics(&sink)
-            .query_yannakakis(&db, &x)
-            .expect("full output is joinable");
-        assert_eq!(sink.snapshot().leases.len(), 1);
     }
 }

@@ -33,7 +33,6 @@ fn arb_overrides(bits: u64, a: u64, b: u64) -> Overrides {
             2 => Some(JoinStrategy::SortMerge),
             _ => Some(JoinStrategy::Auto),
         },
-        threads: (bits & 0b100 != 0).then_some(a % 9),
         timeout_ms: (bits & 0b1000 != 0).then_some(b % 10_000),
         mem_budget_mb: (bits & 0b1_0000 != 0).then_some(1 + a % 512),
         metrics: (bits & 0b10_0000 != 0).then_some(bits & 0b100_0000 != 0),
@@ -476,7 +475,7 @@ fn fault_injection_requests_are_refused_without_the_feature() {
 // --------------------------------------------------------------- metrics
 
 /// A metrics document without what differs from run to run: each level's
-/// wall clock and the pool's lease records (occupancy of a shared pool).
+/// wall clock.
 fn without_clocks(doc: &Json) -> Json {
     let Json::Obj(members) = doc else {
         panic!("a metrics document is an object: {doc}");
@@ -497,7 +496,6 @@ fn without_clocks(doc: &Json) -> Json {
                     })
                     .collect(),
             ),
-            "pool" => Json::Null,
             _ => value.clone(),
         };
         (name.clone(), value)
@@ -541,6 +539,27 @@ fn a_served_metrics_member_is_the_document_the_cli_prints() {
     assert_eq!(without_clocks(&served), without_clocks(&printed));
     let semijoins = served.get("semijoin").and_then(|s| s.get("ops"));
     assert!(semijoins.and_then(Json::as_u64) > Some(0), "{served}");
+    shut_down(handle);
+}
+
+/// A request that still carries the retired `"threads"` member parses to
+/// the same request as one without it, and is answered with the same frame
+/// once the trace ids are stripped.
+#[test]
+fn a_retired_threads_member_is_ignored() {
+    let (handle, _db) = tiny_server();
+    let mut c = Client::connect(handle.addr());
+    let plain = all_attrs_query();
+    let with_threads = plain.replacen("{", "{\"threads\":2,", 1);
+    assert!(with_threads.contains("\"threads\":2"), "{with_threads}");
+    assert_eq!(parse_request(&with_threads), parse_request(&plain));
+    let mut answer = |line: &str| {
+        c.send_raw(format!("{line}\n").as_bytes());
+        without_trace(&c.read_line())
+    };
+    let want = answer(&plain);
+    assert!(want.contains("\"op\":\"answer\""), "{want}");
+    assert_eq!(answer(&with_threads), want);
     shut_down(handle);
 }
 
