@@ -9,7 +9,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`json`] | dependency-free JSON value, parser and serializer |
-//! | [`protocol`] | typed request/response frames, canonical (round-tripping) serialization, the engine vocabulary and the error-kind → exit-code contract, and the JSON documents of `reldb`'s metrics and span reports — every wire rendering |
+//! | [`protocol`] | typed request/response frames, canonical (round-tripping) serialization, the engine vocabulary and the error-kind → exit-code contract, and the JSON document of `reldb`'s metrics report — every wire rendering |
 //! | [`load`] | the text schema/data parsers and snapshot loading, shared with the `hyperq` CLI |
 //! | [`stats`] | server telemetry: log-bucketed latency [`stats::Histogram`]s, the atomic [`stats::StatsRegistry`], canonical JSON snapshots and Prometheus-style exposition |
 //! | [`server`] | the TCP server: thread-per-connection, per-request [`reldb::QueryGovernor`]s, each query on its connection's thread, prepared queries, per-query trace ids, a slow-query log, graceful shutdown |

@@ -20,8 +20,8 @@ OPTIONS:
                      edge-list file and a data file (text tuples or a
                      snapshot, sniffed by magic)
     --slow-ms N      arm the slow-query log: queries taking >= N ms write
-                     one JSON line (trace id, stage spans, outcome) to
-                     stderr; queries run traced while armed
+                     one JSON line (trace id, outcome, metrics with stage
+                     timings) to stderr; queries run metered while armed
     -h, --help       print this help
 
 PROTOCOL:

@@ -42,7 +42,7 @@
 
 use crate::json::{into_text, obj, parse as parse_json, write_escaped, Json, INFALLIBLE};
 use reldb::metrics::OpAgg;
-use reldb::{EngineError, JoinStrategy, QueryMetrics, Span, TraceReport};
+use reldb::{EngineError, JoinStrategy, QueryMetrics};
 use std::io::Write as _;
 
 /// Hard cap on one protocol line, terminator included.  A peer that sends
@@ -803,7 +803,6 @@ pub fn metrics_json(m: &QueryMetrics) -> Json {
         obj([
             ("phase", Json::str(l.phase.label())),
             ("level", int(l.level as u64)),
-            ("jobs", int(l.jobs as u64)),
             ("nanos", int(l.nanos)),
         ])
     });
@@ -831,26 +830,6 @@ pub fn metrics_json(m: &QueryMetrics) -> Json {
         ("decomp_cache", cache),
         ("decomposition", decomposition),
     ])
-}
-
-/// The span forest of a [`TraceReport`] as a JSON array — the `spans`
-/// member of a slow-query log line: span names from
-/// [`reldb::SpanKind::as_str`], durations in whole microseconds, `children`
-/// only where there are any, e.g.
-/// `[{"span":"join","us":184,"children":[…]}]`.
-pub fn spans_json(report: &TraceReport) -> Json {
-    fn span(s: &Span) -> Json {
-        let mut pairs = vec![
-            ("span".to_owned(), Json::str(s.kind.as_str())),
-            ("us".to_owned(), Json::Int((s.nanos / 1_000) as i64)),
-        ];
-        if !s.children.is_empty() {
-            let children = s.children.iter().map(span).collect();
-            pairs.push(("children".to_owned(), Json::Arr(children)));
-        }
-        Json::Obj(pairs)
-    }
-    Json::Arr(report.roots.iter().map(span).collect())
 }
 
 /// Renders a response as one canonical protocol line (no trailing newline).
@@ -1079,7 +1058,7 @@ pub fn parse_response(line: &str) -> Result<Response, WireError> {
 mod tests {
     use super::*;
     use reldb::metrics::{Kernel, OpKind, OpMetrics};
-    use reldb::{CollectingSink, MetricsSink, Phase, SpanKind};
+    use reldb::{CollectingSink, MetricsSink, Phase};
 
     #[test]
     fn request_frames_round_trip() {
@@ -1206,7 +1185,7 @@ mod tests {
         let bag = "B0\"B1\\\n";
         let sink = CollectingSink::new();
         sink.record_op(op(OpKind::Semijoin, 10, 7, Some(1.0 / 3.0)));
-        sink.record_level(Phase::ReduceUp, 1, 2, 1234);
+        sink.record_level(Phase::ReduceUp, 1, 1234);
         sink.record_bag(bag, 42);
         sink.record_index_rebuilds(1);
         sink.record_widths(2, 3, "min-fill");
@@ -1240,7 +1219,6 @@ mod tests {
             ("semijoin.distinct_ratio.max", Json::Float(0.333333)),
             ("levels.0.phase", Json::str("reduce-up")),
             ("levels.0.level", Json::Int(1)),
-            ("levels.0.jobs", Json::Int(2)),
             ("levels.0.nanos", Json::Int(1234)),
             ("bags.0.name", Json::str(bag)),
             ("bags.0.rows", Json::Int(42)),
@@ -1268,27 +1246,6 @@ mod tests {
         ] {
             assert_eq!(at(&doc, path), &Json::Null, "{path}");
         }
-    }
-
-    #[test]
-    fn trace_report_renders_canonical_json() {
-        let report = TraceReport {
-            roots: vec![Span {
-                kind: SpanKind::Join,
-                nanos: 184_000,
-                children: vec![Span {
-                    kind: SpanKind::ReduceUp,
-                    nanos: 41_500,
-                    children: Vec::new(),
-                }],
-            }],
-        };
-        assert_eq!(
-            spans_json(&report).to_string(),
-            "[{\"span\":\"join\",\"us\":184,\"children\":[{\"span\":\"reduce-up\",\"us\":41}]}]"
-        );
-        assert_eq!(report.total_nanos(), 184_000);
-        assert_eq!(spans_json(&TraceReport::default()), Json::Arr(Vec::new()));
     }
 
     #[test]

@@ -37,24 +37,27 @@
 //! [`StatsRegistry`] counts requests by op, queries by engine and outcome,
 //! bytes in/out and in-flight queries, and buckets server-side latency;
 //! the `stats` op snapshots it.  When the slow-query log is armed
-//! ([`ServerConfig::slow_ms`]), queries run their engine under a
-//! [`reldb::CollectingTracer`] — otherwise their [`reldb::ExecCtx`] keeps
-//! its [`reldb::NoopTrace`] default, so tracing costs nothing when off —
-//! and any query at or over the threshold writes one
-//! JSON line to stderr with its trace id, stage spans and outcome.
+//! ([`ServerConfig::slow_ms`]), every query runs metered, under the
+//! [`reldb::CollectingSink`] a `"metrics":true` request gets — otherwise
+//! its [`reldb::ExecCtx`] keeps the [`reldb::NoopMetrics`] default, so
+//! metering costs nothing when off — and any query at or over the
+//! threshold writes one JSON line to stderr with its trace id, outcome and
+//! metrics document, whose `levels` run from the request's `parse` through
+//! the engine's stages to the answer's `serialize`.
 
 use crate::json::{self, Json};
 use crate::load::{load_source, DbSource};
 use crate::protocol::{
-    metrics_json, parse_request, render_response_into, spans_json, DbInfo, EngineKind, ErrorKind,
-    Overrides, QuerySpec, Request, Response, Rows, WireError, MAX_LINE,
+    metrics_json, parse_request, render_response_into, DbInfo, EngineKind, ErrorKind, Overrides,
+    QuerySpec, Request, Response, Rows, WireError, MAX_LINE,
 };
 use crate::rank::rank_cells;
 use crate::stats::StatsRegistry;
 use hypergraph::NodeSet;
+use reldb::metrics::{timed, LevelTiming};
 use reldb::{
-    CancelToken, CollectingSink, CollectingTracer, Database, EngineError, ExecCtx, ExecPolicy,
-    Governor, MetricsSink, QueryGovernor, Relation, Span, SpanKind, TraceReport, TraceSink,
+    CancelToken, CollectingSink, Database, EngineError, ExecCtx, ExecPolicy, Governor, MetricsSink,
+    Phase, QueryGovernor, QueryMetrics, Relation,
 };
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -87,9 +90,9 @@ pub struct ServerConfig {
     /// The served databases, by name.
     pub databases: Vec<(String, DbSource)>,
     /// Arms the slow-query log: queries taking at least this many
-    /// milliseconds log one JSON line to stderr (and run traced, so the
-    /// line carries per-stage spans).  `None` disables both the log and
-    /// the tracing overhead.
+    /// milliseconds log one JSON line to stderr (and every query runs
+    /// metered, so the line carries its metrics document).  `None` disables
+    /// both the log and the metering overhead.
     pub slow_ms: Option<u64>,
 }
 
@@ -115,7 +118,7 @@ struct State {
     queries: AtomicU64,
     stats: StatsRegistry,
     next_trace: AtomicU64,
-    /// Slow-query threshold in milliseconds; 0 = log (and tracing) off.
+    /// Slow-query threshold in milliseconds; 0 = log (and metering) off.
     slow_ms: AtomicU64,
 }
 
@@ -251,8 +254,8 @@ impl Server {
     }
 
     /// Arms the slow-query log at `ms` milliseconds (0 disarms it).  While
-    /// armed, queries execute under a [`CollectingTracer`] so logged lines
-    /// carry per-stage spans; disarmed servers run the untraced pipelines.
+    /// armed, queries execute under a [`CollectingSink`] so logged lines
+    /// carry their metrics; disarmed servers run the unmetered pipelines.
     pub fn set_slow_ms(&self, ms: u64) {
         self.state.slow_ms.store(ms, Ordering::Relaxed);
     }
@@ -681,11 +684,11 @@ fn governor_for(state: &State, o: &Overrides, started: Instant) -> QueryGovernor
 /// produced after the deadline still counts as a timeout: the caller asked
 /// for an answer *within* its budget, so the outcome must not depend on
 /// which checkpoint happened to notice.
-pub fn run_engine<M: MetricsSink, G: Governor, T: TraceSink>(
+pub fn run_engine<M: MetricsSink, G: Governor>(
     db: &Database,
     engine: EngineKind,
     x: &NodeSet,
-    ctx: &ExecCtx<'_, M, G, T>,
+    ctx: &ExecCtx<'_, M, G>,
 ) -> Result<Relation, EngineError> {
     let answer = match engine {
         EngineKind::Yannakakis => ctx.query_yannakakis(db, x),
@@ -702,68 +705,77 @@ pub fn run_engine<M: MetricsSink, G: Governor, T: TraceSink>(
 fn execute(state: &State, spec: &QuerySpec, trace_id: &str, parse_nanos: u64) -> Response {
     let started = Instant::now();
     let slow_ms = state.slow_ms.load(Ordering::Relaxed);
-    let tracer = (slow_ms > 0).then(CollectingTracer::new);
+    let sink = (slow_ms > 0 || spec.overrides.metrics == Some(true)).then(CollectingSink::new);
     let engine = spec.engine.unwrap_or_default();
-    let (response, engine_reached, outcome) = execute_inner(state, spec, trace_id, tracer.as_ref());
+    let (response, engine_reached, outcome) = execute_inner(state, spec, trace_id, sink.as_ref());
     let elapsed = started.elapsed();
     state.stats.record_query(
         engine_reached.then_some(engine),
         outcome,
         elapsed.as_micros() as u64,
     );
-    if let Some(tracer) = &tracer {
-        let mut report = tracer.take();
-        if slow_ms > 0 && elapsed.as_millis() as u64 >= slow_ms {
-            report.roots.insert(
-                0,
-                Span {
-                    kind: SpanKind::Parse,
-                    nanos: parse_nanos,
-                    children: Vec::new(),
-                },
-            );
-            log_slow_query(state, spec, trace_id, engine, &elapsed, outcome, &report);
-        }
+    if let Some(sink) = sink.filter(|_| slow_ms > 0 && elapsed.as_millis() as u64 >= slow_ms) {
+        state.stats.record_slow();
+        let line = slow_query_line(
+            spec,
+            trace_id,
+            outcome,
+            elapsed,
+            parse_nanos,
+            sink.snapshot(),
+        );
+        eprintln!("{line}");
     }
     response
 }
 
-/// One structured slow-query line on stderr: trace id, query shape,
-/// outcome and the span tree.
-fn log_slow_query(
-    state: &State,
+/// The slow-query log line of one query: trace id, query shape, outcome,
+/// and its metrics document with the request's `parse` entry put before
+/// the engine's stages (the answer's `serialize` entry, when one was
+/// rendered, is already the last).
+fn slow_query_line(
     spec: &QuerySpec,
     trace_id: &str,
-    engine: EngineKind,
-    elapsed: &Duration,
     outcome: Result<(), ErrorKind>,
-    report: &TraceReport,
-) {
-    state.stats.record_slow();
+    elapsed: Duration,
+    parse_nanos: u64,
+    mut metrics: QueryMetrics,
+) -> Json {
+    let parse = LevelTiming {
+        phase: Phase::Parse,
+        level: 0,
+        nanos: parse_nanos,
+    };
+    metrics.levels.insert(0, parse);
     let outcome_label = match outcome {
         Ok(()) => "ok",
         Err(k) => k.as_str(),
     };
     let select = spec.select.iter().map(Json::str).collect();
-    let line = json::obj([
+    json::obj([
         ("slow_query", Json::str(trace_id)),
         ("db", Json::str(&spec.db)),
         ("select", Json::Arr(select)),
-        ("engine", Json::str(engine.as_str())),
+        (
+            "engine",
+            Json::str(spec.engine.unwrap_or_default().as_str()),
+        ),
         ("outcome", Json::str(outcome_label)),
         ("elapsed_us", Json::Int(elapsed.as_micros() as i64)),
-        ("spans", spans_json(report)),
-    ]);
-    eprintln!("{line}");
+        ("metrics", metrics_json(&metrics)),
+    ])
 }
 
 /// The engine-dispatch half of [`execute`]: returns the response plus what
 /// the registry should record (whether an engine ran, and the outcome).
+/// A present `sink` meters the engine and times the answer's
+/// serialization; the response carries its report only when the request
+/// asked for metrics.
 fn execute_inner(
     state: &State,
     spec: &QuerySpec,
     trace_id: &str,
-    tracer: Option<&CollectingTracer>,
+    sink: Option<&CollectingSink>,
 ) -> (Response, bool, Result<(), ErrorKind>) {
     let db = match state.dbs.get(&spec.db) {
         Some(db) => Arc::clone(db),
@@ -804,24 +816,19 @@ fn execute_inner(
         );
     }
 
-    let sink = want_metrics.then(CollectingSink::new);
     let run = || -> Result<Relation, WireError> {
         let x = db
             .attributes(spec.select.iter().map(String::as_str))
             .map_err(|e| WireError::new(ErrorKind::Schema, format!("bad select: {e}")))?;
         let engine = spec.engine.unwrap_or_default();
-        // The sinks are optional per request but static per call: attach
-        // whichever are present to the governed context.
+        // The sink is optional per request but static per call: attach it,
+        // when present, to the governed context.
         macro_rules! with_gov {
             ($gov:expr) => {{
                 let ctx = ExecCtx::new(&policy).gov($gov);
-                match (&sink, tracer) {
-                    (Some(sink), Some(t)) => {
-                        run_engine(&db, engine, &x, &ctx.metrics(sink).trace(t))
-                    }
-                    (Some(sink), None) => run_engine(&db, engine, &x, &ctx.metrics(sink)),
-                    (None, Some(t)) => run_engine(&db, engine, &x, &ctx.trace(t)),
-                    (None, None) => run_engine(&db, engine, &x, &ctx),
+                match sink {
+                    Some(sink) => run_engine(&db, engine, &x, &ctx.metrics(sink)),
+                    None => run_engine(&db, engine, &x, &ctx),
                 }
                 .map_err(WireError::from)
             }};
@@ -841,7 +848,9 @@ fn execute_inner(
     };
 
     let result = run();
-    let metrics = sink.map(|s| metrics_json(&s.snapshot()));
+    let metrics = sink
+        .filter(|_| want_metrics)
+        .map(|s| metrics_json(&s.snapshot()));
 
     match result {
         Err(e) => {
@@ -850,8 +859,8 @@ fn execute_inner(
         }
         Ok(answer) => {
             let serialize = || answer_frame(&db, &answer, metrics);
-            let mut resp = match tracer {
-                Some(t) => reldb::trace::with_span(t, SpanKind::Serialize, serialize),
+            let mut resp = match sink {
+                Some(s) => timed(s, Phase::Serialize, 0, serialize),
                 None => serialize(),
             };
             if let Response::Answer { trace, .. } = &mut resp {
@@ -900,5 +909,72 @@ pub fn answer_frame(db: &Database, answer: &Relation, metrics: Option<json::Json
         rows: Rows::from_parts(width, len, cells, ranked, order),
         metrics,
         trace: None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hypergraph::{EdgeId, Hypergraph};
+
+    #[test]
+    fn slow_query_line_wraps_the_engine_stages_in_parse_and_serialize() {
+        let schema = Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"]]).unwrap();
+        let mut db = Database::empty(schema);
+        db.insert_values(EdgeId(0), [1, 2]);
+        db.insert_values(EdgeId(1), [2, 3]);
+        let x = db.attributes(["A", "C"]).unwrap();
+        let (policy, sink) = (ExecPolicy::default(), CollectingSink::new());
+        let ctx = ExecCtx::new(&policy).metrics(&sink);
+        let answer = run_engine(&db, EngineKind::Yannakakis, &x, &ctx).unwrap();
+        timed(&sink, Phase::Serialize, 0, || {
+            answer_frame(&db, &answer, None)
+        });
+
+        let spec = QuerySpec {
+            db: "say \"big\"".into(),
+            select: vec!["A".into(), "C".into()],
+            engine: None,
+            overrides: Overrides::default(),
+        };
+        let elapsed = Duration::from_micros(1500);
+        let line = slow_query_line(&spec, "q-000007", Ok(()), elapsed, 4_000, sink.snapshot());
+        let text = line.to_string();
+        assert!(text.contains(r#""db":"say \"big\"""#), "{text}");
+        assert_eq!(json::parse(&text).unwrap(), line);
+        for (member, want) in [
+            ("slow_query", Json::str("q-000007")),
+            ("engine", Json::str("yannakakis")),
+            ("outcome", Json::str("ok")),
+            ("elapsed_us", Json::Int(1500)),
+        ] {
+            assert_eq!(line.get(member), Some(&want), "{member}");
+        }
+
+        let metrics = line.get("metrics").expect("a metrics member");
+        let levels = metrics.get("levels").and_then(Json::as_arr).unwrap();
+        let phase = |l: &Json| l.get("phase").and_then(Json::as_str).unwrap().to_owned();
+        let phases: Vec<String> = levels.iter().map(phase).collect();
+        assert_eq!(
+            phases.first().map(String::as_str),
+            Some("parse"),
+            "{phases:?}"
+        );
+        assert_eq!(levels[0].get("nanos"), Some(&Json::Int(4_000)));
+        assert_eq!(
+            phases.last().map(String::as_str),
+            Some("serialize"),
+            "{phases:?}"
+        );
+        let engine = &phases[1..phases.len() - 1];
+        for stage in ["reduce-up", "reduce-down", "join"] {
+            assert!(engine.iter().any(|p| p == stage), "{stage} in {phases:?}");
+        }
+        assert!(engine.iter().all(|p| p != "parse" && p != "serialize"));
+
+        let counter = |path: [&str; 2]| metrics.get(path[0]).and_then(|m| m.get(path[1]));
+        assert!(counter(["semijoin", "ops"]).and_then(Json::as_u64) > Some(0));
+        assert!(counter(["join", "probed"]).and_then(Json::as_u64) > Some(0));
+        assert!(metrics.get("decomposition").is_some() && metrics.get("bags").is_some());
     }
 }

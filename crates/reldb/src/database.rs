@@ -174,7 +174,7 @@ impl Database {
     }
 }
 
-impl<M: MetricsSink, G: Governor, T> ExecCtx<'_, M, G, T> {
+impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// The natural join of *all* of `db`'s relations, folded in schema-edge
     /// order: each binary join runs under the policy, records into the
     /// metrics sink, and is checkpointed against the governor with its

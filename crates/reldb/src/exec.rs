@@ -11,15 +11,14 @@
 //! construction, so sampled key duplication measures genuine key skew).
 //!
 //! [`ExecPolicy`] carries the strategy.  [`ExecCtx`] is what a pipeline
-//! actually runs under: the policy plus the three instrumentation sinks
-//! (metrics, governance, trace spans).  Every pipeline has exactly one
-//! generic entry point, a method on it, and runs on the calling thread:
-//! `hyperqd` gives each connection a thread, so queries run side by side
-//! and none of them splits across threads.
+//! actually runs under: the policy plus the two instrumentation sinks —
+//! metrics (counters and stage clocks alike) and governance.  Every pipeline
+//! has exactly one generic entry point, a method on it, and runs on the
+//! calling thread: `hyperqd` gives each connection a thread, so queries run
+//! side by side and none of them splits across threads.
 
 use crate::govern::NoopGovernor;
 use crate::metrics::NoopMetrics;
-use crate::trace::NoopTrace;
 
 /// Which physical join/semijoin kernel to run.
 ///
@@ -162,10 +161,10 @@ impl ExecPolicy {
     }
 }
 
-/// What one engine call runs under: the [`ExecPolicy`] plus the three
-/// instrumentation sinks — [`MetricsSink`](crate::MetricsSink),
-/// [`Governor`](crate::Governor), and [`TraceSink`](crate::TraceSink) — and
-/// nothing else.
+/// What one engine call runs under: the [`ExecPolicy`] plus the two
+/// instrumentation sinks — [`MetricsSink`](crate::MetricsSink), which
+/// records what each stage did and how long it took, and
+/// [`Governor`](crate::Governor) — and nothing else.
 ///
 /// Every pipeline has exactly **one** generic entry point, a method on this
 /// type defined next to the pipeline it runs (the query engines, the
@@ -174,8 +173,8 @@ impl ExecPolicy {
 /// who is watching is a property of the context, not of a function name.
 ///
 /// The context borrows everything and is `Copy`.  [`ExecCtx::new`] starts
-/// with the three zero-sized no-op sinks and each builder call swaps one type
-/// parameter, so an entry point is monomorphized per sink combination and
+/// with the two zero-sized no-op sinks and each of [`ExecCtx::metrics`] /
+/// [`ExecCtx::gov`] swaps one type parameter, so an entry point is monomorphized per sink combination and
 /// the all-no-op context compiles every hook away: the plain wrappers
 /// ([`full_reduce`](crate::full_reduce()), [`Relation::join`](crate::Relation::join)…)
 /// are the same code under `ExecCtx::new(&policy)` — one engine, not two.
@@ -183,7 +182,7 @@ impl ExecPolicy {
 /// # Examples
 ///
 /// ```
-/// # use reldb::{CollectingSink, CollectingTracer, Database, ExecCtx, ExecPolicy, QueryGovernor};
+/// # use reldb::{CollectingSink, Database, ExecCtx, ExecPolicy, Phase, QueryGovernor};
 /// # use hypergraph::{EdgeId, Hypergraph};
 /// # let mut db = Database::empty(Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"]]).unwrap());
 /// # db.insert_values(EdgeId(0), [1, 2]);
@@ -193,32 +192,31 @@ impl ExecPolicy {
 /// let plain = ExecCtx::new(&policy).query_yannakakis(&db, &x)?;
 ///
 /// // The same call, with whichever sinks the caller wants attached.
-/// let (sink, gov, tracer) = (CollectingSink::new(), QueryGovernor::new(), CollectingTracer::new());
-/// let ctx = ExecCtx::new(&policy).metrics(&sink).gov(&gov).trace(&tracer);
+/// let (sink, gov) = (CollectingSink::new(), QueryGovernor::new());
+/// let ctx = ExecCtx::new(&policy).metrics(&sink).gov(&gov);
 /// assert!(ctx.query_yannakakis(&db, &x)?.same_contents(&plain));
-/// assert_eq!(sink.snapshot().semijoins.ops, 2);
-/// assert!(!tracer.take().roots.is_empty());
+/// let report = sink.snapshot();
+/// assert_eq!(report.semijoins.ops, 2);
+/// assert_eq!(report.levels.last().map(|l| l.phase), Some(Phase::Join));
 /// # Ok::<(), reldb::EngineError>(())
 /// ```
 #[derive(Debug)]
-pub struct ExecCtx<'a, M = NoopMetrics, G = NoopGovernor, T = NoopTrace> {
+pub struct ExecCtx<'a, M = NoopMetrics, G = NoopGovernor> {
     /// The join strategy.
     pub policy: &'a ExecPolicy,
-    /// Where kernels and drivers record what they did.
+    /// Where kernels and stages record what they did and how long it took.
     pub metrics: &'a M,
     /// Who may abort the call: cancellation, deadline, memory budget.
     pub gov: &'a G,
-    /// Where pipeline stages report their wall-clock spans.
-    pub trace: &'a T,
 }
 
-impl<M, G, T> Clone for ExecCtx<'_, M, G, T> {
+impl<M, G> Clone for ExecCtx<'_, M, G> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<M, G, T> Copy for ExecCtx<'_, M, G, T> {}
+impl<M, G> Copy for ExecCtx<'_, M, G> {}
 
 impl<'a> ExecCtx<'a> {
     /// A context that runs under `policy` with nobody watching.
@@ -227,39 +225,26 @@ impl<'a> ExecCtx<'a> {
             policy,
             metrics: &NoopMetrics,
             gov: &NoopGovernor,
-            trace: &NoopTrace,
         }
     }
 }
 
-impl<'a, M, G, T> ExecCtx<'a, M, G, T> {
+impl<'a, M, G> ExecCtx<'a, M, G> {
     /// The same context recording into `metrics`.
-    pub fn metrics<M2>(self, metrics: &'a M2) -> ExecCtx<'a, M2, G, T> {
+    pub fn metrics<M2>(self, metrics: &'a M2) -> ExecCtx<'a, M2, G> {
         ExecCtx {
             policy: self.policy,
             metrics,
             gov: self.gov,
-            trace: self.trace,
         }
     }
 
     /// The same context checkpointed against `gov`.
-    pub fn gov<G2>(self, gov: &'a G2) -> ExecCtx<'a, M, G2, T> {
+    pub fn gov<G2>(self, gov: &'a G2) -> ExecCtx<'a, M, G2> {
         ExecCtx {
             policy: self.policy,
             metrics: self.metrics,
             gov,
-            trace: self.trace,
-        }
-    }
-
-    /// The same context reporting its stage spans into `trace`.
-    pub fn trace<T2>(self, trace: &'a T2) -> ExecCtx<'a, M, G, T2> {
-        ExecCtx {
-            policy: self.policy,
-            metrics: self.metrics,
-            gov: self.gov,
-            trace,
         }
     }
 }

@@ -38,16 +38,14 @@
 use crate::database::Database;
 use crate::exec::{ExecCtx, ExecPolicy};
 use crate::govern::{contain_panics, unfail, EngineError, Governor};
-use crate::metrics::{MetricsSink, Phase};
+use crate::metrics::{timed, MetricsSink, Phase};
 use crate::relation::Relation;
-use crate::trace::{with_span, NoopTrace, SpanKind, TraceSink};
 use acyclic::join_tree;
 use decomp::{decompose, Decomposition, Heuristic};
 use hypergraph::{Edge, Hypergraph, NodeSet};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 /// Trims one bag-cover input to the bag: relations already inside the bag
 /// pass through (borrowed); overlapping extras and child bags are projected
@@ -146,30 +144,58 @@ fn join_cover<'a, M: MetricsSink, G: Governor>(
     Ok(rel)
 }
 
-impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
+impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// Materializes every bag of `d` against `db`, producing a database over
     /// the bag hypergraph.
     ///
-    /// Bags build one at a time, children first: each bag joins its cover
-    /// with its children's separator messages (module docs), so every bag
-    /// is a subset of its cover's join and still a superset of the full
-    /// join's projection onto it.
+    /// Walks the bag tree bottom-up, one bag at a time.  A bag's join inputs
+    /// are its cover relations trimmed to the bag plus, for each child (built
+    /// already), the child's *message*: the child bag projected onto the
+    /// separator `child ∩ bag`.  The message's attributes lie inside the bag,
+    /// so it only filters — the bag shrinks, never grows — and it still
+    /// contains the full join's projection onto the separator, so nothing the
+    /// answer needs is lost.  Every bag is therefore a subset of its cover's
+    /// join and still a superset of the full join's projection onto it.
     ///
     /// The metrics sink receives each bag's materialized size (in bag-index
     /// order), the per-bag join ops and one [`Phase::Materialize`] wall
-    /// timing; the governor is consulted once before each bag, in build
-    /// order, and charged for every materialized bag relation plus the join
-    /// kernels' intermediate output batches; the tracer brackets the whole
-    /// bag pass in one [`SpanKind::Materialize`] span.  An abort surfaces as
-    /// `Err(EngineError)` and leaves `db` untouched: materialization only
-    /// reads the original relations.
+    /// timing, recorded even when the pass aborts; the governor is consulted
+    /// once before each bag, in build order, and charged for every
+    /// materialized bag relation plus the join kernels' intermediate output
+    /// batches.  An abort surfaces as `Err(EngineError)` and leaves `db`
+    /// untouched: materialization only reads the original relations.
     pub fn materialize_bags(
         &self,
         db: &Database,
         d: &Decomposition,
     ) -> Result<Database, EngineError> {
-        with_span(self.trace, SpanKind::Materialize, || {
-            materialize_bags_body(&self.trace(&NoopTrace), db, d)
+        timed(self.metrics, Phase::Materialize, 0, || {
+            let tree = d.tree();
+            let mut built: Vec<Option<Relation>> = vec![None; d.bag_count()];
+            for bag in tree.bottom_up_order() {
+                let b = bag.index();
+                if G::ENABLED {
+                    self.gov.at_bag(b)?;
+                }
+                let bag_edge = &d.bags().edges()[b];
+                let cover = d.cover(b).map(|e| &db.relations()[e.index()]);
+                let messages = tree
+                    .children(bag)
+                    .iter()
+                    .map(|c| built[c.index()].as_ref().expect("children build first"));
+                let inputs = cover
+                    .chain(messages)
+                    .map(|r| trim_to_bag(r, &bag_edge.nodes));
+                let rel = join_cover(self, inputs, &bag_edge.nodes, &bag_edge.label)?;
+                built[b] = Some(rel);
+            }
+            let relations: Vec<Relation> = built.into_iter().flatten().collect();
+            if M::ENABLED {
+                for r in &relations {
+                    self.metrics.record_bag(r.name(), r.len() as u64);
+                }
+            }
+            Database::new(d.bags().clone(), relations).map_err(EngineError::from)
         })
     }
 
@@ -205,53 +231,6 @@ pub fn yannakakis_join_decomposed(
     policy: &ExecPolicy,
 ) -> Relation {
     unfail(ExecCtx::new(policy).yannakakis_join_decomposed(db, d, output))
-}
-
-/// The span-free materialization body behind [`ExecCtx::materialize_bags`]:
-/// nothing from here down is instantiated per tracer type.
-///
-/// Walks the bag tree bottom-up, one bag at a time.  A bag's join inputs
-/// are its cover relations trimmed to the bag plus, for each child (built
-/// already), the child's *message*: the child bag projected onto the
-/// separator `child ∩ bag`.  The message's attributes lie inside the bag,
-/// so it only filters — the bag shrinks, never grows — and it still
-/// contains the full join's projection onto the separator, so nothing the
-/// answer needs is lost.
-fn materialize_bags_body<M: MetricsSink, G: Governor>(
-    ctx: &ExecCtx<'_, M, G>,
-    db: &Database,
-    d: &Decomposition,
-) -> Result<Database, EngineError> {
-    let (sink, tree, nbags) = (ctx.metrics, d.tree(), d.bag_count());
-    let t0 = M::ENABLED.then(Instant::now);
-    let mut built: Vec<Option<Relation>> = vec![None; nbags];
-    for bag in tree.bottom_up_order() {
-        let b = bag.index();
-        if G::ENABLED {
-            ctx.gov.at_bag(b)?;
-        }
-        let bag_edge = &d.bags().edges()[b];
-        let cover = d.cover(b).map(|e| &db.relations()[e.index()]);
-        let messages = tree
-            .children(bag)
-            .iter()
-            .map(|c| built[c.index()].as_ref().expect("children build first"));
-        let inputs = cover
-            .chain(messages)
-            .map(|r| trim_to_bag(r, &bag_edge.nodes));
-        let rel = join_cover(ctx, inputs, &bag_edge.nodes, &bag_edge.label)?;
-        built[b] = Some(rel);
-    }
-    let relations: Vec<Relation> = built.into_iter().flatten().collect();
-    if M::ENABLED {
-        for r in &relations {
-            sink.record_bag(r.name(), r.len() as u64);
-        }
-        if let Some(t0) = t0 {
-            sink.record_level(Phase::Materialize, 0, nbags, t0.elapsed().as_nanos() as u64);
-        }
-    }
-    Database::new(d.bags().clone(), relations).map_err(EngineError::from)
 }
 
 /// Both heuristics' decompositions of one schema, in preference order, plus
@@ -389,7 +368,7 @@ fn worst_bag_estimate(db: &Database, d: &Decomposition) -> (u64, usize) {
     worst
 }
 
-impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
+impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// Computes the projection of the full join onto `output` for **any**
     /// schema: acyclic schemas route to the direct join-tree pipeline
     /// ([`ExecCtx::yannakakis_join`]), cyclic schemas through decompose →
@@ -399,11 +378,11 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
     ///
     /// Every layer underneath records into the metrics sink — on the cyclic
     /// path including both decomposition heuristics' widths (the engine runs
-    /// min-fill *and* min-degree and keeps the smaller width) — and the
-    /// tracer receives the pipeline stages as wall-clock spans:
-    /// [`SpanKind::Decompose`] around the heuristic pair (cache hits
-    /// included), then [`SpanKind::Materialize`], [`SpanKind::ReduceUp`] /
-    /// [`SpanKind::ReduceDown`] and [`SpanKind::Join`].
+    /// min-fill *and* min-degree and keeps the smaller width) — and every
+    /// stage is timed into its levels: on the cyclic path one
+    /// [`Phase::Decompose`] entry around the heuristic pair (cache hits
+    /// included) and one [`Phase::Materialize`] entry come first, then the
+    /// reducer's and the join's per-level entries.
     ///
     /// Under an enabled governor the cyclic path runs the memory-budget
     /// **degradation ladder**.  Before materializing anything, the widest
@@ -430,7 +409,7 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
         contain_panics(|| match join_tree(db.schema()) {
             Some(tree) => self.yannakakis_join(db, &tree, output),
             None => {
-                let pair = with_span(self.trace, SpanKind::Decompose, || {
+                let pair = timed(self.metrics, Phase::Decompose, 0, || {
                     decompose_pair(db.schema(), self.metrics)
                 })?;
                 let (mut d, other) = (&pair.chosen, &pair.other);

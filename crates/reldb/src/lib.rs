@@ -24,8 +24,8 @@
 //!   ([`is_pairwise_consistent`], [`is_globally_consistent`]).
 //!
 //! Each pipeline has one generic entry point, a method on [`ExecCtx`] — the
-//! [`ExecPolicy`] plus the metrics, governance and trace sinks, all no-ops
-//! by default — and at most one plain wrapper beside it (the functions named
+//! [`ExecPolicy`] plus the metrics and governance sinks, both no-ops by
+//! default — and at most one plain wrapper beside it (the functions named
 //! above) that runs it with nobody watching.
 //!
 //! # Module map
@@ -41,9 +41,8 @@
 //! | [`hypertree`] | cyclic schemas: bag materialization over a hypertree decomposition (`decomp` crate) and the acyclic-vs-cyclic router [`yannakakis_join_any`] |
 //! | [`snapshot`] | the versioned binary snapshot format behind [`Database::save_snapshot`] / [`Database::load_snapshot`] — scale-up loads in milliseconds instead of re-parsing text |
 //! | [`exec`] | [`ExecCtx`] (the one execution context every pipeline entry point is a method of), [`ExecPolicy`] and the [`JoinStrategy`] cost-pick; every query runs on its caller's thread |
-//! | [`metrics`] | zero-cost-when-off observability: the [`MetricsSink`] an [`ExecCtx`] carries into every kernel, collected into a [`QueryMetrics`] report — a struct and a text table; its JSON document is rendered by `hyperqd::protocol` |
+//! | [`metrics`] | zero-cost-when-off observability: the [`MetricsSink`] an [`ExecCtx`] carries into every kernel and stage — counters per operation, wall clock per stage level (decompose → materialize → reduce → join) — collected into a [`QueryMetrics`] report, a struct and a text table; its JSON document is rendered by `hyperqd::protocol` |
 //! | [`govern`] | zero-cost-when-off governance: the [`Governor`] checkpoints (cancellation, deadlines, memory budgets) an [`ExecCtx`] carries into every kernel, structured [`EngineError`] aborts, and the `failpoints` fault-injection harness |
-//! | [`trace`] | zero-cost-when-off trace spans: the [`TraceSink`] stage hooks an [`ExecCtx`] carries through the pipelines, collected into a hierarchical [`TraceReport`] (decompose → materialize → reduce → join wall clock; rendered for the slow-query log by `hyperqd::protocol`) |
 //! | `consistency` | pairwise vs. global consistency and repairs — the semantic characterization of acyclicity (§7) |
 //! | [`mod@reference`] | the pre-rewrite naive engine, kept as the equivalence-test oracle and benchmark baseline |
 //!
@@ -78,7 +77,6 @@ mod query;
 pub mod reference;
 mod relation;
 pub mod snapshot;
-pub mod trace;
 mod universal;
 mod value;
 mod yannakakis;
@@ -100,7 +98,6 @@ pub use pool::ValuePool;
 pub use query::{Query, QueryPlan, Selection};
 pub use relation::{sort_ids_by_key, Relation, Tuple};
 pub use snapshot::is_snapshot;
-pub use trace::{CollectingTracer, NoopTrace, Span, SpanKind, TraceReport, TraceSink};
 pub use universal::{
     plan_connection, query_attributes, query_via_connection, query_via_full_join,
     query_via_full_join_metered, query_yannakakis, query_yannakakis_governed,

@@ -21,7 +21,7 @@
 //! | Signal | Recorded by | Report field |
 //! |---|---|---|
 //! | per-op counters: tuples probed / kept / built, build-side rows, resolved kernel, sampled distinct-key ratio | join/semijoin kernels ([`OpMetrics`]) | [`QueryMetrics::joins`], [`QueryMetrics::semijoins`] |
-//! | per-level wall timings (reducer passes, bottom-up join, bag materialization) | the level-synchronous drivers | [`QueryMetrics::levels`] |
+//! | per-stage wall timings (decompose, bag materialization, each reducer and join level, each engine) | every stage, through [`timed`] | [`QueryMetrics::levels`] |
 //! | bag materialization sizes | [`materialize_bags`](crate::materialize_bags) | [`QueryMetrics::bags`] |
 //! | dedup-index rebuilds saved by deferral | the reducer | [`QueryMetrics::index_rebuilds`] |
 //! | min-fill vs. min-degree decomposition widths | [`yannakakis_join_any`](crate::yannakakis_join_any) | [`QueryMetrics::widths`] |
@@ -36,10 +36,21 @@
 //! answer — is written by `hyperqd::protocol::metrics_json`, where every
 //! other wire rendering lives.
 //!
+//! # Timing
+//!
+//! Counts and clocks go to the same sink.  Every stage of a query — the
+//! paper's §7 recipe: decompose and materialize for a cyclic scheme, the
+//! full reducer's upward and downward passes, the join — runs inside
+//! [`timed`], which records one [`LevelTiming`] per stage level into
+//! [`QueryMetrics::levels`], in the order the stages finish.  `hyperqd`
+//! times its own request parse and answer serialization with the same
+//! [`Phase`] vocabulary for the slow-query log.
+//!
 //! [`JoinStrategy::Auto`]: crate::JoinStrategy::Auto
 //! [`Relation::join`]: crate::Relation::join
 
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Which logical operator an [`OpMetrics`] record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,27 +117,36 @@ pub struct OpMetrics {
     pub distinct_ratio: Option<f64>,
 }
 
-/// Which level-synchronous phase a [`LevelTiming`] belongs to.
+/// The stage of a query a [`LevelTiming`] belongs to, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
+    /// Request-frame parsing (server-side).
+    Parse,
+    /// Hypertree decomposition of a cyclic schema (cache hits included).
+    Decompose,
+    /// Bag materialization of a hypertree decomposition.
+    Materialize,
     /// Reducer upward pass (parent ⋉ children, deepest level first).
     ReduceUp,
     /// Reducer downward pass (child ⋉ parent, top-down).
     ReduceDown,
-    /// Bottom-up join along the tree.
+    /// Bottom-up join along the tree, or a whole join-only engine.
     Join,
-    /// Bag materialization of a hypertree decomposition.
-    Materialize,
+    /// Answer-frame serialization (server-side).
+    Serialize,
 }
 
 impl Phase {
     /// The JSON/table spelling.
     pub fn label(self) -> &'static str {
         match self {
+            Phase::Parse => "parse",
+            Phase::Decompose => "decompose",
+            Phase::Materialize => "materialize",
             Phase::ReduceUp => "reduce-up",
             Phase::ReduceDown => "reduce-down",
             Phase::Join => "join",
-            Phase::Materialize => "materialize",
+            Phase::Serialize => "serialize",
         }
     }
 }
@@ -152,10 +172,10 @@ pub trait MetricsSink {
     #[inline]
     fn record_op(&self, _op: OpMetrics) {}
 
-    /// One level of a level-synchronous phase completed in `_nanos`
-    /// wall-clock nanoseconds, running `_jobs` jobs.
+    /// One level of a stage completed (or aborted) after `_nanos`
+    /// wall-clock nanoseconds.  [`timed`] is the one caller in the engine.
     #[inline]
-    fn record_level(&self, _phase: Phase, _level: usize, _jobs: usize, _nanos: u64) {}
+    fn record_level(&self, _phase: Phase, _level: usize, _nanos: u64) {}
 
     /// A decomposition bag materialized with `_rows` tuples.
     #[inline]
@@ -182,6 +202,21 @@ pub struct NoopMetrics;
 
 impl MetricsSink for NoopMetrics {
     const ENABLED: bool = false;
+}
+
+/// Runs `f` as level `level` of `phase`, recording its wall clock into
+/// `sink`.  The entry is recorded even when `f` returns an error, so a stage
+/// that aborts still shows the time it spent.  Under a disabled sink this is
+/// `f()`: no clock is read.
+#[inline]
+pub fn timed<M: MetricsSink, R>(sink: &M, phase: Phase, level: usize, f: impl FnOnce() -> R) -> R {
+    if !M::ENABLED {
+        return f();
+    }
+    let t0 = Instant::now();
+    let out = f();
+    sink.record_level(phase, level, t0.elapsed().as_nanos() as u64);
+    out
 }
 
 /// Aggregated counters for one operator kind (joins or semijoins).
@@ -249,11 +284,9 @@ impl OpAgg {
 pub struct LevelTiming {
     /// The phase the level belongs to.
     pub phase: Phase,
-    /// Level index within the phase (reducer passes count tree depths; bag
-    /// materialization records a single level `0`).
+    /// Level index within the phase (reducer passes and the join count tree
+    /// depths; every other stage records a single level `0`).
     pub level: usize,
-    /// Jobs the level ran.
-    pub jobs: usize,
     /// Wall-clock nanoseconds the level took.
     pub nanos: u64,
 }
@@ -287,7 +320,7 @@ pub struct QueryMetrics {
     pub joins: OpAgg,
     /// Aggregated semijoin counters.
     pub semijoins: OpAgg,
-    /// Per-level wall timings, in recording order.
+    /// Per-stage wall timings, in the order the stages finished.
     pub levels: Vec<LevelTiming>,
     /// Materialized bag sizes (cyclic pipeline only).
     pub bags: Vec<BagStat>,
@@ -341,10 +374,9 @@ impl QueryMetrics {
             out.push_str("levels:\n");
             for l in &self.levels {
                 out.push_str(&format!(
-                    "  {:<12} level {:<3} {:>3} jobs {:>12} ns\n",
+                    "  {:<12} level {:<3} {:>12} ns\n",
                     l.phase.label(),
                     l.level,
-                    l.jobs,
                     l.nanos
                 ));
             }
@@ -437,12 +469,11 @@ impl MetricsSink for CollectingSink {
         });
     }
 
-    fn record_level(&self, phase: Phase, level: usize, jobs: usize, nanos: u64) {
+    fn record_level(&self, phase: Phase, level: usize, nanos: u64) {
         self.with(|m| {
             m.levels.push(LevelTiming {
                 phase,
                 level,
-                jobs,
                 nanos,
             })
         });
@@ -535,12 +566,25 @@ mod tests {
     fn table_renders_all_sections() {
         let sink = CollectingSink::new();
         sink.record_op(op(OpKind::Join, Kernel::SortMerge, 100, 80, Some(0.02)));
-        sink.record_level(Phase::Join, 0, 3, 999);
+        sink.record_level(Phase::Join, 0, 999);
         sink.record_bag("bag", 5);
         sink.record_widths(2, 2, "min-fill");
         let t = sink.snapshot().render_table();
         for needle in ["join", "0.0200", "levels:", "bags:", "min-degree 2"] {
             assert!(t.contains(needle), "missing {needle:?} in:\n{t}");
         }
+    }
+
+    #[test]
+    fn timed_passes_results_through() {
+        let sink = CollectingSink::new();
+        assert_eq!(timed(&sink, Phase::Decompose, 0, || 7), 7);
+        let err: Result<(), &str> = timed(&sink, Phase::Materialize, 0, || Err("abort"));
+        assert!(err.is_err());
+        // A stage that returns an error still records its entry.
+        let phases: Vec<Phase> = sink.snapshot().levels.iter().map(|l| l.phase).collect();
+        assert_eq!(phases, [Phase::Decompose, Phase::Materialize]);
+        // A disabled sink records nothing and still passes the value on.
+        assert_eq!(timed(&NoopMetrics, Phase::Join, 0, || 8), 8);
     }
 }

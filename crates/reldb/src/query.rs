@@ -14,7 +14,6 @@ use crate::exec::{ExecCtx, ExecPolicy};
 use crate::govern::{contain_panics, unfail, EngineError, Governor};
 use crate::metrics::MetricsSink;
 use crate::relation::Relation;
-use crate::trace::TraceSink;
 use crate::universal::plan_connection;
 use crate::value::Value;
 use hypergraph::{NodeId, NodeSet};
@@ -176,7 +175,7 @@ impl Query {
     }
 }
 
-impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
+impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// Executes `query` via the canonical connection: filter each chosen
     /// object, join them, apply any remaining selections, project onto the
     /// output.  Every join records into the metrics sink and is checkpointed

@@ -1770,8 +1770,8 @@ impl Relation {
 
 /// The single-operator entry points.  They peel the context at the door:
 /// the kernels underneath take exactly the strategy, sink and governor they
-/// read, so nothing below is instantiated per tracer type.
-impl<M: MetricsSink, G: Governor, T> ExecCtx<'_, M, G, T> {
+/// read.
+impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// Natural join `left ⋈ right` under the policy's strategy, recording one
     /// [`OpMetrics`] into the metrics sink.  The join aborts with the
     /// governor's error at the next probe-batch checkpoint after a

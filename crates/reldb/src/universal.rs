@@ -19,9 +19,8 @@
 use crate::database::Database;
 use crate::exec::{ExecCtx, ExecPolicy};
 use crate::govern::{contain_panics, unfail, EngineError, Governor};
-use crate::metrics::MetricsSink;
+use crate::metrics::{timed, MetricsSink, Phase};
 use crate::relation::Relation;
-use crate::trace::{with_span, SpanKind, TraceSink};
 use crate::yannakakis::naive_join_project;
 use acyclic::canonical_connection;
 use hypergraph::{Hypergraph, NodeSet};
@@ -70,19 +69,19 @@ pub fn plan_connection(schema: &Hypergraph, x: &NodeSet) -> ConnectionPlan {
 /// containment whatever the sinks: a panic escaping the engine — a kernel
 /// bug, a sink — surfaces as [`EngineError::WorkerPanic`],
 /// never as an unwind through the caller.
-impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
+impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// Answers the query `π_X (⋈ of the objects in CC(X))`: every join
     /// executed under the policy, recorded into the metrics sink,
     /// checkpointed against the governor with its output charged to the
-    /// memory budget.  The whole join-then-project plan is bracketed in one
-    /// [`SpanKind::Join`] span (this engine has no reducer phases to break
-    /// out).
+    /// memory budget.  The whole join-then-project plan is timed as one
+    /// [`Phase::Join`] entry at level 0 (this engine has no reducer phases
+    /// to break out).
     pub fn query_via_connection(
         &self,
         db: &Database,
         x: &NodeSet,
     ) -> Result<Relation, EngineError> {
-        with_span(self.trace, SpanKind::Join, || {
+        timed(self.metrics, Phase::Join, 0, || {
             contain_panics(|| {
                 let plan = plan_connection(db.schema(), x);
                 let mut acc: Option<Relation> = None;
@@ -102,12 +101,12 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
     }
 
     /// Answers the query by joining **all** objects (the universal relation)
-    /// and projecting — the naive baseline, under one [`SpanKind::Join`]
-    /// span.  The governor's checkpoints matter most here: this is the one
+    /// and projecting — the naive baseline, timed as one [`Phase::Join`]
+    /// entry at level 0.  The governor's checkpoints matter most here: this is the one
     /// engine whose intermediate results can explode, which is exactly what a
     /// deadline or memory budget is for.
     pub fn query_via_full_join(&self, db: &Database, x: &NodeSet) -> Result<Relation, EngineError> {
-        with_span(self.trace, SpanKind::Join, || {
+        timed(self.metrics, Phase::Join, 0, || {
             contain_panics(|| Ok(self.full_join(db)?.into_project(x)))
         })
     }
@@ -115,7 +114,7 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
     /// Answers the query with the Yannakakis algorithm: over the schema's
     /// join tree when it is acyclic, or through the hypertree-decomposition
     /// pipeline when it is cyclic ([`ExecCtx::yannakakis_join_any`], which
-    /// documents the spans, the governor's degradation ladder and the panic
+    /// documents the stage timings, the governor's degradation ladder and the panic
     /// containment).  Fails only on an edgeless schema or a governor abort.
     pub fn query_yannakakis(&self, db: &Database, x: &NodeSet) -> Result<Relation, EngineError> {
         self.yannakakis_join_any(db, x)

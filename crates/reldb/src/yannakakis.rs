@@ -15,12 +15,10 @@
 use crate::database::Database;
 use crate::exec::{ExecCtx, ExecPolicy};
 use crate::govern::{unfail, EngineError, Governor};
-use crate::metrics::{MetricsSink, Phase};
+use crate::metrics::{timed, MetricsSink, Phase};
 use crate::relation::Relation;
-use crate::trace::{with_span, NoopTrace, SpanKind, TraceSink};
 use acyclic::JoinTree;
 use hypergraph::NodeSet;
-use std::time::Instant;
 
 /// The result of running a full reducer: the reduced relations (in schema
 /// order) and the number of tuples removed from each.
@@ -51,11 +49,11 @@ fn pair_mut(rels: &mut [Relation], i: usize, j: usize) -> (&mut Relation, &Relat
     }
 }
 
-/// One level of a reducer pass: each `(target, sources)` job semijoins the
-/// target relation with each source relation in turn, in place.  The
-/// governor is consulted once per level even when the level has no job, so
-/// a zero deadline trips deterministically on any tree, single-edge schemas
-/// included.
+/// One level of a reducer pass, timed as one [`Phase`] entry: each
+/// `(target, sources)` job semijoins the target relation with each source
+/// relation in turn, in place.  The governor is consulted once per level
+/// even when the level has no job, so a zero deadline trips
+/// deterministically on any tree, single-edge schemas included.
 fn reduce_level<M: MetricsSink, G: Governor>(
     ctx: &ExecCtx<'_, M, G>,
     (phase, depth): (Phase, usize),
@@ -63,24 +61,21 @@ fn reduce_level<M: MetricsSink, G: Governor>(
     relations: &mut [Relation],
     removed: &mut [usize],
 ) -> Result<(), EngineError> {
-    if G::ENABLED {
-        ctx.gov.at_level(phase, depth)?;
-    }
-    let t0 = M::ENABLED.then(Instant::now);
-    for (target, sources) in jobs {
-        for &source in sources {
-            let (t, s) = pair_mut(relations, *target, source);
-            removed[*target] += ctx.retain_semijoin(t, s)?;
+    timed(ctx.metrics, phase, depth, || {
+        if G::ENABLED {
+            ctx.gov.at_level(phase, depth)?;
         }
-    }
-    if let (Some(t0), false) = (t0, jobs.is_empty()) {
-        let nanos = t0.elapsed().as_nanos() as u64;
-        ctx.metrics.record_level(phase, depth, jobs.len(), nanos);
-    }
-    Ok(())
+        for (target, sources) in jobs {
+            for &source in sources {
+                let (t, s) = pair_mut(relations, *target, source);
+                removed[*target] += ctx.retain_semijoin(t, s)?;
+            }
+        }
+        Ok(())
+    })
 }
 
-impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
+impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// Runs the two semijoin passes of the Yannakakis full reducer over
     /// `tree`, level by level.
     ///
@@ -92,18 +87,17 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
     /// keep-mask rather than rebuilding the relation every pass, and the
     /// dedup index rebuild is deferred until something actually reads it.
     ///
-    /// The metrics sink receives per-semijoin counters and per-level wall
-    /// timings; the governor is consulted before every tree level and at
-    /// every [`CHECK_BATCH`](crate::govern::CHECK_BATCH) rows inside the
-    /// semijoin kernels; the tracer brackets each pass
-    /// ([`SpanKind::ReduceUp`] / [`SpanKind::ReduceDown`]).  An abort —
+    /// The metrics sink receives per-semijoin counters and one wall timing
+    /// per tree level of each pass ([`Phase::ReduceUp`] deepest level
+    /// first, then [`Phase::ReduceDown`]); the governor is consulted before
+    /// every tree level and at every
+    /// [`CHECK_BATCH`](crate::govern::CHECK_BATCH) rows inside the semijoin
+    /// kernels.  An abort —
     /// cancellation, deadline, budget or injected failpoint — surfaces as
     /// `Err(EngineError)` and leaves `db` untouched: the reducer operates on
     /// copies of the stored relations, and every checkpoint fires during
     /// read-only kernel phases.
     pub fn full_reduce(&self, db: &Database, tree: &JoinTree) -> Result<Reduced, EngineError> {
-        // Nothing below a pass reports spans, so it is not instantiated per tracer.
-        let untraced = self.trace(&NoopTrace);
         // Working copies of the rows only: the reducer never reads a dedup index.
         let mut relations: Vec<Relation> =
             db.relations().iter().map(Relation::clone_rows).collect();
@@ -112,44 +106,30 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
         let rebuilds_before: usize = relations.iter().map(Relation::index_rebuild_count).sum();
 
         // Upward pass: parent ⋉ each child, deepest parent level first.
-        with_span(
-            self.trace,
-            SpanKind::ReduceUp,
-            || -> Result<(), EngineError> {
-                for (depth, level) in levels.iter().enumerate().rev() {
-                    let jobs: Vec<(usize, Vec<usize>)> = level
-                        .iter()
-                        .filter(|&&e| !tree.children(e).is_empty())
-                        .map(|&e| {
-                            let children = tree.children(e).iter().map(|c| c.index());
-                            (e.index(), children.collect())
-                        })
-                        .collect();
-                    let at = (Phase::ReduceUp, depth);
-                    reduce_level(&untraced, at, &jobs, &mut relations, &mut removed)?;
-                }
-                Ok(())
-            },
-        )?;
+        for (depth, level) in levels.iter().enumerate().rev() {
+            let jobs: Vec<(usize, Vec<usize>)> = level
+                .iter()
+                .filter(|&&e| !tree.children(e).is_empty())
+                .map(|&e| {
+                    let children = tree.children(e).iter().map(|c| c.index());
+                    (e.index(), children.collect())
+                })
+                .collect();
+            let at = (Phase::ReduceUp, depth);
+            reduce_level(self, at, &jobs, &mut relations, &mut removed)?;
+        }
         // Downward pass: child ⋉ parent, top-down.
-        with_span(
-            self.trace,
-            SpanKind::ReduceDown,
-            || -> Result<(), EngineError> {
-                for (depth, level) in levels.iter().enumerate().skip(1) {
-                    let jobs: Vec<(usize, Vec<usize>)> = level
-                        .iter()
-                        .map(|&e| {
-                            let parent = tree.parent(e).expect("non-root level");
-                            (e.index(), vec![parent.index()])
-                        })
-                        .collect();
-                    let at = (Phase::ReduceDown, depth);
-                    reduce_level(&untraced, at, &jobs, &mut relations, &mut removed)?;
-                }
-                Ok(())
-            },
-        )?;
+        for (depth, level) in levels.iter().enumerate().skip(1) {
+            let jobs: Vec<(usize, Vec<usize>)> = level
+                .iter()
+                .map(|&e| {
+                    let parent = tree.parent(e).expect("non-root level");
+                    (e.index(), vec![parent.index()])
+                })
+                .collect();
+            let at = (Phase::ReduceDown, depth);
+            reduce_level(self, at, &jobs, &mut relations, &mut removed)?;
+        }
 
         if M::ENABLED {
             // Rebuilds the reduction itself paid: with the deferred-rebuild
@@ -168,10 +148,10 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
     /// attributes to keep them small.  The policy picks the physical join
     /// strategy ([`crate::JoinStrategy`]) for every semijoin and join.
     ///
-    /// On top of what [`ExecCtx::full_reduce`] reports, the governor is
-    /// consulted before every join level and inside every kernel loop, output
-    /// allocations are charged against its memory budget, and the tracer
-    /// brackets the bottom-up join levels ([`SpanKind::Join`]).  An abort
+    /// On top of what [`ExecCtx::full_reduce`] reports, each bottom-up join
+    /// level is timed as one [`Phase::Join`] entry, the governor is
+    /// consulted before every join level and inside every kernel loop, and
+    /// output allocations are charged against its memory budget.  An abort
     /// surfaces as `Err(EngineError)`; `db` is never mutated, so an aborted
     /// query leaves the database exactly as loaded.
     pub fn yannakakis_join(
@@ -180,7 +160,6 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
         tree: &JoinTree,
         output: &NodeSet,
     ) -> Result<Relation, EngineError> {
-        let untraced = self.trace(&NoopTrace);
         let reduced = self.full_reduce(db, tree)?;
         let edges = db.schema().edges();
 
@@ -191,33 +170,32 @@ impl<M: MetricsSink, G: Governor, T: TraceSink> ExecCtx<'_, M, G, T> {
         // Children sit at deeper levels, so they are done (and consumed)
         // before their parent.
         let mut slots: Vec<Option<Relation>> = reduced.relations.into_iter().map(Some).collect();
-        with_span(self.trace, SpanKind::Join, || -> Result<(), EngineError> {
-            for (li, level) in tree.levels_bottom_up().iter().enumerate() {
-                if G::ENABLED {
-                    self.gov.at_level(Phase::Join, li)?;
-                }
-                let t0 = M::ENABLED.then(Instant::now);
-                for &e in level {
-                    let mut acc = slots[e.index()].take().expect("each edge joins once");
-                    for c in tree.children(e) {
-                        let child = slots[c.index()].take().expect("children join first");
-                        acc = untraced.join(&acc, &child)?;
+        for (li, level) in tree.levels_bottom_up().iter().enumerate() {
+            timed(
+                self.metrics,
+                Phase::Join,
+                li,
+                || -> Result<(), EngineError> {
+                    if G::ENABLED {
+                        self.gov.at_level(Phase::Join, li)?;
                     }
-                    let mut keep = acc.attributes().intersection(output);
-                    if let Some(p) = tree.parent(e) {
-                        let own = &edges[e.index()].nodes;
-                        keep.union_with(&own.intersection(&edges[p.index()].nodes));
+                    for &e in level {
+                        let mut acc = slots[e.index()].take().expect("each edge joins once");
+                        for c in tree.children(e) {
+                            let child = slots[c.index()].take().expect("children join first");
+                            acc = self.join(&acc, &child)?;
+                        }
+                        let mut keep = acc.attributes().intersection(output);
+                        if let Some(p) = tree.parent(e) {
+                            let own = &edges[e.index()].nodes;
+                            keep.union_with(&own.intersection(&edges[p.index()].nodes));
+                        }
+                        slots[e.index()] = Some(acc.into_project(&keep));
                     }
-                    slots[e.index()] = Some(acc.into_project(&keep));
-                }
-                if let Some(t0) = t0 {
-                    let nanos = t0.elapsed().as_nanos() as u64;
-                    self.metrics
-                        .record_level(Phase::Join, li, level.len(), nanos);
-                }
-            }
-            Ok(())
-        })?;
+                    Ok(())
+                },
+            )?;
+        }
         let root_result = slots[tree.root().index()]
             .take()
             .expect("root processed last");

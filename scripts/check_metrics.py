@@ -3,8 +3,9 @@
 
 Reads one metrics document from stdin and exits non-zero with a list of
 violations if the document is malformed or an execution invariant is
-broken.  CI pipes the Fig. 1 (acyclic) and 4-ring (cyclic) scenarios
-through this; run locally with:
+broken.  CI pipes the Fig. 1 (acyclic) and 4-ring (cyclic) scenarios, a
+served `"metrics":true` answer and the `metrics` member of a `hyperqd
+--slow-ms` log line through this; run locally with:
 
     hyperq query fixtures/fig1.hg fixtures/fig1.data \
         --select A,D --engine yannakakis --metrics-json \
@@ -19,7 +20,7 @@ field must be null — acyclic schemas never pay for one.
 import json
 import sys
 
-PHASES = {"materialize", "reduce-up", "reduce-down", "join"}
+PHASES = {"parse", "decompose", "materialize", "reduce-up", "reduce-down", "join", "serialize"}
 
 
 def check(doc: dict, cyclic: bool) -> list[str]:
@@ -43,8 +44,9 @@ def check(doc: dict, cyclic: bool) -> list[str]:
             continue
         if agg["hash_ops"] + agg["sortmerge_ops"] + agg["dense_ops"] != agg["ops"]:
             err(f"{op}: hash_ops + sortmerge_ops + dense_ops != ops ({agg})")
-        # A (semi)join can only keep rows it probed.
-        if agg["kept"] > agg["probed"]:
+        # A semijoin can only keep rows it probed.  A join's output is not
+        # bounded by its probe side: one probe row can match many.
+        if op == "semijoin" and agg["kept"] > agg["probed"]:
             err(f"{op}: kept {agg['kept']} > probed {agg['probed']}")
         ratio = agg.get("distinct_ratio")
         if not isinstance(ratio, dict):
@@ -62,7 +64,7 @@ def check(doc: dict, cyclic: bool) -> list[str]:
         for i, lvl in enumerate(levels):
             if lvl.get("phase") not in PHASES:
                 err(f"levels[{i}].phase: unknown phase {lvl.get('phase')!r}")
-            for key in ("level", "jobs", "nanos"):
+            for key in ("level", "nanos"):
                 v = lvl.get(key)
                 if not isinstance(v, int) or v < 0:
                     err(f"levels[{i}].{key}: expected non-negative integer, got {v!r}")

@@ -19,7 +19,7 @@ use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::govern::CHECK_BATCH;
 use acyclic_hypergraphs::reldb::{
     full_reduce, query_via_full_join, query_yannakakis, CancelToken, CollectingSink, Database,
-    EngineError, ExecCtx, ExecPolicy, Governor, JoinStrategy, Query, QueryGovernor, Tuple,
+    EngineError, ExecCtx, ExecPolicy, Governor, JoinStrategy, Phase, Query, QueryGovernor, Tuple,
 };
 use acyclic_hypergraphs::workload::{
     chain, far_apart, random_database, ring, snowflake, star, DataParams,
@@ -222,6 +222,40 @@ proptest! {
             Err(other) => prop_assert!(false, "unexpected abort: {other}"),
         }
         assert_untouched(&db, &before, &x);
+    }
+}
+
+/// An aborted stage is still timed: a zero deadline stops the query in its
+/// first governed stage — the reducer's deepest upward level over a join
+/// tree, bag materialization on a cyclic schema — and that stage's entry is
+/// the last of the report's levels.
+#[test]
+fn a_stage_cut_short_by_a_deadline_keeps_its_level_entry() {
+    let policy = ExecPolicy::default();
+    let acyclic = db_for(0, 2, 8, 3, 5);
+    let deepest = join_tree(acyclic.schema())
+        .expect("a chain is acyclic")
+        .levels()
+        .len()
+        - 1;
+    for (db, stopped_in) in [
+        (acyclic, (Phase::ReduceUp, deepest)),
+        (db_for(3, 1, 8, 3, 5), (Phase::Materialize, 0)),
+    ] {
+        let x = select(&db, u64::MAX);
+        let sink = CollectingSink::new();
+        let gov = QueryGovernor::new().with_deadline(Duration::ZERO);
+        match ExecCtx::new(&policy)
+            .metrics(&sink)
+            .gov(&gov)
+            .query_yannakakis(&db, &x)
+        {
+            Err(EngineError::DeadlineExceeded { .. }) => {}
+            other => panic!("zero deadline must abort, got {other:?}"),
+        }
+        let levels = sink.snapshot().levels;
+        let last = levels.last().map(|l| (l.phase, l.level));
+        assert_eq!(last, Some(stopped_in), "levels: {levels:?}");
     }
 }
 

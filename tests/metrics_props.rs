@@ -9,7 +9,9 @@
 //!    yields tuple-for-tuple the same answer as the unmetered path (which
 //!    is the same code monomorphized over [`NoopMetrics`]).
 //! 3. **Coverage** — a metered reducer run accounts for every semijoin the
-//!    join tree implies and times at least one level.
+//!    join tree implies and times every level of both passes.
+//! 4. **Stage order** — every engine's level timings come in pipeline
+//!    order, one entry per stage level.
 //!
 //! Alongside each: **kernel conservation** — per op kind, every recorded op
 //! resolved to exactly one kernel (`hash + sort-merge + dense = ops`), and a
@@ -19,9 +21,9 @@ use acyclic_hypergraphs::acyclic::join_tree;
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::{
     full_reduce, query_yannakakis, CollectingSink, Database, ExecCtx, ExecPolicy, JoinStrategy,
-    QueryMetrics,
+    Phase, QueryMetrics,
 };
-use acyclic_hypergraphs::workload::{chain, random_database, snowflake, star, DataParams};
+use acyclic_hypergraphs::workload::{chain, random_database, ring, snowflake, star, DataParams};
 use proptest::prelude::*;
 
 /// One of the acyclic benchmark schema families, scaled by `shape`.
@@ -34,8 +36,12 @@ fn schema(family: usize, shape: usize) -> Hypergraph {
 }
 
 fn db_for(family: usize, shape: usize, tuples: usize, domain: i64, seed: u64) -> Database {
+    db_over(&schema(family, shape), tuples, domain, seed)
+}
+
+fn db_over(schema: &Hypergraph, tuples: usize, domain: i64, seed: u64) -> Database {
     random_database(
-        &schema(family, shape),
+        schema,
         DataParams {
             tuples_per_relation: tuples,
             domain,
@@ -44,6 +50,21 @@ fn db_for(family: usize, shape: usize, tuples: usize, domain: i64, seed: u64) ->
         },
         seed,
     )
+}
+
+/// A report's level timings as `(phase, level)`, in recording order.
+fn stages(m: &QueryMetrics) -> Vec<(Phase, usize)> {
+    m.levels.iter().map(|l| (l.phase, l.level)).collect()
+}
+
+/// The full reducer's and the bottom-up join's level timings over a tree
+/// of `depth` levels: the upward pass deepest level first, the downward
+/// pass top-down from level 1, then the join bottom-up.
+fn reducer_then_join(depth: usize) -> Vec<(Phase, usize)> {
+    let up = (0..depth).rev().map(|l| (Phase::ReduceUp, l));
+    let down = (1..depth).map(|l| (Phase::ReduceDown, l));
+    let join = (0..depth).map(|l| (Phase::Join, l));
+    up.chain(down).chain(join).collect()
 }
 
 /// Every engine the metrics layer instruments, including the calibrated
@@ -165,7 +186,7 @@ proptest! {
 
     /// Coverage: a metered full reduce records exactly the semijoins the
     /// join tree implies (one up and one down per parent-child edge),
-    /// conserves rows across them, and times at least one level.
+    /// conserves rows across them, and times every level of both passes.
     #[test]
     fn full_reduce_accounts_for_every_semijoin(
         family in 0usize..3,
@@ -191,10 +212,50 @@ proptest! {
                 reduced.total_removed() as u64,
                 "rows dropped by semijoins must equal the reducer's removals"
             );
-            if tree_edges > 0 {
-                prop_assert!(!m.levels.is_empty(), "no level timings recorded");
-                prop_assert!(m.levels.iter().any(|l| l.jobs > 0));
-            }
+            prop_assert_eq!(stages(&m).len(), 2 * tree.levels().len() - 1,
+                "one timing per level of each reducer pass");
         }
+    }
+
+    /// Stage order: the Yannakakis engine times the reducer's upward pass
+    /// deepest level first, then its downward pass, then the join levels —
+    /// after one decompose and one materialize entry on a cyclic schema;
+    /// the connection and naive engines time one join entry at level 0.
+    #[test]
+    fn levels_follow_the_pipeline_stage_order(
+        family in 0usize..4,
+        shape in 0usize..4,
+        tuples in 1usize..24,
+        domain in 1i64..6,
+        seed in any::<u64>(),
+    ) {
+        let db = if family == 3 {
+            db_over(&ring(4 + shape % 3), tuples, domain, seed)
+        } else {
+            db_for(family, shape, tuples, domain, seed)
+        };
+        let x: NodeSet = db.schema().nodes().iter().take(2).collect();
+        let policy = ExecPolicy::default();
+
+        let sink = CollectingSink::new();
+        ExecCtx::new(&policy).metrics(&sink).query_yannakakis(&db, &x).expect("nobody can abort");
+        let got = stages(&sink.snapshot());
+        let (tail, depth) = match join_tree(db.schema()) {
+            Some(tree) => (&got[..], tree.levels().len()),
+            None => {
+                prop_assert_eq!(&got[..2], &[(Phase::Decompose, 0), (Phase::Materialize, 0)]);
+                // The bag tree is the engine's pick: read its depth off the upward pass.
+                let tail = &got[2..];
+                (tail, tail.iter().filter(|(p, _)| *p == Phase::ReduceUp).count())
+            }
+        };
+        prop_assert_eq!(tail, &reducer_then_join(depth)[..]);
+
+        let sink = CollectingSink::new();
+        ExecCtx::new(&policy).metrics(&sink).query_via_connection(&db, &x).expect("nobody can abort");
+        prop_assert_eq!(stages(&sink.snapshot()), vec![(Phase::Join, 0)]);
+        let sink = CollectingSink::new();
+        ExecCtx::new(&policy).metrics(&sink).query_via_full_join(&db, &x).expect("nobody can abort");
+        prop_assert_eq!(stages(&sink.snapshot()), vec![(Phase::Join, 0)]);
     }
 }
