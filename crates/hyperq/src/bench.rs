@@ -4,8 +4,9 @@
 //! `columnar` rows — on `full_reduce` and `yannakakis_join` (the paper's
 //! full reducer and the join over the unique connection) beside what it is
 //! compared with: the same policy with Governor checkpoints live
-//! (`columnar-governed`), the naive `reference` oracle and the pinned
-//! kernels (`columnar-hash`, `columnar-sortmerge`); plus the cyclic
+//! (`columnar-governed`), the naive `reference` oracle and the pinned join
+//! kernels (`columnar-hash`, `columnar-sortmerge`, on `yannakakis_join`
+//! only: the reducer's semijoins read no strategy); plus the cyclic
 //! decomposition pipeline, the GYO/MCS acyclicity tests
 //! and, under the full profile or `--scale` alone, the 10⁶-tuple rows.
 //!
@@ -23,7 +24,7 @@ use hyperqd::json::Json;
 use reldb::reference::{naive_full_reduce, naive_yannakakis_join};
 use reldb::{
     naive_join_project, CollectingSink, Database, ExecCtx, ExecPolicy, JoinStrategy, QueryGovernor,
-    Relation, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO, AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
+    Relation, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
 };
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -245,21 +246,19 @@ fn data(schema: &Hypergraph, size: usize, domain: usize, skew: f64, key_cap: usi
     random_database(schema, params, 9)
 }
 
-/// The policy `hyperqd` serves: the `columnar` rows.  Built from
-/// [`ExecPolicy::default`] so the bench follows the served default (today
-/// `Auto`: the dense bitset kernel where it fits, else sort-merge or hash by
-/// sampled key duplication) instead of pinning a kernel no default request
-/// runs.
+/// The policy `hyperqd` serves every request: the `columnar` rows.
 fn served() -> ExecPolicy {
-    ExecPolicy::sequential(ExecPolicy::default().strategy)
+    ExecPolicy::default()
 }
 
 /// The `full_reduce` and `yannakakis_join` rows of one cell.  Each policy
 /// of `engines` is timed with nobody watching (plus one run under a
-/// collecting sink for the row's counters).  `gov` adds `columnar-governed`
-/// — `engines[0]`, the `columnar` policy, checkpointing against it — right
-/// behind the `columnar` rows it is compared with, and `reference` adds
-/// the naive oracle.
+/// collecting sink for the row's counters).  Only `engines[0]`, the
+/// `columnar` policy, gets a `full_reduce` row: the others pin a join
+/// kernel, which the reducer's semijoins never read, so their reducer rows
+/// would time the same code again.  `gov` adds `columnar-governed` —
+/// `engines[0]` checkpointing against it — right behind the `columnar`
+/// rows it is compared with, and `reference` adds the naive oracle.
 fn pipeline_rows<'a>(
     engines: &'a [(&'static str, ExecPolicy)],
     gov: Option<&'a QueryGovernor>,
@@ -271,10 +270,12 @@ fn pipeline_rows<'a>(
     let mut rows = Vec::new();
     for (i, (engine, policy)) in engines.iter().enumerate() {
         let ctx = ExecCtx::new(policy);
-        let counters = RowMetrics::capture(|s| drop(ctx.metrics(s).full_reduce(db, tree)));
-        rows.push(row("full_reduce", engine, Some(counters), move || {
-            ctx.full_reduce(db, tree)
-        }));
+        if i == 0 {
+            let counters = RowMetrics::capture(|s| drop(ctx.metrics(s).full_reduce(db, tree)));
+            rows.push(row("full_reduce", engine, Some(counters), move || {
+                ctx.full_reduce(db, tree)
+            }));
+        }
         let counters = RowMetrics::capture(|s| drop(ctx.metrics(s).yannakakis_join(db, tree, x)));
         rows.push(row("yannakakis_join", engine, Some(counters), move || {
             ctx.yannakakis_join(db, tree, x)
@@ -506,13 +507,12 @@ fn calibration_pair(n: usize, ratio: f64) -> (Relation, Relation) {
     (r0, r1)
 }
 
-/// `hyperq bench --calibrate`: sweeps the two-relation workload of
+/// `hyperq bench --calibrate`: sweeps the two-relation join of
 /// [`calibration_pair`] across distinct-key counts and relation sizes,
-/// timing the hash and sort-merge kernels separately for joins and for
-/// semijoins (their cost structures differ: a join materializes output rows
-/// where a semijoin only flags survivors), and reports the measured
-/// crossover next to the shipped [`JoinStrategy::Auto`] defaults.  The two
-/// kernels of a cell are sampled interleaved, fastest batch each.
+/// timing the hash and sort-merge join kernels interleaved, fastest batch
+/// each, and reports the measured crossover next to the shipped
+/// [`AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO`].  A semijoin has no crossover
+/// to measure — its inputs choose its kernel — and the report says so.
 ///
 /// The `sampled` column is the engine's own distinct-key-ratio estimate
 /// (distinct keys among ≤128 evenly spaced rows, over the sample size) —
@@ -529,86 +529,65 @@ pub fn calibrate(profile: Profile) -> String {
     let hash_policy = ExecPolicy::sequential(JoinStrategy::Hash);
     let hash_ctx = ExecCtx::new(&hash_policy);
     let mut out = String::new();
-    out.push_str("calibration sweep: R0(A,B) join/semijoin R1(B,C), fastest-batch timings\n");
+    out.push_str("calibration sweep: R0(A,B) join R1(B,C), fastest-batch timings\n");
     out.push_str(&format!(
         "{:<9} {:>6} {:>8} {:>9} {:>12} {:>12}  {}\n",
         "op", "rows", "ratio", "sampled", "hash_ns", "merge_ns", "winner"
     ));
-    let mut summaries = Vec::new();
-    for op in ["join", "semijoin"] {
-        // Per size: the largest sampled ratio where sort-merge won and the
-        // smallest where hash won — the crossover lies between them.
-        let mut merge_best: Option<f64> = None;
-        let mut hash_best: Option<f64> = None;
-        for &n in sizes {
-            for &r in &ratios {
-                let (r0, r1) = calibration_pair(n, r);
-                let sink = CollectingSink::new();
-                let (timed, sampled) = if op == "join" {
-                    hash_ctx
-                        .metrics(&sink)
-                        .join(&r0, &r1)
-                        .expect("no governor to abort");
-                    let timed = measure_interleaved(&mut [
-                        side(|| r0.join_with(&r1, JoinStrategy::Hash)),
-                        side(|| r0.join_with(&r1, JoinStrategy::SortMerge)),
-                    ]);
-                    (timed, sink.snapshot().joins.ratio_mean())
-                } else {
-                    let mut probe = r0.clone();
-                    hash_ctx
-                        .metrics(&sink)
-                        .retain_semijoin(&mut probe, &r1)
-                        .expect("no governor to abort");
-                    let timed = measure_interleaved(&mut [
-                        side(|| r0.semijoin_with(&r1, JoinStrategy::Hash)),
-                        side(|| r0.semijoin_with(&r1, JoinStrategy::SortMerge)),
-                    ]);
-                    (timed, sink.snapshot().semijoins.ratio_mean())
-                };
-                let (hash_ns, merge_ns) = (timed[0].ns_min, timed[1].ns_min);
-                let s = sampled.unwrap_or(1.0);
+    // The largest sampled ratio where sort-merge won and the smallest where
+    // hash won — the crossover lies between them.
+    let mut merge_best: Option<f64> = None;
+    let mut hash_best: Option<f64> = None;
+    for &n in sizes {
+        for &r in &ratios {
+            let (r0, r1) = calibration_pair(n, r);
+            let sink = CollectingSink::new();
+            hash_ctx
+                .metrics(&sink)
+                .join(&r0, &r1)
+                .expect("no governor to abort");
+            let timed = measure_interleaved(&mut [
+                side(|| r0.join_with(&r1, JoinStrategy::Hash)),
+                side(|| r0.join_with(&r1, JoinStrategy::SortMerge)),
+            ]);
+            let (hash_ns, merge_ns) = (timed[0].ns_min, timed[1].ns_min);
+            let s = sink.snapshot().joins.ratio_mean().unwrap_or(1.0);
+            if merge_ns <= hash_ns {
+                merge_best = Some(merge_best.map_or(s, |m: f64| m.max(s)));
+            } else {
+                hash_best = Some(hash_best.map_or(s, |m: f64| m.min(s)));
+            }
+            out.push_str(&format!(
+                "{:<9} {:>6} {:>8.3} {:>9.4} {:>12.0} {:>12.0}  {}\n",
+                "join",
+                n,
+                r,
+                s,
+                hash_ns,
+                merge_ns,
                 if merge_ns <= hash_ns {
-                    merge_best = Some(merge_best.map_or(s, |m: f64| m.max(s)));
+                    "sort-merge"
                 } else {
-                    hash_best = Some(hash_best.map_or(s, |m: f64| m.min(s)));
-                }
-                out.push_str(&format!(
-                    "{:<9} {:>6} {:>8.3} {:>9.4} {:>12.0} {:>12.0}  {}\n",
-                    op,
-                    n,
-                    r,
-                    s,
-                    hash_ns,
-                    merge_ns,
-                    if merge_ns <= hash_ns {
-                        "sort-merge"
-                    } else {
-                        "hash"
-                    },
-                ));
-            }
+                    "hash"
+                },
+            ));
         }
-        summaries.push((op, merge_best, hash_best));
     }
-    for (op, merge_best, hash_best) in summaries {
-        let shipped = if op == "join" {
-            AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO
-        } else {
-            AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO
-        };
-        let span = match (merge_best, hash_best) {
-            (Some(m), Some(h)) => {
-                format!("sort-merge won up to sampled {m:.4}, hash from sampled {h:.4}")
-            }
-            (Some(m), None) => format!("sort-merge won everywhere swept (up to sampled {m:.4})"),
-            (None, Some(h)) => format!("hash won everywhere swept (down to sampled {h:.4})"),
-            (None, None) => "no cells measured".to_owned(),
-        };
-        out.push_str(&format!(
-            "measured crossover, {op}: {span} (shipped Auto default {shipped})\n",
-        ));
-    }
+    let span = match (merge_best, hash_best) {
+        (Some(m), Some(h)) => {
+            format!("sort-merge won up to sampled {m:.4}, hash from sampled {h:.4}")
+        }
+        (Some(m), None) => format!("sort-merge won everywhere swept (up to sampled {m:.4})"),
+        (None, Some(h)) => format!("hash won everywhere swept (down to sampled {h:.4})"),
+        (None, None) => "no cells measured".to_owned(),
+    };
+    out.push_str(&format!(
+        "measured crossover, join: {span} (shipped Auto default \
+         {AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO})\n",
+    ));
+    out.push_str(
+        "semijoin: not swept, no threshold: dense where the key space fits, else sort-merge\n",
+    );
     out
 }
 
@@ -835,7 +814,31 @@ mod tests {
     #[test]
     fn the_columnar_rows_run_the_served_policy() {
         // If hyperqd's default ever changes, the headline rows follow.
-        assert_eq!(served().strategy, ExecPolicy::default().strategy);
+        assert_eq!(served(), ExecPolicy::default());
+    }
+
+    #[test]
+    fn pinned_engines_time_only_the_join() {
+        let schema = chain(3, 2, 1);
+        let db = data(&schema, 20, 10, 0.0, 0);
+        let (tree, x) = (join_tree(&schema).unwrap(), far_apart(&schema));
+        let engines = [
+            ("columnar", served()),
+            ("columnar-hash", ExecPolicy::sequential(JoinStrategy::Hash)),
+        ];
+        let rows = pipeline_rows(&engines, None, false, &db, &tree, &x);
+        let names: Vec<_> = rows
+            .iter()
+            .map(|((op, engine, _), _)| (*op, *engine))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                ("full_reduce", "columnar"),
+                ("yannakakis_join", "columnar"),
+                ("yannakakis_join", "columnar-hash"),
+            ]
+        );
     }
 
     #[test]
@@ -924,14 +927,11 @@ mod tests {
             report.contains("measured crossover, join:"),
             "report: {report}"
         );
-        assert!(
-            report.contains("measured crossover, semijoin:"),
-            "report: {report}"
-        );
+        assert!(report.contains("semijoin: not swept"), "report: {report}");
         // The engine's own sampled ratio confirms the sweep's skew knob: at
         // least one row must carry a sampled value, none a placeholder only.
         assert!(report.contains("0.0"), "sampled ratios shown: {report}");
-        // Tiny sweeps one size over eight ratios per operator.
+        // Tiny sweeps one size over eight ratios, of joins only.
         let rows = |op: &str| {
             report
                 .lines()
@@ -939,7 +939,7 @@ mod tests {
                 .count()
         };
         assert_eq!(rows("join"), 8, "join rows: {report}");
-        assert_eq!(rows("semijoin"), 8, "semijoin rows: {report}");
+        assert_eq!(rows("semijoin"), 0, "semijoin rows: {report}");
     }
 
     #[test]

@@ -16,7 +16,6 @@ use hyperqd::json::Json;
 use hyperqd::protocol::{
     parse_response, render_request, EngineKind, Overrides, QuerySpec, Request, Response,
 };
-use reldb::JoinStrategy;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -238,15 +237,10 @@ fn take_engine(args: &mut Vec<String>) -> Result<Option<EngineKind>, CliError> {
     Ok(name.as_deref().map(EngineKind::parse).transpose()?)
 }
 
-/// Extracts the shared override flags (`--strategy`, `--timeout-ms`,
-/// `--mem-budget-mb`, `--metrics`, and the
-/// failpoints-feature fault-injection pair).
+/// Extracts the shared override flags (`--timeout-ms`, `--mem-budget-mb`,
+/// `--metrics`, and the failpoints-feature fault-injection pair).
 fn take_overrides(args: &mut Vec<String>) -> Result<Overrides, CliError> {
-    let strategy = crate::take_flag(args, "--strategy")?;
-    let mut o = Overrides {
-        strategy: strategy.as_deref().map(JoinStrategy::parse).transpose()?,
-        ..Overrides::default()
-    };
+    let mut o = Overrides::default();
     for (flag, slot) in [
         ("--timeout-ms", &mut o.timeout_ms),
         ("--mem-budget-mb", &mut o.mem_budget_mb),

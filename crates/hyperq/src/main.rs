@@ -55,7 +55,6 @@ USAGE:
     hyperq client    <addr> ping | list | shutdown [--now]
     hyperq client    <addr> stats [--prometheus] [--raw]
     hyperq client    <addr> query <db> --select A,B[,..] [--engine ENGINE]
-                     [--strategy hash|sort-merge|auto]
                      [--timeout-ms N] [--mem-budget-mb N] [--metrics] [--raw]
     hyperq client    <addr> prepare <name> <db> --select A,B[,..] [flags]
     hyperq client    <addr> run <name> [override flags] [--raw]
@@ -100,7 +99,7 @@ COMMANDS:
                binary snapshot directly
     bench      Run the query/acyclicity benchmarks at fixed workload sizes:
                the policy hyperqd serves (engine columnar) beside its
-               governed twin, the naive reference and the pinned kernels.
+               governed twin, the naive reference and the pinned join kernels.
                Every run ends with a ratios: block
                computed from its own rows; --check exits non-zero unless
                governed_overhead <= 1.25, engine_speedup >= 10 and
@@ -109,20 +108,18 @@ COMMANDS:
                --quick trims the workload sizes for CI, --scale runs only
                the 10^6-tuple rows (snapshot-load vs text-parse, and the
                served engine at that size).  --calibrate instead sweeps
-               two-relation join/semijoin workloads across distinct-key
-               ratios and reports the measured hash vs sort-merge
-               crossover per operator (the measurement behind the Auto
-               planner's shipped thresholds)
+               a two-relation join across distinct-key ratios and reports
+               the measured hash vs sort-merge crossover (the measurement
+               behind the Auto planner's shipped join threshold)
     client     Talk to a running hyperqd server at <addr> (HOST:PORT):
                ping, list the served databases and prepared queries,
-               run ad-hoc or prepared queries with per-request policy and
-               governance overrides, scrape the telemetry registry
+               run ad-hoc or prepared queries with per-request governance
+               and metrics overrides, scrape the telemetry registry
                (stats; --prometheus switches the canonical JSON snapshot
                to the Prometheus text exposition), or ask the server to
                shut down (--now cancels in-flight queries instead of
                draining).  ENGINE is spelled as for query (the server's
-               default is yannakakis); --strategy also accepts sortmerge.
-               --raw prints the server's response frame verbatim.  Server
+               default is yannakakis).  --raw prints the server's response frame verbatim.  Server
                errors map to the exit codes below via the protocol's
                \"code\" field, so scripts assert on $? exactly as for the
                one-shot query command

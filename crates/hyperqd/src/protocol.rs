@@ -6,8 +6,7 @@
 //! {"op":"ping"}
 //! {"op":"list"}
 //! {"op":"query","db":"fig1","select":["B","D"],"engine":"yannakakis",
-//!  "strategy":"auto","timeout_ms":500,"mem_budget_mb":64,
-//!  "metrics":true}
+//!  "timeout_ms":500,"mem_budget_mb":64,"metrics":true}
 //! {"op":"prepare","name":"bd","db":"fig1","select":["B","D"]}
 //! {"op":"run","name":"bd","timeout_ms":250}
 //! {"op":"stats"}                      // telemetry snapshot (JSON)
@@ -17,7 +16,8 @@
 //! ```
 //!
 //! Unknown members are ignored, so an older client's request — one still
-//! carrying the retired `"threads"` member, say — keeps working.
+//! carrying the retired `"threads"` or `"strategy"` member, say — keeps
+//! working: every request runs the default execution policy.
 //!
 //! # Responses
 //!
@@ -42,7 +42,7 @@
 
 use crate::json::{into_text, obj, parse as parse_json, write_escaped, Json, INFALLIBLE};
 use reldb::metrics::OpAgg;
-use reldb::{EngineError, JoinStrategy, QueryMetrics};
+use reldb::{EngineError, QueryMetrics};
 use std::io::Write as _;
 
 /// Hard cap on one protocol line, terminator included.  A peer that sends
@@ -90,14 +90,11 @@ impl EngineKind {
     }
 }
 
-/// Per-request execution and governance overrides.  Every field is
+/// Per-request governance and reporting overrides.  Every field is
 /// optional; on a prepared query, request-time overrides win over the
 /// values stored at `prepare` time, field by field.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Overrides {
-    /// Join-kernel selection ([`reldb::ExecPolicy::strategy`]), on the wire
-    /// in [`JoinStrategy::as_str`]'s spelling.
-    pub strategy: Option<JoinStrategy>,
     /// Wall-clock deadline for the query, in milliseconds.
     pub timeout_ms: Option<u64>,
     /// Memory budget for intermediate results, in mebibytes.
@@ -123,7 +120,6 @@ impl Overrides {
     /// Request-time overrides layered over prepared defaults.
     pub fn layered_over(&self, base: &Overrides) -> Overrides {
         Overrides {
-            strategy: self.strategy.or(base.strategy),
             timeout_ms: self.timeout_ms.or(base.timeout_ms),
             mem_budget_mb: self.mem_budget_mb.or(base.mem_budget_mb),
             metrics: self.metrics.or(base.metrics),
@@ -133,9 +129,6 @@ impl Overrides {
     }
 
     fn push_fields(&self, pairs: &mut Vec<(String, Json)>) {
-        if let Some(s) = self.strategy {
-            pairs.push(("strategy".to_owned(), Json::str(s.as_str())));
-        }
         if let Some(n) = self.timeout_ms {
             pairs.push(("timeout_ms".to_owned(), Json::Int(n as i64)));
         }
@@ -155,12 +148,6 @@ impl Overrides {
 
     fn from_json(v: &Json) -> Result<Overrides, WireError> {
         let mut o = Overrides::default();
-        if let Some(s) = v.get("strategy") {
-            let name = s
-                .as_str()
-                .ok_or_else(|| proto("strategy must be a string"))?;
-            o.strategy = Some(JoinStrategy::parse(name).map_err(proto)?);
-        }
         for (field, slot) in [
             ("timeout_ms", &mut o.timeout_ms),
             ("mem_budget_mb", &mut o.mem_budget_mb),
@@ -1072,7 +1059,6 @@ mod tests {
                 select: vec!["B".into(), "D".into()],
                 engine: Some(EngineKind::Connection),
                 overrides: Overrides {
-                    strategy: Some(JoinStrategy::SortMerge),
                     timeout_ms: Some(500),
                     mem_budget_mb: Some(64),
                     metrics: Some(true),
@@ -1118,25 +1104,12 @@ mod tests {
             "{\"op\":\"run\"}",
             "{\"op\":\"prepare\",\"name\":\"\"}",
             "{\"op\":\"query\",\"db\":\"d\",\"select\":[],\"timeout_ms\":-1}",
-            "{\"op\":\"query\",\"db\":\"d\",\"select\":[],\"strategy\":\"quantum\"}",
             "{\"op\":\"shutdown\",\"mode\":\"later\"}",
             "{\"op\":\"stats\",\"format\":\"xml\"}",
         ] {
             let e = parse_request(bad).unwrap_err();
             assert_eq!(e.kind, ErrorKind::Proto, "input {bad:?} gave {e:?}");
         }
-    }
-
-    #[test]
-    fn strategy_spellings_read_through_join_strategy() {
-        // Every spelling `JoinStrategy::parse` takes is a valid frame; the
-        // rendered form is always the canonical one (all three round-trip
-        // in `tests/server_protocol.rs`).
-        let r = parse_request(r#"{"op":"run","name":"q","strategy":"sortmerge"}"#).unwrap();
-        assert_eq!(
-            render_request(&r),
-            r#"{"op":"run","name":"q","strategy":"sort-merge"}"#
-        );
     }
 
     #[test]

@@ -659,12 +659,6 @@ fn validate(state: &State, spec: &QuerySpec) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Builds the [`ExecPolicy`] a request asked for.
-fn policy_for(o: &Overrides) -> ExecPolicy {
-    o.strategy
-        .map_or_else(ExecPolicy::default, ExecPolicy::sequential)
-}
-
 /// Builds the per-request governor: the server-wide cancel token (so
 /// `shutdown now` aborts every in-flight query), plus the request's
 /// deadline and memory budget.
@@ -795,7 +789,7 @@ fn execute_inner(
     };
     state.queries.fetch_add(1, Ordering::Relaxed);
     let started = Instant::now();
-    let policy = policy_for(&spec.overrides);
+    let policy = ExecPolicy::default();
     let base = governor_for(state, &spec.overrides, started);
     let want_metrics = spec.overrides.metrics == Some(true);
     let fail_requested =

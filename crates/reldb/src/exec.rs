@@ -1,80 +1,62 @@
 //! Execution policy and context: join-strategy selection, and the
 //! [`ExecCtx`] every pipeline entry point is a method of.
 //!
-//! The columnar kernels come in two physical flavors — hash (build the
-//! smaller side, probe the larger) and sort-merge (sort row-id permutations
-//! by the key columns, merge equal-key runs).  Hash wins on near-unique
-//! keys; sort-merge wins when keys are heavily duplicated (skewed data),
-//! where the pattern-defeating sort degenerates towards linear and the merge
-//! replaces per-row hashing.  [`JoinStrategy::Auto`] picks per operation
-//! from an estimated distinct-key ratio (the rows themselves are distinct by
-//! construction, so sampled key duplication measures genuine key skew).
+//! The join kernel comes in two physical flavors — hash (build the smaller
+//! side, probe the larger) and sort-merge (sort row-id permutations by the
+//! key columns, merge equal-key runs).  Hash wins on near-unique keys;
+//! sort-merge wins when keys are heavily duplicated (skewed data), where
+//! the merge replaces per-row hashing.  [`JoinStrategy::Auto`] picks per
+//! join from an estimated distinct-key ratio (the rows themselves are
+//! distinct by construction, so sampled key duplication measures genuine
+//! key skew).
 //!
-//! [`ExecPolicy`] carries the strategy.  [`ExecCtx`] is what a pipeline
-//! actually runs under: the policy plus the two instrumentation sinks —
-//! metrics (counters and stage clocks alike) and governance.  Every pipeline
-//! has exactly one generic entry point, a method on it, and runs on the
-//! calling thread: `hyperqd` gives each connection a thread, so queries run
-//! side by side and none of them splits across threads.
+//! Semijoins — the full reducer's only operator — take no strategy: their
+//! inputs alone choose the kernel, a dense bitset where the packed key
+//! space fits and sort-merge otherwise (see
+//! [`Relation::retain_semijoin`](crate::Relation::retain_semijoin)).
+//!
+//! [`ExecPolicy`] carries the join strategy.  [`ExecCtx`] is what a
+//! pipeline actually runs under: the policy plus the two instrumentation
+//! sinks — metrics (counters and stage clocks alike) and governance.  Every
+//! pipeline has exactly one generic entry point, a method on it, and runs
+//! on the calling thread: `hyperqd` gives each connection a thread, so
+//! queries run side by side and none of them splits across threads.
 
 use crate::govern::NoopGovernor;
 use crate::metrics::NoopMetrics;
 
-/// Which physical join/semijoin kernel to run.
+/// Which physical join kernel to run.  Semijoins do not read it: their
+/// inputs choose their kernel.
 ///
 /// # Examples
 ///
 /// ```
-/// use reldb::JoinStrategy;
+/// use reldb::{JoinStrategy, Relation};
+/// use hypergraph::Hypergraph;
 ///
-/// // The spellings round-trip; `Auto` is the default cost-pick planner.
-/// assert_eq!(JoinStrategy::parse("sort-merge"), Ok(JoinStrategy::SortMerge));
-/// assert_eq!(JoinStrategy::parse("sortmerge"), Ok(JoinStrategy::SortMerge));
-/// assert_eq!(JoinStrategy::SortMerge.as_str(), "sort-merge");
+/// // `Auto` is the default cost-pick planner.
 /// assert_eq!(JoinStrategy::default(), JoinStrategy::Auto);
-/// assert!(JoinStrategy::parse("quantum").is_err());
+///
+/// // Every strategy joins to the same tuples.
+/// let h = Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"]]).unwrap();
+/// let mut r = Relation::new("R", h.node_set(["A", "B"]).unwrap());
+/// let mut s = Relation::with_pool("S", h.node_set(["B", "C"]).unwrap(), r.pool().clone());
+/// r.insert_values([1, 2]);
+/// s.insert_values([2, 3]);
+/// let hash = r.join_with(&s, JoinStrategy::Hash);
+/// assert!(hash.same_contents(&r.join_with(&s, JoinStrategy::SortMerge)));
+/// assert_eq!(hash.len(), 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
-    /// Hash build + probe (the columnar default).
+    /// Hash build + probe.
     Hash,
     /// Sort row-id permutations by the key columns and merge.
     SortMerge,
-    /// Pick per operation from the estimated distinct-key ratio: sort-merge
-    /// at or below the operator's calibrated crossover
-    /// ([`AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO`] for joins,
-    /// [`AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO`] for semijoins), hash
-    /// otherwise.  Semijoins whose packed handle key space fits run the
-    /// dense bitset kernel before that choice is made (see
-    /// `AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO`).
+    /// Pick per join from the estimated distinct-key ratio: sort-merge at or
+    /// below [`AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO`], hash otherwise.
     #[default]
     Auto,
-}
-
-impl JoinStrategy {
-    /// The canonical spelling (`hash`, `sort-merge`, `auto`) — what the
-    /// wire protocol renders and [`parse`](Self::parse) reads back.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Hash => "hash",
-            Self::SortMerge => "sort-merge",
-            Self::Auto => "auto",
-        }
-    }
-
-    /// Parses a spelling: the canonical ones of [`as_str`](Self::as_str),
-    /// plus `sortmerge`.  The `--strategy` flag and the protocol's
-    /// `"strategy"` member both read through this.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "hash" => Ok(Self::Hash),
-            "sortmerge" | "sort-merge" => Ok(Self::SortMerge),
-            "auto" => Ok(Self::Auto),
-            other => Err(format!(
-                "unknown join strategy {other:?} (expected hash, sort-merge or auto)"
-            )),
-        }
-    }
 }
 
 /// Distinct-key-ratio crossover for **joins** under [`JoinStrategy::Auto`]:
@@ -94,30 +76,7 @@ impl JoinStrategy {
 /// sort-merge wins an order of magnitude wide; see README "Observability".
 pub const AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO: f64 = 0.55;
 
-/// Distinct-key-ratio crossover for **semijoins** under
-/// [`JoinStrategy::Auto`]: at or below this sampled ratio the sort-merge
-/// mask kernel is picked over the hash mask.
-///
-/// Calibrated separately from joins (same `hyperq bench --calibrate`
-/// sweep), and the measurement was one-sided: the hash mask never won a
-/// single swept cell at any ratio or size (sort-merge margins 20–45%), and
-/// the pipeline-level bench rows agree (`full_reduce` under the pinned
-/// sort-merge engine beats the pinned hash engine 1.5–2.2× on every
-/// workload).  Sorting interned `u32` key handles is simply cheaper than
-/// per-row hashing here, so the threshold is 1.0.
-///
-/// The threshold only decides semijoins the dense kernel does not take:
-/// `Auto` first runs a direct-address bitset over the packed handle key
-/// space whenever `pool.len()^k` is at most eight bits per input row (the
-/// bitset never outweighs one byte per row it serves; past that, zeroing
-/// and missing on a sparse bitset costs more than the sort), and falls back
-/// to this sort-merge-vs-hash choice otherwise.  At 1.0 that makes the
-/// order *dense if the key space fits, else sort-merge; hash only when
-/// pinned*.
-pub const AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO: f64 = 1.0;
-
-/// How a query executes: the join strategy every semijoin and join runs
-/// under.
+/// How a query executes: the strategy every join runs under.
 ///
 /// Every query runs on its caller's thread — a `hyperqd` connection's, or
 /// the CLI's — and the engine spawns no threads of its own.
@@ -130,13 +89,13 @@ pub const AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO: f64 = 1.0;
 /// // The default policy: the auto strategy.
 /// assert_eq!(ExecPolicy::default().strategy, JoinStrategy::Auto);
 ///
-/// // A pinned kernel, for measurements that isolate one.
+/// // A pinned join kernel, for measurements that isolate one.
 /// let pinned = ExecPolicy::sequential(JoinStrategy::SortMerge);
 /// assert_eq!(pinned.strategy, JoinStrategy::SortMerge);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPolicy {
-    /// Physical kernel selection for every join/semijoin.
+    /// Physical kernel selection for every join.
     pub strategy: JoinStrategy,
     /// Nothing reads this: a query always runs on one thread.  The field
     /// stays only because the benchmark harness under `benchmark/` builds
@@ -151,8 +110,8 @@ impl Default for ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// The policy with an explicit strategy — what the benchmarks use to
-    /// isolate one kernel.
+    /// The policy with an explicit join strategy — what the benchmarks use
+    /// to isolate one join kernel.
     pub fn sequential(strategy: JoinStrategy) -> Self {
         Self {
             strategy,
@@ -246,25 +205,5 @@ impl<'a, M, G> ExecCtx<'a, M, G> {
             metrics: self.metrics,
             gov,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn strategy_parses_cli_spellings() {
-        assert_eq!(JoinStrategy::parse("hash"), Ok(JoinStrategy::Hash));
-        assert_eq!(
-            JoinStrategy::parse("sortmerge"),
-            Ok(JoinStrategy::SortMerge)
-        );
-        assert_eq!(
-            JoinStrategy::parse("sort-merge"),
-            Ok(JoinStrategy::SortMerge)
-        );
-        assert_eq!(JoinStrategy::parse("auto"), Ok(JoinStrategy::Auto));
-        assert!(JoinStrategy::parse("quantum").is_err());
     }
 }

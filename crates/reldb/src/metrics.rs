@@ -61,8 +61,9 @@ pub enum OpKind {
     Semijoin,
 }
 
-/// Which physical kernel an operator resolved to (the [`Auto`] planner's
-/// *output*, where [`crate::JoinStrategy`] is its input).
+/// Which physical kernel an operator ran: for a join, the [`Auto`]
+/// planner's *output*, where [`crate::JoinStrategy`] is its input; for a
+/// semijoin, dense or sort-merge by its key space.
 ///
 /// [`Auto`]: crate::JoinStrategy::Auto
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,9 +72,9 @@ pub enum Kernel {
     Hash,
     /// Sorted row-id permutations + merge.
     SortMerge,
-    /// Direct-address bitset over the packed handle key space — `Auto`
-    /// semijoins whose key space fits; see
-    /// [`Relation::retain_semijoin_with`](crate::Relation::retain_semijoin_with).
+    /// Direct-address bitset over the packed handle key space — semijoins
+    /// whose key space fits; see
+    /// [`Relation::retain_semijoin`](crate::Relation::retain_semijoin).
     Dense,
 }
 
@@ -107,11 +108,11 @@ pub struct OpMetrics {
     pub built: u64,
     /// Build-side input rows.
     pub build_rows: u64,
-    /// The sampled distinct-key ratio of the strategy-deciding side, when it
-    /// was sampled (always when [`Auto`] chose between hash and sort-merge
-    /// by it; under a pinned strategy, and for semijoins the dense kernel
-    /// took, only when the sink is enabled, so the no-op path never pays for
-    /// sampling).
+    /// The sampled distinct-key ratio of a join's larger side, when it was
+    /// sampled (always when [`Auto`] chose between hash and sort-merge by
+    /// it; under a pinned strategy only when the sink is enabled, so the
+    /// no-op path never pays for sampling).  Always `None` for a semijoin,
+    /// whose kernel no ratio decides.
     ///
     /// [`Auto`]: crate::JoinStrategy::Auto
     pub distinct_ratio: Option<f64>,

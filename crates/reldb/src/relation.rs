@@ -21,15 +21,13 @@
 //! # Semijoin kernels
 //!
 //! Every semijoin computes a keep-mask first and moves rows only once the
-//! mask is complete.  Under [`JoinStrategy::Auto`] the mask kernel is chosen
-//! in this order: **dense** — a direct-address bitset over the packed handle
-//! key space — whenever that space fits (`pool.len()^k` at most eight bits
-//! per input row, i.e. the bitset never outweighs one byte per row it
-//! serves; wider or overflowing key spaces would cost more to zero and miss
-//! in cache than the sort they replace), else **sort-merge**; the **hash**
-//! mask runs only when pinned ([`JoinStrategy::Hash`]) or when a policy
-//! lowers the semijoin sort-merge threshold below the sampled ratio.  Pinned
-//! strategies mean exactly what they say and never take the dense kernel.
+//! mask is complete.  The inputs alone choose the mask kernel, under every
+//! [`ExecPolicy`](crate::ExecPolicy): **dense** — a direct-address bitset
+//! over the packed handle key space — whenever that space fits
+//! (`pool.len()^k` at most eight bits per input row, i.e. the bitset never
+//! outweighs one byte per row it serves; wider or overflowing key spaces
+//! would cost more to zero and miss in cache than the sort they replace),
+//! else **sort-merge**.  [`JoinStrategy`] pins join kernels only.
 //!
 //! # Set semantics
 //!
@@ -51,10 +49,7 @@
 //! [`Tuple`] remains the boundary type for building and reading individual
 //! tuples; it is decoded from / encoded into rows only at the edges.
 
-use crate::exec::{
-    ExecCtx, JoinStrategy, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-    AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-};
+use crate::exec::{ExecCtx, JoinStrategy, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO};
 use crate::govern::{unfail, EngineError, Governor, NoopGovernor, CHECK_BATCH};
 use crate::metrics::{Kernel, MetricsSink, NoopMetrics, OpKind, OpMetrics};
 use crate::pool::{ValuePool, NO_HANDLE};
@@ -65,14 +60,12 @@ use std::fmt;
 /// What a semijoin mask kernel did, reported alongside the mask so metered
 /// callers can assemble one semijoin [`OpMetrics`] record.
 struct MaskStats {
-    /// The physical kernel that ran (post-`Auto` resolution).
+    /// The physical kernel that ran: dense or sort-merge.
     kernel: Kernel,
-    /// Build-side structure entries (distinct keys indexed or deduped).
+    /// Build-side structure entries (distinct keys set or deduped).
     built: usize,
     /// Build-side (other relation) input rows.
     build_rows: usize,
-    /// Sampled distinct-key ratio, when sampled.
-    ratio: Option<f64>,
 }
 
 /// A tuple: an assignment of values to attributes.
@@ -317,8 +310,8 @@ fn positions(of: &NodeSet, cols: &[NodeId]) -> Vec<usize> {
 /// The key-extraction plan shared by the binary join/semijoin kernels: the
 /// shared attributes' column positions on both sides, plus the read-only
 /// handle translation needed when the two relations intern into different
-/// pools.  Factoring this out keeps the hash and sort-merge flavors of each
-/// kernel byte-for-byte identical in how they see keys.
+/// pools.  Factoring this out keeps the flavors of each kernel
+/// byte-for-byte identical in how they see keys.
 struct JoinKeys {
     left_pos: Vec<usize>,
     right_pos: Vec<usize>,
@@ -1071,12 +1064,7 @@ impl Relation {
             (Kernel::Hash, None)
         } else {
             let larger = if self.len >= other.len { self } else { other };
-            larger.resolve_kernel(
-                strategy,
-                &positions(&shared, &larger.cols),
-                AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-                M::ENABLED,
-            )
+            larger.resolve_kernel(strategy, &positions(&shared, &larger.cols), M::ENABLED)
         };
         let (mut out, built) = if kernel == Kernel::SortMerge {
             self.sort_merge_join_into(other, &shared, out, gov)?
@@ -1286,9 +1274,10 @@ impl Relation {
         Ok((out, built))
     }
 
-    /// Resolves a [`JoinStrategy`] to a physical [`Kernel`] for a key over
-    /// this relation's `pos` columns: under `Auto`, heavy key duplication
-    /// (distinct-key ratio at or below `max_ratio`) favors sort-merge,
+    /// Resolves a [`JoinStrategy`] to a physical join [`Kernel`] for a key
+    /// over this relation's `pos` columns: under `Auto`, heavy key
+    /// duplication (distinct-key ratio at or below
+    /// [`AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO`]) favors sort-merge,
     /// anything else stays with hash.  Returns the sampled ratio alongside
     /// the kernel; a pinned strategy only pays for sampling when
     /// `sample_anyway` asks for it (the metrics path wants the ratio even
@@ -1297,13 +1286,12 @@ impl Relation {
         &self,
         strategy: JoinStrategy,
         pos: &[usize],
-        max_ratio: f64,
         sample_anyway: bool,
     ) -> (Kernel, Option<f64>) {
         match strategy {
             JoinStrategy::Auto => {
                 let ratio = self.estimate_distinct_key_ratio(pos);
-                let kernel = if ratio <= max_ratio {
+                let kernel = if ratio <= AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO {
                     Kernel::SortMerge
                 } else {
                     Kernel::Hash
@@ -1351,20 +1339,14 @@ impl Relation {
     }
 
     /// For each row of `self`, whether some row of `other` matches it on the
-    /// shared attributes — the common kernel behind the semijoin family,
-    /// parameterized by strategy.  Alongside the mask, reports what the
-    /// kernel did ([`MaskStats`]) so metered callers can record one
-    /// semijoin [`OpMetrics`]; `sample_ratio` additionally
-    /// samples the distinct-key ratio where no kernel choice needed it
-    /// (pinned strategies, and `Auto` semijoins the dense kernel takes).
-    ///
-    /// `Auto` tries [`Relation::dense_mask`] first and resolves between
-    /// sort-merge and hash only when the packed key space does not fit.
+    /// shared attributes — the one kernel behind every semijoin.  The inputs
+    /// choose its flavor: [`Relation::dense_mask`] where the packed key space
+    /// fits, [`Relation::sort_merge_mask`] otherwise.  Alongside the mask,
+    /// reports what the kernel did ([`MaskStats`]) so metered callers can
+    /// record one semijoin [`OpMetrics`].
     fn semijoin_mask<G: Governor>(
         &self,
         other: &Relation,
-        strategy: JoinStrategy,
-        sample_ratio: bool,
         gov: &G,
     ) -> Result<(Vec<bool>, MaskStats), EngineError> {
         if G::ENABLED {
@@ -1372,47 +1354,23 @@ impl Relation {
         }
         let Some(keys) = JoinKeys::new(self, other) else {
             // π_∅(other) is {()} iff other is nonempty; every tuple matches.
+            // The key space is a single bit, so this is the dense kernel.
             let mask = vec![!other.is_empty(); self.len];
             let stats = MaskStats {
-                kernel: Kernel::Hash,
+                kernel: Kernel::Dense,
                 built: 0,
                 build_rows: other.len,
-                ratio: None,
             };
             return Ok((mask, stats));
         };
-        let dense = if strategy == JoinStrategy::Auto {
-            self.dense_mask(other, &keys, gov)?
-        } else {
-            None
-        };
-        let (kernel, ratio, (mask, built)) = match dense {
-            Some(done) => {
-                let ratio = sample_ratio.then(|| self.estimate_distinct_key_ratio(&keys.left_pos));
-                (Kernel::Dense, ratio, done)
-            }
-            None => {
-                // Gather the (translated) key columns of `other` into one buffer.
-                let other_keys = keys.gather_translated(other);
-                let (kernel, ratio) = self.resolve_kernel(
-                    strategy,
-                    &keys.left_pos,
-                    AUTO_SEMIJOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-                    sample_ratio,
-                );
-                let done = if kernel == Kernel::SortMerge {
-                    self.sort_merge_mask(&keys, &other_keys, gov)?
-                } else {
-                    self.hash_mask(&keys, &other_keys, gov)?
-                };
-                (kernel, ratio, done)
-            }
+        let (kernel, (mask, built)) = match self.dense_mask(other, &keys, gov)? {
+            Some(done) => (Kernel::Dense, done),
+            None => (Kernel::SortMerge, self.sort_merge_mask(other, &keys, gov)?),
         };
         let stats = MaskStats {
             kernel,
             built,
             build_rows: other.len,
-            ratio,
         };
         Ok((mask, stats))
     }
@@ -1470,72 +1428,19 @@ impl Relation {
         Ok(Some((mask, built)))
     }
 
-    /// Hash flavor of the semijoin mask: index `other`'s distinct keys,
-    /// probe every row of `self`.  Returns the mask plus the number of
-    /// distinct keys indexed (the "built" metric).
-    // Pinned-strategy only, so kept out of line: inlined, it bloats the
-    // dense / sort-merge path every `Auto` semijoin takes through
-    // `semijoin_mask` (`ring8-cyclic` reads ≈ 5 % slower).
-    #[inline(never)]
-    fn hash_mask<G: Governor>(
-        &self,
-        keys: &JoinKeys,
-        other_keys: &[u32],
-        gov: &G,
-    ) -> Result<(Vec<bool>, usize), EngineError> {
-        let k = keys.k();
-        let nkeys = other_keys.len() / k;
-        let key_at = |id: u32| row_of(other_keys, k, id);
-        let mut table = RowTable::with_capacity(nkeys);
-        let mut distinct = 0usize;
-        let mut step = 0usize;
-        for i in 0..nkeys as u32 {
-            if G::ENABLED {
-                step += 1;
-                if step >= CHECK_BATCH {
-                    step = 0;
-                    gov.checkpoint()?;
-                }
-            }
-            let h = hash_row(key_at(i));
-            table.reserve(distinct, |id| hash_row(key_at(id)));
-            let (slot, occupied) = table.find_slot(h, |id| key_at(id) == key_at(i));
-            if !occupied {
-                table.set(slot, i);
-                distinct += 1;
-            }
-        }
-        let mut keybuf = vec![0u32; k];
-        let mut mask = Vec::with_capacity(self.len);
-        for row in self.rows_iter() {
-            if G::ENABLED {
-                step += 1;
-                if step >= CHECK_BATCH {
-                    step = 0;
-                    gov.checkpoint()?;
-                }
-            }
-            for (j, &p) in keys.left_pos.iter().enumerate() {
-                keybuf[j] = row[p];
-            }
-            let hit = table.find(hash_row(&keybuf), |id| key_at(id) == keybuf);
-            mask.push(hit.is_some());
-        }
-        Ok((mask, distinct))
-    }
-
     /// Sort-merge flavor of the semijoin mask: sort a row-id permutation of
     /// `self` by the key columns (never the rows themselves), sort + dedup
-    /// `other`'s keys, and mark equal-key runs in one merge walk.  Returns
-    /// the mask plus the number of distinct other-side keys after dedup
-    /// (the "built" metric).
+    /// `other`'s (translated) keys, and mark equal-key runs in one merge
+    /// walk.  Returns the mask plus the number of distinct other-side keys
+    /// after dedup (the "built" metric).
     fn sort_merge_mask<G: Governor>(
         &self,
+        other: &Relation,
         keys: &JoinKeys,
-        other_keys: &[u32],
         gov: &G,
     ) -> Result<(Vec<bool>, usize), EngineError> {
         let k = keys.k();
+        let other_keys = &keys.gather_translated(other)[..];
         let mut mask = vec![false; self.len];
         if other_keys.is_empty() || self.len == 0 {
             return Ok((mask, 0));
@@ -1578,15 +1483,9 @@ impl Relation {
     }
 
     /// Semijoin: the tuples of `self` that join with at least one tuple of
-    /// `other`.
+    /// `other`, by the kernel [`Relation::retain_semijoin`] describes.
     pub fn semijoin(&self, other: &Relation) -> Relation {
-        self.semijoin_with(other, JoinStrategy::Hash)
-    }
-
-    /// Semijoin under an explicit [`JoinStrategy`] — see
-    /// [`Relation::join_with`] for the strategy semantics.
-    pub fn semijoin_with(&self, other: &Relation, strategy: JoinStrategy) -> Relation {
-        let (mask, _) = unfail(self.semijoin_mask(other, strategy, false, &NoopGovernor));
+        let (mask, _) = unfail(self.semijoin_mask(other, &NoopGovernor));
         let mut out = Relation::with_pool(
             self.name.clone(),
             self.attributes.clone(),
@@ -1604,17 +1503,11 @@ impl Relation {
     /// Number of tuples the semijoin with `other` would keep, without
     /// materializing it.
     pub fn semijoin_count(&self, other: &Relation) -> usize {
-        unfail(self.semijoin_mask(other, JoinStrategy::Hash, false, &NoopGovernor))
+        unfail(self.semijoin_mask(other, &NoopGovernor))
             .0
             .iter()
             .filter(|&&b| b)
             .count()
-    }
-
-    /// In-place semijoin with the default kernel — see
-    /// [`Relation::retain_semijoin_with`].
-    pub fn retain_semijoin(&mut self, other: &Relation) -> usize {
-        self.retain_semijoin_with(other, JoinStrategy::Hash)
     }
 
     /// In-place semijoin: removes the tuples of `self` that match no tuple
@@ -1626,22 +1519,19 @@ impl Relation {
     /// times in a row and never consults the index in between, so eager
     /// rebuilds were pure waste.
     ///
-    /// Under [`JoinStrategy::Auto`] the keep-mask comes from the dense
-    /// kernel (a bitset over the packed handle key space) whenever
-    /// `pool.len()^k` is at most eight bits per input row of the two
-    /// operands, and from sort-merge otherwise — a
-    /// sparser key space makes the bitset dearer than the sort.  The hash
-    /// mask runs only under a pinned [`JoinStrategy::Hash`]; see the module
-    /// docs.  [`ExecCtx::retain_semijoin`] is the form that takes a policy and
-    /// sinks.
-    pub fn retain_semijoin_with(&mut self, other: &Relation, strategy: JoinStrategy) -> usize {
-        unfail(self.retain_semijoin_impl(other, strategy, &NoopMetrics, &NoopGovernor))
+    /// The keep-mask comes from the dense kernel (a bitset over the packed
+    /// handle key space) whenever `pool.len()^k` is at most eight bits per
+    /// input row of the two operands, and from sort-merge otherwise — a
+    /// sparser key space makes the bitset dearer than the sort.  No policy
+    /// changes that choice; [`ExecCtx::retain_semijoin`] is the form that
+    /// takes sinks.
+    pub fn retain_semijoin(&mut self, other: &Relation) -> usize {
+        unfail(self.retain_semijoin_impl(other, &NoopMetrics, &NoopGovernor))
     }
 
     fn retain_semijoin_impl<M: MetricsSink, G: Governor>(
         &mut self,
         other: &Relation,
-        strategy: JoinStrategy,
         sink: &M,
         gov: &G,
     ) -> Result<usize, EngineError> {
@@ -1649,7 +1539,7 @@ impl Relation {
         // Every governance checkpoint fires inside the mask computation,
         // which only reads `self`; an abort propagates here before any row
         // is moved, leaving the relation bit-identical.
-        let (mask, stats) = self.semijoin_mask(other, strategy, M::ENABLED, gov)?;
+        let (mask, stats) = self.semijoin_mask(other, gov)?;
         let removed = mask.iter().filter(|&&b| !b).count();
         if removed > 0 {
             let w = self.width();
@@ -1674,7 +1564,7 @@ impl Relation {
                 kept: (probed - removed) as u64,
                 built: stats.built as u64,
                 build_rows: stats.build_rows as u64,
-                distinct_ratio: stats.ratio,
+                distinct_ratio: None,
             });
         }
         Ok(removed)
@@ -1770,7 +1660,7 @@ impl Relation {
 
 /// The single-operator entry points.  They peel the context at the door:
 /// the kernels underneath take exactly the strategy, sink and governor they
-/// read.
+/// read — a semijoin reads no strategy.
 impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// Natural join `left ⋈ right` under the policy's strategy, recording one
     /// [`OpMetrics`] into the metrics sink.  The join aborts with the
@@ -1781,10 +1671,10 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         left.join_impl(right, self.policy.strategy, self.metrics, self.gov)
     }
 
-    /// In-place semijoin `target ⋉ other` under the policy's strategy
-    /// ([`Relation::retain_semijoin_with`] documents the kernels), recording
-    /// one semijoin [`OpMetrics`] into the metrics sink.  Returns the number
-    /// of tuples removed.
+    /// In-place semijoin `target ⋉ other` ([`Relation::retain_semijoin`]
+    /// documents the kernels, which no policy changes), recording one
+    /// semijoin [`OpMetrics`] into the metrics sink.  Returns the number of
+    /// tuples removed.
     ///
     /// All governor checkpoints fire during the read-only mask computation;
     /// the in-place compaction runs unconditionally after the mask is
@@ -1795,7 +1685,7 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         target: &mut Relation,
         other: &Relation,
     ) -> Result<usize, EngineError> {
-        target.retain_semijoin_impl(other, self.policy.strategy, self.metrics, self.gov)
+        target.retain_semijoin_impl(other, self.metrics, self.gov)
     }
 }
 
@@ -1817,6 +1707,7 @@ impl fmt::Display for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::NaiveRelation;
     use hypergraph::Hypergraph;
 
     fn setup() -> (Hypergraph, Relation, Relation) {
@@ -2031,14 +1922,29 @@ mod tests {
         assert!(r.join_with(&s, JoinStrategy::Auto).same_contents(&hash));
     }
 
+    /// `r ⋉ s` by the reference oracle.
+    fn naive_semijoin(r: &Relation, s: &Relation) -> NaiveRelation {
+        NaiveRelation::from_relation(r).semijoin(&NaiveRelation::from_relation(s))
+    }
+
+    /// Grows `r`'s pool past the dense bound of any semijoin with `s`, so
+    /// the sort-merge mask runs.
+    fn past_the_dense_bound(r: &Relation, s: &Relation) {
+        grow_pool_to(r.pool(), 8 * (r.len() + s.len()) + 1025);
+    }
+
+    /// The sort-merge semijoin against the reference oracle: a shared pool,
+    /// an empty build side.
     #[test]
     fn sort_merge_semijoin_matches_hash_semijoin() {
         let (_, r, s) = setup();
-        let hash = r.semijoin_with(&s, JoinStrategy::Hash);
-        let sm = r.semijoin_with(&s, JoinStrategy::SortMerge);
-        assert!(hash.same_contents(&sm));
-        let empty = Relation::new("E", s.attributes().clone());
-        assert!(r.semijoin_with(&empty, JoinStrategy::SortMerge).is_empty());
+        let s = s.reintern_into(r.pool());
+        past_the_dense_bound(&r, &s);
+        let (out, agg) = metered_semijoin(&r, &s);
+        assert_eq!(agg.sortmerge_ops, 1);
+        assert!(naive_semijoin(&r, &s).agrees_with(&out));
+        let empty = Relation::with_pool("E", s.attributes().clone(), r.pool().clone());
+        assert!(r.semijoin(&empty).is_empty());
     }
 
     #[test]
@@ -2048,9 +1954,10 @@ mod tests {
         assert!(r
             .join_with(&s, JoinStrategy::SortMerge)
             .same_contents(&r.join(&s)));
-        assert!(r
-            .semijoin_with(&s, JoinStrategy::SortMerge)
-            .same_contents(&r.semijoin(&s)));
+        past_the_dense_bound(&r, &s);
+        let (out, agg) = metered_semijoin(&r, &s);
+        assert_eq!(agg.sortmerge_ops, 1);
+        assert!(naive_semijoin(&r, &s).agrees_with(&out));
     }
 
     #[test]
@@ -2073,9 +1980,10 @@ mod tests {
         assert!(r
             .join_with(&s, JoinStrategy::SortMerge)
             .same_contents(&r.join_with(&s, JoinStrategy::Hash)));
-        assert!(r
-            .semijoin_with(&s, JoinStrategy::SortMerge)
-            .same_contents(&r.semijoin_with(&s, JoinStrategy::Hash)));
+        past_the_dense_bound(&r, &s);
+        let (out, agg) = metered_semijoin(&r, &s);
+        assert_eq!(agg.sortmerge_ops, 1);
+        assert!(naive_semijoin(&r, &s).agrees_with(&out));
     }
 
     #[test]
@@ -2226,53 +2134,39 @@ mod tests {
         assert!(uniq.estimate_distinct_key_ratio(&[0]) > 0.9);
         // Whole-row keys are distinct by construction.
         assert_eq!(dup.estimate_distinct_key_ratio(&[0, 1]), 1.0);
-        // Auto resolves accordingly, against the calibrated join threshold,
-        // reporting the ratio it sampled.
-        let (kernel, ratio) = dup.resolve_kernel(
-            JoinStrategy::Auto,
-            &[0],
-            AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-            false,
-        );
+        // Auto resolves a join accordingly, against the calibrated join
+        // threshold, reporting the ratio it sampled.
+        let (kernel, ratio) = dup.resolve_kernel(JoinStrategy::Auto, &[0], false);
         assert_eq!(kernel, Kernel::SortMerge);
         assert!(ratio.unwrap() < 0.05);
-        let (kernel, ratio) = uniq.resolve_kernel(
-            JoinStrategy::Auto,
-            &[0],
-            AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
-            false,
-        );
+        let (kernel, ratio) = uniq.resolve_kernel(JoinStrategy::Auto, &[0], false);
         assert_eq!(kernel, Kernel::Hash);
-        assert!(ratio.unwrap() > 0.9);
+        assert!(ratio.unwrap() > AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO);
         // Pinned strategies skip sampling unless asked for it.
         assert_eq!(
-            dup.resolve_kernel(JoinStrategy::Hash, &[0], 1.0, false),
+            dup.resolve_kernel(JoinStrategy::Hash, &[0], false),
             (Kernel::Hash, None)
         );
         assert!(dup
-            .resolve_kernel(JoinStrategy::SortMerge, &[0], 1.0, true)
+            .resolve_kernel(JoinStrategy::SortMerge, &[0], true)
             .1
             .is_some());
-        // With a threshold of 1.0 even unique keys resolve to sort-merge.
-        assert_eq!(
-            uniq.resolve_kernel(JoinStrategy::Auto, &[0], 1.0, false).0,
-            Kernel::SortMerge
-        );
     }
 
-    /// `r ⋉ s` under `Auto` with a collecting sink: the reduced
-    /// relation plus the semijoin counters (one op, so exactly one of the
-    /// per-kernel counters is 1).
-    fn metered_auto_semijoin(r: &Relation, s: &Relation) -> (Relation, crate::metrics::OpAgg) {
+    /// `r ⋉ s` with a collecting sink: the reduced relation plus the
+    /// semijoin counters (one op, so exactly one of the per-kernel counters
+    /// is 1, and it is never hash's).
+    fn metered_semijoin(r: &Relation, s: &Relation) -> (Relation, crate::metrics::OpAgg) {
         let sink = crate::metrics::CollectingSink::new();
         let mut out = r.clone();
-        ExecCtx::new(&crate::ExecPolicy::sequential(JoinStrategy::Auto))
+        ExecCtx::new(&crate::ExecPolicy::default())
             .metrics(&sink)
             .retain_semijoin(&mut out, s)
             .unwrap();
         let agg = sink.snapshot().semijoins;
         assert_eq!(agg.ops, 1);
-        assert_eq!(agg.hash_ops, 0, "Auto semijoins never hash by default");
+        assert_eq!(agg.hash_ops, 0, "no semijoin hashes");
+        assert_eq!(agg.ratio_samples, 0, "no semijoin samples a ratio");
         (out, agg)
     }
 
@@ -2311,25 +2205,25 @@ mod tests {
     fn dense_kernel_runs_up_to_the_bound_and_sort_merge_past_it() {
         let (_, r, s) = setup();
         let s = s.reintern_into(r.pool());
-        let expected = r.semijoin(&s);
+        let expected = naive_semijoin(&r, &s);
         let rows = r.len() + s.len();
         // Single-column key: the key space is the pool size.  Exactly at
         // 8·rows + 1024 the bitset is taken…
         grow_pool_to(r.pool(), 8 * rows + 1024);
-        let (out, agg) = metered_auto_semijoin(&r, &s);
+        let (out, agg) = metered_semijoin(&r, &s);
         assert_eq!((agg.dense_ops, agg.sortmerge_ops), (1, 0));
-        assert!(out.same_contents(&expected));
+        assert!(expected.agrees_with(&out));
         // …with the counters the other kernels report: distinct build keys
         // (B ∈ {10, 30}), build-side rows, probed and kept.
         assert_eq!(
             (agg.built, agg.build_rows, agg.probed, agg.kept),
             (2, 3, 3, 2)
         );
-        // …and one value past it `Auto` sorts, to the same result.
+        // …and one value past it the semijoin sorts, to the same result.
         grow_pool_to(r.pool(), 8 * rows + 1024 + 1);
-        let (out, agg) = metered_auto_semijoin(&r, &s);
+        let (out, agg) = metered_semijoin(&r, &s);
         assert_eq!((agg.dense_ops, agg.sortmerge_ops), (0, 1));
-        assert!(out.same_contents(&expected));
+        assert!(expected.agrees_with(&out));
         assert_eq!((agg.built, agg.build_rows), (2, 3));
 
         // Two-column key over a 40-value pool: 40² = 1600 = 8·72 + 1024.
@@ -2343,15 +2237,15 @@ mod tests {
         }
         grow_pool_to(r.pool(), 40);
         assert_eq!((r.len() + s.len(), r.pool().len()), (72, 40));
-        let expected = r.semijoin(&s);
+        let expected = naive_semijoin(&r, &s);
         assert!(!expected.is_empty() && expected.len() < r.len());
-        let (out, agg) = metered_auto_semijoin(&r, &s);
+        let (out, agg) = metered_semijoin(&r, &s);
         assert_eq!((agg.dense_ops, agg.sortmerge_ops), (1, 0));
-        assert!(out.same_contents(&expected));
+        assert!(expected.agrees_with(&out));
         grow_pool_to(r.pool(), 41);
-        let (out, agg) = metered_auto_semijoin(&r, &s);
+        let (out, agg) = metered_semijoin(&r, &s);
         assert_eq!((agg.dense_ops, agg.sortmerge_ops), (0, 1));
-        assert!(out.same_contents(&expected));
+        assert!(expected.agrees_with(&out));
     }
 
     #[test]
@@ -2376,10 +2270,10 @@ mod tests {
                     s.insert_values(key.chain([i + 1]));
                 }
             }
-            let (out, agg) = metered_auto_semijoin(&r, &s);
+            let (out, agg) = metered_semijoin(&r, &s);
             assert_eq!((agg.dense_ops, agg.sortmerge_ops), (0, 1), "k = {k}");
             assert_eq!(out.len(), 17);
-            assert!(out.same_contents(&r.semijoin(&s)));
+            assert!(naive_semijoin(&r, &s).agrees_with(&out));
         }
     }
 
@@ -2393,11 +2287,11 @@ mod tests {
         s.insert(Tuple::from_pairs([(b, 777), (c, 888)]));
         s.insert(Tuple::from_pairs([(b, 20), (c, 1)]));
         s.insert(Tuple::from_pairs([(b, 999), (c, 20)]));
-        let (out, agg) = metered_auto_semijoin(&r, &s);
+        let (out, agg) = metered_semijoin(&r, &s);
         assert_eq!(agg.dense_ops, 1);
         // Only B = 20 translates; the two unknown-B rows are skipped.
         assert_eq!((agg.built, agg.build_rows, agg.kept), (1, 3, 1));
-        assert!(out.same_contents(&r.semijoin(&s)));
+        assert!(naive_semijoin(&r, &s).agrees_with(&out));
     }
 
     #[test]

@@ -146,7 +146,8 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// Yannakakis algorithm: full-reduce, then join bottom-up along the tree,
     /// projecting intermediate results onto (needed separator ∪ output)
     /// attributes to keep them small.  The policy picks the physical join
-    /// strategy ([`crate::JoinStrategy`]) for every semijoin and join.
+    /// strategy ([`crate::JoinStrategy`]) for every join; the reducer's
+    /// semijoins choose their kernel from their inputs.
     ///
     /// On top of what [`ExecCtx::full_reduce`] reports, each bottom-up join
     /// level is timed as one [`Phase::Join`] entry, the governor is

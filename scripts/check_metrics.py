@@ -48,9 +48,20 @@ def check(doc: dict, cyclic: bool) -> list[str]:
         # bounded by its probe side: one probe row can match many.
         if op == "semijoin" and agg["kept"] > agg["probed"]:
             err(f"{op}: kept {agg['kept']} > probed {agg['probed']}")
-        ratio = agg.get("distinct_ratio")
-        if not isinstance(ratio, dict):
-            err(f"{op}.distinct_ratio: missing or not an object")
+        # No ratio decides a semijoin's kernel: the key space does, dense
+        # where it fits, else sort-merge.  So none hashes or samples.
+        if op == "semijoin" and agg["hash_ops"] != 0:
+            err(f"{op}.hash_ops: expected 0 (dense or sort-merge only), got {agg['hash_ops']}")
+        if "distinct_ratio" not in agg:
+            err(f"{op}.distinct_ratio: missing")
+            continue
+        ratio = agg["distinct_ratio"]
+        if op == "semijoin" and ratio is not None:
+            err(f"{op}.distinct_ratio: expected null (no semijoin samples one), got {ratio!r}")
+        elif ratio is None:
+            pass  # an op kind with no sampled ratio
+        elif not isinstance(ratio, dict):
+            err(f"{op}.distinct_ratio: expected an object or null, got {ratio!r}")
         elif ratio.get("samples", 0) > 0:
             for key in ("mean", "min", "max"):
                 v = ratio.get(key)

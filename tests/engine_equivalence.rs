@@ -224,14 +224,10 @@ proptest! {
         prop_assert!(s_own.same_contents(&s_shared));
         prop_assert!(r.join(&s_own).same_contents(&r.join(&s_shared)));
         prop_assert!(r.semijoin(&s_own).same_contents(&r.semijoin(&s_shared)));
-        // The sort-merge kernels translate handles exactly like the hash
-        // kernels do.
+        // The sort-merge join translates handles exactly like the hash join.
         prop_assert!(r
             .join_with(&s_own, JoinStrategy::SortMerge)
             .same_contents(&r.join(&s_shared)));
-        prop_assert!(r
-            .semijoin_with(&s_own, JoinStrategy::SortMerge)
-            .same_contents(&r.semijoin(&s_shared)));
         prop_assert_eq!(r.semijoin_count(&s_own), r.semijoin_count(&s_shared));
     }
 
@@ -259,9 +255,9 @@ proptest! {
         }
     }
 
-    /// The sort-merge kernels and the auto cost-pick agree with the hash
-    /// kernels and the reference oracle on joins and semijoins, including
-    /// Zipf-skewed (high-duplicate) data.
+    /// The sort-merge join and the auto cost-pick agree with the hash join
+    /// and the reference oracle, and the semijoin with the oracle, including
+    /// on Zipf-skewed (high-duplicate) data.
     #[test]
     fn sort_merge_kernels_match_hash_and_reference(
         family in 0usize..4,
@@ -277,17 +273,16 @@ proptest! {
         for i in 0..rels.len() {
             for j in 0..rels.len() {
                 let naive_join = naive[i].join(&naive[j]);
-                let naive_semi = naive[i].semijoin(&naive[j]);
                 for strategy in [JoinStrategy::SortMerge, JoinStrategy::Auto] {
                     prop_assert!(
                         naive_join.agrees_with(&rels[i].join_with(&rels[j], strategy)),
                         "{strategy:?} join diverged on relations {i}×{j}"
                     );
-                    prop_assert!(
-                        naive_semi.agrees_with(&rels[i].semijoin_with(&rels[j], strategy)),
-                        "{strategy:?} semijoin diverged on relations {i}⋉{j}"
-                    );
                 }
+                prop_assert!(
+                    naive[i].semijoin(&naive[j]).agrees_with(&rels[i].semijoin(&rels[j])),
+                    "semijoin diverged on relations {i}⋉{j}"
+                );
             }
         }
     }
@@ -394,9 +389,7 @@ proptest! {
     }
 }
 
-/// Every strategy a semijoin can run under: `Auto` (the dense bitset
-/// kernel wherever the packed key space fits, sort-merge past it) and the
-/// two pinned kernels.
+/// Every join strategy: `Auto` and the two pinned join kernels.
 const STRATEGIES: [JoinStrategy; 3] = [
     JoinStrategy::Auto,
     JoinStrategy::Hash,
@@ -493,12 +486,12 @@ proptest! {
     /// columns, keys that are the whole row on either side, empty operands,
     /// operands in unrelated pools (numbered differently, the right one
     /// holding values the left pool has never seen), and a left pool that
-    /// grew after the relations were built — by a little (still dense) or
-    /// by enough that `Auto` must fall back to sorting.  `Auto`, pinned
-    /// `Hash` and pinned `SortMerge` agree with the reference tuple for
-    /// tuple on `semijoin_with` and `retain_semijoin_with`, removed count
-    /// included, and `Auto` runs the kernel the eligibility rule predicts
-    /// with the counters the hash kernel reports.
+    /// grew after the relations were built — by a little (still dense) and
+    /// then by enough that the semijoin must fall back to sorting.  On each
+    /// side of that bound `semijoin` and `retain_semijoin` agree with the
+    /// reference tuple for tuple, removed count included; the kernel is the
+    /// one the eligibility rule predicts; and a policy pinning either join
+    /// kernel runs the very same semijoin, counters included.
     #[test]
     fn auto_semijoin_matches_pinned_kernels_and_reference(
         shared in 0usize..4,
@@ -508,7 +501,7 @@ proptest! {
         right_rows in 0usize..24,
         domain in 1i64..5,
         cross_pool in any::<bool>(),
-        grow in 0usize..3,
+        grow in 0usize..2,
         seed in 0u64..1_000,
     ) {
         // A side without key columns always gets a column of its own (no
@@ -522,51 +515,44 @@ proptest! {
             cross_pool,
             seed,
         );
-        grow_pool(left.pool(), [0, 3, 2_000][grow]);
-
         let naive =
             NaiveRelation::from_relation(&left).semijoin(&NaiveRelation::from_relation(&right));
-        for strategy in STRATEGIES {
-            prop_assert!(
-                naive.agrees_with(&left.semijoin_with(&right, strategy)),
-                "{strategy:?} semijoin_with diverged from the reference"
-            );
+        // ≤ 3 + 2 + 3 values per pool fit any key space here; 2 000 more
+        // overflow the bound for every nonempty key.
+        for extra in [[0, 3][grow], 2_000] {
+            grow_pool(left.pool(), extra);
+            prop_assert!(naive.agrees_with(&left.semijoin(&right)), "semijoin diverged");
             let mut in_place = left.clone();
-            let removed = in_place.retain_semijoin_with(&right, strategy);
-            prop_assert_eq!(removed, left.len() - naive.len(), "{:?} removed count", strategy);
-            prop_assert!(
-                naive.agrees_with(&in_place),
-                "{strategy:?} retain_semijoin_with diverged from the reference"
-            );
-        }
+            let removed = in_place.retain_semijoin(&right);
+            prop_assert_eq!(removed, left.len() - naive.len(), "removed count");
+            prop_assert!(naive.agrees_with(&in_place), "retain_semijoin diverged");
 
-        // The kernel `Auto` resolved to, and its counters next to pinned hash's.
-        let metered = |strategy| {
-            let sink = CollectingSink::new();
-            ExecCtx::new(&ExecPolicy::sequential(strategy))
-                .metrics(&sink)
-                .retain_semijoin(&mut left.clone(), &right)
-                .expect("nobody can abort");
-            sink.snapshot().semijoins
-        };
-        let (auto, hash) = (metered(JoinStrategy::Auto), metered(JoinStrategy::Hash));
-        let fits = (left.pool().len() as u128).pow(shared as u32)
-            <= 8 * (left.len() + right.len()) as u128 + 1024;
-        let expect_dense = u64::from(shared > 0 && fits);
-        prop_assert_eq!(auto.dense_ops, expect_dense, "eligibility rule ({:?})", auto);
-        prop_assert_eq!(auto.hash_ops + auto.sortmerge_ops, 1 - expect_dense);
-        prop_assert_eq!((auto.probed, auto.kept, auto.build_rows),
-            (hash.probed, hash.kept, hash.build_rows));
-        if expect_dense == 1 {
-            prop_assert_eq!(auto.built, hash.built, "distinct build keys");
+            let metered = |strategy| {
+                let sink = CollectingSink::new();
+                ExecCtx::new(&ExecPolicy::sequential(strategy))
+                    .metrics(&sink)
+                    .retain_semijoin(&mut left.clone(), &right)
+                    .expect("nobody can abort");
+                sink.snapshot().semijoins
+            };
+            let auto = metered(JoinStrategy::Auto);
+            let fits = (left.pool().len() as u128).pow(shared as u32)
+                <= 8 * (left.len() + right.len()) as u128 + 1024;
+            let expect_dense = u64::from(shared == 0 || fits);
+            prop_assert_eq!(auto.dense_ops, expect_dense, "eligibility rule ({:?})", auto);
+            prop_assert_eq!(auto.sortmerge_ops, 1 - expect_dense, "({:?})", auto);
+            prop_assert_eq!(auto.kept, naive.len() as u64);
+            for pinned in [JoinStrategy::Hash, JoinStrategy::SortMerge] {
+                prop_assert_eq!(&metered(pinned), &auto, "{:?} changed the semijoin", pinned);
+            }
         }
     }
 
     /// The full reducer over chains whose separators are 1, 2 and 3 columns
     /// wide — shared pool, one pool per relation, and a pool grown after
-    /// the load — removes exactly what the reference removes under `Auto`
-    /// and both pinned kernels, and under `Auto` every semijoin whose key
-    /// space fits takes the dense kernel.
+    /// the load — removes exactly what the reference removes, every
+    /// semijoin taking the dense kernel while its key space fits and
+    /// sort-merge once the pool outgrows it.
     #[test]
     fn full_reduce_matches_reference_on_wide_separators(
         key_width in 1usize..4,
@@ -588,24 +574,24 @@ proptest! {
         }
         let tree = join_tree(db.schema()).expect("chains are acyclic");
         let (naive_rels, naive_removed) = naive_full_reduce(&db, &tree);
-        for strategy in STRATEGIES {
-            let fast = full_reduce_with(&db, &tree, &ExecPolicy::sequential(strategy));
-            prop_assert_eq!(&fast.removed, &naive_removed, "{:?} removed counts", strategy);
-            for (n, f) in naive_rels.iter().zip(&fast.relations) {
-                prop_assert!(n.agrees_with(f), "{strategy:?} reduced contents diverged");
-            }
-        }
         let sink = CollectingSink::new();
-        ExecCtx::new(&ExecPolicy::sequential(JoinStrategy::Auto))
+        let fast = ExecCtx::new(&ExecPolicy::default())
             .metrics(&sink)
             .full_reduce(&db, &tree)
             .expect("nobody can abort");
+        prop_assert_eq!(&fast.removed, &naive_removed, "removed counts");
+        for (n, f) in naive_rels.iter().zip(&fast.relations) {
+            prop_assert!(n.agrees_with(f), "reduced contents diverged");
+        }
         let m = sink.snapshot().semijoins;
         prop_assert_eq!(m.ops, 2 * (edges as u64 - 1));
         prop_assert_eq!(m.hash_ops, 0);
         if grow < 2 {
             // ≤ 3 + 3 + 1 values per pool: 7³ < 1024, every key space fits.
             prop_assert_eq!(m.dense_ops, m.ops, "a fitting semijoin sorted: {:?}", m);
+        } else {
+            // ≥ 2 000 values per pool, ≤ 48 rows per semijoin: none fits.
+            prop_assert_eq!(m.sortmerge_ops, m.ops, "an oversized key space: {:?}", m);
         }
     }
 }

@@ -20,6 +20,7 @@ use acyclic_hypergraphs::reldb::govern::CHECK_BATCH;
 use acyclic_hypergraphs::reldb::{
     full_reduce, query_via_full_join, query_yannakakis, CancelToken, CollectingSink, Database,
     EngineError, ExecCtx, ExecPolicy, Governor, JoinStrategy, Phase, Query, QueryGovernor, Tuple,
+    Value,
 };
 use acyclic_hypergraphs::workload::{
     chain, far_apart, random_database, ring, snowflake, star, DataParams,
@@ -428,26 +429,49 @@ fn big_chain() -> Database {
     db
 }
 
-/// On a chain whose relations span several batches, the pinned-hash
-/// reducer checkpoints inside every mask loop, and a cancellation at each of
-/// those checkpoints aborts on the spot with `db` bit-identical.
+/// [`big_chain`] with its pool grown past the dense bound of every semijoin
+/// the reducer runs (eight bits per row of two `BIG_ROWS` relations, plus
+/// the 1024-bit floor), so each one sorts instead.
+fn big_chain_past_the_dense_bound() -> Database {
+    let db = big_chain();
+    for v in 0..(16 * BIG_ROWS + 1024) as i64 {
+        db.pool().intern(&Value::Int(-1 - v));
+    }
+    db
+}
+
+/// On a chain whose relations span several batches, the reducer
+/// checkpoints inside every mask loop — the dense kernel's on
+/// [`big_chain`], the sort-merge kernel's once the pool outgrows the dense
+/// bound — and a cancellation at each of those checkpoints aborts on the
+/// spot with `db` bit-identical.
 #[test]
 fn chain_reducer_cancelled_at_every_checkpoint_leaves_db_untouched() {
-    let db = big_chain();
-    let tree = join_tree(db.schema()).expect("chains are acyclic");
-    let before = snapshot(&db);
-    let policy = ExecPolicy::sequential(JoinStrategy::Hash);
-    let gov = TripAtCheckpoint::never();
-    let want = ExecCtx::new(&policy).gov(&gov).full_reduce(&db, &tree);
-    assert!(want.expect("nothing trips").total_removed() > 0);
-    let checkpoints = gov.checkpoints_seen();
-    assert!(checkpoints > 8, "every mask loop spans several batches");
-    for trip_at in 0..checkpoints {
-        let gov = TripAtCheckpoint::new(trip_at);
-        let got = ExecCtx::new(&policy).gov(&gov).full_reduce(&db, &tree);
-        assert_eq!(got.err(), Some(EngineError::Cancelled), "{trip_at}");
-        assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
-        assert_eq!(snapshot(&db), before, "abort mutated the database");
+    let policy = ExecPolicy::default();
+    for (db, dense) in [
+        (big_chain(), true),
+        (big_chain_past_the_dense_bound(), false),
+    ] {
+        let tree = join_tree(db.schema()).expect("chains are acyclic");
+        let before = snapshot(&db);
+        let (gov, sink) = (TripAtCheckpoint::never(), CollectingSink::new());
+        let want = ExecCtx::new(&policy)
+            .metrics(&sink)
+            .gov(&gov)
+            .full_reduce(&db, &tree);
+        assert!(want.expect("nothing trips").total_removed() > 0);
+        let m = sink.snapshot().semijoins;
+        let kernels = if dense { (m.ops, 0) } else { (0, m.ops) };
+        assert_eq!((m.dense_ops, m.sortmerge_ops), kernels, "{m:?}");
+        let checkpoints = gov.checkpoints_seen();
+        assert!(checkpoints > 8, "every mask loop spans several batches");
+        for trip_at in 0..checkpoints {
+            let gov = TripAtCheckpoint::new(trip_at);
+            let got = ExecCtx::new(&policy).gov(&gov).full_reduce(&db, &tree);
+            assert_eq!(got.err(), Some(EngineError::Cancelled), "{trip_at}");
+            assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
+            assert_eq!(snapshot(&db), before, "abort mutated the database");
+        }
     }
 }
 

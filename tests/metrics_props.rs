@@ -14,8 +14,9 @@
 //!    order, one entry per stage level.
 //!
 //! Alongside each: **kernel conservation** — per op kind, every recorded op
-//! resolved to exactly one kernel (`hash + sort-merge + dense = ops`), and a
-//! pinned strategy never resolves to another kernel.
+//! resolved to exactly one kernel (`hash + sort-merge + dense = ops`), no
+//! semijoin hashes and no join runs the dense kernel under any policy, and a
+//! pinned hash join never resolves to another kernel.
 
 use acyclic_hypergraphs::acyclic::join_tree;
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
@@ -67,8 +68,9 @@ fn reducer_then_join(depth: usize) -> Vec<(Phase, usize)> {
     up.chain(down).chain(join).collect()
 }
 
-/// Every engine the metrics layer instruments, including the calibrated
-/// Auto planner whose kernel picks depend on the sampled ratios.
+/// Every policy the metrics layer instruments: both pinned join kernels and
+/// the calibrated Auto planner whose join picks depend on the sampled
+/// ratios.
 fn policies() -> [ExecPolicy; 3] {
     [
         ExecPolicy::sequential(JoinStrategy::Hash),
@@ -78,25 +80,28 @@ fn policies() -> [ExecPolicy; 3] {
 }
 
 /// Kernel conservation for one report: per op kind the three kernel
-/// counters add up to `ops`, the dense kernel runs only under `Auto`, and
-/// pinned `Hash` resolves nowhere else.  (Pinned `SortMerge` may still
-/// report hash ops: a key-less cross product / nonempty test has no key to
-/// sort and is recorded under the hash kernel.)
+/// counters add up to `ops`; semijoins run dense or sort-merge and joins
+/// hash or sort-merge, whatever the policy; and a pinned `Hash` join
+/// resolves nowhere else.  (Pinned `SortMerge` may still report hash joins:
+/// a key-less cross product has no key to sort and is recorded under the
+/// hash kernel.)
 fn kernels_conserved(m: &QueryMetrics, strategy: JoinStrategy) -> Result<(), String> {
-    for (kind, agg) in [("join", &m.joins), ("semijoin", &m.semijoins)] {
+    let (joins, semijoins) = (&m.joins, &m.semijoins);
+    for (kind, agg) in [("join", joins), ("semijoin", semijoins)] {
         if agg.hash_ops + agg.sortmerge_ops + agg.dense_ops != agg.ops {
             return Err(format!(
                 "{kind}: hash + sort-merge + dense != ops ({agg:?})"
             ));
         }
-        if strategy != JoinStrategy::Auto && agg.dense_ops != 0 {
-            return Err(format!(
-                "{kind}: pinned {strategy:?} ran the dense kernel ({agg:?})"
-            ));
-        }
-        if strategy == JoinStrategy::Hash && agg.hash_ops != agg.ops {
-            return Err(format!("{kind}: pinned hash resolved elsewhere ({agg:?})"));
-        }
+    }
+    if semijoins.hash_ops != 0 {
+        return Err(format!("a semijoin hashed ({semijoins:?})"));
+    }
+    if joins.dense_ops != 0 {
+        return Err(format!("a join ran the dense kernel ({joins:?})"));
+    }
+    if strategy == JoinStrategy::Hash && joins.hash_ops != joins.ops {
+        return Err(format!("pinned hash join resolved elsewhere ({joins:?})"));
     }
     Ok(())
 }

@@ -14,7 +14,7 @@ use acyclic_hypergraphs::hyperqd::protocol::{
     EngineKind, ErrorKind, Overrides, QuerySpec, Request, Response, Rows, WireError, MAX_LINE,
 };
 use acyclic_hypergraphs::hyperqd::server::{run_engine, Server};
-use acyclic_hypergraphs::reldb::{CollectingSink, Database, ExecCtx, ExecPolicy, JoinStrategy};
+use acyclic_hypergraphs::reldb::{CollectingSink, Database, ExecCtx, ExecPolicy};
 use acyclic_hypergraphs::workload::{chain, consistent_database, DataParams};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -27,12 +27,6 @@ use std::time::Duration;
 /// A random [`Overrides`] decoded from integer dice.
 fn arb_overrides(bits: u64, a: u64, b: u64) -> Overrides {
     Overrides {
-        strategy: match bits & 0b11 {
-            0 => None,
-            1 => Some(JoinStrategy::Hash),
-            2 => Some(JoinStrategy::SortMerge),
-            _ => Some(JoinStrategy::Auto),
-        },
         timeout_ms: (bits & 0b1000 != 0).then_some(b % 10_000),
         mem_budget_mb: (bits & 0b1_0000 != 0).then_some(1 + a % 512),
         metrics: (bits & 0b10_0000 != 0).then_some(bits & 0b100_0000 != 0),
@@ -542,24 +536,31 @@ fn a_served_metrics_member_is_the_document_the_cli_prints() {
     shut_down(handle);
 }
 
-/// A request that still carries the retired `"threads"` member parses to
-/// the same request as one without it, and is answered with the same frame
-/// once the trace ids are stripped.
+/// A request that still carries a retired member — `"threads"`, or a
+/// `"strategy"` spelled right or wrong — parses to the same request as one
+/// without it, and is answered with the same frame once the trace ids are
+/// stripped.
 #[test]
 fn a_retired_threads_member_is_ignored() {
     let (handle, _db) = tiny_server();
     let mut c = Client::connect(handle.addr());
     let plain = all_attrs_query();
-    let with_threads = plain.replacen("{", "{\"threads\":2,", 1);
-    assert!(with_threads.contains("\"threads\":2"), "{with_threads}");
-    assert_eq!(parse_request(&with_threads), parse_request(&plain));
     let mut answer = |line: &str| {
         c.send_raw(format!("{line}\n").as_bytes());
         without_trace(&c.read_line())
     };
     let want = answer(&plain);
     assert!(want.contains("\"op\":\"answer\""), "{want}");
-    assert_eq!(answer(&with_threads), want);
+    for member in [
+        "\"threads\":2",
+        "\"strategy\":\"hash\"",
+        "\"strategy\":\"quantum\"",
+    ] {
+        let retired = plain.replacen('{', &format!("{{{member},"), 1);
+        assert!(retired.contains(member), "{retired}");
+        assert_eq!(parse_request(&retired), parse_request(&plain), "{member}");
+        assert_eq!(answer(&retired), want, "{member}");
+    }
     shut_down(handle);
 }
 

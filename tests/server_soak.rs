@@ -1,6 +1,6 @@
 //! Differential concurrency soak for `hyperqd`: 8 client threads fire a
 //! mixed workload — acyclic chains and stars, a cyclic ring routed through
-//! hypertree decomposition, prepared queries, policy overrides, governed
+//! hypertree decomposition, prepared queries, request overrides, governed
 //! timeouts — at one in-process server, and every successful answer must
 //! be **byte-identical** to the frame the sequential single-threaded
 //! oracle renders for the same query.  After the soak the served
@@ -21,7 +21,7 @@ use acyclic_hypergraphs::hyperqd::protocol::{
 use acyclic_hypergraphs::hyperqd::server::{answer_frame, Server};
 use acyclic_hypergraphs::hyperqd::{parse_response, ServerHandle};
 use acyclic_hypergraphs::reldb::{
-    query_via_connection, query_via_full_join, query_yannakakis, Database, JoinStrategy,
+    query_via_connection, query_via_full_join, query_yannakakis, Database,
 };
 use acyclic_hypergraphs::workload::{chain, consistent_database, ring, star, DataParams};
 use std::collections::BTreeMap;
@@ -118,31 +118,32 @@ fn build_workloads(dbs: &BTreeMap<String, Arc<Database>>) -> Vec<Workload> {
             Some(EngineKind::Yannakakis),
         ),
     ];
-    // Exec-policy variations layered on top; none of these may change the
-    // canonical answer frame.
-    let policies = [
+    // Override variations layered on top (a prepared run layers them over
+    // the stored ones); none of these may change the canonical answer frame.
+    let variations = [
         Overrides::default(),
         Overrides {
-            strategy: Some(JoinStrategy::Hash),
+            metrics: Some(false),
             ..Overrides::default()
         },
         Overrides {
-            strategy: Some(JoinStrategy::SortMerge),
+            timeout_ms: Some(600_000),
             ..Overrides::default()
         },
         Overrides {
-            strategy: Some(JoinStrategy::Auto),
+            metrics: Some(false),
+            timeout_ms: Some(600_000),
             ..Overrides::default()
         },
     ];
     let mut workloads = Vec::new();
     for (i, (db, select, engine)) in templates.iter().enumerate() {
-        for (j, policy) in policies.iter().enumerate() {
+        for (j, variation) in variations.iter().enumerate() {
             let spec = QuerySpec {
                 db: (*db).to_owned(),
                 select: select.iter().map(|s| (*s).to_owned()).collect(),
                 engine: *engine,
-                overrides: policy.clone(),
+                overrides: variation.clone(),
             };
             let expect = Expected::Frame(oracle_frame(dbs, &spec));
             // Every fourth variation rides the prepared-query path; the
