@@ -23,8 +23,8 @@ use hypergraph::{EdgeId, Hypergraph, NodeSet};
 use hyperqd::json::Json;
 use reldb::reference::{naive_full_reduce, naive_yannakakis_join};
 use reldb::{
-    naive_join_project, CollectingSink, Database, ExecCtx, ExecPolicy, JoinStrategy, QueryGovernor,
-    Relation, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
+    query_via_full_join, CollectingSink, Database, ExecCtx, ExecPolicy, JoinStrategy,
+    QueryGovernor, Relation, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO,
 };
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -398,7 +398,7 @@ fn cyclic_records(profile: Profile, records: &mut Vec<BenchRecord>) {
                 move || ctx.yannakakis_join_any(db, x).expect("decomposable"),
             ));
             rows.push(row("cyclic_join", "naive", None, || {
-                naive_join_project(db, x)
+                query_via_full_join(db, x)
             }));
             record_cell(records, name, size, db.tuple_count(), rows);
         }

@@ -8,8 +8,8 @@ use hypergraph::{Hypergraph, NodeSet};
 use hyperqd::protocol::{metrics_json, EngineKind, WireError};
 use hyperqd::server::run_engine;
 use reldb::{
-    is_globally_consistent, is_pairwise_consistent, plan_connection, CollectingSink, Database,
-    EngineError, ExecCtx, ExecPolicy, QueryGovernor, Relation,
+    plan_connection, CollectingSink, Database, EngineError, ExecCtx, ExecPolicy, QueryGovernor,
+    Relation,
 };
 
 /// A CLI failure: the one-line diagnostic printed to stderr plus the
@@ -181,12 +181,9 @@ pub fn run_query(
             .collect::<Vec<_>>()
             .join(", ")
     ));
-    out.push_str(&format!(
-        "database: {} tuples, pairwise consistent: {}, globally consistent: {}\n",
-        db.tuple_count(),
-        is_pairwise_consistent(db),
-        is_globally_consistent(db),
-    ));
+    // No join or semijoin runs before the engine: every one runs under the
+    // governor below, so a deadline or budget bounds the whole query.
+    out.push_str(&format!("database: {} tuples\n", db.tuple_count()));
     // Governed when a [`QueryGovernor`] is present (deadline / budget /
     // cancellation checkpoints active), metered when a metrics mode asks
     // for the sink; what is absent keeps its no-op default and compiles

@@ -92,6 +92,28 @@ fn query_connection_joins_only_the_canonical_connection() {
     assert!(text.contains("answer (2 tuples):"), "got: {text}");
 }
 
+/// The report does no work outside the governed engine: it counts the
+/// tuples but runs no consistency check, whose full join and pairwise
+/// semijoins no deadline or budget would bound.
+#[test]
+fn query_report_runs_no_ungoverned_consistency_checks() {
+    let out = hyperq(&[
+        "query",
+        &fixture("fig1.hg"),
+        &fixture("fig1.data"),
+        "--select",
+        "A,D",
+    ]);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    let database = text.lines().find(|l| l.starts_with("database:"));
+    assert!(
+        database.is_some_and(|l| l.ends_with(" tuples")),
+        "got: {text}"
+    );
+    assert!(!text.contains("consistent"), "got: {text}");
+}
+
 #[test]
 fn decompose_ring4_reports_bags_and_width() {
     let out = hyperq(&["decompose", &fixture("ring4.hg")]);

@@ -25,7 +25,7 @@ pub fn is_pairwise_consistent(db: &Database) -> bool {
             if i == j {
                 continue;
             }
-            if rels[i].semijoin_count(&rels[j]) != rels[i].len() {
+            if rels[i].semijoin(&rels[j]).len() != rels[i].len() {
                 return false;
             }
         }
@@ -51,7 +51,7 @@ pub fn dangling_report(db: &Database) -> Vec<(String, usize)> {
         .filter_map(|r| {
             // A tuple is dangling exactly when it matches no tuple of the
             // full join on r's attributes, i.e. the semijoin drops it.
-            let dangling = r.len() - r.semijoin_count(&full);
+            let dangling = r.len() - r.semijoin(&full).len();
             (dangling > 0).then(|| (r.name().to_owned(), dangling))
         })
         .collect()

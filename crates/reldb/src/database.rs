@@ -76,8 +76,8 @@ impl Database {
     /// Relations produced by this crate's kernels from a common ancestor
     /// (the usual case: reductions, projections, repairs) already share one
     /// pool.  Independently built relations keep their own pools — the
-    /// kernels still work, paying a handle translation per cross-pool
-    /// operation.
+    /// kernels still work, copying one operand into the other's pool at the
+    /// start of every cross-pool operation.
     pub fn new(schema: Hypergraph, relations: Vec<Relation>) -> Result<Self, DbError> {
         if relations.len() != schema.edge_count() {
             return Err(DbError::RelationCountMismatch {

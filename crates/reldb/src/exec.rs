@@ -126,8 +126,8 @@ impl ExecPolicy {
 /// [`Governor`](crate::Governor) — and nothing else.
 ///
 /// Every pipeline has exactly **one** generic entry point, a method on this
-/// type defined next to the pipeline it runs (the query engines, the
-/// Yannakakis stages, [`Query`](crate::Query) execution, the single
+/// type defined next to the pipeline it runs (the query engines such as
+/// [`ExecCtx::query_yannakakis`], the Yannakakis stages, the single
 /// operators — see the method list).  All return `Result<_, EngineError>`;
 /// who is watching is a property of the context, not of a function name.
 ///

@@ -762,7 +762,7 @@ mod tests {
         use super::*;
 
         #[test]
-        fn fail_at_nth_semijoin_counts_deterministically() {
+        fn fail_at_nth_semijoin_trips_deterministically() {
             let gov = FailpointGovernor::new().fail_at_semijoin(2);
             assert!(gov.at_semijoin().is_ok());
             assert!(gov.at_semijoin().is_ok());

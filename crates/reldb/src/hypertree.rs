@@ -473,7 +473,7 @@ mod tests {
     use super::*;
     use crate::exec::JoinStrategy;
     use crate::relation::Tuple;
-    use crate::yannakakis::naive_join_project;
+    use crate::universal::query_via_full_join;
     use hypergraph::{EdgeId, Hypergraph};
 
     /// A 4-ring of binary edges with data whose cycle closes for some
@@ -508,7 +508,7 @@ mod tests {
     fn cyclic_ring_matches_naive_join() {
         let db = ring4_db();
         let all = db.schema().nodes();
-        let naive = naive_join_project(&db, &all);
+        let naive = query_via_full_join(&db, &all);
         assert!(!naive.is_empty(), "the instance must close the cycle");
         let fast = yannakakis_join_any(&db, &all, &ExecPolicy::default()).unwrap();
         assert!(fast.same_contents(&naive), "decomposed pipeline diverged");
@@ -517,7 +517,7 @@ mod tests {
             let out = db.attributes(attrs.iter().copied()).unwrap();
             let fast = yannakakis_join_any(&db, &out, &ExecPolicy::default()).unwrap();
             assert!(
-                fast.same_contents(&naive_join_project(&db, &out)),
+                fast.same_contents(&query_via_full_join(&db, &out)),
                 "projection {attrs:?} diverged"
             );
         }
@@ -552,7 +552,7 @@ mod tests {
         let out = db.attributes(["A", "C"]).unwrap();
         let got = yannakakis_join_any(&db, &out, &ExecPolicy::default()).unwrap();
         assert_eq!(got.len(), 1);
-        assert!(got.same_contents(&naive_join_project(&db, &out)));
+        assert!(got.same_contents(&query_via_full_join(&db, &out)));
     }
 
     #[test]
@@ -620,6 +620,6 @@ mod tests {
         let d = decompose(db.schema(), Heuristic::MinDegree).unwrap();
         let all = db.schema().nodes();
         let got = yannakakis_join_decomposed(&db, &d, &all, &ExecPolicy::default());
-        assert!(got.same_contents(&naive_join_project(&db, &all)));
+        assert!(got.same_contents(&query_via_full_join(&db, &all)));
     }
 }

@@ -7,8 +7,8 @@
 //! objects in the canonical connection `CC(X)` and projects onto `X`.  This
 //! crate supplies everything needed to run that model:
 //!
-//! * relations with set semantics: projection, selection, natural join,
-//!   semijoin ([`Relation`], [`Tuple`], [`Value`]);
+//! * relations with set semantics: projection, natural join, semijoin
+//!   ([`Relation`], [`Tuple`], [`Value`]);
 //! * databases bound to a schema hypergraph ([`Database`]);
 //! * universal-relation query answering via canonical connections, with the
 //!   naive join-everything baseline ([`query_via_connection`],
@@ -33,10 +33,9 @@
 //! | Module | Paper concept / engine role |
 //! |---|---|
 //! | `value`, `pool` | attribute values and the interning dictionary behind the columnar `u32`-handle rows |
-//! | `relation` | one stored *object* (hyperedge) as a relation: flat interned rows, the hash and sort-merge join kernels and the dense and sort-merge semijoin kernels (§7), and the LSD counting/radix id sorter they share with the server's answer frame ([`sort_ids_by_key`]) |
+//! | `relation` | one stored *object* (hyperedge) as a relation: flat interned rows, the hash and sort-merge join kernels and the dense and sort-merge semijoin kernels (§7), which see one pool (a cross-pool operand is brought into it at the kernel's door), and the LSD counting/radix id sorter they share with the server's answer frame ([`sort_ids_by_key`]) |
 //! | `database` | a database bound to a schema hypergraph — one relation per object (§7) |
-//! | `universal` | universal-relation queries `π_X(⋈ CC(X))` over canonical connections (§5, §7) |
-//! | `query` | the declarative [`Query`] layer: tableau-expressible output + equality selections, selection pushdown |
+//! | `universal` | universal-relation queries `π_X(⋈ CC(X))` over canonical connections (§5, §7): the connection, full-join and Yannakakis engines every front end serves |
 //! | `yannakakis` | the Yannakakis full reducer and bottom-up join over a join tree, level by level in both phases (§7's efficiency payoff) |
 //! | [`hypertree`] | cyclic schemas: bag materialization over a hypertree decomposition (`decomp` crate) and the acyclic-vs-cyclic router [`yannakakis_join_any`] |
 //! | [`snapshot`] | the versioned binary snapshot format behind [`Database::save_snapshot`] / [`Database::load_snapshot`] — scale-up loads in milliseconds instead of re-parsing text |
@@ -73,7 +72,6 @@ pub mod govern;
 pub mod hypertree;
 pub mod metrics;
 mod pool;
-mod query;
 pub mod reference;
 mod relation;
 pub mod snapshot;
@@ -92,18 +90,15 @@ pub use govern::{FailMode, FailpointGovernor};
 pub use hypertree::{materialize_bags, yannakakis_join_any, yannakakis_join_decomposed};
 pub use metrics::{CollectingSink, MetricsSink, NoopMetrics, Phase, QueryMetrics};
 pub use pool::ValuePool;
-pub use query::{Query, QueryPlan, Selection};
 pub use relation::{sort_ids_by_key, Relation, Tuple};
 pub use snapshot::is_snapshot;
 pub use universal::{
-    plan_connection, query_attributes, query_via_connection, query_via_full_join,
-    query_via_full_join_metered, query_yannakakis, query_yannakakis_governed,
-    query_yannakakis_metered, ConnectionPlan,
+    plan_connection, query_via_connection, query_via_full_join, query_via_full_join_metered,
+    query_yannakakis, query_yannakakis_governed, query_yannakakis_metered, ConnectionPlan,
 };
 pub use value::Value;
 pub use yannakakis::{
-    full_reduce, full_reduce_with, naive_join_project, yannakakis_join, yannakakis_join_with,
-    Reduced,
+    full_reduce, full_reduce_with, yannakakis_join, yannakakis_join_with, Reduced,
 };
 
 /// Commonly used items, for glob import.
@@ -112,7 +107,7 @@ pub mod prelude {
         full_reduce, full_reduce_with, is_globally_consistent, is_pairwise_consistent,
         plan_connection, query_via_connection, query_via_full_join, query_yannakakis,
         yannakakis_join, yannakakis_join_any, yannakakis_join_with, CancelToken, Database, DbError,
-        EngineError, ExecCtx, ExecPolicy, JoinStrategy, NoopGovernor, Query, QueryGovernor,
-        Relation, Tuple, Value,
+        EngineError, ExecCtx, ExecPolicy, JoinStrategy, NoopGovernor, QueryGovernor, Relation,
+        Tuple, Value,
     };
 }

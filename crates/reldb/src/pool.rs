@@ -9,8 +9,10 @@
 //! One pool is shared by every relation of a [`Database`](crate::Database)
 //! and by every relation derived from them (joins, projections, reductions),
 //! so handle equality *is* value equality within a query.  Relations built
-//! independently carry their own pools; the binary kernels detect that via
-//! [`ValuePool::same_pool`] and translate handles across pools first.
+//! independently carry their own pools; a binary kernel detects that via
+//! [`ValuePool::same_pool`] and, once at its door, copies the other operand
+//! into its own pool, so the kernel itself only ever compares handles of
+//! one pool.
 
 use crate::value::Value;
 use std::collections::HashMap;

@@ -13,10 +13,16 @@
 //! contiguous `Vec<u32>` buffer.  Set semantics are enforced by an
 //! open-addressing hash index over the rows (see *Set semantics* below for
 //! who consults it).  The relational kernels —
-//! [`Relation::join`], [`Relation::semijoin`], [`Relation::project`],
-//! [`Relation::select_eq`] — resolve attribute positions once per call and
-//! then work purely on handle rows: no `Value` is cloned, hashed or compared
-//! on the hot path.
+//! [`Relation::join`], [`Relation::semijoin`], [`Relation::project`] —
+//! resolve attribute positions once per call and then work purely on handle
+//! rows: no `Value` is cloned, hashed or compared on the hot path.
+//!
+//! Every binary kernel sees its two operands in one pool.  An operand from
+//! another pool is brought over once, at the kernel's door: a join
+//! re-interns it (its output needs the other side's values), a semijoin or
+//! a contents comparison reads a translated copy that interns nothing
+//! (`Relation::read_in`).  Relations of one [`Database`](crate::Database)
+//! share a pool, so no served query takes either path.
 //!
 //! # Semijoin kernels
 //!
@@ -31,20 +37,21 @@
 //!
 //! # Set semantics
 //!
-//! Invariant: stored rows are pairwise distinct; join, semijoin, selection,
-//! identity projection, re-interning and snapshot load preserve it by
-//! construction; only insertion and proper projection check it.  A join
-//! output row determines the pair of input rows it came from, a semijoin or
-//! selection keeps a subset, an identity projection keeps everything,
-//! re-interning is a bijection on values and a snapshot was written from a
-//! live relation — so those kernels append rows without hashing them
-//! (`push_distinct_row`) and leave the dedup index unbuilt.  The only
-//! callers of the deduplicating `insert_row` are [`Relation::insert`],
-//! [`Relation::insert_values`], a [`Relation::project`] that drops a column,
-//! and the zero-width fallback of `push_distinct_row` (the empty tuple has no
-//! words to append).  The index of such an output is built once, sized for
-//! the rows present, by the first insertion into it; until then
-//! [`Relation::contains`] on it is a row scan.
+//! Invariant: stored rows are pairwise distinct; join, semijoin, identity
+//! projection, re-interning and snapshot load preserve it by construction;
+//! only insertion and proper projection check it.  A join output row
+//! determines the pair of input rows it came from, a semijoin keeps a
+//! subset, an identity projection keeps everything, re-interning is a
+//! bijection on values and a snapshot was written from a live relation — so
+//! those kernels append rows without hashing them (`push_distinct_row`) and
+//! leave the dedup index unbuilt.  The only callers of the deduplicating
+//! `insert_row` are [`Relation::insert`], [`Relation::insert_values`], a
+//! [`Relation::project`] that drops a column, the cross-pool copy
+//! `read_in` makes (a projection too), and the zero-width fallback of
+//! `push_distinct_row` (the empty tuple has no words to append).  The index
+//! of such an output is built once, sized for the rows present, by the
+//! first insertion into it; until then [`Relation::contains`] on it is a
+//! row scan.
 //!
 //! [`Tuple`] remains the boundary type for building and reading individual
 //! tuples; it is decoded from / encoded into rows only at the edges.
@@ -55,6 +62,7 @@ use crate::metrics::{Kernel, MetricsSink, NoopMetrics, OpKind, OpMetrics};
 use crate::pool::{ValuePool, NO_HANDLE};
 use crate::value::Value;
 use hypergraph::{NodeId, NodeSet, Universe};
+use std::borrow::Cow;
 use std::fmt;
 
 /// What a semijoin mask kernel did, reported alongside the mask so metered
@@ -307,47 +315,24 @@ fn positions(of: &NodeSet, cols: &[NodeId]) -> Vec<usize> {
         .collect()
 }
 
-/// The key-extraction plan shared by the binary join/semijoin kernels: the
-/// shared attributes' column positions on both sides, plus the read-only
-/// handle translation needed when the two relations intern into different
-/// pools.  Factoring this out keeps the flavors of each kernel
-/// byte-for-byte identical in how they see keys.
+/// The key-extraction plan shared by the sort-merge join and the semijoin
+/// mask kernels: the shared attributes' column positions on both sides.
+/// Both relations intern into one pool (the kernels bring a foreign operand
+/// over at their door), so a key is compared as plain handles.  Factoring
+/// this out keeps the flavors of each kernel byte-for-byte identical in how
+/// they see keys.
 struct JoinKeys {
     left_pos: Vec<usize>,
     right_pos: Vec<usize>,
-    trans: Option<Vec<u32>>,
 }
 
 impl JoinKeys {
-    /// The plan for `left` against `right`, or `None` when they share no
-    /// attributes (the degenerate cross-product / nonempty-test cases).
-    fn new(left: &Relation, right: &Relation) -> Option<Self> {
-        let shared = left.attributes.intersection(&right.attributes);
-        if shared.is_empty() {
-            return None;
-        }
-        let trans = if left.pool.same_pool(&right.pool) {
-            None
-        } else {
-            // Read-only translation: right-pool values unknown to the left
-            // pool cannot occur in any left row, so right rows holding them
-            // are skipped at gather time.
-            Some(right.pool.translation_to(&left.pool, false))
-        };
-        Some(Self {
-            left_pos: positions(&shared, &left.cols),
-            right_pos: positions(&shared, &right.cols),
-            trans,
-        })
-    }
-
-    /// The plan for two relations already sharing one pool (the join
-    /// kernels unify pools before calling); `shared` must be nonempty.
-    fn for_unified(left: &Relation, right: &Relation, shared: &NodeSet) -> Self {
+    /// The plan for `left` against `right` on their nonempty `shared`
+    /// attributes.
+    fn new(left: &Relation, right: &Relation, shared: &NodeSet) -> Self {
         Self {
             left_pos: positions(shared, &left.cols),
             right_pos: positions(shared, &right.cols),
-            trans: None,
         }
     }
 
@@ -356,33 +341,11 @@ impl JoinKeys {
         self.left_pos.len()
     }
 
-    /// Flattened key columns of `rel` at `pos` (no translation).
+    /// Flattened key columns of `rel` at `pos`.
     fn gather(&self, rel: &Relation, pos: &[usize]) -> Vec<u32> {
         let mut keys = Vec::with_capacity(rel.len * pos.len());
         for row in rel.rows_iter() {
             keys.extend(pos.iter().map(|&p| row[p]));
-        }
-        keys
-    }
-
-    /// Flattened key columns of the right side, translated into left-pool
-    /// handles; rows holding values unknown to the left pool are skipped
-    /// (they cannot match anything on the left).
-    fn gather_translated(&self, right: &Relation) -> Vec<u32> {
-        let Some(table) = &self.trans else {
-            return self.gather(right, &self.right_pos);
-        };
-        let mut keys = Vec::with_capacity(right.len * self.k());
-        'rows: for row in right.rows_iter() {
-            let start = keys.len();
-            for &p in &self.right_pos {
-                let t = table[row[p] as usize];
-                if t == NO_HANDLE {
-                    keys.truncate(start);
-                    continue 'rows;
-                }
-                keys.push(t);
-            }
         }
         keys
     }
@@ -403,21 +366,13 @@ fn dense_key_space(radix: usize, k: usize, rows: usize) -> Option<usize> {
 }
 
 /// Packs the key columns `pos` of `row` into one mixed-radix number
-/// (`Σ hᵢ·radix^(k−1−i)`, every handle below `radix`), translating each
-/// handle through `trans` first when given; `None` if a handle has no
-/// translation (the value is unknown to the target pool).
+/// (`Σ hᵢ·radix^(k−1−i)`, every handle below `radix`).
 #[inline]
-fn pack_key(row: &[u32], pos: &[usize], trans: Option<&[u32]>, radix: usize) -> Option<usize> {
-    let mut key = 0usize;
-    for &p in pos {
-        let h = trans.map_or(row[p], |t| t[row[p] as usize]);
-        if h == NO_HANDLE {
-            return None;
-        }
-        debug_assert!((h as usize) < radix, "handle outside the pool");
-        key = key * radix + h as usize;
-    }
-    Some(key)
+fn pack_key(row: &[u32], pos: &[usize], radix: usize) -> usize {
+    pos.iter().fold(0, |key, &p| {
+        debug_assert!((row[p] as usize) < radix, "handle outside the pool");
+        key * radix + row[p] as usize
+    })
 }
 
 /// Sorts the ids `0..n` by their flattened `k`-wide keys — id `i` owns
@@ -587,7 +542,8 @@ impl Relation {
     /// Creates an empty relation over `attributes` with its own fresh
     /// [`ValuePool`].  Relations meant to be joined together should share a
     /// pool (see [`Relation::with_pool`]); the kernels still work across
-    /// pools, at the cost of a handle translation per operation.
+    /// pools, at the cost of copying the other operand into this one's pool
+    /// per operation (see *Storage layout* in the module docs).
     pub fn new(name: impl Into<String>, attributes: NodeSet) -> Self {
         Self::with_pool(name, attributes, ValuePool::new())
     }
@@ -975,40 +931,6 @@ impl Relation {
         self.project(attrs)
     }
 
-    /// Selection: keep tuples where attribute `a` equals `v`.
-    pub fn select_eq(&self, a: NodeId, v: &Value) -> Relation {
-        self.select_eq_all(&[(a, v.clone())])
-    }
-
-    /// Conjunctive selection: keep tuples satisfying *every* `attribute =
-    /// value` predicate, in one row scan with one output build.  The query
-    /// layer fuses all selections pushed onto a relation into a single call
-    /// instead of materializing one intermediate relation per selection.
-    ///
-    /// A predicate on an attribute outside the schema, or naming a value
-    /// never interned here, makes the result empty (nothing can match).
-    pub fn select_eq_all(&self, preds: &[(NodeId, Value)]) -> Relation {
-        let mut out = Relation::with_pool(
-            format!("σ({})", self.name),
-            self.attributes.clone(),
-            self.pool.clone(),
-        );
-        let mut tests: Vec<(usize, u32)> = Vec::with_capacity(preds.len());
-        for (a, v) in preds {
-            match (self.col_pos(*a), self.pool.get(v)) {
-                (Some(p), Some(h)) => tests.push((p, h)),
-                _ => return out,
-            }
-        }
-        for i in 0..self.len {
-            let row = self.row(i);
-            if tests.iter().all(|&(p, h)| row[p] == h) {
-                out.push_distinct_row(row);
-            }
-        }
-        out
-    }
-
     /// Natural join with the default hash kernel — see [`Relation::join_with`].
     pub fn join(&self, other: &Relation) -> Relation {
         self.join_with(other, JoinStrategy::Hash)
@@ -1202,7 +1124,7 @@ impl Relation {
         mut out: Relation,
         gov: &G,
     ) -> Result<(Relation, usize), EngineError> {
-        let keys = JoinKeys::for_unified(self, other, shared);
+        let keys = JoinKeys::new(self, other, shared);
         let left_keys = keys.gather(self, &keys.left_pos);
         let right_keys = keys.gather(other, &keys.right_pos);
         let left_sorted = sort_ids_by_key(&left_keys, keys.k(), self.len);
@@ -1341,9 +1263,11 @@ impl Relation {
     /// For each row of `self`, whether some row of `other` matches it on the
     /// shared attributes — the one kernel behind every semijoin.  The inputs
     /// choose its flavor: [`Relation::dense_mask`] where the packed key space
-    /// fits, [`Relation::sort_merge_mask`] otherwise.  Alongside the mask,
-    /// reports what the kernel did ([`MaskStats`]) so metered callers can
-    /// record one semijoin [`OpMetrics`].
+    /// fits, [`Relation::sort_merge_mask`] otherwise.  An `other` from
+    /// another pool is read through [`Relation::read_in`] first, so both
+    /// flavors see one pool.  Alongside the mask, reports what the kernel
+    /// did ([`MaskStats`]) so metered callers can record one semijoin
+    /// [`OpMetrics`].
     fn semijoin_mask<G: Governor>(
         &self,
         other: &Relation,
@@ -1352,25 +1276,29 @@ impl Relation {
         if G::ENABLED {
             gov.at_semijoin()?;
         }
-        let Some(keys) = JoinKeys::new(self, other) else {
+        let build_rows = other.len;
+        let shared = self.attributes.intersection(&other.attributes);
+        if shared.is_empty() {
             // π_∅(other) is {()} iff other is nonempty; every tuple matches.
             // The key space is a single bit, so this is the dense kernel.
             let mask = vec![!other.is_empty(); self.len];
             let stats = MaskStats {
                 kernel: Kernel::Dense,
                 built: 0,
-                build_rows: other.len,
+                build_rows,
             };
             return Ok((mask, stats));
-        };
-        let (kernel, (mask, built)) = match self.dense_mask(other, &keys, gov)? {
+        }
+        let other = other.read_in(&self.pool, &shared);
+        let keys = JoinKeys::new(self, &other, &shared);
+        let (kernel, (mask, built)) = match self.dense_mask(&other, &keys, gov)? {
             Some(done) => (Kernel::Dense, done),
-            None => (Kernel::SortMerge, self.sort_merge_mask(other, &keys, gov)?),
+            None => (Kernel::SortMerge, self.sort_merge_mask(&other, &keys, gov)?),
         };
         let stats = MaskStats {
             kernel,
             built,
-            build_rows: other.len,
+            build_rows,
         };
         Ok((mask, stats))
     }
@@ -1382,24 +1310,22 @@ impl Relation {
     /// Handles are dense `u32`s below the pool size `radix`, so a `k`-column
     /// key is the mixed-radix number `Σ hᵢ·radix^(k−1−i)` and "is this key
     /// present in `other`" is one bit.  The build loop sets bits straight
-    /// from `other`'s row buffer (translated across pools; rows holding a
-    /// value unknown to `self`'s pool are skipped), the probe loop tests
-    /// `self`'s rows against them: no gathered key buffers, no
-    /// permutations, no hashing.  Returns the mask plus the number of
-    /// distinct keys set (the "built" metric).
+    /// from `other`'s row buffer, the probe loop tests `self`'s rows
+    /// against them: no gathered key buffers, no permutations, no hashing.
+    /// Returns the mask plus the number of distinct keys set (the "built"
+    /// metric).
     fn dense_mask<G: Governor>(
         &self,
         other: &Relation,
         keys: &JoinKeys,
         gov: &G,
     ) -> Result<Option<(Vec<bool>, usize)>, EngineError> {
-        // Read after `keys.trans` was built: every handle either loop packs
-        // (own rows, translated rows) was interned before this point.
+        // The pool only grows: every handle either side holds was interned
+        // before this read.
         let radix = self.pool.len();
         let Some(space) = dense_key_space(radix, keys.k(), self.len + other.len) else {
             return Ok(None);
         };
-        let trans = keys.trans.as_deref();
         let mut bits = vec![0u64; space.div_ceil(64)];
         let mut built = 0usize;
         for batch in other.raw_rows().chunks(CHECK_BATCH * other.width()) {
@@ -1407,9 +1333,7 @@ impl Relation {
                 gov.checkpoint()?;
             }
             for row in batch.chunks_exact(other.width()) {
-                let Some(key) = pack_key(row, &keys.right_pos, trans, radix) else {
-                    continue;
-                };
+                let key = pack_key(row, &keys.right_pos, radix);
                 let (word, bit) = (key / 64, 1u64 << (key % 64));
                 built += usize::from(bits[word] & bit == 0);
                 bits[word] |= bit;
@@ -1421,8 +1345,8 @@ impl Relation {
                 gov.checkpoint()?;
             }
             mask.extend(batch.chunks_exact(self.width()).map(|row| {
-                pack_key(row, &keys.left_pos, None, radix)
-                    .is_some_and(|key| bits[key / 64] & (1u64 << (key % 64)) != 0)
+                let key = pack_key(row, &keys.left_pos, radix);
+                bits[key / 64] & (1u64 << (key % 64)) != 0
             }));
         }
         Ok(Some((mask, built)))
@@ -1430,9 +1354,9 @@ impl Relation {
 
     /// Sort-merge flavor of the semijoin mask: sort a row-id permutation of
     /// `self` by the key columns (never the rows themselves), sort + dedup
-    /// `other`'s (translated) keys, and mark equal-key runs in one merge
-    /// walk.  Returns the mask plus the number of distinct other-side keys
-    /// after dedup (the "built" metric).
+    /// `other`'s keys, and mark equal-key runs in one merge walk.  Returns
+    /// the mask plus the number of distinct other-side keys after dedup (the
+    /// "built" metric).
     fn sort_merge_mask<G: Governor>(
         &self,
         other: &Relation,
@@ -1440,7 +1364,7 @@ impl Relation {
         gov: &G,
     ) -> Result<(Vec<bool>, usize), EngineError> {
         let k = keys.k();
-        let other_keys = &keys.gather_translated(other)[..];
+        let other_keys = &keys.gather(other, &keys.right_pos)[..];
         let mut mask = vec![false; self.len];
         if other_keys.is_empty() || self.len == 0 {
             return Ok((mask, 0));
@@ -1498,16 +1422,6 @@ impl Relation {
             }
         }
         out
-    }
-
-    /// Number of tuples the semijoin with `other` would keep, without
-    /// materializing it.
-    pub fn semijoin_count(&self, other: &Relation) -> usize {
-        unfail(self.semijoin_mask(other, &NoopGovernor))
-            .0
-            .iter()
-            .filter(|&&b| b)
-            .count()
     }
 
     /// In-place semijoin: removes the tuples of `self` that match no tuple
@@ -1598,6 +1512,35 @@ impl Relation {
         out
     }
 
+    /// This relation's projection onto `attrs`, read in `pool`'s handle
+    /// space — how a kernel that only reads its other operand brings one
+    /// from a foreign pool to its door.  On `pool` itself, the relation
+    /// borrowed, every column kept.  Otherwise a copy over the attributes
+    /// in `attrs`, translated through a read-only table: rows holding a
+    /// value `pool` has never interned are dropped (no row over `pool` can
+    /// match them), and neither pool gains a value.
+    fn read_in(&self, pool: &ValuePool, attrs: &NodeSet) -> Cow<'_, Relation> {
+        if self.pool.same_pool(pool) {
+            return Cow::Borrowed(self);
+        }
+        let kept = self.attributes.intersection(attrs);
+        let pos = positions(&kept, &self.cols);
+        let table = self.pool.translation_to(pool, false);
+        let mut out = Relation::with_pool(self.name.clone(), kept, pool.clone());
+        let mut buf = vec![0u32; pos.len()];
+        'rows: for row in self.rows_iter() {
+            for (slot, &p) in buf.iter_mut().zip(&pos) {
+                *slot = table[row[p] as usize];
+                if *slot == NO_HANDLE {
+                    continue 'rows;
+                }
+            }
+            // A dropped column can make two rows equal: deduplicate.
+            out.insert_row(&buf);
+        }
+        Cow::Owned(out)
+    }
+
     /// True if the two relations hold exactly the same tuples over the same
     /// attributes (names are ignored).  Rows are compared as sorted lists in
     /// `self`'s handle space, so a duplicated row on either side (a broken
@@ -1610,24 +1553,16 @@ impl Relation {
         if w == 0 {
             return true; // equal row counts of the empty tuple
         }
-        let translated;
-        let theirs = if self.pool.same_pool(&other.pool) {
-            &other.rows
-        } else {
-            let table = other.pool.translation_to(&self.pool, false);
-            translated = other
-                .rows
-                .iter()
-                .map(|&h| table[h as usize])
-                .collect::<Vec<u32>>();
-            if translated.contains(&NO_HANDLE) {
-                return false;
-            }
-            &translated
-        };
+        // A row of `other` lost to the translation held a value `self`
+        // cannot hold, and deduplication only merges a broken set's rows.
+        let other = other.read_in(&self.pool, &self.attributes);
+        if other.len != self.len {
+            return false;
+        }
         let mine = sort_ids_by_key(&self.rows, w, self.len);
-        let ids = sort_ids_by_key(theirs, w, self.len);
-        (mine.iter().zip(&ids)).all(|(&a, &b)| row_of(&self.rows, w, a) == row_of(theirs, w, b))
+        let ids = sort_ids_by_key(&other.rows, w, self.len);
+        (mine.iter().zip(&ids))
+            .all(|(&a, &b)| row_of(&self.rows, w, a) == row_of(&other.rows, w, b))
     }
 
     /// Renders the relation as a small table using `universe` for names.
@@ -1796,29 +1731,11 @@ mod tests {
     }
 
     #[test]
-    fn selection_filters() {
-        let (h, r, _) = setup();
-        let sel = r.select_eq(h.node("B").unwrap(), &Value::Int(10));
-        assert_eq!(sel.len(), 2);
-        assert!(sel
-            .tuples()
-            .all(|t| t.get(h.node("B").unwrap()) == Some(&Value::Int(10))));
-        // Unknown value or out-of-schema attribute: empty result.
-        assert!(r
-            .select_eq(h.node("B").unwrap(), &Value::Int(77))
-            .is_empty());
-        assert!(r
-            .select_eq(h.node("C").unwrap(), &Value::Int(10))
-            .is_empty());
-    }
-
-    #[test]
     fn semijoin_keeps_matching_tuples_only() {
         let (h, r, s) = setup();
         let sj = r.semijoin(&s);
         assert_eq!(sj.len(), 2); // A=1 and A=3 (B=10 matches), A=2 (B=20) dropped
         assert_eq!(sj.attributes(), &h.node_set(["A", "B"]).unwrap());
-        assert_eq!(r.semijoin_count(&s), 2);
         // Semijoin against an empty relation empties the result.
         let empty = Relation::new("E", h.node_set(["B", "C"]).unwrap());
         assert!(r.semijoin(&empty).is_empty());
@@ -1984,24 +1901,6 @@ mod tests {
         let (out, agg) = metered_semijoin(&r, &s);
         assert_eq!(agg.sortmerge_ops, 1);
         assert!(naive_semijoin(&r, &s).agrees_with(&out));
-    }
-
-    #[test]
-    fn select_eq_all_fuses_selections() {
-        let (h, r, _) = setup();
-        let (a, b) = (h.node("A").unwrap(), h.node("B").unwrap());
-        let fused = r.select_eq_all(&[(a, Value::Int(1)), (b, Value::Int(10))]);
-        let chained = r.select_eq(a, &Value::Int(1)).select_eq(b, &Value::Int(10));
-        assert!(fused.same_contents(&chained));
-        assert_eq!(fused.len(), 1);
-        // Contradictory predicates on one attribute: empty.
-        assert!(r
-            .select_eq_all(&[(a, Value::Int(1)), (a, Value::Int(2))])
-            .is_empty());
-        // Unknown value: empty.
-        assert!(r.select_eq_all(&[(a, Value::Int(777))]).is_empty());
-        // No predicates: everything survives.
-        assert_eq!(r.select_eq_all(&[]).len(), r.len());
     }
 
     #[test]
@@ -2292,6 +2191,29 @@ mod tests {
         // Only B = 20 translates; the two unknown-B rows are skipped.
         assert_eq!((agg.built, agg.build_rows, agg.kept), (1, 3, 1));
         assert!(naive_semijoin(&r, &s).agrees_with(&out));
+    }
+
+    /// The cross-pool boundary only reads: a semijoin or a contents
+    /// comparison across pools interns nothing into either pool, and a
+    /// value one pool lacks outside the semijoin key costs no row its match.
+    #[test]
+    fn cross_pool_semijoin_and_same_contents_intern_nothing() {
+        let (h, r, _) = setup();
+        let (_, twin, _) = setup();
+        let (b, c) = (h.node("B").unwrap(), h.node("C").unwrap());
+        let mut s = Relation::new("S", h.node_set(["B", "C"]).unwrap());
+        s.insert(Tuple::from_pairs([(b, 10), (c, 555)]));
+        s.insert(Tuple::from_pairs([(b, 777), (c, 1)]));
+        // Over r's pool, (B=10, C=20) holds a C value s's pool never saw.
+        let mut t = Relation::with_pool("T", s.attributes().clone(), r.pool().clone());
+        t.insert(Tuple::from_pairs([(b, 10), (c, 20)]));
+        t.insert(Tuple::from_pairs([(b, 20), (c, 1)]));
+        let lens = || (r.pool().len(), s.pool().len(), twin.pool().len());
+        let before = lens();
+        assert_eq!(r.semijoin(&s).len(), 2, "C = 555 is unknown to r's pool");
+        assert!(r.same_contents(&twin) && twin.same_contents(&r));
+        assert!(!s.same_contents(&t) && !t.same_contents(&s));
+        assert_eq!(lens(), before, "a cross-pool read interned a value");
     }
 
     #[test]

@@ -21,7 +21,6 @@ use crate::exec::{ExecCtx, ExecPolicy};
 use crate::govern::{contain_panics, unfail, EngineError, Governor};
 use crate::metrics::{timed, MetricsSink, Phase};
 use crate::relation::Relation;
-use crate::yannakakis::naive_join_project;
 use acyclic::canonical_connection;
 use hypergraph::{Hypergraph, NodeSet};
 
@@ -128,9 +127,10 @@ pub fn query_via_connection(db: &Database, x: &NodeSet) -> Relation {
 }
 
 /// [`ExecCtx::query_via_full_join`] with nobody watching, on the sequential
-/// hash kernel ([`Database::full_join`]).
+/// hash kernel ([`Database::full_join`]) — the baseline the tests and the
+/// bench compare every other engine with.
 pub fn query_via_full_join(db: &Database, x: &NodeSet) -> Relation {
-    naive_join_project(db, x)
+    db.full_join().into_project(x)
 }
 
 /// [`ExecCtx::query_via_full_join`] under `policy`, recording into `sink`.
@@ -179,12 +179,6 @@ pub fn query_yannakakis_governed<M: MetricsSink, G: Governor>(
         .metrics(sink)
         .gov(gov)
         .query_yannakakis(db, x)
-}
-
-/// Convenience: answer a query given attribute names.
-pub fn query_attributes(db: &Database, names: &[&str]) -> Result<Relation, EngineError> {
-    let x = db.attributes(names.iter().copied())?;
-    Ok(query_via_connection(db, &x))
 }
 
 #[cfg(test)]
@@ -304,14 +298,6 @@ mod tests {
         assert_eq!(via_cc.len(), 1);
         assert!(naive.is_empty());
         let _ = (c, d);
-    }
-
-    #[test]
-    fn query_attributes_resolves_names() {
-        let db = fig1_db();
-        let r = query_attributes(&db, &["A", "D"]).unwrap();
-        assert_eq!(r.attributes(), &db.attributes(["A", "D"]).unwrap());
-        assert!(query_attributes(&db, &["Z"]).is_err());
     }
 
     #[test]

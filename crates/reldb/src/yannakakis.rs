@@ -261,16 +261,11 @@ pub fn yannakakis_join_with(
     unfail(ExecCtx::new(policy).yannakakis_join(db, tree, output))
 }
 
-/// The same projection computed naively: join every relation, then project.
-/// Used as the baseline in tests and benchmark B4.
-pub fn naive_join_project(db: &Database, output: &NodeSet) -> Relation {
-    db.full_join().into_project(output)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::relation::Tuple;
+    use crate::universal::query_via_full_join;
     use acyclic::join_tree;
     use hypergraph::{EdgeId, Hypergraph};
 
@@ -318,7 +313,7 @@ mod tests {
         let tree = join_tree(db.schema()).unwrap();
         let all = db.schema().nodes();
         let fast = yannakakis_join(&db, &tree, &all);
-        let naive = naive_join_project(&db, &all);
+        let naive = query_via_full_join(&db, &all);
         assert!(fast.same_contents(&naive), "fast != naive");
     }
 
@@ -334,7 +329,7 @@ mod tests {
         ] {
             let output = db.attributes(attrs.iter().copied()).unwrap();
             let fast = yannakakis_join(&db, &tree, &output);
-            let naive = naive_join_project(&db, &output);
+            let naive = query_via_full_join(&db, &output);
             assert!(
                 fast.same_contents(&naive),
                 "mismatch for output {attrs:?}: fast {} naive {}",
@@ -379,7 +374,7 @@ mod tests {
         ] {
             let output = db.attributes(attrs.iter().copied()).unwrap();
             let fast = yannakakis_join(&db, &tree, &output);
-            let naive = naive_join_project(&db, &output);
+            let naive = query_via_full_join(&db, &output);
             assert!(fast.same_contents(&naive), "mismatch for {attrs:?}");
         }
     }
@@ -437,7 +432,7 @@ mod tests {
             }
         }
         let all = db.schema().nodes();
-        let naive = naive_join_project(&db, &all);
+        let naive = query_via_full_join(&db, &all);
         for policy in &policies {
             let fast = yannakakis_join_with(&db, &tree, &all, policy);
             assert!(
@@ -460,7 +455,7 @@ mod tests {
             let output = db.attributes(attrs.iter().copied()).unwrap();
             let want = yannakakis_join_with(&db, &tree, &output, &hash);
             assert!(
-                want.same_contents(&naive_join_project(&db, &output)),
+                want.same_contents(&query_via_full_join(&db, &output)),
                 "projection {attrs:?} diverged from the naive join"
             );
             for strategy in [JoinStrategy::SortMerge, JoinStrategy::Auto] {

@@ -12,11 +12,12 @@ use acyclic_hypergraphs::decomp::{decompose, Heuristic};
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::reference::naive_full_join;
 use acyclic_hypergraphs::reldb::{
-    materialize_bags, yannakakis_join_any, yannakakis_join_decomposed, Database, ExecPolicy,
-    JoinStrategy, Query,
+    materialize_bags, query_via_full_join, query_yannakakis, yannakakis_join_any,
+    yannakakis_join_decomposed, Database, ExecPolicy, JoinStrategy, Relation, Tuple, Value,
 };
 use acyclic_hypergraphs::workload::{hyper_ring, pair_clique, random_database, ring, DataParams};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// One of the cyclic schema families, scaled by `shape`.
 fn cyclic_schema(family: usize, shape: usize) -> Hypergraph {
@@ -131,8 +132,9 @@ proptest! {
         );
     }
 
-    /// The Query layer routes cyclic schemas too: selections and
-    /// projections through `execute_yannakakis` agree with the naive path.
+    /// `π_X σ_{s = v}` on a cyclic schema: the routed engine's answer over
+    /// `X ∪ {s}` agrees with the naive path, and so does the selection
+    /// applied to it.
     #[test]
     fn cyclic_queries_with_selections_match_naive(
         family in 0usize..3,
@@ -144,16 +146,21 @@ proptest! {
     ) {
         let db = db_for(family, shape, tuples, domain, seed);
         let nodes: Vec<_> = db.schema().nodes().iter().collect();
-        let q = Query::new()
-            .select(nodes[0])
-            .select(*nodes.last().expect("nonempty"))
-            .filter_eq(nodes[nodes.len() / 2], sel % domain);
-        let yann = q.execute_yannakakis(&db).expect("cyclic schemas execute");
-        let naive = q.execute_naive(&db);
-        prop_assert!(
-            yann.same_contents(&naive),
-            "cyclic query with selection diverged"
-        );
+        let x: NodeSet = [nodes[0], *nodes.last().expect("nonempty")].into_iter().collect();
+        let s = nodes[nodes.len() / 2];
+        let mut mentioned = x.clone();
+        mentioned.insert(s);
+        let yann = query_yannakakis(&db, &mentioned).expect("cyclic schemas execute");
+        let naive = query_via_full_join(&db, &mentioned);
+        prop_assert!(yann.same_contents(&naive), "cyclic query diverged");
+        let value = Value::Int(sel % domain);
+        let selected = |r: &Relation| -> BTreeSet<Tuple> {
+            r.tuples()
+                .filter(|t| t.get(s) == Some(&value))
+                .map(|t| t.project(&x))
+                .collect()
+        };
+        prop_assert_eq!(selected(&yann), selected(&naive), "cyclic selection diverged");
     }
 }
 

@@ -7,7 +7,7 @@ use acyclic_hypergraphs::acyclic::{join_tree, AcyclicityExt};
 use acyclic_hypergraphs::reldb::{
     dangling_report, full_reduce, is_globally_consistent, is_pairwise_consistent,
     make_globally_consistent, plan_connection, query_via_connection, query_via_full_join,
-    query_yannakakis, Query,
+    query_yannakakis,
 };
 use acyclic_hypergraphs::workload::{
     chain, consistent_database, inconsistent_ring_database, random_database, snowflake, star,
@@ -179,7 +179,8 @@ fn cyclic_schema_degrades_gracefully() {
     }
 }
 
-/// The declarative query layer agrees with the low-level paths end to end.
+/// A query named by attribute names, from a dimension key to the far end
+/// of the snowflake, answers the same through every engine.
 #[test]
 fn declarative_queries_end_to_end() {
     let schema = snowflake(3, 2, 3);
@@ -193,23 +194,11 @@ fn declarative_queries_end_to_end() {
         },
         21,
     );
-    let u = db.schema().universe();
-    let k0 = db.schema().node("K000_0").unwrap();
-    let far = db.schema().node("K002_2").unwrap();
-    let q = Query::new().select(k0).select(far);
-    let via_cc = q.execute(&db);
-    let naive = q.execute_naive(&db);
-    let yann = q.execute_yannakakis(&db).unwrap();
+    let x = db.attributes(["K000_0", "K002_2"]).unwrap();
+    let via_cc = query_via_connection(&db, &x);
+    let naive = query_via_full_join(&db, &x);
+    let yann = query_yannakakis(&db, &x).unwrap();
+    assert!(!naive.is_empty());
     assert!(via_cc.same_contents(&naive));
     assert!(yann.same_contents(&naive));
-    // A selection on a dimension key narrows the result.
-    let filtered = Query::new()
-        .select(k0)
-        .select(far)
-        .filter_eq(k0, 0)
-        .execute(&db);
-    for t in filtered.tuples() {
-        assert_eq!(t.get(k0), Some(&acyclic_hypergraphs::reldb::Value::Int(0)));
-    }
-    let _ = u;
 }

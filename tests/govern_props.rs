@@ -18,9 +18,9 @@ use acyclic_hypergraphs::hypergraph::EdgeId;
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::govern::CHECK_BATCH;
 use acyclic_hypergraphs::reldb::{
-    full_reduce, query_via_full_join, query_yannakakis, CancelToken, CollectingSink, Database,
-    EngineError, ExecCtx, ExecPolicy, Governor, JoinStrategy, Phase, Query, QueryGovernor, Tuple,
-    Value,
+    full_reduce, query_via_connection, query_via_full_join, query_yannakakis, CancelToken,
+    CollectingSink, Database, EngineError, ExecCtx, ExecPolicy, Governor, JoinStrategy, Phase,
+    QueryGovernor, Tuple, Value,
 };
 use acyclic_hypergraphs::workload::{
     chain, far_apart, random_database, ring, snowflake, star, DataParams,
@@ -68,13 +68,6 @@ fn select(db: &Database, selector: u64) -> NodeSet {
     } else {
         x
     }
-}
-
-/// `π_x σ_{first attribute = 0}`: a [`Query`] with a selection, for the two
-/// engines of the declarative layer.
-fn selecting(db: &Database, x: &NodeSet) -> Query {
-    let first = db.schema().nodes().iter().next().expect("nonempty schema");
-    Query::new().select_all(x.iter()).filter_eq(first, 0)
 }
 
 /// The database's observable state: every relation's exact tuple sequence.
@@ -129,12 +122,13 @@ proptest! {
             .expect("no limit can trip");
         let plain = query_yannakakis(&db, &x).expect("ungoverned query");
         prop_assert!(governed.same_contents(&plain), "governed query changed the answer");
-        let (q, ctx) = (selecting(&db, &x), ExecCtx::new(&policy).gov(&gov));
-        let governed = ctx.execute(&q, &db).expect("no limit can trip");
-        prop_assert!(governed.same_contents(&q.execute(&db)), "governed Query::execute");
-        let governed = ctx.execute_yannakakis(&q, &db).expect("no limit can trip");
-        let plain = q.execute_yannakakis(&db).expect("ungoverned query");
-        prop_assert!(governed.same_contents(&plain), "governed Query::execute_yannakakis");
+        let ctx = ExecCtx::new(&policy).gov(&gov);
+        let governed = ctx.query_via_connection(&db, &x).expect("no limit can trip");
+        prop_assert!(governed.same_contents(&query_via_connection(&db, &x)),
+            "governed connection query changed the answer");
+        let governed = ctx.query_via_full_join(&db, &x).expect("no limit can trip");
+        prop_assert!(governed.same_contents(&query_via_full_join(&db, &x)),
+            "governed full-join query changed the answer");
     }
 
     /// No wrong answers under deadline pressure: whatever instant the clock
@@ -196,16 +190,18 @@ proptest! {
             other => prop_assert!(false, "zero deadline must abort, got {other:?}"),
         }
         assert_untouched(&db, &before, &x);
-        let (q, ctx) = (selecting(&db, &x), ExecCtx::new(&policy).gov(&gov));
-        match ctx.execute_yannakakis(&q, &db) {
-            Err(EngineError::DeadlineExceeded { .. }) => {}
-            other => prop_assert!(false, "zero deadline must abort, got {other:?}"),
-        }
-        match ctx.execute(&q, &db) {
+        let ctx = ExecCtx::new(&policy).gov(&gov);
+        match ctx.query_via_connection(&db, &x) {
             Err(EngineError::DeadlineExceeded { .. }) => {}
             // The connection plan only checkpoints inside a join of two
             // nonempty operands; without one it legitimately finishes.
-            Ok(answer) => prop_assert!(answer.same_contents(&q.execute(&db))),
+            Ok(answer) => prop_assert!(answer.same_contents(&query_via_connection(&db, &x))),
+            Err(other) => prop_assert!(false, "unexpected abort: {other}"),
+        }
+        match ctx.query_via_full_join(&db, &x) {
+            Err(EngineError::DeadlineExceeded { .. }) => {}
+            // Likewise the full join: it checkpoints only inside its joins.
+            Ok(answer) => prop_assert!(answer.same_contents(&query_via_full_join(&db, &x))),
             Err(other) => prop_assert!(false, "unexpected abort: {other}"),
         }
         assert_untouched(&db, &before, &x);
