@@ -112,6 +112,53 @@ impl JoinTree {
         levels
     }
 
+    /// `S`, the smallest connected subtree whose edges cover the nodes of
+    /// `x` that `h` has, as a membership mask indexed by edge id (`h` is
+    /// the hypergraph this tree was built for).
+    ///
+    /// `S` is what remains after repeatedly pruning a leaf whose `x`-nodes
+    /// all lie in its one neighbour: Graham reduction with `x` sacred,
+    /// restricted to the tree, so `S`'s edges reduce to the canonical
+    /// connection `CC(x)` (Theorem 3.5).  Leaves below are pruned first and
+    /// the root side last, so the root stays whenever a smallest `S`
+    /// containing it exists — in particular `S = {root}` whenever the root
+    /// covers `x`, `x = ∅` included.  The member whose parent is not a
+    /// member is `S`'s top.
+    ///
+    /// Every leaf of the result holds an `x`-node no other member holds
+    /// (by running intersection it would otherwise lie in the neighbour),
+    /// so every connected subtree covering `x` contains the paths between
+    /// those leaves: a result with two leaves or more is the unique
+    /// smallest one.
+    pub fn connection_subtree(&self, h: &Hypergraph, x: &NodeSet) -> Vec<bool> {
+        let edges = h.edges();
+        let fits = |e: EdgeId, into: EdgeId| {
+            x.intersection(&edges[e.index()].nodes)
+                .is_subset(&edges[into.index()].nodes)
+        };
+        let mut member = vec![true; self.len()];
+        // From below: an edge whose children are all pruned is a leaf.
+        for e in self.bottom_up_order() {
+            if let Some(p) = self.parent(e) {
+                if self.children(e).iter().all(|c| !member[c.index()]) && fits(e, p) {
+                    member[e.index()] = false;
+                }
+            }
+        }
+        // From the top: the top is a leaf while it keeps one child.
+        let mut top = self.root;
+        loop {
+            let mut kept = self.children(top).iter().filter(|c| member[c.index()]);
+            match (kept.next(), kept.next()) {
+                (Some(&c), None) if fits(top, c) => {
+                    member[top.index()] = false;
+                    top = c;
+                }
+                _ => return member,
+            }
+        }
+    }
+
     /// The tree edges as `(child, parent)` pairs.
     pub fn tree_edges(&self) -> Vec<(EdgeId, EdgeId)> {
         self.parent
@@ -340,6 +387,29 @@ mod tests {
         for (c, p) in t.tree_edges() {
             assert!(pos[&c] < pos[&p], "child {c} must precede parent {p}");
         }
+    }
+
+    #[test]
+    fn connection_subtree_prunes_to_the_edges_connecting_x() {
+        let h = fig1();
+        let t = join_tree(&h).unwrap();
+        let subtree = |names: &[&str]| -> Vec<&str> {
+            let x = h.node_set(names.iter().copied()).unwrap();
+            let member = t.connection_subtree(&h, &x);
+            (0..t.len())
+                .filter(|&i| member[i])
+                .map(|i| h.edges()[i].label.as_str())
+                .collect()
+        };
+        // {A,E} lies in the root ACE (and in AEF): the root alone answers.
+        assert_eq!(subtree(&["A", "E"]), ["A-C-E"]);
+        assert_eq!(subtree(&[]), ["A-C-E"]);
+        // Example 3.3: {A,D} needs ACE and CDE.
+        assert_eq!(subtree(&["A", "D"]), ["C-D-E", "A-C-E"]);
+        assert_eq!(subtree(&["B", "F"]), ["A-B-C", "A-E-F", "A-C-E"]);
+        // {D} lies below the root only: the root is pruned from the top.
+        assert_eq!(subtree(&["D"]), ["C-D-E"]);
+        assert_eq!(subtree(&["A", "B", "C", "D", "E", "F"]).len(), 4);
     }
 
     #[test]

@@ -20,8 +20,15 @@
 //!    keeps a ring's bags from being the cross products their covers alone
 //!    would give;
 //! 3. **reduce + join** — the bag database is an ordinary acyclic database
-//!    over the bag hypergraph, so the existing full reducer and bottom-up
-//!    join run on it unchanged.
+//!    over the bag hypergraph whose upward pass step 2 already ran, so the
+//!    root bag holds exactly the full join's projection onto it.  What the
+//!    acyclic engine does after its own upward pass runs next, on the
+//!    owned bag relations: the downward pass along the path from the root
+//!    to the smallest bag subtree covering the output
+//!    ([`JoinTree::connection_subtree`](acyclic::JoinTree::connection_subtree))
+//!    and inside it, then the join inside it.  No second upward pass runs:
+//!    every bag was built by joining its children's separator projections,
+//!    so a parent ⋉ child semijoin could remove nothing.
 //!
 //! The result is tuple-for-tuple the projection of the full join.  Every
 //! original edge is wholly contained in the bag it is assigned to and
@@ -30,7 +37,8 @@
 //! induction up the tree each child does, so each message contains the
 //! full join's projection onto the separator, and filtering by it (or by a
 //! trimmed extra edge) never drops a tuple the full join needs.  Messages
-//! and extras only ever shrink bags; Yannakakis handles the rest.
+//! and extras only ever shrink bags; the downward pass and the join over
+//! the covering bag subtree handle the rest.
 //!
 //! [`yannakakis_join_any`] is the transparent entry point: acyclic schemas
 //! take the direct join-tree path, cyclic schemas the decomposition path.
@@ -169,6 +177,13 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         db: &Database,
         d: &Decomposition,
     ) -> Result<Database, EngineError> {
+        let relations = self.build_bags(db, d)?;
+        Database::new(d.bags().clone(), relations).map_err(EngineError::from)
+    }
+
+    /// The bag relations [`ExecCtx::materialize_bags`] builds, in bag-index
+    /// order, with every sink and checkpoint it documents.
+    fn build_bags(&self, db: &Database, d: &Decomposition) -> Result<Vec<Relation>, EngineError> {
         timed(self.metrics, Phase::Materialize, 0, || {
             let tree = d.tree();
             let mut built: Vec<Option<Relation>> = vec![None; d.bag_count()];
@@ -195,23 +210,28 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
                     self.metrics.record_bag(r.name(), r.len() as u64);
                 }
             }
-            Database::new(d.bags().clone(), relations).map_err(EngineError::from)
+            Ok(relations)
         })
     }
 
     /// Runs the full cyclic pipeline over an already-computed decomposition:
-    /// materialize the bags ([`ExecCtx::materialize_bags`]), then full-reduce
-    /// and join bottom-up along the bag tree ([`ExecCtx::yannakakis_join`]),
-    /// projecting onto `output` — every sink active in both phases.  An
-    /// abort surfaces as `Err(EngineError)` and leaves `db` untouched.
+    /// materialize the bags ([`ExecCtx::materialize_bags`]), which already
+    /// is the upward reducer pass over the bag tree, then answer from the
+    /// bags as [`ExecCtx::yannakakis_join`] does after its own upward pass —
+    /// the downward pass towards and inside the smallest bag subtree
+    /// covering `output`, and the join inside it — projecting onto
+    /// `output`, every sink active throughout.  The bag relations are
+    /// consumed, not copied.  An abort surfaces as `Err(EngineError)` and
+    /// leaves `db` untouched.
     pub fn yannakakis_join_decomposed(
         &self,
         db: &Database,
         d: &Decomposition,
         output: &NodeSet,
     ) -> Result<Relation, EngineError> {
-        let bag_db = self.materialize_bags(db, d)?;
-        self.yannakakis_join(&bag_db, d.tree(), output)
+        let bags = self.build_bags(db, d)?;
+        let tree = d.tree();
+        self.answer_from_upward_pass(d.bags(), tree, &tree.levels(), bags, output)
     }
 }
 
@@ -382,7 +402,8 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// stage is timed into its levels: on the cyclic path one
     /// [`Phase::Decompose`] entry around the heuristic pair (cache hits
     /// included) and one [`Phase::Materialize`] entry come first, then the
-    /// reducer's and the join's per-level entries.
+    /// downward pass's and the join's per-level entries (an acyclic query
+    /// starts with the upward pass's).
     ///
     /// Under an enabled governor the cyclic path runs the memory-budget
     /// **degradation ladder**.  Before materializing anything, the widest

@@ -36,7 +36,7 @@
 //! | `relation` | one stored *object* (hyperedge) as a relation: flat interned rows, the hash and sort-merge join kernels and the dense and sort-merge semijoin kernels (§7), which see one pool (a cross-pool operand is brought into it at the kernel's door), and the LSD counting/radix id sorter they share with the server's answer frame ([`sort_ids_by_key`]) |
 //! | `database` | a database bound to a schema hypergraph — one relation per object (§7) |
 //! | `universal` | universal-relation queries `π_X(⋈ CC(X))` over canonical connections (§5, §7): the connection, full-join and Yannakakis engines every front end serves |
-//! | `yannakakis` | the Yannakakis full reducer and bottom-up join over a join tree, level by level in both phases (§7's efficiency payoff) |
+//! | `yannakakis` | the Yannakakis full reducer, and queries answered from the join subtree covering `X` after the upward pass, level by level in every pass (§7's efficiency payoff) |
 //! | [`hypertree`] | cyclic schemas: bag materialization over a hypertree decomposition (`decomp` crate) and the acyclic-vs-cyclic router [`yannakakis_join_any`] |
 //! | [`snapshot`] | the versioned binary snapshot format behind [`Database::save_snapshot`] / [`Database::load_snapshot`] — scale-up loads in milliseconds instead of re-parsing text |
 //! | [`exec`] | [`ExecCtx`] (the one execution context every pipeline entry point is a method of), [`ExecPolicy`] and the [`JoinStrategy`] join-kernel cost-pick; every query runs on its caller's thread |

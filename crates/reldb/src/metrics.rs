@@ -40,7 +40,7 @@
 //!
 //! Counts and clocks go to the same sink.  Every stage of a query — the
 //! paper's §7 recipe: decompose and materialize for a cyclic scheme, the
-//! full reducer's upward and downward passes, the join — runs inside
+//! reducer's upward and downward passes, the join — runs inside
 //! [`timed`], which records one [`LevelTiming`] per stage level into
 //! [`QueryMetrics::levels`], in the order the stages finish.  `hyperqd`
 //! times its own request parse and answer serialization with the same

@@ -11,8 +11,10 @@
 //!
 //! * [`query_via_connection`] — join the objects of `CC(X)` (tableau
 //!   reduction picks them), project onto `X`;
-//! * [`query_yannakakis`] — same object selection, but evaluated with a
-//!   full reducer and join-tree join (the production path);
+//! * [`query_yannakakis`] — after the reducer's upward pass, reduce
+//!   downward towards and join only the smallest join subtree covering
+//!   `X` ([`acyclic::JoinTree::connection_subtree`]), whose objects
+//!   reduce to `CC(X)` by Theorem 3.5 (the production path);
 //! * [`query_via_full_join`] — join *every* object, project onto `X`
 //!   (the naive baseline).
 

@@ -8,9 +8,24 @@
 //! intermediate results.  This is the practical payoff of acyclicity that
 //! the paper's §7 interpretation points at, and the subject of benchmark B4.
 //!
-//! Both phases walk the join tree level by level ([`JoinTree::levels`]) on
-//! the calling thread: the reducer's passes deepest-first and top-down, the
-//! join bottom-up, so every child is done before its parent reads it.
+//! A query `π_X` needs less than the whole reducer and join.  After the
+//! upward pass towards the root, the root holds exactly the full join's
+//! projection onto it (Yannakakis, VLDB 1981); and on a globally consistent
+//! database `π_X` of the full join is `π_X` of any connected join subtree
+//! whose edges cover `X` (Beeri–Fagin–Maier–Yannakakis, JACM 1983).  So
+//! [`ExecCtx::yannakakis_join`] runs the upward pass over the whole tree,
+//! then the downward pass only along the path from the root to
+//! `S` = [`JoinTree::connection_subtree`] — whose edges reduce to the
+//! canonical connection `CC(X)` (Theorem 3.5) — and inside `S`, then joins
+//! only inside `S`: no join at all when `S` is one edge.  The cyclic path
+//! ([`crate::hypertree`]) answers the same way over its bag tree, whose
+//! materialization already is the upward pass.  [`ExecCtx::full_reduce`]
+//! runs both passes over every edge with the same two pass helpers.
+//!
+//! Every pass walks the join tree level by level ([`JoinTree::levels`]) on
+//! the calling thread: the upward pass deepest level first, the downward
+//! pass and the join top-down and bottom-up, so every child is done before
+//! its parent reads it.
 
 use crate::database::Database;
 use crate::exec::{ExecCtx, ExecPolicy};
@@ -18,7 +33,7 @@ use crate::govern::{unfail, EngineError, Governor};
 use crate::metrics::{timed, MetricsSink, Phase};
 use crate::relation::Relation;
 use acyclic::JoinTree;
-use hypergraph::NodeSet;
+use hypergraph::{EdgeId, Hypergraph, NodeSet};
 
 /// The result of running a full reducer: the reduced relations (in schema
 /// order) and the number of tuples removed from each.
@@ -53,7 +68,10 @@ fn pair_mut(rels: &mut [Relation], i: usize, j: usize) -> (&mut Relation, &Relat
 /// `(target, sources)` job semijoins the target relation with each source
 /// relation in turn, in place.  The governor is consulted once per level
 /// even when the level has no job, so a zero deadline trips
-/// deterministically on any tree, single-edge schemas included.
+/// deterministically on any tree, single-edge schemas included.  A metered
+/// level also records the dedup-index rebuilds it paid: with the deferred
+/// rebuild (each retain only marks the index stale) that stays 0, which is
+/// exactly what the counter is there to prove.
 fn reduce_level<M: MetricsSink, G: Governor>(
     ctx: &ExecCtx<'_, M, G>,
     (phase, depth): (Phase, usize),
@@ -61,7 +79,10 @@ fn reduce_level<M: MetricsSink, G: Governor>(
     relations: &mut [Relation],
     removed: &mut [usize],
 ) -> Result<(), EngineError> {
-    timed(ctx.metrics, phase, depth, || {
+    let rebuilds =
+        |rels: &[Relation]| -> usize { rels.iter().map(Relation::index_rebuild_count).sum() };
+    let before = if M::ENABLED { rebuilds(relations) } else { 0 };
+    timed(ctx.metrics, phase, depth, || -> Result<(), EngineError> {
         if G::ENABLED {
             ctx.gov.at_level(phase, depth)?;
         }
@@ -72,10 +93,72 @@ fn reduce_level<M: MetricsSink, G: Governor>(
             }
         }
         Ok(())
-    })
+    })?;
+    if M::ENABLED {
+        ctx.metrics
+            .record_index_rebuilds((rebuilds(relations) - before) as u64);
+    }
+    Ok(())
 }
 
 impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
+    /// The reducer's upward pass: every parent ⋉ each of its children,
+    /// deepest parent level first, one [`Phase::ReduceUp`] entry per tree
+    /// level.  Afterwards the root holds exactly the full join's projection
+    /// onto it, and every other edge the projection of its subtree's join.
+    fn reduce_up(
+        &self,
+        tree: &JoinTree,
+        levels: &[Vec<EdgeId>],
+        relations: &mut [Relation],
+        removed: &mut [usize],
+    ) -> Result<(), EngineError> {
+        for (depth, level) in levels.iter().enumerate().rev() {
+            let jobs: Vec<(usize, Vec<usize>)> = level
+                .iter()
+                .filter(|&&e| !tree.children(e).is_empty())
+                .map(|&e| {
+                    let children = tree.children(e).iter().map(|c| c.index());
+                    (e.index(), children.collect())
+                })
+                .collect();
+            let at = (Phase::ReduceUp, depth);
+            reduce_level(self, at, &jobs, relations, removed)?;
+        }
+        Ok(())
+    }
+
+    /// The reducer's downward pass over the edges `within` marks — a
+    /// connected set holding the root: each marked child ⋉ its parent,
+    /// top-down, one [`Phase::ReduceDown`] entry per level that has a
+    /// marked child.  After an upward pass every marked edge holds exactly
+    /// the full join's projection onto it.
+    fn reduce_down(
+        &self,
+        tree: &JoinTree,
+        levels: &[Vec<EdgeId>],
+        within: &[bool],
+        relations: &mut [Relation],
+        removed: &mut [usize],
+    ) -> Result<(), EngineError> {
+        for (depth, level) in levels.iter().enumerate().skip(1) {
+            let jobs: Vec<(usize, Vec<usize>)> = level
+                .iter()
+                .filter(|e| within[e.index()])
+                .map(|&e| {
+                    let parent = tree.parent(e).expect("non-root level");
+                    (e.index(), vec![parent.index()])
+                })
+                .collect();
+            if jobs.is_empty() {
+                break;
+            }
+            let at = (Phase::ReduceDown, depth);
+            reduce_level(self, at, &jobs, relations, removed)?;
+        }
+        Ok(())
+    }
+
     /// Runs the two semijoin passes of the Yannakakis full reducer over
     /// `tree`, level by level.
     ///
@@ -103,55 +186,25 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
             db.relations().iter().map(Relation::clone_rows).collect();
         let mut removed: Vec<usize> = vec![0; relations.len()];
         let levels = tree.levels();
-        let rebuilds_before: usize = relations.iter().map(Relation::index_rebuild_count).sum();
-
-        // Upward pass: parent ⋉ each child, deepest parent level first.
-        for (depth, level) in levels.iter().enumerate().rev() {
-            let jobs: Vec<(usize, Vec<usize>)> = level
-                .iter()
-                .filter(|&&e| !tree.children(e).is_empty())
-                .map(|&e| {
-                    let children = tree.children(e).iter().map(|c| c.index());
-                    (e.index(), children.collect())
-                })
-                .collect();
-            let at = (Phase::ReduceUp, depth);
-            reduce_level(self, at, &jobs, &mut relations, &mut removed)?;
-        }
-        // Downward pass: child ⋉ parent, top-down.
-        for (depth, level) in levels.iter().enumerate().skip(1) {
-            let jobs: Vec<(usize, Vec<usize>)> = level
-                .iter()
-                .map(|&e| {
-                    let parent = tree.parent(e).expect("non-root level");
-                    (e.index(), vec![parent.index()])
-                })
-                .collect();
-            let at = (Phase::ReduceDown, depth);
-            reduce_level(self, at, &jobs, &mut relations, &mut removed)?;
-        }
-
-        if M::ENABLED {
-            // Rebuilds the reduction itself paid: with the deferred-rebuild
-            // optimization this stays 0 (each retain only marks the index
-            // stale), which is exactly what the counter is there to prove.
-            let after: usize = relations.iter().map(Relation::index_rebuild_count).sum();
-            self.metrics
-                .record_index_rebuilds((after - rebuilds_before) as u64);
-        }
+        self.reduce_up(tree, &levels, &mut relations, &mut removed)?;
+        let everything = vec![true; relations.len()];
+        self.reduce_down(tree, &levels, &everything, &mut relations, &mut removed)?;
         Ok(Reduced { relations, removed })
     }
 
     /// Computes the projection of the full join onto `output` by the
-    /// Yannakakis algorithm: full-reduce, then join bottom-up along the tree,
-    /// projecting intermediate results onto (needed separator ∪ output)
-    /// attributes to keep them small.  The policy picks the physical join
-    /// strategy ([`crate::JoinStrategy`]) for every join; the reducer's
-    /// semijoins choose their kernel from their inputs.
+    /// Yannakakis algorithm, restricted to what connects `output`: the
+    /// upward pass runs over the whole tree, the downward pass only along
+    /// the path from the root to `S`, the smallest connected subtree whose
+    /// edges cover `output` ([`JoinTree::connection_subtree`]), and inside
+    /// `S`, and the bottom-up join only inside `S` — none at all when `S`
+    /// is one edge, whose reduced relation is then projected.  The policy
+    /// picks the physical join strategy ([`crate::JoinStrategy`]) for every
+    /// join; the reducer's semijoins choose their kernel from their inputs.
     ///
-    /// On top of what [`ExecCtx::full_reduce`] reports, each bottom-up join
-    /// level is timed as one [`Phase::Join`] entry, the governor is
-    /// consulted before every join level and inside every kernel loop, and
+    /// The metrics sink receives per-semijoin and per-join counters and one
+    /// wall timing per level of each stage that runs; the governor is
+    /// consulted before every level and inside every kernel loop, and join
     /// output allocations are charged against its memory budget.  An abort
     /// surfaces as `Err(EngineError)`; `db` is never mutated, so an aborted
     /// query leaves the database exactly as loaded.
@@ -161,17 +214,70 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         tree: &JoinTree,
         output: &NodeSet,
     ) -> Result<Relation, EngineError> {
-        let reduced = self.full_reduce(db, tree)?;
-        let edges = db.schema().edges();
+        // Working copies of the rows only: the reducer never reads a dedup index.
+        let mut relations: Vec<Relation> =
+            db.relations().iter().map(Relation::clone_rows).collect();
+        let levels = tree.levels();
+        let mut removed = vec![0; relations.len()];
+        self.reduce_up(tree, &levels, &mut relations, &mut removed)?;
+        self.answer_from_upward_pass(db.schema(), tree, &levels, relations, output)
+    }
 
-        // Bottom-up join: each edge's slot starts as its reduced relation and
-        // ends as the join of its subtree — its relation joined with its
-        // children's results, in child order — projected onto the output
-        // attributes gathered so far plus the separator towards its parent.
-        // Children sit at deeper levels, so they are done (and consumed)
-        // before their parent.
-        let mut slots: Vec<Option<Relation>> = reduced.relations.into_iter().map(Some).collect();
-        for (li, level) in tree.levels_bottom_up().iter().enumerate() {
+    /// Answers `π_output(⋈)` from `relations` (one per edge of `h`, in edge
+    /// order) that an upward pass towards `tree`'s root has already
+    /// reduced, working only on `S`, the smallest connected subtree covering
+    /// `output` ([`JoinTree::connection_subtree`]).
+    ///
+    /// The root holds exactly the full join's projection onto it
+    /// (Yannakakis, VLDB 1981), so the downward pass along the path from the
+    /// root to `S` and inside `S` makes `S` globally consistent, and then
+    /// `π_output` of the join of `S` alone is `π_output` of the full join
+    /// (Beeri–Fagin–Maier–Yannakakis, JACM 1983).  With `|S| = 1` that is a
+    /// projection of one relation, with no join; otherwise `S` joins
+    /// bottom-up below its top, each edge's result projected onto the
+    /// output attributes gathered so far plus the separator towards its
+    /// parent, one [`Phase::Join`] entry per level of `S` (level 0 the
+    /// deepest).
+    pub(crate) fn answer_from_upward_pass(
+        &self,
+        h: &Hypergraph,
+        tree: &JoinTree,
+        levels: &[Vec<EdgeId>],
+        mut relations: Vec<Relation>,
+        output: &NodeSet,
+    ) -> Result<Relation, EngineError> {
+        let member = tree.connection_subtree(h, output);
+        let is_member = |e: EdgeId| member[e.index()];
+        let top = (0..tree.len())
+            .map(|i| EdgeId(i as u32))
+            .find(|&e| is_member(e) && !tree.parent(e).is_some_and(is_member))
+            .expect("S is never empty");
+        let mut reached = member.clone();
+        let mut up = top;
+        while let Some(p) = tree.parent(up) {
+            reached[p.index()] = true;
+            up = p;
+        }
+        let mut removed = vec![0; relations.len()];
+        self.reduce_down(tree, levels, &reached, &mut relations, &mut removed)?;
+
+        let edges = h.edges();
+        let s_levels: Vec<Vec<EdgeId>> = levels
+            .iter()
+            .map(|level| level.iter().copied().filter(|&e| is_member(e)).collect())
+            .filter(|level: &Vec<EdgeId>| !level.is_empty())
+            .collect();
+        if s_levels.len() == 1 && s_levels[0].len() == 1 {
+            return Ok(relations.swap_remove(top.index()).into_project(output));
+        }
+        // Bottom-up join inside S: each member's slot starts as its reduced
+        // relation and ends as the join of its part of S — its relation
+        // joined with its member children's results, in child order —
+        // projected onto the output attributes gathered so far plus the
+        // separator towards its parent.  Children sit at deeper levels, so
+        // they are done (and consumed) before their parent.
+        let mut slots: Vec<Option<Relation>> = relations.into_iter().map(Some).collect();
+        for (li, level) in s_levels.iter().rev().enumerate() {
             timed(
                 self.metrics,
                 Phase::Join,
@@ -182,12 +288,12 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
                     }
                     for &e in level {
                         let mut acc = slots[e.index()].take().expect("each edge joins once");
-                        for c in tree.children(e) {
+                        for &c in tree.children(e).iter().filter(|&&c| is_member(c)) {
                             let child = slots[c.index()].take().expect("children join first");
                             acc = self.join(&acc, &child)?;
                         }
                         let mut keep = acc.attributes().intersection(output);
-                        if let Some(p) = tree.parent(e) {
+                        if let Some(p) = tree.parent(e).filter(|_| e != top) {
                             let own = &edges[e.index()].nodes;
                             keep.union_with(&own.intersection(&edges[p.index()].nodes));
                         }
@@ -197,10 +303,8 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
                 },
             )?;
         }
-        let root_result = slots[tree.root().index()]
-            .take()
-            .expect("root processed last");
-        Ok(root_result.into_project(output))
+        let joined = slots[top.index()].take().expect("the top joins last");
+        Ok(joined.into_project(output))
     }
 }
 

@@ -176,7 +176,7 @@ proptest! {
         tuples in 1usize..16,
         domain in 1i64..5,
         seed in 0u64..1_000,
-        pick in 0usize..64,
+        pick in any::<u64>(),
     ) {
         let db = db_for(family, shape, tuples, domain, seed);
         let tree = join_tree(db.schema()).expect("generator schemas are acyclic");
@@ -184,7 +184,7 @@ proptest! {
         let output: NodeSet = all
             .iter()
             .enumerate()
-            .filter(|(i, _)| pick & (1 << (i % 6)) != 0)
+            .filter(|&(i, _)| pick >> i & 1 == 1)
             .map(|(_, &n)| n)
             .collect();
         let fast = yannakakis_join(&db, &tree, &output);
@@ -303,7 +303,7 @@ proptest! {
         domain in 1i64..6,
         skew_tenths in 0usize..16,
         seed in 0u64..1_000,
-        pick in 0usize..64,
+        pick in any::<u64>(),
     ) {
         let db = db_for_skewed(family, shape, tuples, domain, skew_tenths as f64 / 10.0, seed);
         let tree = join_tree(db.schema()).expect("generator schemas are acyclic");
@@ -312,7 +312,7 @@ proptest! {
             .nodes()
             .iter()
             .enumerate()
-            .filter(|(i, _)| pick & (1 << (i % 6)) != 0)
+            .filter(|&(i, _)| pick >> i & 1 == 1)
             .map(|(_, n)| n)
             .collect();
         let hash =
@@ -373,7 +373,7 @@ proptest! {
         domain in 1i64..5,
         skew_tenths in 0usize..14,
         seed in 0u64..1_000,
-        pick in 0usize..64,
+        pick in any::<u64>(),
     ) {
         let db = db_for_skewed(family, shape, tuples, domain, skew_tenths as f64 / 10.0, seed);
         let tree = join_tree(db.schema()).expect("generator schemas are acyclic");
@@ -382,7 +382,7 @@ proptest! {
             .nodes()
             .iter()
             .enumerate()
-            .filter(|(i, _)| pick & (1 << (i % 6)) != 0)
+            .filter(|&(i, _)| pick >> i & 1 == 1)
             .map(|(_, n)| n)
             .collect();
         let slow = naive_yannakakis_join(&db, &tree, &output);

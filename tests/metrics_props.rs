@@ -11,19 +11,22 @@
 //! 3. **Coverage** — a metered reducer run accounts for every semijoin the
 //!    join tree implies and times every level of both passes.
 //! 4. **Stage order** — every engine's level timings come in pipeline
-//!    order, one entry per stage level.
+//!    order, one entry per stage level that runs: the Yannakakis engine's
+//!    downward pass and join cover only the subtree that connects `X`.
 //!
 //! Alongside each: **kernel conservation** — per op kind, every recorded op
 //! resolved to exactly one kernel (`hash + sort-merge + dense = ops`), no
 //! semijoin hashes and no join runs the dense kernel under any policy, and a
 //! pinned hash join never resolves to another kernel.
 
-use acyclic_hypergraphs::acyclic::join_tree;
+use acyclic_hypergraphs::acyclic::{join_tree, JoinTree};
+use acyclic_hypergraphs::decomp::{decompose, Heuristic};
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::{
-    full_reduce, query_yannakakis, CollectingSink, Database, ExecCtx, ExecPolicy, JoinStrategy,
-    Phase, QueryMetrics,
+    full_reduce, query_via_full_join, query_yannakakis, CollectingSink, Database, ExecCtx,
+    ExecPolicy, JoinStrategy, Phase, QueryMetrics,
 };
+use acyclic_hypergraphs::workload::paper::fig1;
 use acyclic_hypergraphs::workload::{chain, random_database, ring, snowflake, star, DataParams};
 use proptest::prelude::*;
 
@@ -58,14 +61,42 @@ fn stages(m: &QueryMetrics) -> Vec<(Phase, usize)> {
     m.levels.iter().map(|l| (l.phase, l.level)).collect()
 }
 
-/// The full reducer's and the bottom-up join's level timings over a tree
-/// of `depth` levels: the upward pass deepest level first, the downward
-/// pass top-down from level 1, then the join bottom-up.
-fn reducer_then_join(depth: usize) -> Vec<(Phase, usize)> {
-    let up = (0..depth).rev().map(|l| (Phase::ReduceUp, l));
-    let down = (1..depth).map(|l| (Phase::ReduceDown, l));
-    let join = (0..depth).map(|l| (Phase::Join, l));
-    up.chain(down).chain(join).collect()
+/// The level timings the Yannakakis engine records after its upward pass
+/// over `tree` (or the bag materialization that is one) answering `x`,
+/// computed from the tree's depths and `S = tree.connection_subtree(h, x)`:
+/// the downward pass from level 1 down to `S`'s deepest level, then — unless
+/// `S` is one edge — one join level per depth of `S`, deepest first.
+fn after_upward_pass(tree: &JoinTree, h: &Hypergraph, x: &NodeSet) -> Vec<(Phase, usize)> {
+    let member = tree.connection_subtree(h, x);
+    let s_depths: Vec<usize> = tree
+        .levels()
+        .iter()
+        .enumerate()
+        .filter(|(_, level)| level.iter().any(|e| member[e.index()]))
+        .map(|(depth, _)| depth)
+        .collect();
+    let (top, bottom) = (s_depths[0], s_depths[s_depths.len() - 1]);
+    let down = (1..=bottom).map(|l| (Phase::ReduceDown, l));
+    let joins = if member.iter().filter(|&&m| m).count() == 1 {
+        0
+    } else {
+        bottom - top + 1
+    };
+    down.chain((0..joins).map(|l| (Phase::Join, l))).collect()
+}
+
+/// A subset of `db`'s attributes drawn by the bits of `pick`, one bit per
+/// attribute (schemas here have fewer than 64).
+fn subset(db: &Database, pick: u64) -> NodeSet {
+    let nodes = db.schema().nodes();
+    assert!(nodes.len() < 64, "one bit per attribute");
+    let bit = |i: usize| pick >> i & 1 == 1;
+    nodes
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| bit(i))
+        .map(|(_, n)| n)
+        .collect()
 }
 
 /// Every policy the metrics layer instruments: both pinned join kernels and
@@ -223,9 +254,11 @@ proptest! {
     }
 
     /// Stage order: the Yannakakis engine times the reducer's upward pass
-    /// deepest level first, then its downward pass, then the join levels —
-    /// after one decompose and one materialize entry on a cyclic schema;
-    /// the connection and naive engines time one join entry at level 0.
+    /// deepest level first — replaced by one decompose and one materialize
+    /// entry on a cyclic schema, where building the bags is that pass —
+    /// then the downward pass towards and inside `S`, the smallest subtree
+    /// covering `x`, then the join levels of `S`; the connection and naive
+    /// engines time one join entry at level 0.
     #[test]
     fn levels_follow_the_pipeline_stage_order(
         family in 0usize..4,
@@ -233,28 +266,37 @@ proptest! {
         tuples in 1usize..24,
         domain in 1i64..6,
         seed in any::<u64>(),
+        pick in any::<u64>(),
     ) {
         let db = if family == 3 {
             db_over(&ring(4 + shape % 3), tuples, domain, seed)
         } else {
             db_for(family, shape, tuples, domain, seed)
         };
-        let x: NodeSet = db.schema().nodes().iter().take(2).collect();
+        let x = subset(&db, pick);
         let policy = ExecPolicy::default();
 
         let sink = CollectingSink::new();
         ExecCtx::new(&policy).metrics(&sink).query_yannakakis(&db, &x).expect("nobody can abort");
-        let got = stages(&sink.snapshot());
-        let (tail, depth) = match join_tree(db.schema()) {
-            Some(tree) => (&got[..], tree.levels().len()),
+        let report = sink.snapshot();
+        let want: Vec<(Phase, usize)> = match join_tree(db.schema()) {
+            Some(tree) => {
+                let up = (0..tree.levels().len()).rev().map(|l| (Phase::ReduceUp, l));
+                up.chain(after_upward_pass(&tree, db.schema(), &x)).collect()
+            }
             None => {
-                prop_assert_eq!(&got[..2], &[(Phase::Decompose, 0), (Phase::Materialize, 0)]);
-                // The bag tree is the engine's pick: read its depth off the upward pass.
-                let tail = &got[2..];
-                (tail, tail.iter().filter(|(p, _)| *p == Phase::ReduceUp).count())
+                // The bag tree is the engine's pick: rebuild it from the
+                // heuristic the report names.
+                let heuristic = match report.widths.map(|w| w.chosen) {
+                    Some("min-degree") => Heuristic::MinDegree,
+                    _ => Heuristic::MinFill,
+                };
+                let d = decompose(db.schema(), heuristic).expect("nonempty schema");
+                let built = [(Phase::Decompose, 0), (Phase::Materialize, 0)];
+                built.into_iter().chain(after_upward_pass(d.tree(), d.bags(), &x)).collect()
             }
         };
-        prop_assert_eq!(tail, &reducer_then_join(depth)[..]);
+        prop_assert_eq!(stages(&report), want);
 
         let sink = CollectingSink::new();
         ExecCtx::new(&policy).metrics(&sink).query_via_connection(&db, &x).expect("nobody can abort");
@@ -262,5 +304,39 @@ proptest! {
         let sink = CollectingSink::new();
         ExecCtx::new(&policy).metrics(&sink).query_via_full_join(&db, &x).expect("nobody can abort");
         prop_assert_eq!(stages(&sink.snapshot()), vec![(Phase::Join, 0)]);
+    }
+}
+
+/// Fig. 1's join tree hangs ABC, CDE and AEF off the root ACE.  `{A, E}`
+/// lies in the root, so the query is the upward pass and a projection: no
+/// downward level, no join.  `{A, D}` needs ACE and CDE (Example 3.3): one
+/// downward level and one join.
+#[test]
+fn a_query_inside_the_root_runs_no_downward_pass_and_no_join() {
+    let db = db_over(&fig1(), 12, 3, 7);
+    let tree = join_tree(db.schema()).expect("Fig. 1 is acyclic");
+    assert_eq!(db.schema().edges()[tree.root().index()].label, "A-C-E");
+    let up = [(Phase::ReduceUp, 1), (Phase::ReduceUp, 0)];
+    let policy = ExecPolicy::default();
+    for (names, tail, joins) in [
+        (["A", "E"], vec![], 0),
+        (
+            ["A", "D"],
+            vec![(Phase::ReduceDown, 1), (Phase::Join, 0), (Phase::Join, 1)],
+            1,
+        ),
+    ] {
+        let x = db.attributes(names).unwrap();
+        let sink = CollectingSink::new();
+        let answer = ExecCtx::new(&policy)
+            .metrics(&sink)
+            .query_yannakakis(&db, &x)
+            .expect("nobody can abort");
+        assert!(answer.same_contents(&query_via_full_join(&db, &x)));
+        let m = sink.snapshot();
+        let want: Vec<(Phase, usize)> = up.into_iter().chain(tail).collect();
+        assert_eq!(stages(&m), want, "{names:?}");
+        assert_eq!(m.joins.ops, joins, "{names:?}");
+        assert_eq!(m.semijoins.ops, 3 + joins, "{names:?}");
     }
 }
