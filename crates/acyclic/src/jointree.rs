@@ -97,21 +97,6 @@ impl JoinTree {
         levels
     }
 
-    /// The depth levels in bottom-up order: deepest level first, the root
-    /// level last — [`JoinTree::levels`] reversed.
-    ///
-    /// The upward reducer pass walks it directly (parents semijoin children
-    /// one level deeper), and so does the bottom-up join: when a level is
-    /// processed, every child's subtree result already exists, and sibling
-    /// subtrees within the level are independent — the level-grouped
-    /// counterpart of [`JoinTree::bottom_up_order`], which linearizes the
-    /// same partial order one edge at a time.
-    pub fn levels_bottom_up(&self) -> Vec<Vec<EdgeId>> {
-        let mut levels = self.levels();
-        levels.reverse();
-        levels
-    }
-
     /// `S`, the smallest connected subtree whose edges cover the nodes of
     /// `x` that `h` has, as a membership mask indexed by edge id (`h` is
     /// the hypergraph this tree was built for).
@@ -463,14 +448,11 @@ mod tests {
             Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"], vec!["C", "D"]]).unwrap(),
         ] {
             let t = join_tree(&h).unwrap();
-            let levels = t.levels_bottom_up();
-            let mut reversed = t.levels();
-            reversed.reverse();
-            assert_eq!(levels, reversed);
-            // Walking levels bottom-up visits every child before its parent,
-            // exactly like bottom_up_order does edge-by-edge.
+            // Walking `levels()` in reverse visits every child before its
+            // parent, exactly like bottom_up_order does edge-by-edge: the
+            // order the reducer's upward pass relies on.
             let mut seen = vec![false; t.len()];
-            for level in &levels {
+            for level in t.levels().iter().rev() {
                 for &e in level {
                     for &c in t.children(e) {
                         assert!(seen[c.index()], "child {c} must precede parent {e}");

@@ -358,7 +358,7 @@ fn query_records(profile: Profile, records: &mut Vec<BenchRecord>) {
 
 /// The cyclic workload family: rings, hyper-rings and pair-cliques have no
 /// join tree, so they exercise the full decompose → materialize → reduce →
-/// join pipeline (`yannakakis_join_any` routes them through the hypertree
+/// join pipeline (`query_yannakakis` routes them through the hypertree
 /// path).  The op rows are
 ///
 /// * `decompose` — structural cost only (min-fill triangulation, bag tree);
@@ -390,12 +390,12 @@ fn cyclic_records(profile: Profile, records: &mut Vec<BenchRecord>) {
                 decompose(&schema, Heuristic::MinFill).expect("nonempty schema")
             })];
             let ctx = ExecCtx::new(&policy);
-            let counters = RowMetrics::capture(|s| drop(ctx.metrics(s).yannakakis_join_any(db, x)));
+            let counters = RowMetrics::capture(|s| drop(ctx.metrics(s).query_yannakakis(db, x)));
             rows.push(row(
                 "cyclic_join",
                 "columnar-decomp",
                 Some(counters),
-                move || ctx.yannakakis_join_any(db, x).expect("decomposable"),
+                move || ctx.query_yannakakis(db, x).expect("decomposable"),
             ));
             rows.push(row("cyclic_join", "naive", None, || {
                 query_via_full_join(db, x)

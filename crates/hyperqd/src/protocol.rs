@@ -797,10 +797,6 @@ pub fn metrics_json(m: &QueryMetrics) -> Json {
         .bags
         .iter()
         .map(|b| obj([("name", Json::str(&b.name)), ("rows", int(b.rows))]));
-    let cache = obj([
-        ("hits", int(m.decomp_cache_hits)),
-        ("misses", int(m.decomp_cache_misses)),
-    ]);
     let decomposition = m.widths.map_or(Json::Null, |w| {
         obj([
             ("min_fill_width", int(w.min_fill as u64)),
@@ -814,7 +810,6 @@ pub fn metrics_json(m: &QueryMetrics) -> Json {
         ("levels", Json::Arr(levels.collect())),
         ("bags", Json::Arr(bags.collect())),
         ("index_rebuilds", int(m.index_rebuilds)),
-        ("decomp_cache", cache),
         ("decomposition", decomposition),
     ])
 }
@@ -1162,7 +1157,6 @@ mod tests {
         sink.record_bag(bag, 42);
         sink.record_index_rebuilds(1);
         sink.record_widths(2, 3, "min-fill");
-        sink.record_decomp_cache(false);
         let doc = metrics_json(&sink.snapshot());
         assert_eq!(parse_json(&doc.to_string()).unwrap(), doc);
 
@@ -1173,7 +1167,7 @@ mod tests {
         let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
             names.join(" "),
-            "join semijoin levels bags index_rebuilds decomp_cache decomposition"
+            "join semijoin levels bags index_rebuilds decomposition"
         );
         for (path, want) in [
             ("join.ops", Json::Int(0)),
@@ -1196,8 +1190,6 @@ mod tests {
             ("bags.0.name", Json::str(bag)),
             ("bags.0.rows", Json::Int(42)),
             ("index_rebuilds", Json::Int(1)),
-            ("decomp_cache.hits", Json::Int(0)),
-            ("decomp_cache.misses", Json::Int(1)),
             ("decomposition.min_fill_width", Json::Int(2)),
             ("decomposition.min_degree_width", Json::Int(3)),
             ("decomposition.chosen", Json::str("min-fill")),

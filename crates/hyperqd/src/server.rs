@@ -634,7 +634,7 @@ fn list(state: &State) -> Response {
             name: name.clone(),
             relations: db.relations().len() as u64,
             tuples: db.tuple_count() as u64,
-            acyclic: acyclic::join_tree(db.schema()).is_some(),
+            acyclic: db.is_acyclic(),
         })
         .collect();
     let queries = state

@@ -2,12 +2,14 @@
 
 use crate::exec::{ExecCtx, ExecPolicy, JoinStrategy};
 use crate::govern::{unfail, EngineError, Governor};
+use crate::hypertree::Plan;
 use crate::metrics::MetricsSink;
 use crate::pool::ValuePool;
 use crate::relation::{Relation, Tuple};
 use crate::value::Value;
 use hypergraph::{EdgeId, Hypergraph, NodeSet};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Errors raised while assembling or querying a database.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,11 +46,17 @@ impl std::error::Error for DbError {}
 
 /// A database instance over a hypergraph schema: the *objects* of the
 /// paper's §7, one relation per hyperedge, in edge order.
+///
+/// The database also carries its schema's query plan — the join tree, or
+/// the hypertree decompositions of a cyclic schema — built by the first
+/// query that needs it and shared by every clone.  Nothing that changes a
+/// database changes its schema, so the plan never goes stale.
 #[derive(Debug, Clone)]
 pub struct Database {
     schema: Hypergraph,
     relations: Vec<Relation>,
     pool: ValuePool,
+    plan: OnceLock<Arc<Plan>>,
 }
 
 impl Database {
@@ -68,6 +76,7 @@ impl Database {
             schema,
             relations,
             pool,
+            plan: OnceLock::new(),
         }
     }
 
@@ -97,12 +106,30 @@ impl Database {
             schema,
             relations,
             pool,
+            plan: OnceLock::new(),
         })
     }
 
     /// The schema hypergraph.
     pub fn schema(&self) -> &Hypergraph {
         &self.schema
+    }
+
+    /// The schema's plan, built on first use ([`Plan::build`]).  An
+    /// edgeless schema has none: every call reports that error again.
+    pub(crate) fn plan(&self) -> Result<&Arc<Plan>, EngineError> {
+        if let Some(plan) = self.plan.get() {
+            return Ok(plan);
+        }
+        let plan = Plan::build(&self.schema)?;
+        Ok(self.plan.get_or_init(|| Arc::new(plan)))
+    }
+
+    /// Whether the schema is acyclic — has a join tree — read from the
+    /// plan, which this builds if no query has yet.  An edgeless schema is
+    /// not.
+    pub fn is_acyclic(&self) -> bool {
+        matches!(self.plan().map(|p| &**p), Ok(Plan::Tree(_)))
     }
 
     /// The relations, in schema-edge order.

@@ -21,6 +21,11 @@
 //! pipeline has exactly one generic entry point, a method on it, and runs
 //! on the calling thread: `hyperqd` gives each connection a thread, so
 //! queries run side by side and none of them splits across threads.
+//!
+//! The context holds no plan.  Whether a Yannakakis query runs over a join
+//! tree or a hypertree decomposition depends on the schema alone, so the
+//! [`Database`](crate::Database) builds that plan on its first query and
+//! carries it; [`ExecCtx::query_yannakakis`] reads it.
 
 use crate::govern::NoopGovernor;
 use crate::metrics::NoopMetrics;

@@ -40,20 +40,22 @@
 //! and extras only ever shrink bags; the downward pass and the join over
 //! the covering bag subtree handle the rest.
 //!
-//! [`yannakakis_join_any`] is the transparent entry point: acyclic schemas
-//! take the direct join-tree path, cyclic schemas the decomposition path.
+//! [`ExecCtx::query_yannakakis`] is the one entry point.  It reads the
+//! database's plan — an acyclic schema's join tree, or both heuristics'
+//! decompositions of a cyclic one, built on the database's first query and
+//! shared by its clones — and takes the direct join-tree path or the
+//! decomposition path accordingly.
 
 use crate::database::Database;
 use crate::exec::{ExecCtx, ExecPolicy};
 use crate::govern::{contain_panics, unfail, EngineError, Governor};
 use crate::metrics::{timed, MetricsSink, Phase};
 use crate::relation::Relation;
-use acyclic::join_tree;
+use acyclic::{join_tree, JoinTree};
 use decomp::{decompose, Decomposition, Heuristic};
-use hypergraph::{Edge, Hypergraph, NodeSet};
+use hypergraph::{Hypergraph, NodeSet};
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Trims one bag-cover input to the bag: relations already inside the bag
 /// pass through (borrowed); overlapping extras and child bags are projected
@@ -242,20 +244,10 @@ pub fn materialize_bags(db: &Database, d: &Decomposition, policy: &ExecPolicy) -
     unfail(ExecCtx::new(policy).materialize_bags(db, d))
 }
 
-/// [`ExecCtx::yannakakis_join_decomposed`] with nobody watching, under an
-/// explicit [`ExecPolicy`].
-pub fn yannakakis_join_decomposed(
-    db: &Database,
-    d: &Decomposition,
-    output: &NodeSet,
-    policy: &ExecPolicy,
-) -> Relation {
-    unfail(ExecCtx::new(policy).yannakakis_join_decomposed(db, d, output))
-}
-
-/// Both heuristics' decompositions of one schema, in preference order, plus
-/// the width evidence a metered cache hit replays into its sink.
-struct DecompPair {
+/// Both heuristics' decompositions of one cyclic schema, in preference
+/// order, plus the width evidence a metered query reports.
+#[derive(Debug)]
+pub(crate) struct DecompPair {
     /// The smaller-width decomposition (ties go to min-fill).
     chosen: Decomposition,
     /// The runner-up, kept for the budget degradation ladder.
@@ -268,104 +260,57 @@ struct DecompPair {
     chosen_label: &'static str,
 }
 
-/// The structural identity of a schema for decomposition caching: its node
-/// names in id order plus its labeled edge set.  Two hypergraphs with equal
-/// keys decompose identically — bags, labels and tree are all functions of
-/// exactly this data — so the cache can never serve a decomposition that
-/// `verify` would reject for the queried schema.
-type SchemaKey = (Vec<String>, Vec<Edge>);
-
-fn schema_key(schema: &Hypergraph) -> SchemaKey {
-    let names = schema
-        .nodes()
-        .iter()
-        .map(|n| schema.universe().name(n).to_owned())
-        .collect();
-    (names, schema.edges().to_vec())
+/// What a database's schema alone decides about answering a Yannakakis
+/// query: the join tree when the schema is acyclic, both heuristics'
+/// decompositions when it is cyclic.  Neither the data nor `X` changes it,
+/// so each [`Database`] builds its plan once, on first use, and shares it
+/// with its clones.
+#[derive(Debug)]
+pub(crate) enum Plan {
+    /// An acyclic schema's join tree.
+    Tree(JoinTree),
+    /// A cyclic schema's decompositions.
+    Decomposed(Box<DecompPair>),
 }
 
-/// Process-wide decomposition cache behind [`decompose_pair`].  Schemas are
-/// immutable once built and decomposition is pure graph work, so entries
-/// never invalidate; the map is bounded — a full cache is cleared rather
-/// than grown, which keeps the common server shape (a handful of hot
-/// schemas queried repeatedly) permanently cached.
-static DECOMP_CACHE: OnceLock<Mutex<HashMap<SchemaKey, Arc<DecompPair>>>> = OnceLock::new();
-
-/// Entry cap for [`DECOMP_CACHE`].
-const DECOMP_CACHE_CAP: usize = 64;
-
-fn decomp_cache() -> &'static Mutex<HashMap<SchemaKey, Arc<DecompPair>>> {
-    DECOMP_CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Decomposes a cyclic schema with **both** elimination-order heuristics
-/// (min-fill and min-degree) and returns the pair with the smaller-width
-/// result as `chosen` — the heuristics genuinely disagree on some schemas,
-/// and width bounds the bag cross products, so a cheap second decomposition
-/// run (pure graph work, no data) regularly saves real join work.  Ties go
-/// to min-fill, the historical default.  Both widths are recorded into
-/// `sink`; the runner-up is kept because the budget degradation ladder may
-/// still prefer it (smaller *estimated rows* can beat smaller width on
-/// skewed covers).
-///
-/// Results are cached process-wide keyed by the schema's structural
-/// identity ([`SchemaKey`]): schemas are immutable, so a repeated query
-/// against the same schema — the server shape — skips both elimination
-/// runs entirely.  Hits and misses are recorded into `sink`
-/// ([`MetricsSink::record_decomp_cache`]); a hit replays the cached width
-/// report so metered output is identical either way.
-fn decompose_pair<M: MetricsSink>(
-    schema: &Hypergraph,
-    sink: &M,
-) -> Result<Arc<DecompPair>, EngineError> {
-    let key = schema_key(schema);
-    let cached = decomp_cache()
-        .lock()
-        .expect("decomp cache lock")
-        .get(&key)
-        .cloned();
-    if let Some(pair) = cached {
-        if M::ENABLED {
-            sink.record_decomp_cache(true);
-            sink.record_widths(pair.fill_width, pair.degree_width, pair.chosen_label);
+impl Plan {
+    /// The join tree when GYO finds one; otherwise decomposes the schema
+    /// with **both** elimination-order heuristics (min-fill and
+    /// min-degree) and prefers the smaller width — the heuristics genuinely
+    /// disagree on some schemas, and width bounds the bag cross products,
+    /// so a cheap second decomposition run (pure graph work, no data)
+    /// regularly saves real join work.  Ties go to min-fill, the historical
+    /// default.  The runner-up is kept because the budget degradation
+    /// ladder may still prefer it (smaller *estimated rows* can beat
+    /// smaller width on skewed covers).  Fails only on an edgeless schema.
+    pub(crate) fn build(schema: &Hypergraph) -> Result<Self, EngineError> {
+        if let Some(tree) = join_tree(schema) {
+            return Ok(Plan::Tree(tree));
         }
-        return Ok(pair);
+        let cannot = |e: decomp::DecompError| -> EngineError {
+            EngineError::SchemaMismatch(format!("cannot decompose schema: {e}"))
+        };
+        let fill = decompose(schema, Heuristic::MinFill).map_err(cannot)?;
+        let degree = decompose(schema, Heuristic::MinDegree).map_err(cannot)?;
+        let (fill_width, degree_width) = (fill.width(), degree.width());
+        Ok(Plan::Decomposed(Box::new(if degree_width < fill_width {
+            DecompPair {
+                chosen: degree,
+                other: fill,
+                fill_width,
+                degree_width,
+                chosen_label: "min-degree",
+            }
+        } else {
+            DecompPair {
+                chosen: fill,
+                other: degree,
+                fill_width,
+                degree_width,
+                chosen_label: "min-fill",
+            }
+        })))
     }
-    let cannot = |e: decomp::DecompError| -> EngineError {
-        EngineError::SchemaMismatch(format!("cannot decompose schema: {e}"))
-    };
-    // Decompose outside the lock: a concurrent miss on the same schema
-    // duplicates pure graph work at worst, and never blocks other schemas.
-    let fill = decompose(schema, Heuristic::MinFill).map_err(cannot)?;
-    let degree = decompose(schema, Heuristic::MinDegree).map_err(cannot)?;
-    let (fill_width, degree_width) = (fill.width(), degree.width());
-    let pair = Arc::new(if degree_width < fill_width {
-        DecompPair {
-            chosen: degree,
-            other: fill,
-            fill_width,
-            degree_width,
-            chosen_label: "min-degree",
-        }
-    } else {
-        DecompPair {
-            chosen: fill,
-            other: degree,
-            fill_width,
-            degree_width,
-            chosen_label: "min-fill",
-        }
-    });
-    if M::ENABLED {
-        sink.record_decomp_cache(false);
-        sink.record_widths(fill_width, degree_width, pair.chosen_label);
-    }
-    let mut cache = decomp_cache().lock().expect("decomp cache lock");
-    if cache.len() >= DECOMP_CACHE_CAP {
-        cache.clear();
-    }
-    cache.insert(key, Arc::clone(&pair));
-    Ok(pair)
 }
 
 /// Pessimistic cost of the widest bag of `d` against `db`: the product of
@@ -389,21 +334,21 @@ fn worst_bag_estimate(db: &Database, d: &Decomposition) -> (u64, usize) {
 }
 
 impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
-    /// Computes the projection of the full join onto `output` for **any**
-    /// schema: acyclic schemas route to the direct join-tree pipeline
-    /// ([`ExecCtx::yannakakis_join`]), cyclic schemas through decompose →
-    /// materialize → reduce → join
+    /// Answers the query `π_X(⋈)` with the Yannakakis algorithm, for
+    /// **any** schema: the database's plan routes acyclic schemas to the
+    /// direct join-tree pipeline ([`ExecCtx::yannakakis_join`]) and cyclic
+    /// schemas through decompose → materialize → reduce → join
     /// ([`ExecCtx::yannakakis_join_decomposed`]).  Fails only when the
     /// schema has no edges at all, or when the governor aborts.
     ///
     /// Every layer underneath records into the metrics sink — on the cyclic
-    /// path including both decomposition heuristics' widths (the engine runs
-    /// min-fill *and* min-degree and keeps the smaller width) — and every
-    /// stage is timed into its levels: on the cyclic path one
-    /// [`Phase::Decompose`] entry around the heuristic pair (cache hits
-    /// included) and one [`Phase::Materialize`] entry come first, then the
-    /// downward pass's and the join's per-level entries (an acyclic query
-    /// starts with the upward pass's).
+    /// path including both decomposition heuristics' widths (the plan holds
+    /// min-fill's *and* min-degree's and prefers the smaller width) — and
+    /// every stage is timed into its levels: on the cyclic path one
+    /// [`Phase::Decompose`] entry around reading the plan (which builds it
+    /// on the database's first query) and one [`Phase::Materialize`] entry
+    /// come first, then the downward pass's and the join's per-level
+    /// entries (an acyclic query starts with the upward pass's).
     ///
     /// Under an enabled governor the cyclic path runs the memory-budget
     /// **degradation ladder**.  Before materializing anything, the widest
@@ -422,80 +367,78 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// Every panic escaping the engine below this point is contained and
     /// surfaced as [`EngineError::WorkerPanic`], whatever the sinks: this
     /// entry point never unwinds.  An aborted query leaves `db` untouched.
-    pub fn yannakakis_join_any(
-        &self,
-        db: &Database,
-        output: &NodeSet,
-    ) -> Result<Relation, EngineError> {
-        contain_panics(|| match join_tree(db.schema()) {
-            Some(tree) => self.yannakakis_join(db, &tree, output),
-            None => {
-                let pair = timed(self.metrics, Phase::Decompose, 0, || {
-                    decompose_pair(db.schema(), self.metrics)
-                })?;
-                let (mut d, other) = (&pair.chosen, &pair.other);
-                if G::ENABLED {
-                    // Rung 2: the chosen tree's worst bag blows the budget, so
-                    // run the smaller estimate.  A runner-up that fits is
-                    // always the smaller one.
-                    let (rows, width) = worst_bag_estimate(db, d);
-                    if self.gov.alloc_would_exceed(rows, width) {
-                        let (orows, owidth) = worst_bag_estimate(db, other);
-                        if orows.saturating_mul(owidth as u64) < rows.saturating_mul(width as u64) {
-                            d = other;
-                        }
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hypergraph::{EdgeId, Hypergraph};
+    /// use reldb::{Database, ExecCtx, ExecPolicy, Tuple};
+    ///
+    /// // A triangle: cyclic, so no join tree exists — the decomposition path
+    /// // still answers the query.
+    /// let schema =
+    ///     Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"], vec!["A", "C"]]).unwrap();
+    /// let (a, b, c) = (
+    ///     schema.node("A").unwrap(),
+    ///     schema.node("B").unwrap(),
+    ///     schema.node("C").unwrap(),
+    /// );
+    /// let mut db = Database::empty(schema);
+    /// db.insert(EdgeId(0), Tuple::from_pairs([(a, 1), (b, 2)]));
+    /// db.insert(EdgeId(1), Tuple::from_pairs([(b, 2), (c, 3)]));
+    /// db.insert(EdgeId(2), Tuple::from_pairs([(a, 1), (c, 3)]));
+    /// db.insert(EdgeId(2), Tuple::from_pairs([(a, 9), (c, 9)])); // dangling
+    ///
+    /// let out = db.attributes(["A", "C"]).unwrap();
+    /// let policy = ExecPolicy::default();
+    /// let answer = ExecCtx::new(&policy).query_yannakakis(&db, &out).unwrap();
+    /// assert_eq!(answer.len(), 1);
+    /// assert!(!db.is_acyclic());
+    /// ```
+    pub fn query_yannakakis(&self, db: &Database, x: &NodeSet) -> Result<Relation, EngineError> {
+        contain_panics(|| {
+            let t0 = M::ENABLED.then(Instant::now);
+            let pair = match db.plan().map(|p| &**p) {
+                Ok(Plan::Tree(tree)) => return self.yannakakis_join(db, tree, x),
+                Ok(Plan::Decomposed(pair)) => Ok(pair),
+                Err(e) => Err(e),
+            };
+            if let Some(t0) = t0 {
+                let nanos = t0.elapsed().as_nanos() as u64;
+                self.metrics.record_level(Phase::Decompose, 0, nanos);
+            }
+            let pair = pair?;
+            if M::ENABLED {
+                let (fill, degree) = (pair.fill_width, pair.degree_width);
+                self.metrics.record_widths(fill, degree, pair.chosen_label);
+            }
+            let (mut d, other) = (&pair.chosen, &pair.other);
+            if G::ENABLED {
+                // Rung 2: the chosen tree's worst bag blows the budget, so
+                // run the smaller estimate.  A runner-up that fits is
+                // always the smaller one.
+                let (rows, width) = worst_bag_estimate(db, d);
+                if self.gov.alloc_would_exceed(rows, width) {
+                    let (orows, owidth) = worst_bag_estimate(db, other);
+                    if orows.saturating_mul(owidth as u64) < rows.saturating_mul(width as u64) {
+                        d = other;
                     }
                 }
-                self.yannakakis_join_decomposed(db, d, output)
             }
+            self.yannakakis_join_decomposed(db, d, x)
         })
     }
-}
-
-/// [`ExecCtx::yannakakis_join_any`] with nobody watching, under an explicit
-/// [`ExecPolicy`]: the Yannakakis answer for **any** schema, acyclic or
-/// cyclic.
-///
-/// # Examples
-///
-/// ```
-/// use hypergraph::{EdgeId, Hypergraph};
-/// use reldb::{yannakakis_join_any, Database, ExecPolicy, Tuple};
-///
-/// // A triangle: cyclic, so no join tree exists — the decomposition path
-/// // still answers the query.
-/// let schema =
-///     Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"], vec!["A", "C"]]).unwrap();
-/// let (a, b, c) = (
-///     schema.node("A").unwrap(),
-///     schema.node("B").unwrap(),
-///     schema.node("C").unwrap(),
-/// );
-/// let mut db = Database::empty(schema);
-/// db.insert(EdgeId(0), Tuple::from_pairs([(a, 1), (b, 2)]));
-/// db.insert(EdgeId(1), Tuple::from_pairs([(b, 2), (c, 3)]));
-/// db.insert(EdgeId(2), Tuple::from_pairs([(a, 1), (c, 3)]));
-/// db.insert(EdgeId(2), Tuple::from_pairs([(a, 9), (c, 9)])); // dangling
-///
-/// let out = db.attributes(["A", "C"]).unwrap();
-/// let answer = yannakakis_join_any(&db, &out, &ExecPolicy::default()).unwrap();
-/// assert_eq!(answer.len(), 1);
-/// ```
-pub fn yannakakis_join_any(
-    db: &Database,
-    output: &NodeSet,
-    policy: &ExecPolicy,
-) -> Result<Relation, EngineError> {
-    ExecCtx::new(policy).yannakakis_join_any(db, output)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::JoinStrategy;
+    use crate::metrics::CollectingSink;
     use crate::relation::Tuple;
-    use crate::universal::query_via_full_join;
+    use crate::universal::{query_via_full_join, query_yannakakis};
     use hypergraph::{EdgeId, Hypergraph};
+    use std::sync::Arc;
 
     /// A 4-ring of binary edges with data whose cycle closes for some
     /// values only (and contains dangling tuples).
@@ -531,12 +474,12 @@ mod tests {
         let all = db.schema().nodes();
         let naive = query_via_full_join(&db, &all);
         assert!(!naive.is_empty(), "the instance must close the cycle");
-        let fast = yannakakis_join_any(&db, &all, &ExecPolicy::default()).unwrap();
+        let fast = query_yannakakis(&db, &all).unwrap();
         assert!(fast.same_contents(&naive), "decomposed pipeline diverged");
         // Projections agree too.
         for attrs in [vec!["A"], vec!["A", "C"], vec!["B", "D"]] {
             let out = db.attributes(attrs.iter().copied()).unwrap();
-            let fast = yannakakis_join_any(&db, &out, &ExecPolicy::default()).unwrap();
+            let fast = query_yannakakis(&db, &out).unwrap();
             assert!(
                 fast.same_contents(&query_via_full_join(&db, &out)),
                 "projection {attrs:?} diverged"
@@ -548,15 +491,89 @@ mod tests {
     fn policies_agree_on_the_cyclic_path() {
         let db = ring4_db();
         let all = db.schema().nodes();
-        let want =
-            yannakakis_join_any(&db, &all, &ExecPolicy::sequential(JoinStrategy::Hash)).unwrap();
+        let want = ExecCtx::new(&ExecPolicy::sequential(JoinStrategy::Hash))
+            .query_yannakakis(&db, &all)
+            .unwrap();
         for policy in [
             ExecPolicy::sequential(JoinStrategy::SortMerge),
             ExecPolicy::sequential(JoinStrategy::Auto),
         ] {
-            let got = yannakakis_join_any(&db, &all, &policy).unwrap();
+            let got = ExecCtx::new(&policy).query_yannakakis(&db, &all).unwrap();
             assert!(got.same_contents(&want), "diverged under {policy:?}");
         }
+    }
+
+    /// A chain `A–B–C` with one dangling tuple.
+    fn chain_db() -> Database {
+        let h = Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"]]).unwrap();
+        let mut db = Database::empty(h);
+        db.insert_values(EdgeId(0), [1, 2]);
+        db.insert_values(EdgeId(1), [2, 3]);
+        db.insert_values(EdgeId(1), [9, 9]);
+        db
+    }
+
+    /// The plan is built once per database: the 1st and the 100th query
+    /// read one `Arc<Plan>`, and a clone taken after them shares it.
+    #[test]
+    fn a_database_builds_its_plan_once_and_clones_share_it() {
+        for (db, acyclic) in [(chain_db(), true), (ring4_db(), false)] {
+            let all = db.schema().nodes();
+            let want = query_via_full_join(&db, &all);
+            assert!(query_yannakakis(&db, &all).unwrap().same_contents(&want));
+            let plan = Arc::clone(db.plan().unwrap());
+            for _ in 1..100 {
+                assert!(query_yannakakis(&db, &all).unwrap().same_contents(&want));
+            }
+            assert!(Arc::ptr_eq(&plan, db.plan().unwrap()));
+            let clone = db.clone();
+            assert!(Arc::ptr_eq(&plan, clone.plan().unwrap()));
+            assert_eq!(db.is_acyclic(), acyclic);
+            assert_eq!(matches!(*plan, Plan::Tree(_)), acyclic);
+        }
+    }
+
+    /// A metered cyclic query reports the same widths and the same stage
+    /// sequence on the database's first query, which builds the plan, as
+    /// on later ones, which only read it.
+    #[test]
+    fn a_metered_cyclic_query_reports_the_same_widths_and_stages_every_time() {
+        let db = ring4_db();
+        let x = db.attributes(["A", "C"]).unwrap();
+        let policy = ExecPolicy::default();
+        let run = || {
+            let sink = CollectingSink::new();
+            let got = ExecCtx::new(&policy)
+                .metrics(&sink)
+                .query_yannakakis(&db, &x)
+                .unwrap();
+            assert!(got.same_contents(&query_via_full_join(&db, &x)));
+            let m = sink.snapshot();
+            let stages: Vec<(Phase, usize)> = m.levels.iter().map(|l| (l.phase, l.level)).collect();
+            (m.widths, stages)
+        };
+        let first = run();
+        assert!(first.0.is_some(), "a cyclic query reports its widths");
+        assert_eq!(
+            first.1[..2],
+            [(Phase::Decompose, 0), (Phase::Materialize, 0)]
+        );
+        for _ in 0..3 {
+            assert_eq!(run(), first);
+        }
+    }
+
+    #[test]
+    fn an_edgeless_schema_has_no_plan() {
+        let db = Database::empty(Hypergraph::from_edges(Vec::<Vec<&str>>::new()).unwrap());
+        for _ in 0..2 {
+            let got = query_yannakakis(&db, &NodeSet::new());
+            assert!(
+                matches!(got, Err(EngineError::SchemaMismatch(_))),
+                "{got:?}"
+            );
+        }
+        assert!(!db.is_acyclic());
     }
 
     #[test]
@@ -571,7 +588,7 @@ mod tests {
         db.insert(EdgeId(0), Tuple::from_pairs([(a, 1), (b, 2)]));
         db.insert(EdgeId(1), Tuple::from_pairs([(b, 2), (c, 3)]));
         let out = db.attributes(["A", "C"]).unwrap();
-        let got = yannakakis_join_any(&db, &out, &ExecPolicy::default()).unwrap();
+        let got = query_yannakakis(&db, &out).unwrap();
         assert_eq!(got.len(), 1);
         assert!(got.same_contents(&query_via_full_join(&db, &out)));
     }
@@ -631,7 +648,7 @@ mod tests {
         let h = Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"], vec!["A", "C"]]).unwrap();
         let db = Database::empty(h);
         let out = db.schema().nodes();
-        let got = yannakakis_join_any(&db, &out, &ExecPolicy::default()).unwrap();
+        let got = query_yannakakis(&db, &out).unwrap();
         assert!(got.is_empty());
     }
 
@@ -640,7 +657,9 @@ mod tests {
         let db = ring4_db();
         let d = decompose(db.schema(), Heuristic::MinDegree).unwrap();
         let all = db.schema().nodes();
-        let got = yannakakis_join_decomposed(&db, &d, &all, &ExecPolicy::default());
+        let got = ExecCtx::new(&ExecPolicy::default())
+            .yannakakis_join_decomposed(&db, &d, &all)
+            .unwrap();
         assert!(got.same_contents(&query_via_full_join(&db, &all)));
     }
 }

@@ -17,8 +17,9 @@
 //!   ([`full_reduce`], [`yannakakis_join`]) — the production query path for
 //!   acyclic schemas;
 //! * cyclic-schema execution by hypertree decomposition: bag
-//!   materialization over a [`decomp::Decomposition`] and transparent
-//!   routing ([`yannakakis_join_any`]) so *any* connected schema — ring,
+//!   materialization over a [`decomp::Decomposition`], and one entry point
+//!   ([`query_yannakakis`]) that routes by the plan each [`Database`]
+//!   builds once from its schema, so *any* connected schema — ring,
 //!   clique, grid — answers through the same engine;
 //! * pairwise vs. global consistency, the semantic face of acyclicity
 //!   ([`is_pairwise_consistent`], [`is_globally_consistent`]).
@@ -34,10 +35,10 @@
 //! |---|---|
 //! | `value`, `pool` | attribute values and the interning dictionary behind the columnar `u32`-handle rows |
 //! | `relation` | one stored *object* (hyperedge) as a relation: flat interned rows, the hash and sort-merge join kernels and the dense and sort-merge semijoin kernels (§7), which see one pool (a cross-pool operand is brought into it at the kernel's door), and the LSD counting/radix id sorter they share with the server's answer frame ([`sort_ids_by_key`]) |
-//! | `database` | a database bound to a schema hypergraph — one relation per object (§7) |
+//! | `database` | a database bound to a schema hypergraph — one relation per object (§7) — carrying its schema's plan ([`Database::is_acyclic`]) |
 //! | `universal` | universal-relation queries `π_X(⋈ CC(X))` over canonical connections (§5, §7): the connection, full-join and Yannakakis engines every front end serves |
 //! | `yannakakis` | the Yannakakis full reducer, and queries answered from the join subtree covering `X` after the upward pass, level by level in every pass (§7's efficiency payoff) |
-//! | [`hypertree`] | cyclic schemas: bag materialization over a hypertree decomposition (`decomp` crate) and the acyclic-vs-cyclic router [`yannakakis_join_any`] |
+//! | [`hypertree`] | cyclic schemas: bag materialization over a hypertree decomposition (`decomp` crate), the per-database plan (join tree or decompositions, built once from the schema) and the one Yannakakis entry point [`ExecCtx::query_yannakakis`], which routes by it |
 //! | [`snapshot`] | the versioned binary snapshot format behind [`Database::save_snapshot`] / [`Database::load_snapshot`] — scale-up loads in milliseconds instead of re-parsing text |
 //! | [`exec`] | [`ExecCtx`] (the one execution context every pipeline entry point is a method of), [`ExecPolicy`] and the [`JoinStrategy`] join-kernel cost-pick; every query runs on its caller's thread |
 //! | [`metrics`] | zero-cost-when-off observability: the [`MetricsSink`] an [`ExecCtx`] carries into every kernel and stage — counters per operation, wall clock per stage level (decompose → materialize → reduce → join) — collected into a [`QueryMetrics`] report, a struct and a text table; its JSON document is rendered by `hyperqd::protocol` |
@@ -87,7 +88,7 @@ pub use exec::{ExecCtx, ExecPolicy, JoinStrategy, AUTO_JOIN_SORTMERGE_MAX_DISTIN
 pub use govern::{CancelToken, EngineError, Governor, NoopGovernor, QueryGovernor};
 #[cfg(feature = "failpoints")]
 pub use govern::{FailMode, FailpointGovernor};
-pub use hypertree::{materialize_bags, yannakakis_join_any, yannakakis_join_decomposed};
+pub use hypertree::materialize_bags;
 pub use metrics::{CollectingSink, MetricsSink, NoopMetrics, Phase, QueryMetrics};
 pub use pool::ValuePool;
 pub use relation::{sort_ids_by_key, Relation, Tuple};
@@ -106,8 +107,7 @@ pub mod prelude {
     pub use crate::{
         full_reduce, full_reduce_with, is_globally_consistent, is_pairwise_consistent,
         plan_connection, query_via_connection, query_via_full_join, query_yannakakis,
-        yannakakis_join, yannakakis_join_any, yannakakis_join_with, CancelToken, Database, DbError,
-        EngineError, ExecCtx, ExecPolicy, JoinStrategy, NoopGovernor, QueryGovernor, Relation,
-        Tuple, Value,
+        yannakakis_join, yannakakis_join_with, CancelToken, Database, DbError, EngineError,
+        ExecCtx, ExecPolicy, JoinStrategy, NoopGovernor, QueryGovernor, Relation, Tuple, Value,
     };
 }

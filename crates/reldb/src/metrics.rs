@@ -24,7 +24,7 @@
 //! | per-stage wall timings (decompose, bag materialization, each reducer and join level, each engine) | every stage, through [`timed`] | [`QueryMetrics::levels`] |
 //! | bag materialization sizes | [`materialize_bags`](crate::materialize_bags) | [`QueryMetrics::bags`] |
 //! | dedup-index rebuilds saved by deferral | the reducer | [`QueryMetrics::index_rebuilds`] |
-//! | min-fill vs. min-degree decomposition widths | [`yannakakis_join_any`](crate::yannakakis_join_any) | [`QueryMetrics::widths`] |
+//! | min-fill vs. min-degree decomposition widths | [`ExecCtx::query_yannakakis`](crate::ExecCtx::query_yannakakis) | [`QueryMetrics::widths`] |
 //!
 //! # Collecting
 //!
@@ -123,7 +123,8 @@ pub struct OpMetrics {
 pub enum Phase {
     /// Request-frame parsing (server-side).
     Parse,
-    /// Hypertree decomposition of a cyclic schema (cache hits included).
+    /// Reading a cyclic schema's plan from its database: both hypertree
+    /// decompositions on the database's first query, a lookup after.
     Decompose,
     /// Bag materialization of a hypertree decomposition.
     Materialize,
@@ -174,7 +175,9 @@ pub trait MetricsSink {
     fn record_op(&self, _op: OpMetrics) {}
 
     /// One level of a stage completed (or aborted) after `_nanos`
-    /// wall-clock nanoseconds.  [`timed`] is the one caller in the engine.
+    /// wall-clock nanoseconds.  [`timed`] is the one caller in the engine
+    /// but for the [`Phase::Decompose`] entry, which a query records only
+    /// once the plan it has read turns out to be a decomposition.
     #[inline]
     fn record_level(&self, _phase: Phase, _level: usize, _nanos: u64) {}
 
@@ -186,14 +189,10 @@ pub trait MetricsSink {
     #[inline]
     fn record_index_rebuilds(&self, _n: u64) {}
 
-    /// Both decomposition heuristics ran; their widths and the winner.
+    /// A cyclic query read its plan: both decomposition heuristics' widths
+    /// and the winner.
     #[inline]
     fn record_widths(&self, _min_fill: usize, _min_degree: usize, _chosen: &'static str) {}
-
-    /// The schema-keyed decomposition cache answered a lookup (`_hit` says
-    /// whether the elimination runs were skipped).
-    #[inline]
-    fn record_decomp_cache(&self, _hit: bool) {}
 }
 
 /// The default sink: records nothing, costs nothing — what
@@ -329,10 +328,6 @@ pub struct QueryMetrics {
     pub index_rebuilds: u64,
     /// Decomposition widths, when the cyclic pipeline ran both heuristics.
     pub widths: Option<WidthReport>,
-    /// Schema-keyed decomposition cache hits (elimination runs skipped).
-    pub decomp_cache_hits: u64,
-    /// Schema-keyed decomposition cache misses (both heuristics ran).
-    pub decomp_cache_misses: u64,
 }
 
 impl QueryMetrics {
@@ -389,12 +384,6 @@ impl QueryMetrics {
             }
         }
         out.push_str(&format!("index rebuilds: {}\n", self.index_rebuilds));
-        if self.decomp_cache_hits + self.decomp_cache_misses > 0 {
-            out.push_str(&format!(
-                "decomposition cache: {} hit(s), {} miss(es)\n",
-                self.decomp_cache_hits, self.decomp_cache_misses
-            ));
-        }
         if let Some(w) = &self.widths {
             out.push_str(&format!(
                 "decomposition widths: min-fill {} / min-degree {} (chosen: {})\n",
@@ -500,16 +489,6 @@ impl MetricsSink for CollectingSink {
                 min_degree,
                 chosen,
             })
-        });
-    }
-
-    fn record_decomp_cache(&self, hit: bool) {
-        self.with(|m| {
-            if hit {
-                m.decomp_cache_hits += 1;
-            } else {
-                m.decomp_cache_misses += 1;
-            }
         });
     }
 }

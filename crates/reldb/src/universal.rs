@@ -66,10 +66,11 @@ pub fn plan_connection(schema: &Hypergraph, x: &NodeSet) -> ConnectionPlan {
     }
 }
 
-/// The three universal-relation query engines.  Each runs inside panic
-/// containment whatever the sinks: a panic escaping the engine — a kernel
-/// bug, a sink — surfaces as [`EngineError::WorkerPanic`],
-/// never as an unwind through the caller.
+/// Two of the three universal-relation query engines; the third,
+/// [`ExecCtx::query_yannakakis`], lives in `hypertree` beside the plan it
+/// reads.  Each runs inside panic containment whatever the sinks: a panic
+/// escaping the engine — a kernel bug, a sink — surfaces as
+/// [`EngineError::WorkerPanic`], never as an unwind through the caller.
 impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// Answers the query `π_X (⋈ of the objects in CC(X))`: every join
     /// executed under the policy, recorded into the metrics sink,
@@ -110,15 +111,6 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         timed(self.metrics, Phase::Join, 0, || {
             contain_panics(|| Ok(self.full_join(db)?.into_project(x)))
         })
-    }
-
-    /// Answers the query with the Yannakakis algorithm: over the schema's
-    /// join tree when it is acyclic, or through the hypertree-decomposition
-    /// pipeline when it is cyclic ([`ExecCtx::yannakakis_join_any`], which
-    /// documents the stage timings, the governor's degradation ladder and the panic
-    /// containment).  Fails only on an edgeless schema or a governor abort.
-    pub fn query_yannakakis(&self, db: &Database, x: &NodeSet) -> Result<Relation, EngineError> {
-        self.yannakakis_join_any(db, x)
     }
 }
 

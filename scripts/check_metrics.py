@@ -82,6 +82,11 @@ def check(doc: dict, cyclic: bool) -> list[str]:
         if not any(lvl.get("nanos", 0) > 0 for lvl in levels):
             err("levels: every timing is zero nanos — the clock did not run")
 
+    # Each database builds its plan once, so there is no decomposition
+    # cache whose hits and misses a document could report.
+    if "decomp_cache" in doc:
+        err("decomp_cache: retired member, expected absent")
+
     if not isinstance(doc.get("index_rebuilds"), int):
         err(f"index_rebuilds: expected integer, got {doc.get('index_rebuilds')!r}")
 

@@ -10,9 +10,7 @@
 use acyclic_hypergraphs::acyclic::{canonical_connection, graham_reduction, join_tree};
 use acyclic_hypergraphs::hypergraph::{EdgeId, Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::reference::naive_full_join;
-use acyclic_hypergraphs::reldb::{
-    full_reduce, yannakakis_join, yannakakis_join_any, Database, ExecPolicy,
-};
+use acyclic_hypergraphs::reldb::{full_reduce, query_yannakakis, yannakakis_join, Database};
 use acyclic_hypergraphs::workload::paper::fig1;
 use acyclic_hypergraphs::workload::{
     chain, hyper_ring, pair_clique, random_database, ring, snowflake, snowflake_tree, star,
@@ -126,7 +124,7 @@ fn every_x_on_cyclic_families_matches_the_oracle() {
                 .sum();
             assert!(kept < total, "{name} seed {seed}: the data must dangle");
             for x in &xs {
-                let got = yannakakis_join_any(&db, x, &ExecPolicy::default()).expect("cyclic");
+                let got = query_yannakakis(&db, x).expect("cyclic");
                 assert!(
                     everything.project(x).agrees_with(&got),
                     "{name} seed {seed}: answer diverged for X = {x:?}"
@@ -167,7 +165,7 @@ fn an_empty_relation_outside_the_connection_empties_every_answer() {
         let db = db_of(&[edges, &["YZ"]].concat(), rows);
         assert!(naive_full_join(&db).is_empty());
         for x in subsets_up_to(&db.schema().nodes(), MAX_X) {
-            let got = yannakakis_join_any(&db, &x, &ExecPolicy::default()).expect("answers");
+            let got = query_yannakakis(&db, &x).expect("answers");
             assert!(got.is_empty(), "X = {x:?} answered {} rows", got.len());
         }
     }
@@ -185,7 +183,7 @@ fn the_empty_projection_is_the_empty_tuple_exactly_when_the_join_is_nonempty() {
     ] {
         let db = db_of(edges, rows);
         assert_eq!(!naive_full_join(&db).is_empty(), nonempty);
-        let got = yannakakis_join_any(&db, &NodeSet::new(), &ExecPolicy::default()).unwrap();
+        let got = query_yannakakis(&db, &NodeSet::new()).unwrap();
         assert!(got.attributes().is_empty());
         assert_eq!(got.len(), usize::from(nonempty), "{edges:?} {rows:?}");
     }

@@ -12,8 +12,8 @@ use acyclic_hypergraphs::decomp::{decompose, Heuristic};
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::reference::naive_full_join;
 use acyclic_hypergraphs::reldb::{
-    materialize_bags, query_via_full_join, query_yannakakis, yannakakis_join_any,
-    yannakakis_join_decomposed, Database, ExecPolicy, JoinStrategy, Relation, Tuple, Value,
+    materialize_bags, query_via_full_join, query_yannakakis, Database, ExecCtx, ExecPolicy,
+    JoinStrategy, Relation, Tuple, Value,
 };
 use acyclic_hypergraphs::workload::{hyper_ring, pair_clique, random_database, ring, DataParams};
 use proptest::prelude::*;
@@ -73,7 +73,7 @@ proptest! {
             .filter(|&(i, _)| pick >> i & 1 == 1)
             .map(|(_, n)| n)
             .collect();
-        let fast = yannakakis_join_any(&db, &output, &ExecPolicy::default())
+        let fast = query_yannakakis(&db, &output)
             .expect("cyclic schemas decompose");
         prop_assert!(
             oracle(&db, &output).agrees_with(&fast),
@@ -101,13 +101,15 @@ proptest! {
         ]
         .map(ExecPolicy::sequential)
         {
-            let got = yannakakis_join_any(&db, &all, &policy).expect("decomposable");
+            let got = ExecCtx::new(&policy).query_yannakakis(&db, &all).expect("decomposable");
             prop_assert!(want.agrees_with(&got), "diverged under {:?}", policy);
         }
         for heuristic in [Heuristic::MinFill, Heuristic::MinDegree] {
             let d = decompose(db.schema(), heuristic).expect("nonempty schema");
             prop_assert!(d.verify(db.schema()), "decomposition must verify");
-            let got = yannakakis_join_decomposed(&db, &d, &all, &ExecPolicy::default());
+            let got = ExecCtx::new(&ExecPolicy::default())
+                .yannakakis_join_decomposed(&db, &d, &all)
+                .expect("nobody can abort");
             prop_assert!(want.agrees_with(&got), "diverged under {:?}", heuristic);
         }
     }
@@ -183,7 +185,7 @@ fn ring_and_hyper_ring_acceptance() {
             7,
         );
         let all = schema.nodes();
-        let fast = yannakakis_join_any(&db, &all, &ExecPolicy::default()).unwrap();
+        let fast = query_yannakakis(&db, &all).unwrap();
         assert!(oracle(&db, &all).agrees_with(&fast));
     }
 }

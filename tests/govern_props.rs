@@ -14,16 +14,18 @@
 //!    still matches the naive-join oracle.
 
 use acyclic_hypergraphs::acyclic::join_tree;
+use acyclic_hypergraphs::decomp::{decompose, Decomposition, Heuristic};
 use acyclic_hypergraphs::hypergraph::EdgeId;
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::govern::CHECK_BATCH;
+use acyclic_hypergraphs::reldb::reference::naive_full_join;
 use acyclic_hypergraphs::reldb::{
     full_reduce, query_via_connection, query_via_full_join, query_yannakakis, CancelToken,
     CollectingSink, Database, EngineError, ExecCtx, ExecPolicy, Governor, JoinStrategy, Phase,
     QueryGovernor, Tuple, Value,
 };
 use acyclic_hypergraphs::workload::{
-    chain, far_apart, random_database, ring, snowflake, star, DataParams,
+    chain, far_apart, grid, random_database, ring, snowflake, star, DataParams,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -254,6 +256,93 @@ fn a_stage_cut_short_by_a_deadline_keeps_its_level_entry() {
         let last = levels.last().map(|l| (l.phase, l.level));
         assert_eq!(last, Some(stopped_in), "levels: {levels:?}");
     }
+}
+
+/// Rung 2 of the budget degradation ladder: when the chosen tree's worst
+/// bag estimate blows the budget, the runner-up with the smaller estimate
+/// runs.  `grid(3, 5)`'s heuristics tie at width 3, so the plan prefers
+/// min-fill, one of whose bags covers edges 13 and 14; no min-degree bag
+/// covers both.  With those two edges at about 1000 rows and the rest at
+/// about 10, min-fill's pessimistic worst bag is about 10^7 rows against
+/// min-degree's 10^5.  A budget between the two must run min-degree's bags
+/// and still answer exactly.
+#[test]
+fn a_budget_the_chosen_tree_blows_runs_the_smaller_estimate() {
+    let schema = grid(3, 5);
+    let fill = decompose(&schema, Heuristic::MinFill).expect("nonempty schema");
+    let degree = decompose(&schema, Heuristic::MinDegree).expect("nonempty schema");
+    assert_eq!(
+        (fill.width(), degree.width()),
+        (3, 3),
+        "a tie: min-fill is chosen"
+    );
+    let (e13, e14) = (EdgeId(13), EdgeId(14));
+    let holds_both = |d: &Decomposition, b: usize| {
+        let cover: Vec<EdgeId> = d.cover(b).collect();
+        cover.contains(&e13) && cover.contains(&e14)
+    };
+    assert!((0..fill.bag_count()).any(|b| holds_both(&fill, b)));
+    assert!(!(0..degree.bag_count()).any(|b| holds_both(&degree, b)));
+
+    // A consistent core — every edge holds the diagonal `(v, v)`, so the
+    // answer is the ten constant tuples — plus 990 dangling rows on each
+    // of the two big edges.
+    let mut db = Database::empty(schema.clone());
+    for e in 0..schema.edge_count() {
+        let big = [e13, e14].contains(&EdgeId(e as u32));
+        for i in 0..if big { 1000i64 } else { 10 } {
+            let row = if big { [i % 10, i / 10] } else { [i, i] };
+            db.insert_values(EdgeId(e as u32), row);
+        }
+    }
+    // The ladder's estimate: the widest bag's cover product times its
+    // width, in cells.
+    let worst_cells = |d: &Decomposition| -> u64 {
+        (0..d.bag_count())
+            .map(|b| {
+                let rows: u64 = d.cover(b).map(|e| db.relation(e).len() as u64).product();
+                rows * d.bags().edges()[b].nodes.len() as u64
+            })
+            .max()
+            .expect("bags")
+    };
+    let (fill_cells, degree_cells) = (worst_cells(&fill), worst_cells(&degree));
+    assert!(
+        fill_cells > 10_000_000 && degree_cells < 1_000_000,
+        "{fill_cells} vs {degree_cells}"
+    );
+
+    let policy = ExecPolicy::default();
+    let x = schema.nodes();
+    let bags_of = |d: &Decomposition| {
+        let sink = CollectingSink::new();
+        ExecCtx::new(&policy)
+            .metrics(&sink)
+            .yannakakis_join_decomposed(&db, d, &x)
+            .expect("nobody can abort");
+        sink.snapshot().bags
+    };
+    let degree_bags = bags_of(&degree);
+    assert_ne!(
+        degree_bags,
+        bags_of(&fill),
+        "the two trees must be told apart"
+    );
+
+    // Four bytes a cell, as the governor charges: a budget of 10^6 cells
+    // lies between the two estimates.
+    let sink = CollectingSink::new();
+    let gov = QueryGovernor::new().with_memory_budget(4_000_000);
+    let got = ExecCtx::new(&policy)
+        .metrics(&sink)
+        .gov(&gov)
+        .query_yannakakis(&db, &x)
+        .expect("min-degree's bags fit the budget");
+    assert!(naive_full_join(&db).project(&x).agrees_with(&got));
+    assert_eq!(got.len(), 10, "the diagonal survives");
+    let report = sink.snapshot();
+    assert_eq!(report.widths.map(|w| w.chosen), Some("min-fill"));
+    assert_eq!(report.bags, degree_bags, "rung 2 runs min-degree's bags");
 }
 
 /// A governor that cancels its own query at the `trip_at`-th in-kernel
@@ -569,7 +658,6 @@ fn join_cancelled_at_any_checkpoint_leaves_inputs_untouched() {
 #[cfg(feature = "failpoints")]
 mod failpoints {
     use super::*;
-    use acyclic_hypergraphs::decomp::{decompose, Heuristic};
     use acyclic_hypergraphs::reldb::{FailMode, FailpointGovernor};
     use acyclic_hypergraphs::workload::hyper_ring;
 

@@ -15,7 +15,9 @@ use acyclic_hypergraphs::hyperqd::protocol::{
 };
 use acyclic_hypergraphs::hyperqd::server::{run_engine, Server};
 use acyclic_hypergraphs::reldb::{CollectingSink, Database, ExecCtx, ExecPolicy};
-use acyclic_hypergraphs::workload::{chain, consistent_database, DataParams};
+use acyclic_hypergraphs::workload::{
+    chain, consistent_database, random_database, ring, DataParams,
+};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -438,6 +440,46 @@ fn interleaved_garbage_keeps_real_requests_flowing_in_order() {
             assert!(databases[0].acyclic);
         }
         other => panic!("expected listing, got {other:?}"),
+    }
+    shut_down(handle);
+}
+
+/// `list` reads each database's acyclicity from its plan: a chain has a
+/// join tree, a 4-ring does not — on the first listing, which builds the
+/// plans, and on the next, which reads them.
+#[test]
+fn a_listing_reports_acyclicity_from_the_plan() {
+    let params = DataParams {
+        tuples_per_relation: 8,
+        domain: 4,
+        skew: 0.0,
+        key_cap: 0,
+    };
+    let dbs = vec![
+        (
+            "chain".into(),
+            Arc::new(random_database(&chain(3, 2, 1), params, 1)),
+        ),
+        (
+            "ring".into(),
+            Arc::new(random_database(&ring(4), params, 1)),
+        ),
+    ];
+    let handle = Server::bind_preloaded("127.0.0.1:0", dbs)
+        .expect("bind")
+        .spawn();
+    let mut c = Client::connect(handle.addr());
+    for _ in 0..2 {
+        match c.round_trip(&Request::List) {
+            Response::Listing { databases, .. } => {
+                let acyclic: Vec<(&str, bool)> = databases
+                    .iter()
+                    .map(|d| (d.name.as_str(), d.acyclic))
+                    .collect();
+                assert_eq!(acyclic, [("chain", true), ("ring", false)]);
+            }
+            other => panic!("expected listing, got {other:?}"),
+        }
     }
     shut_down(handle);
 }
