@@ -51,7 +51,7 @@ USAGE:
     hyperq gen       <schema> <out> [--tuples N] [--domain N] [--skew F]
                      [--seed N] [--snapshot]
     hyperq bench     [--out FILE] [--check]
-                     [--quick | --tiny | --scale] [--calibrate]
+                     [--quick | --tiny | --scale]
     hyperq client    <addr> ping | list | shutdown [--now]
     hyperq client    <addr> stats [--prometheus] [--raw]
     hyperq client    <addr> query <db> --select A,B[,..] [--engine ENGINE]
@@ -67,7 +67,7 @@ COMMANDS:
                yannakakis or naive.  The yannakakis engine handles cyclic
                schemas transparently via hypertree decomposition.
                --metrics appends the execution counter table (tuples
-               probed/kept/built, kernel picks, level timings, bag
+               probed/kept/built, kernels run, level timings, bag
                sizes); --metrics-json prints only the machine-readable
                metrics document — one compact line, the document a server
                embeds in an answer asked for with \"metrics\":true — for
@@ -99,7 +99,7 @@ COMMANDS:
                binary snapshot directly
     bench      Run the query/acyclicity benchmarks at fixed workload sizes:
                the policy hyperqd serves (engine columnar) beside its
-               governed twin, the naive reference and the pinned join kernels.
+               governed twin and the naive reference.
                Every run ends with a ratios: block
                computed from its own rows; --check exits non-zero unless
                governed_overhead <= 1.25, engine_speedup >= 10 and
@@ -107,10 +107,7 @@ COMMANDS:
                measured (at least one).  --out writes the rows as JSON,
                --quick trims the workload sizes for CI, --scale runs only
                the 10^6-tuple rows (snapshot-load vs text-parse, and the
-               served engine at that size).  --calibrate instead sweeps
-               a two-relation join across distinct-key ratios and reports
-               the measured hash vs sort-merge crossover (the measurement
-               behind the Auto planner's shipped join threshold)
+               served engine at that size)
     client     Talk to a running hyperqd server at <addr> (HOST:PORT):
                ping, list the served databases and prepared queries,
                run ad-hoc or prepared queries with per-request governance
@@ -336,7 +333,6 @@ fn run(started: Instant) -> Result<String, CliError> {
             let quick = take_switch(&mut args, "--quick");
             let tiny = take_switch(&mut args, "--tiny");
             let scale = take_switch(&mut args, "--scale");
-            let calibrate = take_switch(&mut args, "--calibrate");
             if !args.is_empty() {
                 return Err(format!("bench takes no positional arguments, got {args:?}").into());
             }
@@ -347,11 +343,6 @@ fn run(started: Instant) -> Result<String, CliError> {
                 (false, false, false) => bench::Profile::Full,
                 _ => return Err("--quick, --tiny and --scale are mutually exclusive".into()),
             };
-            if calibrate {
-                // The calibration sweep replaces the benchmark run: its
-                // output is the measurement, not a record set with ratios.
-                return Ok(bench::calibrate(profile));
-            }
             let records = bench::run_all(profile);
             let mut out = bench::summary(&records);
             if let Some(path) = out_path {

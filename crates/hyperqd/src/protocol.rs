@@ -760,20 +760,10 @@ pub enum Response {
 /// The JSON document of a [`QueryMetrics`] report: the `metrics` member of
 /// a [`Response::Answer`], and the whole output of `hyperq query
 /// --metrics-json` (`scripts/check_metrics.py` is its schema contract).
-/// Ratios are rounded to six decimals; an operator kind with no sampled
-/// ratio and a query that took no decomposition report `null`.
+/// A query that took no decomposition reports `null` for it.
 pub fn metrics_json(m: &QueryMetrics) -> Json {
     let int = |n: u64| Json::Int(n as i64);
-    let micro = |x: f64| Json::Float((x * 1e6).round() / 1e6);
     let agg = |a: &OpAgg| {
-        let ratio = a.ratio_mean().map_or(Json::Null, |mean| {
-            obj([
-                ("samples", int(a.ratio_samples)),
-                ("mean", micro(mean)),
-                ("min", micro(a.ratio_min)),
-                ("max", micro(a.ratio_max)),
-            ])
-        });
         obj([
             ("ops", int(a.ops)),
             ("hash_ops", int(a.hash_ops)),
@@ -783,7 +773,6 @@ pub fn metrics_json(m: &QueryMetrics) -> Json {
             ("kept", int(a.kept)),
             ("built", int(a.built)),
             ("build_rows", int(a.build_rows)),
-            ("distinct_ratio", ratio),
         ])
     };
     let levels = m.levels.iter().map(|l| {
@@ -1125,7 +1114,7 @@ mod tests {
         assert_eq!(e.kind, ErrorKind::Panic);
     }
 
-    fn op(kind: OpKind, probed: u64, kept: u64, ratio: Option<f64>) -> OpMetrics {
+    fn op(kind: OpKind, probed: u64, kept: u64) -> OpMetrics {
         OpMetrics {
             kind,
             kernel: Kernel::Hash,
@@ -1133,7 +1122,6 @@ mod tests {
             kept,
             built: kept,
             build_rows: probed / 2,
-            distinct_ratio: ratio,
         }
     }
 
@@ -1152,7 +1140,7 @@ mod tests {
         // newline.
         let bag = "B0\"B1\\\n";
         let sink = CollectingSink::new();
-        sink.record_op(op(OpKind::Semijoin, 10, 7, Some(1.0 / 3.0)));
+        sink.record_op(op(OpKind::Semijoin, 10, 7));
         sink.record_level(Phase::ReduceUp, 1, 1234);
         sink.record_bag(bag, 42);
         sink.record_index_rebuilds(1);
@@ -1169,6 +1157,17 @@ mod tests {
             names.join(" "),
             "join semijoin levels bags index_rebuilds decomposition"
         );
+        for op in ["join", "semijoin"] {
+            let Json::Obj(counters) = at(&doc, op) else {
+                panic!("{op} is not an object: {doc}");
+            };
+            let names: Vec<&str> = counters.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                names.join(" "),
+                "ops hash_ops sortmerge_ops dense_ops probed kept built build_rows",
+                "{op}"
+            );
+        }
         for (path, want) in [
             ("join.ops", Json::Int(0)),
             ("semijoin.ops", Json::Int(1)),
@@ -1179,11 +1178,6 @@ mod tests {
             ("semijoin.kept", Json::Int(7)),
             ("semijoin.built", Json::Int(7)),
             ("semijoin.build_rows", Json::Int(5)),
-            ("semijoin.distinct_ratio.samples", Json::Int(1)),
-            // Ratios are rounded to six decimals.
-            ("semijoin.distinct_ratio.mean", Json::Float(0.333333)),
-            ("semijoin.distinct_ratio.min", Json::Float(0.333333)),
-            ("semijoin.distinct_ratio.max", Json::Float(0.333333)),
             ("levels.0.phase", Json::str("reduce-up")),
             ("levels.0.level", Json::Int(1)),
             ("levels.0.nanos", Json::Int(1234)),
@@ -1204,13 +1198,7 @@ mod tests {
         for path in ["levels", "bags"] {
             assert_eq!(at(&doc, path), &Json::Arr(Vec::new()), "{path}");
         }
-        for path in [
-            "join.distinct_ratio",
-            "semijoin.distinct_ratio",
-            "decomposition",
-        ] {
-            assert_eq!(at(&doc, path), &Json::Null, "{path}");
-        }
+        assert_eq!(at(&doc, "decomposition"), &Json::Null);
     }
 
     #[test]

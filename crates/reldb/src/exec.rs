@@ -1,23 +1,17 @@
-//! Execution policy and context: join-strategy selection, and the
-//! [`ExecCtx`] every pipeline entry point is a method of.
+//! Execution policy and context: the [`ExecCtx`] every pipeline entry
+//! point is a method of.
 //!
-//! The join kernel comes in two physical flavors — hash (build the smaller
-//! side, probe the larger) and sort-merge (sort row-id permutations by the
-//! key columns, merge equal-key runs).  Hash wins on near-unique keys;
-//! sort-merge wins when keys are heavily duplicated (skewed data), where
-//! the merge replaces per-row hashing.  [`JoinStrategy::Auto`] picks per
-//! join from an estimated distinct-key ratio (the rows themselves are
-//! distinct by construction, so sampled key duplication measures genuine
-//! key skew).
+//! Every join runs one kernel: hash — build the smaller side, probe the
+//! larger.  Semijoins — the full reducer's only operator — have two, and
+//! their inputs alone choose: a dense bitset where the packed key space
+//! fits and sort-merge otherwise (see
+//! [`Relation::retain_semijoin`](crate::Relation::retain_semijoin)).  So no
+//! policy picks a kernel.
 //!
-//! Semijoins — the full reducer's only operator — take no strategy: their
-//! inputs alone choose the kernel, a dense bitset where the packed key
-//! space fits and sort-merge otherwise (see
-//! [`Relation::retain_semijoin`](crate::Relation::retain_semijoin)).
-//!
-//! [`ExecPolicy`] carries the join strategy.  [`ExecCtx`] is what a
-//! pipeline actually runs under: the policy plus the two instrumentation
-//! sinks — metrics (counters and stage clocks alike) and governance.  Every
+//! [`ExecPolicy`] carries a join strategy nothing reads.  [`ExecCtx`] is
+//! what a pipeline actually runs under: the policy plus the two
+//! instrumentation sinks — metrics (counters and stage clocks alike) and
+//! governance.  Every
 //! pipeline has exactly one generic entry point, a method on it, and runs
 //! on the calling thread: `hyperqd` gives each connection a thread, so
 //! queries run side by side and none of them splits across threads.
@@ -30,8 +24,9 @@
 use crate::govern::NoopGovernor;
 use crate::metrics::NoopMetrics;
 
-/// Which physical join kernel to run.  Semijoins do not read it: their
-/// inputs choose their kernel.
+/// A join strategy, kept only because the benchmark harness under
+/// `benchmark/` names [`JoinStrategy::Hash`] and [`JoinStrategy::Auto`]:
+/// every join hashes under both, and semijoins never read it.
 ///
 /// # Examples
 ///
@@ -39,7 +34,6 @@ use crate::metrics::NoopMetrics;
 /// use reldb::{JoinStrategy, Relation};
 /// use hypergraph::Hypergraph;
 ///
-/// // `Auto` is the default cost-pick planner.
 /// assert_eq!(JoinStrategy::default(), JoinStrategy::Auto);
 ///
 /// // Every strategy joins to the same tuples.
@@ -49,39 +43,19 @@ use crate::metrics::NoopMetrics;
 /// r.insert_values([1, 2]);
 /// s.insert_values([2, 3]);
 /// let hash = r.join_with(&s, JoinStrategy::Hash);
-/// assert!(hash.same_contents(&r.join_with(&s, JoinStrategy::SortMerge)));
+/// assert!(hash.same_contents(&r.join_with(&s, JoinStrategy::Auto)));
 /// assert_eq!(hash.len(), 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
     /// Hash build + probe.
     Hash,
-    /// Sort row-id permutations by the key columns and merge.
-    SortMerge,
-    /// Pick per join from the estimated distinct-key ratio: sort-merge at or
-    /// below [`AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO`], hash otherwise.
+    /// The default; also hash build + probe.
     #[default]
     Auto,
 }
 
-/// Distinct-key-ratio crossover for **joins** under [`JoinStrategy::Auto`]:
-/// at or below this *sampled* ratio (the estimator samples ≤128 evenly
-/// spaced rows) the sort-merge kernel is picked over hash build + probe.
-///
-/// Calibrated with `hyperq bench --calibrate`, which sweeps two-relation
-/// join workloads across distinct-key counts and relation sizes and times
-/// both kernels; the metrics layer ([`crate::metrics`]) reports the
-/// engine's own sampled ratio per cell, so the crossover is expressed in
-/// the units the planner actually compares.  Measured (4-core-class x86,
-/// single-column keys): at 4000 rows/side sort-merge won every swept cell
-/// (5–21%); at 1000 rows the kernels sat within noise below sampled ≈0.55
-/// and hash pulled slightly ahead above it.  0.55 keeps sort-merge where
-/// key duplication is real and leaves near-unique joins — the hash build's
-/// cheapest regime — on hash.  The old one-size 0.05 guess starved joins of
-/// sort-merge wins an order of magnitude wide; see README "Observability".
-pub const AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO: f64 = 0.55;
-
-/// How a query executes: the strategy every join runs under.
+/// How a query executes.  Nothing in it changes a query's plan or kernels.
 ///
 /// Every query runs on its caller's thread — a `hyperqd` connection's, or
 /// the CLI's — and the engine spawns no threads of its own.
@@ -91,16 +65,14 @@ pub const AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO: f64 = 0.55;
 /// ```
 /// use reldb::{ExecPolicy, JoinStrategy};
 ///
-/// // The default policy: the auto strategy.
 /// assert_eq!(ExecPolicy::default().strategy, JoinStrategy::Auto);
-///
-/// // A pinned join kernel, for measurements that isolate one.
-/// let pinned = ExecPolicy::sequential(JoinStrategy::SortMerge);
-/// assert_eq!(pinned.strategy, JoinStrategy::SortMerge);
+/// assert_eq!(ExecPolicy::sequential(JoinStrategy::Hash).threads, 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPolicy {
-    /// Physical kernel selection for every join.
+    /// Nothing reads this: every join hashes.  The field stays only because
+    /// the benchmark harness under `benchmark/` builds
+    /// `ExecPolicy::sequential(JoinStrategy::Hash)`.
     pub strategy: JoinStrategy,
     /// Nothing reads this: a query always runs on one thread.  The field
     /// stays only because the benchmark harness under `benchmark/` builds
@@ -115,8 +87,8 @@ impl Default for ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// The policy with an explicit join strategy — what the benchmarks use
-    /// to isolate one join kernel.
+    /// The policy with an explicit (unread) join strategy; the benchmark
+    /// harness under `benchmark/` calls it.
     pub fn sequential(strategy: JoinStrategy) -> Self {
         Self {
             strategy,
@@ -166,7 +138,7 @@ impl ExecPolicy {
 /// ```
 #[derive(Debug)]
 pub struct ExecCtx<'a, M = NoopMetrics, G = NoopGovernor> {
-    /// The join strategy.
+    /// The policy (which no kernel reads).
     pub policy: &'a ExecPolicy,
     /// Where kernels and stages record what they did and how long it took.
     pub metrics: &'a M,

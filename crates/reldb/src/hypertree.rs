@@ -81,8 +81,8 @@ fn trim_to_bag<'a>(r: &'a Relation, bag_nodes: &NodeSet) -> Cow<'a, Relation> {
 /// Greedily orders a bag's cover relations smallest-estimated-intermediate
 /// first: start from the smallest relation, then repeatedly append the
 /// relation minimizing the estimated join output against everything joined
-/// so far, using the same sampled distinct-key estimator the `Auto`
-/// strategy planner runs on.  The estimate is the textbook
+/// so far, from a sampled distinct-key estimate
+/// (`Relation::estimate_distinct_ratio_on`).  The estimate is the textbook
 /// `|A|·|B| / max(d_B(shared), 1)` with `d_B` the sampled distinct count of
 /// the shared columns on the candidate's side; a relation sharing no
 /// attribute takes `d_B = 1`, the cross-product estimate `|A|·|B|`, so it
@@ -171,7 +171,7 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// order), the per-bag join ops and one [`Phase::Materialize`] wall
     /// timing, recorded even when the pass aborts; the governor is consulted
     /// once before each bag, in build order, and charged for every
-    /// materialized bag relation plus the join kernels' intermediate output
+    /// materialized bag relation plus the join kernel's intermediate output
     /// batches.  An abort surfaces as `Err(EngineError)` and leaves `db`
     /// untouched: materialization only reads the original relations.
     pub fn materialize_bags(
@@ -494,13 +494,9 @@ mod tests {
         let want = ExecCtx::new(&ExecPolicy::sequential(JoinStrategy::Hash))
             .query_yannakakis(&db, &all)
             .unwrap();
-        for policy in [
-            ExecPolicy::sequential(JoinStrategy::SortMerge),
-            ExecPolicy::sequential(JoinStrategy::Auto),
-        ] {
-            let got = ExecCtx::new(&policy).query_yannakakis(&db, &all).unwrap();
-            assert!(got.same_contents(&want), "diverged under {policy:?}");
-        }
+        let auto = ExecPolicy::sequential(JoinStrategy::Auto);
+        let got = ExecCtx::new(&auto).query_yannakakis(&db, &all).unwrap();
+        assert!(got.same_contents(&want), "diverged under Auto");
     }
 
     /// A chain `A–B–C` with one dangling tuple.

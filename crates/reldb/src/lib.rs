@@ -34,13 +34,13 @@
 //! | Module | Paper concept / engine role |
 //! |---|---|
 //! | `value`, `pool` | attribute values and the interning dictionary behind the columnar `u32`-handle rows |
-//! | `relation` | one stored *object* (hyperedge) as a relation: flat interned rows, the hash and sort-merge join kernels and the dense and sort-merge semijoin kernels (§7), which see one pool (a cross-pool operand is brought into it at the kernel's door), and the LSD counting/radix id sorter they share with the server's answer frame ([`sort_ids_by_key`]) |
+//! | `relation` | one stored *object* (hyperedge) as a relation: flat interned rows, the hash join kernel and the dense and sort-merge semijoin kernels (§7), which see one pool (a cross-pool operand is brought into it at the kernel's door), and the LSD counting/radix id sorter they share with the server's answer frame ([`sort_ids_by_key`]) |
 //! | `database` | a database bound to a schema hypergraph — one relation per object (§7) — carrying its schema's plan ([`Database::is_acyclic`]) |
 //! | `universal` | universal-relation queries `π_X(⋈ CC(X))` over canonical connections (§5, §7): the connection, full-join and Yannakakis engines every front end serves |
 //! | `yannakakis` | the Yannakakis full reducer, and queries answered from the join subtree covering `X` after the upward pass, level by level in every pass (§7's efficiency payoff) |
 //! | [`hypertree`] | cyclic schemas: bag materialization over a hypertree decomposition (`decomp` crate), the per-database plan (join tree or decompositions, built once from the schema) and the one Yannakakis entry point [`ExecCtx::query_yannakakis`], which routes by it |
 //! | [`snapshot`] | the versioned binary snapshot format behind [`Database::save_snapshot`] / [`Database::load_snapshot`] — scale-up loads in milliseconds instead of re-parsing text |
-//! | [`exec`] | [`ExecCtx`] (the one execution context every pipeline entry point is a method of), [`ExecPolicy`] and the [`JoinStrategy`] join-kernel cost-pick; every query runs on its caller's thread |
+//! | [`exec`] | [`ExecCtx`] (the one execution context every pipeline entry point is a method of), [`ExecPolicy`] and [`JoinStrategy`], which no kernel reads: every join hashes; every query runs on its caller's thread |
 //! | [`metrics`] | zero-cost-when-off observability: the [`MetricsSink`] an [`ExecCtx`] carries into every kernel and stage — counters per operation, wall clock per stage level (decompose → materialize → reduce → join) — collected into a [`QueryMetrics`] report, a struct and a text table; its JSON document is rendered by `hyperqd::protocol` |
 //! | [`govern`] | zero-cost-when-off governance: the [`Governor`] checkpoints (cancellation, deadlines, memory budgets) an [`ExecCtx`] carries into every kernel, structured [`EngineError`] aborts, and the `failpoints` fault-injection harness |
 //! | `consistency` | pairwise vs. global consistency and repairs — the semantic characterization of acyclicity (§7) |
@@ -84,7 +84,7 @@ pub use consistency::{
     dangling_report, is_globally_consistent, is_pairwise_consistent, make_globally_consistent,
 };
 pub use database::{Database, DbError};
-pub use exec::{ExecCtx, ExecPolicy, JoinStrategy, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO};
+pub use exec::{ExecCtx, ExecPolicy, JoinStrategy};
 pub use govern::{CancelToken, EngineError, Governor, NoopGovernor, QueryGovernor};
 #[cfg(feature = "failpoints")]
 pub use govern::{FailMode, FailpointGovernor};

@@ -1,26 +1,25 @@
 //! Zero-cost-when-off metrics through the execution engine.
 //!
-//! Every planning decision in the engine — notably the [`JoinStrategy::Auto`]
-//! distinct-key-ratio crossover — needs *measured* evidence to be anything
-//! better than a guess.  This module supplies the evidence channel: a
-//! [`MetricsSink`] trait threaded generically through the relation kernels,
-//! the Yannakakis reducer/join and bag materialization.
+//! What a query did, and where its time went, is *measured* here, not
+//! guessed.  This module supplies the evidence channel: a [`MetricsSink`]
+//! trait threaded generically through the relation kernels, the Yannakakis
+//! reducer/join and bag materialization.
 //! A pipeline's one entry point takes the sink inside its
 //! [`ExecCtx`](crate::ExecCtx) (`ExecCtx::new(&policy).metrics(&sink)`) and
 //! is monomorphized per sink type, so the default [`NoopMetrics`] sink
 //! compiles to *nothing*: its recording methods are empty `#[inline]` bodies
 //! the optimizer erases, and everything with a runtime cost of its own
-//! (wall-clock reads, ratio sampling that `Auto` would not already do) is
-//! gated on the compile-time constant [`MetricsSink::ENABLED`].  The plain
-//! wrappers ([`full_reduce`](crate::full_reduce()), [`Relation::join`]…) are
-//! that same entry point under the all-no-op context — there is one engine,
-//! not two.
+//! (wall-clock reads) is gated on the compile-time constant
+//! [`MetricsSink::ENABLED`].  The plain wrappers
+//! ([`full_reduce`](crate::full_reduce()), [`Relation::join`]…) are that
+//! same entry point under the all-no-op context — there is one engine, not
+//! two.
 //!
 //! # What is measured
 //!
 //! | Signal | Recorded by | Report field |
 //! |---|---|---|
-//! | per-op counters: tuples probed / kept / built, build-side rows, resolved kernel, sampled distinct-key ratio | join/semijoin kernels ([`OpMetrics`]) | [`QueryMetrics::joins`], [`QueryMetrics::semijoins`] |
+//! | per-op counters: tuples probed / kept / built, build-side rows, kernel that ran | join/semijoin kernels ([`OpMetrics`]) | [`QueryMetrics::joins`], [`QueryMetrics::semijoins`] |
 //! | per-stage wall timings (decompose, bag materialization, each reducer and join level, each engine) | every stage, through [`timed`] | [`QueryMetrics::levels`] |
 //! | bag materialization sizes | [`materialize_bags`](crate::materialize_bags) | [`QueryMetrics::bags`] |
 //! | dedup-index rebuilds saved by deferral | the reducer | [`QueryMetrics::index_rebuilds`] |
@@ -46,7 +45,6 @@
 //! times its own request parse and answer serialization with the same
 //! [`Phase`] vocabulary for the slow-query log.
 //!
-//! [`JoinStrategy::Auto`]: crate::JoinStrategy::Auto
 //! [`Relation::join`]: crate::Relation::join
 
 use std::sync::{Arc, Mutex};
@@ -61,16 +59,13 @@ pub enum OpKind {
     Semijoin,
 }
 
-/// Which physical kernel an operator ran: for a join, the [`Auto`]
-/// planner's *output*, where [`crate::JoinStrategy`] is its input; for a
-/// semijoin, dense or sort-merge by its key space.
-///
-/// [`Auto`]: crate::JoinStrategy::Auto
+/// Which physical kernel an operator ran: hash for every join; dense or
+/// sort-merge, by its key space, for a semijoin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Hash build + probe.
+    /// Hash build + probe (joins).
     Hash,
-    /// Sorted row-id permutations + merge.
+    /// Sorted row-id permutations + merge (semijoins).
     SortMerge,
     /// Direct-address bitset over the packed handle key space — semijoins
     /// whose key space fits; see
@@ -95,7 +90,7 @@ impl Kernel {
 pub struct OpMetrics {
     /// Join or semijoin.
     pub kind: OpKind,
-    /// The physical kernel that ran (post-`Auto` resolution).
+    /// The physical kernel that ran.
     pub kernel: Kernel,
     /// Rows scanned on the probe side (the relation being filtered, for a
     /// semijoin; the larger side, for a hash join).
@@ -108,14 +103,6 @@ pub struct OpMetrics {
     pub built: u64,
     /// Build-side input rows.
     pub build_rows: u64,
-    /// The sampled distinct-key ratio of a join's larger side, when it was
-    /// sampled (always when [`Auto`] chose between hash and sort-merge by
-    /// it; under a pinned strategy only when the sink is enabled, so the
-    /// no-op path never pays for sampling).  Always `None` for a semijoin,
-    /// whose kernel no ratio decides.
-    ///
-    /// [`Auto`]: crate::JoinStrategy::Auto
-    pub distinct_ratio: Option<f64>,
 }
 
 /// The stage of a query a [`LevelTiming`] belongs to, in pipeline order.
@@ -161,8 +148,8 @@ impl Phase {
 ///
 /// All recording methods default to empty bodies; [`ENABLED`] is the
 /// compile-time switch the engine consults before doing work that only
-/// exists to be recorded (reading clocks, sampling ratios a pinned strategy
-/// would not sample).  See the module docs for the zero-cost argument.
+/// exists to be recorded (reading clocks).  See the module docs for the
+/// zero-cost argument.
 ///
 /// [`ENABLED`]: MetricsSink::ENABLED
 pub trait MetricsSink {
@@ -238,14 +225,6 @@ pub struct OpAgg {
     pub built: u64,
     /// Total build-side input rows.
     pub build_rows: u64,
-    /// How many ops carried a sampled distinct-key ratio.
-    pub ratio_samples: u64,
-    /// Sum of sampled ratios (mean = `ratio_sum / ratio_samples`).
-    pub ratio_sum: f64,
-    /// Smallest sampled ratio.
-    pub ratio_min: f64,
-    /// Largest sampled ratio.
-    pub ratio_max: f64,
 }
 
 impl OpAgg {
@@ -260,22 +239,6 @@ impl OpAgg {
         self.kept += op.kept;
         self.built += op.built;
         self.build_rows += op.build_rows;
-        if let Some(r) = op.distinct_ratio {
-            if self.ratio_samples == 0 {
-                self.ratio_min = r;
-                self.ratio_max = r;
-            } else {
-                self.ratio_min = self.ratio_min.min(r);
-                self.ratio_max = self.ratio_max.max(r);
-            }
-            self.ratio_samples += 1;
-            self.ratio_sum += r;
-        }
-    }
-
-    /// Mean sampled distinct-key ratio, if any op was sampled.
-    pub fn ratio_mean(&self) -> Option<f64> {
-        (self.ratio_samples > 0).then(|| self.ratio_sum / self.ratio_samples as f64)
     }
 }
 
@@ -345,15 +308,12 @@ impl QueryMetrics {
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<10} {:>5} {:>6} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12} {:>10}\n",
-            "op", "ops", "hash", "merge", "dense", "probed", "kept", "built", "build_rows", "ratio"
+            "{:<10} {:>5} {:>6} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12}\n",
+            "op", "ops", "hash", "merge", "dense", "probed", "kept", "built", "build_rows"
         ));
         for (name, agg) in [("join", &self.joins), ("semijoin", &self.semijoins)] {
-            let ratio = agg
-                .ratio_mean()
-                .map_or("-".to_owned(), |m| format!("{m:.4}"));
             out.push_str(&format!(
-                "{:<10} {:>5} {:>6} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12} {:>10}\n",
+                "{:<10} {:>5} {:>6} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12}\n",
                 name,
                 agg.ops,
                 agg.hash_ops,
@@ -363,7 +323,6 @@ impl QueryMetrics {
                 agg.kept,
                 agg.built,
                 agg.build_rows,
-                ratio,
             ));
         }
         if !self.levels.is_empty() {
@@ -497,7 +456,7 @@ impl MetricsSink for CollectingSink {
 mod tests {
     use super::*;
 
-    fn op(kind: OpKind, kernel: Kernel, probed: u64, kept: u64, ratio: Option<f64>) -> OpMetrics {
+    fn op(kind: OpKind, kernel: Kernel, probed: u64, kept: u64) -> OpMetrics {
         OpMetrics {
             kind,
             kernel,
@@ -505,33 +464,26 @@ mod tests {
             kept,
             built: kept.min(probed),
             build_rows: probed / 2,
-            distinct_ratio: ratio,
         }
     }
 
     #[test]
     fn collecting_sink_aggregates_ops_by_kind_and_kernel() {
         let sink = CollectingSink::new();
-        sink.record_op(op(OpKind::Join, Kernel::Hash, 100, 40, Some(0.5)));
-        sink.record_op(op(OpKind::Join, Kernel::SortMerge, 50, 10, Some(0.01)));
-        sink.record_op(op(OpKind::Semijoin, Kernel::Hash, 30, 30, None));
-        sink.record_op(op(OpKind::Semijoin, Kernel::Dense, 20, 5, None));
+        sink.record_op(op(OpKind::Join, Kernel::Hash, 100, 40));
+        sink.record_op(op(OpKind::Join, Kernel::SortMerge, 50, 10));
+        sink.record_op(op(OpKind::Semijoin, Kernel::Hash, 30, 30));
+        sink.record_op(op(OpKind::Semijoin, Kernel::Dense, 20, 5));
         let m = sink.snapshot();
         assert_eq!(m.joins.ops, 2);
         assert_eq!(m.joins.hash_ops, 1);
         assert_eq!(m.joins.sortmerge_ops, 1);
         assert_eq!(m.joins.probed, 150);
         assert_eq!(m.joins.kept, 50);
-        assert_eq!(m.joins.ratio_samples, 2);
-        assert!((m.joins.ratio_min - 0.01).abs() < 1e-12);
-        assert!((m.joins.ratio_max - 0.5).abs() < 1e-12);
-        assert!((m.joins.ratio_mean().unwrap() - 0.255).abs() < 1e-12);
         assert_eq!(m.semijoins.ops, 2);
         assert_eq!(m.semijoins.hash_ops, 1);
         assert_eq!(m.semijoins.dense_ops, 1);
         assert_eq!(m.semijoins.probed, 50);
-        assert_eq!(m.semijoins.ratio_samples, 0);
-        assert_eq!(m.semijoins.ratio_mean(), None);
     }
 
     #[test]
@@ -545,12 +497,12 @@ mod tests {
     #[test]
     fn table_renders_all_sections() {
         let sink = CollectingSink::new();
-        sink.record_op(op(OpKind::Join, Kernel::SortMerge, 100, 80, Some(0.02)));
+        sink.record_op(op(OpKind::Join, Kernel::Hash, 100, 80));
         sink.record_level(Phase::Join, 0, 999);
         sink.record_bag("bag", 5);
         sink.record_widths(2, 2, "min-fill");
         let t = sink.snapshot().render_table();
-        for needle in ["join", "0.0200", "levels:", "bags:", "min-degree 2"] {
+        for needle in ["join", "build_rows", "levels:", "bags:", "min-degree 2"] {
             assert!(t.contains(needle), "missing {needle:?} in:\n{t}");
         }
     }

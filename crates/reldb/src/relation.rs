@@ -33,7 +33,8 @@
 //! (`pool.len()^k` at most eight bits per input row, i.e. the bitset never
 //! outweighs one byte per row it serves; wider or overflowing key spaces
 //! would cost more to zero and miss in cache than the sort they replace),
-//! else **sort-merge**.  [`JoinStrategy`] pins join kernels only.
+//! else **sort-merge**.  A join has one kernel, hash build + probe, under
+//! every [`JoinStrategy`].
 //!
 //! # Set semantics
 //!
@@ -56,7 +57,7 @@
 //! [`Tuple`] remains the boundary type for building and reading individual
 //! tuples; it is decoded from / encoded into rows only at the edges.
 
-use crate::exec::{ExecCtx, JoinStrategy, AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO};
+use crate::exec::{ExecCtx, JoinStrategy};
 use crate::govern::{unfail, EngineError, Governor, NoopGovernor, CHECK_BATCH};
 use crate::metrics::{Kernel, MetricsSink, NoopMetrics, OpKind, OpMetrics};
 use crate::pool::{ValuePool, NO_HANDLE};
@@ -315,12 +316,11 @@ fn positions(of: &NodeSet, cols: &[NodeId]) -> Vec<usize> {
         .collect()
 }
 
-/// The key-extraction plan shared by the sort-merge join and the semijoin
-/// mask kernels: the shared attributes' column positions on both sides.
-/// Both relations intern into one pool (the kernels bring a foreign operand
-/// over at their door), so a key is compared as plain handles.  Factoring
-/// this out keeps the flavors of each kernel byte-for-byte identical in how
-/// they see keys.
+/// The key-extraction plan shared by the semijoin mask kernels: the shared
+/// attributes' column positions on both sides.  Both relations intern into
+/// one pool (a foreign operand is brought over at the kernel's door), so a
+/// key is compared as plain handles.  Factoring this out keeps the two
+/// kernels byte-for-byte identical in how they see keys.
 struct JoinKeys {
     left_pos: Vec<usize>,
     right_pos: Vec<usize>,
@@ -391,7 +391,7 @@ fn pack_key(row: &[u32], pos: &[usize], radix: usize) -> usize {
 ///
 /// Fewer than 64 rows, or a sparse column on fewer than 4096, keep the
 /// comparison sort and its single allocation.  All paths return the same
-/// permutation, so no caller — the sort-merge join and semijoin kernels,
+/// permutation, so no caller — the sort-merge semijoin kernel,
 /// `same_contents`, `hyperqd`'s canonical answer frame — can tell which ran.
 ///
 /// # Panics
@@ -931,30 +931,25 @@ impl Relation {
         self.project(attrs)
     }
 
-    /// Natural join with the default hash kernel — see [`Relation::join_with`].
+    /// Natural join: the hash kernel indexes the smaller side by its
+    /// shared-attribute key columns and probes with the larger (a key-less
+    /// join is the cross product, probed the same way).  Runs inline with
+    /// nobody watching; [`ExecCtx::join`] is the form that takes sinks.
     pub fn join(&self, other: &Relation) -> Relation {
-        self.join_with(other, JoinStrategy::Hash)
+        unfail(self.join_impl(other, &NoopMetrics, &NoopGovernor))
     }
 
-    /// Natural join under an explicit [`JoinStrategy`].
-    ///
-    /// `Hash` indexes the smaller side by its shared-attribute key columns
-    /// and probes with the larger; `SortMerge` sorts row-id permutations of
-    /// both sides by the key columns (never the row buffers themselves) and
-    /// merges equal-key runs; `Auto` picks by the estimated distinct-key
-    /// ratio of the larger side (heavy key duplication favors sort-merge),
-    /// against the calibrated [`AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO`]
-    /// threshold.  Runs inline with nobody watching; [`ExecCtx::join`] is
-    /// the form that takes a policy and sinks.
+    /// [`Relation::join`]: every [`JoinStrategy`] runs the one hash kernel.
+    /// The parameter stays only because the benchmark harness under
+    /// `benchmark/` calls this with an explicit strategy.
     // pinned by benchmark/src/layers.rs
-    pub fn join_with(&self, other: &Relation, strategy: JoinStrategy) -> Relation {
-        unfail(self.join_impl(other, strategy, &NoopMetrics, &NoopGovernor))
+    pub fn join_with(&self, other: &Relation, _strategy: JoinStrategy) -> Relation {
+        self.join(other)
     }
 
     fn join_impl<M: MetricsSink, G: Governor>(
         &self,
         other: &Relation,
-        strategy: JoinStrategy,
         sink: &M,
         gov: &G,
     ) -> Result<Relation, EngineError> {
@@ -967,8 +962,7 @@ impl Relation {
         if G::ENABLED {
             gov.checkpoint()?;
             // Budget the build-side structure before building it: the hash
-            // kernel chains ~2 words per build row, sort-merge holds two
-            // id permutations of comparable size.
+            // table and its chain hold ~2 words per build row.
             gov.approve_alloc(self.len.min(other.len) as u64, 2)?;
         }
         // Unify pools so handle equality is value equality; output values
@@ -981,19 +975,8 @@ impl Relation {
             &converted
         };
         let shared = self.attributes.intersection(&other.attributes);
-        let (kernel, ratio) = if shared.is_empty() {
-            // Cross product: there is no key to sort by.
-            (Kernel::Hash, None)
-        } else {
-            let larger = if self.len >= other.len { self } else { other };
-            larger.resolve_kernel(strategy, &positions(&shared, &larger.cols), M::ENABLED)
-        };
-        let (mut out, built) = if kernel == Kernel::SortMerge {
-            self.sort_merge_join_into(other, &shared, out, gov)?
-        } else {
-            self.hash_join_into(other, &shared, out, gov)?
-        };
-        // The kernels append rows without knowing the output size, so the
+        let (mut out, built) = self.hash_join_into(other, &shared, out, gov)?;
+        // The kernel appends rows without knowing the output size, so the
         // buffer ends up to twice as large as its rows.  The result lives on
         // (projected, joined again, rendered), so drop the spare capacity
         // now: it would otherwise double this relation's footprint, or not,
@@ -1002,12 +985,11 @@ impl Relation {
         if M::ENABLED {
             sink.record_op(OpMetrics {
                 kind: OpKind::Join,
-                kernel,
+                kernel: Kernel::Hash,
                 probed: self.len.max(other.len) as u64,
                 kept: out.len as u64,
                 built: built as u64,
                 build_rows: self.len.min(other.len) as u64,
-                distinct_ratio: ratio,
             });
         }
         Ok(out)
@@ -1110,125 +1092,6 @@ impl Relation {
             gov.approve_alloc((out.len - charged) as u64, out.width())?;
         }
         Ok((out, distinct))
-    }
-
-    /// The sort-merge join kernel: sort row-id permutations of both sides
-    /// by the shared key columns, then emit the cross product of every pair
-    /// of equal-key runs.  Pools are already unified and `shared` is
-    /// nonempty.  Also returns the number of sorted permutation entries
-    /// built (both sides — the "built" metric).
-    fn sort_merge_join_into<G: Governor>(
-        &self,
-        other: &Relation,
-        shared: &NodeSet,
-        mut out: Relation,
-        gov: &G,
-    ) -> Result<(Relation, usize), EngineError> {
-        let keys = JoinKeys::new(self, other, shared);
-        let left_keys = keys.gather(self, &keys.left_pos);
-        let right_keys = keys.gather(other, &keys.right_pos);
-        let left_sorted = sort_ids_by_key(&left_keys, keys.k(), self.len);
-        let right_sorted = sort_ids_by_key(&right_keys, keys.k(), other.len);
-        // Where each output column comes from; shared columns read the left.
-        let sources: Vec<(bool, usize)> = out
-            .cols
-            .iter()
-            .map(|c| match self.col_pos(*c) {
-                Some(p) => (true, p),
-                None => (false, other.col_pos(*c).expect("union attr")),
-            })
-            .collect();
-        let mut rowbuf = vec![0u32; out.width()];
-        let k = keys.k();
-        fn key_of(buf: &[u32], id: u32, k: usize) -> &[u32] {
-            &buf[id as usize * k..(id as usize + 1) * k]
-        }
-        // Merge and emit, checkpointing/charging every CHECK_BATCH
-        // merge-steps-or-emitted-rows (same batch discipline as the hash
-        // kernel's probe loop).
-        let mut step = 0usize;
-        let mut charged = 0usize;
-        let (mut li, mut ri) = (0usize, 0usize);
-        while li < left_sorted.len() && ri < right_sorted.len() {
-            if G::ENABLED && step >= CHECK_BATCH {
-                step = 0;
-                gov.checkpoint()?;
-                gov.approve_alloc((out.len - charged) as u64, out.width())?;
-                charged = out.len;
-            }
-            let lkey = key_of(&left_keys, left_sorted[li], k);
-            let rkey = key_of(&right_keys, right_sorted[ri], k);
-            match lkey.cmp(rkey) {
-                std::cmp::Ordering::Less => {
-                    li += 1;
-                    step += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    ri += 1;
-                    step += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    // Bound the two equal-key runs, emit their cross product
-                    // (each output row embeds both of its input rows, so
-                    // the rows are distinct and append unchecked).
-                    let lend = run_end(&left_keys, &left_sorted, li, k);
-                    let rend = run_end(&right_keys, &right_sorted, ri, k);
-                    for &lid in &left_sorted[li..lend] {
-                        let lrow = self.row(lid as usize);
-                        for &rid in &right_sorted[ri..rend] {
-                            let rrow = other.row(rid as usize);
-                            for (c, &(from_left, p)) in sources.iter().enumerate() {
-                                rowbuf[c] = if from_left { lrow[p] } else { rrow[p] };
-                            }
-                            out.push_distinct_row(&rowbuf);
-                        }
-                    }
-                    step += (lend - li) * (rend - ri);
-                    li = lend;
-                    ri = rend;
-                }
-            }
-        }
-        if G::ENABLED && out.len > charged {
-            gov.approve_alloc((out.len - charged) as u64, out.width())?;
-        }
-        let built = left_sorted.len() + right_sorted.len();
-        Ok((out, built))
-    }
-
-    /// Resolves a [`JoinStrategy`] to a physical join [`Kernel`] for a key
-    /// over this relation's `pos` columns: under `Auto`, heavy key
-    /// duplication (distinct-key ratio at or below
-    /// [`AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO`]) favors sort-merge,
-    /// anything else stays with hash.  Returns the sampled ratio alongside
-    /// the kernel; a pinned strategy only pays for sampling when
-    /// `sample_anyway` asks for it (the metrics path wants the ratio even
-    /// when it doesn't decide anything).
-    fn resolve_kernel(
-        &self,
-        strategy: JoinStrategy,
-        pos: &[usize],
-        sample_anyway: bool,
-    ) -> (Kernel, Option<f64>) {
-        match strategy {
-            JoinStrategy::Auto => {
-                let ratio = self.estimate_distinct_key_ratio(pos);
-                let kernel = if ratio <= AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO {
-                    Kernel::SortMerge
-                } else {
-                    Kernel::Hash
-                };
-                (kernel, Some(ratio))
-            }
-            JoinStrategy::SortMerge => (
-                Kernel::SortMerge,
-                sample_anyway.then(|| self.estimate_distinct_key_ratio(pos)),
-            ),
-            JoinStrategy::Hash => (
-                Kernel::Hash,
-                sample_anyway.then(|| self.estimate_distinct_key_ratio(pos)),
-            ),
-        }
     }
 
     /// Estimated fraction of distinct keys among the rows, from a sample of
@@ -1478,7 +1341,6 @@ impl Relation {
                 kept: (probed - removed) as u64,
                 built: stats.built as u64,
                 build_rows: stats.build_rows as u64,
-                distinct_ratio: None,
             });
         }
         Ok(removed)
@@ -1594,16 +1456,16 @@ impl Relation {
 }
 
 /// The single-operator entry points.  They peel the context at the door:
-/// the kernels underneath take exactly the strategy, sink and governor they
-/// read — a semijoin reads no strategy.
+/// the kernels underneath take exactly the sink and governor they read —
+/// no kernel reads the policy.
 impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
-    /// Natural join `left ⋈ right` under the policy's strategy, recording one
+    /// Natural join `left ⋈ right` ([`Relation::join`]), recording one
     /// [`OpMetrics`] into the metrics sink.  The join aborts with the
     /// governor's error at the next probe-batch checkpoint after a
     /// cancellation, deadline overrun or budget exhaustion; neither input
     /// relation is ever mutated.
     pub fn join(&self, left: &Relation, right: &Relation) -> Result<Relation, EngineError> {
-        left.join_impl(right, self.policy.strategy, self.metrics, self.gov)
+        left.join_impl(right, self.metrics, self.gov)
     }
 
     /// In-place semijoin `target ⋉ other` ([`Relation::retain_semijoin`]
@@ -1826,17 +1688,22 @@ mod tests {
         assert_eq!(r.join(&s).len(), 6);
     }
 
+    /// Every strategy joins to the oracle's tuples, from either side.
     #[test]
     fn sort_merge_join_matches_hash_join() {
         let (_, r, s) = setup();
         let hash = r.join_with(&s, JoinStrategy::Hash);
-        let sm = r.join_with(&s, JoinStrategy::SortMerge);
-        assert!(hash.same_contents(&sm));
+        assert!(naive_join(&r, &s).agrees_with(&hash));
         // Also with the sides flipped and under Auto.
-        assert!(s
-            .join_with(&r, JoinStrategy::SortMerge)
-            .same_contents(&hash));
-        assert!(r.join_with(&s, JoinStrategy::Auto).same_contents(&hash));
+        for strategy in [JoinStrategy::Hash, JoinStrategy::Auto] {
+            assert!(s.join_with(&r, strategy).same_contents(&hash));
+            assert!(r.join_with(&s, strategy).same_contents(&hash));
+        }
+    }
+
+    /// `r ⋈ s` by the reference oracle.
+    fn naive_join(r: &Relation, s: &Relation) -> NaiveRelation {
+        NaiveRelation::from_relation(r).join(&NaiveRelation::from_relation(s))
     }
 
     /// `r ⋉ s` by the reference oracle.
@@ -1868,9 +1735,7 @@ mod tests {
     fn sort_merge_kernels_translate_across_pools() {
         let (_, r, s) = setup();
         assert!(!r.pool().same_pool(s.pool()));
-        assert!(r
-            .join_with(&s, JoinStrategy::SortMerge)
-            .same_contents(&r.join(&s)));
+        assert!(naive_join(&r, &s).agrees_with(&r.join(&s)));
         past_the_dense_bound(&r, &s);
         let (out, agg) = metered_semijoin(&r, &s);
         assert_eq!(agg.sortmerge_ops, 1);
@@ -1894,9 +1759,7 @@ mod tests {
             r.insert(Tuple::from_pairs([(a, i % 3), (b, i % 4), (c, i)]));
             s.insert(Tuple::from_pairs([(a, i % 4), (b, i % 3), (d, i)]));
         }
-        assert!(r
-            .join_with(&s, JoinStrategy::SortMerge)
-            .same_contents(&r.join_with(&s, JoinStrategy::Hash)));
+        assert!(naive_join(&r, &s).agrees_with(&r.join(&s)));
         past_the_dense_bound(&r, &s);
         let (out, agg) = metered_semijoin(&r, &s);
         assert_eq!(agg.sortmerge_ops, 1);
@@ -2033,23 +1896,6 @@ mod tests {
         assert!(uniq.estimate_distinct_key_ratio(&[0]) > 0.9);
         // Whole-row keys are distinct by construction.
         assert_eq!(dup.estimate_distinct_key_ratio(&[0, 1]), 1.0);
-        // Auto resolves a join accordingly, against the calibrated join
-        // threshold, reporting the ratio it sampled.
-        let (kernel, ratio) = dup.resolve_kernel(JoinStrategy::Auto, &[0], false);
-        assert_eq!(kernel, Kernel::SortMerge);
-        assert!(ratio.unwrap() < 0.05);
-        let (kernel, ratio) = uniq.resolve_kernel(JoinStrategy::Auto, &[0], false);
-        assert_eq!(kernel, Kernel::Hash);
-        assert!(ratio.unwrap() > AUTO_JOIN_SORTMERGE_MAX_DISTINCT_RATIO);
-        // Pinned strategies skip sampling unless asked for it.
-        assert_eq!(
-            dup.resolve_kernel(JoinStrategy::Hash, &[0], false),
-            (Kernel::Hash, None)
-        );
-        assert!(dup
-            .resolve_kernel(JoinStrategy::SortMerge, &[0], true)
-            .1
-            .is_some());
     }
 
     /// `r ⋉ s` with a collecting sink: the reduced relation plus the
@@ -2065,7 +1911,6 @@ mod tests {
         let agg = sink.snapshot().semijoins;
         assert_eq!(agg.ops, 1);
         assert_eq!(agg.hash_ops, 0, "no semijoin hashes");
-        assert_eq!(agg.ratio_samples, 0, "no semijoin samples a ratio");
         (out, agg)
     }
 

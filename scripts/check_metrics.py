@@ -21,6 +21,9 @@ import json
 import sys
 
 PHASES = {"parse", "decompose", "materialize", "reduce-up", "reduce-down", "join", "serialize"}
+# Every member of a join or semijoin counter object, and nothing else: no
+# sampled ratio decides a kernel, so none is reported.
+COUNTERS = ("ops", "hash_ops", "sortmerge_ops", "dense_ops", "probed", "kept", "built", "build_rows")
 
 
 def check(doc: dict, cyclic: bool) -> list[str]:
@@ -34,9 +37,9 @@ def check(doc: dict, cyclic: bool) -> list[str]:
         if not isinstance(agg, dict):
             err(f"{op}: missing or not an object")
             continue
-        for key in (
-            "ops", "hash_ops", "sortmerge_ops", "dense_ops", "probed", "kept", "built", "build_rows",
-        ):
+        for key in sorted(set(agg) - set(COUNTERS)):
+            err(f"{op}.{key}: unexpected member (expected only {', '.join(COUNTERS)})")
+        for key in COUNTERS:
             v = agg.get(key)
             if not isinstance(v, int) or v < 0:
                 err(f"{op}.{key}: expected non-negative integer, got {v!r}")
@@ -48,25 +51,14 @@ def check(doc: dict, cyclic: bool) -> list[str]:
         # bounded by its probe side: one probe row can match many.
         if op == "semijoin" and agg["kept"] > agg["probed"]:
             err(f"{op}: kept {agg['kept']} > probed {agg['probed']}")
-        # No ratio decides a semijoin's kernel: the key space does, dense
-        # where it fits, else sort-merge.  So none hashes or samples.
+        # A semijoin's key space picks its kernel: dense where it fits,
+        # else sort-merge, so none hashes.  Every join hashes.
         if op == "semijoin" and agg["hash_ops"] != 0:
             err(f"{op}.hash_ops: expected 0 (dense or sort-merge only), got {agg['hash_ops']}")
-        if "distinct_ratio" not in agg:
-            err(f"{op}.distinct_ratio: missing")
-            continue
-        ratio = agg["distinct_ratio"]
-        if op == "semijoin" and ratio is not None:
-            err(f"{op}.distinct_ratio: expected null (no semijoin samples one), got {ratio!r}")
-        elif ratio is None:
-            pass  # an op kind with no sampled ratio
-        elif not isinstance(ratio, dict):
-            err(f"{op}.distinct_ratio: expected an object or null, got {ratio!r}")
-        elif ratio.get("samples", 0) > 0:
-            for key in ("mean", "min", "max"):
-                v = ratio.get(key)
-                if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
-                    err(f"{op}.distinct_ratio.{key}: expected value in [0, 1], got {v!r}")
+        if op == "join":
+            for key in ("sortmerge_ops", "dense_ops"):
+                if agg[key] != 0:
+                    err(f"{op}.{key}: expected 0 (every join hashes), got {agg[key]}")
 
     levels = doc.get("levels")
     if not isinstance(levels, list) or not levels:

@@ -228,11 +228,14 @@ proptest! {
         prop_assert!(s_own.same_contents(&s_shared) && s_shared.same_contents(&s_own));
         prop_assert!(r.semijoin(&s_own).same_contents(&r.semijoin(&s_shared)));
         prop_assert_eq!(lens(), before);
-        prop_assert!(r.join(&s_own).same_contents(&r.join(&s_shared)));
-        // The sort-merge join translates handles exactly like the hash join.
-        prop_assert!(r
-            .join_with(&s_own, JoinStrategy::SortMerge)
-            .same_contents(&r.join(&s_shared)));
+        // Every strategy's join translates handles into the reference's
+        // answer and the shared-pool one.
+        let naive = NaiveRelation::from_relation(&r).join(&NaiveRelation::from_relation(&s_own));
+        for strategy in STRATEGIES {
+            let joined = r.join_with(&s_own, strategy);
+            prop_assert!(naive.agrees_with(&joined), "{:?} diverged from oracle", strategy);
+            prop_assert!(joined.same_contents(&r.join(&s_shared)));
+        }
     }
 
     /// The full reducer removes exactly the reference oracle's tuples under
@@ -259,9 +262,9 @@ proptest! {
         }
     }
 
-    /// The sort-merge join and the auto cost-pick agree with the hash join
-    /// and the reference oracle, and the semijoin with the oracle, including
-    /// on Zipf-skewed (high-duplicate) data.
+    /// Every join strategy agrees with the reference oracle, and the
+    /// semijoin (dense or sort-merge) with the oracle, including on
+    /// Zipf-skewed (high-duplicate) data.
     #[test]
     fn sort_merge_kernels_match_hash_and_reference(
         family in 0usize..4,
@@ -277,7 +280,7 @@ proptest! {
         for i in 0..rels.len() {
             for j in 0..rels.len() {
                 let naive_join = naive[i].join(&naive[j]);
-                for strategy in [JoinStrategy::SortMerge, JoinStrategy::Auto] {
+                for strategy in STRATEGIES {
                     prop_assert!(
                         naive_join.agrees_with(&rels[i].join_with(&rels[j], strategy)),
                         "{strategy:?} join diverged on relations {i}×{j}"
@@ -317,14 +320,9 @@ proptest! {
             .collect();
         let hash =
             yannakakis_join_with(&db, &tree, &output, &ExecPolicy::sequential(JoinStrategy::Hash));
-        for policy in [JoinStrategy::SortMerge, JoinStrategy::Auto].map(ExecPolicy::sequential) {
-            let got = yannakakis_join_with(&db, &tree, &output, &policy);
-            prop_assert!(
-                hash.same_contents(&got),
-                "bottom-up join diverged from the hash engine under {:?}",
-                policy
-            );
-        }
+        let auto = ExecPolicy::sequential(JoinStrategy::Auto);
+        let got = yannakakis_join_with(&db, &tree, &output, &auto);
+        prop_assert!(hash.same_contents(&got), "bottom-up join diverged under Auto");
         let slow = naive_yannakakis_join(&db, &tree, &output);
         prop_assert!(slow.agrees_with(&hash), "hash engine diverged from oracle");
     }
@@ -393,12 +391,8 @@ proptest! {
     }
 }
 
-/// Every join strategy: `Auto` and the two pinned join kernels.
-const STRATEGIES: [JoinStrategy; 3] = [
-    JoinStrategy::Auto,
-    JoinStrategy::Hash,
-    JoinStrategy::SortMerge,
-];
+/// Every join strategy.
+const STRATEGIES: [JoinStrategy; 2] = [JoinStrategy::Auto, JoinStrategy::Hash];
 
 /// Interns `extra` values no relation uses into `pool` — a dictionary that
 /// has grown since the relations over it were built.
@@ -546,9 +540,7 @@ proptest! {
             prop_assert_eq!(auto.dense_ops, expect_dense, "eligibility rule ({:?})", auto);
             prop_assert_eq!(auto.sortmerge_ops, 1 - expect_dense, "({:?})", auto);
             prop_assert_eq!(auto.kept, naive.len() as u64);
-            for pinned in [JoinStrategy::Hash, JoinStrategy::SortMerge] {
-                prop_assert_eq!(&metered(pinned), &auto, "{:?} changed the semijoin", pinned);
-            }
+            prop_assert_eq!(&metered(JoinStrategy::Hash), &auto, "Hash changed the semijoin");
         }
     }
 

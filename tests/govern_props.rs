@@ -403,7 +403,7 @@ impl Governor for TripAtCheckpoint {
 const BIG_ROWS: usize = 3 * CHECK_BATCH + 100;
 
 /// `R(A,B)` and `S(B,C)` over one pool of `BIG_ROWS` values, sized so the
-/// semijoin's packed key space fits and `Auto` takes the dense kernel.  `B`
+/// semijoin's packed key space fits and takes the dense kernel.  `B`
 /// ranges over 0..5000 in `R` and 2500..6000 in `S`, so rows dangle on both
 /// sides and either reducer pass has something to remove.
 fn two_big_relations() -> Database {
@@ -502,7 +502,7 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
 
 /// A four-edge chain with `BIG_ROWS` arithmetic rows per relation: every
 /// relation dangles somewhere, and the all-attributes answer outgrows two
-/// `CHECK_BATCH`es, so the join kernels checkpoint and charge mid-loop.
+/// `CHECK_BATCH`es, so the join kernel checkpoints and charges mid-loop.
 fn big_chain() -> Database {
     let mut db = Database::empty(chain(4, 2, 1));
     for e in 0..4u32 {
@@ -560,7 +560,7 @@ fn chain_reducer_cancelled_at_every_checkpoint_leaves_db_untouched() {
     }
 }
 
-/// Governance is unchanged by how the join kernels emit rows: the in-kernel
+/// Governance is unchanged by how the join kernel emits rows: the in-kernel
 /// checkpoint count and the words charged to the budget are the totals the
 /// parent commit (PR 13, per-row dedup on every emitted row) read on the same
 /// inputs — the numbers below were recorded there.
@@ -568,10 +568,7 @@ fn chain_reducer_cancelled_at_every_checkpoint_leaves_db_untouched() {
 fn join_governance_totals_match_the_recorded_ones() {
     let db = two_big_relations();
     let (r, s) = (&db.relations()[0], &db.relations()[1]);
-    for (strategy, want) in [
-        (JoinStrategy::Hash, RECORDED_HASH_JOIN),
-        (JoinStrategy::SortMerge, RECORDED_SORT_MERGE_JOIN),
-    ] {
+    for strategy in [JoinStrategy::Hash, JoinStrategy::Auto] {
         let gov = TripAtCheckpoint::never();
         let policy = ExecPolicy::sequential(strategy);
         let out = ExecCtx::new(&policy)
@@ -579,7 +576,7 @@ fn join_governance_totals_match_the_recorded_ones() {
             .join(r, s)
             .expect("nothing trips");
         assert_eq!(out.len(), RECORDED_JOIN_ROWS, "{strategy:?}");
-        assert_eq!(gov.totals(), want, "{strategy:?}");
+        assert_eq!(gov.totals(), RECORDED_HASH_JOIN, "{strategy:?}");
     }
 
     let db = big_chain();
@@ -602,27 +599,23 @@ fn join_governance_totals_match_the_recorded_ones() {
 
 /// `(in-kernel checkpoints, words charged)` read at the parent commit.
 const RECORDED_HASH_JOIN: (u64, u64) = (8, 81_104);
-const RECORDED_SORT_MERGE_JOIN: (u64, u64) = (7, 81_104);
 const RECORDED_JOIN_ROWS: usize = 18_776;
 const RECORDED_CHAIN_ALL: (u64, u64) = (37, 118_000);
 const RECORDED_CHAIN_ALL_ROWS: usize = 9_000;
 const RECORDED_CHAIN_ENDS: (u64, u64) = (37, 91_000);
 const RECORDED_CHAIN_ENDS_ROWS: usize = 9_000;
 
-/// Cancelling at the n-th in-kernel checkpoint of a join — whichever kernel,
-/// wherever in its build or emit loop — returns `Cancelled` on the spot with
+/// Cancelling at the n-th in-kernel checkpoint of a join — whichever
+/// strategy, wherever in its build or emit loop — returns `Cancelled` on the spot with
 /// both inputs bit-identical; through the whole pipeline, `db` is.
 #[test]
 fn join_cancelled_at_any_checkpoint_leaves_inputs_untouched() {
     let db = two_big_relations();
     let (r, s) = (&db.relations()[0], &db.relations()[1]);
     let (r_rows, s_rows) = (r.handle_rows().to_vec(), s.handle_rows().to_vec());
-    for (strategy, recorded) in [
-        (JoinStrategy::Hash, RECORDED_HASH_JOIN),
-        (JoinStrategy::SortMerge, RECORDED_SORT_MERGE_JOIN),
-    ] {
+    for strategy in [JoinStrategy::Hash, JoinStrategy::Auto] {
         let policy = ExecPolicy::sequential(strategy);
-        for trip_at in 0..recorded.0 {
+        for trip_at in 0..RECORDED_HASH_JOIN.0 {
             let gov = TripAtCheckpoint::new(trip_at);
             let got = ExecCtx::new(&policy).gov(&gov).join(r, s);
             assert_eq!(
