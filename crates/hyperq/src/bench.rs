@@ -1,9 +1,9 @@
 //! `hyperq bench` — the in-repo perf harness: the ratios one run can know.
 //!
-//! Times the engine `hyperqd` serves — [`ExecPolicy::default`], the
-//! `columnar` rows — on `full_reduce` and `yannakakis_join` (the paper's
-//! full reducer and the join over the unique connection) beside what it is
-//! compared with: the same policy with Governor checkpoints live
+//! Times the engine `hyperqd` serves — the `columnar` rows — on
+//! `full_reduce` and `yannakakis_join` (the paper's full reducer and the
+//! join over the unique connection) beside what it is compared with: the
+//! same engine with Governor checkpoints live
 //! (`columnar-governed`) and the naive `reference` oracle; plus the cyclic
 //! decomposition pipeline, the GYO/MCS acyclicity tests
 //! and, under the full profile or `--scale` alone, the 10⁶-tuple rows.
@@ -20,7 +20,7 @@ use decomp::{decompose, Heuristic};
 use hypergraph::{Hypergraph, NodeSet};
 use hyperqd::json::Json;
 use reldb::reference::{naive_full_reduce, naive_yannakakis_join};
-use reldb::{query_via_full_join, CollectingSink, Database, ExecCtx, ExecPolicy, QueryGovernor};
+use reldb::{query_via_full_join, CollectingSink, Database, ExecCtx, QueryGovernor};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use workload::{
@@ -241,25 +241,20 @@ fn data(schema: &Hypergraph, size: usize, domain: usize, skew: f64, key_cap: usi
     random_database(schema, params, 9)
 }
 
-/// The policy `hyperqd` serves every request: the `columnar` rows.
-fn served() -> ExecPolicy {
-    ExecPolicy::default()
-}
-
-/// The `full_reduce` and `yannakakis_join` rows of one cell: `policy` timed
-/// with nobody watching as `columnar` (plus one run under a collecting sink
-/// for the row's counters).  `gov` adds `columnar-governed` — the same
-/// policy checkpointing against it — right behind the `columnar` rows it is
-/// compared with, and `reference` adds the naive oracle.
+/// The `full_reduce` and `yannakakis_join` rows of one cell: the engine
+/// timed with nobody watching as `columnar` (plus one run under a
+/// collecting sink for the row's counters).  `gov` adds
+/// `columnar-governed` — the same engine checkpointing against it — right
+/// behind the `columnar` rows it is compared with, and `reference` adds the
+/// naive oracle.
 fn pipeline_rows<'a>(
-    policy: &'a ExecPolicy,
     gov: Option<&'a QueryGovernor>,
     reference: bool,
     db: &'a Database,
     tree: &'a JoinTree,
     x: &'a NodeSet,
 ) -> Vec<Row<'a>> {
-    let ctx = ExecCtx::new(policy);
+    let ctx = ExecCtx::new();
     let counters = RowMetrics::capture(|s| drop(ctx.metrics(s).full_reduce(db, tree)));
     let mut rows = vec![row("full_reduce", "columnar", Some(counters), move || {
         ctx.full_reduce(db, tree)
@@ -320,7 +315,6 @@ fn query_records(profile: Profile, records: &mut Vec<BenchRecord>) {
     let gov = QueryGovernor::new()
         .with_deadline(Duration::from_secs(3600))
         .with_memory_budget(u64::MAX);
-    let policy = served();
     for (name, schema, skewed, reference) in workloads {
         let tree = join_tree(&schema).expect("benchmark schemas are acyclic");
         let x = far_apart(&schema);
@@ -330,7 +324,7 @@ fn query_records(profile: Profile, records: &mut Vec<BenchRecord>) {
             } else {
                 data(&schema, size, size / 2, 0.0, 0)
             };
-            let rows = pipeline_rows(&policy, Some(&gov), reference, &db, &tree, &x);
+            let rows = pipeline_rows(Some(&gov), reference, &db, &tree, &x);
             record_cell(records, name, size, db.tuple_count(), rows);
         }
     }
@@ -342,7 +336,7 @@ fn query_records(profile: Profile, records: &mut Vec<BenchRecord>) {
 /// path).  The op rows are
 ///
 /// * `decompose` — structural cost only (min-fill triangulation, bag tree);
-/// * `cyclic_join` / `columnar-decomp` — the served policy;
+/// * `cyclic_join` / `columnar-decomp` — the served engine;
 /// * `cyclic_join` / `naive` — join-everything-then-project baseline.
 fn cyclic_records(profile: Profile, records: &mut Vec<BenchRecord>) {
     let sizes: &[usize] = match profile {
@@ -356,7 +350,6 @@ fn cyclic_records(profile: Profile, records: &mut Vec<BenchRecord>) {
         ("hyper-ring-5x3", hyper_ring(5, 3)),
         ("clique-5", pair_clique(5)),
     ];
-    let policy = served();
     for (name, schema) in workloads {
         assert!(
             join_tree(&schema).is_none(),
@@ -369,7 +362,7 @@ fn cyclic_records(profile: Profile, records: &mut Vec<BenchRecord>) {
             let mut rows = vec![row("decompose", "columnar", None, || {
                 decompose(&schema, Heuristic::MinFill).expect("nonempty schema")
             })];
-            let ctx = ExecCtx::new(&policy);
+            let ctx = ExecCtx::new();
             let counters = RowMetrics::capture(|s| drop(ctx.metrics(s).query_yannakakis(db, x)));
             rows.push(row(
                 "cyclic_join",
@@ -438,8 +431,7 @@ fn scale_records(records: &mut Vec<BenchRecord>) {
     drop((text, bytes));
     let tree = join_tree(&schema).expect("chains are acyclic");
     let x = far_apart(&schema);
-    let policy = served();
-    let rows = pipeline_rows(&policy, None, false, &db, &tree, &x);
+    let rows = pipeline_rows(None, false, &db, &tree, &x);
     record_cell(records, name, size, units, rows);
 }
 
@@ -669,12 +661,6 @@ mod tests {
         assert!(samples[1].ns_min >= 45e6, "{:?}", samples[1]);
         // Every timed iteration ran, plus the sizing run.
         assert_eq!((fast, slow), (101, samples[1].iters + 1));
-    }
-
-    #[test]
-    fn the_columnar_rows_run_the_served_policy() {
-        // If hyperqd's default ever changes, the headline rows follow.
-        assert_eq!(served(), ExecPolicy::default());
     }
 
     #[test]

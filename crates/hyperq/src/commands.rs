@@ -8,8 +8,7 @@ use hypergraph::{Hypergraph, NodeSet};
 use hyperqd::protocol::{metrics_json, EngineKind, WireError};
 use hyperqd::server::run_engine;
 use reldb::{
-    plan_connection, CollectingSink, Database, EngineError, ExecCtx, ExecPolicy, QueryGovernor,
-    Relation,
+    plan_connection, CollectingSink, Database, EngineError, ExecCtx, QueryGovernor, Relation,
 };
 
 /// A CLI failure: the one-line diagnostic printed to stderr plus the
@@ -189,8 +188,7 @@ pub fn run_query(
     // for the sink; what is absent keeps its no-op default and compiles
     // away.
     let sink = CollectingSink::new();
-    let policy = ExecPolicy::default();
-    let ctx = ExecCtx::new(&policy);
+    let ctx = ExecCtx::new();
     let answer: Relation = match (metrics, gov) {
         (MetricsMode::Off, None) => run_engine(db, engine, &x, &ctx),
         (MetricsMode::Off, Some(g)) => run_engine(db, engine, &x, &ctx.gov(g)),

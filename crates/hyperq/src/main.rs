@@ -98,7 +98,7 @@ COMMANDS:
                9).  Text tuple format by default; --snapshot writes the
                binary snapshot directly
     bench      Run the query/acyclicity benchmarks at fixed workload sizes:
-               the policy hyperqd serves (engine columnar) beside its
+               the engine hyperqd serves (columnar) beside its
                governed twin and the naive reference.
                Every run ends with a ratios: block
                computed from its own rows; --check exits non-zero unless

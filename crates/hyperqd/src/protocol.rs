@@ -17,7 +17,7 @@
 //!
 //! Unknown members are ignored, so an older client's request — one still
 //! carrying the retired `"threads"` or `"strategy"` member, say — keeps
-//! working: every request runs the default execution policy.
+//! working: the server ignores both.
 //!
 //! # Responses
 //!

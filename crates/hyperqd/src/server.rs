@@ -56,8 +56,8 @@ use crate::stats::StatsRegistry;
 use hypergraph::NodeSet;
 use reldb::metrics::{timed, LevelTiming};
 use reldb::{
-    CancelToken, CollectingSink, Database, EngineError, ExecCtx, ExecPolicy, Governor, MetricsSink,
-    Phase, QueryGovernor, QueryMetrics, Relation,
+    CancelToken, CollectingSink, Database, EngineError, ExecCtx, Governor, MetricsSink, Phase,
+    QueryGovernor, QueryMetrics, Relation,
 };
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -789,7 +789,6 @@ fn execute_inner(
     };
     state.queries.fetch_add(1, Ordering::Relaxed);
     let started = Instant::now();
-    let policy = ExecPolicy::default();
     let base = governor_for(state, &spec.overrides, started);
     let want_metrics = spec.overrides.metrics == Some(true);
     let fail_requested =
@@ -819,7 +818,7 @@ fn execute_inner(
         // when present, to the governed context.
         macro_rules! with_gov {
             ($gov:expr) => {{
-                let ctx = ExecCtx::new(&policy).gov($gov);
+                let ctx = ExecCtx::new().gov($gov);
                 match sink {
                     Some(sink) => run_engine(&db, engine, &x, &ctx.metrics(sink)),
                     None => run_engine(&db, engine, &x, &ctx),
@@ -918,8 +917,8 @@ mod tests {
         db.insert_values(EdgeId(0), [1, 2]);
         db.insert_values(EdgeId(1), [2, 3]);
         let x = db.attributes(["A", "C"]).unwrap();
-        let (policy, sink) = (ExecPolicy::default(), CollectingSink::new());
-        let ctx = ExecCtx::new(&policy).metrics(&sink);
+        let sink = CollectingSink::new();
+        let ctx = ExecCtx::new().metrics(&sink);
         let answer = run_engine(&db, EngineKind::Yannakakis, &x, &ctx).unwrap();
         timed(&sink, Phase::Serialize, 0, || {
             answer_frame(&db, &answer, None)

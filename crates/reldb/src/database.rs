@@ -1,6 +1,6 @@
 //! Databases: one relation ("object") per hyperedge of a schema hypergraph.
 
-use crate::exec::{ExecCtx, ExecPolicy, JoinStrategy};
+use crate::exec::ExecCtx;
 use crate::govern::{unfail, EngineError, Governor};
 use crate::hypertree::Plan;
 use crate::metrics::MetricsSink;
@@ -194,18 +194,18 @@ impl Database {
     /// The natural join of *all* relations: the paper's universal-relation
     /// interpretation joins every object.  Exponential in the worst case —
     /// this is the naive baseline the canonical-connection and Yannakakis
-    /// query paths are compared against.  Runs [`ExecCtx::full_join`] on the
-    /// sequential hash kernel with nobody watching.
+    /// query paths are compared against.  Runs [`ExecCtx::full_join`] with
+    /// nobody watching.
     pub fn full_join(&self) -> Relation {
-        unfail(ExecCtx::new(&ExecPolicy::sequential(JoinStrategy::Hash)).full_join(self))
+        unfail(ExecCtx::new().full_join(self))
     }
 }
 
 impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// The natural join of *all* of `db`'s relations, folded in schema-edge
-    /// order: each binary join runs under the policy, records into the
-    /// metrics sink, and is checkpointed against the governor with its
-    /// output charged to the memory budget ([`ExecCtx::join`]).
+    /// order: each binary join records into the metrics sink and is
+    /// checkpointed against the governor with its output charged to the
+    /// memory budget ([`ExecCtx::join`]).
     pub fn full_join(&self, db: &Database) -> Result<Relation, EngineError> {
         let mut it = db.relations.iter();
         let Some(first) = it.next() else {

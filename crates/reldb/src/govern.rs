@@ -22,7 +22,7 @@
 //! | [`Governor::approve_alloc`] | before building hash tables / sort permutations, per output batch, per materialized bag | one batch of over-budget output |
 //!
 //! A pipeline's one entry point takes the governor inside its
-//! [`ExecCtx`](crate::ExecCtx) (`ExecCtx::new(&policy).gov(&gov)`) and is
+//! [`ExecCtx`](crate::ExecCtx) (`ExecCtx::new().gov(&gov)`) and is
 //! monomorphized per governor type, so the default [`NoopGovernor`] compiles
 //! to nothing — its checkpoint methods are `#[inline] Ok(())` bodies the
 //! optimizer erases, and anything with a runtime cost of its own is gated on

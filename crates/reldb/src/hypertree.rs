@@ -2,15 +2,15 @@
 //! decomposition, then run the ordinary Yannakakis pipeline over the bag
 //! tree.
 //!
-//! A cyclic schema has no join tree, so [`yannakakis_join_with`](crate::yannakakis_join_with) cannot run
-//! on it directly.  The remedy is the classic reduction to the acyclic
+//! A cyclic schema has no join tree, so [`ExecCtx::yannakakis_join`] cannot
+//! run on it directly.  The remedy is the classic reduction to the acyclic
 //! case, with the structural half supplied by the [`decomp`] crate:
 //!
 //! 1. **decompose** — triangulate the schema's primal graph into maximal-
 //!    clique *bags* with a running-intersection tree
 //!    ([`decompose()`](decomp::decompose()));
 //! 2. **materialize** — bags build one at a time, children before parents
-//!    along the bag tree ([`materialize_bags`]).  Each bag becomes one
+//!    along the bag tree ([`ExecCtx::materialize_bags`]).  Each bag becomes one
 //!    relation: the join of the original relations in its cover (assigned
 //!    edges joined whole, extra overlapping edges projected down) and of one
 //!    *message* per child — the already-built child bag projected onto the
@@ -47,8 +47,8 @@
 //! decomposition path accordingly.
 
 use crate::database::Database;
-use crate::exec::{ExecCtx, ExecPolicy};
-use crate::govern::{contain_panics, unfail, EngineError, Governor};
+use crate::exec::ExecCtx;
+use crate::govern::{contain_panics, EngineError, Governor};
 use crate::metrics::{timed, MetricsSink, Phase};
 use crate::relation::Relation;
 use acyclic::{join_tree, JoinTree};
@@ -237,13 +237,6 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     }
 }
 
-/// [`ExecCtx::materialize_bags`] with nobody watching, under an explicit
-/// [`ExecPolicy`].
-// pinned by benchmark/src/layers.rs
-pub fn materialize_bags(db: &Database, d: &Decomposition, policy: &ExecPolicy) -> Database {
-    unfail(ExecCtx::new(policy).materialize_bags(db, d))
-}
-
 /// Both heuristics' decompositions of one cyclic schema, in preference
 /// order, plus the width evidence a metered query reports.
 #[derive(Debug)]
@@ -372,7 +365,7 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     ///
     /// ```
     /// use hypergraph::{EdgeId, Hypergraph};
-    /// use reldb::{Database, ExecCtx, ExecPolicy, Tuple};
+    /// use reldb::{Database, ExecCtx, Tuple};
     ///
     /// // A triangle: cyclic, so no join tree exists — the decomposition path
     /// // still answers the query.
@@ -390,8 +383,7 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// db.insert(EdgeId(2), Tuple::from_pairs([(a, 9), (c, 9)])); // dangling
     ///
     /// let out = db.attributes(["A", "C"]).unwrap();
-    /// let policy = ExecPolicy::default();
-    /// let answer = ExecCtx::new(&policy).query_yannakakis(&db, &out).unwrap();
+    /// let answer = ExecCtx::new().query_yannakakis(&db, &out).unwrap();
     /// assert_eq!(answer.len(), 1);
     /// assert!(!db.is_acyclic());
     /// ```
@@ -433,7 +425,6 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::JoinStrategy;
     use crate::metrics::CollectingSink;
     use crate::relation::Tuple;
     use crate::universal::{query_via_full_join, query_yannakakis};
@@ -487,18 +478,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn policies_agree_on_the_cyclic_path() {
-        let db = ring4_db();
-        let all = db.schema().nodes();
-        let want = ExecCtx::new(&ExecPolicy::sequential(JoinStrategy::Hash))
-            .query_yannakakis(&db, &all)
-            .unwrap();
-        let auto = ExecPolicy::sequential(JoinStrategy::Auto);
-        let got = ExecCtx::new(&auto).query_yannakakis(&db, &all).unwrap();
-        assert!(got.same_contents(&want), "diverged under Auto");
-    }
-
     /// A chain `A–B–C` with one dangling tuple.
     fn chain_db() -> Database {
         let h = Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"]]).unwrap();
@@ -536,10 +515,9 @@ mod tests {
     fn a_metered_cyclic_query_reports_the_same_widths_and_stages_every_time() {
         let db = ring4_db();
         let x = db.attributes(["A", "C"]).unwrap();
-        let policy = ExecPolicy::default();
         let run = || {
             let sink = CollectingSink::new();
-            let got = ExecCtx::new(&policy)
+            let got = ExecCtx::new()
                 .metrics(&sink)
                 .query_yannakakis(&db, &x)
                 .unwrap();
@@ -594,7 +572,7 @@ mod tests {
         let db = ring4_db();
         let d = decompose(db.schema(), Heuristic::MinFill).unwrap();
         assert!(d.verify(db.schema()));
-        let bag_db = materialize_bags(&db, &d, &ExecPolicy::sequential(JoinStrategy::Hash));
+        let bag_db = ExecCtx::new().materialize_bags(&db, &d).unwrap();
         assert_eq!(bag_db.relations().len(), d.bag_count());
         for (bag, rel) in d.bags().edges().iter().zip(bag_db.relations()) {
             assert_eq!(rel.attributes(), &bag.nodes);
@@ -653,7 +631,7 @@ mod tests {
         let db = ring4_db();
         let d = decompose(db.schema(), Heuristic::MinDegree).unwrap();
         let all = db.schema().nodes();
-        let got = ExecCtx::new(&ExecPolicy::default())
+        let got = ExecCtx::new()
             .yannakakis_join_decomposed(&db, &d, &all)
             .unwrap();
         assert!(got.same_contents(&query_via_full_join(&db, &all)));

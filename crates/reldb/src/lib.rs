@@ -25,9 +25,9 @@
 //!   ([`is_pairwise_consistent`], [`is_globally_consistent`]).
 //!
 //! Each pipeline has one generic entry point, a method on [`ExecCtx`] — the
-//! [`ExecPolicy`] plus the metrics and governance sinks, both no-ops by
-//! default — and at most one plain wrapper beside it (the functions named
-//! above) that runs it with nobody watching.
+//! metrics and governance sinks, both no-ops by default — and at most one
+//! plain wrapper beside it (the functions named above) that runs it with
+//! nobody watching.
 //!
 //! # Module map
 //!
@@ -40,7 +40,8 @@
 //! | `yannakakis` | the Yannakakis full reducer, and queries answered from the join subtree covering `X` after the upward pass, level by level in every pass (§7's efficiency payoff) |
 //! | [`hypertree`] | cyclic schemas: bag materialization over a hypertree decomposition (`decomp` crate), the per-database plan (join tree or decompositions, built once from the schema) and the one Yannakakis entry point [`ExecCtx::query_yannakakis`], which routes by it |
 //! | [`snapshot`] | the versioned binary snapshot format behind [`Database::save_snapshot`] / [`Database::load_snapshot`] — scale-up loads in milliseconds instead of re-parsing text |
-//! | [`exec`] | [`ExecCtx`] (the one execution context every pipeline entry point is a method of), [`ExecPolicy`] and [`JoinStrategy`], which no kernel reads: every join hashes; every query runs on its caller's thread |
+//! | [`exec`] | [`ExecCtx`], the one execution context every pipeline entry point is a method of: the metrics and governance sinks, nothing else — every join hashes and every query runs on its caller's thread, whoever calls |
+//! | `harness` | what the frozen benchmark harness under `benchmark/` names and the engine does not use: a policy type, a strategy enum and seven forwards that accept and ignore them, re-exported at the crate root |
 //! | [`metrics`] | zero-cost-when-off observability: the [`MetricsSink`] an [`ExecCtx`] carries into every kernel and stage — counters per operation, wall clock per stage level (decompose → materialize → reduce → join) — collected into a [`QueryMetrics`] report, a struct and a text table; its JSON document is rendered by `hyperqd::protocol` |
 //! | [`govern`] | zero-cost-when-off governance: the [`Governor`] checkpoints (cancellation, deadlines, memory budgets) an [`ExecCtx`] carries into every kernel, structured [`EngineError`] aborts, and the `failpoints` fault-injection harness |
 //! | `consistency` | pairwise vs. global consistency and repairs — the semantic characterization of acyclicity (§7) |
@@ -70,6 +71,7 @@ mod consistency;
 mod database;
 pub mod exec;
 pub mod govern;
+mod harness;
 pub mod hypertree;
 pub mod metrics;
 mod pool;
@@ -84,30 +86,30 @@ pub use consistency::{
     dangling_report, is_globally_consistent, is_pairwise_consistent, make_globally_consistent,
 };
 pub use database::{Database, DbError};
-pub use exec::{ExecCtx, ExecPolicy, JoinStrategy};
+pub use exec::ExecCtx;
 pub use govern::{CancelToken, EngineError, Governor, NoopGovernor, QueryGovernor};
 #[cfg(feature = "failpoints")]
 pub use govern::{FailMode, FailpointGovernor};
-pub use hypertree::materialize_bags;
+pub use harness::{
+    full_reduce_with, materialize_bags, query_via_full_join_metered, query_yannakakis_governed,
+    query_yannakakis_metered, yannakakis_join_with, ExecPolicy, JoinStrategy,
+};
 pub use metrics::{CollectingSink, MetricsSink, NoopMetrics, Phase, QueryMetrics};
 pub use pool::ValuePool;
 pub use relation::{sort_ids_by_key, Relation, Tuple};
 pub use snapshot::is_snapshot;
 pub use universal::{
-    plan_connection, query_via_connection, query_via_full_join, query_via_full_join_metered,
-    query_yannakakis, query_yannakakis_governed, query_yannakakis_metered, ConnectionPlan,
+    plan_connection, query_via_connection, query_via_full_join, query_yannakakis, ConnectionPlan,
 };
 pub use value::Value;
-pub use yannakakis::{
-    full_reduce, full_reduce_with, yannakakis_join, yannakakis_join_with, Reduced,
-};
+pub use yannakakis::{full_reduce, yannakakis_join, Reduced};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::{
-        full_reduce, full_reduce_with, is_globally_consistent, is_pairwise_consistent,
-        plan_connection, query_via_connection, query_via_full_join, query_yannakakis,
-        yannakakis_join, yannakakis_join_with, CancelToken, Database, DbError, EngineError,
-        ExecCtx, ExecPolicy, JoinStrategy, NoopGovernor, QueryGovernor, Relation, Tuple, Value,
+        full_reduce, is_globally_consistent, is_pairwise_consistent, plan_connection,
+        query_via_connection, query_via_full_join, query_yannakakis, yannakakis_join, CancelToken,
+        Database, DbError, EngineError, ExecCtx, NoopGovernor, QueryGovernor, Relation, Tuple,
+        Value,
     };
 }

@@ -5,7 +5,7 @@
 //! trait threaded generically through the relation kernels, the Yannakakis
 //! reducer/join and bag materialization.
 //! A pipeline's one entry point takes the sink inside its
-//! [`ExecCtx`](crate::ExecCtx) (`ExecCtx::new(&policy).metrics(&sink)`) and
+//! [`ExecCtx`](crate::ExecCtx) (`ExecCtx::new().metrics(&sink)`) and
 //! is monomorphized per sink type, so the default [`NoopMetrics`] sink
 //! compiles to *nothing*: its recording methods are empty `#[inline]` bodies
 //! the optimizer erases, and everything with a runtime cost of its own
@@ -21,7 +21,7 @@
 //! |---|---|---|
 //! | per-op counters: tuples probed / kept / built, build-side rows, kernel that ran | join/semijoin kernels ([`OpMetrics`]) | [`QueryMetrics::joins`], [`QueryMetrics::semijoins`] |
 //! | per-stage wall timings (decompose, bag materialization, each reducer and join level, each engine) | every stage, through [`timed`] | [`QueryMetrics::levels`] |
-//! | bag materialization sizes | [`materialize_bags`](crate::materialize_bags) | [`QueryMetrics::bags`] |
+//! | bag materialization sizes | [`ExecCtx::materialize_bags`](crate::ExecCtx::materialize_bags) | [`QueryMetrics::bags`] |
 //! | dedup-index rebuilds saved by deferral | the reducer | [`QueryMetrics::index_rebuilds`] |
 //! | min-fill vs. min-degree decomposition widths | [`ExecCtx::query_yannakakis`](crate::ExecCtx::query_yannakakis) | [`QueryMetrics::widths`] |
 //!
@@ -363,7 +363,7 @@ impl QueryMetrics {
 ///
 /// ```
 /// use reldb::metrics::{CollectingSink, MetricsSink};
-/// use reldb::{Database, ExecCtx, ExecPolicy, Tuple};
+/// use reldb::{Database, ExecCtx, Tuple};
 /// use hypergraph::{EdgeId, Hypergraph};
 /// use acyclic::join_tree;
 ///
@@ -380,8 +380,7 @@ impl QueryMetrics {
 ///
 /// let tree = join_tree(db.schema()).unwrap();
 /// let sink = CollectingSink::new();
-/// let policy = ExecPolicy::default();
-/// let reduced = ExecCtx::new(&policy).metrics(&sink).full_reduce(&db, &tree).unwrap();
+/// let reduced = ExecCtx::new().metrics(&sink).full_reduce(&db, &tree).unwrap();
 /// let report = sink.snapshot();
 /// assert_eq!(reduced.total_removed(), 1);
 /// assert!(report.semijoins.ops > 0);

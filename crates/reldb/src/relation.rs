@@ -27,14 +27,12 @@
 //! # Semijoin kernels
 //!
 //! Every semijoin computes a keep-mask first and moves rows only once the
-//! mask is complete.  The inputs alone choose the mask kernel, under every
-//! [`ExecPolicy`](crate::ExecPolicy): **dense** — a direct-address bitset
-//! over the packed handle key space — whenever that space fits
-//! (`pool.len()^k` at most eight bits per input row, i.e. the bitset never
-//! outweighs one byte per row it serves; wider or overflowing key spaces
-//! would cost more to zero and miss in cache than the sort they replace),
-//! else **sort-merge**.  A join has one kernel, hash build + probe, under
-//! every [`JoinStrategy`].
+//! mask is complete.  The inputs alone choose the mask kernel: **dense** — a
+//! direct-address bitset over the packed handle key space — whenever that
+//! space fits (`pool.len()^k` at most eight bits per input row, i.e. the
+//! bitset never outweighs one byte per row it serves; wider or overflowing
+//! key spaces would cost more to zero and miss in cache than the sort they
+//! replace), else **sort-merge**.  A join has one kernel, hash build + probe.
 //!
 //! # Set semantics
 //!
@@ -57,7 +55,7 @@
 //! [`Tuple`] remains the boundary type for building and reading individual
 //! tuples; it is decoded from / encoded into rows only at the edges.
 
-use crate::exec::{ExecCtx, JoinStrategy};
+use crate::exec::ExecCtx;
 use crate::govern::{unfail, EngineError, Governor, NoopGovernor, CHECK_BATCH};
 use crate::metrics::{Kernel, MetricsSink, NoopMetrics, OpKind, OpMetrics};
 use crate::pool::{ValuePool, NO_HANDLE};
@@ -939,14 +937,6 @@ impl Relation {
         unfail(self.join_impl(other, &NoopMetrics, &NoopGovernor))
     }
 
-    /// [`Relation::join`]: every [`JoinStrategy`] runs the one hash kernel.
-    /// The parameter stays only because the benchmark harness under
-    /// `benchmark/` calls this with an explicit strategy.
-    // pinned by benchmark/src/layers.rs
-    pub fn join_with(&self, other: &Relation, _strategy: JoinStrategy) -> Relation {
-        self.join(other)
-    }
-
     fn join_impl<M: MetricsSink, G: Governor>(
         &self,
         other: &Relation,
@@ -1299,9 +1289,8 @@ impl Relation {
     /// The keep-mask comes from the dense kernel (a bitset over the packed
     /// handle key space) whenever `pool.len()^k` is at most eight bits per
     /// input row of the two operands, and from sort-merge otherwise — a
-    /// sparser key space makes the bitset dearer than the sort.  No policy
-    /// changes that choice; [`ExecCtx::retain_semijoin`] is the form that
-    /// takes sinks.
+    /// sparser key space makes the bitset dearer than the sort.
+    /// [`ExecCtx::retain_semijoin`] is the form that takes sinks.
     pub fn retain_semijoin(&mut self, other: &Relation) -> usize {
         unfail(self.retain_semijoin_impl(other, &NoopMetrics, &NoopGovernor))
     }
@@ -1456,8 +1445,7 @@ impl Relation {
 }
 
 /// The single-operator entry points.  They peel the context at the door:
-/// the kernels underneath take exactly the sink and governor they read —
-/// no kernel reads the policy.
+/// the kernels underneath take the sink and the governor.
 impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// Natural join `left ⋈ right` ([`Relation::join`]), recording one
     /// [`OpMetrics`] into the metrics sink.  The join aborts with the
@@ -1469,9 +1457,8 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     }
 
     /// In-place semijoin `target ⋉ other` ([`Relation::retain_semijoin`]
-    /// documents the kernels, which no policy changes), recording one
-    /// semijoin [`OpMetrics`] into the metrics sink.  Returns the number of
-    /// tuples removed.
+    /// documents the kernels), recording one semijoin [`OpMetrics`] into the
+    /// metrics sink.  Returns the number of tuples removed.
     ///
     /// All governor checkpoints fire during the read-only mask computation;
     /// the in-place compaction runs unconditionally after the mask is
@@ -1688,17 +1675,13 @@ mod tests {
         assert_eq!(r.join(&s).len(), 6);
     }
 
-    /// Every strategy joins to the oracle's tuples, from either side.
+    /// The join gives the oracle's tuples, from either side.
     #[test]
     fn sort_merge_join_matches_hash_join() {
         let (_, r, s) = setup();
-        let hash = r.join_with(&s, JoinStrategy::Hash);
-        assert!(naive_join(&r, &s).agrees_with(&hash));
-        // Also with the sides flipped and under Auto.
-        for strategy in [JoinStrategy::Hash, JoinStrategy::Auto] {
-            assert!(s.join_with(&r, strategy).same_contents(&hash));
-            assert!(r.join_with(&s, strategy).same_contents(&hash));
-        }
+        let joined = r.join(&s);
+        assert!(naive_join(&r, &s).agrees_with(&joined));
+        assert!(s.join(&r).same_contents(&joined));
     }
 
     /// `r ⋈ s` by the reference oracle.
@@ -1904,7 +1887,7 @@ mod tests {
     fn metered_semijoin(r: &Relation, s: &Relation) -> (Relation, crate::metrics::OpAgg) {
         let sink = crate::metrics::CollectingSink::new();
         let mut out = r.clone();
-        ExecCtx::new(&crate::ExecPolicy::default())
+        ExecCtx::new()
             .metrics(&sink)
             .retain_semijoin(&mut out, s)
             .unwrap();

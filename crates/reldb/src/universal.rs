@@ -19,7 +19,7 @@
 //!   (the naive baseline).
 
 use crate::database::Database;
-use crate::exec::{ExecCtx, ExecPolicy};
+use crate::exec::ExecCtx;
 use crate::govern::{contain_panics, unfail, EngineError, Governor};
 use crate::metrics::{timed, MetricsSink, Phase};
 use crate::relation::Relation;
@@ -73,7 +73,7 @@ pub fn plan_connection(schema: &Hypergraph, x: &NodeSet) -> ConnectionPlan {
 /// [`EngineError::WorkerPanic`], never as an unwind through the caller.
 impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// Answers the query `π_X (⋈ of the objects in CC(X))`: every join
-    /// executed under the policy, recorded into the metrics sink,
+    /// recorded into the metrics sink,
     /// checkpointed against the governor with its output charged to the
     /// memory budget.  The whole join-then-project plan is timed as one
     /// [`Phase::Join`] entry at level 0 (this engine has no reducer phases
@@ -114,65 +114,21 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     }
 }
 
-/// [`ExecCtx::query_via_connection`] with nobody watching, under the default
-/// [`ExecPolicy`].
+/// [`ExecCtx::query_via_connection`] with nobody watching.
 pub fn query_via_connection(db: &Database, x: &NodeSet) -> Relation {
-    unfail(ExecCtx::new(&ExecPolicy::default()).query_via_connection(db, x))
+    unfail(ExecCtx::new().query_via_connection(db, x))
 }
 
-/// [`ExecCtx::query_via_full_join`] with nobody watching, on the sequential
-/// hash kernel ([`Database::full_join`]) — the baseline the tests and the
-/// bench compare every other engine with.
+/// [`ExecCtx::query_via_full_join`] with nobody watching
+/// ([`Database::full_join`]) — the baseline the tests and the bench compare
+/// every other engine with.
 pub fn query_via_full_join(db: &Database, x: &NodeSet) -> Relation {
     db.full_join().into_project(x)
 }
 
-/// [`ExecCtx::query_via_full_join`] under `policy`, recording into `sink`.
-// pinned by benchmark/src/workloads.rs
-pub fn query_via_full_join_metered<M: MetricsSink>(
-    db: &Database,
-    x: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-) -> Relation {
-    unfail(
-        ExecCtx::new(policy)
-            .metrics(sink)
-            .query_via_full_join(db, x),
-    )
-}
-
-/// [`ExecCtx::query_yannakakis`] with nobody watching, under the default
-/// [`ExecPolicy`].
+/// [`ExecCtx::query_yannakakis`] with nobody watching.
 pub fn query_yannakakis(db: &Database, x: &NodeSet) -> Result<Relation, EngineError> {
-    ExecCtx::new(&ExecPolicy::default()).query_yannakakis(db, x)
-}
-
-/// [`ExecCtx::query_yannakakis`] under `policy`, recording into `sink`.
-// pinned by benchmark/src/layers.rs
-pub fn query_yannakakis_metered<M: MetricsSink>(
-    db: &Database,
-    x: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-) -> Result<Relation, EngineError> {
-    ExecCtx::new(policy).metrics(sink).query_yannakakis(db, x)
-}
-
-/// [`ExecCtx::query_yannakakis`] under `policy`, recording into `sink` and
-/// checkpointed against `gov`.
-// pinned by benchmark/src/layers.rs
-pub fn query_yannakakis_governed<M: MetricsSink, G: Governor>(
-    db: &Database,
-    x: &NodeSet,
-    policy: &ExecPolicy,
-    sink: &M,
-    gov: &G,
-) -> Result<Relation, EngineError> {
-    ExecCtx::new(policy)
-        .metrics(sink)
-        .gov(gov)
-        .query_yannakakis(db, x)
+    ExecCtx::new().query_yannakakis(db, x)
 }
 
 #[cfg(test)]
@@ -336,8 +292,7 @@ mod tests {
     fn every_engine_contains_a_panic_whatever_the_sinks() {
         let db = fig1_db();
         let x = db.attributes(["A", "D"]).unwrap();
-        let policy = ExecPolicy::default();
-        let ctx = ExecCtx::new(&policy).metrics(&PanickingSink);
+        let ctx = ExecCtx::new().metrics(&PanickingSink);
         for (engine, got) in [
             ("connection", ctx.query_via_connection(&db, &x)),
             ("naive", ctx.query_via_full_join(&db, &x)),

@@ -28,7 +28,7 @@
 //! its parent reads it.
 
 use crate::database::Database;
-use crate::exec::{ExecCtx, ExecPolicy};
+use crate::exec::ExecCtx;
 use crate::govern::{unfail, EngineError, Governor};
 use crate::metrics::{timed, MetricsSink, Phase};
 use crate::relation::Relation;
@@ -198,9 +198,9 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// the path from the root to `S`, the smallest connected subtree whose
     /// edges cover `output` ([`JoinTree::connection_subtree`]), and inside
     /// `S`, and the bottom-up join only inside `S` — none at all when `S`
-    /// is one edge, whose reduced relation is then projected.  The policy
-    /// picks the physical join strategy ([`crate::JoinStrategy`]) for every
-    /// join; the reducer's semijoins choose their kernel from their inputs.
+    /// is one edge, whose reduced relation is then projected.  Every join
+    /// hashes; the reducer's semijoins choose their kernel from their
+    /// inputs.
     ///
     /// The metrics sink receives per-semijoin and per-join counters and one
     /// wall timing per level of each stage that runs; the governor is
@@ -308,33 +308,18 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     }
 }
 
-/// [`ExecCtx::full_reduce`] with nobody watching, under the default
-/// [`ExecPolicy`].
+/// [`ExecCtx::full_reduce`] with nobody watching.
 pub fn full_reduce(db: &Database, tree: &JoinTree) -> Reduced {
-    full_reduce_with(db, tree, &ExecPolicy::default())
+    unfail(ExecCtx::new().full_reduce(db, tree))
 }
 
-/// [`ExecCtx::full_reduce`] with nobody watching, under an explicit
-/// [`ExecPolicy`].
-// pinned by benchmark/src/layers.rs
-pub fn full_reduce_with(db: &Database, tree: &JoinTree, policy: &ExecPolicy) -> Reduced {
-    unfail(ExecCtx::new(policy).full_reduce(db, tree))
-}
-
-/// [`ExecCtx::yannakakis_join`] with nobody watching, under the default
-/// [`ExecPolicy`].
-pub fn yannakakis_join(db: &Database, tree: &JoinTree, output: &NodeSet) -> Relation {
-    yannakakis_join_with(db, tree, output, &ExecPolicy::default())
-}
-
-/// [`ExecCtx::yannakakis_join`] with nobody watching, under an explicit
-/// [`ExecPolicy`].
+/// [`ExecCtx::yannakakis_join`] with nobody watching.
 ///
 /// # Examples
 ///
 /// ```
 /// use hypergraph::{EdgeId, Hypergraph};
-/// use reldb::{yannakakis_join_with, Database, ExecPolicy, JoinStrategy, Tuple};
+/// use reldb::{yannakakis_join, Database, Tuple};
 /// use acyclic::join_tree;
 ///
 /// let schema = Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"]]).unwrap();
@@ -350,19 +335,11 @@ pub fn yannakakis_join(db: &Database, tree: &JoinTree, output: &NodeSet) -> Rela
 ///
 /// let tree = join_tree(db.schema()).expect("chain schemas are acyclic");
 /// let output = db.attributes(["A", "C"]).unwrap();
-/// // An explicit strategy; the default policy gives the same rows.
-/// let policy = ExecPolicy::sequential(JoinStrategy::Hash);
-/// let answer = yannakakis_join_with(&db, &tree, &output, &policy);
+/// let answer = yannakakis_join(&db, &tree, &output);
 /// assert_eq!(answer.len(), 1);
 /// ```
-// pinned by benchmark/src/layers.rs
-pub fn yannakakis_join_with(
-    db: &Database,
-    tree: &JoinTree,
-    output: &NodeSet,
-    policy: &ExecPolicy,
-) -> Relation {
-    unfail(ExecCtx::new(policy).yannakakis_join(db, tree, output))
+pub fn yannakakis_join(db: &Database, tree: &JoinTree, output: &NodeSet) -> Relation {
+    unfail(ExecCtx::new().yannakakis_join(db, tree, output))
 }
 
 #[cfg(test)]
@@ -509,59 +486,42 @@ mod tests {
         db
     }
 
-    /// Every strategy reduces the snowflake (a tree with multi-edge levels)
-    /// to the same relations, and its full pipeline agrees with the naive
+    /// The snowflake (a tree with multi-edge levels) reduces to the
+    /// oracle's relations, and its full pipeline agrees with the naive
     /// join.
     #[test]
     fn snowflake_strategies_agree_with_sequential() {
-        use crate::exec::{ExecPolicy, JoinStrategy};
         let db = snowflake_db();
         let tree = join_tree(db.schema()).unwrap();
         assert!(tree.levels().iter().any(|l| l.len() > 1));
-        let policies = [JoinStrategy::Hash, JoinStrategy::Auto].map(ExecPolicy::sequential);
-        let baseline = full_reduce_with(&db, &tree, &policies[0]);
-        for policy in &policies[1..] {
-            let got = full_reduce_with(&db, &tree, policy);
-            assert_eq!(
-                got.removed, baseline.removed,
-                "removed counts diverged under {policy:?}"
-            );
-            for (b, g) in baseline.relations.iter().zip(&got.relations) {
-                assert!(b.same_contents(g), "relations diverged under {policy:?}");
-            }
+        let got = full_reduce(&db, &tree);
+        let (want, removed) = crate::reference::naive_full_reduce(&db, &tree);
+        assert_eq!(got.removed, removed, "removed counts diverged");
+        for (w, g) in want.iter().zip(&got.relations) {
+            assert!(w.agrees_with(g), "relations diverged");
         }
         let all = db.schema().nodes();
         let naive = query_via_full_join(&db, &all);
-        for policy in &policies {
-            let fast = yannakakis_join_with(&db, &tree, &all, policy);
-            assert!(
-                fast.same_contents(&naive),
-                "pipeline diverged under {policy:?}"
-            );
-        }
+        assert!(yannakakis_join(&db, &tree, &all).same_contents(&naive));
     }
 
-    /// Every strategy's join phase produces tuple-for-tuple the hash
-    /// engine's projections and the naive join's, not just the full output
-    /// (projection decisions happen per subtree).
+    /// The join phase produces tuple-for-tuple the oracle's and the naive
+    /// join's projections, not just the full output (projection decisions
+    /// happen per subtree).
     #[test]
     fn join_strategies_match_sequential_on_projections() {
-        use crate::exec::{ExecPolicy, JoinStrategy};
         let db = snowflake_db();
         let tree = join_tree(db.schema()).unwrap();
-        let hash = ExecPolicy::sequential(JoinStrategy::Hash);
         for attrs in [vec!["K0", "D10"], vec!["D0", "D1"], vec!["K0"]] {
             let output = db.attributes(attrs.iter().copied()).unwrap();
-            let want = yannakakis_join_with(&db, &tree, &output, &hash);
+            let got = yannakakis_join(&db, &tree, &output);
             assert!(
-                want.same_contents(&query_via_full_join(&db, &output)),
+                got.same_contents(&query_via_full_join(&db, &output)),
                 "projection {attrs:?} diverged from the naive join"
             );
-            let auto = ExecPolicy::sequential(JoinStrategy::Auto);
-            let got = yannakakis_join_with(&db, &tree, &output, &auto);
             assert!(
-                want.same_contents(&got),
-                "projection {attrs:?} diverged under Auto"
+                crate::reference::naive_yannakakis_join(&db, &tree, &output).agrees_with(&got),
+                "projection {attrs:?} diverged from the oracle"
             );
         }
     }

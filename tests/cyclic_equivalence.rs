@@ -12,8 +12,7 @@ use acyclic_hypergraphs::decomp::{decompose, Heuristic};
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::reference::naive_full_join;
 use acyclic_hypergraphs::reldb::{
-    materialize_bags, query_via_full_join, query_yannakakis, Database, ExecCtx, ExecPolicy,
-    JoinStrategy, Relation, Tuple, Value,
+    query_via_full_join, query_yannakakis, Database, ExecCtx, Relation, Tuple, Value,
 };
 use acyclic_hypergraphs::workload::{hyper_ring, pair_clique, random_database, ring, DataParams};
 use proptest::prelude::*;
@@ -81,8 +80,8 @@ proptest! {
         );
     }
 
-    /// Every join strategy and both elimination heuristics produce the
-    /// identical answer.
+    /// The plan's pick and both elimination heuristics produce the
+    /// oracle's answer.
     #[test]
     fn cyclic_policies_and_heuristics_agree(
         family in 0usize..3,
@@ -94,14 +93,12 @@ proptest! {
         let db = db_for(family, shape, tuples, domain, seed);
         let all = db.schema().nodes();
         let want = oracle(&db, &all);
-        for policy in [JoinStrategy::Hash, JoinStrategy::Auto].map(ExecPolicy::sequential) {
-            let got = ExecCtx::new(&policy).query_yannakakis(&db, &all).expect("decomposable");
-            prop_assert!(want.agrees_with(&got), "diverged under {:?}", policy);
-        }
+        let got = ExecCtx::new().query_yannakakis(&db, &all).expect("decomposable");
+        prop_assert!(want.agrees_with(&got), "diverged from the oracle");
         for heuristic in [Heuristic::MinFill, Heuristic::MinDegree] {
             let d = decompose(db.schema(), heuristic).expect("nonempty schema");
             prop_assert!(d.verify(db.schema()), "decomposition must verify");
-            let got = ExecCtx::new(&ExecPolicy::default())
+            let got = ExecCtx::new()
                 .yannakakis_join_decomposed(&db, &d, &all)
                 .expect("nobody can abort");
             prop_assert!(want.agrees_with(&got), "diverged under {:?}", heuristic);
@@ -120,7 +117,7 @@ proptest! {
     ) {
         let db = db_for(family, shape, tuples, domain, seed);
         let d = decompose(db.schema(), Heuristic::MinFill).expect("nonempty schema");
-        let bag_db = materialize_bags(&db, &d, &ExecPolicy::default());
+        let bag_db = ExecCtx::new().materialize_bags(&db, &d).expect("nobody can abort");
         let all = db.schema().nodes();
         prop_assert!(
             oracle(&db, &all).agrees_with(&bag_db.full_join().project(&all)),

@@ -14,8 +14,8 @@ use acyclic_hypergraphs::reldb::reference::{
     naive_full_join, naive_full_reduce, naive_yannakakis_join, NaiveRelation,
 };
 use acyclic_hypergraphs::reldb::{
-    full_reduce, full_reduce_with, yannakakis_join, yannakakis_join_with, CollectingSink, Database,
-    EngineError, ExecCtx, ExecPolicy, Governor, JoinStrategy, Relation, Tuple, Value,
+    full_reduce, yannakakis_join, CollectingSink, Database, EngineError, ExecCtx, Governor,
+    Relation, Tuple, Value,
 };
 use acyclic_hypergraphs::workload::{
     chain, far_apart, hyper_ring, pair_clique, random_database, ring, snowflake, snowflake_tree,
@@ -228,18 +228,16 @@ proptest! {
         prop_assert!(s_own.same_contents(&s_shared) && s_shared.same_contents(&s_own));
         prop_assert!(r.semijoin(&s_own).same_contents(&r.semijoin(&s_shared)));
         prop_assert_eq!(lens(), before);
-        // Every strategy's join translates handles into the reference's
-        // answer and the shared-pool one.
+        // The join translates handles into the reference's answer and the
+        // shared-pool one.
         let naive = NaiveRelation::from_relation(&r).join(&NaiveRelation::from_relation(&s_own));
-        for strategy in STRATEGIES {
-            let joined = r.join_with(&s_own, strategy);
-            prop_assert!(naive.agrees_with(&joined), "{:?} diverged from oracle", strategy);
-            prop_assert!(joined.same_contents(&r.join(&s_shared)));
-        }
+        let joined = r.join(&s_own);
+        prop_assert!(naive.agrees_with(&joined), "cross-pool join diverged from oracle");
+        prop_assert!(joined.same_contents(&r.join(&s_shared)));
     }
 
-    /// The full reducer removes exactly the reference oracle's tuples under
-    /// every strategy, across schema families (fanout trees have multi-edge
+    /// The full reducer removes exactly the reference oracle's tuples,
+    /// across schema families (fanout trees have multi-edge
     /// levels) and Zipf-skewed data.
     #[test]
     fn full_reduce_strategies_match_reference_on_skewed_data(
@@ -253,17 +251,14 @@ proptest! {
         let db = db_for_skewed(family, shape, tuples, domain, skew_tenths as f64 / 10.0, seed);
         let tree = join_tree(db.schema()).expect("generator schemas are acyclic");
         let (naive_rels, naive_removed) = naive_full_reduce(&db, &tree);
-        for strategy in STRATEGIES {
-            let fast = full_reduce_with(&db, &tree, &ExecPolicy::sequential(strategy));
-            prop_assert_eq!(&fast.removed, &naive_removed, "{:?} removed counts", strategy);
-            for (n, f) in naive_rels.iter().zip(&fast.relations) {
-                prop_assert!(n.agrees_with(f), "{strategy:?} reducer diverged from oracle");
-            }
+        let fast = full_reduce(&db, &tree);
+        prop_assert_eq!(&fast.removed, &naive_removed, "removed counts");
+        for (n, f) in naive_rels.iter().zip(&fast.relations) {
+            prop_assert!(n.agrees_with(f), "reducer diverged from oracle");
         }
     }
 
-    /// Every join strategy agrees with the reference oracle, and the
-    /// semijoin (dense or sort-merge) with the oracle, including on
+    /// The join agrees with the reference oracle, and the semijoin (dense or sort-merge) with the oracle, including on
     /// Zipf-skewed (high-duplicate) data.
     #[test]
     fn sort_merge_kernels_match_hash_and_reference(
@@ -279,13 +274,10 @@ proptest! {
         let naive: Vec<NaiveRelation> = rels.iter().map(NaiveRelation::from_relation).collect();
         for i in 0..rels.len() {
             for j in 0..rels.len() {
-                let naive_join = naive[i].join(&naive[j]);
-                for strategy in STRATEGIES {
-                    prop_assert!(
-                        naive_join.agrees_with(&rels[i].join_with(&rels[j], strategy)),
-                        "{strategy:?} join diverged on relations {i}×{j}"
-                    );
-                }
+                prop_assert!(
+                    naive[i].join(&naive[j]).agrees_with(&rels[i].join(&rels[j])),
+                    "join diverged on relations {i}×{j}"
+                );
                 prop_assert!(
                     naive[i].semijoin(&naive[j]).agrees_with(&rels[i].semijoin(&rels[j])),
                     "semijoin diverged on relations {i}⋉{j}"
@@ -294,10 +286,9 @@ proptest! {
         }
     }
 
-    /// The bottom-up join is tuple-for-tuple identical under every strategy
-    /// to the hash engine, and the hash engine agrees with the reference
-    /// oracle, across schema families (fanout snowflake trees have
-    /// multi-edge levels), Zipf-skewed data and random projections.
+    /// The bottom-up join agrees with the reference oracle, across schema
+    /// families (fanout snowflake trees have multi-edge levels), Zipf-skewed
+    /// data and random projections.
     #[test]
     fn bottom_up_join_strategies_match_sequential_and_reference(
         family in 0usize..4,
@@ -318,20 +309,15 @@ proptest! {
             .filter(|&(i, _)| pick >> i & 1 == 1)
             .map(|(_, n)| n)
             .collect();
-        let hash =
-            yannakakis_join_with(&db, &tree, &output, &ExecPolicy::sequential(JoinStrategy::Hash));
-        let auto = ExecPolicy::sequential(JoinStrategy::Auto);
-        let got = yannakakis_join_with(&db, &tree, &output, &auto);
-        prop_assert!(hash.same_contents(&got), "bottom-up join diverged under Auto");
+        let got = yannakakis_join(&db, &tree, &output);
         let slow = naive_yannakakis_join(&db, &tree, &output);
-        prop_assert!(slow.agrees_with(&hash), "hash engine diverged from oracle");
+        prop_assert!(slow.agrees_with(&got), "bottom-up join diverged from oracle");
     }
 
     /// The pipeline also holds when the database's relations were built
     /// independently (one value pool each): every semijoin and join in both
-    /// phases pays the cross-pool handle translation, and under every
-    /// strategy the result still matches the oracle and the shared-pool
-    /// engine.
+    /// phases pays the cross-pool handle translation, and the result still
+    /// matches the oracle and the shared-pool engine.
     #[test]
     fn pipeline_strategies_match_on_cross_pool_relations(
         family in 0usize..4,
@@ -348,21 +334,15 @@ proptest! {
         }
         let tree = join_tree(db.schema()).expect("generator schemas are acyclic");
         let output = db.schema().nodes();
-        let want = yannakakis_join_with(&db, &tree, &output, &ExecPolicy::sequential(JoinStrategy::Hash));
-        for policy in STRATEGIES.map(ExecPolicy::sequential) {
-            let got = yannakakis_join_with(&split_db, &tree, &output, &policy);
-            prop_assert!(
-                want.same_contents(&got),
-                "cross-pool pipeline diverged under {:?}",
-                policy
-            );
-        }
+        let want = yannakakis_join(&db, &tree, &output);
+        let got = yannakakis_join(&split_db, &tree, &output);
+        prop_assert!(want.same_contents(&got), "cross-pool pipeline diverged");
         let slow = naive_yannakakis_join(&split_db, &tree, &output);
         prop_assert!(slow.agrees_with(&want), "cross-pool oracle diverged");
     }
 
-    /// The full Yannakakis pipeline agrees with the reference under every
-    /// strategy on Zipf-skewed data and random projections.
+    /// The full Yannakakis pipeline agrees with the reference on
+    /// Zipf-skewed data and random projections.
     #[test]
     fn yannakakis_policies_match_reference_on_skewed_data(
         family in 0usize..4,
@@ -384,15 +364,10 @@ proptest! {
             .map(|(_, n)| n)
             .collect();
         let slow = naive_yannakakis_join(&db, &tree, &output);
-        for policy in STRATEGIES.map(ExecPolicy::sequential) {
-            let fast = yannakakis_join_with(&db, &tree, &output, &policy);
-            prop_assert!(slow.agrees_with(&fast), "yannakakis diverged under {:?}", policy);
-        }
+        let fast = yannakakis_join(&db, &tree, &output);
+        prop_assert!(slow.agrees_with(&fast), "yannakakis diverged");
     }
 }
-
-/// Every join strategy.
-const STRATEGIES: [JoinStrategy; 2] = [JoinStrategy::Auto, JoinStrategy::Hash];
 
 /// Interns `extra` values no relation uses into `pool` — a dictionary that
 /// has grown since the relations over it were built.
@@ -488,8 +463,7 @@ proptest! {
     /// then by enough that the semijoin must fall back to sorting.  On each
     /// side of that bound `semijoin` and `retain_semijoin` agree with the
     /// reference tuple for tuple, removed count included; the kernel is the
-    /// one the eligibility rule predicts; and a policy pinning either join
-    /// kernel runs the very same semijoin, counters included.
+    /// one the eligibility rule predicts.
     #[test]
     fn auto_semijoin_matches_pinned_kernels_and_reference(
         shared in 0usize..4,
@@ -525,22 +499,18 @@ proptest! {
             prop_assert_eq!(removed, left.len() - naive.len(), "removed count");
             prop_assert!(naive.agrees_with(&in_place), "retain_semijoin diverged");
 
-            let metered = |strategy| {
-                let sink = CollectingSink::new();
-                ExecCtx::new(&ExecPolicy::sequential(strategy))
-                    .metrics(&sink)
-                    .retain_semijoin(&mut left.clone(), &right)
-                    .expect("nobody can abort");
-                sink.snapshot().semijoins
-            };
-            let auto = metered(JoinStrategy::Auto);
+            let sink = CollectingSink::new();
+            ExecCtx::new()
+                .metrics(&sink)
+                .retain_semijoin(&mut left.clone(), &right)
+                .expect("nobody can abort");
+            let counts = sink.snapshot().semijoins;
             let fits = (left.pool().len() as u128).pow(shared as u32)
                 <= 8 * (left.len() + right.len()) as u128 + 1024;
             let expect_dense = u64::from(shared == 0 || fits);
-            prop_assert_eq!(auto.dense_ops, expect_dense, "eligibility rule ({:?})", auto);
-            prop_assert_eq!(auto.sortmerge_ops, 1 - expect_dense, "({:?})", auto);
-            prop_assert_eq!(auto.kept, naive.len() as u64);
-            prop_assert_eq!(&metered(JoinStrategy::Hash), &auto, "Hash changed the semijoin");
+            prop_assert_eq!(counts.dense_ops, expect_dense, "eligibility rule ({:?})", counts);
+            prop_assert_eq!(counts.sortmerge_ops, 1 - expect_dense, "({:?})", counts);
+            prop_assert_eq!(counts.kept, naive.len() as u64);
         }
     }
 
@@ -571,7 +541,7 @@ proptest! {
         let tree = join_tree(db.schema()).expect("chains are acyclic");
         let (naive_rels, naive_removed) = naive_full_reduce(&db, &tree);
         let sink = CollectingSink::new();
-        let fast = ExecCtx::new(&ExecPolicy::default())
+        let fast = ExecCtx::new()
             .metrics(&sink)
             .full_reduce(&db, &tree)
             .expect("nobody can abort");
@@ -596,8 +566,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Join kernels emit without re-deduplicating, so the set property is
-    /// checked where it is produced: under every strategy a join's rows are
-    /// pairwise distinct and are the reference's — over 0–3 shared columns (0 = cross product), operands
+    /// checked where it is produced: a join's rows are pairwise distinct and are the reference's — over 0–3 shared columns (0 = cross product), operands
     /// with one schema (join = intersection), empty and zero-width sides,
     /// and a right operand in an unrelated pool holding values the left has
     /// never seen.  An insert into the output afterwards still deduplicates,
@@ -622,19 +591,15 @@ proptest! {
             seed,
         );
         let want = NaiveRelation::from_relation(&left).join(&NaiveRelation::from_relation(&right));
-        for strategy in STRATEGIES {
-            let mut out = left.join_with(&right, strategy);
-            prop_assert!(is_the_set(&want, &out), "{strategy:?} join");
-
-            if out.is_empty() || out.columns().is_empty() {
-                continue;
-            }
+        let mut out = left.join(&right);
+        prop_assert!(is_the_set(&want, &out), "join");
+        if !out.is_empty() && !out.columns().is_empty() {
             prop_assert_eq!(out.index_rebuild_count(), 0, "the output's index is deferred");
             let (first, last) = (out.tuple_at(0), out.tuple_at(out.len() - 1));
-            prop_assert!(!out.insert(first), "{strategy:?}: duplicate accepted");
-            prop_assert!(!out.insert(last), "{strategy:?}: duplicate accepted");
+            prop_assert!(!out.insert(first), "duplicate accepted");
+            prop_assert!(!out.insert(last), "duplicate accepted");
             let fresh = Tuple::from_pairs(out.columns().iter().map(|&a| (a, 7_777)));
-            prop_assert!(out.insert(fresh), "{strategy:?}: new tuple rejected");
+            prop_assert!(out.insert(fresh), "new tuple rejected");
             prop_assert_eq!(out.index_rebuild_count(), 1, "one rebuild serves every insert");
             prop_assert_eq!(out.len(), want.len() + 1);
             prop_assert!(rows_distinct(&out));
@@ -644,7 +609,7 @@ proptest! {
     /// The pipeline's projections: with every attribute in the output each
     /// one is the identity (rows move, nothing is hashed); with a far-apart
     /// pair each one drops a column (and must deduplicate).  Either way the
-    /// answer is a set and the reference's under each strategy.
+    /// answer is a set and the reference's.
     #[test]
     fn yannakakis_answers_are_sets_equal_to_the_reference(
         family in 0usize..4,
@@ -656,15 +621,10 @@ proptest! {
         let db = db_for(family, shape, tuples, domain, seed);
         let tree = join_tree(db.schema()).expect("generator schemas are acyclic");
         let (all, ends) = (db.schema().nodes(), far_apart(db.schema()));
-        for policy in STRATEGIES.map(ExecPolicy::sequential) {
-            for output in [&all, &ends] {
-                let want = naive_yannakakis_join(&db, &tree, output);
-                let got = yannakakis_join_with(&db, &tree, output, &policy);
-                prop_assert!(
-                    is_the_set(&want, &got),
-                    "{} attributes under {policy:?}", output.len()
-                );
-            }
+        for output in [&all, &ends] {
+            let want = naive_yannakakis_join(&db, &tree, output);
+            let got = yannakakis_join(&db, &tree, output);
+            prop_assert!(is_the_set(&want, &got), "{} attributes", output.len());
         }
     }
 
@@ -693,9 +653,8 @@ proptest! {
             seed,
         );
         let d = decompose(db.schema(), Heuristic::MinFill).expect("nonempty schema");
-        let policy = ExecPolicy::default();
         let watch = BagWidthWatch::default();
-        let bag_db = ExecCtx::new(&policy)
+        let bag_db = ExecCtx::new()
             .gov(&watch)
             .materialize_bags(&db, &d)
             .expect("nothing aborts");

@@ -21,8 +21,7 @@ use acyclic_hypergraphs::reldb::govern::CHECK_BATCH;
 use acyclic_hypergraphs::reldb::reference::naive_full_join;
 use acyclic_hypergraphs::reldb::{
     full_reduce, query_via_connection, query_via_full_join, query_yannakakis, CancelToken,
-    CollectingSink, Database, EngineError, ExecCtx, ExecPolicy, Governor, JoinStrategy, Phase,
-    QueryGovernor, Tuple, Value,
+    CollectingSink, Database, EngineError, ExecCtx, Governor, Phase, QueryGovernor, Tuple, Value,
 };
 use acyclic_hypergraphs::workload::{
     chain, far_apart, grid, random_database, ring, snowflake, star, DataParams,
@@ -109,10 +108,9 @@ proptest! {
     ) {
         let db = db_for(family, shape, tuples, domain, seed);
         let x = select(&db, selector);
-        let policy = ExecPolicy::default();
         let gov = QueryGovernor::new();
         if let Some(tree) = join_tree(db.schema()) {
-            let governed = ExecCtx::new(&policy).gov(&gov).full_reduce(&db, &tree)
+            let governed = ExecCtx::new().gov(&gov).full_reduce(&db, &tree)
                 .expect("no limit can trip");
             let plain = full_reduce(&db, &tree);
             prop_assert_eq!(&governed.removed, &plain.removed);
@@ -120,11 +118,11 @@ proptest! {
                 prop_assert!(g.same_contents(p), "governed reducer changed a relation");
             }
         }
-        let governed = ExecCtx::new(&policy).gov(&gov).query_yannakakis(&db, &x)
+        let governed = ExecCtx::new().gov(&gov).query_yannakakis(&db, &x)
             .expect("no limit can trip");
         let plain = query_yannakakis(&db, &x).expect("ungoverned query");
         prop_assert!(governed.same_contents(&plain), "governed query changed the answer");
-        let ctx = ExecCtx::new(&policy).gov(&gov);
+        let ctx = ExecCtx::new().gov(&gov);
         let governed = ctx.query_via_connection(&db, &x).expect("no limit can trip");
         prop_assert!(governed.same_contents(&query_via_connection(&db, &x)),
             "governed connection query changed the answer");
@@ -149,7 +147,7 @@ proptest! {
         let db = db_for(family, shape, tuples, domain, seed);
         let x = select(&db, selector);
         let gov = QueryGovernor::new().with_deadline(Duration::from_micros(deadline_us));
-        match ExecCtx::new(&ExecPolicy::default()).gov(&gov).query_yannakakis(&db, &x) {
+        match ExecCtx::new().gov(&gov).query_yannakakis(&db, &x) {
             Ok(answer) => {
                 let oracle = query_via_full_join(&db, &x);
                 prop_assert!(answer.same_contents(&oracle),
@@ -174,25 +172,24 @@ proptest! {
     ) {
         let db = db_for(family, shape, tuples, domain, seed);
         let x = select(&db, selector);
-        let policy = ExecPolicy::default();
         let before = snapshot(&db);
 
         let token = CancelToken::new();
         token.cancel();
         let gov = QueryGovernor::with_token(token);
-        match ExecCtx::new(&policy).gov(&gov).query_yannakakis(&db, &x) {
+        match ExecCtx::new().gov(&gov).query_yannakakis(&db, &x) {
             Err(EngineError::Cancelled) => {}
             other => prop_assert!(false, "cancelled token must abort, got {other:?}"),
         }
         assert_untouched(&db, &before, &x);
 
         let gov = QueryGovernor::new().with_deadline(Duration::ZERO);
-        match ExecCtx::new(&policy).gov(&gov).query_yannakakis(&db, &x) {
+        match ExecCtx::new().gov(&gov).query_yannakakis(&db, &x) {
             Err(EngineError::DeadlineExceeded { .. }) => {}
             other => prop_assert!(false, "zero deadline must abort, got {other:?}"),
         }
         assert_untouched(&db, &before, &x);
-        let ctx = ExecCtx::new(&policy).gov(&gov);
+        let ctx = ExecCtx::new().gov(&gov);
         match ctx.query_via_connection(&db, &x) {
             Err(EngineError::DeadlineExceeded { .. }) => {}
             // The connection plan only checkpoints inside a join of two
@@ -211,7 +208,7 @@ proptest! {
         // One byte of budget: anything that materializes a row trips; a
         // query whose every intermediate is empty may legitimately finish.
         let gov = QueryGovernor::new().with_memory_budget(1);
-        match ExecCtx::new(&policy).gov(&gov).query_yannakakis(&db, &x) {
+        match ExecCtx::new().gov(&gov).query_yannakakis(&db, &x) {
             Err(EngineError::BudgetExceeded { .. }) => {}
             Ok(answer) => {
                 let oracle = query_via_full_join(&db, &x);
@@ -230,7 +227,6 @@ proptest! {
 /// the last of the report's levels.
 #[test]
 fn a_stage_cut_short_by_a_deadline_keeps_its_level_entry() {
-    let policy = ExecPolicy::default();
     let acyclic = db_for(0, 2, 8, 3, 5);
     let deepest = join_tree(acyclic.schema())
         .expect("a chain is acyclic")
@@ -244,7 +240,7 @@ fn a_stage_cut_short_by_a_deadline_keeps_its_level_entry() {
         let x = select(&db, u64::MAX);
         let sink = CollectingSink::new();
         let gov = QueryGovernor::new().with_deadline(Duration::ZERO);
-        match ExecCtx::new(&policy)
+        match ExecCtx::new()
             .metrics(&sink)
             .gov(&gov)
             .query_yannakakis(&db, &x)
@@ -312,11 +308,10 @@ fn a_budget_the_chosen_tree_blows_runs_the_smaller_estimate() {
         "{fill_cells} vs {degree_cells}"
     );
 
-    let policy = ExecPolicy::default();
     let x = schema.nodes();
     let bags_of = |d: &Decomposition| {
         let sink = CollectingSink::new();
-        ExecCtx::new(&policy)
+        ExecCtx::new()
             .metrics(&sink)
             .yannakakis_join_decomposed(&db, d, &x)
             .expect("nobody can abort");
@@ -333,7 +328,7 @@ fn a_budget_the_chosen_tree_blows_runs_the_smaller_estimate() {
     // lies between the two estimates.
     let sink = CollectingSink::new();
     let gov = QueryGovernor::new().with_memory_budget(4_000_000);
-    let got = ExecCtx::new(&policy)
+    let got = ExecCtx::new()
         .metrics(&sink)
         .gov(&gov)
         .query_yannakakis(&db, &x)
@@ -422,7 +417,6 @@ fn two_big_relations() -> Database {
 #[test]
 fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     let db = two_big_relations();
-    let policy = ExecPolicy::sequential(JoinStrategy::Auto);
     let (target, source) = (&db.relations()[0], &db.relations()[1]);
     let want = target.semijoin(source);
     assert!(!want.is_empty() && want.len() < target.len());
@@ -433,7 +427,7 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     let gov = TripAtCheckpoint::new(u64::MAX);
     let sink = CollectingSink::new();
     let mut reduced = target.clone();
-    let removed = ExecCtx::new(&policy)
+    let removed = ExecCtx::new()
         .metrics(&sink)
         .gov(&gov)
         .retain_semijoin(&mut reduced, source)
@@ -447,7 +441,7 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     for trip_at in 0..batches {
         let gov = TripAtCheckpoint::new(trip_at);
         let mut victim = target.clone();
-        let got = ExecCtx::new(&policy)
+        let got = ExecCtx::new()
             .gov(&gov)
             .retain_semijoin(&mut victim, source);
         assert_eq!(got, Err(EngineError::Cancelled), "checkpoint {trip_at}");
@@ -468,7 +462,7 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
         (QueryGovernor::with_token(token), true),
     ] {
         let mut victim = target.clone();
-        match ExecCtx::new(&policy)
+        match ExecCtx::new()
             .gov(&gov)
             .retain_semijoin(&mut victim, source)
         {
@@ -488,7 +482,7 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     assert!(plain.removed.iter().all(|&n| n > 0));
     for trip_at in [batches, batches + 2, batches + 5] {
         let gov = TripAtCheckpoint::new(trip_at);
-        let got = ExecCtx::new(&policy).gov(&gov).full_reduce(&db, &tree);
+        let got = ExecCtx::new().gov(&gov).full_reduce(&db, &tree);
         assert_eq!(
             got.err(),
             Some(EngineError::Cancelled),
@@ -532,7 +526,6 @@ fn big_chain_past_the_dense_bound() -> Database {
 /// spot with `db` bit-identical.
 #[test]
 fn chain_reducer_cancelled_at_every_checkpoint_leaves_db_untouched() {
-    let policy = ExecPolicy::default();
     for (db, dense) in [
         (big_chain(), true),
         (big_chain_past_the_dense_bound(), false),
@@ -540,7 +533,7 @@ fn chain_reducer_cancelled_at_every_checkpoint_leaves_db_untouched() {
         let tree = join_tree(db.schema()).expect("chains are acyclic");
         let before = snapshot(&db);
         let (gov, sink) = (TripAtCheckpoint::never(), CollectingSink::new());
-        let want = ExecCtx::new(&policy)
+        let want = ExecCtx::new()
             .metrics(&sink)
             .gov(&gov)
             .full_reduce(&db, &tree);
@@ -552,7 +545,7 @@ fn chain_reducer_cancelled_at_every_checkpoint_leaves_db_untouched() {
         assert!(checkpoints > 8, "every mask loop spans several batches");
         for trip_at in 0..checkpoints {
             let gov = TripAtCheckpoint::new(trip_at);
-            let got = ExecCtx::new(&policy).gov(&gov).full_reduce(&db, &tree);
+            let got = ExecCtx::new().gov(&gov).full_reduce(&db, &tree);
             assert_eq!(got.err(), Some(EngineError::Cancelled), "{trip_at}");
             assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
             assert_eq!(snapshot(&db), before, "abort mutated the database");
@@ -568,16 +561,10 @@ fn chain_reducer_cancelled_at_every_checkpoint_leaves_db_untouched() {
 fn join_governance_totals_match_the_recorded_ones() {
     let db = two_big_relations();
     let (r, s) = (&db.relations()[0], &db.relations()[1]);
-    for strategy in [JoinStrategy::Hash, JoinStrategy::Auto] {
-        let gov = TripAtCheckpoint::never();
-        let policy = ExecPolicy::sequential(strategy);
-        let out = ExecCtx::new(&policy)
-            .gov(&gov)
-            .join(r, s)
-            .expect("nothing trips");
-        assert_eq!(out.len(), RECORDED_JOIN_ROWS, "{strategy:?}");
-        assert_eq!(gov.totals(), RECORDED_HASH_JOIN, "{strategy:?}");
-    }
+    let gov = TripAtCheckpoint::never();
+    let out = ExecCtx::new().gov(&gov).join(r, s).expect("nothing trips");
+    assert_eq!(out.len(), RECORDED_JOIN_ROWS);
+    assert_eq!(gov.totals(), RECORDED_HASH_JOIN);
 
     let db = big_chain();
     let tree = join_tree(db.schema()).expect("chains are acyclic");
@@ -587,8 +574,7 @@ fn join_governance_totals_match_the_recorded_ones() {
         (&ends, RECORDED_CHAIN_ENDS_ROWS, RECORDED_CHAIN_ENDS),
     ] {
         let gov = TripAtCheckpoint::never();
-        let policy = ExecPolicy::sequential(JoinStrategy::Auto);
-        let out = ExecCtx::new(&policy)
+        let out = ExecCtx::new()
             .gov(&gov)
             .yannakakis_join(&db, &tree, x)
             .expect("nothing trips");
@@ -605,40 +591,34 @@ const RECORDED_CHAIN_ALL_ROWS: usize = 9_000;
 const RECORDED_CHAIN_ENDS: (u64, u64) = (37, 91_000);
 const RECORDED_CHAIN_ENDS_ROWS: usize = 9_000;
 
-/// Cancelling at the n-th in-kernel checkpoint of a join — whichever
-/// strategy, wherever in its build or emit loop — returns `Cancelled` on the spot with
-/// both inputs bit-identical; through the whole pipeline, `db` is.
+/// Cancelling at the n-th in-kernel checkpoint of a join — wherever in its
+/// build or emit loop — returns `Cancelled` on the spot with both inputs
+/// bit-identical; through the whole pipeline, `db` is.
 #[test]
 fn join_cancelled_at_any_checkpoint_leaves_inputs_untouched() {
     let db = two_big_relations();
     let (r, s) = (&db.relations()[0], &db.relations()[1]);
     let (r_rows, s_rows) = (r.handle_rows().to_vec(), s.handle_rows().to_vec());
-    for strategy in [JoinStrategy::Hash, JoinStrategy::Auto] {
-        let policy = ExecPolicy::sequential(strategy);
-        for trip_at in 0..RECORDED_HASH_JOIN.0 {
-            let gov = TripAtCheckpoint::new(trip_at);
-            let got = ExecCtx::new(&policy).gov(&gov).join(r, s);
-            assert_eq!(
-                got.err(),
-                Some(EngineError::Cancelled),
-                "{strategy:?} checkpoint {trip_at}"
-            );
-            assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
-            assert_eq!(r.handle_rows(), r_rows);
-            assert_eq!(s.handle_rows(), s_rows);
-        }
+    for trip_at in 0..RECORDED_HASH_JOIN.0 {
+        let gov = TripAtCheckpoint::new(trip_at);
+        let got = ExecCtx::new().gov(&gov).join(r, s);
+        assert_eq!(
+            got.err(),
+            Some(EngineError::Cancelled),
+            "checkpoint {trip_at}"
+        );
+        assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
+        assert_eq!(r.handle_rows(), r_rows);
+        assert_eq!(s.handle_rows(), s_rows);
     }
 
     let db = big_chain();
     let tree = join_tree(db.schema()).expect("chains are acyclic");
     let all: NodeSet = db.schema().nodes();
     let before = snapshot(&db);
-    let policy = ExecPolicy::sequential(JoinStrategy::Auto);
     for trip_at in [0, RECORDED_CHAIN_ALL.0 / 2, RECORDED_CHAIN_ALL.0 - 1] {
         let gov = TripAtCheckpoint::new(trip_at);
-        let got = ExecCtx::new(&policy)
-            .gov(&gov)
-            .yannakakis_join(&db, &tree, &all);
+        let got = ExecCtx::new().gov(&gov).yannakakis_join(&db, &tree, &all);
         assert_eq!(
             got.err(),
             Some(EngineError::Cancelled),
@@ -662,13 +642,12 @@ mod failpoints {
         let db = two_big_relations();
         let x: NodeSet = db.schema().nodes();
         let before = snapshot(&db);
-        let policy = ExecPolicy::sequential(JoinStrategy::Auto);
         for nth in 0..2 {
             for mode in [FailMode::Error, FailMode::Panic] {
                 let gov = FailpointGovernor::new()
                     .fail_at_semijoin(nth)
                     .fail_mode(mode);
-                match ExecCtx::new(&policy).gov(&gov).query_yannakakis(&db, &x) {
+                match ExecCtx::new().gov(&gov).query_yannakakis(&db, &x) {
                     Err(EngineError::Cancelled) if mode == FailMode::Error => {}
                     Err(EngineError::WorkerPanic(_)) if mode == FailMode::Panic => {}
                     other => panic!("semijoin {nth} {mode:?}: got {other:?}"),
@@ -708,10 +687,9 @@ mod failpoints {
 
             let x: NodeSet = db.schema().nodes();
             let before = db.to_snapshot_bytes();
-            let policy = ExecPolicy::default();
             for bag in [root, middle] {
                 let gov = FailpointGovernor::new().alloc_fail_bag(bag.index());
-                let got = ExecCtx::new(&policy)
+                let got = ExecCtx::new()
                     .gov(&gov)
                     .yannakakis_join_decomposed(&db, &d, &x);
                 assert!(
@@ -722,7 +700,7 @@ mod failpoints {
             }
 
             let sink = CollectingSink::new();
-            let answer = ExecCtx::new(&policy)
+            let answer = ExecCtx::new()
                 .metrics(&sink)
                 .gov(&FailpointGovernor::new())
                 .yannakakis_join_decomposed(&db, &d, &x)
@@ -756,11 +734,10 @@ mod failpoints {
             7,
         );
         let before = snapshot(&db);
-        let policy = ExecPolicy::default();
         for (names, trips) in [(["A", "D"], true), (["A", "E"], false)] {
             let x = db.attributes(names).unwrap();
             let gov = FailpointGovernor::new().fail_at_semijoin(3);
-            let got = ExecCtx::new(&policy).gov(&gov).query_yannakakis(&db, &x);
+            let got = ExecCtx::new().gov(&gov).query_yannakakis(&db, &x);
             match got {
                 Err(EngineError::Cancelled) if trips => {}
                 Ok(answer) if !trips => {
@@ -792,7 +769,7 @@ mod failpoints {
             let x = select(&db, selector);
             let before = snapshot(&db);
             let gov = FailpointGovernor::new().fail_at_semijoin(nth);
-            match ExecCtx::new(&ExecPolicy::default()).gov(&gov).query_yannakakis(&db, &x) {
+            match ExecCtx::new().gov(&gov).query_yannakakis(&db, &x) {
                 Ok(answer) => {
                     let oracle = query_via_full_join(&db, &x);
                     prop_assert!(answer.same_contents(&oracle),
@@ -822,7 +799,7 @@ mod failpoints {
             let gov = FailpointGovernor::new()
                 .fail_at_semijoin(1)
                 .fail_mode(FailMode::Panic);
-            match ExecCtx::new(&ExecPolicy::default()).gov(&gov).query_yannakakis(&db, &x) {
+            match ExecCtx::new().gov(&gov).query_yannakakis(&db, &x) {
                 Err(EngineError::WorkerPanic(msg)) => {
                     prop_assert!(msg.contains("injected"), "payload: {msg}");
                 }

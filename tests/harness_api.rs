@@ -61,7 +61,7 @@ fn the_names_the_frozen_harness_compiles_against_keep_their_signatures() {
         ..ExecPolicy::default()
     };
     let sequential = ExecPolicy::sequential(JoinStrategy::Auto);
-    let ctx = ExecCtx::new(&policy);
+    let ctx = ExecCtx::new();
 
     let reduced = reduce(&db, &tree, &policy);
     let want = ctx.full_reduce(&db, &tree).unwrap();
@@ -136,9 +136,7 @@ fn the_hyperqd_names_the_frozen_harness_compiles_against_keep_their_forms() {
     let db = parse_database(generated.schema(), &render_database(&generated)).unwrap();
     assert_eq!(db.tuple_count(), generated.tuple_count());
     let x = far_apart(db.schema());
-    let answer = ExecCtx::new(&ExecPolicy::default())
-        .query_yannakakis(&db, &x)
-        .unwrap();
+    let answer = ExecCtx::new().query_yannakakis(&db, &x).unwrap();
     let mut reply = frame(&db, &answer, None);
     if let Response::Answer { rows, trace, .. } = &mut reply {
         assert_eq!(rows.len(), answer.len());

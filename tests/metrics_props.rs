@@ -16,15 +16,14 @@
 //!
 //! Alongside each: **kernel conservation** — per op kind, every recorded op
 //! resolved to exactly one kernel (`hash + sort-merge + dense = ops`), no
-//! semijoin hashes and no join runs the dense kernel under any policy, and a
-//! pinned hash join never resolves to another kernel.
+//! semijoin hashes and every join hashes.
 
 use acyclic_hypergraphs::acyclic::{join_tree, JoinTree};
 use acyclic_hypergraphs::decomp::{decompose, Heuristic};
 use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::{
-    full_reduce, query_via_full_join, query_yannakakis, CollectingSink, Database, ExecCtx,
-    ExecPolicy, JoinStrategy, Phase, QueryMetrics,
+    full_reduce, query_via_full_join, query_yannakakis, CollectingSink, Database, ExecCtx, Phase,
+    QueryMetrics,
 };
 use acyclic_hypergraphs::workload::paper::fig1;
 use acyclic_hypergraphs::workload::{chain, random_database, ring, snowflake, star, DataParams};
@@ -99,14 +98,9 @@ fn subset(db: &Database, pick: u64) -> NodeSet {
         .collect()
 }
 
-/// Every policy the metrics layer instruments: both join strategies.
-fn policies() -> [ExecPolicy; 2] {
-    [JoinStrategy::Hash, JoinStrategy::Auto].map(ExecPolicy::sequential)
-}
-
 /// Kernel conservation for one report: per op kind the three kernel
 /// counters add up to `ops`; semijoins run dense or sort-merge and every
-/// join hashes, whatever the policy.
+/// join hashes.
 fn kernels_conserved(m: &QueryMetrics) -> Result<(), String> {
     let (joins, semijoins) = (&m.joins, &m.semijoins);
     for (kind, agg) in [("join", joins), ("semijoin", semijoins)] {
@@ -140,32 +134,30 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let db = db_for(family, shape, tuples, domain, seed);
-        for policy in policies() {
-            for r1 in db.relations() {
-                for r0 in db.relations() {
-                    let sink = CollectingSink::new();
-                    let mut probe = r0.clone();
-                    let removed = ExecCtx::new(&policy).metrics(&sink)
-                        .retain_semijoin(&mut probe, r1).expect("nobody can abort");
-                    let m = sink.snapshot();
-                    prop_assert_eq!(m.joins.ops, 0, "a semijoin must not record joins");
-                    prop_assert_eq!(m.semijoins.ops, 1);
-                    prop_assert!(m.semijoins.kept <= m.semijoins.probed,
-                        "kept {} > probed {}", m.semijoins.kept, m.semijoins.probed);
-                    prop_assert_eq!(m.semijoins.kept, probe.len() as u64,
-                        "kept must equal the surviving cardinality");
-                    prop_assert_eq!(m.semijoins.probed, r0.len() as u64,
-                        "a semijoin probes every input row exactly once");
-                    prop_assert_eq!(removed, r0.len() - probe.len());
-                    prop_assert_eq!(kernels_conserved(&m), Ok(()));
-                }
+        for r1 in db.relations() {
+            for r0 in db.relations() {
+                let sink = CollectingSink::new();
+                let mut probe = r0.clone();
+                let removed = ExecCtx::new().metrics(&sink)
+                    .retain_semijoin(&mut probe, r1).expect("nobody can abort");
+                let m = sink.snapshot();
+                prop_assert_eq!(m.joins.ops, 0, "a semijoin must not record joins");
+                prop_assert_eq!(m.semijoins.ops, 1);
+                prop_assert!(m.semijoins.kept <= m.semijoins.probed,
+                    "kept {} > probed {}", m.semijoins.kept, m.semijoins.probed);
+                prop_assert_eq!(m.semijoins.kept, probe.len() as u64,
+                    "kept must equal the surviving cardinality");
+                prop_assert_eq!(m.semijoins.probed, r0.len() as u64,
+                    "a semijoin probes every input row exactly once");
+                prop_assert_eq!(removed, r0.len() - probe.len());
+                prop_assert_eq!(kernels_conserved(&m), Ok(()));
             }
         }
     }
 
     /// Transparency: the metered reducer and Yannakakis query return
     /// tuple-for-tuple the same answers as the unmetered (no-op sink)
-    /// paths, under every kernel strategy.
+    /// paths.
     #[test]
     fn collecting_sink_does_not_perturb_results(
         family in 0usize..3,
@@ -184,26 +176,24 @@ proptest! {
             .filter(|(i, _)| selector & (1 << (i % 63)) != 0)
             .map(|(_, &n)| n)
             .collect();
-        for policy in policies() {
+        let sink = CollectingSink::new();
+        let metered = ExecCtx::new().metrics(&sink)
+            .full_reduce(&db, &tree).expect("nobody can abort");
+        let plain = full_reduce(&db, &tree);
+        prop_assert_eq!(&metered.removed, &plain.removed);
+        for (m, p) in metered.relations.iter().zip(&plain.relations) {
+            prop_assert!(m.same_contents(p), "metered reducer changed a relation");
+        }
+        if !x.is_empty() {
             let sink = CollectingSink::new();
-            let metered = ExecCtx::new(&policy).metrics(&sink)
-                .full_reduce(&db, &tree).expect("nobody can abort");
-            let plain = full_reduce(&db, &tree);
-            prop_assert_eq!(&metered.removed, &plain.removed);
-            for (m, p) in metered.relations.iter().zip(&plain.relations) {
-                prop_assert!(m.same_contents(p), "metered reducer changed a relation");
-            }
-            if !x.is_empty() {
-                let sink = CollectingSink::new();
-                let metered = ExecCtx::new(&policy).metrics(&sink).query_yannakakis(&db, &x);
-                prop_assert_eq!(kernels_conserved(&sink.snapshot()), Ok(()));
-                let plain = query_yannakakis(&db, &x);
-                match (metered, plain) {
-                    (Ok(m), Ok(p)) => prop_assert!(m.same_contents(&p),
-                        "metered query changed the answer"),
-                    (Err(_), Err(_)) => {}
-                    (m, p) => prop_assert!(false, "metered {m:?} vs unmetered {p:?}"),
-                }
+            let metered = ExecCtx::new().metrics(&sink).query_yannakakis(&db, &x);
+            prop_assert_eq!(kernels_conserved(&sink.snapshot()), Ok(()));
+            let plain = query_yannakakis(&db, &x);
+            match (metered, plain) {
+                (Ok(m), Ok(p)) => prop_assert!(m.same_contents(&p),
+                    "metered query changed the answer"),
+                (Err(_), Err(_)) => {}
+                (m, p) => prop_assert!(false, "metered {m:?} vs unmetered {p:?}"),
             }
         }
     }
@@ -221,24 +211,22 @@ proptest! {
     ) {
         let db = db_for(family, shape, tuples, domain, seed);
         let tree = join_tree(db.schema()).expect("schemas are acyclic by construction");
-        for policy in policies() {
-            let sink = CollectingSink::new();
-            let reduced = ExecCtx::new(&policy).metrics(&sink)
-                .full_reduce(&db, &tree).expect("nobody can abort");
-            let m = sink.snapshot();
-            let tree_edges = (db.relations().len() - 1) as u64;
-            prop_assert_eq!(m.semijoins.ops, 2 * tree_edges,
-                "one upward and one downward semijoin per join-tree edge");
-            prop_assert!(m.semijoins.kept <= m.semijoins.probed);
-            prop_assert_eq!(kernels_conserved(&m), Ok(()));
-            prop_assert_eq!(
-                m.semijoins.probed - m.semijoins.kept,
-                reduced.total_removed() as u64,
-                "rows dropped by semijoins must equal the reducer's removals"
-            );
-            prop_assert_eq!(stages(&m).len(), 2 * tree.levels().len() - 1,
-                "one timing per level of each reducer pass");
-        }
+        let sink = CollectingSink::new();
+        let reduced = ExecCtx::new().metrics(&sink)
+            .full_reduce(&db, &tree).expect("nobody can abort");
+        let m = sink.snapshot();
+        let tree_edges = (db.relations().len() - 1) as u64;
+        prop_assert_eq!(m.semijoins.ops, 2 * tree_edges,
+            "one upward and one downward semijoin per join-tree edge");
+        prop_assert!(m.semijoins.kept <= m.semijoins.probed);
+        prop_assert_eq!(kernels_conserved(&m), Ok(()));
+        prop_assert_eq!(
+            m.semijoins.probed - m.semijoins.kept,
+            reduced.total_removed() as u64,
+            "rows dropped by semijoins must equal the reducer's removals"
+        );
+        prop_assert_eq!(stages(&m).len(), 2 * tree.levels().len() - 1,
+            "one timing per level of each reducer pass");
     }
 
     /// Stage order: the Yannakakis engine times the reducer's upward pass
@@ -262,10 +250,9 @@ proptest! {
             db_for(family, shape, tuples, domain, seed)
         };
         let x = subset(&db, pick);
-        let policy = ExecPolicy::default();
 
         let sink = CollectingSink::new();
-        ExecCtx::new(&policy).metrics(&sink).query_yannakakis(&db, &x).expect("nobody can abort");
+        ExecCtx::new().metrics(&sink).query_yannakakis(&db, &x).expect("nobody can abort");
         let report = sink.snapshot();
         let want: Vec<(Phase, usize)> = match join_tree(db.schema()) {
             Some(tree) => {
@@ -287,10 +274,10 @@ proptest! {
         prop_assert_eq!(stages(&report), want);
 
         let sink = CollectingSink::new();
-        ExecCtx::new(&policy).metrics(&sink).query_via_connection(&db, &x).expect("nobody can abort");
+        ExecCtx::new().metrics(&sink).query_via_connection(&db, &x).expect("nobody can abort");
         prop_assert_eq!(stages(&sink.snapshot()), vec![(Phase::Join, 0)]);
         let sink = CollectingSink::new();
-        ExecCtx::new(&policy).metrics(&sink).query_via_full_join(&db, &x).expect("nobody can abort");
+        ExecCtx::new().metrics(&sink).query_via_full_join(&db, &x).expect("nobody can abort");
         prop_assert_eq!(stages(&sink.snapshot()), vec![(Phase::Join, 0)]);
     }
 }
@@ -305,7 +292,6 @@ fn a_query_inside_the_root_runs_no_downward_pass_and_no_join() {
     let tree = join_tree(db.schema()).expect("Fig. 1 is acyclic");
     assert_eq!(db.schema().edges()[tree.root().index()].label, "A-C-E");
     let up = [(Phase::ReduceUp, 1), (Phase::ReduceUp, 0)];
-    let policy = ExecPolicy::default();
     for (names, tail, joins) in [
         (["A", "E"], vec![], 0),
         (
@@ -316,7 +302,7 @@ fn a_query_inside_the_root_runs_no_downward_pass_and_no_join() {
     ] {
         let x = db.attributes(names).unwrap();
         let sink = CollectingSink::new();
-        let answer = ExecCtx::new(&policy)
+        let answer = ExecCtx::new()
             .metrics(&sink)
             .query_yannakakis(&db, &x)
             .expect("nobody can abort");

@@ -14,7 +14,7 @@ use acyclic_hypergraphs::hyperqd::protocol::{
     EngineKind, ErrorKind, Overrides, QuerySpec, Request, Response, Rows, WireError, MAX_LINE,
 };
 use acyclic_hypergraphs::hyperqd::server::{run_engine, Server};
-use acyclic_hypergraphs::reldb::{CollectingSink, Database, ExecCtx, ExecPolicy};
+use acyclic_hypergraphs::reldb::{CollectingSink, Database, ExecCtx};
 use acyclic_hypergraphs::workload::{
     chain, consistent_database, random_database, ring, DataParams,
 };
@@ -541,7 +541,7 @@ fn without_clocks(doc: &Json) -> Json {
 
 /// `hyperq query --metrics-json` and a served `"metrics":true` answer emit
 /// one document: same members, same order, same counters for the same
-/// query under the same policy.
+/// query.
 #[test]
 fn a_served_metrics_member_is_the_document_the_cli_prints() {
     let (handle, db) = tiny_server();
@@ -565,10 +565,9 @@ fn a_served_metrics_member_is_the_document_the_cli_prints() {
     };
 
     // What the one-shot CLI runs and prints.
-    let policy = ExecPolicy::default();
     let sink = CollectingSink::new();
     let x = db.attributes(select).unwrap();
-    let ctx = ExecCtx::new(&policy).metrics(&sink);
+    let ctx = ExecCtx::new().metrics(&sink);
     run_engine(&db, EngineKind::Yannakakis, &x, &ctx).unwrap();
     let printed = metrics_json(&sink.snapshot());
 
