@@ -33,6 +33,7 @@ mod load;
 use commands::{CliError, MetricsMode};
 use hyperqd::protocol::EngineKind;
 use reldb::QueryGovernor;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -64,8 +65,10 @@ COMMANDS:
                certificate (join tree / independent path)
     query      Answer the universal-relation query pi_X over the canonical
                connection CC(X); ENGINE is connection (default),
-               yannakakis or naive.  The yannakakis engine handles cyclic
-               schemas transparently via hypertree decomposition.
+               yannakakis or naive.  connection runs the Yannakakis
+               engine over CC(X)'s objects, yannakakis over every object;
+               both handle cyclic schemas via hypertree decomposition.
+               naive joins every object in schema order.
                --metrics appends the execution counter table (tuples
                probed/kept/built, kernels run, level timings, bag
                sizes); --metrics-json prints only the machine-readable
@@ -132,11 +135,20 @@ EXIT CODES:
     3   deadline exceeded or query cancelled (--timeout-ms)
     4   memory budget exceeded (--mem-budget-mb)
     5   the engine panicked (contained)
+    141 stdout closed before the output was written (e.g. piped into head)
 ";
 
 fn fail(e: &CliError) -> ExitCode {
     eprintln!("hyperq: {}", e.message);
     ExitCode::from(e.code)
+}
+
+/// Writes `text` to stdout and flushes it, returning the error `print!`
+/// would panic on.
+fn write_stdout(text: &str) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    out.write_all(text.as_bytes())?;
+    out.flush()
 }
 
 fn read(path: &str) -> Result<String, String> {
@@ -354,8 +366,8 @@ fn run(started: Instant) -> Result<String, CliError> {
             out.push_str(&block);
             if check && !failures.is_empty() {
                 // A failed check is exactly when the measured rows are
-                // needed: print them before the error.
-                print!("{out}");
+                // needed: print them (best effort) before the error.
+                let _ = write_stdout(&out);
                 return Err(format!("bench check failed: {}", failures.join("; ")).into());
             }
             Ok(out)
@@ -368,10 +380,13 @@ fn run(started: Instant) -> Result<String, CliError> {
 fn main() -> ExitCode {
     let started = Instant::now();
     match run(started) {
-        Ok(output) => {
-            print!("{output}");
-            ExitCode::SUCCESS
-        }
+        Ok(output) => match write_stdout(&output) {
+            Ok(()) => ExitCode::SUCCESS,
+            // The reader went away (`hyperq query … | head -1`): exit
+            // quietly with the status a shell reports for death by SIGPIPE.
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::from(141),
+            Err(e) => fail(&CliError::from(format!("cannot write to stdout: {e}"))),
+        },
         Err(e) => fail(&e),
     }
 }

@@ -3,7 +3,7 @@
 
 use hyperqd::json::{self, Json};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn fixture(name: &str) -> String {
     let p: PathBuf = [env!("CARGO_MANIFEST_DIR"), "fixtures", name]
@@ -649,6 +649,32 @@ fn gen_writes_text_and_snapshot_datasets() {
 
     let _ = std::fs::remove_file(text);
     let _ = std::fs::remove_file(snap);
+}
+
+/// A reader that closes the pipe early (`hyperq query … | head -1`) ends
+/// the query with status 141, as a SIGPIPE death would, and nothing on
+/// stderr.  The answer is larger than a pipe's buffer, so the write fails
+/// whenever the reader goes.
+#[test]
+fn a_closed_stdout_exits_141_without_a_panic() {
+    let data = std::env::temp_dir().join(format!("hyperq_pipe_{}.data", std::process::id()));
+    let data = data.to_str().unwrap();
+    let out = hyperq(&["gen", &fixture("chain3.hg"), data, "--tuples", "4000"]);
+    assert!(out.status.success(), "stderr: {:?}", out.stderr);
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hyperq"))
+        .args(["query", &fixture("chain3.hg"), data, "--select", "A,B,C,D"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hyperq");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for hyperq");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(141), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "no panic, no message: {stderr}");
+
+    let _ = std::fs::remove_file(data);
 }
 
 #[test]

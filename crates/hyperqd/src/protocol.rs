@@ -57,7 +57,8 @@ pub enum EngineKind {
     /// the hypertree decomposition when the schema is cyclic.
     #[default]
     Yannakakis,
-    /// Join only the canonical connection `CC(X)` (paper §7).
+    /// The Yannakakis engine over the objects of the canonical connection
+    /// `CC(X)` only (paper §7).
     Connection,
     /// Join every object, then project — the naive baseline.
     Naive,

@@ -110,6 +110,22 @@ impl Database {
         })
     }
 
+    /// The sub-database of the objects at `edges` (schema-edge indices):
+    /// their edges, and copies of their rows that share this database's
+    /// pool.  It builds its own plan.
+    pub(crate) fn restrict(&self, edges: &[usize]) -> Self {
+        let edge = |&i: &usize| self.schema.edges()[i].clone();
+        Self {
+            schema: self.schema.with_edges(edges.iter().map(edge).collect()),
+            relations: edges
+                .iter()
+                .map(|&i| self.relations[i].clone_rows())
+                .collect(),
+            pool: self.pool.clone(),
+            plan: OnceLock::new(),
+        }
+    }
+
     /// The schema hypergraph.
     pub fn schema(&self) -> &Hypergraph {
         &self.schema

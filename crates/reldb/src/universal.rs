@@ -9,8 +9,9 @@
 //!
 //! Three query paths are provided and compared by tests and benchmark B4:
 //!
-//! * [`query_via_connection`] — join the objects of `CC(X)` (tableau
-//!   reduction picks them), project onto `X`;
+//! * [`query_via_connection`] — tableau reduction picks the objects of
+//!   `CC(X)`, and the Yannakakis engine answers over the sub-database they
+//!   form;
 //! * [`query_yannakakis`] — after the reducer's upward pass, reduce
 //!   downward towards and join only the smallest join subtree covering
 //!   `X` ([`acyclic::JoinTree::connection_subtree`]), whose objects
@@ -72,33 +73,26 @@ pub fn plan_connection(schema: &Hypergraph, x: &NodeSet) -> ConnectionPlan {
 /// escaping the engine — a kernel bug, a sink — surfaces as
 /// [`EngineError::WorkerPanic`], never as an unwind through the caller.
 impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
-    /// Answers the query `π_X (⋈ of the objects in CC(X))`: every join
-    /// recorded into the metrics sink,
-    /// checkpointed against the governor with its output charged to the
-    /// memory budget.  The whole join-then-project plan is timed as one
-    /// [`Phase::Join`] entry at level 0 (this engine has no reducer phases
-    /// to break out).
+    /// Answers the query `π_X (⋈ of the objects in CC(X))`: tableau
+    /// reduction picks the objects ([`plan_connection`]), and
+    /// [`ExecCtx::query_yannakakis`] answers over the sub-database they
+    /// form, with every stage, sink and checkpoint it documents.  The
+    /// sub-database has its own plan: a join tree, or decompositions when
+    /// the objects are cyclic.  Reducing within the objects preserves their
+    /// join, so on an inconsistent database this answer can hold more than
+    /// the full join's projection.  When the objects are every edge, or
+    /// none (`X = ∅`), the query runs over `db` itself and its plan.
     pub fn query_via_connection(
         &self,
         db: &Database,
         x: &NodeSet,
     ) -> Result<Relation, EngineError> {
-        timed(self.metrics, Phase::Join, 0, || {
-            contain_panics(|| {
-                let plan = plan_connection(db.schema(), x);
-                let mut acc: Option<Relation> = None;
-                for &i in &plan.objects {
-                    let r = &db.relations()[i];
-                    acc = Some(match acc {
-                        None => r.clone(),
-                        Some(a) => self.join(&a, r)?,
-                    });
-                }
-                Ok(match acc {
-                    Some(a) => a.into_project(x),
-                    None => Relation::new("∅", x.clone()),
-                })
-            })
+        contain_panics(|| {
+            let objects = plan_connection(db.schema(), x).objects;
+            if objects.is_empty() || objects.len() == db.relations().len() {
+                return self.query_yannakakis(db, x);
+            }
+            self.query_yannakakis(&db.restrict(&objects), x)
         })
     }
 

@@ -11,10 +11,11 @@ served `"metrics":true` answer and the `metrics` member of a `hyperqd
         --select A,D --engine yannakakis --metrics-json \
         | python3 scripts/check_metrics.py
 
-Pass --cyclic when the queried schema is cyclic: the document must then
-carry a decomposition report (both heuristic widths and the chosen one)
-and at least one materialized bag.  Without the flag the decomposition
-field must be null — acyclic schemas never pay for one.
+Pass --cyclic when the query's plan decomposes; for `connection`, when
+`CC(X)`'s objects are cyclic.  The document must then carry a
+decomposition report (both heuristic widths and the chosen one) and at
+least one materialized bag.  Without the flag the decomposition field
+must be null — a join tree never pays for one.
 """
 
 import json

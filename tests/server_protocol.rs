@@ -605,6 +605,41 @@ fn a_retired_threads_member_is_ignored() {
     shut_down(handle);
 }
 
+/// `"select":[]` asks whether the join is nonempty: every engine answers
+/// the one empty tuple on the tiny chain, whose consistent data joins, in
+/// the same frame once the trace ids are stripped.
+#[test]
+fn an_empty_select_gets_one_answer_from_every_engine() {
+    let (handle, db) = tiny_server();
+    assert!(!db.full_join().is_empty(), "the chain's data must join");
+    let mut c = Client::connect(handle.addr());
+    let frames: Vec<String> = [
+        EngineKind::Yannakakis,
+        EngineKind::Connection,
+        EngineKind::Naive,
+    ]
+    .into_iter()
+    .map(|engine| {
+        let request = render_request(&Request::Query(QuerySpec {
+            db: "chain".into(),
+            select: Vec::new(),
+            engine: Some(engine),
+            overrides: Overrides::default(),
+        }));
+        c.send_raw(format!("{request}\n").as_bytes());
+        without_trace(&c.read_line())
+    })
+    .collect();
+    assert!(
+        frames[0].contains("\"op\":\"answer\",\"attrs\":[],\"tuples\":1,"),
+        "{}",
+        frames[0]
+    );
+    assert_eq!(frames[1], frames[0], "connection");
+    assert_eq!(frames[2], frames[0], "naive");
+    shut_down(handle);
+}
+
 // ------------------------------------------------------------ pipelining
 
 /// A reply line without its per-query trace id (`,"trace":"q-NNNNNN"`, the
