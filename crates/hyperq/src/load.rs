@@ -2,40 +2,25 @@
 //!
 //! The parsing core (schema edge-lists, `LABEL: A=1 B=x` tuple files,
 //! snapshot schema matching) moved to [`hyperqd::load`] when the server
-//! grew out of this CLI — both binaries read exactly the same formats.
-//! This module re-exports it and keeps the CLI-flavored
-//! [`load_data`] wrapper that maps failures onto exit codes.
+//! grew out of this CLI — both binaries read exactly the same formats,
+//! through the same loader.  This module re-exports it and keeps the
+//! CLI-flavored [`load_data`] wrapper that maps failures onto exit codes.
 
-pub use hyperqd::load::{parse_database, parse_schema, render_database, same_schema, ParseError};
+pub use hyperqd::load::{parse_database, parse_schema, render_database, ParseError};
 
-use hypergraph::Hypergraph;
+use hyperqd::load::{load_source, DbSource};
 use reldb::Database;
 
-/// Loads the data file at `path` for `schema`: binary snapshots
-/// (recognized by their [`reldb::is_snapshot`] magic signature) load
-/// directly through [`Database::load_snapshot`]'s machinery, anything else
-/// parses as a text tuple file — so a snapshot is accepted anywhere a data
-/// file is.  A snapshot embeds its own schema; it must agree with the
-/// schema file the user passed (same labeled edges over the same attribute
-/// names), otherwise the mismatch is reported rather than silently
-/// answering against the wrong schema.
-pub fn load_data(schema: &Hypergraph, path: &str) -> Result<Database, crate::commands::CliError> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| crate::commands::CliError::from(format!("cannot read {path}: {e}")))?;
-    if reldb::is_snapshot(&bytes) {
-        let db = Database::from_snapshot_bytes(&bytes).map_err(|e| crate::commands::CliError {
-            code: 2,
-            message: format!("{path}: {e}"),
-        })?;
-        if !same_schema(db.schema(), schema) {
-            return Err(crate::commands::CliError::from(format!(
-                "{path}: snapshot schema does not match the given schema file"
-            )));
-        }
-        return Ok(db);
-    }
-    let text = String::from_utf8(bytes).map_err(|e| {
-        crate::commands::CliError::from(format!("{path}: not UTF-8 text (and not a snapshot): {e}"))
-    })?;
-    parse_database(schema, &text).map_err(|e| crate::commands::CliError::parse(path, e))
+/// Loads the data file at `data` against the schema file at `schema`,
+/// exactly as the server loads a `schema,data` source
+/// ([`hyperqd::load::load_source`]): a binary snapshot (recognized by its
+/// magic) streams in and must carry the schema file's labeled edges,
+/// anything else parses as a text tuple file.  Failures map onto the
+/// CLI's exit codes.
+pub fn load_data(schema: &str, data: &str) -> Result<Database, crate::commands::CliError> {
+    load_source(&DbSource::Text {
+        schema: schema.into(),
+        data: data.into(),
+    })
+    .map_err(crate::commands::CliError::from)
 }

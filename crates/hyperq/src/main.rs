@@ -248,9 +248,7 @@ fn run(started: Instant) -> Result<String, CliError> {
             let [schema_path, data_path] = args.as_slice() else {
                 return Err("query expects <schema> and <data> files".into());
             };
-            let schema = load::parse_schema(&read(schema_path)?)
-                .map_err(|e| CliError::parse(schema_path, e))?;
-            let db = load::load_data(&schema, data_path)?;
+            let db = load::load_data(schema_path, data_path)?;
             let attrs: Vec<&str> = select
                 .split(',')
                 .map(str::trim)
@@ -288,11 +286,9 @@ fn run(started: Instant) -> Result<String, CliError> {
                     let [schema_path, data_path, out_path] = args.as_slice() else {
                         return Err("snapshot save expects <schema> <data> <out> files".into());
                     };
-                    let schema = load::parse_schema(&read(schema_path)?)
-                        .map_err(|e| CliError::parse(schema_path, e))?;
                     // The data file may itself be a snapshot — save then
-                    // doubles as a format re-write / verification pass.
-                    let db = load::load_data(&schema, data_path)?;
+                    // doubles as a verification pass.
+                    let db = load::load_data(schema_path, data_path)?;
                     commands::run_snapshot_save(&db, out_path)
                 }
                 "load" => {

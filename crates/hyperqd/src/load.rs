@@ -23,6 +23,7 @@
 
 use hypergraph::{EdgeId, Hypergraph, HypergraphBuilder};
 use reldb::{Database, EngineError, Tuple, Value};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// A parse failure, carrying the 1-based line number and a message.
@@ -222,6 +223,17 @@ fn read(path: &Path) -> Result<Vec<u8>, EngineError> {
     std::fs::read(path).map_err(|e| EngineError::Io(format!("{}: {e}", path.display())))
 }
 
+/// Whether the file at `path` starts with the snapshot signature — read
+/// from its first 8 bytes only, so a snapshot is never buffered whole.
+fn sniff_snapshot(path: &Path) -> Result<bool, EngineError> {
+    let io = |e: std::io::Error| EngineError::Io(format!("{}: {e}", path.display()));
+    let mut head = Vec::with_capacity(8);
+    std::fs::File::open(path)
+        .and_then(|f| f.take(8).read_to_end(&mut head))
+        .map_err(io)?;
+    Ok(reldb::is_snapshot(&head))
+}
+
 fn utf8(path: &Path, bytes: Vec<u8>) -> Result<String, EngineError> {
     String::from_utf8(bytes).map_err(|e| {
         EngineError::Io(format!(
@@ -231,20 +243,32 @@ fn utf8(path: &Path, bytes: Vec<u8>) -> Result<String, EngineError> {
     })
 }
 
+/// Loads the snapshot at `path`, naming the file in a parse error the way
+/// text data errors do.
+fn load_snapshot(path: &Path) -> Result<Database, EngineError> {
+    Database::load_snapshot(path).map_err(|e| match e {
+        EngineError::Parse { line, message } => EngineError::Parse {
+            line,
+            message: format!("{}: {message}", path.display()),
+        },
+        other => other,
+    })
+}
+
 /// Loads a database from a [`DbSource`].  Text data is parsed against the
-/// schema file; snapshot data must carry the same labeled edges as the
-/// schema file ([`same_schema`]), mirroring the CLI's behavior.
+/// schema file; snapshot data streams through [`Database::load_snapshot`]
+/// and must carry the same labeled edges as the schema file
+/// ([`same_schema`]).
 pub fn load_source(source: &DbSource) -> Result<Database, EngineError> {
     match source {
         DbSource::Snapshot(path) => {
-            let bytes = read(path)?;
-            if !reldb::is_snapshot(&bytes) {
+            if !sniff_snapshot(path)? {
                 return Err(EngineError::Io(format!(
                     "{}: not a snapshot (missing magic); pass schema,data for text files",
                     path.display()
                 )));
             }
-            Database::from_snapshot_bytes(&bytes)
+            load_snapshot(path)
         }
         DbSource::Text { schema, data } => {
             let schema_text = utf8(schema, read(schema)?)?;
@@ -252,9 +276,8 @@ pub fn load_source(source: &DbSource) -> Result<Database, EngineError> {
                 line: e.line,
                 message: format!("{}: {}", schema.display(), e.message),
             })?;
-            let bytes = read(data)?;
-            if reldb::is_snapshot(&bytes) {
-                let db = Database::from_snapshot_bytes(&bytes)?;
+            if sniff_snapshot(data)? {
+                let db = load_snapshot(data)?;
                 if !same_schema(db.schema(), &h) {
                     return Err(EngineError::SchemaMismatch(format!(
                         "{}: snapshot schema does not match the given schema file",
@@ -263,7 +286,7 @@ pub fn load_source(source: &DbSource) -> Result<Database, EngineError> {
                 }
                 return Ok(db);
             }
-            let text = utf8(data, bytes)?;
+            let text = utf8(data, read(data)?)?;
             parse_database(&h, &text).map_err(|e| EngineError::Parse {
                 line: e.line,
                 message: format!("{}: {}", data.display(), e.message),

@@ -763,11 +763,11 @@ impl Relation {
     }
 
     /// Assembles a relation directly from a flat handle buffer — the
-    /// snapshot loader's entry.  Rows are trusted to be distinct (they were
-    /// written from a live relation, which enforces set semantics) and the
-    /// dedup index is left stale for lazy rebuild; handles are validated
-    /// against `pool` so a corrupt buffer yields `Err` instead of
-    /// out-of-bounds panics later.
+    /// snapshot loader's entry.  The caller must have proved the rows
+    /// distinct (the loader checks them strictly ascending, one neighbour
+    /// comparison per row) and the dedup index is left stale for lazy
+    /// rebuild; handles are validated against `pool` so a corrupt buffer
+    /// yields `Err` instead of out-of-bounds panics later.
     pub(crate) fn from_raw_parts(
         name: String,
         attributes: NodeSet,
@@ -1416,7 +1416,9 @@ impl Relation {
             .all(|(&a, &b)| row_of(&self.rows, w, a) == row_of(&other.rows, w, b))
     }
 
-    /// Renders the relation as a small table using `universe` for names.
+    /// Renders the relation as a small table using `universe` for names,
+    /// rows in ascending value order — so the rendering depends on the
+    /// relation's contents, not on the order its rows are stored in.
     pub fn display(&self, universe: &Universe) -> String {
         let mut out = String::new();
         out.push_str(&format!("{} (", self.name));
@@ -1430,11 +1432,16 @@ impl Relation {
         );
         out.push_str(&format!(") — {} tuples\n", self.len));
         let values = self.decode_snapshot(self.len * self.width());
-        for row in self.rows_iter() {
+        let mut rows: Vec<Vec<Value>> = self
+            .rows_iter()
+            .map(|row| row.iter().map(|&h| self.decode_cell(&values, h)).collect())
+            .collect();
+        rows.sort_unstable();
+        for row in rows {
             out.push_str("  ");
             out.push_str(
                 &row.iter()
-                    .map(|&h| self.decode_cell(&values, h).to_string())
+                    .map(Value::to_string)
                     .collect::<Vec<_>>()
                     .join(" | "),
             );

@@ -5,8 +5,9 @@
 //! including databases whose relations live in separate value pools —
 //! preserves contents and pool-sharing structure exactly.  Second, the
 //! decoder is total: arbitrary corruption (bit flips, truncation, garbage
-//! appended) yields a structured [`EngineError`], never a panic, and never
-//! a half-built database.
+//! appended, a repeated or swapped row), in memory or in a file, yields a
+//! structured [`EngineError`], never a panic, and never a half-built
+//! database.
 
 use acyclic_hypergraphs::reldb::{Database, EngineError, Relation};
 use acyclic_hypergraphs::workload::{
@@ -65,6 +66,80 @@ fn split_pools(db: &Database) -> Database {
         })
         .collect();
     Database::new(db.schema().clone(), split).expect("same schema")
+}
+
+/// Where each relation's rows sit in a snapshot image: `(offset, width,
+/// row count)`, walking the version-2 layout (see `reldb::snapshot`).
+fn row_sections(b: &[u8]) -> Vec<(usize, usize, usize)> {
+    // Reads a u32 count at `at` and skips it plus `per` bytes per unit.
+    fn count(b: &[u8], at: &mut usize, per: usize) -> usize {
+        let v = u32::from_le_bytes(b[*at..*at + 4].try_into().unwrap()) as usize;
+        *at += 4 + per * v;
+        v
+    }
+    let mut at = 12;
+    for _ in 0..count(b, &mut at, 0) {
+        count(b, &mut at, 1); // node name
+    }
+    let widths: Vec<usize> = (0..count(b, &mut at, 0))
+        .map(|_| {
+            count(b, &mut at, 1); // label
+            count(b, &mut at, 4) // node ids
+        })
+        .collect();
+    for _ in 0..count(b, &mut at, 0) {
+        for _ in 0..count(b, &mut at, 0) {
+            at += 1;
+            match b[at - 1] {
+                0 => at += 8,
+                _ => {
+                    count(b, &mut at, 1);
+                }
+            }
+        }
+    }
+    widths
+        .into_iter()
+        .map(|w| {
+            let len = u64::from_le_bytes(b[at + 4..at + 12].try_into().unwrap()) as usize;
+            let start = at + 12;
+            at = start + len * w * 4;
+            (start, w, len)
+        })
+        .collect()
+}
+
+/// A fresh path in the temp directory for one test case's file.
+fn temp_path(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "hq_snapshot_props_{}_{tag}_{n}.hqs",
+        std::process::id()
+    ))
+}
+
+/// Writes `bytes` to a file and loads it back through the streaming path.
+fn load_file(tag: &str, bytes: &[u8]) -> Result<Database, EngineError> {
+    let path = temp_path(tag);
+    std::fs::write(&path, bytes).unwrap();
+    let loaded = Database::load_snapshot(&path);
+    std::fs::remove_file(&path).ok();
+    loaded
+}
+
+#[test]
+fn version_1_files_ask_for_a_re_save() {
+    let mut bytes = db_for(0, 1, 8, 4, 0.0, 1).to_snapshot_bytes();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    match load_file("v1", &bytes) {
+        Err(EngineError::Parse { line: 8, message }) => {
+            assert!(message.contains("version 1"), "{message}");
+            assert!(message.contains("hyperq snapshot save"), "{message}");
+        }
+        other => panic!("expected one Parse naming version 1, got {other:?}"),
+    }
 }
 
 proptest! {
@@ -160,6 +235,71 @@ proptest! {
         extended.extend_from_slice(&garbage);
         prop_assert!(matches!(
             Database::from_snapshot_bytes(&extended),
+            Err(EngineError::Parse { .. })
+        ));
+    }
+
+    /// Rows are stored strictly ascending, so a row overwritten with
+    /// another row of its relation (a repeat) or two rows swapped is a
+    /// structured parse error at or after the changed row — never a
+    /// relation that is not a set.
+    #[test]
+    fn repeated_or_swapped_rows_are_parse_errors(
+        family in 0usize..4,
+        tuples in 2usize..32,
+        seed in 0u64..1_000,
+        rel_pick in 0usize..16,
+        i_pick in 0usize..1024,
+        j_pick in 0usize..1024,
+        swap in any::<bool>(),
+    ) {
+        let db = db_for(family, 1, tuples, 6, 0.0, seed);
+        let mut bytes = db.to_snapshot_bytes();
+        let sections: Vec<_> = row_sections(&bytes)
+            .into_iter()
+            .filter(|&(_, _, len)| len >= 2)
+            .collect();
+        prop_assume!(!sections.is_empty());
+        let (start, w, len) = sections[rel_pick % sections.len()];
+        let i = i_pick % len;
+        let j = (i + 1 + j_pick % (len - 1)) % len;
+        let row = |k: usize| start + k * w * 4..start + (k + 1) * w * 4;
+        let old_i = bytes[row(i)].to_vec();
+        bytes.copy_within(row(j), row(i).start);
+        if swap {
+            bytes[row(j)].copy_from_slice(&old_i);
+        }
+        match Database::from_snapshot_bytes(&bytes) {
+            Err(EngineError::Parse { line, message }) => {
+                prop_assert!(line >= start && line < start + len * w * 4, "{line}: {message}");
+                prop_assert!(message.contains("ascending"), "{message}");
+            }
+            other => prop_assert!(false, "expected Parse, got {other:?}"),
+        }
+    }
+
+    /// Through the file path too: a snapshot truncated on disk, or one
+    /// with bytes appended, is a structured parse error.
+    #[test]
+    fn truncated_or_extended_files_are_parse_errors(
+        tuples in 1usize..16,
+        seed in 0u64..1_000,
+        cut_pick in 0usize..4096,
+        garbage in proptest::collection::vec(any::<u8>(), 1..16),
+    ) {
+        let db = db_for(2, 1, tuples, 4, 0.0, seed);
+        let bytes = db.to_snapshot_bytes();
+        let round_trip = load_file("whole", &bytes).unwrap();
+        prop_assert!(same_database(&db, &round_trip));
+        let cut = cut_pick % bytes.len();
+        prop_assert!(matches!(
+            load_file("cut", &bytes[..cut]),
+            Err(EngineError::Parse { .. })
+        ));
+        let mut extended = bytes.clone();
+        extended.extend_from_slice(&garbage);
+        prop_assert!(matches!(
+            load_file("extended", &extended),
             Err(EngineError::Parse { .. })
         ));
     }
