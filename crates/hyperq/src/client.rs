@@ -211,9 +211,9 @@ fn render(addr: &str, response: Response) -> Result<String, CliError> {
 
 /// A row cell for display: strings bare (matching the CLI's relation
 /// printer), everything else in JSON form.
-fn cell(v: &Json) -> String {
+fn cell(v: Json) -> String {
     match v {
-        Json::Str(s) => s.clone(),
+        Json::Str(s) => s,
         other => other.to_string(),
     }
 }

@@ -102,7 +102,7 @@ impl Json {
             Json::Null => out.extend_from_slice(b"null"),
             Json::Bool(true) => out.extend_from_slice(b"true"),
             Json::Bool(false) => out.extend_from_slice(b"false"),
-            Json::Int(n) => write!(out, "{n}").expect(INFALLIBLE),
+            Json::Int(n) => write_int(*n, out),
             Json::Float(x) => {
                 if x.is_finite() {
                     let text = format!("{x}");
@@ -161,6 +161,46 @@ impl fmt::Display for Json {
         self.write_to(&mut out);
         f.write_str(&into_text(out))
     }
+}
+
+/// `"00"`, `"01"`, …, `"99"`, back to back: two decimal digits per lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Appends `n` to `out` in decimal, as `{n}` formats it, without going
+/// through `fmt`: digits are produced two at a time from the right into a
+/// stack buffer, then copied once.
+pub(crate) fn write_int(n: i64, out: &mut Vec<u8>) {
+    // u64::MAX has 20 digits; |i64::MIN| has 19.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = n.unsigned_abs();
+    while rest >= 100 {
+        let pair = (rest % 100) as usize * 2;
+        rest /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if rest >= 10 {
+        let pair = rest as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + rest as u8;
+    }
+    if n < 0 {
+        out.push(b'-');
+    }
+    out.extend_from_slice(&buf[at..]);
 }
 
 /// Appends `s` to `out` as a quoted, escaped JSON string.
@@ -448,6 +488,28 @@ pub fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn integers_write_as_format_prints_them() {
+        let mut cases = vec![0i64, 1, -1, i64::MIN, i64::MIN + 1, i64::MAX, i64::MAX - 1];
+        let mut power = 1i64;
+        loop {
+            for n in [power - 1, power, power + 1] {
+                cases.extend([n, -n]);
+            }
+            match power.checked_mul(10) {
+                Some(next) => power = next,
+                None => break,
+            }
+        }
+        assert!(cases.contains(&1_000_000_000_000_000_000));
+        for n in cases {
+            let mut out = b"x".to_vec();
+            write_int(n, &mut out);
+            assert_eq!(out, format!("x{n}").into_bytes(), "{n}");
+            assert_eq!(Json::Int(n).to_string(), format!("{n}"));
+        }
+    }
 
     #[test]
     fn scalars_round_trip() {

@@ -527,26 +527,89 @@ pub struct DbInfo {
     pub acyclic: bool,
 }
 
-/// The rows of a [`Response::Answer`] as a compact table: cell values in
-/// one list, rows as indices into it, and the order the rows come in as a
-/// permutation over them.  The server stores each distinct value once, so a
-/// large answer costs one `u32` per cell instead of one [`Json`] per cell;
-/// its rows stay where the engine left them, only `order` is sorted, and
-/// they are gathered in that order once, while the reply is rendered —
-/// which also formats each value once.
+/// The rows of a [`Response::Answer`] as a compact table: a cell list of
+/// rendered tokens (each value's JSON text and a comma), rows as indices
+/// into it, and the order the rows come in as a permutation over them.  The
+/// server renders each distinct value once, so a large answer costs one
+/// `u32` per cell and a few bytes per distinct value, not a [`Json`] per
+/// either; its rows stay where the engine left them, only `order` is
+/// sorted, and rendering the reply only gathers their tokens in that order.
+/// The server's tokens are rendered while
+/// [`answer_frame`](crate::server::answer_frame) reads the dictionary: for
+/// an ordered pool (a loaded snapshot's), all of them under the database's
+/// pool lock.
 ///
 /// Equality is by content — two tables are equal when they hold the same
-/// rows in the same order, however their cell lists and rows are laid out.
+/// rows in the same order, cell for cell the same JSON text, however their
+/// token lists and rows are laid out.
 #[derive(Debug, Clone)]
 pub struct Rows {
     width: usize,
     len: usize,
-    cells: Vec<Json>,
-    /// `len * width` positions in `cells`: stored row `s` is
+    /// The cell list, followed by [`CHUNK`] bytes of padding.
+    tokens: Tokens,
+    /// `len * width` positions in `tokens`: stored row `s` is
     /// `index[s * width..(s + 1) * width]`.
     index: Vec<u32>,
     /// Row `r` of the table is stored row `order[r]`.
     order: Vec<u32>,
+}
+
+/// A cell list as [`Rows`] holds it: every cell's token — its JSON text and
+/// the comma after it — back to back in `text`.  Token `c` is
+/// `text[bounds[c]..bounds[c + 1]]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Tokens {
+    text: Vec<u8>,
+    bounds: Vec<u32>,
+}
+
+impl Tokens {
+    /// An empty list with room for `tokens` tokens of `bytes` bytes in all.
+    pub(crate) fn with_capacity(tokens: usize, bytes: usize) -> Tokens {
+        let mut bounds = Vec::with_capacity(tokens + 1);
+        bounds.push(0);
+        Tokens {
+            text: Vec::with_capacity(bytes),
+            bounds,
+        }
+    }
+
+    /// Appends one token: `write` appends the JSON text, the comma follows.
+    ///
+    /// # Panics
+    /// Panics once the list outgrows 4 GiB of text.
+    #[inline]
+    pub(crate) fn push(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        write(&mut self.text);
+        self.text.push(b',');
+        let end = u32::try_from(self.text.len()).expect("a cell list under 4 GiB of text");
+        self.bounds.push(end);
+    }
+
+    /// Appends `other`'s tokens after these.
+    pub(crate) fn append(&mut self, other: Tokens) {
+        let base = *self.bounds.last().expect("bounds start at 0");
+        self.text.extend_from_slice(&other.text);
+        self.bounds
+            .extend(other.bounds[1..].iter().map(|&end| base + end));
+    }
+
+    /// Where token `c` starts in `text`, and its length with the comma.
+    #[inline]
+    fn span(&self, c: u32) -> (usize, usize) {
+        let ends = self
+            .bounds
+            .get(c as usize..c as usize + 2)
+            .expect(INDEX_WITHIN_CELLS);
+        (ends[0] as usize, (ends[1] - ends[0]) as usize)
+    }
+
+    /// Token `c`'s JSON text, without its comma.
+    fn text(&self, c: u32) -> &[u8] {
+        let (from, n) = self.span(c);
+        &self.text[from..from + n - 1]
+    }
 }
 
 /// Bytes [`Rows::write_to`] reserves beyond the rows themselves for what
@@ -555,9 +618,9 @@ pub struct Rows {
 /// the buffer.
 const REPLY_TAIL_ROOM: usize = 64;
 
-/// [`Rows::write_to`] copies a cell's text as one chunk of this many bytes
+/// [`Rows::write_to`] copies a cell's token as one chunk of this many bytes
 /// — a copy of fixed size is a register move, one of measured size a call —
-/// and only a longer text takes a second, sized copy.  Sixteen covers a
+/// and only a longer token takes a second, sized copy.  Sixteen covers a
 /// quoted 13-byte string or a 15-digit number with its comma.
 const CHUNK: usize = 16;
 
@@ -566,18 +629,18 @@ const INDEX_WITHIN_CELLS: &str = "index entries point into the cell list";
 
 impl Rows {
     /// A table of `len` rows of `width` cells: row `r`, column `c` holds
-    /// `cells[index[order[r] * width + c]]`.
+    /// token `index[order[r] * width + c]` of `tokens`.
     ///
     /// # Panics
     /// Panics unless `index` has `len * width` entries and `order` has
     /// `len`, all of them `< len`.  That the entries of `index` lie within
-    /// `cells` is checked where each is read, so that a frame pays for one
+    /// `tokens` is checked where each is read, so that a frame pays for one
     /// pass over them, not two: rendering, [`iter`](Rows::iter) and `==`
     /// panic on the first that does not, naming it.
     pub(crate) fn from_parts(
         width: usize,
         len: usize,
-        cells: Vec<Json>,
+        mut tokens: Tokens,
         index: Vec<u32>,
         order: Vec<u32>,
     ) -> Rows {
@@ -587,10 +650,12 @@ impl Rows {
             order.iter().all(|&s| (s as usize) < len),
             "order entries name rows of the table"
         );
+        // A chunk read at the last token stays inside the padding.
+        tokens.text.resize(tokens.text.len() + CHUNK, 0);
         Rows {
             width,
             len,
-            cells,
+            tokens,
             index,
             order,
         }
@@ -602,19 +667,14 @@ impl Rows {
         if rows.iter().any(|row| row.as_ref().len() != width) {
             return None;
         }
-        let mut cells = Vec::with_capacity(rows.len() * width);
-        for row in rows {
-            cells.extend_from_slice(row.as_ref());
+        let cells = rows.len() * width;
+        let mut tokens = Tokens::with_capacity(cells, 0);
+        for cell in rows.iter().flat_map(AsRef::as_ref) {
+            tokens.push(|out| cell.write_to(out));
         }
-        let index = (0..u32::try_from(cells.len()).ok()?).collect();
+        let index = (0..u32::try_from(cells).ok()?).collect();
         let order = (0..u32::try_from(rows.len()).ok()?).collect();
-        Some(Rows {
-            width,
-            len: rows.len(),
-            cells,
-            index,
-            order,
-        })
+        Some(Rows::from_parts(width, rows.len(), tokens, index, order))
     }
 
     /// Number of rows.
@@ -627,50 +687,35 @@ impl Rows {
         self.len == 0
     }
 
-    /// Row `r` as positions in `cells`.
+    /// Row `r` as positions in `tokens`.
     fn row(&self, r: usize) -> &[u32] {
         let stored = self.order[r] as usize;
         &self.index[stored * self.width..(stored + 1) * self.width]
     }
 
-    /// The rows in order, each as its cells in attribute order.
-    pub fn iter(&self) -> impl Iterator<Item = impl Iterator<Item = &Json> + '_> + '_ {
+    /// The rows in order, each as its cells in attribute order, every cell
+    /// parsed from its token into a [`Json`] of its own.
+    pub fn iter(&self) -> impl Iterator<Item = impl Iterator<Item = Json> + '_> + '_ {
         (0..self.len).map(move |r| self.row(r).iter().map(move |&c| self.cell(c)))
     }
 
-    /// Entry `c` of the cell list.
-    fn cell(&self, c: u32) -> &Json {
-        self.cells.get(c as usize).expect(INDEX_WITHIN_CELLS)
+    /// Token `c` of the cell list, parsed.
+    fn cell(&self, c: u32) -> Json {
+        let text = std::str::from_utf8(self.tokens.text(c)).expect("tokens are UTF-8");
+        parse_json(text).expect("tokens are JSON")
     }
 
-    /// Appends the rows as a JSON array of arrays, formatting each entry of
-    /// the cell list once and gathering the rows in table order.
+    /// Appends the rows as a JSON array of arrays, gathering the rows'
+    /// tokens in table order.
     fn write_to(&self, out: &mut Vec<u8>) {
-        // Every cell's token — its text and the comma after it — back to
-        // back, then one chunk of padding so that a chunk read at the last
-        // token stays inside.  Token `c` is `text[bounds[c]..bounds[c + 1]]`.
-        let mut text = Vec::new();
-        let mut bounds = Vec::with_capacity(self.cells.len() + 1);
-        bounds.push(0);
-        for cell in &self.cells {
-            cell.write_to(&mut text);
-            text.push(b',');
-            bounds.push(text.len());
-        }
-        text.resize(text.len() + CHUNK, 0);
-        let token = |c: u32| {
-            let ends = bounds
-                .get(c as usize..c as usize + 2)
-                .expect(INDEX_WITHIN_CELLS);
-            (ends[0], ends[1] - ends[0])
-        };
+        let (text, span) = (&self.tokens.text, |c| self.tokens.span(c));
         // Size the reply once: the rows' exact length is known here — the
         // tokens (a row's last comma turns into its closing bracket), each
         // row's opening bracket and the comma after it (the last one turns
         // into the array's closing bracket), a closing bracket of its own
         // for a row without cells or an array without rows.  Doubling into
         // a multi-megabyte answer would copy it and hold twice its size.
-        let tokens: usize = self.index.iter().map(|&c| token(c).1).sum();
+        let tokens: usize = self.index.iter().map(|&c| span(c).1).sum();
         let brackets = self.len * (2 + usize::from(self.width == 0));
         let total = 1 + tokens + brackets + usize::from(self.len == 0);
         let start = out.len();
@@ -684,7 +729,7 @@ impl Rows {
             for &c in self.row(r) {
                 // The bytes a chunk carries past its token's end are the
                 // next thing written over.
-                let (from, n) = token(c);
+                let (from, n) = span(c);
                 out[at..at + CHUNK].copy_from_slice(&text[from..from + CHUNK]);
                 if n > CHUNK {
                     out[at + CHUNK..at + n].copy_from_slice(&text[from + CHUNK..from + n]);
@@ -704,7 +749,7 @@ impl Rows {
 
 impl PartialEq for Rows {
     fn eq(&self, other: &Rows) -> bool {
-        let same = |(&a, &b): (&u32, &u32)| self.cell(a) == other.cell(b);
+        let same = |(&a, &b): (&u32, &u32)| self.tokens.text(a) == other.tokens.text(b);
         self.width == other.width
             && self.len == other.len
             && (0..self.len).all(|r| self.row(r).iter().zip(other.row(r)).all(same))
@@ -1231,11 +1276,56 @@ mod tests {
         }
     }
 
+    /// A cell list holding `cells`' tokens, in order.
+    fn tokens(cells: &[Json]) -> Tokens {
+        let mut tokens = Tokens::with_capacity(cells.len(), 0);
+        for cell in cells {
+            tokens.push(|out| cell.write_to(out));
+        }
+        tokens
+    }
+
+    #[test]
+    fn equal_rows_in_different_cell_layouts_compare_equal() {
+        let (one, s) = (Json::Int(1), Json::str("1"));
+        let rows = [[one.clone(), s.clone()], [s.clone(), s.clone()]];
+        let explicit = Rows::from_rows(2, &rows).unwrap();
+        // The same rows over a deduplicated list in the other order, stored
+        // in the other order and served through the permutation.
+        let shared = Rows::from_parts(
+            2,
+            2,
+            tokens(&[s.clone(), one.clone()]),
+            vec![0, 0, 1, 0],
+            vec![1, 0],
+        );
+        // Every cell its own token, a spare token no row uses.
+        let spread = tokens(&[Json::Null, one.clone(), s.clone(), s.clone(), s.clone()]);
+        let spread = Rows::from_parts(2, 2, spread, vec![1, 2, 3, 4], vec![0, 1]);
+        for (a, b) in [
+            (&explicit, &shared),
+            (&shared, &spread),
+            (&spread, &explicit),
+        ] {
+            assert_eq!(a, b);
+            assert_eq!(b, a);
+            let (mut left, mut right) = (Vec::new(), Vec::new());
+            a.write_to(&mut left);
+            b.write_to(&mut right);
+            assert_eq!(into_text(left), "[[1,\"1\"],[\"1\",\"1\"]]");
+            assert_eq!(into_text(right), "[[1,\"1\"],[\"1\",\"1\"]]");
+        }
+        // The integer 1 and the string "1" are different cells.
+        let swapped = Rows::from_rows(2, &[[s.clone(), s.clone()], [s.clone(), s]]).unwrap();
+        assert_ne!(explicit, swapped);
+        assert_ne!(shared, swapped);
+    }
+
     #[test]
     fn rows_come_in_the_order_of_their_permutation() {
         let x = || Json::str("x");
         // Stored rows (7,"x") (9,7) ("x",9), served third, first, second.
-        let cells = vec![Json::Int(7), x(), Json::Int(9)];
+        let cells = tokens(&[Json::Int(7), x(), Json::Int(9)]);
         let index = vec![0, 1, 2, 0, 1, 2];
         let table = Rows::from_parts(2, 3, cells.clone(), index.clone(), vec![2, 0, 1]);
         let written_out = [
@@ -1249,7 +1339,7 @@ mod tests {
         let unpermuted = Rows::from_parts(2, 3, cells, index, vec![0, 1, 2]);
         assert_ne!(table, unpermuted);
         assert_ne!(unpermuted, table);
-        let listed: Vec<Vec<Json>> = table.iter().map(|row| row.cloned().collect()).collect();
+        let listed: Vec<Vec<Json>> = table.iter().map(Iterator::collect).collect();
         assert_eq!(listed, written_out);
         let (mut permuted, mut plain) = (Vec::new(), Vec::new());
         table.write_to(&mut permuted);
@@ -1283,7 +1373,13 @@ mod tests {
             for read in reads {
                 let (index, order) = (index.clone(), order.clone());
                 let panic = std::panic::catch_unwind(move || {
-                    read(&Rows::from_parts(1, 2, vec![Json::Int(5)], index, order))
+                    read(&Rows::from_parts(
+                        1,
+                        2,
+                        tokens(&[Json::Int(5)]),
+                        index,
+                        order,
+                    ))
                 })
                 .expect_err(invariant);
                 let message = panic

@@ -1,15 +1,19 @@
 //! Ranking an answer's values without comparing them: the first half of
 //! [`answer_frame`](crate::server::answer_frame)'s canonical order.
 //!
-//! The answer arrives as `u32` handles into a [`ValuePool`] whose handle
-//! order is interning order, unrelated to [`Value`] order.  [`rank_cells`]
+//! The answer arrives as `u32` handles into a [`ValuePool`].  [`rank_cells`]
 //! turns the distinct values behind those handles into the frame's cell
-//! list, in `Value` order, and rewrites every handle as its position in
-//! that list.  Handles, and integers whose range is dense enough, are
-//! ranked by direct-address bitmaps ([`RankedBits`]) instead of sorts, and
-//! the dictionary is read once, front to back.
+//! list — each value's rendered token, in `Value` order — and rewrites
+//! every handle as its position in that list.  The distinct handles are
+//! marked in a direct-address bitmap ([`RankedBits`]) and the dictionary is
+//! read once, front to back.  In an ordered pool (a loaded snapshot's:
+//! handle order is value order, [`ValuePool::is_ordered`]) a handle's rank
+//! among the marks *is* its value's rank, so nothing is compared at all;
+//! otherwise strings are sorted and integers ranked by a second bitmap
+//! where their range is dense enough, sorted where it is not.
 
-use crate::json::Json;
+use crate::json::{write_escaped, write_int};
+use crate::protocol::Tokens;
 use reldb::{Value, ValuePool};
 
 /// A fixed bitmap that also answers "how many set bits lie below `i`":
@@ -60,36 +64,59 @@ impl RankedBits {
     }
 }
 
-/// The distinct values behind `handles` (handles of `pool`) as JSON cells
-/// in [`Value`] order, and `handles` rewritten as positions in that list.
+/// The distinct values behind `handles` (handles of `pool`) as rendered
+/// tokens in [`Value`] order, and `handles` rewritten as positions in that
+/// list.
 ///
 /// The distinct handles are marked in a bitmap — one *bit* per pool handle
 /// up to the largest used, so a small answer over a large dictionary stays
-/// small — and the dictionary is swept once in ascending handle order.
-/// That sweep, and the sort of whatever strings it finds, are all that runs
-/// under the pool lock.  Integers are then ranked by a second bitmap over
-/// `[min, max]` whenever that range costs at most 8 bits per answer cell
-/// (+ 1024: the rule `reldb`'s dense semijoin mask uses); a sparser range,
-/// or one whose width overflows, sorts the integers instead.
-pub(crate) fn rank_cells(pool: &ValuePool, handles: &[u32]) -> (Vec<Json>, Vec<u32>) {
+/// small — and the dictionary is swept once in ascending handle order,
+/// under the pool lock.  In an ordered pool that sweep also renders every
+/// token (the integer writer is `fmt`-free for this), and a handle's
+/// position is its rank among the marks: the lock is held for formatting,
+/// and no value is compared.  Otherwise the sweep collects the integers,
+/// and sorts and renders the strings, under the lock; the integers are then
+/// ranked by a second bitmap over `[min, max]` whenever that range costs at
+/// most 8 bits per answer cell (+ 1024: the rule `reldb`'s dense semijoin
+/// mask uses); a sparser range, or one whose width overflows, sorts them
+/// instead.
+pub(crate) fn rank_cells(pool: &ValuePool, handles: &[u32]) -> (Tokens, Vec<u32>) {
     let Some(&max_handle) = handles.iter().max() else {
-        return (Vec::new(), Vec::new());
+        return (Tokens::with_capacity(0, 0), Vec::new());
     };
     let seen = RankedBits::marking(max_handle as usize + 1, handles.iter().map(|&h| h as usize));
-    // `position[slot(h)]` is where handle `h`'s value lands in `cells`.  An
-    // answer with more cells than its pool has handles (it repeats values)
-    // can afford a slot per handle, which saves a popcount per cell;
-    // otherwise the distinct handles are numbered and get one slot each.
+    let distinct = seen.count;
+    let in_handle_order = pool.with_values(|values, ordered| {
+        ordered.then(|| {
+            let mut tokens = Tokens::with_capacity(distinct, distinct * TOKEN_GUESS);
+            for h in seen.ones() {
+                tokens.push(|out| match &values[h] {
+                    Value::Int(n) => write_int(*n, out),
+                    Value::Str(s) => write_escaped(s, out),
+                });
+            }
+            tokens
+        })
+    });
+    if let Some(tokens) = in_handle_order {
+        let ranked = handles.iter().map(|&h| seen.rank(h as usize)).collect();
+        return (tokens, ranked);
+    }
+
+    // `position[slot(h)]` is where handle `h`'s value lands in the list.
+    // An answer with more cells than its pool has handles (it repeats
+    // values) can afford a slot per handle, which saves a popcount per
+    // cell; otherwise the distinct handles are numbered and get one slot
+    // each.
     let direct = (max_handle as usize) < handles.len();
     let slot = |h: usize| if direct { h } else { seen.rank(h) as usize };
-    let distinct = seen.count;
     let slots = if direct {
         max_handle as usize + 1
     } else {
         distinct
     };
     let mut position = vec![0u32; slots];
-    let (mut ints, strs) = pool.with_values(|values| {
+    let (mut ints, str_tokens) = pool.with_values(|values, _| {
         let (mut ints, mut strs) = (Vec::with_capacity(distinct), Vec::new());
         for (number, h) in seen.ones().enumerate() {
             let slot = if direct { h } else { number } as u32;
@@ -101,13 +128,14 @@ pub(crate) fn rank_cells(pool: &ValuePool, handles: &[u32]) -> (Vec<Json>, Vec<u
         // `Value` orders every `Int` before every `Str`; keys are distinct,
         // so the slot in each pair never decides.
         strs.sort_unstable();
-        for (i, &(_, slot)) in strs.iter().enumerate() {
+        let mut tokens = Tokens::with_capacity(strs.len(), strs.len() * TOKEN_GUESS);
+        for (i, &(s, slot)) in strs.iter().enumerate() {
             position[slot as usize] = (ints.len() + i) as u32;
+            tokens.push(|out| write_escaped(s, out));
         }
-        let strs: Vec<Json> = strs.into_iter().map(|(s, _)| Json::str(s)).collect();
-        (ints, strs)
+        (ints, tokens)
     });
-    let mut cells = Vec::with_capacity(distinct);
+    let mut tokens = Tokens::with_capacity(distinct, distinct * TOKEN_GUESS);
     match dense_int_range(&ints, handles.len()) {
         Some((min, range)) => {
             let offset = |n: i64| (n - min) as usize;
@@ -115,23 +143,29 @@ pub(crate) fn rank_cells(pool: &ValuePool, handles: &[u32]) -> (Vec<Json>, Vec<u
             for &(n, slot) in &ints {
                 position[slot as usize] = present.rank(offset(n));
             }
-            cells.extend(present.ones().map(|i| Json::Int(min + i as i64)));
+            for i in present.ones() {
+                tokens.push(|out| write_int(min + i as i64, out));
+            }
         }
         None => {
             ints.sort_unstable();
             for (i, &(n, slot)) in ints.iter().enumerate() {
                 position[slot as usize] = i as u32;
-                cells.push(Json::Int(n));
+                tokens.push(|out| write_int(n, out));
             }
         }
     }
-    cells.extend(strs);
+    tokens.append(str_tokens);
     let ranked = handles
         .iter()
         .map(|&h| position[slot(h as usize)])
         .collect();
-    (cells, ranked)
+    (tokens, ranked)
 }
+
+/// Bytes reserved per token before any is written: a comma and up to
+/// eleven digits or a nine-byte string, with its quotes, fit in twelve.
+const TOKEN_GUESS: usize = 12;
 
 /// `(min, max − min + 1)` of the integers when a bitmap over that range
 /// costs at most 8 bits per answer cell + 1024; `None` when it does not, or

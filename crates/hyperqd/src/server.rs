@@ -871,20 +871,24 @@ fn execute_inner(
 ///
 /// The frame is built from the answer's handle rows, and neither ordering
 /// compares tuples or chases the dictionary.  The handles the rows use are
-/// ranked once by [`reldb::Value`] order and each becomes one cell
-/// (`rank::rank_cells`: bitmaps and one front-to-back read of the
-/// dictionary); rows are then ordered as tuples of ranks by
+/// ranked once by [`reldb::Value`] order and each becomes one cell, its
+/// value rendered once into a token (`rank::rank_cells`: bitmaps and one
+/// front-to-back read of the dictionary; in a snapshot-loaded pool, whose
+/// handle order is value order, a handle's rank among the answer's handles
+/// is its value's); rows are then ordered as tuples of ranks by
 /// [`reldb::sort_ids_by_key`], the sort-merge kernels' LSD counting sort.
-/// No `Value` is cloned per cell, and no row is moved: the frame's [`Rows`]
-/// hold the ranked rows where the engine left them plus the sort's
-/// permutation, and the rows are gathered in that order when the reply is
-/// rendered, straight into its text.
+/// No `Value` is cloned and no [`json::Json`] built per cell or per
+/// distinct value, and no row is moved: the frame's [`Rows`] hold the
+/// tokens, the ranked rows where the engine left them and the sort's
+/// permutation, and the rows' tokens are gathered in that order when the
+/// reply is rendered, straight into its text.
 ///
 /// The pool lock — database-wide, so shared by every connection querying
-/// that database — is held for the dictionary read (and the sort of the
-/// answer's strings, which borrow from it), not for the answer: marking,
-/// integer ranking, the per-cell rewrite and the row order all run outside
-/// it.
+/// that database — is held for the dictionary read and for rendering the
+/// tokens it reads: every token of an ordered pool, the strings of any
+/// other (sorted there too, as they borrow from the dictionary).  Marking,
+/// the rest of the ranking, the per-cell rewrite and the row order all run
+/// outside it.
 pub fn answer_frame(db: &Database, answer: &Relation, metrics: Option<json::Json>) -> Response {
     let universe = db.schema().universe();
     let columns = answer.columns();
@@ -895,11 +899,11 @@ pub fn answer_frame(db: &Database, answer: &Relation, metrics: Option<json::Json
     let (width, len) = (columns.len(), answer.len());
     let handles = answer.handle_rows();
     assert_eq!(handles.len(), len * width, "one handle per cell");
-    let (cells, ranked) = rank_cells(answer.pool(), handles);
+    let (tokens, ranked) = rank_cells(answer.pool(), handles);
     let order = reldb::sort_ids_by_key(&ranked, width, len);
     Response::Answer {
         attrs,
-        rows: Rows::from_parts(width, len, cells, ranked, order),
+        rows: Rows::from_parts(width, len, tokens, ranked, order),
         metrics,
         trace: None,
     }

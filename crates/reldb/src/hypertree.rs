@@ -231,7 +231,11 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         d: &Decomposition,
         output: &NodeSet,
     ) -> Result<Relation, EngineError> {
-        let bags = self.build_bags(db, d)?;
+        let bags = self
+            .build_bags(db, d)?
+            .into_iter()
+            .map(Cow::Owned)
+            .collect();
         let tree = d.tree();
         self.answer_from_upward_pass(d.bags(), tree, &tree.levels(), bags, output)
     }

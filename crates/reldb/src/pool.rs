@@ -13,6 +13,12 @@
 //! [`ValuePool::same_pool`] and, once at its door, copies the other operand
 //! into its own pool, so the kernel itself only ever compares handles of
 //! one pool.
+//!
+//! A pool also knows whether its handle order is still [`Value`] order
+//! ([`ValuePool::is_ordered`]): a snapshot load installs its dictionary in
+//! value order, and interning in ascending order keeps it so.  Whoever
+//! needs values sorted — an answer frame ranking its cells — can then rank
+//! handles instead of comparing values.
 
 use crate::value::Value;
 use std::collections::HashMap;
@@ -48,7 +54,7 @@ impl Hasher for FxHasher {
 
 type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PoolInner {
     values: Vec<Value>,
     index: FastMap<Value, u32>,
@@ -58,6 +64,21 @@ struct PoolInner {
     /// that needs the dedup index folds the tail in — queries that never
     /// intern never pay for the index at all.
     indexed: usize,
+    /// True while `values` is strictly ascending, so that handle order is
+    /// value order.  An empty pool is; the first intern of a value below
+    /// the last one clears the mark, for good.
+    ordered: bool,
+}
+
+impl Default for PoolInner {
+    fn default() -> Self {
+        PoolInner {
+            values: Vec::new(),
+            index: FastMap::default(),
+            indexed: 0,
+            ordered: true,
+        }
+    }
 }
 
 impl PoolInner {
@@ -114,6 +135,9 @@ impl ValuePool {
         }
         let h = u32::try_from(inner.values.len()).expect("value pool overflow");
         assert!(h < NO_HANDLE - 1, "value pool overflow");
+        if inner.ordered && inner.values.last().is_some_and(|last| last > v) {
+            inner.ordered = false;
+        }
         inner.values.push(v.clone());
         inner.index.insert(v.clone(), h);
         inner.indexed = inner.values.len();
@@ -135,19 +159,20 @@ impl ValuePool {
     /// Builds a pool whose dictionary is exactly `values`, `values[h]`
     /// behind handle `h`, *without* building the dedup index — the
     /// snapshot loader's "dedup-index-free" path.  The caller must have
-    /// validated `values` distinct (the loader's sorted-dictionary scan
-    /// does); the index is rebuilt lazily by the first `intern`/`get`.
+    /// proved `values` strictly ascending (the loader's neighbour
+    /// comparison does), so the pool starts ordered with no scan of its
+    /// own; the index is rebuilt lazily by the first `intern`/`get`.
     ///
     /// # Panics
     /// Panics if `values` is too large for `u32` handles.
-    pub(crate) fn from_dense_values(values: Vec<Value>) -> Self {
+    pub(crate) fn from_ascending_values(values: Vec<Value>) -> Self {
         let n = u32::try_from(values.len()).expect("value pool overflow");
         assert!(n < NO_HANDLE - 1, "value pool overflow");
+        debug_assert!(values.windows(2).all(|pair| pair[0] < pair[1]));
         Self {
             inner: Arc::new(Mutex::new(PoolInner {
                 values,
-                index: FastMap::default(),
-                indexed: 0,
+                ..PoolInner::default()
             })),
         }
     }
@@ -168,8 +193,10 @@ impl ValuePool {
     }
 
     /// Lends the dictionary, indexed by handle, to `f` under the pool lock —
-    /// a bulk read of many handles with one lock and no [`Value`] clones.
-    /// `f` must not call back into this pool.
+    /// a bulk read of many handles with one lock and no [`Value`] clones —
+    /// together with whether handle order is value order there
+    /// ([`ValuePool::is_ordered`], read under the same lock).  `f` must not
+    /// call back into this pool.
     ///
     /// The lock is the whole database's: every relation of a database, and
     /// every answer derived from them, shares this pool, so whatever `f`
@@ -177,8 +204,17 @@ impl ValuePool {
     /// interning.  Hold it for the reads, not for the answer: copy out what
     /// the dictionary must supply (ideally in ascending handle order, one
     /// front-to-back pass) and do the rest after `f` returns.
-    pub fn with_values<R>(&self, f: impl FnOnce(&[Value]) -> R) -> R {
-        f(&self.inner.lock().expect("value pool lock").values)
+    pub fn with_values<R>(&self, f: impl FnOnce(&[Value], bool) -> R) -> R {
+        let inner = self.inner.lock().expect("value pool lock");
+        f(&inner.values, inner.ordered)
+    }
+
+    /// True when handle order is [`Value`] order: every handle below
+    /// another holds the smaller value.  A snapshot-loaded pool starts so
+    /// and an empty one is; interning a value below the largest one held
+    /// clears the mark, for good.
+    pub fn is_ordered(&self) -> bool {
+        self.inner.lock().expect("value pool lock").ordered
     }
 
     /// A snapshot of the whole dictionary, indexed by handle — one lock for
@@ -254,19 +290,71 @@ mod tests {
     #[test]
     fn dense_pools_rebuild_their_index_lazily() {
         let pool =
-            ValuePool::from_dense_values(vec![Value::Int(20), Value::str("x"), Value::Int(30)]);
+            ValuePool::from_ascending_values(vec![Value::Int(20), Value::Int(30), Value::str("x")]);
         // `value` never needs the index…
-        assert_eq!(pool.value(1), Value::str("x"));
+        assert_eq!(pool.value(2), Value::str("x"));
         // …but `get` and `intern` fold the tail in on first use.
-        assert_eq!(pool.get(&Value::str("x")), Some(1));
-        assert_eq!(pool.intern(&Value::Int(30)), 2);
+        assert_eq!(pool.get(&Value::str("x")), Some(2));
+        assert_eq!(pool.intern(&Value::Int(30)), 1);
         assert_eq!(pool.intern(&Value::Int(99)), 3);
         assert_eq!(pool.len(), 4);
         // Translations into a dense pool also see the full dictionary.
         let other = ValuePool::new();
         other.intern(&Value::Int(20));
-        let dense = ValuePool::from_dense_values(vec![Value::Int(7), Value::Int(20)]);
+        let dense = ValuePool::from_ascending_values(vec![Value::Int(7), Value::Int(20)]);
         assert_eq!(other.translation_to(&dense, false), vec![1]);
+    }
+
+    #[test]
+    fn ascending_interns_keep_the_order_mark() {
+        let pool = ValuePool::new();
+        assert!(pool.is_ordered(), "an empty pool is ordered");
+        for v in [
+            Value::Int(-3),
+            Value::Int(5),
+            Value::str("a"),
+            Value::str("b"),
+        ] {
+            pool.intern(&v);
+        }
+        // Re-interning a value it holds adds nothing, so breaks nothing.
+        pool.intern(&Value::Int(-3));
+        assert!(pool.is_ordered());
+        assert!(pool.with_values(|_, ordered| ordered));
+    }
+
+    #[test]
+    fn an_out_of_order_intern_clears_the_mark_for_good() {
+        let pool = ValuePool::new();
+        pool.intern(&Value::str("b"));
+        pool.intern(&Value::Int(7));
+        assert!(!pool.is_ordered(), "every Int sorts before every Str");
+        pool.intern(&Value::str("z"));
+        assert!(!pool.is_ordered());
+        assert!(!pool.with_values(|_, ordered| ordered));
+
+        // A loaded dictionary starts ordered; a value below its largest
+        // clears the mark, one above keeps it.
+        let loaded = ValuePool::from_ascending_values(vec![Value::Int(1), Value::Int(4)]);
+        assert!(loaded.is_ordered());
+        loaded.intern(&Value::Int(9));
+        assert!(loaded.is_ordered());
+        loaded.intern(&Value::Int(2));
+        assert!(!loaded.is_ordered());
+    }
+
+    #[test]
+    fn a_loaded_snapshots_pools_carry_the_mark() {
+        use crate::Database;
+        use hypergraph::{EdgeId, Hypergraph};
+        let schema = Hypergraph::from_edges([vec!["A", "B"]]).unwrap();
+        let mut db = Database::empty(schema);
+        db.insert_values(EdgeId(0), [Value::str("late"), Value::Int(3)]);
+        db.insert_values(EdgeId(0), [Value::Int(-8), Value::Int(1)]);
+        assert!(!db.pool().is_ordered(), "inserted out of value order");
+        let loaded = Database::from_snapshot_bytes(&db.to_snapshot_bytes()).unwrap();
+        assert!(loaded.pool().is_ordered());
+        assert!(loaded.relations().iter().all(|r| r.pool().is_ordered()));
     }
 
     #[test]

@@ -730,15 +730,23 @@ impl Relation {
     /// lazy rebuild) — for working copies that are only ever reduced, joined
     /// or scanned, like the full reducer's.
     pub(crate) fn clone_rows(&self) -> Relation {
+        self.with_rows(self.rows.clone(), self.len)
+    }
+
+    /// This relation's name, schema and pool over `len` other rows, a
+    /// subset of its own, without a dedup index (left to the lazy rebuild).
+    /// The rebuild count carries over, so a reducer that swaps a copy in
+    /// for its original counts only the rebuilds it paid.
+    fn with_rows(&self, rows: Vec<u32>, len: usize) -> Relation {
         Relation {
             name: self.name.clone(),
             attributes: self.attributes.clone(),
             cols: self.cols.clone(),
             pool: self.pool.clone(),
-            rows: self.rows.clone(),
-            len: self.len,
+            rows,
+            len,
             index: RowTable::default(),
-            index_stale: self.len > 0,
+            index_stale: len > 0,
             index_rebuilds: self.index_rebuilds,
         }
     }
@@ -1263,18 +1271,8 @@ impl Relation {
     /// `other`, by the kernel [`Relation::retain_semijoin`] describes.
     pub fn semijoin(&self, other: &Relation) -> Relation {
         let (mask, _) = unfail(self.semijoin_mask(other, &NoopGovernor));
-        let mut out = Relation::with_pool(
-            self.name.clone(),
-            self.attributes.clone(),
-            self.pool.clone(),
-        );
-        // The kept rows are a subset of an already-distinct row set.
-        for (row, &keep) in self.rows_iter().zip(&mask) {
-            if keep {
-                out.push_distinct_row(row);
-            }
-        }
-        out
+        let kept = mask.iter().filter(|&&keep| keep).count();
+        self.survivors(&mask, kept)
     }
 
     /// In-place semijoin: removes the tuples of `self` that match no tuple
@@ -1282,9 +1280,11 @@ impl Relation {
     /// the number of tuples removed.
     ///
     /// The dedup index rebuild is deferred (marked stale) rather than done
-    /// eagerly: the Yannakakis reducer semijoins the same relation several
-    /// times in a row and never consults the index in between, so eager
-    /// rebuilds were pure waste.
+    /// eagerly: a reducer semijoins the same relation several times in a
+    /// row and never consults the index in between, so eager rebuilds were
+    /// pure waste.  The Yannakakis reducer itself works on borrowed
+    /// relations and copies one only at the first semijoin that shrinks it
+    /// ([`ExecCtx::full_reduce`]); from then on it compacts that copy here.
     ///
     /// The keep-mask comes from the dense kernel (a bitset over the packed
     /// handle key space) whenever `pool.len()^k` is at most eight bits per
@@ -1292,47 +1292,62 @@ impl Relation {
     /// sparser key space makes the bitset dearer than the sort.
     /// [`ExecCtx::retain_semijoin`] is the form that takes sinks.
     pub fn retain_semijoin(&mut self, other: &Relation) -> usize {
-        unfail(self.retain_semijoin_impl(other, &NoopMetrics, &NoopGovernor))
+        unfail(ExecCtx::new().retain_semijoin(self, other))
     }
 
-    fn retain_semijoin_impl<M: MetricsSink, G: Governor>(
-        &mut self,
+    /// The keep-mask of `self ⋉ other` and how many rows it drops, recorded
+    /// as one semijoin [`OpMetrics`].  Every governance checkpoint fires in
+    /// here, and this only reads `self`: an abort propagates before any row
+    /// moves, leaving the relation bit-identical.
+    fn semijoin_keep<M: MetricsSink, G: Governor>(
+        &self,
         other: &Relation,
         sink: &M,
         gov: &G,
-    ) -> Result<usize, EngineError> {
-        let probed = self.len;
-        // Every governance checkpoint fires inside the mask computation,
-        // which only reads `self`; an abort propagates here before any row
-        // is moved, leaving the relation bit-identical.
+    ) -> Result<(Vec<bool>, usize), EngineError> {
         let (mask, stats) = self.semijoin_mask(other, gov)?;
-        let removed = mask.iter().filter(|&&b| !b).count();
-        if removed > 0 {
-            let w = self.width();
-            let mut write = 0usize;
-            for (i, &keep) in mask.iter().enumerate() {
-                if keep {
-                    if write != i {
-                        self.rows.copy_within(i * w..(i + 1) * w, write * w);
-                    }
-                    write += 1;
-                }
-            }
-            self.rows.truncate(write * w);
-            self.len = write;
-            self.index_stale = true;
-        }
+        let removed = mask.iter().filter(|&&keep| !keep).count();
         if M::ENABLED {
             sink.record_op(OpMetrics {
                 kind: OpKind::Semijoin,
                 kernel: stats.kernel,
-                probed: probed as u64,
-                kept: (probed - removed) as u64,
+                probed: self.len as u64,
+                kept: (self.len - removed) as u64,
                 built: stats.built as u64,
                 build_rows: stats.build_rows as u64,
             });
         }
-        Ok(removed)
+        Ok((mask, removed))
+    }
+
+    /// Keeps the rows `mask` marks, moving them down in place.
+    fn compact(&mut self, mask: &[bool]) {
+        let w = self.width();
+        let mut write = 0usize;
+        for (i, &keep) in mask.iter().enumerate() {
+            if keep {
+                if write != i {
+                    self.rows.copy_within(i * w..(i + 1) * w, write * w);
+                }
+                write += 1;
+            }
+        }
+        self.rows.truncate(write * w);
+        self.len = write;
+        self.index_stale = true;
+    }
+
+    /// A copy of the `kept` rows `mask` marks, gathered into a buffer sized
+    /// once.
+    fn survivors(&self, mask: &[bool], kept: usize) -> Relation {
+        let w = self.width();
+        let mut rows = vec![0u32; kept * w];
+        let mut at = 0;
+        for (i, _) in mask.iter().enumerate().filter(|&(_, &keep)| keep) {
+            rows[at..at + w].copy_from_slice(&self.rows[i * w..(i + 1) * w]);
+            at += w;
+        }
+        self.with_rows(rows, kept)
     }
 
     /// How many times this relation's dedup index has been rebuilt — the
@@ -1476,7 +1491,33 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         target: &mut Relation,
         other: &Relation,
     ) -> Result<usize, EngineError> {
-        target.retain_semijoin_impl(other, self.metrics, self.gov)
+        let (mask, removed) = target.semijoin_keep(other, self.metrics, self.gov)?;
+        if removed > 0 {
+            target.compact(&mask);
+        }
+        Ok(removed)
+    }
+
+    /// [`ExecCtx::retain_semijoin`] on a relation that may still be
+    /// borrowed: the first semijoin that removes a row from a borrowed
+    /// `target` replaces it with an owned copy of its survivors, later ones
+    /// compact that copy in place, and a `target` no semijoin shrinks is
+    /// never copied.  An abort leaves `target` as it was.
+    pub(crate) fn retain_semijoin_cow(
+        &self,
+        target: &mut Cow<'_, Relation>,
+        other: &Relation,
+    ) -> Result<usize, EngineError> {
+        let (mask, removed) = target.semijoin_keep(other, self.metrics, self.gov)?;
+        if removed > 0 {
+            match target {
+                Cow::Owned(owned) => owned.compact(&mask),
+                Cow::Borrowed(stored) => {
+                    *target = Cow::Owned(stored.survivors(&mask, stored.len - removed));
+                }
+            }
+        }
+        Ok(removed)
     }
 }
 
@@ -1987,7 +2028,7 @@ mod tests {
         // A 2²⁰-value pool: a 3-column key space is 2⁶⁰ bits (an allocation
         // no machine survives, so passing at all shows none was attempted)
         // and a 4-column one overflows `usize`.
-        let pool = ValuePool::from_dense_values((0..1i64 << 20).map(Value::Int).collect());
+        let pool = ValuePool::from_ascending_values((0..1i64 << 20).map(Value::Int).collect());
         let names = ["A", "B", "C", "D", "L", "R"];
         let h = Hypergraph::from_edges([names.to_vec()]).unwrap();
         for k in [3usize, 4] {

@@ -196,7 +196,7 @@ pub(crate) fn encode(db: &Database) -> Vec<u8> {
     let ranks: Vec<Vec<u32>> = pools
         .iter()
         .map(|p| {
-            p.with_values(|values| {
+            p.with_values(|values, _| {
                 put_u32(&mut out, values.len() as u32);
                 let mut rank = vec![0u32; values.len()];
                 for (r, h) in (0u32..).zip(value_order(values)) {
@@ -458,7 +458,7 @@ fn decode(src: impl BufRead, len: usize) -> Result<Database, EngineError> {
             }
             values.push(v);
         }
-        pools.push(ValuePool::from_dense_values(values));
+        pools.push(ValuePool::from_ascending_values(values));
     }
 
     // Relations, one per schema edge in edge order: rows move from the

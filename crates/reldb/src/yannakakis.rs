@@ -26,6 +26,11 @@
 //! the calling thread: the upward pass deepest level first, the downward
 //! pass and the join top-down and bottom-up, so every child is done before
 //! its parent reads it.
+//!
+//! The passes read the stored relations where they are, borrowed, and copy
+//! one only when a semijoin first removes one of its rows — then only its
+//! survivors, which later semijoins compact in place.  A relation no
+//! semijoin shrinks is never copied, and the database is never written.
 
 use crate::database::Database;
 use crate::exec::ExecCtx;
@@ -34,6 +39,7 @@ use crate::metrics::{timed, MetricsSink, Phase};
 use crate::relation::Relation;
 use acyclic::JoinTree;
 use hypergraph::{EdgeId, Hypergraph, NodeSet};
+use std::borrow::Cow;
 
 /// The result of running a full reducer: the reduced relations (in schema
 /// order) and the number of tuples removed from each.
@@ -53,7 +59,7 @@ impl Reduced {
 }
 
 /// Mutable access to `rels[i]` alongside shared access to `rels[j]`.
-fn pair_mut(rels: &mut [Relation], i: usize, j: usize) -> (&mut Relation, &Relation) {
+fn pair_mut<T>(rels: &mut [T], i: usize, j: usize) -> (&mut T, &T) {
     assert_ne!(i, j);
     if i < j {
         let (a, b) = rels.split_at_mut(j);
@@ -66,21 +72,22 @@ fn pair_mut(rels: &mut [Relation], i: usize, j: usize) -> (&mut Relation, &Relat
 
 /// One level of a reducer pass, timed as one [`Phase`] entry: each
 /// `(target, sources)` job semijoins the target relation with each source
-/// relation in turn, in place.  The governor is consulted once per level
-/// even when the level has no job, so a zero deadline trips
-/// deterministically on any tree, single-edge schemas included.  A metered
-/// level also records the dedup-index rebuilds it paid: with the deferred
-/// rebuild (each retain only marks the index stale) that stays 0, which is
-/// exactly what the counter is there to prove.
+/// relation in turn ([`ExecCtx::retain_semijoin_cow`]).  The governor is
+/// consulted once per level even when the level has no job, so a zero
+/// deadline trips deterministically on any tree, single-edge schemas
+/// included.  A metered level also records the dedup-index rebuilds it
+/// paid: with the deferred rebuild (each retain only marks the index stale)
+/// that stays 0, which is exactly what the counter is there to prove.
 fn reduce_level<M: MetricsSink, G: Governor>(
     ctx: &ExecCtx<'_, M, G>,
     (phase, depth): (Phase, usize),
     jobs: &[(usize, Vec<usize>)],
-    relations: &mut [Relation],
+    relations: &mut [Cow<'_, Relation>],
     removed: &mut [usize],
 ) -> Result<(), EngineError> {
-    let rebuilds =
-        |rels: &[Relation]| -> usize { rels.iter().map(Relation::index_rebuild_count).sum() };
+    let rebuilds = |rels: &[Cow<'_, Relation>]| -> usize {
+        rels.iter().map(|r| r.index_rebuild_count()).sum()
+    };
     let before = if M::ENABLED { rebuilds(relations) } else { 0 };
     timed(ctx.metrics, phase, depth, || -> Result<(), EngineError> {
         if G::ENABLED {
@@ -89,7 +96,7 @@ fn reduce_level<M: MetricsSink, G: Governor>(
         for (target, sources) in jobs {
             for &source in sources {
                 let (t, s) = pair_mut(relations, *target, source);
-                removed[*target] += ctx.retain_semijoin(t, s)?;
+                removed[*target] += ctx.retain_semijoin_cow(t, s)?;
             }
         }
         Ok(())
@@ -110,7 +117,7 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         &self,
         tree: &JoinTree,
         levels: &[Vec<EdgeId>],
-        relations: &mut [Relation],
+        relations: &mut [Cow<'_, Relation>],
         removed: &mut [usize],
     ) -> Result<(), EngineError> {
         for (depth, level) in levels.iter().enumerate().rev() {
@@ -138,7 +145,7 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         tree: &JoinTree,
         levels: &[Vec<EdgeId>],
         within: &[bool],
-        relations: &mut [Relation],
+        relations: &mut [Cow<'_, Relation>],
         removed: &mut [usize],
     ) -> Result<(), EngineError> {
         for (depth, level) in levels.iter().enumerate().skip(1) {
@@ -165,10 +172,13 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// The upward pass semijoins every parent with each of its children
     /// (deepest levels first); the downward pass semijoins every child with
     /// its parent (top-down).  Afterwards every remaining tuple participates
-    /// in the full join.  Each semijoin reduces the relation *in place*
-    /// ([`ExecCtx::retain_semijoin`]): the row buffer is compacted by a
-    /// keep-mask rather than rebuilding the relation every pass, and the
-    /// dedup index rebuild is deferred until something actually reads it.
+    /// in the full join.  The passes work on the stored relations,
+    /// borrowed: the first semijoin that removes a row from one copies its
+    /// survivors, later ones compact that copy in place by a keep-mask (as
+    /// [`Relation::retain_semijoin`] does), and a relation no semijoin
+    /// shrinks is copied only at the end, into [`Reduced::relations`].  No
+    /// copy carries a dedup index; its rebuild waits until something reads
+    /// it.
     ///
     /// The metrics sink receives per-semijoin counters and one wall timing
     /// per tree level of each pass ([`Phase::ReduceUp`] deepest level
@@ -177,18 +187,24 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// [`CHECK_BATCH`](crate::govern::CHECK_BATCH) rows inside the semijoin
     /// kernels.  An abort —
     /// cancellation, deadline, budget or injected failpoint — surfaces as
-    /// `Err(EngineError)` and leaves `db` untouched: the reducer operates on
-    /// copies of the stored relations, and every checkpoint fires during
-    /// read-only kernel phases.
+    /// `Err(EngineError)` and leaves `db` untouched: the reducer only ever
+    /// reads the stored relations, and every checkpoint fires during
+    /// read-only kernel phases, before any row of a copy moves.
     pub fn full_reduce(&self, db: &Database, tree: &JoinTree) -> Result<Reduced, EngineError> {
-        // Working copies of the rows only: the reducer never reads a dedup index.
-        let mut relations: Vec<Relation> =
-            db.relations().iter().map(Relation::clone_rows).collect();
+        let mut relations: Vec<Cow<'_, Relation>> =
+            db.relations().iter().map(Cow::Borrowed).collect();
         let mut removed: Vec<usize> = vec![0; relations.len()];
         let levels = tree.levels();
         self.reduce_up(tree, &levels, &mut relations, &mut removed)?;
         let everything = vec![true; relations.len()];
         self.reduce_down(tree, &levels, &everything, &mut relations, &mut removed)?;
+        let relations = relations
+            .into_iter()
+            .map(|r| match r {
+                Cow::Borrowed(stored) => stored.clone_rows(),
+                Cow::Owned(reduced) => reduced,
+            })
+            .collect();
         Ok(Reduced { relations, removed })
     }
 
@@ -207,16 +223,17 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// consulted before every level and inside every kernel loop, and join
     /// output allocations are charged against its memory budget.  An abort
     /// surfaces as `Err(EngineError)`; `db` is never mutated, so an aborted
-    /// query leaves the database exactly as loaded.
+    /// query leaves the database exactly as loaded.  As in
+    /// [`ExecCtx::full_reduce`], a stored relation is copied only once a
+    /// semijoin shrinks it, and then only its survivors.
     pub fn yannakakis_join(
         &self,
         db: &Database,
         tree: &JoinTree,
         output: &NodeSet,
     ) -> Result<Relation, EngineError> {
-        // Working copies of the rows only: the reducer never reads a dedup index.
-        let mut relations: Vec<Relation> =
-            db.relations().iter().map(Relation::clone_rows).collect();
+        let mut relations: Vec<Cow<'_, Relation>> =
+            db.relations().iter().map(Cow::Borrowed).collect();
         let levels = tree.levels();
         let mut removed = vec![0; relations.len()];
         self.reduce_up(tree, &levels, &mut relations, &mut removed)?;
@@ -224,9 +241,10 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     }
 
     /// Answers `π_output(⋈)` from `relations` (one per edge of `h`, in edge
-    /// order) that an upward pass towards `tree`'s root has already
-    /// reduced, working only on `S`, the smallest connected subtree covering
-    /// `output` ([`JoinTree::connection_subtree`]).
+    /// order, each borrowed until a semijoin shrinks it) that an upward pass
+    /// towards `tree`'s root has already reduced, working only on `S`, the
+    /// smallest connected subtree covering `output`
+    /// ([`JoinTree::connection_subtree`]).
     ///
     /// The root holds exactly the full join's projection onto it
     /// (Yannakakis, VLDB 1981), so the downward pass along the path from the
@@ -243,7 +261,7 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         h: &Hypergraph,
         tree: &JoinTree,
         levels: &[Vec<EdgeId>],
-        mut relations: Vec<Relation>,
+        mut relations: Vec<Cow<'_, Relation>>,
         output: &NodeSet,
     ) -> Result<Relation, EngineError> {
         let member = tree.connection_subtree(h, output);
@@ -268,7 +286,7 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
             .filter(|level: &Vec<EdgeId>| !level.is_empty())
             .collect();
         if s_levels.len() == 1 && s_levels[0].len() == 1 {
-            return Ok(relations.swap_remove(top.index()).into_project(output));
+            return Ok(into_project(relations.swap_remove(top.index()), output));
         }
         // Bottom-up join inside S: each member's slot starts as its reduced
         // relation and ends as the join of its part of S — its relation
@@ -276,7 +294,7 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         // projected onto the output attributes gathered so far plus the
         // separator towards its parent.  Children sit at deeper levels, so
         // they are done (and consumed) before their parent.
-        let mut slots: Vec<Option<Relation>> = relations.into_iter().map(Some).collect();
+        let mut slots: Vec<Option<Cow<'_, Relation>>> = relations.into_iter().map(Some).collect();
         for (li, level) in s_levels.iter().rev().enumerate() {
             timed(
                 self.metrics,
@@ -290,21 +308,30 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
                         let mut acc = slots[e.index()].take().expect("each edge joins once");
                         for &c in tree.children(e).iter().filter(|&&c| is_member(c)) {
                             let child = slots[c.index()].take().expect("children join first");
-                            acc = self.join(&acc, &child)?;
+                            acc = Cow::Owned(self.join(&acc, &child)?);
                         }
                         let mut keep = acc.attributes().intersection(output);
                         if let Some(p) = tree.parent(e).filter(|_| e != top) {
                             let own = &edges[e.index()].nodes;
                             keep.union_with(&own.intersection(&edges[p.index()].nodes));
                         }
-                        slots[e.index()] = Some(acc.into_project(&keep));
+                        slots[e.index()] = Some(Cow::Owned(into_project(acc, &keep)));
                     }
                     Ok(())
                 },
             )?;
         }
         let joined = slots[top.index()].take().expect("the top joins last");
-        Ok(joined.into_project(output))
+        Ok(into_project(joined, output))
+    }
+}
+
+/// [`Relation::project`] of a working relation the caller is done with: an
+/// owned one moves its rows when the projection keeps every column.
+fn into_project(relation: Cow<'_, Relation>, attrs: &NodeSet) -> Relation {
+    match relation {
+        Cow::Borrowed(stored) => stored.project(attrs),
+        Cow::Owned(owned) => owned.into_project(attrs),
     }
 }
 
@@ -386,6 +413,30 @@ mod tests {
         let db2 = Database::new(db.schema().clone(), reduced.relations.clone()).unwrap();
         let again = full_reduce(&db2, &tree);
         assert_eq!(again.total_removed(), 0);
+    }
+
+    /// The passes copy a relation only once a semijoin removes one of its
+    /// rows: in `chain_db`, T(C,D) loses nothing and is still the stored
+    /// relation, borrowed, after both passes; R and S are copies.
+    #[test]
+    fn a_relation_no_semijoin_shrinks_stays_borrowed() {
+        let db = chain_db();
+        let tree = join_tree(db.schema()).unwrap();
+        let levels = tree.levels();
+        let mut relations: Vec<Cow<'_, Relation>> =
+            db.relations().iter().map(Cow::Borrowed).collect();
+        let mut removed = vec![0; relations.len()];
+        let everything = vec![true; relations.len()];
+        let ctx = ExecCtx::new();
+        ctx.reduce_up(&tree, &levels, &mut relations, &mut removed)
+            .unwrap();
+        ctx.reduce_down(&tree, &levels, &everything, &mut relations, &mut removed)
+            .unwrap();
+        assert_eq!(removed, [3, 2, 0]);
+        assert!(matches!(relations[0], Cow::Owned(_)));
+        assert!(matches!(relations[1], Cow::Owned(_)));
+        let stored = &db.relations()[2];
+        assert!(matches!(relations[2], Cow::Borrowed(r) if std::ptr::eq(r, stored)));
     }
 
     #[test]

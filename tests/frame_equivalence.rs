@@ -17,12 +17,17 @@
 //! rendered text has every length around the 16-byte chunk `render_response`
 //! copies a cell by, so that the chunk's end falls after, at and inside the
 //! text — and inside one multi-byte character of it.
+//!
+//! Every relation is served twice: from a pool whose handle order is not
+//! value order, where `answer_frame` ranks by comparing values, and from
+//! one whose order is (a loaded snapshot's), where it ranks handles.  Both
+//! frames must be the oracle's.
 
-use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
+use acyclic_hypergraphs::hypergraph::{Edge, Hypergraph, NodeSet};
 use acyclic_hypergraphs::hyperqd::json::Json;
 use acyclic_hypergraphs::hyperqd::protocol::{parse_response, render_response, Response};
 use acyclic_hypergraphs::hyperqd::server::answer_frame;
-use acyclic_hypergraphs::reldb::{Database, Relation, Tuple, Value};
+use acyclic_hypergraphs::reldb::{Database, Relation, Tuple, Value, ValuePool};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -78,19 +83,59 @@ fn oracle_frame(
     Json::Obj(pairs).to_string()
 }
 
-/// The frame the server would send: `answer_frame`, stamped, rendered.
-fn served_frame(
+/// The frames the server would send for `answer` — `answer_frame`,
+/// stamped, rendered — served from a disordered pool and from an ordered
+/// one ([`repooled`]).
+fn served_frames(
     db: &Database,
     answer: &Relation,
     metrics: Option<&Json>,
     trace: Option<&str>,
-) -> (Response, String) {
-    let mut frame = answer_frame(db, answer, metrics.cloned());
-    if let Response::Answer { trace: slot, .. } = &mut frame {
-        *slot = trace.map(str::to_owned);
+) -> [(Response, String); 2] {
+    [false, true].map(|ordered| {
+        let answer = repooled(db, answer, ordered);
+        let mut frame = answer_frame(db, &answer, metrics.cloned());
+        if let Response::Answer { trace: slot, .. } = &mut frame {
+            *slot = trace.map(str::to_owned);
+        }
+        let line = render_response(&frame);
+        (frame, line)
+    })
+}
+
+/// `answer`'s rows in a pool whose handle order is value order — a loaded
+/// snapshot's, with `db`'s universe (an empty relation over all of it
+/// keeps every node in the saved schema) — or in one whose order is
+/// broken: its own if the generator already broke it, else a fresh pool
+/// that holds two values out of order before the rows'.
+fn repooled(db: &Database, answer: &Relation, ordered: bool) -> Relation {
+    let attrs = answer.attributes().clone();
+    if ordered && !attrs.is_empty() {
+        let all = db.schema().nodes();
+        let everything = Relation::with_pool("all", all.clone(), answer.pool().clone());
+        let edges = vec![Edge::new("answer", attrs), Edge::new("all", all)];
+        let schema = Hypergraph::with_universe(db.schema().universe().clone(), edges).unwrap();
+        let saved = Database::new(schema, vec![answer.clone(), everything]).unwrap();
+        let loaded = Database::from_snapshot_bytes(&saved.to_snapshot_bytes()).unwrap();
+        let reloaded = loaded.relations()[0].clone();
+        assert!(reloaded.pool().is_ordered());
+        return reloaded;
     }
-    let line = render_response(&frame);
-    (frame, line)
+    if !ordered && !answer.pool().is_ordered() {
+        return answer.clone();
+    }
+    // A zero-width answer's empty pool is ordered; it has no value to rank.
+    let pool = ValuePool::new();
+    if !ordered {
+        pool.intern(&Value::str("~"));
+        pool.intern(&Value::Int(0));
+    }
+    let mut copy = Relation::with_pool("answer", attrs, pool);
+    for t in answer.tuples() {
+        copy.insert(t);
+    }
+    assert_eq!(copy.pool().is_ordered(), ordered);
+    copy
 }
 
 /// Attribute names include ones that need escaping.
@@ -334,12 +379,18 @@ fn assert_large_frame_matches(
     pregrown: Option<usize>,
 ) {
     let (db, answer) = generate_large(seed, width, rows, domain, pregrown);
-    let (_, got) = served_frame(&db, &answer, None, None);
-    assert!(
-        got == oracle_frame(&db, &answer, None, None),
-        "frames differ: seed {seed}, width {width}, {} rows, {domain:?}, pregrown {pregrown:?}",
-        answer.len()
-    );
+    let want = oracle_frame(&db, &answer, None, None);
+    for ((_, got), ordered) in served_frames(&db, &answer, None, None)
+        .iter()
+        .zip([false, true])
+    {
+        assert!(
+            *got == want,
+            "frames differ: seed {seed}, width {width}, {} rows, {domain:?}, \
+             pregrown {pregrown:?}, ordered {ordered}",
+            answer.len()
+        );
+    }
 }
 
 proptest! {
@@ -515,13 +566,16 @@ fn tokens_around_the_copy_chunk_render_like_the_retired_implementation() {
                 "rows repeat: {} of {rows}",
                 answer.len()
             );
-            let (frame, got) = served_frame(&db, &answer, None, None);
-            assert!(
-                got == oracle_frame(&db, &answer, None, None),
-                "frames differ: width {width}, {} rows, distinct {distinct}, own pool {own_pool}",
-                answer.len()
-            );
-            assert_eq!(parse_response(&got).unwrap(), frame);
+            let want = oracle_frame(&db, &answer, None, None);
+            for (frame, got) in served_frames(&db, &answer, None, None) {
+                assert!(
+                    got == want,
+                    "frames differ: width {width}, {} rows, distinct {distinct}, \
+                     own pool {own_pool}",
+                    answer.len()
+                );
+                assert_eq!(parse_response(&got).unwrap(), frame);
+            }
         }
     }
 }
@@ -548,33 +602,36 @@ proptest! {
         let trace = (flags & 8 != 0).then_some("q-000042");
         let (db, answer) = generate(seed, mask, rows, wide, own_pool);
         let want = oracle_frame(&db, &answer, metrics.as_ref(), trace);
-        let (frame, got) = served_frame(&db, &answer, metrics.as_ref(), trace);
-        prop_assert_eq!(&got, &want);
-        prop_assert_eq!(parse_response(&got).unwrap(), frame);
+        for (frame, got) in served_frames(&db, &answer, metrics.as_ref(), trace) {
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(parse_response(&got).unwrap(), frame);
+        }
     }
 }
 
 #[test]
 fn the_empty_relation_and_the_unit_relation() {
     let (db, empty) = generate(1, 0b0101, 0, false, false);
-    let (_, got) = served_frame(&db, &empty, None, None);
-    assert_eq!(got, oracle_frame(&db, &empty, None, None));
-    assert_eq!(
-        got,
-        r#"{"ok":true,"op":"answer","attrs":["A","Ω"],"tuples":0,"rows":[]}"#
-    );
+    for (_, got) in served_frames(&db, &empty, None, None) {
+        assert_eq!(got, oracle_frame(&db, &empty, None, None));
+        assert_eq!(
+            got,
+            r#"{"ok":true,"op":"answer","attrs":["A","Ω"],"tuples":0,"rows":[]}"#
+        );
+    }
 
     // The zero-attribute relation {()}: one row, no cells.
     for own_pool in [false, true] {
         let (db, unit) = generate(2, 0, 3, false, own_pool);
         assert_eq!(unit.len(), 1);
-        let (frame, got) = served_frame(&db, &unit, None, Some("q-000001"));
-        assert_eq!(got, oracle_frame(&db, &unit, None, Some("q-000001")));
-        assert_eq!(
-            got,
-            r#"{"ok":true,"op":"answer","attrs":[],"tuples":1,"rows":[[]],"trace":"q-000001"}"#
-        );
-        assert_eq!(parse_response(&got).unwrap(), frame);
+        for (frame, got) in served_frames(&db, &unit, None, Some("q-000001")) {
+            assert_eq!(got, oracle_frame(&db, &unit, None, Some("q-000001")));
+            assert_eq!(
+                got,
+                r#"{"ok":true,"op":"answer","attrs":[],"tuples":1,"rows":[[]],"trace":"q-000001"}"#
+            );
+            assert_eq!(parse_response(&got).unwrap(), frame);
+        }
     }
 }
 
@@ -595,16 +652,17 @@ fn extremes_and_escapes_sort_and_render_like_values() {
     ] {
         answer.insert_values([a, b]);
     }
-    let (frame, got) = served_frame(&db, &answer, None, None);
-    assert_eq!(got, oracle_frame(&db, &answer, None, None));
-    assert_eq!(
-        got,
-        concat!(
-            r#"{"ok":true,"op":"answer","attrs":["A","quo\"te"],"tuples":6,"rows":["#,
-            r#"[-9223372036854775808,-9223372036854775808],[-9223372036854775808,"😀"],"#,
-            r#"[9223372036854775807,"\u001f"],["","line\nfeed"],"#,
-            r#"["10",9223372036854775807],["9","quo\"te\\"]]}"#
-        )
-    );
-    assert_eq!(parse_response(&got).unwrap(), frame);
+    for (frame, got) in served_frames(&db, &answer, None, None) {
+        assert_eq!(got, oracle_frame(&db, &answer, None, None));
+        assert_eq!(
+            got,
+            concat!(
+                r#"{"ok":true,"op":"answer","attrs":["A","quo\"te"],"tuples":6,"rows":["#,
+                r#"[-9223372036854775808,-9223372036854775808],[-9223372036854775808,"😀"],"#,
+                r#"[9223372036854775807,"\u001f"],["","line\nfeed"],"#,
+                r#"["10",9223372036854775807],["9","quo\"te\\"]]}"#
+            )
+        );
+        assert_eq!(parse_response(&got).unwrap(), frame);
+    }
 }

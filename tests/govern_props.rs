@@ -522,7 +522,9 @@ fn big_chain_past_the_dense_bound() -> Database {
 /// checkpoints inside every mask loop — the dense kernel's on
 /// [`big_chain`], the sort-merge kernel's once the pool outgrows the dense
 /// bound — and a cancellation at each of those checkpoints aborts on the
-/// spot with `db` bit-identical.
+/// spot with `db` bit-identical, through the full reducer and through a
+/// whole Yannakakis query (whose reducer borrows the stored relations and
+/// copies one only once a semijoin shrinks it).
 #[test]
 fn chain_reducer_cancelled_at_every_checkpoint_leaves_db_untouched() {
     for (db, dense) in [
@@ -530,6 +532,7 @@ fn chain_reducer_cancelled_at_every_checkpoint_leaves_db_untouched() {
         (big_chain_past_the_dense_bound(), false),
     ] {
         let tree = join_tree(db.schema()).expect("chains are acyclic");
+        let all = db.schema().nodes();
         let before = snapshot(&db);
         let (gov, sink) = (TripAtCheckpoint::never(), CollectingSink::new());
         let want = ExecCtx::new()
@@ -540,14 +543,30 @@ fn chain_reducer_cancelled_at_every_checkpoint_leaves_db_untouched() {
         let m = sink.snapshot().semijoins;
         let kernels = if dense { (m.ops, 0) } else { (0, m.ops) };
         assert_eq!((m.dense_ops, m.sortmerge_ops), kernels, "{m:?}");
-        let checkpoints = gov.checkpoints_seen();
-        assert!(checkpoints > 8, "every mask loop spans several batches");
-        for trip_at in 0..checkpoints {
-            let gov = TripAtCheckpoint::new(trip_at);
-            let got = ExecCtx::new().gov(&gov).full_reduce(&db, &tree);
-            assert_eq!(got.err(), Some(EngineError::Cancelled), "{trip_at}");
-            assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
-            assert_eq!(snapshot(&db), before, "abort mutated the database");
+        let run = |gov: &TripAtCheckpoint, join: bool| {
+            let ctx = ExecCtx::new().gov(gov);
+            match join {
+                false => ctx.full_reduce(&db, &tree).err(),
+                true => ctx.yannakakis_join(&db, &tree, &all).err(),
+            }
+        };
+        for join in [false, true] {
+            let name = if join {
+                "yannakakis_join"
+            } else {
+                "full_reduce"
+            };
+            let gov = TripAtCheckpoint::never();
+            assert_eq!(run(&gov, join), None, "{name}: nothing trips");
+            let checkpoints = gov.checkpoints_seen();
+            assert!(checkpoints > 8, "every mask loop spans several batches");
+            for trip_at in 0..checkpoints {
+                let gov = TripAtCheckpoint::new(trip_at);
+                let got = run(&gov, join);
+                assert_eq!(got, Some(EngineError::Cancelled), "{name} {trip_at}");
+                assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
+                assert_eq!(snapshot(&db), before, "{name}: abort mutated the database");
+            }
         }
     }
 }
