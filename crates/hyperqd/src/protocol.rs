@@ -587,14 +587,6 @@ impl Tokens {
         self.bounds.push(end);
     }
 
-    /// Appends `other`'s tokens after these.
-    pub(crate) fn append(&mut self, other: Tokens) {
-        let base = *self.bounds.last().expect("bounds start at 0");
-        self.text.extend_from_slice(&other.text);
-        self.bounds
-            .extend(other.bounds[1..].iter().map(|&end| base + end));
-    }
-
     /// Where token `c` starts in `text`, and its length with the comma.
     #[inline]
     fn span(&self, c: u32) -> (usize, usize) {

@@ -870,13 +870,14 @@ fn execute_inner(
 /// them.  The differential soak harness depends on exactly this.
 ///
 /// The frame is built from the answer's handle rows, and neither ordering
-/// compares tuples or chases the dictionary.  The handles the rows use are
-/// ranked once by [`reldb::Value`] order and each becomes one cell, its
-/// value rendered once into a token (`rank::rank_cells`: bitmaps and one
-/// front-to-back read of the dictionary; in a snapshot-loaded pool, whose
-/// handle order is value order, a handle's rank among the answer's handles
-/// is its value's); rows are then ordered as tuples of ranks by
-/// [`reldb::sort_ids_by_key`], the sort-merge kernels' LSD counting sort.
+/// compares tuples.  The handles the rows use are ranked once by
+/// [`reldb::Value`] order and each becomes one cell, its value rendered
+/// once into a token (`rank::rank_cells`: a bitmap of the distinct
+/// handles, taken in handle order where the pool's handle order is value
+/// order — a snapshot-loaded pool's — and through [`reldb::value_order`],
+/// the snapshot saver's sort, anywhere else); rows are then ordered as
+/// tuples of ranks by [`reldb::sort_ids_by_key`], the sort-merge kernels'
+/// LSD counting sort.
 /// No `Value` is cloned and no [`json::Json`] built per cell or per
 /// distinct value, and no row is moved: the frame's [`Rows`] hold the
 /// tokens, the ranked rows where the engine left them and the sort's
@@ -884,11 +885,11 @@ fn execute_inner(
 /// reply is rendered, straight into its text.
 ///
 /// The pool lock — database-wide, so shared by every connection querying
-/// that database — is held for the dictionary read and for rendering the
-/// tokens it reads: every token of an ordered pool, the strings of any
-/// other (sorted there too, as they borrow from the dictionary).  Marking,
-/// the rest of the ranking, the per-cell rewrite and the row order all run
-/// outside it.
+/// that database — is held for taking the distinct handles in value order
+/// and rendering their tokens: for an ordered pool a sweep of the marks,
+/// for any other the whole value sort, integers and strings (the keys
+/// borrow from the dictionary).  Marking, the per-cell rewrite and the row
+/// order run outside it.
 pub fn answer_frame(db: &Database, answer: &Relation, metrics: Option<json::Json>) -> Response {
     let universe = db.schema().universe();
     let columns = answer.columns();

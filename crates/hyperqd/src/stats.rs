@@ -361,11 +361,6 @@ impl StatsRegistry {
         self.slow_queries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of the latency histogram.
-    pub fn latency_snapshot(&self) -> Histogram {
-        self.latency.snapshot()
-    }
-
     /// The canonical JSON snapshot behind `{"op":"stats"}`.  Field order is
     /// fixed; `queries_total` is derived as Σ `queries_by_outcome` at
     /// snapshot time, so the invariant `queries_total == Σ by_outcome`

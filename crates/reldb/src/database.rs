@@ -158,11 +158,6 @@ impl Database {
         &self.relations[e.index()]
     }
 
-    /// Mutable access to the relation stored for schema edge `e`.
-    pub fn relation_mut(&mut self, e: EdgeId) -> &mut Relation {
-        &mut self.relations[e.index()]
-    }
-
     /// The database's value pool: the pool every relation of an
     /// [`Database::empty`]-built database interns into (for assembled
     /// databases, the first relation's pool — see [`Database::new`]).

@@ -95,7 +95,7 @@ pub use harness::{
     query_yannakakis_metered, yannakakis_join_with, ExecPolicy, JoinStrategy,
 };
 pub use metrics::{CollectingSink, MetricsSink, NoopMetrics, Phase, QueryMetrics};
-pub use pool::ValuePool;
+pub use pool::{value_order, ValuePool};
 pub use relation::{sort_ids_by_key, Relation, Tuple};
 pub use snapshot::is_snapshot;
 pub use universal::{

@@ -18,8 +18,10 @@
 //! ([`ValuePool::is_ordered`]): a snapshot load installs its dictionary in
 //! value order, and interning in ascending order keeps it so.  Whoever
 //! needs values sorted — an answer frame ranking its cells — can then rank
-//! handles instead of comparing values.
+//! handles instead of comparing values; in any other pool [`value_order`]
+//! sorts them, the one value sort the snapshot saver uses too.
 
+use crate::relation::sort_ids_by_key;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -258,6 +260,41 @@ impl ValuePool {
     }
 }
 
+/// `handles`, handles into the dictionary `values`, in ascending [`Value`]
+/// order: the one sort behind the two value orders a format fixes — a
+/// snapshot's dictionary and an answer frame's cells.  `values` is read
+/// once, at `handles` (front to back when they ascend); after that the
+/// sorts never read it through an index: integers are ranked by the LSD
+/// sorter over their offsets from the least one, as two words each (one
+/// counting pass per word when their range is dense), strings by a sort
+/// of contiguous `(&str, handle)` pairs.  The handles are expected
+/// distinct; a repeated one comes back repeated.
+///
+/// # Panics
+/// Panics if a handle is out of range for `values`.
+pub fn value_order(values: &[Value], handles: impl IntoIterator<Item = u32>) -> Vec<u32> {
+    let mut ints: Vec<(i64, u32)> = Vec::new();
+    let mut strs: Vec<(&str, u32)> = Vec::new();
+    for h in handles {
+        match &values[h as usize] {
+            Value::Int(i) => ints.push((*i, h)),
+            Value::Str(s) => strs.push((s, h)),
+        }
+    }
+    let min = ints.iter().map(|&(i, _)| i).min().unwrap_or(0);
+    let words = |&(i, _): &(i64, u32)| {
+        let offset = i.wrapping_sub(min) as u64;
+        [(offset >> 32) as u32, offset as u32]
+    };
+    let keys: Vec<u32> = ints.iter().flat_map(words).collect();
+    let ints = sort_ids_by_key(&keys, 2, ints.len())
+        .into_iter()
+        .map(|id| ints[id as usize].1);
+    strs.sort_unstable();
+    // `Value` orders every integer before every string.
+    ints.chain(strs.into_iter().map(|(_, h)| h)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,6 +392,27 @@ mod tests {
         let loaded = Database::from_snapshot_bytes(&db.to_snapshot_bytes()).unwrap();
         assert!(loaded.pool().is_ordered());
         assert!(loaded.relations().iter().all(|r| r.pool().is_ordered()));
+    }
+
+    #[test]
+    fn value_order_is_value_ord_across_the_whole_integer_range() {
+        let narrow: Vec<Value> = [9, -3, 4, 0].map(Value::Int).to_vec();
+        let mut wide = narrow.clone();
+        wide.extend([i64::MAX, i64::MIN].map(Value::Int));
+        wide.extend(["b", "", "a"].map(Value::str));
+        let all = |values: &[Value]| (0..values.len() as u32).collect::<Vec<_>>();
+        // A proper subset, out of handle order: integers, strings and both
+        // extremes, with values left out between them.
+        let some = vec![7, 5, 1, 4, 8, 2];
+        for (values, handles) in [(&narrow, all(&narrow)), (&wide, all(&wide)), (&wide, some)] {
+            let ordered: Vec<&Value> = value_order(values, handles.iter().copied())
+                .into_iter()
+                .map(|h| &values[h as usize])
+                .collect();
+            let mut expected: Vec<&Value> = handles.iter().map(|&h| &values[h as usize]).collect();
+            expected.sort();
+            assert_eq!(ordered, expected);
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@
 
 use crate::database::Database;
 use crate::govern::EngineError;
-use crate::pool::ValuePool;
+use crate::pool::{value_order, ValuePool};
 use crate::relation::{sort_ids_by_key, Relation};
 use crate::value::Value;
 use hypergraph::HypergraphBuilder;
@@ -126,34 +126,6 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// The handles of `values` in ascending value order.  The sorts never
-/// read `values` through an index: integers are ranked by the LSD sorter
-/// over their offsets from the least one, as two words each (one counting
-/// pass per word when their range is dense), strings by a sort of
-/// contiguous `(&str, handle)` pairs.
-fn value_order(values: &[Value]) -> Vec<u32> {
-    let mut ints: Vec<(i64, u32)> = Vec::new();
-    let mut strs: Vec<(&str, u32)> = Vec::new();
-    for (h, v) in (0u32..).zip(values) {
-        match v {
-            Value::Int(i) => ints.push((*i, h)),
-            Value::Str(s) => strs.push((s, h)),
-        }
-    }
-    let min = ints.iter().map(|&(i, _)| i).min().unwrap_or(0);
-    let words = |&(i, _): &(i64, u32)| {
-        let offset = i.wrapping_sub(min) as u64;
-        [(offset >> 32) as u32, offset as u32]
-    };
-    let keys: Vec<u32> = ints.iter().flat_map(words).collect();
-    let ints = sort_ids_by_key(&keys, 2, ints.len())
-        .into_iter()
-        .map(|id| ints[id as usize].1);
-    strs.sort_unstable();
-    // `Value` orders every integer before every string.
-    ints.chain(strs.into_iter().map(|(_, h)| h)).collect()
-}
-
 /// Serializes `db` into the version-2 snapshot byte layout.
 pub(crate) fn encode(db: &Database) -> Vec<u8> {
     let schema = db.schema();
@@ -199,7 +171,7 @@ pub(crate) fn encode(db: &Database) -> Vec<u8> {
             p.with_values(|values, _| {
                 put_u32(&mut out, values.len() as u32);
                 let mut rank = vec![0u32; values.len()];
-                for (r, h) in (0u32..).zip(value_order(values)) {
+                for (r, h) in (0u32..).zip(value_order(values, 0..values.len() as u32)) {
                     put_value(&mut out, &values[h as usize]);
                     rank[h as usize] = r;
                 }
@@ -763,23 +735,6 @@ mod tests {
         // The lazily rebuilt intern index agrees with the dictionary.
         assert_eq!(pool.get(&Value::str("x")), Some(3));
         assert!(same_database(&db, &loaded));
-    }
-
-    #[test]
-    fn value_order_is_value_ord_across_the_whole_integer_range() {
-        let narrow: Vec<Value> = [9, -3, 4, 0].map(Value::Int).to_vec();
-        let mut wide = narrow.clone();
-        wide.extend([i64::MAX, i64::MIN].map(Value::Int));
-        wide.extend(["b", "", "a"].map(Value::str));
-        for values in [narrow, wide] {
-            let ordered: Vec<&Value> = value_order(&values)
-                .into_iter()
-                .map(|h| &values[h as usize])
-                .collect();
-            let mut expected: Vec<&Value> = values.iter().collect();
-            expected.sort();
-            assert_eq!(ordered, expected);
-        }
     }
 
     #[test]

@@ -10,18 +10,19 @@
 //! Three generators feed the comparison.  [`generate`] draws small relations
 //! over awkward values (escapes, extremes, mixed columns).  [`generate_large`]
 //! draws relations big enough, over integer domains shaped enough, to reach
-//! every ordering path behind `answer_frame`: the bitmap ranking of a dense
-//! integer range and the sort it falls back to, numbered and per-handle
-//! position slots, and the counting, radix and comparison row sorts.
+//! every ordering path behind `answer_frame`: the counting, radix and
+//! comparison passes of `reldb::value_order`'s integer sort, numbered and
+//! per-handle position slots, and the same three row sorts.
 //! [`generate_chunk_edges`] fills relations of those sizes with values whose
 //! rendered text has every length around the 16-byte chunk `render_response`
 //! copies a cell by, so that the chunk's end falls after, at and inside the
 //! text — and inside one multi-byte character of it.
 //!
 //! Every relation is served twice: from a pool whose handle order is not
-//! value order, where `answer_frame` ranks by comparing values, and from
-//! one whose order is (a loaded snapshot's), where it ranks handles.  Both
-//! frames must be the oracle's.
+//! value order, where `answer_frame` sorts the answer's values with
+//! `reldb::value_order`, and from one whose order is (a loaded
+//! snapshot's), where it takes handles in order.  Both frames must be the
+//! oracle's.
 
 use acyclic_hypergraphs::hypergraph::{Edge, Hypergraph, NodeSet};
 use acyclic_hypergraphs::hyperqd::json::Json;
@@ -244,24 +245,28 @@ fn generate(seed: u64, mask: u64, rows: usize, wide: bool, own_pool: bool) -> (D
     (db, answer)
 }
 
-/// The integer domains `answer_frame`'s value ranking has to tell apart.
-/// Every integer of an answer is `base + offset` (wrapping), offsets drawn
-/// from `1..draw`; a domain with a `top` also plants offset 0 and its top
+/// The integer domains `answer_frame`'s value sort has to order.  An
+/// unordered pool's integers are sorted by `reldb::value_order` as offsets
+/// from the least one, two 32-bit words each, so what tells domains apart
+/// is how wide the offsets run against the number of values.  Every integer
+/// of an answer is `base + offset` (wrapping), offsets drawn from
+/// `1..draw`; a domain with a `top` also plants offset 0 and its top
 /// offset, which fixes the answer's `[min, max]` exactly.
 #[derive(Debug, Clone, Copy)]
 enum IntDomain {
-    /// A few values per row: far inside the density bound.
+    /// Offsets under 2 000, far from zero: the low word is dense.
     Dense,
-    /// 2³¹ wide: far outside it, so the integers are sorted.
+    /// 2³¹ wide: sparse for any answer, so radix or comparison passes.
     Sparse,
     /// Dense, and straddling zero.
     NegativeSpanning,
-    /// `i64::MIN` and `i64::MAX` both present: `max − min` overflows.
+    /// `i64::MIN` and `i64::MAX` both present: `max − min` overflows `i64`,
+    /// and the offsets fill both words.
     Extremes,
-    /// `max − min + 1` exactly 8 bits per answer cell + 1024: the last
-    /// range ranked by bitmap.
+    /// `max − min + 1` exactly 8 per answer cell + 1024: a range whose
+    /// width grows with the answer, its ends planted.
     AtBound,
-    /// One value wider: the first range that is sorted.
+    /// One value wider than [`IntDomain::AtBound`].
     PastBound,
 }
 
@@ -397,8 +402,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// New frame == retired frame on relations large and regular enough
-    /// for the counting and radix passes and the dense integer ranking:
-    /// every integer domain on each drawn shape.
+    /// for the counting and radix passes of both the value sort and the
+    /// row sort: every integer domain on each drawn shape.
     #[test]
     fn large_frames_match_the_retired_implementation(
         seed in any::<u64>(),
@@ -423,7 +428,8 @@ proptest! {
 /// all-distinct columns over ≥ 4096 rows (ranks past `4n`: radix passes),
 /// the same below the radix floor (comparison), one wide duplicate-heavy
 /// answer (counting passes, a position slot per handle), each in its own
-/// pool and in a sparse one, at both edges of the density bound.
+/// pool and in a sparse one, over sparse integers and over a range that
+/// grows with the answer.
 #[test]
 fn large_frames_reach_every_ordering_path() {
     for pregrown in [None, Some(60_000)] {

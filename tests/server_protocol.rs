@@ -8,19 +8,21 @@
 //! port; every read carries a timeout so a server that stops answering
 //! fails the test instead of wedging the suite.
 
+use acyclic_hypergraphs::hypergraph::{EdgeId, Hypergraph};
 use acyclic_hypergraphs::hyperqd::json::Json;
+use acyclic_hypergraphs::hyperqd::load::DbSource;
 use acyclic_hypergraphs::hyperqd::protocol::{
     metrics_json, parse_request, parse_response, render_request, render_response, DbInfo,
     EngineKind, ErrorKind, Overrides, QuerySpec, Request, Response, Rows, WireError, MAX_LINE,
 };
-use acyclic_hypergraphs::hyperqd::server::{run_engine, Server};
-use acyclic_hypergraphs::reldb::{CollectingSink, Database, ExecCtx};
+use acyclic_hypergraphs::hyperqd::server::{run_engine, Server, ServerConfig};
+use acyclic_hypergraphs::reldb::{CollectingSink, Database, ExecCtx, Value};
 use acyclic_hypergraphs::workload::{
     chain, consistent_database, random_database, ring, DataParams,
 };
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -482,6 +484,57 @@ fn a_listing_reports_acyclicity_from_the_plan() {
         }
     }
     shut_down(handle);
+}
+
+/// A snapshot with a repeated row is never served: `bind` refuses it,
+/// naming the relation and the row, and no listener comes up.
+#[test]
+fn a_snapshot_with_a_repeated_row_is_never_served() {
+    let schema = Hypergraph::builder()
+        .edge("R0", ["A", "B"])
+        .edge("R1", ["B", "C"])
+        .build()
+        .expect("schema builds");
+    let mut db = Database::empty(schema);
+    for (e, row) in [(0, [1, 2]), (1, [2, 3]), (1, [2, 4]), (1, [5, 6])] {
+        db.insert_values(EdgeId(e), row.map(Value::Int));
+    }
+    let mut bytes = db.to_snapshot_bytes();
+    assert!(Database::from_snapshot_bytes(&bytes).is_ok());
+    // R1 is the last relation, so its three rows of two `u32`s end the
+    // file: overwrite row 1 with row 0.
+    let rows_at = bytes.len() - 3 * 8;
+    bytes.copy_within(rows_at..rows_at + 8, rows_at + 8);
+    let path = std::env::temp_dir().join(format!(
+        "hq_server_protocol_{}_repeated_row.hqs",
+        std::process::id()
+    ));
+    std::fs::write(&path, &bytes).expect("write the snapshot");
+    let config = ServerConfig {
+        databases: vec![("dup".into(), DbSource::Snapshot(path.clone()))],
+        slow_ms: None,
+    };
+    // A port that was free a moment ago: after the refusal nothing may
+    // listen on it.
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("an ephemeral port");
+    let refused = Server::bind(&addr.to_string(), &config);
+    std::fs::remove_file(&path).ok();
+    let err = refused
+        .err()
+        .expect("a snapshot with a repeated row was served");
+    assert_eq!(err.kind, ErrorKind::Parse);
+    assert!(
+        err.message
+            .contains("relation \"R1\": row 1 is not above row 0"),
+        "{}",
+        err.message
+    );
+    assert!(
+        TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_err(),
+        "something listens on {addr}"
+    );
 }
 
 #[cfg(not(feature = "failpoints"))]
