@@ -489,7 +489,7 @@ mod tests {
         assert!(report.contains("answer (1 tuples):"), "report: {report}");
         assert!(report.contains("metrics:"), "report: {report}");
         assert!(report.contains("semijoin"), "report: {report}");
-        assert!(report.contains("index rebuilds:"), "report: {report}");
+        assert!(report.contains("levels:"), "report: {report}");
     }
 
     #[test]
@@ -508,7 +508,7 @@ mod tests {
         // One compact line, every section present.
         assert_eq!(json.matches('\n').count(), 1, "json: {json}");
         let doc = parse_json(&json).expect("the output is one JSON document");
-        for member in ["join", "semijoin", "levels", "index_rebuilds"] {
+        for member in ["join", "semijoin", "levels", "bags"] {
             assert!(doc.get(member).is_some(), "missing {member:?} in: {json}");
         }
         // An acyclic schema took no decomposition.

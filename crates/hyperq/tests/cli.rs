@@ -191,7 +191,7 @@ fn query_metrics_flags_drive_the_observability_surface() {
     let text = stdout(&out);
     assert!(text.contains("answer (2 tuples):"), "got: {text}");
     assert!(text.contains("metrics:"), "got: {text}");
-    assert!(text.contains("index rebuilds:"), "got: {text}");
+    assert!(text.contains("levels:"), "got: {text}");
 
     // --metrics-json replaces the report with the machine document, on the
     // acyclic fixture (null decomposition) and the cyclic one (widths from

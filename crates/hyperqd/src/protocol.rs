@@ -129,18 +129,22 @@ impl Overrides {
         }
     }
 
+    /// Appends the set fields.  A count past `i64::MAX`, the largest wire
+    /// integer, goes out as `i64::MAX`: a limit that large is no limit
+    /// either way.
     fn push_fields(&self, pairs: &mut Vec<(String, Json)>) {
+        let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
         if let Some(n) = self.timeout_ms {
-            pairs.push(("timeout_ms".to_owned(), Json::Int(n as i64)));
+            pairs.push(("timeout_ms".to_owned(), int(n)));
         }
         if let Some(n) = self.mem_budget_mb {
-            pairs.push(("mem_budget_mb".to_owned(), Json::Int(n as i64)));
+            pairs.push(("mem_budget_mb".to_owned(), int(n)));
         }
         if let Some(b) = self.metrics {
             pairs.push(("metrics".to_owned(), Json::Bool(b)));
         }
         if let Some(n) = self.fail_at_semijoin {
-            pairs.push(("fail_at_semijoin".to_owned(), Json::Int(n as i64)));
+            pairs.push(("fail_at_semijoin".to_owned(), int(n)));
         }
         if let Some(b) = self.fail_panic {
             pairs.push(("fail_panic".to_owned(), Json::Bool(b)));
@@ -836,7 +840,6 @@ pub fn metrics_json(m: &QueryMetrics) -> Json {
         ("semijoin", agg(&m.semijoins)),
         ("levels", Json::Arr(levels.collect())),
         ("bags", Json::Arr(bags.collect())),
-        ("index_rebuilds", int(m.index_rebuilds)),
         ("decomposition", decomposition),
     ])
 }
@@ -1113,6 +1116,48 @@ mod tests {
         }
     }
 
+    /// Overrides past `i64::MAX` saturate on the wire instead of wrapping
+    /// to negative numbers the server would refuse.
+    #[test]
+    fn overrides_past_i64_max_saturate_on_the_wire() {
+        let huge = Overrides {
+            timeout_ms: Some(u64::MAX),
+            mem_budget_mb: Some(u64::MAX),
+            fail_at_semijoin: Some(u64::MAX),
+            ..Overrides::default()
+        };
+        let saturated = Overrides {
+            timeout_ms: Some(i64::MAX as u64),
+            mem_budget_mb: Some(i64::MAX as u64),
+            fail_at_semijoin: Some(i64::MAX as u64),
+            ..Overrides::default()
+        };
+        let spec = |overrides| QuerySpec {
+            db: "fig1".into(),
+            select: vec!["A".into(), "D".into()],
+            engine: None,
+            overrides,
+        };
+        let run = |overrides| Request::Run {
+            name: "ad".into(),
+            overrides,
+        };
+        for (sent, want) in [
+            (
+                Request::Query(spec(huge.clone())),
+                Request::Query(spec(saturated.clone())),
+            ),
+            (run(huge.clone()), run(saturated.clone())),
+        ] {
+            let line = render_request(&sent);
+            let doc = parse_json(&line).unwrap();
+            for field in ["timeout_ms", "mem_budget_mb", "fail_at_semijoin"] {
+                assert_eq!(doc.get(field), Some(&Json::Int(i64::MAX)), "{line}");
+            }
+            assert_eq!(parse_request(&line).unwrap(), want, "frame: {line}");
+        }
+    }
+
     #[test]
     fn malformed_requests_become_proto_errors() {
         for bad in [
@@ -1181,7 +1226,6 @@ mod tests {
         sink.record_op(op(OpKind::Semijoin, 10, 7));
         sink.record_level(Phase::ReduceUp, 1, 1234);
         sink.record_bag(bag, 42);
-        sink.record_index_rebuilds(1);
         sink.record_widths(2, 3, "min-fill");
         let doc = metrics_json(&sink.snapshot());
         assert_eq!(parse_json(&doc.to_string()).unwrap(), doc);
@@ -1191,10 +1235,7 @@ mod tests {
             panic!("not an object: {doc}");
         };
         let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            names.join(" "),
-            "join semijoin levels bags index_rebuilds decomposition"
-        );
+        assert_eq!(names.join(" "), "join semijoin levels bags decomposition");
         for op in ["join", "semijoin"] {
             let Json::Obj(counters) = at(&doc, op) else {
                 panic!("{op} is not an object: {doc}");
@@ -1221,7 +1262,6 @@ mod tests {
             ("levels.0.nanos", Json::Int(1234)),
             ("bags.0.name", Json::str(bag)),
             ("bags.0.rows", Json::Int(42)),
-            ("index_rebuilds", Json::Int(1)),
             ("decomposition.min_fill_width", Json::Int(2)),
             ("decomposition.min_degree_width", Json::Int(3)),
             ("decomposition.chosen", Json::str("min-fill")),

@@ -876,8 +876,9 @@ fn execute_inner(
 /// handles, taken in handle order where the pool's handle order is value
 /// order — a snapshot-loaded pool's — and through [`reldb::value_order`],
 /// the snapshot saver's sort, anywhere else); rows are then ordered as
-/// tuples of ranks by [`reldb::sort_ids_by_key`], the sort-merge kernels'
-/// LSD counting sort.
+/// tuples of ranks by [`reldb::sort_ids_by_key`], the one id sorter, which
+/// the sort-merge semijoin kernel, `Relation::same_contents`,
+/// [`reldb::value_order`] and the snapshot saver share.
 /// No `Value` is cloned and no [`json::Json`] built per cell or per
 /// distinct value, and no row is moved: the frame's [`Rows`] hold the
 /// tokens, the ranked rows where the engine left them and the sort's

@@ -6,8 +6,7 @@
 //! join runs one kernel: hash — build the smaller side, probe the larger.
 //! Semijoins — the full reducer's only operator — have two, and their
 //! inputs alone choose: a dense bitset where the packed key space fits and
-//! sort-merge otherwise (see
-//! [`Relation::retain_semijoin`](crate::Relation::retain_semijoin)).
+//! sort-merge otherwise (see [`Relation::semijoin`](crate::Relation::semijoin)).
 //!
 //! What a caller does choose is who watches: [`ExecCtx`] is the two
 //! instrumentation sinks — metrics (counters and stage clocks alike) and

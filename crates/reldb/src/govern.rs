@@ -32,13 +32,16 @@
 //! # The abort invariant
 //!
 //! Checkpoints only fire during *read-only* phases of a kernel: mask
-//! computation for in-place semijoins, probe/emit loops that build fresh
-//! output relations, and bag materialization (which constructs a brand-new
-//! [`Database`](crate::Database)).  The in-place compaction step of
-//! `retain_semijoin` runs unconditionally *after* the mask is complete.  An
-//! aborted query — cancelled, past deadline, over budget, or
-//! panicked — therefore leaves the source database observably
-//! unchanged, and the next query over it is still tuple-for-tuple correct.
+//! computation for semijoins, probe/emit loops that build fresh output
+//! relations, and bag materialization (which constructs a brand-new
+//! [`Database`](crate::Database)).
+//! [`ExecCtx::retain_semijoin`](crate::ExecCtx::retain_semijoin) compacts an
+//! owned target, or copies a borrowed one's survivors, unconditionally
+//! *after* the mask is complete, and the reducer's targets start borrowed
+//! from the database, which it never writes.  An aborted query — cancelled,
+//! past deadline, over budget, or panicked — therefore leaves the source
+//! database bit-identical, and the next query over it is still
+//! tuple-for-tuple correct.
 //! `tests/govern_props.rs` proves this by snapshot comparison under random
 //! failpoints.
 //!

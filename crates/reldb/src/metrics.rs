@@ -22,7 +22,6 @@
 //! | per-op counters: tuples probed / kept / built, build-side rows, kernel that ran | join/semijoin kernels ([`OpMetrics`]) | [`QueryMetrics::joins`], [`QueryMetrics::semijoins`] |
 //! | per-stage wall timings (decompose, bag materialization, each reducer and join level, each engine) | every stage, through [`timed`] | [`QueryMetrics::levels`] |
 //! | bag materialization sizes | [`ExecCtx::materialize_bags`](crate::ExecCtx::materialize_bags) | [`QueryMetrics::bags`] |
-//! | dedup-index rebuilds saved by deferral | the reducer | [`QueryMetrics::index_rebuilds`] |
 //! | min-fill vs. min-degree decomposition widths | [`ExecCtx::query_yannakakis`](crate::ExecCtx::query_yannakakis) | [`QueryMetrics::widths`] |
 //!
 //! # Collecting
@@ -55,7 +54,7 @@ use std::time::Instant;
 pub enum OpKind {
     /// A binary natural join.
     Join,
-    /// A semijoin (mask computation), including the in-place reducer form.
+    /// A semijoin (mask computation), including the reducer's in-place form.
     Semijoin,
 }
 
@@ -69,7 +68,7 @@ pub enum Kernel {
     SortMerge,
     /// Direct-address bitset over the packed handle key space — semijoins
     /// whose key space fits; see
-    /// [`Relation::retain_semijoin`](crate::Relation::retain_semijoin).
+    /// [`Relation::semijoin`](crate::Relation::semijoin).
     Dense,
 }
 
@@ -171,10 +170,6 @@ pub trait MetricsSink {
     /// A decomposition bag materialized with `_rows` tuples.
     #[inline]
     fn record_bag(&self, _name: &str, _rows: u64) {}
-
-    /// The reducer triggered `_n` deferred dedup-index rebuilds.
-    #[inline]
-    fn record_index_rebuilds(&self, _n: u64) {}
 
     /// A cyclic query read its plan: both decomposition heuristics' widths
     /// and the winner.
@@ -287,8 +282,6 @@ pub struct QueryMetrics {
     pub levels: Vec<LevelTiming>,
     /// Materialized bag sizes (cyclic pipeline only).
     pub bags: Vec<BagStat>,
-    /// Deferred dedup-index rebuilds the reduced relations actually paid.
-    pub index_rebuilds: u64,
     /// Decomposition widths, when the cyclic pipeline ran both heuristics.
     pub widths: Option<WidthReport>,
 }
@@ -342,7 +335,6 @@ impl QueryMetrics {
                 out.push_str(&format!("  {:<24} {:>10} rows\n", b.name, b.rows));
             }
         }
-        out.push_str(&format!("index rebuilds: {}\n", self.index_rebuilds));
         if let Some(w) = &self.widths {
             out.push_str(&format!(
                 "decomposition widths: min-fill {} / min-degree {} (chosen: {})\n",
@@ -436,10 +428,6 @@ impl MetricsSink for CollectingSink {
         });
     }
 
-    fn record_index_rebuilds(&self, n: u64) {
-        self.with(|m| m.index_rebuilds += n);
-    }
-
     fn record_widths(&self, min_fill: usize, min_degree: usize, chosen: &'static str) {
         self.with(|m| {
             m.widths = Some(WidthReport {
@@ -489,8 +477,8 @@ mod tests {
     fn clones_share_the_report() {
         let sink = CollectingSink::new();
         let clone = sink.clone();
-        clone.record_index_rebuilds(3);
-        assert_eq!(sink.snapshot().index_rebuilds, 3);
+        clone.record_bag("bag", 3);
+        assert_eq!(sink.snapshot().bags[0].rows, 3);
     }
 
     #[test]

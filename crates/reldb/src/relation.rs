@@ -11,8 +11,8 @@
 //! fixed-width row of `u32` handles laid out in the relation's schema
 //! attribute order (ascending [`NodeId`]), and all rows live in one
 //! contiguous `Vec<u32>` buffer.  Set semantics are enforced by an
-//! open-addressing hash index over the rows (see *Set semantics* below for
-//! who consults it).  The relational kernels —
+//! open-addressing hash index over the rows that only insertion builds (see
+//! *Set semantics* below).  The relational kernels —
 //! [`Relation::join`], [`Relation::semijoin`], [`Relation::project`] —
 //! resolve attribute positions once per call and then work purely on handle
 //! rows: no `Value` is cloned, hashed or compared on the hot path.
@@ -42,15 +42,17 @@
 //! determines the pair of input rows it came from, a semijoin keeps a
 //! subset, an identity projection keeps everything, re-interning is a
 //! bijection on values and a snapshot was written from a live relation — so
-//! those kernels append rows without hashing them (`push_distinct_row`) and
-//! leave the dedup index unbuilt.  The only callers of the deduplicating
-//! `insert_row` are [`Relation::insert`], [`Relation::insert_values`], a
-//! [`Relation::project`] that drops a column, the cross-pool copy
-//! `read_in` makes (a projection too), and the zero-width fallback of
-//! `push_distinct_row` (the empty tuple has no words to append).  The index
-//! of such an output is built once, sized for the rows present, by the
-//! first insertion into it; until then [`Relation::contains`] on it is a
-//! row scan.
+//! those kernels append rows without hashing them (`push_distinct_row`).
+//!
+//! One rule governs the dedup index: only insertion builds it.
+//! [`Relation::insert`] and [`Relation::insert_values`] build it, sized for
+//! the rows present, when it is absent, and keep it from then on.  Every
+//! other way rows come into being or change — a kernel's output, a
+//! semijoin's compaction, a snapshot load — leaves it absent; until the
+//! next insertion [`Relation::contains`] is a row scan.  A
+//! [`Relation::project`] that drops a column, and the cross-pool copy
+//! `read_in` makes (a projection too), deduplicate through a table of
+//! their own, sized once for their input and dropped with it.
 //!
 //! [`Tuple`] remains the boundary type for building and reading individual
 //! tuples; it is decoded from / encoded into rows only at the edges.
@@ -390,7 +392,8 @@ fn pack_key(row: &[u32], pos: &[usize], radix: usize) -> usize {
 /// Fewer than 64 rows, or a sparse column on fewer than 4096, keep the
 /// comparison sort and its single allocation.  All paths return the same
 /// permutation, so no caller — the sort-merge semijoin kernel,
-/// `same_contents`, `hyperqd`'s canonical answer frame — can tell which ran.
+/// `same_contents`, [`value_order`](crate::value_order), the snapshot saver,
+/// `hyperqd`'s canonical answer frame — can tell which ran.
 ///
 /// # Panics
 /// Panics unless `keys` holds exactly `n * k` entries and `n` fits `u32`.
@@ -524,16 +527,9 @@ pub struct Relation {
     rows: Vec<u32>,
     /// Number of rows (kept separately: zero-width relations have rows too).
     len: usize,
-    /// Set-semantics index over the rows.
-    index: RowTable,
-    /// True when `index` no longer reflects `rows` (set by the in-place
-    /// reducer, which shrinks rows without touching the index).  Readers
-    /// that need the index rebuild it lazily; the reducer's repeated
-    /// `retain_semijoin` calls never pay for rebuilds they don't use.
-    index_stale: bool,
-    /// How many times the index has been rebuilt — observability for the
-    /// deferred-rebuild optimization (tests assert rebuilds are saved).
-    index_rebuilds: usize,
+    /// Set-semantics index over the rows: built by the first insertion,
+    /// absent on everything else (see *Set semantics* in the module docs).
+    index: Option<RowTable>,
 }
 
 impl Relation {
@@ -556,9 +552,7 @@ impl Relation {
             pool,
             rows: Vec::new(),
             len: 0,
-            index: RowTable::default(),
-            index_stale: false,
-            index_rebuilds: 0,
+            index: None,
         }
     }
 
@@ -669,16 +663,24 @@ impl Relation {
         self.len == 0
     }
 
-    /// Inserts an already-encoded row, deduplicating.  Returns `true` if new.
+    /// Inserts an already-encoded row, deduplicating through the relation's
+    /// index, which it builds first if absent.  Returns `true` if new.
     fn insert_row(&mut self, row: &[u32]) -> bool {
+        let mut index = self.index.take().unwrap_or_else(|| self.build_table());
+        let new = self.push_unless_present(&mut index, row);
+        self.index = Some(index);
+        new
+    }
+
+    /// Appends an already-encoded row unless `table`, a dedup table over
+    /// this relation's rows, already holds it.  Returns `true` if new.
+    fn push_unless_present(&mut self, table: &mut RowTable, row: &[u32]) -> bool {
         debug_assert_eq!(row.len(), self.width());
-        self.ensure_index();
         let w = self.width();
         let rows = &self.rows;
-        let index = &mut self.index;
         let h = hash_row(row);
-        index.reserve(self.len, |id| hash_row(row_of(rows, w, id)));
-        let (slot, occupied) = index.find_slot(h, |id| row_of(rows, w, id) == row);
+        table.reserve(self.len, |id| hash_row(row_of(rows, w, id)));
+        let (slot, occupied) = table.find_slot(h, |id| row_of(rows, w, id) == row);
         if occupied {
             return false;
         }
@@ -687,56 +689,39 @@ impl Relation {
         // the tables and join chains; the last id must stay below it.
         assert!(id < NO_HANDLE, "relation too large");
         self.rows.extend_from_slice(row);
-        self.index.set(slot, id);
+        table.set(slot, id);
         self.len += 1;
         true
     }
 
-    /// Appends already-encoded rows that are known to be distinct from each
-    /// other and from every stored row — how every kernel whose output is
-    /// a set by construction emits (see *Set semantics* in the module
-    /// docs).  The dedup-index rebuild is deferred, so such outputs never
-    /// pay for an index they may not consult.
-    fn push_rows_unchecked(&mut self, rows: &[u32]) {
-        let w = self.width();
-        if w == 0 || rows.is_empty() {
-            return;
-        }
-        debug_assert_eq!(rows.len() % w, 0);
-        let new_len = self.len + rows.len() / w;
+    /// Appends one row known to be distinct from every stored row — how
+    /// every kernel whose output is a set by construction emits (see *Set
+    /// semantics* in the module docs).  Only a kernel's own output, which
+    /// has no dedup index, is appended to this way.  A zero-width relation
+    /// holds at most the empty tuple, so a zero-width row makes it hold it.
+    #[inline]
+    fn push_distinct_row(&mut self, row: &[u32]) {
+        debug_assert!(self.index.is_none(), "unchecked append to an index");
+        debug_assert_eq!(row.len(), self.width());
+        let new_len = if row.is_empty() { 1 } else { self.len + 1 };
         // Row ids share the u32 space with the NO_HANDLE sentinel.
         assert!(
             u32::try_from(new_len).is_ok_and(|v| v < NO_HANDLE),
             "relation too large"
         );
-        self.rows.extend_from_slice(rows);
+        self.rows.extend_from_slice(row);
         self.len = new_len;
-        self.index_stale = true;
     }
 
-    /// Appends one row known to be distinct from every stored row.  A
-    /// zero-width row carries no words for the bulk path to append, so it
-    /// goes through the deduplicating insert.
-    #[inline]
-    fn push_distinct_row(&mut self, row: &[u32]) {
-        if row.is_empty() {
-            self.insert_row(row);
-        } else {
-            self.push_rows_unchecked(row);
-        }
-    }
-
-    /// A copy of the relation's rows without its dedup index (left to the
-    /// lazy rebuild) — for working copies that are only ever reduced, joined
-    /// or scanned, like the full reducer's.
+    /// A copy of the relation's rows without its dedup index — for working
+    /// copies that are only ever reduced, joined or scanned, like the full
+    /// reducer's.
     pub(crate) fn clone_rows(&self) -> Relation {
         self.with_rows(self.rows.clone(), self.len)
     }
 
     /// This relation's name, schema and pool over `len` other rows, a
-    /// subset of its own, without a dedup index (left to the lazy rebuild).
-    /// The rebuild count carries over, so a reducer that swaps a copy in
-    /// for its original counts only the rebuilds it paid.
+    /// subset of its own, without a dedup index.
     fn with_rows(&self, rows: Vec<u32>, len: usize) -> Relation {
         Relation {
             name: self.name.clone(),
@@ -745,9 +730,7 @@ impl Relation {
             pool: self.pool.clone(),
             rows,
             len,
-            index: RowTable::default(),
-            index_stale: len > 0,
-            index_rebuilds: self.index_rebuilds,
+            index: None,
         }
     }
 
@@ -773,8 +756,8 @@ impl Relation {
     /// Assembles a relation directly from a flat handle buffer — the
     /// snapshot loader's entry.  The caller must have proved the rows
     /// distinct (the loader checks them strictly ascending, one neighbour
-    /// comparison per row) and the dedup index is left stale for lazy
-    /// rebuild; handles are validated against `pool` so a corrupt buffer
+    /// comparison per row) and the dedup index is left to the first
+    /// insertion; handles are validated against `pool` so a corrupt buffer
     /// yields `Err` instead of out-of-bounds panics later.
     pub(crate) fn from_raw_parts(
         name: String,
@@ -802,11 +785,11 @@ impl Relation {
         }
         out.rows = rows;
         out.len = len;
-        out.index_stale = len > 0;
         Ok(out)
     }
 
-    /// Builds a fresh dedup table over the current rows (known distinct).
+    /// Builds a fresh dedup table over the current rows (known distinct),
+    /// sized for them.
     fn build_table(&self) -> RowTable {
         let w = self.width();
         let rows = &self.rows;
@@ -820,16 +803,6 @@ impl Relation {
             table.set(slot, id);
         }
         table
-    }
-
-    /// Rebuilds the stale dedup index if needed — called lazily by the
-    /// mutating paths that actually consult it.
-    fn ensure_index(&mut self) {
-        if self.index_stale {
-            self.index = self.build_table();
-            self.index_stale = false;
-            self.index_rebuilds += 1;
-        }
     }
 
     /// Inserts a tuple.
@@ -888,20 +861,22 @@ impl Relation {
             }
         }
         let w = self.width();
-        if self.index_stale {
-            // Deferred-rebuild path: a linear scan costs no more than the
-            // rebuild this read-only call would otherwise force.
-            return self.rows_iter().any(|r| r == &row[..]);
+        match &self.index {
+            Some(index) => index
+                .find(hash_row(&row), |id| row_of(&self.rows, w, id) == &row[..])
+                .is_some(),
+            // No insertion built the index: a scan costs no more than the
+            // build this read-only call would otherwise force.
+            None => self.rows_iter().any(|r| r == &row[..]),
         }
-        self.index
-            .find(hash_row(&row), |id| row_of(&self.rows, w, id) == &row[..])
-            .is_some()
     }
 
     /// Projection onto `attrs` (which need not be a subset of the schema;
     /// extra attributes are ignored), with duplicate elimination.  A
     /// projection that keeps every column cannot create duplicates: it
-    /// copies the row buffer without hashing a row.
+    /// copies the row buffer without hashing a row.  One that drops a
+    /// column deduplicates through a table sized once for its input and
+    /// dropped on return; the output, like every kernel's, has no index.
     pub fn project(&self, attrs: &NodeSet) -> Relation {
         let name = format!("π({})", self.name);
         if self.attributes.is_subset(attrs) {
@@ -909,7 +884,7 @@ impl Relation {
         }
         let kept = self.attributes.intersection(attrs);
         let mut out = Relation::with_pool(name, kept, self.pool.clone());
-        out.index = RowTable::with_capacity(self.len);
+        let mut seen = RowTable::with_capacity(self.len);
         let pos: Vec<usize> = out
             .cols
             .iter()
@@ -921,7 +896,7 @@ impl Relation {
             for (j, &p) in pos.iter().enumerate() {
                 buf[j] = row[p];
             }
-            out.insert_row(&buf);
+            out.push_unless_present(&mut seen, &buf);
         }
         out
     }
@@ -1093,8 +1068,8 @@ impl Relation {
     }
 
     /// Estimated fraction of distinct keys among the rows, from a sample of
-    /// up to 128 evenly spaced rows.  The rows themselves are distinct (the
-    /// dedup index enforces set semantics), so duplication among the
+    /// up to 128 evenly spaced rows.  The rows themselves are distinct (see
+    /// *Set semantics* in the module docs), so duplication among the
     /// sampled key columns measures genuine key skew rather than duplicate
     /// tuples.
     fn estimate_distinct_key_ratio(&self, pos: &[usize]) -> f64 {
@@ -1267,57 +1242,20 @@ impl Relation {
         Ok((mask, others.len()))
     }
 
-    /// Semijoin: the tuples of `self` that join with at least one tuple of
-    /// `other`, by the kernel [`Relation::retain_semijoin`] describes.
-    pub fn semijoin(&self, other: &Relation) -> Relation {
-        let (mask, _) = unfail(self.semijoin_mask(other, &NoopGovernor));
-        let kept = mask.iter().filter(|&&keep| keep).count();
-        self.survivors(&mask, kept)
-    }
-
-    /// In-place semijoin: removes the tuples of `self` that match no tuple
-    /// of `other`, compacting the row buffer without reallocating.  Returns
-    /// the number of tuples removed.
-    ///
-    /// The dedup index rebuild is deferred (marked stale) rather than done
-    /// eagerly: a reducer semijoins the same relation several times in a
-    /// row and never consults the index in between, so eager rebuilds were
-    /// pure waste.  The Yannakakis reducer itself works on borrowed
-    /// relations and copies one only at the first semijoin that shrinks it
-    /// ([`ExecCtx::full_reduce`]); from then on it compacts that copy here.
+    /// Semijoin: a copy of the tuples of `self` that join with at least one
+    /// tuple of `other`, gathered into a buffer sized once.  Like every
+    /// kernel's output, the copy has no dedup index.
     ///
     /// The keep-mask comes from the dense kernel (a bitset over the packed
     /// handle key space) whenever `pool.len()^k` is at most eight bits per
     /// input row of the two operands, and from sort-merge otherwise — a
     /// sparser key space makes the bitset dearer than the sort.
-    /// [`ExecCtx::retain_semijoin`] is the form that takes sinks.
-    pub fn retain_semijoin(&mut self, other: &Relation) -> usize {
-        unfail(ExecCtx::new().retain_semijoin(self, other))
-    }
-
-    /// The keep-mask of `self ⋉ other` and how many rows it drops, recorded
-    /// as one semijoin [`OpMetrics`].  Every governance checkpoint fires in
-    /// here, and this only reads `self`: an abort propagates before any row
-    /// moves, leaving the relation bit-identical.
-    fn semijoin_keep<M: MetricsSink, G: Governor>(
-        &self,
-        other: &Relation,
-        sink: &M,
-        gov: &G,
-    ) -> Result<(Vec<bool>, usize), EngineError> {
-        let (mask, stats) = self.semijoin_mask(other, gov)?;
-        let removed = mask.iter().filter(|&&keep| !keep).count();
-        if M::ENABLED {
-            sink.record_op(OpMetrics {
-                kind: OpKind::Semijoin,
-                kernel: stats.kernel,
-                probed: self.len as u64,
-                kept: (self.len - removed) as u64,
-                built: stats.built as u64,
-                build_rows: stats.build_rows as u64,
-            });
-        }
-        Ok((mask, removed))
+    /// [`ExecCtx::retain_semijoin`] is the form that takes sinks and
+    /// copies only when a row goes.
+    pub fn semijoin(&self, other: &Relation) -> Relation {
+        let (mask, _) = unfail(self.semijoin_mask(other, &NoopGovernor));
+        let kept = mask.iter().filter(|&&keep| keep).count();
+        self.survivors(&mask, kept)
     }
 
     /// Keeps the rows `mask` marks, moving them down in place.
@@ -1334,7 +1272,7 @@ impl Relation {
         }
         self.rows.truncate(write * w);
         self.len = write;
-        self.index_stale = true;
+        self.index = None;
     }
 
     /// A copy of the `kept` rows `mask` marks, gathered into a buffer sized
@@ -1348,12 +1286,6 @@ impl Relation {
             at += w;
         }
         self.with_rows(rows, kept)
-    }
-
-    /// How many times this relation's dedup index has been rebuilt — the
-    /// observability hook for the deferred-rebuild optimization.
-    pub fn index_rebuild_count(&self) -> usize {
-        self.index_rebuilds
     }
 
     /// A copy of the relation with every value re-interned into `pool`.
@@ -1393,6 +1325,7 @@ impl Relation {
         let pos = positions(&kept, &self.cols);
         let table = self.pool.translation_to(pool, false);
         let mut out = Relation::with_pool(self.name.clone(), kept, pool.clone());
+        let mut seen = RowTable::with_capacity(self.len);
         let mut buf = vec![0u32; pos.len()];
         'rows: for row in self.rows_iter() {
             for (slot, &p) in buf.iter_mut().zip(&pos) {
@@ -1402,7 +1335,7 @@ impl Relation {
                 }
             }
             // A dropped column can make two rows equal: deduplicate.
-            out.insert_row(&buf);
+            out.push_unless_present(&mut seen, &buf);
         }
         Cow::Owned(out)
     }
@@ -1478,37 +1411,38 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         left.join_impl(right, self.metrics, self.gov)
     }
 
-    /// In-place semijoin `target ⋉ other` ([`Relation::retain_semijoin`]
-    /// documents the kernels), recording one semijoin [`OpMetrics`] into the
-    /// metrics sink.  Returns the number of tuples removed.
+    /// Semijoin `target ⋉ other` in place ([`Relation::semijoin`] documents
+    /// the kernels), recording one semijoin [`OpMetrics`] into the metrics
+    /// sink.  Returns the number of tuples removed.
+    ///
+    /// An owned `target` is compacted in place.  A borrowed one is replaced
+    /// by an owned copy of its survivors at the first semijoin that removes
+    /// a row, so a `target` no semijoin shrinks is never copied — how the
+    /// Yannakakis reducer works on a database's stored relations.  A target
+    /// that loses rows either way ends up without a dedup index.
     ///
     /// All governor checkpoints fire during the read-only mask computation;
-    /// the in-place compaction runs unconditionally after the mask is
+    /// the compaction or copy runs unconditionally after the mask is
     /// complete.  An abort therefore returns `Err` with `target` exactly as
-    /// it was — the rollback guarantee the reducer relies on.
+    /// it was, still borrowed if it was — the rollback guarantee the
+    /// reducer relies on.
     pub fn retain_semijoin(
-        &self,
-        target: &mut Relation,
-        other: &Relation,
-    ) -> Result<usize, EngineError> {
-        let (mask, removed) = target.semijoin_keep(other, self.metrics, self.gov)?;
-        if removed > 0 {
-            target.compact(&mask);
-        }
-        Ok(removed)
-    }
-
-    /// [`ExecCtx::retain_semijoin`] on a relation that may still be
-    /// borrowed: the first semijoin that removes a row from a borrowed
-    /// `target` replaces it with an owned copy of its survivors, later ones
-    /// compact that copy in place, and a `target` no semijoin shrinks is
-    /// never copied.  An abort leaves `target` as it was.
-    pub(crate) fn retain_semijoin_cow(
         &self,
         target: &mut Cow<'_, Relation>,
         other: &Relation,
     ) -> Result<usize, EngineError> {
-        let (mask, removed) = target.semijoin_keep(other, self.metrics, self.gov)?;
+        let (mask, stats) = target.semijoin_mask(other, self.gov)?;
+        let removed = mask.iter().filter(|&&keep| !keep).count();
+        if M::ENABLED {
+            self.metrics.record_op(OpMetrics {
+                kind: OpKind::Semijoin,
+                kernel: stats.kernel,
+                probed: target.len as u64,
+                kept: (target.len - removed) as u64,
+                built: stats.built as u64,
+                build_rows: stats.build_rows as u64,
+            });
+        }
         if removed > 0 {
             match target {
                 Cow::Owned(owned) => owned.compact(&mask),
@@ -1540,6 +1474,7 @@ impl fmt::Display for Relation {
 mod tests {
     use super::*;
     use crate::reference::NaiveRelation;
+    use crate::Database;
     use hypergraph::Hypergraph;
 
     fn setup() -> (Hypergraph, Relation, Relation) {
@@ -1640,13 +1575,14 @@ mod tests {
 
     #[test]
     fn retain_semijoin_matches_semijoin() {
-        let (_, mut r, s) = setup();
+        let (_, r, s) = setup();
         let expected = r.semijoin(&s);
-        let removed = r.retain_semijoin(&s);
+        let mut target = Cow::Owned(r);
+        let removed = ExecCtx::new().retain_semijoin(&mut target, &s).unwrap();
         assert_eq!(removed, 1);
-        assert!(r.same_contents(&expected));
+        assert!(target.same_contents(&expected));
         // Idempotent afterwards.
-        assert_eq!(r.retain_semijoin(&s), 0);
+        assert_eq!(ExecCtx::new().retain_semijoin(&mut target, &s), Ok(0));
     }
 
     #[test]
@@ -1725,7 +1661,7 @@ mod tests {
 
     /// The join gives the oracle's tuples, from either side.
     #[test]
-    fn sort_merge_join_matches_hash_join() {
+    fn join_matches_the_oracle_from_either_side() {
         let (_, r, s) = setup();
         let joined = r.join(&s);
         assert!(naive_join(&r, &s).agrees_with(&joined));
@@ -1751,7 +1687,7 @@ mod tests {
     /// The sort-merge semijoin against the reference oracle: a shared pool,
     /// an empty build side.
     #[test]
-    fn sort_merge_semijoin_matches_hash_semijoin() {
+    fn sort_merge_semijoin_matches_the_oracle() {
         let (_, r, s) = setup();
         let s = s.reintern_into(r.pool());
         past_the_dense_bound(&r, &s);
@@ -1797,47 +1733,63 @@ mod tests {
         assert!(naive_semijoin(&r, &s).agrees_with(&out));
     }
 
+    /// One index rule: insertion builds the dedup index, and no kernel's
+    /// output carries one — not a join's, a semijoin's, either projection's,
+    /// a re-interned copy's, a snapshot load's, nor the reducer's survivor
+    /// copy or in-place compaction.  Until the first insertion membership is
+    /// a scan; that insertion builds the index and rejects a duplicate.
     #[test]
-    fn retain_semijoin_defers_index_rebuild() {
-        let (h, mut r, s) = setup();
-        let (a, b) = (h.node("A").unwrap(), h.node("B").unwrap());
-        assert_eq!(r.index_rebuild_count(), 0);
-        // Two consecutive in-place semijoins: the reducer's hot pattern.
-        // Neither consults the index, so no rebuild happens.
-        assert_eq!(r.retain_semijoin(&s), 1);
-        assert!(r.index_stale);
-        let mut t = Relation::with_pool("T", s.attributes().clone(), r.pool().clone());
-        t.insert(Tuple::from_pairs([
-            (h.node("B").unwrap(), 10),
-            (h.node("C").unwrap(), 100),
-        ]));
-        r.retain_semijoin(&t);
-        assert_eq!(
-            r.index_rebuild_count(),
-            0,
-            "reducer passes must not rebuild"
+    fn kernel_outputs_are_unindexed_until_their_first_insert() {
+        let (h, r, s) = setup();
+        let s = s.reintern_into(r.pool());
+        assert!(r.index.is_some(), "insertion builds the index");
+        let mut db = Database::empty(h.clone());
+        for t in r.tuples() {
+            db.insert(h.edge_ids().next().unwrap(), t);
+        }
+        let loaded = Database::from_snapshot_bytes(&db.to_snapshot_bytes()).unwrap();
+        let mut survivor = Cow::Borrowed(&r);
+        assert_eq!(ExecCtx::new().retain_semijoin(&mut survivor, &s), Ok(1));
+        assert!(
+            matches!(survivor, Cow::Owned(_)),
+            "a shrunk target is copied"
         );
-        // Read-only membership works off the stale index via a scan.
-        assert!(r.contains(&Tuple::from_pairs([(a, 1), (b, 10)])));
-        assert!(!r.contains(&Tuple::from_pairs([(a, 2), (b, 20)])));
-        // The first mutation that needs the index rebuilds exactly once.
-        r.insert(Tuple::from_pairs([(a, 9), (b, 9)]));
-        assert_eq!(r.index_rebuild_count(), 1);
-        assert!(!r.index_stale);
-        // Dedup semantics survive the rebuild.
-        assert!(!r.insert(Tuple::from_pairs([(a, 9), (b, 9)])));
+        let mut compacted = Cow::Owned(r.clone());
+        assert_eq!(ExecCtx::new().retain_semijoin(&mut compacted, &s), Ok(1));
+        let outputs = [
+            r.join(&s),
+            r.semijoin(&s),
+            r.project(&h.node_set(["A", "B", "C"]).unwrap()),
+            r.project(&h.node_set(["B"]).unwrap()),
+            r.reintern_into(&ValuePool::new()),
+            loaded.relations()[0].clone(),
+            survivor.into_owned(),
+            compacted.into_owned(),
+        ];
+        for mut out in outputs {
+            let name = out.name().to_owned();
+            assert!(out.index.is_none(), "{name} carries an index");
+            let stored = out.tuple_at(0);
+            assert!(out.contains(&stored), "{name}: a scan finds a stored tuple");
+            let len = out.len();
+            assert!(!out.insert(stored), "{name}: a stored tuple went in twice");
+            assert!(out.index.is_some(), "{name}: insertion built no index");
+            let fresh = Tuple::from_pairs(out.columns().iter().map(|&c| (c, 999)));
+            assert!(out.insert(fresh.clone()) && !out.insert(fresh));
+            assert_eq!(out.len(), len + 1, "{name}");
+        }
     }
 
     #[test]
     fn identity_projection_copies_or_moves_without_hashing() {
         let (h, r, _) = setup();
         let all = h.node_set(["A", "B", "C"]).unwrap();
-        // By reference: the rows are copied, the index is left to its lazy
-        // rebuild, the name is the projection's.
+        // By reference: the rows are copied, no index comes along, the name
+        // is the projection's.
         let copy = r.project(&all);
         assert_eq!(copy.name(), "π(R)");
         assert_eq!(copy.handle_rows(), r.handle_rows());
-        assert!(copy.index_stale && copy.index.slots.is_empty());
+        assert!(copy.index.is_none());
         assert!(copy.same_contents(&r));
         // Consuming: the very same row buffer comes back.
         let buffer = copy.rows.as_ptr();
@@ -1845,11 +1797,11 @@ mod tests {
         assert_eq!(moved.name(), "π(π(R))");
         assert_eq!(moved.rows.as_ptr(), buffer);
         // A projection that drops a column still deduplicates, consuming
-        // or not, in a table sized once for its input.
+        // or not, in a table of its own it does not hand on.
         let b = h.node_set(["B"]).unwrap();
         let proper = moved.clone().into_project(&b);
         assert_eq!(proper.len(), 2);
-        assert!(!proper.index_stale);
+        assert!(proper.index.is_none());
         assert!(proper.same_contents(&r.project(&b)));
     }
 
@@ -1867,19 +1819,18 @@ mod tests {
         assert!(RowTable::with_capacity(0).find(0, |_| true).is_none());
     }
 
+    /// `same_contents` reads rows, never the index: a compacted relation,
+    /// whose index is gone, compares equal and stays unindexed.
     #[test]
     fn same_contents_works_with_stale_index() {
-        let (_, mut r, s) = setup();
+        let (_, r, s) = setup();
         let expected = r.semijoin(&s);
-        r.retain_semijoin(&s);
-        assert!(r.index_stale);
-        assert!(r.same_contents(&expected));
-        assert!(expected.same_contents(&r));
-        assert_eq!(
-            r.index_rebuild_count(),
-            0,
-            "same_contents never rebuilds the index"
-        );
+        let mut target = Cow::Owned(r);
+        ExecCtx::new().retain_semijoin(&mut target, &s).unwrap();
+        assert!(target.index.is_none());
+        assert!(target.same_contents(&expected));
+        assert!(expected.same_contents(&target));
+        assert!(target.index.is_none(), "same_contents built an index");
     }
 
     /// A duplicated row displacing a missing one is not the same contents,
@@ -1934,7 +1885,7 @@ mod tests {
     /// is 1, and it is never hash's).
     fn metered_semijoin(r: &Relation, s: &Relation) -> (Relation, crate::metrics::OpAgg) {
         let sink = crate::metrics::CollectingSink::new();
-        let mut out = r.clone();
+        let mut out = Cow::Borrowed(r);
         ExecCtx::new()
             .metrics(&sink)
             .retain_semijoin(&mut out, s)
@@ -1942,7 +1893,7 @@ mod tests {
         let agg = sink.snapshot().semijoins;
         assert_eq!(agg.ops, 1);
         assert_eq!(agg.hash_ops, 0, "no semijoin hashes");
-        (out, agg)
+        (out.into_owned(), agg)
     }
 
     /// Interns fresh values until `pool` holds exactly `len`.

@@ -6,10 +6,11 @@
 //! order a loader wants it — the interning dictionaries and the
 //! fixed-width `u32`-handle row buffers — so loading is one sequential pass
 //! that pushes every value and row straight into the structure that keeps
-//! it.  No dedup index is stored or built: each pool's intern index and
-//! each relation's row index are left for the first operation that needs
-//! them to rebuild lazily ([`Relation`]'s usual deferred-rebuild
-//! machinery), so queries that never intern never pay for them.
+//! it.  No dedup index is stored or built: each pool's intern index is
+//! left for the first intern or lookup to rebuild, and a loaded
+//! [`Relation`] has no row index until something inserts into it (only
+//! insertion builds one), so queries that never intern never pay for
+//! either.
 //!
 //! The saver puts everything in order.  A pool's handles are renumbered to
 //! the *ranks* of their values, so the dictionary is stored in value order

@@ -72,12 +72,10 @@ fn pair_mut<T>(rels: &mut [T], i: usize, j: usize) -> (&mut T, &T) {
 
 /// One level of a reducer pass, timed as one [`Phase`] entry: each
 /// `(target, sources)` job semijoins the target relation with each source
-/// relation in turn ([`ExecCtx::retain_semijoin_cow`]).  The governor is
+/// relation in turn ([`ExecCtx::retain_semijoin`]).  The governor is
 /// consulted once per level even when the level has no job, so a zero
 /// deadline trips deterministically on any tree, single-edge schemas
-/// included.  A metered level also records the dedup-index rebuilds it
-/// paid: with the deferred rebuild (each retain only marks the index stale)
-/// that stays 0, which is exactly what the counter is there to prove.
+/// included.
 fn reduce_level<M: MetricsSink, G: Governor>(
     ctx: &ExecCtx<'_, M, G>,
     (phase, depth): (Phase, usize),
@@ -85,10 +83,6 @@ fn reduce_level<M: MetricsSink, G: Governor>(
     relations: &mut [Cow<'_, Relation>],
     removed: &mut [usize],
 ) -> Result<(), EngineError> {
-    let rebuilds = |rels: &[Cow<'_, Relation>]| -> usize {
-        rels.iter().map(|r| r.index_rebuild_count()).sum()
-    };
-    let before = if M::ENABLED { rebuilds(relations) } else { 0 };
     timed(ctx.metrics, phase, depth, || -> Result<(), EngineError> {
         if G::ENABLED {
             ctx.gov.at_level(phase, depth)?;
@@ -96,16 +90,11 @@ fn reduce_level<M: MetricsSink, G: Governor>(
         for (target, sources) in jobs {
             for &source in sources {
                 let (t, s) = pair_mut(relations, *target, source);
-                removed[*target] += ctx.retain_semijoin_cow(t, s)?;
+                removed[*target] += ctx.retain_semijoin(t, s)?;
             }
         }
         Ok(())
-    })?;
-    if M::ENABLED {
-        ctx.metrics
-            .record_index_rebuilds((rebuilds(relations) - before) as u64);
-    }
-    Ok(())
+    })
 }
 
 impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
@@ -174,11 +163,10 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// its parent (top-down).  Afterwards every remaining tuple participates
     /// in the full join.  The passes work on the stored relations,
     /// borrowed: the first semijoin that removes a row from one copies its
-    /// survivors, later ones compact that copy in place by a keep-mask (as
-    /// [`Relation::retain_semijoin`] does), and a relation no semijoin
-    /// shrinks is copied only at the end, into [`Reduced::relations`].  No
-    /// copy carries a dedup index; its rebuild waits until something reads
-    /// it.
+    /// survivors, later ones compact that copy in place by a keep-mask
+    /// ([`ExecCtx::retain_semijoin`]), and a relation no semijoin shrinks is
+    /// copied only at the end, into [`Reduced::relations`].  No copy carries
+    /// a dedup index: only insertion builds one.
     ///
     /// The metrics sink receives per-semijoin counters and one wall timing
     /// per tree level of each pass ([`Phase::ReduceUp`] deepest level

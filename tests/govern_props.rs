@@ -27,6 +27,7 @@ use acyclic_hypergraphs::workload::{
     chain, far_apart, grid, random_database, ring, snowflake, star, DataParams,
 };
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -412,7 +413,8 @@ fn two_big_relations() -> Database {
 /// Abort hygiene inside the dense semijoin kernel: a fault at *any* of its
 /// batch checkpoints (build loop or probe loop), a zero deadline and a
 /// cancelled token all return the structured error with the target relation
-/// bit-identical, and the whole-reducer form leaves `db` bit-identical.
+/// bit-identical — an owned target unmoved, a borrowed one still borrowed —
+/// and the whole-reducer form leaves `db` bit-identical.
 #[test]
 fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     let db = two_big_relations();
@@ -425,7 +427,7 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     let batches = 2 * BIG_ROWS.div_ceil(CHECK_BATCH) as u64;
     let gov = TripAtCheckpoint::new(u64::MAX);
     let sink = CollectingSink::new();
-    let mut reduced = target.clone();
+    let mut reduced = Cow::Borrowed(target);
     let removed = ExecCtx::new()
         .metrics(&sink)
         .gov(&gov)
@@ -436,21 +438,34 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
     assert_eq!(removed, target.len() - want.len());
     assert!(reduced.same_contents(&want));
 
-    // The same semijoin, cancelled at each of those checkpoints in turn.
-    for trip_at in 0..batches {
-        let gov = TripAtCheckpoint::new(trip_at);
-        let mut victim = target.clone();
-        let got = ExecCtx::new()
-            .gov(&gov)
-            .retain_semijoin(&mut victim, source);
-        assert_eq!(got, Err(EngineError::Cancelled), "checkpoint {trip_at}");
-        assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
-        assert_eq!(victim.len(), target.len());
-        assert_eq!(
-            victim.handle_rows(),
-            target.handle_rows(),
-            "checkpoint {trip_at}"
-        );
+    // The same semijoin, cancelled at each of those checkpoints in turn,
+    // on an owned target (compacted in place) and on a borrowed one (copied
+    // at its first shrinking semijoin).
+    for borrowed in [false, true] {
+        for trip_at in 0..batches {
+            let gov = TripAtCheckpoint::new(trip_at);
+            let mut victim = if borrowed {
+                Cow::Borrowed(target)
+            } else {
+                Cow::Owned(target.clone())
+            };
+            let got = ExecCtx::new()
+                .gov(&gov)
+                .retain_semijoin(&mut victim, source);
+            assert_eq!(got, Err(EngineError::Cancelled), "checkpoint {trip_at}");
+            assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
+            assert_eq!(
+                matches!(victim, Cow::Borrowed(_)),
+                borrowed,
+                "an abort copied or dropped the target (checkpoint {trip_at})"
+            );
+            assert_eq!(victim.len(), target.len());
+            assert_eq!(
+                victim.handle_rows(),
+                target.handle_rows(),
+                "checkpoint {trip_at}"
+            );
+        }
     }
 
     // A zero deadline and a cancelled token abort before the mask starts.
@@ -460,7 +475,7 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
         (QueryGovernor::new().with_deadline(Duration::ZERO), false),
         (QueryGovernor::with_token(token), true),
     ] {
-        let mut victim = target.clone();
+        let mut victim = Cow::Borrowed(target);
         match ExecCtx::new()
             .gov(&gov)
             .retain_semijoin(&mut victim, source)
@@ -469,7 +484,10 @@ fn dense_mask_aborts_cleanly_at_every_checkpoint() {
             Err(EngineError::DeadlineExceeded { .. }) if !cancelled => {}
             other => panic!("expected a structured abort, got {other:?}"),
         }
-        assert_eq!(victim.handle_rows(), target.handle_rows());
+        assert!(
+            matches!(victim, Cow::Borrowed(_)),
+            "an abort copied the target"
+        );
     }
 
     // Through the reducer: the abort lands in the downward pass (whose

@@ -29,6 +29,7 @@ use acyclic_hypergraphs::reldb::{
 use acyclic_hypergraphs::workload::paper::fig1;
 use acyclic_hypergraphs::workload::{chain, random_database, ring, snowflake, star, DataParams};
 use proptest::prelude::*;
+use std::borrow::Cow;
 
 /// One of the acyclic benchmark schema families, scaled by `shape`.
 fn schema(family: usize, shape: usize) -> Hypergraph {
@@ -151,7 +152,7 @@ proptest! {
         for r1 in db.relations() {
             for r0 in db.relations() {
                 let sink = CollectingSink::new();
-                let mut probe = r0.clone();
+                let mut probe = Cow::Borrowed(r0);
                 let removed = ExecCtx::new().metrics(&sink)
                     .retain_semijoin(&mut probe, r1).expect("nobody can abort");
                 let m = sink.snapshot();
