@@ -185,8 +185,9 @@ pub enum Profile {
     Quick,
     /// Smoke sizes (60) — for the CLI test suite under debug builds.
     Tiny,
-    /// Only the 10⁶-tuple scale rows (snapshot-load vs text-parse, and the
-    /// served engine at that size) — the CI `scale` job's profile.
+    /// Only the 10⁶-tuple scale rows (snapshot-load vs text-parse,
+    /// snapshot-save, and the served engine at that size) — the CI `scale`
+    /// job's profile.
     Scale,
 }
 
@@ -405,7 +406,8 @@ fn acyclicity_records(profile: Profile, records: &mut Vec<BenchRecord>) {
 /// * `data_load` / `text-parse` vs `data_load` / `snapshot-load` — parsing
 ///   the text rendering of the database against decoding its binary
 ///   snapshot, on byte-identical data (the ≥20× snapshot payoff the
-///   format exists for);
+///   format exists for) — and `data_load` / `snapshot-save`, encoding that
+///   snapshot from the same database;
 /// * `full_reduce` / `yannakakis_join` on `columnar`, the served engine.
 ///
 /// The value domain equals the relation size, so each probe key expects
@@ -424,6 +426,9 @@ fn scale_records(records: &mut Vec<BenchRecord>) {
         }),
         row("data_load", "snapshot-load", None, || {
             Database::from_snapshot_bytes(&bytes).expect("fresh snapshot decodes")
+        }),
+        row("data_load", "snapshot-save", None, || {
+            db.to_snapshot_bytes()
         }),
     ];
     record_cell(records, name, size, units, loads);

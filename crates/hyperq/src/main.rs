@@ -109,8 +109,8 @@ COMMANDS:
                snapshot_speedup >= 20 hold for each one the profile
                measured (at least one).  --out writes the rows as JSON,
                --quick trims the workload sizes for CI, --scale runs only
-               the 10^6-tuple rows (snapshot-load vs text-parse, and the
-               served engine at that size)
+               the 10^6-tuple rows (snapshot-load vs text-parse,
+               snapshot-save, and the served engine at that size)
     client     Talk to a running hyperqd server at <addr> (HOST:PORT):
                ping, list the served databases and prepared queries,
                run ad-hoc or prepared queries with per-request governance

@@ -381,13 +381,25 @@ fn pack_key(row: &[u32], pos: &[usize], radix: usize) -> usize {
 ///
 /// Keys are interned [`ValuePool`] handles, or ranks of them: dense small
 /// integers.  So above the small-input thresholds nothing is compared; the
-/// sort is LSD, one stable distribution per key column, last column first,
-/// and each column picks its kernel by its own largest key:
+/// sort is LSD, stable distribution passes per key column, last column
+/// first, and each column picks its kernel by its own largest key `max`:
 ///
-/// * a **counting** pass when that key is within a small factor of the row
-///   count — `O(n + max)` instead of `O(n log n)` comparisons;
-/// * two 16-bit **radix** passes when the column is sparse and the input
-///   large enough to amortize the fixed 64Ki-entry count arrays.
+/// * **no pass** when `max` is 0: every id ties on that column;
+/// * one **counting** pass, `max + 1` buckets, while `max ≤ 4n` and
+///   `max < 2²⁰` — `O(n + max)` instead of `O(n log n)` comparisons;
+/// * otherwise **radix** passes over the column's `b` significant bits:
+///   `p = ⌈b/16⌉` passes of `⌈b/p⌉`-bit digits, so no count array holds
+///   more than 64Ki entries.
+///
+/// The 2²⁰ bound keeps a counting pass's count array within 4 MiB.  Past
+/// that, every increment and every scattered write misses cache, while
+/// passes over 2¹⁰–2¹¹ buckets keep their counts and write fronts cached
+/// (LaMarca and Ladner, "The influence of caches on the performance of
+/// sorting", SODA 1997): on a 2-vCPU box, 10⁶ two-column keys below
+/// 1.9·10⁶ sorted in 100–114 ms by one counting pass per column and in
+/// 46–70 ms by two 11-bit passes.  Below the bound the one pass stays:
+/// taking radix passes there too made `hyperqd`'s answer frame, whose
+/// ranks reach 19 bits, slower and its server larger.
 ///
 /// Fewer than 64 rows, or a sparse column on fewer than 4096, keep the
 /// comparison sort and its single allocation.  All paths return the same
@@ -420,14 +432,22 @@ pub fn sort_ids_by_key(keys: &[u32], k: usize, n: usize) -> Vec<u32> {
             &copy
         };
         let max = column.iter().copied().max().unwrap_or(0);
-        if dense(max) {
+        if max == 0 {
+            continue; // every id ties: a pass would keep the order it has
+        }
+        if dense(max) && max < SORT_COUNTING_MAX_KEY {
             let digit = |id: u32| column[id as usize] as usize;
             distribute(&mut cur, &mut next, n, max as usize + 1, digit);
-        } else {
-            for shift in [0, 16] {
-                let digit = |id: u32| (column[id as usize] >> shift) as usize & 0xffff;
-                distribute(&mut cur, &mut next, n, 1 << 16, digit);
-            }
+            continue;
+        }
+        let bits = u32::BITS - max.leading_zeros();
+        let passes = bits.div_ceil(16);
+        let width = bits.div_ceil(passes);
+        let mask = (1 << width) - 1;
+        for pass in 0..passes {
+            let shift = pass * width;
+            let digit = |id: u32| ((column[id as usize] >> shift) & mask) as usize;
+            distribute(&mut cur, &mut next, n, 1 << width, digit);
         }
     }
     if cur.is_empty() {
@@ -441,10 +461,14 @@ pub fn sort_ids_by_key(keys: &[u32], k: usize, n: usize) -> Vec<u32> {
 const SORT_COUNTING_MIN_ROWS: usize = 64;
 
 /// Inputs below which a sparse (non-counting) key column keeps the
-/// comparison sort: the radix passes touch two 64Ki-entry count arrays
-/// regardless of `n`, so they only pay off once `n log n` comparisons
-/// outweigh ~128Ki of fixed bookkeeping.
+/// comparison sort: its radix passes zero and prefix-sum up to 64Ki-entry
+/// count arrays whatever `n` is, so they only pay off once `n log n`
+/// comparisons outweigh that fixed bookkeeping.
 const SORT_RADIX_MIN_ROWS: usize = 4096;
+
+/// The bound (exclusive) on a column's largest key for one counting pass:
+/// a count array of at most 2²⁰ `u32`s, 4 MiB.  See [`sort_ids_by_key`].
+const SORT_COUNTING_MAX_KEY: u32 = 1 << 20;
 
 /// One stable distribution pass over the ids `0..n`: replaces the
 /// permutation `cur` (empty: the identity) by itself ordered by `digit(id)`
@@ -2169,6 +2193,84 @@ mod tests {
                         "n = {}, k = {}", n, k
                     );
                 }
+            }
+        }
+
+        /// `n` keys below `bound`, from a fixed generator, with `planted`
+        /// written over one of them so that it sets the maximum.
+        fn keys_below(n: usize, bound: u64, planted: u32, seed: u64) -> Vec<u32> {
+            let mut x = seed | 1;
+            let mut keys: Vec<u32> = (0..n)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((x >> 16) % bound) as u32
+                })
+                .collect();
+            keys[n / 3] = planted;
+            keys
+        }
+
+        /// Radix digits: however many significant bits a sparse column
+        /// has, on either side of a digit-count step (16 | 17, 32) or of a
+        /// digit-width step (20 | 21), single and two-column keys sort as
+        /// the comparison does.
+        #[test]
+        fn radix_digits_match_comparison_sort_at_every_width_step() {
+            let n = SORT_RADIX_MIN_ROWS + 123;
+            for bits in [16u32, 17, 20, 21, 32] {
+                let top = (1u64 << bits) - 1;
+                for k in [1, 2] {
+                    let keys = keys_below(n * k, top + 1, top as u32, u64::from(bits));
+                    assert_eq!(
+                        sort_ids_by_key(&keys, k, n),
+                        slice_comparison_sort(&keys, k, n),
+                        "{bits} significant bits, k = {k}"
+                    );
+                }
+            }
+        }
+
+        /// The 2²⁰ bound decides the path on a dense column (`max ≤ 4n`):
+        /// a largest key of 2²⁰ − 1 counts in one pass, 2²⁰ takes two
+        /// 11-bit radix passes, and both give the comparison's order.
+        #[test]
+        fn counting_bound_sides_match_comparison_sort() {
+            let n = 1 << 18;
+            for max in [SORT_COUNTING_MAX_KEY - 1, SORT_COUNTING_MAX_KEY] {
+                assert!(max as usize <= 4 * n, "both sides are dense");
+                let keys = keys_below(n, u64::from(max) + 1, max, u64::from(max));
+                assert_eq!(
+                    sort_ids_by_key(&keys, 1, n),
+                    packed_comparison_sort(&keys),
+                    "max = {max}"
+                );
+            }
+        }
+
+        /// A column that is all zero gets no pass; the live columns on
+        /// either side of it — one of them only 0s and 1s — still order
+        /// the ids, and all-zero keys leave the identity.
+        #[test]
+        fn an_all_zero_column_between_live_ones_is_skipped() {
+            for n in [SORT_COUNTING_MIN_ROWS, 300, SORT_RADIX_MIN_ROWS + 5] {
+                let dense = keys_below(n, 7, 6, 1);
+                let bit = keys_below(n, 2, 1, 3);
+                let sparse = keys_below(n, 1 << 32, u32::MAX, 2);
+                let keys: Vec<u32> = (0..n)
+                    .flat_map(|i| [dense[i], 0, bit[i], sparse[i]])
+                    .collect();
+                assert_eq!(
+                    sort_ids_by_key(&keys, 4, n),
+                    slice_comparison_sort(&keys, 4, n),
+                    "n = {n}"
+                );
+                let zeros = vec![0; 2 * n];
+                assert_eq!(
+                    sort_ids_by_key(&zeros, 2, n),
+                    (0..n as u32).collect::<Vec<_>>()
+                );
             }
         }
     }
