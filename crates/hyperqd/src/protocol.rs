@@ -702,46 +702,92 @@ impl Rows {
     }
 
     /// Appends the rows as a JSON array of arrays, gathering the rows'
-    /// tokens in table order.
-    fn write_to(&self, out: &mut Vec<u8>) {
+    /// tokens in table order, in pieces.  Each piece is sized once: its
+    /// rows' exact length is known before they are written — the tokens (a
+    /// row's last comma turns into its closing bracket), each row's opening
+    /// bracket and the comma after it (the last one turns into the array's
+    /// closing bracket), a closing bracket of its own for a row without
+    /// cells.  Doubling into a multi-megabyte answer would copy it and hold
+    /// twice its size.
+    ///
+    /// With no `spill`, the rows are one piece.  With one, a piece ends
+    /// before the row that would take `out` past [`FLUSH_BOUND`] (a lone
+    /// longer row is a piece of its own), and `spill` is handed `out` to
+    /// empty after every piece but the last; if it reports failure, the
+    /// rest is not rendered and this returns false.
+    fn write_to(&self, out: &mut Vec<u8>, mut spill: Option<Spill<'_>>) -> bool {
         let (text, span) = (&self.tokens.text, |c| self.tokens.span(c));
-        // Size the reply once: the rows' exact length is known here — the
-        // tokens (a row's last comma turns into its closing bracket), each
-        // row's opening bracket and the comma after it (the last one turns
-        // into the array's closing bracket), a closing bracket of its own
-        // for a row without cells or an array without rows.  Doubling into
-        // a multi-megabyte answer would copy it and hold twice its size.
-        let tokens: usize = self.index.iter().map(|&c| span(c).1).sum();
-        let brackets = self.len * (2 + usize::from(self.width == 0));
-        let total = 1 + tokens + brackets + usize::from(self.len == 0);
-        let start = out.len();
-        out.reserve(total + CHUNK + REPLY_TAIL_ROOM);
-        out.resize(start + total + CHUNK, 0);
-        out[start] = b'[';
-        let mut at = start + 1;
-        for r in 0..self.len {
-            out[at] = b'[';
-            at += 1;
-            for &c in self.row(r) {
-                // The bytes a chunk carries past its token's end are the
-                // next thing written over.
-                let (from, n) = span(c);
-                out[at..at + CHUNK].copy_from_slice(&text[from..from + CHUNK]);
-                if n > CHUNK {
-                    out[at + CHUNK..at + n].copy_from_slice(&text[from + CHUNK..from + n]);
+        let bound = if spill.is_some() {
+            FLUSH_BOUND
+        } else {
+            usize::MAX
+        };
+        let row_len = |r: usize| {
+            let tokens: usize = self.row(r).iter().map(|&c| span(c).1).sum();
+            tokens + 2 + usize::from(self.width == 0)
+        };
+        out.push(b'[');
+        let mut next = if self.len > 0 { row_len(0) } else { 0 };
+        let mut r = 0;
+        while r < self.len {
+            let (first, mut total) = (r, next);
+            r += 1;
+            while r < self.len {
+                next = row_len(r);
+                if out.len().saturating_add(total + next) > bound {
+                    break;
                 }
-                at += n;
+                total += next;
+                r += 1;
             }
-            at -= usize::from(self.width > 0);
-            out[at..at + 2].copy_from_slice(b"],");
-            at += 2;
+            let start = out.len();
+            out.reserve(total + CHUNK + REPLY_TAIL_ROOM);
+            out.resize(start + total + CHUNK, 0);
+            let mut at = start;
+            for row in first..r {
+                out[at] = b'[';
+                at += 1;
+                for &c in self.row(row) {
+                    // The bytes a chunk carries past its token's end are the
+                    // next thing written over.
+                    let (from, n) = span(c);
+                    out[at..at + CHUNK].copy_from_slice(&text[from..from + CHUNK]);
+                    if n > CHUNK {
+                        out[at + CHUNK..at + n].copy_from_slice(&text[from + CHUNK..from + n]);
+                    }
+                    at += n;
+                }
+                at -= usize::from(self.width > 0);
+                out[at..at + 2].copy_from_slice(b"],");
+                at += 2;
+            }
+            assert_eq!(at, start + total, "the piece's length was computed");
+            out.truncate(at);
+            if r < self.len {
+                if let Some(spill) = spill.as_mut() {
+                    if !spill(out) {
+                        return false;
+                    }
+                }
+            }
         }
-        at -= usize::from(self.len > 0);
-        out[at] = b']';
-        assert_eq!(at + 1, start + total, "the rows' length was computed");
-        out.truncate(start + total);
+        if self.len > 0 {
+            out.pop(); // the last row's comma
+        }
+        out.push(b']');
+        true
     }
 }
+
+/// What [`render_response_into`] hands a full piece of a long reply to:
+/// a writer that sends `out` on and empties it, or reports that it could
+/// not.
+pub(crate) type Spill<'a> = &'a mut dyn FnMut(&mut Vec<u8>) -> bool;
+
+/// The most bytes a reply rendered for the wire holds before they are
+/// written ([`render_response_into`] with a [`Spill`]).  The server also
+/// writes its buffered replies once they pass it.
+pub(crate) const FLUSH_BOUND: usize = 64 * 1024;
 
 impl PartialEq for Rows {
     fn eq(&self, other: &Rows) -> bool {
@@ -811,6 +857,7 @@ pub fn metrics_json(m: &QueryMetrics) -> Json {
             ("hash_ops", int(a.hash_ops)),
             ("sortmerge_ops", int(a.sortmerge_ops)),
             ("dense_ops", int(a.dense_ops)),
+            ("enumerate_ops", int(a.enumerate_ops)),
             ("probed", int(a.probed)),
             ("kept", int(a.kept)),
             ("built", int(a.built)),
@@ -847,14 +894,21 @@ pub fn metrics_json(m: &QueryMetrics) -> Json {
 /// Renders a response as one canonical protocol line (no trailing newline).
 pub fn render_response(r: &Response) -> String {
     let mut out = Vec::new();
-    render_response_into(r, &mut out);
+    render_response_into(r, &mut out, None);
     into_text(out)
 }
 
 /// Appends the canonical protocol line of `r` (no trailing newline) to
 /// `out` — how the server renders a reply straight into its connection's
-/// output buffer.
-pub(crate) fn render_response_into(r: &Response, out: &mut Vec<u8>) {
+/// output buffer.  With a `spill`, an answer's rows are rendered in pieces
+/// of at most [`FLUSH_BOUND`] bytes, each handed to `spill` as it fills,
+/// so a long reply is never held whole; false when `spill` failed, and the
+/// rest of the reply was dropped.
+pub(crate) fn render_response_into(
+    r: &Response,
+    out: &mut Vec<u8>,
+    spill: Option<Spill<'_>>,
+) -> bool {
     fn strings(items: &[String], out: &mut Vec<u8>) {
         out.push(b'[');
         for (i, item) in items.iter().enumerate() {
@@ -901,7 +955,9 @@ pub(crate) fn render_response_into(r: &Response, out: &mut Vec<u8>) {
             out.extend_from_slice(b"{\"ok\":true,\"op\":\"answer\",\"attrs\":");
             strings(attrs, out);
             write!(out, ",\"tuples\":{},\"rows\":", rows.len()).expect(INFALLIBLE);
-            rows.write_to(out);
+            if !rows.write_to(out, spill) {
+                return false;
+            }
             if let Some(m) = metrics {
                 out.extend_from_slice(b",\"metrics\":");
                 m.write_to(out);
@@ -940,6 +996,7 @@ pub(crate) fn render_response_into(r: &Response, out: &mut Vec<u8>) {
             out.push(b'}');
         }
     }
+    true
 }
 
 /// Parses one response line (the client side of [`render_response`]).
@@ -1243,7 +1300,7 @@ mod tests {
             let names: Vec<&str> = counters.iter().map(|(k, _)| k.as_str()).collect();
             assert_eq!(
                 names.join(" "),
-                "ops hash_ops sortmerge_ops dense_ops probed kept built build_rows",
+                "ops hash_ops sortmerge_ops dense_ops enumerate_ops probed kept built build_rows",
                 "{op}"
             );
         }
@@ -1253,6 +1310,7 @@ mod tests {
             ("semijoin.hash_ops", Json::Int(1)),
             ("semijoin.sortmerge_ops", Json::Int(0)),
             ("semijoin.dense_ops", Json::Int(0)),
+            ("semijoin.enumerate_ops", Json::Int(0)),
             ("semijoin.probed", Json::Int(10)),
             ("semijoin.kept", Json::Int(7)),
             ("semijoin.built", Json::Int(7)),
@@ -1295,7 +1353,7 @@ mod tests {
                 .collect();
             let table = Rows::from_rows(width, &rows).unwrap();
             let mut out = prefix.to_vec();
-            table.write_to(&mut out);
+            table.write_to(&mut out, None);
             assert_eq!(&out[..prefix.len()], prefix, "{width}x{len}");
             // Never doubled past the text: the reservation covered it, with
             // exactly the copy's slack and the tail room to spare.
@@ -1315,6 +1373,50 @@ mod tests {
             tokens.push(|out| cell.write_to(out));
         }
         tokens
+    }
+
+    #[test]
+    fn a_long_answer_leaves_in_pieces_that_make_up_the_whole_reply() {
+        let rows: Vec<Vec<Json>> = (0..30_000i64)
+            .map(|r| vec![Json::Int(r), Json::str(format!("v{r}")), Json::Int(r * 7)])
+            .collect();
+        let answer = Response::Answer {
+            attrs: vec!["A".into(), "B".into(), "C".into()],
+            rows: Rows::from_rows(3, &rows).unwrap(),
+            metrics: None,
+            trace: Some("q-000001".into()),
+        };
+        let whole = render_response(&answer);
+        assert!(whole.len() > 4 * FLUSH_BOUND, "{} bytes", whole.len());
+        let (mut sent, mut pieces) = (Vec::new(), 0);
+        let mut spill = |buf: &mut Vec<u8>| {
+            assert!(!buf.is_empty() && buf.len() <= FLUSH_BOUND, "{}", buf.len());
+            sent.append(buf);
+            pieces += 1;
+            true
+        };
+        let mut out = b"{\"ok\":true,\"op\":\"pong\"}\n".to_vec();
+        assert!(render_response_into(&answer, &mut out, Some(&mut spill)));
+        assert!(out.len() <= FLUSH_BOUND + REPLY_TAIL_ROOM, "{}", out.len());
+        sent.append(&mut out);
+        assert!(pieces >= 4, "{pieces} pieces");
+        assert_eq!(
+            sent,
+            [&b"{\"ok\":true,\"op\":\"pong\"}\n"[..], whole.as_bytes()].concat()
+        );
+
+        // A piece the peer does not take ends the reply there.
+        let mut calls = 0;
+        let mut refuse = |_: &mut Vec<u8>| {
+            calls += 1;
+            false
+        };
+        assert!(!render_response_into(
+            &answer,
+            &mut Vec::new(),
+            Some(&mut refuse)
+        ));
+        assert_eq!(calls, 1);
     }
 
     #[test]
@@ -1342,8 +1444,8 @@ mod tests {
             assert_eq!(a, b);
             assert_eq!(b, a);
             let (mut left, mut right) = (Vec::new(), Vec::new());
-            a.write_to(&mut left);
-            b.write_to(&mut right);
+            a.write_to(&mut left, None);
+            b.write_to(&mut right, None);
             assert_eq!(into_text(left), "[[1,\"1\"],[\"1\",\"1\"]]");
             assert_eq!(into_text(right), "[[1,\"1\"],[\"1\",\"1\"]]");
         }
@@ -1374,8 +1476,8 @@ mod tests {
         let listed: Vec<Vec<Json>> = table.iter().map(Iterator::collect).collect();
         assert_eq!(listed, written_out);
         let (mut permuted, mut plain) = (Vec::new(), Vec::new());
-        table.write_to(&mut permuted);
-        explicit.write_to(&mut plain);
+        table.write_to(&mut permuted, None);
+        explicit.write_to(&mut plain, None);
         assert_eq!(permuted, plain);
         assert_eq!(into_text(plain), "[[\"x\",9],[7,\"x\"],[9,7]]");
     }
@@ -1398,7 +1500,7 @@ mod tests {
             ),
         ] {
             let reads: [fn(&Rows); 3] = [
-                |t| t.write_to(&mut Vec::new()),
+                |t| assert!(t.write_to(&mut Vec::new(), None)),
                 |t| assert_eq!(t.iter().flatten().count(), 2),
                 |t| assert!(*t == t.clone()),
             ];

@@ -9,10 +9,12 @@
 //! connection and written — `TCP_NODELAY` on, in request order — when the
 //! connection's input holds no further complete request line or the buffer
 //! passes 64 KiB, so a pipelined batch is answered in one write and a lone
-//! request at once; a peer that takes no bytes for the write timeout loses
-//! its connection.  A query runs start to finish on its connection's thread
-//! — the engine spawns no threads of its own — so N busy connections use at
-//! most N cores, and the OS scheduler arbitrates between them.
+//! request at once.  A long answer is rendered and written in pieces of at
+//! most 64 KiB, so a reply is never held whole; a piece the peer does not
+//! take, or takes nothing of for the write timeout, closes the connection.
+//! A query runs start to finish on its connection's thread — the engine
+//! spawns no threads of its own — so N busy connections use at most N
+//! cores, and the OS scheduler arbitrates between them.
 //!
 //! Databases are immutable once loaded and shared as `Arc<Database>`: a
 //! query never mutates its database (governed pipelines abort by returning
@@ -25,8 +27,8 @@
 //! A `shutdown` request stops the accept loop and *drains*: connections
 //! stop taking new queries, in-flight queries run to completion and their
 //! responses are flushed before [`Server::run`] returns (a query stays in
-//! flight until its reply's bytes are handed to the socket).  `shutdown now`
-//! additionally cancels in-flight queries through the shared
+//! flight until the last piece of its reply is handed to the socket).
+//! `shutdown now` additionally cancels in-flight queries through the shared
 //! [`CancelToken`] wired into every per-request governor, so they abort at
 //! their next checkpoint with a typed `cancelled` error response.
 //!
@@ -49,7 +51,7 @@ use crate::json::{self, Json};
 use crate::load::{load_source, DbSource};
 use crate::protocol::{
     metrics_json, parse_request, render_response_into, DbInfo, EngineKind, ErrorKind, Overrides,
-    QuerySpec, Request, Response, Rows, WireError, MAX_LINE,
+    QuerySpec, Request, Response, Rows, WireError, FLUSH_BOUND, MAX_LINE,
 };
 use crate::rank::rank_cells;
 use crate::stats::StatsRegistry;
@@ -71,10 +73,6 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Upper bound on waiting for in-flight queries during a graceful drain.
 const DRAIN_LIMIT: Duration = Duration::from_secs(60);
-
-/// Size at which a connection's buffered replies are written even though
-/// more pipelined requests are waiting.
-const FLUSH_BOUND: usize = 64 * 1024;
 
 /// How long one socket write may wait for the peer to take data before
 /// the peer counts as gone: a client that pipelines requests but stops
@@ -382,20 +380,30 @@ fn frame_from(mut buf: Vec<u8>) -> Frame {
 }
 
 /// A connection's outgoing side: replies are rendered into one buffer and
-/// leave in one write per drained pipeline (see [`handle_connection`]).
+/// leave in one write per drained pipeline (see [`handle_connection`]); a
+/// long answer leaves in pieces of at most [`FLUSH_BOUND`] bytes, each
+/// written as it fills.
 struct Outbox<'a> {
     state: &'a State,
     stream: TcpStream,
     buf: Vec<u8>,
-    /// In-flight guards of the queries whose replies sit in `buf`.
+    /// In-flight guards of the queries whose replies sit in `buf`, or went
+    /// out of it in pieces.
     guards: Vec<QueryGuard<'a>>,
 }
 
 impl<'a> Outbox<'a> {
-    fn push(&mut self, response: &Response, guard: Option<QueryGuard<'a>>) {
-        render_response_into(response, &mut self.buf);
-        self.buf.push(b'\n');
+    /// Renders `response` after the replies already buffered, writing out
+    /// every full piece of a long answer on the way.  The query's guard is
+    /// held until its last piece is written, by [`Outbox::flush`].  False
+    /// when a piece could not be written: the connection must close.
+    fn push(&mut self, response: &Response, guard: Option<QueryGuard<'a>>) -> bool {
         self.guards.extend(guard);
+        let (state, stream) = (self.state, &self.stream);
+        let mut spill = |buf: &mut Vec<u8>| write_out(state, stream, buf);
+        let sent = render_response_into(response, &mut self.buf, Some(&mut spill));
+        self.buf.push(b'\n');
+        sent
     }
 
     /// True when buffered replies must go out now: the buffer passed
@@ -406,33 +414,39 @@ impl<'a> Outbox<'a> {
     }
 
     /// Writes everything buffered, then releases the guards of the queries
-    /// it answered.  `bytes_out` counts what the socket actually took.
-    /// Returns false when the peer is gone or took nothing for
-    /// [`WRITE_TIMEOUT`]; the connection must close (the guards are
+    /// it answered.  Returns false when the peer is gone or took nothing
+    /// for [`WRITE_TIMEOUT`]; the connection must close (the guards are
     /// released all the same, so a drain never waits on a dead peer).
     fn flush(&mut self) -> bool {
-        let mut rest = self.buf.as_slice();
-        while !rest.is_empty() {
-            match self.stream.write(rest) {
-                Ok(0) => break,
-                Ok(n) => {
-                    self.state.stats.add_bytes_out(n as u64);
-                    rest = &rest[n..];
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-        let sent = rest.is_empty();
+        let sent = write_out(self.state, &self.stream, &mut self.buf);
         if self.buf.capacity() > FLUSH_BOUND {
             // A large answer went through; do not keep its allocation.
             self.buf = Vec::new();
-        } else {
-            self.buf.clear();
         }
         self.guards.clear();
         sent
     }
+}
+
+/// Writes all of `buf` to `stream` and empties it; `bytes_out` counts what
+/// the socket actually took.  False when the peer is gone or took nothing
+/// for [`WRITE_TIMEOUT`].
+fn write_out(state: &State, mut stream: &TcpStream, buf: &mut Vec<u8>) -> bool {
+    let mut rest = buf.as_slice();
+    while !rest.is_empty() {
+        match stream.write(rest) {
+            Ok(0) => break,
+            Ok(n) => {
+                state.stats.add_bytes_out(n as u64);
+                rest = &rest[n..];
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    let sent = rest.is_empty();
+    buf.clear();
+    sent
 }
 
 /// The stats-registry op label of a parsed request.
@@ -479,7 +493,7 @@ fn handle_connection(state: &State, stream: TcpStream, server_addr: SocketAddr) 
                     ErrorKind::Proto,
                     format!("request line exceeds MAX_LINE ({MAX_LINE} bytes); closing"),
                 );
-                out.push(&Response::Error(e), None);
+                let _ = out.push(&Response::Error(e), None);
                 break;
             }
             Frame::Line(line) => {
@@ -493,7 +507,9 @@ fn handle_connection(state: &State, stream: TcpStream, server_addr: SocketAddr) 
                     Err(e) => {
                         state.stats.record_request("invalid");
                         // Malformed frame: answer it, keep the connection.
-                        out.push(&Response::Error(e), None);
+                        if !out.push(&Response::Error(e), None) {
+                            return;
+                        }
                         continue;
                     }
                 };
@@ -507,7 +523,9 @@ fn handle_connection(state: &State, stream: TcpStream, server_addr: SocketAddr) 
                     _ => None,
                 };
                 let (response, close) = handle_request(state, request, parse_nanos);
-                out.push(&response, guard);
+                if !out.push(&response, guard) {
+                    return; // the peer stopped taking a long answer mid-reply
+                }
                 if close {
                     // Every earlier reply and the farewell are on the wire
                     // (or the peer is gone); only now unblock the accept
@@ -878,7 +896,9 @@ fn execute_inner(
 /// the snapshot saver's sort, anywhere else); rows are then ordered as
 /// tuples of ranks by [`reldb::sort_ids_by_key`], the one id sorter, which
 /// the sort-merge semijoin kernel, `Relation::same_contents`,
-/// [`reldb::value_order`] and the snapshot saver share.
+/// [`reldb::value_order`] and the snapshot saver share.  An answer the
+/// engine enumerated from a loaded snapshot arrives in that order already,
+/// and the sorter's neighbour scan returns it as it is.
 /// No `Value` is cloned and no [`json::Json`] built per cell or per
 /// distinct value, and no row is moved: the frame's [`Rows`] hold the
 /// tokens, the ranked rows where the engine left them and the sort's

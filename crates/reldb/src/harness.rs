@@ -31,7 +31,7 @@ use acyclic::JoinTree;
 use decomp::Decomposition;
 use hypergraph::NodeSet;
 
-/// A join strategy nothing reads: every join hashes under both.
+/// A join strategy nothing reads: the inputs pick a join's kernel under both.
 ///
 /// # Examples
 ///
@@ -61,7 +61,7 @@ pub enum JoinStrategy {
 }
 
 /// An execution policy nothing reads: every query runs on its caller's
-/// thread and every join hashes.
+/// thread and the inputs pick every kernel.
 ///
 /// # Examples
 ///

@@ -58,7 +58,8 @@ pub enum OpKind {
     Semijoin,
 }
 
-/// Which physical kernel an operator ran: hash for every join; dense or
+/// Which physical kernel an operator ran: hash for a join, or enumerate
+/// for a Yannakakis answer taken from sorted relations; dense or
 /// sort-merge, by its key space, for a semijoin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
@@ -70,6 +71,10 @@ pub enum Kernel {
     /// whose key space fits; see
     /// [`Relation::semijoin`](crate::Relation::semijoin).
     Dense,
+    /// Nested loops over a join subtree's sorted, reduced relations — the
+    /// whole join of the subtree, emitted in order (see
+    /// [`ExecCtx::yannakakis_join`](crate::ExecCtx::yannakakis_join)).
+    Enumerate,
 }
 
 impl Kernel {
@@ -79,6 +84,7 @@ impl Kernel {
             Kernel::Hash => "hash",
             Kernel::SortMerge => "sort-merge",
             Kernel::Dense => "dense",
+            Kernel::Enumerate => "enumerate",
         }
     }
 }
@@ -212,6 +218,8 @@ pub struct OpAgg {
     pub sortmerge_ops: u64,
     /// Operations resolved to the dense (direct-address bitset) kernel.
     pub dense_ops: u64,
+    /// Joins answered by enumerating sorted relations.
+    pub enumerate_ops: u64,
     /// Total rows probed.
     pub probed: u64,
     /// Total rows kept (output rows for joins, survivors for semijoins).
@@ -229,6 +237,7 @@ impl OpAgg {
             Kernel::Hash => self.hash_ops += 1,
             Kernel::SortMerge => self.sortmerge_ops += 1,
             Kernel::Dense => self.dense_ops += 1,
+            Kernel::Enumerate => self.enumerate_ops += 1,
         }
         self.probed += op.probed;
         self.kept += op.kept;
@@ -301,17 +310,18 @@ impl QueryMetrics {
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<10} {:>5} {:>6} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12}\n",
-            "op", "ops", "hash", "merge", "dense", "probed", "kept", "built", "build_rows"
+            "{:<10} {:>5} {:>6} {:>6} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12}\n",
+            "op", "ops", "hash", "merge", "dense", "enum", "probed", "kept", "built", "build_rows"
         ));
         for (name, agg) in [("join", &self.joins), ("semijoin", &self.semijoins)] {
             out.push_str(&format!(
-                "{:<10} {:>5} {:>6} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12}\n",
+                "{:<10} {:>5} {:>6} {:>6} {:>6} {:>6} {:>12} {:>12} {:>12} {:>12}\n",
                 name,
                 agg.ops,
                 agg.hash_ops,
                 agg.sortmerge_ops,
                 agg.dense_ops,
+                agg.enumerate_ops,
                 agg.probed,
                 agg.kept,
                 agg.built,
@@ -459,14 +469,16 @@ mod tests {
         let sink = CollectingSink::new();
         sink.record_op(op(OpKind::Join, Kernel::Hash, 100, 40));
         sink.record_op(op(OpKind::Join, Kernel::SortMerge, 50, 10));
+        sink.record_op(op(OpKind::Join, Kernel::Enumerate, 10, 90));
         sink.record_op(op(OpKind::Semijoin, Kernel::Hash, 30, 30));
         sink.record_op(op(OpKind::Semijoin, Kernel::Dense, 20, 5));
         let m = sink.snapshot();
-        assert_eq!(m.joins.ops, 2);
+        assert_eq!(m.joins.ops, 3);
         assert_eq!(m.joins.hash_ops, 1);
         assert_eq!(m.joins.sortmerge_ops, 1);
-        assert_eq!(m.joins.probed, 150);
-        assert_eq!(m.joins.kept, 50);
+        assert_eq!(m.joins.enumerate_ops, 1);
+        assert_eq!(m.joins.probed, 160);
+        assert_eq!(m.joins.kept, 140);
         assert_eq!(m.semijoins.ops, 2);
         assert_eq!(m.semijoins.hash_ops, 1);
         assert_eq!(m.semijoins.dense_ops, 1);

@@ -32,7 +32,18 @@
 //! space fits (`pool.len()^k` at most eight bits per input row, i.e. the
 //! bitset never outweighs one byte per row it serves; wider or overflowing
 //! key spaces would cost more to zero and miss in cache than the sort they
-//! replace), else **sort-merge**.  A join has one kernel, hash build + probe.
+//! replace), else **sort-merge**.
+//!
+//! # Join kernels
+//!
+//! A join of two relations has one kernel, hash build + probe.  The one
+//! join that skips it is the Yannakakis answer of a join subtree `S` asked
+//! for all of `S`'s attributes, when `S`'s relations share a pool, each
+//! one's rows are strictly ascending ([`first_unordered_row`]) and a
+//! pre-order of `S` meets the attributes in ascending order: the answer is
+//! then enumerated by nested loops over the sorted relations, each parent
+//! row's matches in a child one run of its rows, and comes out already
+//! sorted (the rule and the loops are in `crate::yannakakis`).
 //!
 //! # Set semantics
 //!
@@ -402,16 +413,28 @@ fn pack_key(row: &[u32], pos: &[usize], radix: usize) -> usize {
 /// ranks reach 19 bits, slower and its server larger.
 ///
 /// Fewer than 64 rows, or a sparse column on fewer than 4096, keep the
-/// comparison sort and its single allocation.  All paths return the same
-/// permutation, so no caller — the sort-merge semijoin kernel,
-/// `same_contents`, [`value_order`](crate::value_order), the snapshot saver,
-/// `hyperqd`'s canonical answer frame — can tell which ran.
+/// comparison sort and its single allocation.
+///
+/// Before any of that, one neighbour scan (`first_unordered_row`) checks
+/// whether the keys are already non-decreasing; if they are, the identity is
+/// the answer and nothing is sorted.  Keys come in order more often than
+/// not: an answer enumerated from sorted relations, a sort-merge key on a
+/// sorted relation's leading column, a loaded snapshot being saved again.
+/// On unsorted keys the scan stops at the first descent.
+///
+/// All paths return the same permutation, so no caller — the sort-merge
+/// semijoin kernel, `same_contents`, [`value_order`](crate::value_order),
+/// the snapshot saver, `hyperqd`'s canonical answer frame — can tell which
+/// ran.
 ///
 /// # Panics
 /// Panics unless `keys` holds exactly `n * k` entries and `n` fits `u32`.
 pub fn sort_ids_by_key(keys: &[u32], k: usize, n: usize) -> Vec<u32> {
     assert_eq!(keys.len(), n * k, "one k-wide key per id");
     let ids = 0..u32::try_from(n).expect("row ids are u32");
+    if k == 0 || first_unordered_row(keys, k, false).is_none() {
+        return ids.collect(); // already in order, ties by ascending id
+    }
     let dense = |key: u32| key as usize <= 4 * n;
     if n < SORT_COUNTING_MIN_ROWS || (n < SORT_RADIX_MIN_ROWS && !keys.iter().all(|&h| dense(h))) {
         return comparison_sort(keys, k, ids);
@@ -450,10 +473,30 @@ pub fn sort_ids_by_key(keys: &[u32], k: usize, n: usize) -> Vec<u32> {
             distribute(&mut cur, &mut next, n, 1 << width, digit);
         }
     }
-    if cur.is_empty() {
-        return ids.collect(); // zero-width keys: every id ties
-    }
+    // Keys out of order hold a nonzero key, so some column made a pass.
+    debug_assert_eq!(cur.len(), n);
     cur
+}
+
+/// The index of the first `width`-wide row of the flat `rows` that is out
+/// of lexicographic order with its predecessor — below it, or with `strict`
+/// not above it — if any.  The one neighbour scan behind three checks: the
+/// snapshot loader's proof that stored rows are a set (`strict`),
+/// [`sort_ids_by_key`]'s already-sorted exit, and the rule that lets the
+/// Yannakakis join enumerate sorted relations instead of hashing them.
+///
+/// # Panics
+/// Panics if `width` is 0.
+pub(crate) fn first_unordered_row(rows: &[u32], width: usize, strict: bool) -> Option<usize> {
+    let mut pairs = rows
+        .chunks_exact(width)
+        .zip(rows.chunks_exact(width).skip(1));
+    let position = if strict {
+        pairs.position(|(prev, row)| prev >= row)
+    } else {
+        pairs.position(|(prev, row)| prev > row)
+    };
+    position.map(|i| i + 1)
 }
 
 /// Inputs below which [`sort_ids_by_key`] keeps the comparison sort:
@@ -756,6 +799,26 @@ impl Relation {
             len,
             index: None,
         }
+    }
+
+    /// A relation over `attributes` in `pool` holding the `len` rows of the
+    /// flat `rows` — how a kernel that built its output buffer at its exact
+    /// size hands it over.  The caller guarantees the rows distinct, their
+    /// handles `pool`'s and their count below `NO_HANDLE`; like every
+    /// kernel output, it has no index.
+    pub(crate) fn from_distinct_rows(
+        name: String,
+        attributes: NodeSet,
+        pool: ValuePool,
+        rows: Vec<u32>,
+        len: usize,
+    ) -> Relation {
+        let mut out = Relation::with_pool(name, attributes, pool);
+        debug_assert_eq!(rows.len(), len * out.width(), "len rows of width cells");
+        debug_assert!(len < NO_HANDLE as usize, "row ids stay below NO_HANDLE");
+        out.rows = rows;
+        out.len = len;
+        out
     }
 
     /// The flat row buffer (`len * width` handle words, schema column
@@ -2246,6 +2309,38 @@ mod tests {
                     packed_comparison_sort(&keys),
                     "max = {max}"
                 );
+            }
+        }
+
+        /// Keys already in order, ties included, come back as the
+        /// identity from the neighbour scan, whatever the width; the same
+        /// keys with their last pair out of order still take a sort and get
+        /// the comparison's permutation.
+        #[test]
+        fn sorted_keys_are_the_identity_and_a_last_descent_still_sorts() {
+            for k in [1usize, 2, 7] {
+                for n in [2, SORT_COUNTING_MIN_ROWS, 300, SORT_RADIX_MIN_ROWS + 9] {
+                    // Three values a column: ties at every width past 3^k rows.
+                    let drawn = keys_below(n * k, 3, 2, (n * k) as u64);
+                    let mut rows: Vec<&[u32]> = drawn.chunks(k).collect();
+                    rows.sort_unstable();
+                    let mut keys = rows.concat();
+                    let identity: Vec<u32> = (0..n as u32).collect();
+                    assert_eq!(sort_ids_by_key(&keys, k, n), identity, "n = {n}, k = {k}");
+                    let top = vec![3; k];
+                    keys[(n - 1) * k..].copy_from_slice(&top);
+                    assert_eq!(sort_ids_by_key(&keys, k, n), identity, "n = {n}, k = {k}");
+                    // The largest key moves one place down: the last pair descends.
+                    let (head, last) = keys.split_at_mut((n - 1) * k);
+                    head[(n - 2) * k..].swap_with_slice(last);
+                    let sorted = sort_ids_by_key(&keys, k, n);
+                    assert_eq!(
+                        sorted,
+                        slice_comparison_sort(&keys, k, n),
+                        "n = {n}, k = {k}"
+                    );
+                    assert_ne!(sorted, identity);
+                }
             }
         }
 

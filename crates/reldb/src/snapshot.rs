@@ -67,7 +67,7 @@
 use crate::database::Database;
 use crate::govern::EngineError;
 use crate::pool::{value_order, ValuePool};
-use crate::relation::{sort_ids_by_key, Relation};
+use crate::relation::{first_unordered_row, sort_ids_by_key, Relation};
 use crate::value::Value;
 use hypergraph::HypergraphBuilder;
 use std::collections::HashSet;
@@ -451,7 +451,7 @@ fn decode(src: impl BufRead, len: usize) -> Result<Database, EngineError> {
         let rows_at = r.at;
         let mut rows: Vec<u32> = Vec::with_capacity(len * width);
         r.words(len * width, &mut rows, "row data")?;
-        if let Some(i) = first_unordered_row(&rows, width) {
+        if let Some(i) = first_unordered_row(&rows, width, true) {
             return Err(corrupt(
                 rows_at + i * width * 4,
                 format!(
@@ -473,16 +473,6 @@ fn decode(src: impl BufRead, len: usize) -> Result<Database, EngineError> {
             format!("snapshot assembles an inconsistent database: {e}"),
         )
     })
-}
-
-/// The index of the first `width`-wide row of `rows` that is not strictly
-/// above its predecessor in lexicographic order, if any.  Schema edges are
-/// never empty, so `width > 0`.
-fn first_unordered_row(rows: &[u32], width: usize) -> Option<usize> {
-    let mut pairs = rows
-        .chunks_exact(width)
-        .zip(rows.chunks_exact(width).skip(1));
-    pairs.position(|(prev, row)| prev >= row).map(|i| i + 1)
 }
 
 // ------------------------------------------------------------- public API

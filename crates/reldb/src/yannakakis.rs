@@ -22,6 +22,19 @@
 //! materialization already is the upward pass.  [`ExecCtx::full_reduce`]
 //! runs both passes over every edge with the same two pass helpers.
 //!
+//! The join inside `S` has two forms, and the input picks one.  When the
+//! output holds every attribute of `S`, `S`'s relations share a pool and
+//! each one's rows are strictly ascending (as a loaded snapshot stores them
+//! and semijoins keep them), and some pre-order of `S` meets the attributes
+//! in ascending order, the answer is enumerated by nested loops over the
+//! reduced relations: `S` is globally consistent, so no loop dead-ends, and
+//! the rows come out in the answer's lexicographic handle order, which in a
+//! loaded pool is value order (Bagan, Durand and Grandjean, CSL 2007, for
+//! enumerating full acyclic joins; Carmeli, Tziavelis, Gatterbauer,
+//! Kimelfeld and Riedewald, PODS 2021, for the orders this reaches).  Any
+//! other answer — a projection that drops a column, unsorted or cross-pool
+//! relations, a column order no pre-order meets — hash-joins bottom-up.
+//!
 //! Every pass walks the join tree level by level ([`JoinTree::levels`]) on
 //! the calling thread: the upward pass deepest level first, the downward
 //! pass and the join top-down and bottom-up, so every child is done before
@@ -34,11 +47,12 @@
 
 use crate::database::Database;
 use crate::exec::ExecCtx;
-use crate::govern::{unfail, EngineError, Governor};
-use crate::metrics::{timed, MetricsSink, Phase};
-use crate::relation::Relation;
+use crate::govern::{unfail, EngineError, Governor, CHECK_BATCH};
+use crate::metrics::{timed, Kernel, MetricsSink, OpKind, OpMetrics, Phase};
+use crate::pool::NO_HANDLE;
+use crate::relation::{first_unordered_row, sort_ids_by_key, Relation};
 use acyclic::JoinTree;
-use hypergraph::{EdgeId, Hypergraph, NodeSet};
+use hypergraph::{EdgeId, Hypergraph, NodeId, NodeSet};
 use std::borrow::Cow;
 
 /// The result of running a full reducer: the reduced relations (in schema
@@ -172,7 +186,7 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// per tree level of each pass ([`Phase::ReduceUp`] deepest level
     /// first, then [`Phase::ReduceDown`]); the governor is consulted before
     /// every tree level and at every
-    /// [`CHECK_BATCH`](crate::govern::CHECK_BATCH) rows inside the semijoin
+    /// [`CHECK_BATCH`] rows inside the semijoin
     /// kernels.  An abort —
     /// cancellation, deadline, budget or injected failpoint — surfaces as
     /// `Err(EngineError)` and leaves `db` untouched: the reducer only ever
@@ -201,10 +215,12 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// upward pass runs over the whole tree, the downward pass only along
     /// the path from the root to `S`, the smallest connected subtree whose
     /// edges cover `output` ([`JoinTree::connection_subtree`]), and inside
-    /// `S`, and the bottom-up join only inside `S` — none at all when `S`
-    /// is one edge, whose reduced relation is then projected.  Every join
-    /// hashes; the reducer's semijoins choose their kernel from their
-    /// inputs.
+    /// `S`, and the join only inside `S` — none at all when `S` is one edge,
+    /// whose reduced relation is then projected.  The join enumerates `S`'s
+    /// sorted relations where the output is all of `S`'s attributes and a
+    /// pre-order of `S` meets them in order (see the module docs), and
+    /// hashes bottom-up otherwise; the reducer's semijoins choose their
+    /// kernel from their inputs.
     ///
     /// The metrics sink receives per-semijoin and per-join counters and one
     /// wall timing per level of each stage that runs; the governor is
@@ -239,11 +255,13 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// root to `S` and inside `S` makes `S` globally consistent, and then
     /// `π_output` of the join of `S` alone is `π_output` of the full join
     /// (Beeri–Fagin–Maier–Yannakakis, JACM 1983).  With `|S| = 1` that is a
-    /// projection of one relation, with no join; otherwise `S` joins
-    /// bottom-up below its top, each edge's result projected onto the
-    /// output attributes gathered so far plus the separator towards its
-    /// parent, one [`Phase::Join`] entry per level of `S` (level 0 the
-    /// deepest).
+    /// projection of one relation, with no join.  Where [`sorted_enumeration`]
+    /// finds a plan, `S`'s whole join is enumerated from its sorted
+    /// relations ([`ExecCtx::enumerate_join`]) as one [`Phase::Join`] entry;
+    /// otherwise `S` joins bottom-up below its top, each edge's result
+    /// projected onto the output attributes gathered so far plus the
+    /// separator towards its parent, one [`Phase::Join`] entry per level of
+    /// `S` (level 0 the deepest).
     pub(crate) fn answer_from_upward_pass(
         &self,
         h: &Hypergraph,
@@ -275,6 +293,14 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
             .collect();
         if s_levels.len() == 1 && s_levels[0].len() == 1 {
             return Ok(into_project(relations.swap_remove(top.index()), output));
+        }
+        if let Some(steps) = sorted_enumeration(tree, &member, &relations, output) {
+            return timed(self.metrics, Phase::Join, 0, || {
+                if G::ENABLED {
+                    self.gov.at_level(Phase::Join, 0)?;
+                }
+                self.enumerate_join(&steps, &relations)
+            });
         }
         // Bottom-up join inside S: each member's slot starts as its reduced
         // relation and ends as the join of its part of S — its relation
@@ -311,6 +337,339 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         }
         let joined = slots[top.index()].take().expect("the top joins last");
         Ok(into_project(joined, output))
+    }
+}
+
+/// One edge of `S` in the pre-order [`ExecCtx::enumerate_join`] loops in.
+struct Step {
+    /// The edge's index (into the schema's edges and the relations).
+    edge: usize,
+    /// The step of the edge's parent in the pre-order; `None` at the root.
+    parent: Option<usize>,
+    /// Where the separator towards the parent sits among the parent's
+    /// columns.  It is the edge's own leading columns, in the same order.
+    separator: Vec<usize>,
+}
+
+/// The plan for answering `output` from `S` (the members of `tree` that
+/// `member` marks, at least two) by enumerating `S`'s join, or `None` when
+/// the answer must be joined by hashing.  The rule, most selective test
+/// first:
+///
+/// - **(a)** `output` holds every attribute of `S`, so the answer is the
+///   whole join of `S` and its rows are distinct by construction;
+/// - **(b)** `S`'s relations share one pool and each one's rows are
+///   strictly ascending in handle order ([`first_unordered_row`]) — as the
+///   snapshot loader stores them, and as semijoins keep them;
+/// - **(c)** some edge `r` of `S`, with every edge's neighbours in `S`
+///   visited in order of their smallest new attribute, gives a pre-order
+///   that meets the attributes in strictly ascending [`NodeId`] order:
+///   first `r`'s attributes, then each edge's attributes not in its parent.
+///
+/// Under (c) every separator is the leading columns of its child and ranks
+/// below the child's new attributes, so a parent row's matches in a child
+/// are one contiguous run of its sorted rows, in order of the new columns.
+/// The test is sufficient, not the full disruptive-trio test (Carmeli,
+/// Tziavelis, Gatterbauer, Kimelfeld and Riedewald, PODS 2021): `A–C, C–B`
+/// with `A < B < C` falls back.
+fn sorted_enumeration(
+    tree: &JoinTree,
+    member: &[bool],
+    relations: &[Cow<'_, Relation>],
+    output: &NodeSet,
+) -> Option<Vec<Step>> {
+    let in_s: Vec<usize> = (0..tree.len()).filter(|&e| member[e]).collect();
+    let mut attributes = NodeSet::new();
+    for &e in &in_s {
+        attributes.union_with(relations[e].attributes());
+    }
+    if !attributes.is_subset(output) {
+        return None;
+    }
+    let pool = relations[in_s[0]].pool();
+    let sorted = |r: &Relation| {
+        let width = r.columns().len();
+        r.pool().same_pool(pool)
+            && width > 0
+            && first_unordered_row(r.raw_rows(), width, true).is_none()
+    };
+    if !in_s.iter().all(|&e| sorted(&relations[e])) {
+        return None;
+    }
+    let smallest = attributes.first()?;
+    in_s.iter()
+        .filter(|&&r| relations[r].attributes().contains(smallest))
+        .find_map(|&r| {
+            let mut steps = Vec::with_capacity(in_s.len());
+            let mut last = None;
+            ascending_preorder(tree, member, relations, (r, None), &mut steps, &mut last)
+                .then_some(steps)
+        })
+}
+
+/// Appends the pre-order of `S` below `edge` (reached from `parent`, a
+/// step already in `steps`) to `steps`, visiting each edge's neighbours in
+/// order of their smallest new attribute.  False as soon as an edge's new
+/// attributes do not all lie above `last`, the largest attribute met so far.
+fn ascending_preorder(
+    tree: &JoinTree,
+    member: &[bool],
+    relations: &[Cow<'_, Relation>],
+    (edge, parent): (usize, Option<usize>),
+    steps: &mut Vec<Step>,
+    last: &mut Option<NodeId>,
+) -> bool {
+    let own = relations[edge].attributes();
+    let from = parent.map(|p| steps[p].edge);
+    let new = match from {
+        Some(p) => own.difference(relations[p].attributes()),
+        None => own.clone(),
+    };
+    if new
+        .first()
+        .zip(*last)
+        .is_some_and(|(first, last)| first <= last)
+    {
+        return false;
+    }
+    *last = new.iter().last().or(*last);
+    let separator = match from {
+        Some(p) => (relations[p].columns().iter().enumerate())
+            .filter(|&(_, &a)| own.contains(a))
+            .map(|(i, _)| i)
+            .collect(),
+        None => Vec::new(),
+    };
+    let at = steps.len();
+    steps.push(Step {
+        edge,
+        parent,
+        separator,
+    });
+    let e = EdgeId(edge as u32);
+    let mut next: Vec<(Option<NodeId>, usize)> = (tree.parent(e).into_iter())
+        .chain(tree.children(e).iter().copied())
+        .map(EdgeId::index)
+        .filter(|&n| member[n] && Some(n) != from)
+        .map(|n| (relations[n].attributes().difference(own).first(), n))
+        .collect();
+    next.sort_unstable();
+    next.into_iter()
+        .all(|(_, n)| ascending_preorder(tree, member, relations, (n, Some(at)), steps, last))
+}
+
+/// One step's relation as [`ExecCtx::enumerate_join`] walks it.
+struct Level<'r> {
+    /// The sorted rows, flat.
+    rows: &'r [u32],
+    width: usize,
+    /// The leading separator columns: matched against the parent, not
+    /// emitted.
+    skip: usize,
+    /// `runs[p]`: the rows matching the parent's row `p`.
+    runs: Vec<(u32, u32)>,
+    /// `below[r]`: the completions of the rows before `r` (prefix sums, so
+    /// `below[r + 1] - below[r]` is row `r`'s own).
+    below: Vec<u64>,
+}
+
+impl Level<'_> {
+    fn len(&self) -> u32 {
+        (self.rows.len() / self.width) as u32
+    }
+
+    /// Row `r`'s columns past the separator.
+    #[inline]
+    fn emitted(&self, r: u32) -> &[u32] {
+        let at = r as usize * self.width;
+        &self.rows[at + self.skip..at + self.width]
+    }
+
+    /// The first row from `r` on that has a completion.
+    #[inline]
+    fn live_from(&self, mut r: u32, end: u32) -> u32 {
+        while r < end && self.below[r as usize + 1] == self.below[r as usize] {
+            r += 1;
+        }
+        r
+    }
+}
+
+impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
+    /// For every row of `parent`, the run of `child`'s rows that match it
+    /// on the `separator` columns of `parent`, which lead `child`'s sorted
+    /// rows.  The parent's keys are put in order by
+    /// [`sort_ids_by_key`], then one merge walk over both finds every run.
+    fn runs(
+        &self,
+        parent: &Level<'_>,
+        separator: &[usize],
+        child: &Level<'_>,
+    ) -> Result<Vec<(u32, u32)>, EngineError> {
+        let k = separator.len();
+        let keys: Vec<u32> = (parent.rows.chunks_exact(parent.width))
+            .flat_map(|row| separator.iter().map(move |&c| row[c]))
+            .collect();
+        let key = |p: u32| &keys[p as usize * k..][..k];
+        let head = |r: u32| &child.rows[r as usize * child.width..][..k];
+        let mut runs = vec![(0, 0); parent.len() as usize];
+        let (mut lo, mut hi) = (0, 0);
+        let order = sort_ids_by_key(&keys, k, parent.len() as usize);
+        for (n, &p) in order.iter().enumerate() {
+            if G::ENABLED && n % CHECK_BATCH == 0 {
+                self.gov.checkpoint()?;
+            }
+            if n == 0 || key(order[n - 1]) != key(p) {
+                // A larger key: its run starts past the last one.
+                lo = hi;
+                while lo < child.len() && head(lo) < key(p) {
+                    lo += 1;
+                }
+                hi = lo;
+                while hi < child.len() && head(hi) == key(p) {
+                    hi += 1;
+                }
+            }
+            runs[p as usize] = (lo, hi);
+        }
+        Ok(runs)
+    }
+
+    /// The whole join of `S` by nested loops over its reduced relations in
+    /// the pre-order `steps` ([`sorted_enumeration`] proved it sound): each
+    /// step loops over the run of its sorted rows that matches its parent's
+    /// current row on their separator, and contributes its columns past the
+    /// separator to the output row.  The rows come out in ascending handle
+    /// order, with no hash table, no intermediate result and no dedup table.
+    ///
+    /// First every parent row's run in each child is found
+    /// ([`ExecCtx::runs`]) and every row's number of completions below it
+    /// counted, bottom-up; the governor's budget is charged once for the
+    /// counted answer, which is then allocated at its exact size and filled
+    /// with a checkpoint every [`CHECK_BATCH`] rows.  A row without
+    /// completions — none in a globally consistent `S` — is skipped.
+    /// Records one [`Kernel::Enumerate`] join op.
+    fn enumerate_join(
+        &self,
+        steps: &[Step],
+        relations: &[Cow<'_, Relation>],
+    ) -> Result<Relation, EngineError> {
+        let rels: Vec<&Relation> = steps.iter().map(|s| &*relations[s.edge]).collect();
+        let mut levels: Vec<Level<'_>> = (rels.iter().zip(steps))
+            .map(|(r, step)| Level {
+                rows: r.raw_rows(),
+                width: r.columns().len(),
+                skip: step.separator.len(),
+                runs: Vec::new(),
+                below: Vec::new(),
+            })
+            .collect();
+        for i in (0..steps.len()).rev() {
+            if let Some(p) = steps[i].parent {
+                levels[i].runs = self.runs(&levels[p], &steps[i].separator, &levels[i])?;
+            }
+            let children: Vec<usize> = (i + 1..steps.len())
+                .filter(|&j| steps[j].parent == Some(i))
+                .collect();
+            let mut below = Vec::with_capacity(levels[i].len() as usize + 1);
+            let mut total = 0u64;
+            below.push(total);
+            for r in 0..levels[i].len() as usize {
+                let completions = children.iter().fold(1u64, |acc, &j| {
+                    let (lo, hi) = levels[j].runs[r];
+                    let child = &levels[j].below;
+                    acc.saturating_mul(child[hi as usize] - child[lo as usize])
+                });
+                total = total.saturating_add(completions);
+                below.push(total);
+            }
+            levels[i].below = below;
+        }
+
+        let attributes = rels.iter().fold(NodeSet::new(), |mut all, r| {
+            all.union_with(r.attributes());
+            all
+        });
+        let width = attributes.len();
+        let total = *levels[0].below.last().expect("a count per row, plus one");
+        if G::ENABLED {
+            self.gov.approve_alloc(total, width)?;
+        }
+        assert!(total < u64::from(NO_HANDLE), "relation too large");
+        let len = total as usize;
+        let mut out = vec![0u32; len * width];
+        // The last step in pre-order is a leaf, so every row of its runs is
+        // live: the loops below position the steps before it, keep their
+        // emitted columns in `prefix`, and copy out one whole leaf run per
+        // position.
+        let (leaf, last) = (levels.len() - 1, levels.last().expect("S has two edges"));
+        let leaf_parent = steps[leaf].parent.expect("the leaf is no root");
+        let mut offsets = vec![0usize];
+        for level in &levels[..leaf] {
+            offsets.push(offsets.last().expect("starts at 0") + level.width - level.skip);
+        }
+        let mut prefix = vec![0u32; offsets[leaf]];
+        let (mut cur, mut end) = (vec![0u32; leaf], vec![0u32; leaf]);
+        let (mut at, mut checked) = (0usize, 0usize);
+        let mut open = 0;
+        while at < out.len() {
+            // Open every step from `open` on at its first live row.
+            for i in open..leaf {
+                let (lo, hi) = match steps[i].parent {
+                    Some(p) => levels[i].runs[cur[p] as usize],
+                    None => (0, levels[i].len()),
+                };
+                (cur[i], end[i]) = (levels[i].live_from(lo, hi), hi);
+                prefix[offsets[i]..offsets[i + 1]].copy_from_slice(levels[i].emitted(cur[i]));
+            }
+            let (lo, hi) = last.runs[cur[leaf_parent] as usize];
+            for r in lo..hi {
+                // Cell by cell: the rows are a few words wide, too narrow
+                // for a copy call to pay.
+                let row = &mut out[at..at + width];
+                let (head, tail) = row.split_at_mut(prefix.len());
+                head.iter_mut().zip(&prefix).for_each(|(o, &v)| *o = v);
+                tail.iter_mut()
+                    .zip(last.emitted(r))
+                    .for_each(|(o, &v)| *o = v);
+                at += width;
+            }
+            if G::ENABLED && at / width >= checked + CHECK_BATCH {
+                checked = at / width;
+                self.gov.checkpoint()?;
+            }
+            // Advance the deepest step that has a live row left.
+            open = leaf;
+            while open > 0 {
+                let i = open - 1;
+                cur[i] = levels[i].live_from(cur[i] + 1, end[i]);
+                if cur[i] < end[i] {
+                    prefix[offsets[i]..offsets[i + 1]].copy_from_slice(levels[i].emitted(cur[i]));
+                    break;
+                }
+                open -= 1;
+            }
+        }
+        if M::ENABLED {
+            let rows = |l: &Level<'_>| u64::from(l.len());
+            let parents = steps.iter().filter_map(|s| s.parent);
+            self.metrics.record_op(OpMetrics {
+                kind: OpKind::Join,
+                kernel: Kernel::Enumerate,
+                probed: levels.iter().map(rows).sum(),
+                kept: total,
+                built: parents.map(|p| rows(&levels[p])).sum(),
+                build_rows: levels[1..].iter().map(rows).sum(),
+            });
+        }
+        let names: Vec<&str> = rels.iter().map(|r| r.name()).collect();
+        Ok(Relation::from_distinct_rows(
+            format!("π({})", names.join("⋈")),
+            attributes,
+            rels[0].pool().clone(),
+            out,
+            len,
+        ))
     }
 }
 

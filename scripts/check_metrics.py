@@ -24,7 +24,10 @@ import sys
 PHASES = {"parse", "decompose", "materialize", "reduce-up", "reduce-down", "join", "serialize"}
 # Every member of a join or semijoin counter object, and nothing else: no
 # sampled ratio decides a kernel, so none is reported.
-COUNTERS = ("ops", "hash_ops", "sortmerge_ops", "dense_ops", "probed", "kept", "built", "build_rows")
+COUNTERS = (
+    "ops", "hash_ops", "sortmerge_ops", "dense_ops", "enumerate_ops",
+    "probed", "kept", "built", "build_rows",
+)
 # Every top-level member, and nothing else.  Retired members fail the
 # document: each database builds its plan once, so there is no decomposition
 # cache to report hits of, and only insertion builds a relation's dedup
@@ -54,20 +57,24 @@ def check(doc: dict, cyclic: bool) -> list[str]:
                 err(f"{op}.{key}: expected non-negative integer, got {v!r}")
         if errors:
             continue
-        if agg["hash_ops"] + agg["sortmerge_ops"] + agg["dense_ops"] != agg["ops"]:
-            err(f"{op}: hash_ops + sortmerge_ops + dense_ops != ops ({agg})")
+        kernels = ("hash_ops", "sortmerge_ops", "dense_ops", "enumerate_ops")
+        if sum(agg[key] for key in kernels) != agg["ops"]:
+            err(f"{op}: hash_ops + sortmerge_ops + dense_ops + enumerate_ops != ops ({agg})")
         # A semijoin can only keep rows it probed.  A join's output is not
         # bounded by its probe side: one probe row can match many.
         if op == "semijoin" and agg["kept"] > agg["probed"]:
             err(f"{op}: kept {agg['kept']} > probed {agg['probed']}")
         # A semijoin's key space picks its kernel: dense where it fits,
-        # else sort-merge, so none hashes.  Every join hashes.
-        if op == "semijoin" and agg["hash_ops"] != 0:
-            err(f"{op}.hash_ops: expected 0 (dense or sort-merge only), got {agg['hash_ops']}")
+        # else sort-merge, so none hashes or enumerates.  A join hashes, or
+        # enumerates a join subtree's sorted relations.
+        if op == "semijoin":
+            for key in ("hash_ops", "enumerate_ops"):
+                if agg[key] != 0:
+                    err(f"{op}.{key}: expected 0 (dense or sort-merge only), got {agg[key]}")
         if op == "join":
             for key in ("sortmerge_ops", "dense_ops"):
                 if agg[key] != 0:
-                    err(f"{op}.{key}: expected 0 (every join hashes), got {agg[key]}")
+                    err(f"{op}.{key}: expected 0 (a join hashes or enumerates), got {agg[key]}")
 
     levels = doc.get("levels")
     if not isinstance(levels, list) or not levels:

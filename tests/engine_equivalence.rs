@@ -9,12 +9,12 @@
 
 use acyclic_hypergraphs::acyclic::join_tree;
 use acyclic_hypergraphs::decomp::{decompose, Decomposition, Heuristic};
-use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
+use acyclic_hypergraphs::hypergraph::{Hypergraph, HypergraphBuilder, NodeSet};
 use acyclic_hypergraphs::reldb::reference::{
     naive_full_join, naive_full_reduce, naive_yannakakis_join, NaiveRelation,
 };
 use acyclic_hypergraphs::reldb::{
-    full_reduce, yannakakis_join, CollectingSink, Database, EngineError, ExecCtx, Governor,
+    full_reduce, yannakakis_join, CollectingSink, Database, EngineError, ExecCtx, Governor, Phase,
     Relation, Tuple, Value,
 };
 use acyclic_hypergraphs::workload::{
@@ -678,6 +678,153 @@ proptest! {
             prop_assert!(width <= bag, "bag {b} ({bag} nodes) charged {width} columns");
         }
     }
+}
+
+/// `db` as a server holds it: saved as a snapshot and loaded back, so its
+/// pool is in value order and every relation's rows ascend.  A database
+/// built by insertion seldom has its rows in order, so the enumerated join
+/// is tested on databases built this way.
+fn reloaded(db: &Database) -> Database {
+    Database::from_snapshot_bytes(&db.to_snapshot_bytes()).expect("a saved database loads")
+}
+
+/// The metered Yannakakis answer of `db` onto `x`, checked against the
+/// reference, with the number of joins that hashed and that enumerated (an
+/// enumeration timed as one join level).
+fn answer_and_kernels(db: &Database, x: &NodeSet) -> (Relation, (u64, u64)) {
+    let tree = join_tree(db.schema()).expect("acyclic");
+    let sink = CollectingSink::new();
+    let got = ExecCtx::new()
+        .metrics(&sink)
+        .yannakakis_join(db, &tree, x)
+        .expect("nobody aborts");
+    assert!(
+        naive_yannakakis_join(db, &tree, x).agrees_with(&got),
+        "answer diverged"
+    );
+    let m = sink.snapshot();
+    if m.joins.enumerate_ops > 0 {
+        let levels = m.levels.iter().filter(|l| l.phase == Phase::Join);
+        assert_eq!(levels.count(), 1, "an enumeration is one join level");
+    }
+    (got, (m.joins.hash_ops, m.joins.enumerate_ops))
+}
+
+/// True if the rows are strictly ascending in handle order.
+fn rows_ascend(r: &Relation) -> bool {
+    let w = r.columns().len();
+    let rows: Vec<&[u32]> = r.handle_rows().chunks(w).collect();
+    rows.windows(2).all(|pair| pair[0] < pair[1])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// With every attribute asked for, a loaded chain, star or snowflake is
+    /// answered tuple for tuple as the naive full join.  Chains and stars
+    /// meet their attributes in order, so they are enumerated and their
+    /// rows come out strictly ascending; any answer that was enumerated
+    /// does.
+    #[test]
+    fn full_join_answers_of_loaded_databases_match_the_naive_join(
+        family in 0usize..3,
+        shape in 0usize..4,
+        tuples in 1usize..24,
+        domain in 1i64..6,
+        seed in 0u64..1_000,
+    ) {
+        let db = reloaded(&db_for(family, shape, tuples, domain, seed));
+        let (got, (hashed, enumerated)) = answer_and_kernels(&db, &db.schema().nodes());
+        prop_assert!(naive_full_join(&db).agrees_with(&got), "not the full join");
+        if family < 2 {
+            prop_assert_eq!((hashed, enumerated), (0, 1), "chains and stars enumerate");
+        }
+        if enumerated == 1 {
+            prop_assert!(rows_ascend(&got), "an enumerated answer is in order");
+        }
+    }
+}
+
+/// Each part of the enumeration rule, on one case that passes or fails it
+/// alone: a chain in attribute order and a star enumerate; `A–C, C–B` with
+/// `A < B < C`, an output without one of `S`'s attributes, one row out of
+/// order and a relation in a pool of its own each fall back to hashing.
+#[test]
+fn the_enumeration_rule_accepts_and_rejects_exactly() {
+    let params = DataParams {
+        tuples_per_relation: 30,
+        domain: 6,
+        skew: 0.0,
+        key_cap: 0,
+    };
+    let loaded = |schema: &Hypergraph| reloaded(&random_database(schema, params, 5));
+    for schema in [chain(3, 2, 1), star(3, 2)] {
+        let db = loaded(&schema);
+        let (got, kernels) = answer_and_kernels(&db, &db.schema().nodes());
+        assert_eq!(kernels, (0, 1), "{schema:?}");
+        assert!(!got.is_empty() && rows_ascend(&got));
+    }
+
+    let acb = HypergraphBuilder::new()
+        .node("A")
+        .node("B")
+        .node("C")
+        .edge("AC", ["A", "C"])
+        .edge("CB", ["C", "B"])
+        .build()
+        .unwrap();
+    let db = loaded(&acb);
+    assert_eq!(answer_and_kernels(&db, &db.schema().nodes()).1, (1, 0));
+
+    // The chain A–B, B–C, C–D asked for A, B and D: S is the whole chain,
+    // whose join holds C too.
+    let db = loaded(&chain(3, 2, 1));
+    let abd = db.attributes(["N00000", "N00001", "N00003"]).unwrap();
+    assert_eq!(answer_and_kernels(&db, &abd).1, (2, 0));
+
+    // The middle relation with its last two rows swapped, in the same pool.
+    let mut relations = db.relations().to_vec();
+    let middle = &relations[1];
+    let mut tuples: Vec<Tuple> = middle.tuples().collect();
+    let n = tuples.len();
+    assert!(n >= 2);
+    tuples.swap(n - 2, n - 1);
+    let mut swapped = Relation::with_pool(
+        middle.name(),
+        middle.attributes().clone(),
+        middle.pool().clone(),
+    );
+    for t in tuples {
+        swapped.insert(t);
+    }
+    relations[1] = swapped;
+    let unordered = Database::new(db.schema().clone(), relations).unwrap();
+    assert_eq!(
+        answer_and_kernels(&unordered, &db.schema().nodes()).1,
+        (2, 0)
+    );
+
+    // The middle relation in a pool of its own, numbered in value order so
+    // that its rows still ascend there.
+    let mut relations = db.relations().to_vec();
+    let middle = &relations[1];
+    let mut values: Vec<Value> = middle
+        .tuples()
+        .flat_map(|t| t.iter().map(|(_, v)| v.clone()).collect::<Vec<_>>())
+        .collect();
+    values.sort_unstable();
+    values.dedup();
+    let mut own = Relation::new(middle.name(), middle.attributes().clone());
+    for v in &values {
+        own.pool().intern(v);
+    }
+    for t in middle.tuples() {
+        own.insert(t);
+    }
+    assert!(rows_ascend(&own));
+    relations[1] = own;
+    let split = Database::new(db.schema().clone(), relations).unwrap();
+    assert_eq!(answer_and_kernels(&split, &db.schema().nodes()).1, (2, 0));
 }
 
 /// The reference bags of `d`, built children-first along the bag tree: each

@@ -350,6 +350,8 @@ struct TripAtCheckpoint {
     seen: Arc<AtomicU64>,
     words: Arc<AtomicU64>,
     trip_at: u64,
+    /// Trip as an expired deadline instead of a cancellation.
+    expire: bool,
 }
 
 impl TripAtCheckpoint {
@@ -359,7 +361,12 @@ impl TripAtCheckpoint {
             seen: Arc::default(),
             words: Arc::default(),
             trip_at,
+            expire: false,
         }
+    }
+
+    fn expiring(self, expire: bool) -> Self {
+        Self { expire, ..self }
     }
 
     /// A governor that only counts: nothing ever trips it.
@@ -382,6 +389,10 @@ impl Governor for TripAtCheckpoint {
 
     fn checkpoint(&self) -> Result<(), EngineError> {
         if self.seen.fetch_add(1, Ordering::Relaxed) == self.trip_at {
+            if self.expire {
+                let elapsed = Duration::ZERO;
+                return Err(EngineError::DeadlineExceeded { elapsed });
+            }
             self.base.token().cancel();
         }
         self.base.checkpoint()
@@ -661,6 +672,87 @@ fn join_cancelled_at_any_checkpoint_leaves_inputs_untouched() {
             "checkpoint {trip_at}"
         );
         assert_eq!(snapshot(&db), before, "abort mutated the database");
+    }
+}
+
+/// [`big_chain`] as a server holds it, saved and loaded back: its rows
+/// ascend, so the all-attributes answer is enumerated, not hash-joined.
+fn loaded_big_chain() -> Database {
+    Database::from_snapshot_bytes(&big_chain().to_snapshot_bytes()).expect("a saved database loads")
+}
+
+/// The enumerated answer charges the budget once, for every row it is
+/// about to hold (the reducer's semijoins charge nothing): a budget of half
+/// the answer aborts at that one charge, which asks for the whole answer,
+/// and leaves `db` untouched; the exact answer passes.
+#[test]
+fn an_enumerated_answer_over_budget_aborts_before_it_is_allocated() {
+    let db = loaded_big_chain();
+    let tree = join_tree(db.schema()).expect("chains are acyclic");
+    let all = db.schema().nodes();
+    let (probe, sink) = (
+        QueryGovernor::new().with_memory_budget(u64::MAX),
+        CollectingSink::new(),
+    );
+    let answer = ExecCtx::new()
+        .metrics(&sink)
+        .gov(&probe)
+        .yannakakis_join(&db, &tree, &all)
+        .expect("an unbounded budget passes");
+    assert_eq!(sink.snapshot().joins.enumerate_ops, 1);
+    assert!(answer.len() > 2 * CHECK_BATCH, "the answer spans batches");
+    let total = probe.charged_bytes();
+    assert_eq!(total, (answer.len() * all.len() * 4) as u64, "one charge");
+
+    let before = snapshot(&db);
+    let limit = total / 2;
+    let gov = QueryGovernor::new().with_memory_budget(limit);
+    let got = ExecCtx::new().gov(&gov).yannakakis_join(&db, &tree, &all);
+    assert_eq!(
+        got.err(),
+        Some(EngineError::BudgetExceeded {
+            estimated: total,
+            limit
+        }),
+        "one charge asked for the whole answer"
+    );
+    assert_untouched(&db, &before, &all);
+
+    let gov = QueryGovernor::new().with_memory_budget(total);
+    let got = ExecCtx::new().gov(&gov).yannakakis_join(&db, &tree, &all);
+    assert!(got.expect("the exact total passes").same_contents(&answer));
+}
+
+/// A cancellation or an expired deadline at any checkpoint of an
+/// enumerated query — in the reducer, while runs are found, or while the
+/// answer fills — aborts on the spot with `db` untouched.
+#[test]
+fn an_enumerated_answer_aborted_at_any_checkpoint_leaves_db_untouched() {
+    let db = loaded_big_chain();
+    let tree = join_tree(db.schema()).expect("chains are acyclic");
+    let all = db.schema().nodes();
+    let before = snapshot(&db);
+    let gov = TripAtCheckpoint::never();
+    let sink = CollectingSink::new();
+    let ctx = ExecCtx::new().metrics(&sink).gov(&gov);
+    ctx.yannakakis_join(&db, &tree, &all)
+        .expect("nothing trips");
+    assert_eq!(sink.snapshot().joins.enumerate_ops, 1);
+    let checkpoints = gov.checkpoints_seen();
+    for trip_at in 0..checkpoints {
+        for expire in [false, true] {
+            let gov = TripAtCheckpoint::new(trip_at).expiring(expire);
+            let got = ExecCtx::new().gov(&gov).yannakakis_join(&db, &tree, &all);
+            let want = match expire {
+                false => EngineError::Cancelled,
+                true => EngineError::DeadlineExceeded {
+                    elapsed: Duration::ZERO,
+                },
+            };
+            assert_eq!(got.err(), Some(want), "checkpoint {trip_at}");
+            assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
+            assert_eq!(snapshot(&db), before, "abort mutated the database");
+        }
     }
 }
 

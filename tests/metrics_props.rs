@@ -16,8 +16,8 @@
 //!    the connection engine runs those stages over `CC(X)`'s objects.
 //!
 //! Alongside each: **kernel conservation** — per op kind, every recorded op
-//! resolved to exactly one kernel (`hash + sort-merge + dense = ops`), no
-//! semijoin hashes and every join hashes.
+//! resolved to exactly one kernel (`hash + sort-merge + dense + enumerate
+//! = ops`), no semijoin hashes or enumerates, and every join does one.
 
 use acyclic_hypergraphs::acyclic::{join_tree, JoinTree};
 use acyclic_hypergraphs::decomp::{decompose, Heuristic};
@@ -113,23 +113,23 @@ fn subset(db: &Database, pick: u64) -> NodeSet {
         .collect()
 }
 
-/// Kernel conservation for one report: per op kind the three kernel
+/// Kernel conservation for one report: per op kind the four kernel
 /// counters add up to `ops`; semijoins run dense or sort-merge and every
-/// join hashes.
+/// join hashes or enumerates.
 fn kernels_conserved(m: &QueryMetrics) -> Result<(), String> {
     let (joins, semijoins) = (&m.joins, &m.semijoins);
     for (kind, agg) in [("join", joins), ("semijoin", semijoins)] {
-        if agg.hash_ops + agg.sortmerge_ops + agg.dense_ops != agg.ops {
+        if agg.hash_ops + agg.sortmerge_ops + agg.dense_ops + agg.enumerate_ops != agg.ops {
             return Err(format!(
-                "{kind}: hash + sort-merge + dense != ops ({agg:?})"
+                "{kind}: hash + sort-merge + dense + enumerate != ops ({agg:?})"
             ));
         }
     }
-    if semijoins.hash_ops != 0 {
-        return Err(format!("a semijoin hashed ({semijoins:?})"));
+    if semijoins.hash_ops + semijoins.enumerate_ops != 0 {
+        return Err(format!("a semijoin hashed or enumerated ({semijoins:?})"));
     }
-    if joins.hash_ops != joins.ops {
-        return Err(format!("a join did not hash ({joins:?})"));
+    if joins.hash_ops + joins.enumerate_ops != joins.ops {
+        return Err(format!("a join neither hashed nor enumerated ({joins:?})"));
     }
     Ok(())
 }

@@ -458,3 +458,102 @@ fn a_client_that_never_reads_is_cut_off_alone_and_the_drain_still_finishes() {
     }
     assert!((sink.len() as u64) < stalled_queries * reply_len);
 }
+
+/// A loaded chain whose all-attributes answer renders to well over what
+/// loopback sockets buffer for a reader that stops reading, served alone:
+/// the server, the database and the query with its rendered answer.
+fn long_reply_server() -> (ServerHandle, Request, String) {
+    let built = consistent_database(
+        &chain(3, 2, 1),
+        DataParams {
+            tuples_per_relation: 6_000,
+            domain: 600,
+            skew: 0.0,
+            key_cap: 0,
+        },
+        31,
+    );
+    let db = Arc::new(Database::from_snapshot_bytes(&built.to_snapshot_bytes()).unwrap());
+    let select = ["N00000", "N00001", "N00002", "N00003"];
+    let want = render_response(&oracle_answer(&db, &select));
+    assert!(want.len() > 8 << 20, "a {} byte reply", want.len());
+    let request = Request::Query(QuerySpec {
+        db: "long".into(),
+        select: select.map(String::from).to_vec(),
+        engine: None,
+        overrides: Overrides::default(),
+    });
+    let handle = Server::bind_preloaded("127.0.0.1:0", vec![("long".into(), db)])
+        .expect("bind")
+        .spawn();
+    (handle, request, want)
+}
+
+/// A peer that hangs up while its long reply is being written in pieces
+/// costs the server that connection only: the next piece's write fails,
+/// the connection closes, its query is no longer in flight, and the
+/// server still answers `ping` and drains clean.
+#[test]
+fn a_peer_that_hangs_up_mid_reply_leaves_the_server_answering() {
+    let (handle, request, want) = long_reply_server();
+    let addr = handle.addr();
+    let mut gone = TcpStream::connect(addr).expect("connect");
+    gone.write_all(format!("{}\n", render_request(&request)).as_bytes())
+        .expect("send");
+    let mut first = [0u8; 1024];
+    gone.read_exact(&mut first).expect("the reply starts");
+    drop(gone);
+
+    let mut c = Client::connect(addr);
+    let started = Instant::now();
+    loop {
+        assert_eq!(c.round_trip(&Request::Ping), Response::Pong);
+        let stats = match c.round_trip(&Request::Stats { prometheus: false }) {
+            Response::Stats {
+                stats: Some(stats), ..
+            } => stats,
+            other => panic!("stats scrape got {other:?}"),
+        };
+        if counter(&stats, "in_flight") == 0 {
+            assert!(counter(&stats, "bytes_out") < want.len() as u64);
+            break;
+        }
+        assert!(started.elapsed() < Duration::from_secs(60), "{stats}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    shut_down_clean(handle, false);
+}
+
+/// A graceful shutdown that arrives while a long reply is still being
+/// written waits for its last piece: the server has not returned while the
+/// client holds the rest unread, and once it reads on, the reply is whole
+/// and the drain clean.
+#[test]
+fn a_graceful_drain_waits_for_the_last_piece_of_a_reply() {
+    let (handle, request, want) = long_reply_server();
+    let addr = handle.addr();
+    let mut slow = Client::connect(addr);
+    slow.writer
+        .write_all(format!("{}\n", render_request(&request)).as_bytes())
+        .expect("send");
+    // The reply has started, so its query is in flight.
+    assert!(!slow.reader.fill_buf().expect("the reply starts").is_empty());
+
+    let mut closer = Client::connect(addr);
+    assert_eq!(
+        closer.round_trip(&Request::Shutdown { now: false }),
+        Response::Bye
+    );
+    let server = std::thread::spawn(move || handle.join());
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(!server.is_finished(), "the drain left a reply half written");
+
+    let mut line = String::new();
+    slow.reader
+        .read_line(&mut line)
+        .expect("the rest of the reply");
+    assert_eq!(stripped(parse_response(line.trim_end()).unwrap()), want);
+    let stats = server.join().expect("the server thread");
+    assert!(stats.drained_clean, "{stats:?}");
+    assert_eq!(stats.queries, 1);
+}

@@ -15,8 +15,8 @@ use acyclic_hypergraphs::hyperqd::protocol::{
     metrics_json, parse_request, parse_response, render_request, render_response, DbInfo,
     EngineKind, ErrorKind, Overrides, QuerySpec, Request, Response, Rows, WireError, MAX_LINE,
 };
-use acyclic_hypergraphs::hyperqd::server::{run_engine, Server, ServerConfig};
-use acyclic_hypergraphs::reldb::{CollectingSink, Database, ExecCtx, Value};
+use acyclic_hypergraphs::hyperqd::server::{answer_frame, run_engine, Server, ServerConfig};
+use acyclic_hypergraphs::reldb::{query_yannakakis, CollectingSink, Database, ExecCtx, Value};
 use acyclic_hypergraphs::workload::{
     chain, consistent_database, random_database, ring, DataParams,
 };
@@ -812,6 +812,40 @@ fn a_batch_larger_than_the_flush_bound_arrives_whole_and_in_order() {
             assert_eq!(without_trace(&got), want, "reply {i}");
         }
     }
+    shut_down(handle);
+}
+
+/// A reply many times the flush bound (64 KiB) leaves in pieces, written as
+/// they are rendered, and arrives byte for byte the frame the server
+/// renders in one piece — after the pong sent before it and before the
+/// pong sent after it, from one pipelined write.
+#[test]
+fn a_reply_far_over_the_flush_bound_arrives_byte_identical() {
+    let schema = chain(3, 2, 1);
+    let params = DataParams {
+        tuples_per_relation: 2_000,
+        domain: 500,
+        skew: 0.0,
+        key_cap: 0,
+    };
+    let built = random_database(&schema, params, 9);
+    let db = Arc::new(Database::from_snapshot_bytes(&built.to_snapshot_bytes()).unwrap());
+    let x = db.schema().nodes();
+    let want = render_response(&answer_frame(
+        &db,
+        &query_yannakakis(&db, &x).unwrap(),
+        None,
+    ));
+    assert!(want.len() > 8 * (64 << 10), "{} bytes", want.len());
+    let server = Server::bind_preloaded("127.0.0.1:0", vec![("chain".into(), Arc::clone(&db))])
+        .expect("bind");
+    let handle = server.spawn();
+    let mut c = Client::connect(handle.addr());
+    let (ping, query) = (render_request(&Request::Ping), all_attrs_query());
+    c.send_raw(format!("{ping}\n{query}\n{ping}\n").as_bytes());
+    assert_eq!(c.read_response(), Response::Pong);
+    assert_eq!(without_trace(&c.read_line()), want);
+    assert_eq!(c.read_response(), Response::Pong);
     shut_down(handle);
 }
 
