@@ -12,63 +12,23 @@
 use crate::graham::{graham_reduce, Strategy};
 use hypergraph::{Hypergraph, NodeSet};
 
-/// Outcome of a confluence check.
-#[derive(Debug, Clone)]
-pub struct ConfluenceReport {
-    /// The fixed point reached by the deterministic nodes-first strategy.
-    pub reference: Hypergraph,
-    /// Number of alternative orders tried (including edges-first).
-    pub orders_tried: usize,
-    /// Orders (by index into the tried sequence) that reached a different
-    /// fixed point.  Empty iff the check passed.
-    pub divergent: Vec<usize>,
-    /// The lengths of the reduction traces, one per order, in the order
-    /// tried.  All orders remove the same multiset of nodes and edges, so
-    /// the lengths agree whenever the check passes.
-    pub trace_lengths: Vec<usize>,
+/// The rule orders a confluence check tries beside the nodes-first
+/// reference: edges-first, then `random_orders` seeded orders.
+fn alternative_orders(random_orders: usize) -> impl Iterator<Item = Strategy> {
+    std::iter::once(Strategy::EdgesFirst)
+        .chain((0..random_orders).map(|i| Strategy::Seeded(0x9E37_79B9 ^ (i as u64 + 1))))
 }
 
-impl ConfluenceReport {
-    /// True if every tried order reached the reference fixed point.
-    pub fn is_confluent(&self) -> bool {
-        self.divergent.is_empty()
-    }
-}
-
-/// Reduces `h` under `1 + random_orders` different rule orders and reports
-/// whether they all reach the same fixed point.
-pub fn check_confluence(
-    h: &Hypergraph,
-    sacred: &NodeSet,
-    random_orders: usize,
-) -> ConfluenceReport {
-    let reference = graham_reduce(h, sacred, Strategy::NodesFirst);
-    let mut divergent = Vec::new();
-    let mut trace_lengths = vec![reference.steps.len()];
-
-    let mut strategies = vec![Strategy::EdgesFirst];
-    strategies.extend((0..random_orders).map(|i| Strategy::Seeded(0x9E37_79B9 ^ (i as u64 + 1))));
-
-    for (idx, strategy) in strategies.iter().enumerate() {
-        let run = graham_reduce(h, sacred, *strategy);
-        trace_lengths.push(run.steps.len());
-        if !run.result.same_edge_sets(&reference.result) {
-            divergent.push(idx);
-        }
-    }
-
-    ConfluenceReport {
-        reference: reference.result,
-        orders_tried: strategies.len(),
-        divergent,
-        trace_lengths,
-    }
-}
-
-/// Convenience wrapper: true if `random_orders + 2` reduction orders all
-/// agree on `GR(h, sacred)`.
+/// True if `random_orders + 2` reduction orders all agree on
+/// `GR(h, sacred)`: nodes-first, edges-first and `random_orders` seeded
+/// orders.
 pub fn is_confluent(h: &Hypergraph, sacred: &NodeSet, random_orders: usize) -> bool {
-    check_confluence(h, sacred, random_orders).is_confluent()
+    let reference = graham_reduce(h, sacred, Strategy::NodesFirst).result;
+    alternative_orders(random_orders).all(|strategy| {
+        graham_reduce(h, sacred, strategy)
+            .result
+            .same_edge_sets(&reference)
+    })
 }
 
 #[cfg(test)]
@@ -89,16 +49,14 @@ mod tests {
     fn fig1_reduction_is_confluent() {
         let h = fig1();
         let x = h.node_set(["A", "D"]).unwrap();
-        let report = check_confluence(&h, &x, 16);
-        assert!(report.is_confluent());
-        assert_eq!(report.orders_tried, 17);
-        assert_eq!(report.reference.edge_count(), 2);
+        assert!(is_confluent(&h, &x, 16));
+        assert_eq!(alternative_orders(16).count(), 17);
+        let reference = graham_reduce(&h, &x, Strategy::NodesFirst);
+        assert_eq!(reference.result.edge_count(), 2);
         // Every order applies the same multiset of rules, so every trace has
         // the same length.
-        assert!(report
-            .trace_lengths
-            .iter()
-            .all(|&l| l == report.trace_lengths[0]));
+        assert!(alternative_orders(16)
+            .all(|strategy| graham_reduce(&h, &x, strategy).steps.len() == reference.steps.len()));
     }
 
     #[test]
@@ -126,8 +84,9 @@ mod tests {
     #[test]
     fn empty_hypergraph_is_trivially_confluent() {
         let h = Hypergraph::builder().build().unwrap();
-        let report = check_confluence(&h, &NodeSet::new(), 4);
-        assert!(report.is_confluent());
-        assert!(report.reference.is_empty());
+        assert!(is_confluent(&h, &NodeSet::new(), 4));
+        assert!(graham_reduce(&h, &NodeSet::new(), Strategy::NodesFirst)
+            .result
+            .is_empty());
     }
 }

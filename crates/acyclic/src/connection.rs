@@ -4,25 +4,12 @@
 //! `CC_H(X) = TR(H, X)`: the natural set of partial edges linking the nodes
 //! of `X`.  By Theorem 3.5 it can equivalently be computed by Graham
 //! reduction when `H` is acyclic, which is how a database system would do it
-//! in practice; both methods are exposed so the equivalence can be tested
-//! and benchmarked (experiment B1).
+//! in practice; [`graham_equals_tableau`] states that equivalence for one
+//! input, so tests can check it.
 
 use crate::graham::graham_reduction;
 use hypergraph::{Hypergraph, NodeSet};
 use tableau::tableau_reduction;
-
-/// Which algorithm computes the canonical connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConnectionMethod {
-    /// Tableau reduction `TR(H, X)` — the definition; works for every
-    /// hypergraph.
-    #[default]
-    Tableau,
-    /// Graham reduction `GR(H, X)` — equal to `TR(H, X)` on acyclic
-    /// hypergraphs (Theorem 3.5) and much cheaper; on cyclic hypergraphs it
-    /// may strictly contain the canonical connection.
-    Graham,
-}
 
 /// The canonical connection `CC_H(X)`, computed by tableau reduction.
 ///
@@ -44,18 +31,6 @@ pub enum ConnectionMethod {
 /// ```
 pub fn canonical_connection(h: &Hypergraph, x: &NodeSet) -> Hypergraph {
     tableau_reduction(h, x)
-}
-
-/// The canonical connection computed by the requested method.
-pub fn canonical_connection_with(
-    h: &Hypergraph,
-    x: &NodeSet,
-    method: ConnectionMethod,
-) -> Hypergraph {
-    match method {
-        ConnectionMethod::Tableau => tableau_reduction(h, x),
-        ConnectionMethod::Graham => graham_reduction(h, x),
-    }
 }
 
 /// True if `GR(H, X) = TR(H, X)` for this particular input — the statement
@@ -124,10 +99,7 @@ mod tests {
         assert!(!graham_equals_tableau(&h, &x));
         // Graham reduction keeps all four edges; tableau reduction keeps
         // only node D.
-        assert_eq!(
-            canonical_connection_with(&h, &x, ConnectionMethod::Graham).edge_count(),
-            4
-        );
+        assert_eq!(graham_reduction(&h, &x).edge_count(), 4);
         assert_eq!(canonical_connection(&h, &x).nodes(), x);
     }
 
@@ -172,16 +144,14 @@ mod tests {
         ] {
             let x = h.node_set(names.iter().copied()).unwrap();
             let cc = canonical_connection(&h, &x);
-            assert!(cc.nodes().is_superset(&x), "CC must cover the sacred set");
+            assert!(x.is_subset(&cc.nodes()), "CC must cover the sacred set");
         }
     }
 
     #[test]
     fn default_method_is_tableau() {
-        assert_eq!(ConnectionMethod::default(), ConnectionMethod::Tableau);
         let h = ring();
         let x = h.node_set(["A", "C"]).unwrap();
-        assert!(canonical_connection_with(&h, &x, ConnectionMethod::Tableau)
-            .same_edge_sets(&canonical_connection(&h, &x)));
+        assert!(canonical_connection(&h, &x).same_edge_sets(&tableau_reduction(&h, &x)));
     }
 }

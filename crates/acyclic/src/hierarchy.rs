@@ -75,12 +75,6 @@ pub fn is_beta_acyclic(h: &Hypergraph) -> bool {
     true
 }
 
-/// True if the hypergraph is α-acyclic — the paper's notion; re-exported
-/// here so the whole hierarchy can be queried through one module.
-pub fn is_alpha_acyclic(h: &Hypergraph) -> bool {
-    h.is_acyclic()
-}
-
 /// Where a hypergraph sits in the acyclicity hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Degree {
@@ -119,7 +113,7 @@ mod tests {
         let h = Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"], vec!["C", "D"]]).unwrap();
         assert!(is_berge_acyclic(&h));
         assert!(is_beta_acyclic(&h));
-        assert!(is_alpha_acyclic(&h));
+        assert!(h.is_acyclic());
         assert_eq!(degree(&h), Degree::Berge);
     }
 
@@ -142,7 +136,7 @@ mod tests {
             vec!["A", "C", "E"],
         ])
         .unwrap();
-        assert!(is_alpha_acyclic(&h));
+        assert!(h.is_acyclic());
         assert!(!is_beta_acyclic(&h));
         assert_eq!(degree(&h), Degree::Alpha);
     }
@@ -152,7 +146,7 @@ mod tests {
         let h = Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"], vec!["A", "C"]]).unwrap();
         assert!(!is_berge_acyclic(&h));
         assert!(!is_beta_acyclic(&h));
-        assert!(!is_alpha_acyclic(&h));
+        assert!(!h.is_acyclic());
         assert_eq!(degree(&h), Degree::Cyclic);
     }
 
@@ -179,11 +173,7 @@ mod tests {
                 );
             }
             if is_beta_acyclic(&h) {
-                assert!(
-                    is_alpha_acyclic(&h),
-                    "beta must imply alpha: {}",
-                    h.display()
-                );
+                assert!(h.is_acyclic(), "beta must imply alpha: {}", h.display());
             }
         }
     }

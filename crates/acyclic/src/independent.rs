@@ -62,13 +62,8 @@ pub struct ConnectingPath {
 
 impl ConnectingPath {
     /// Wraps a sequence of node sets as a (not yet verified) path.
-    pub fn new(sets: Vec<NodeSet>) -> Self {
+    pub(crate) fn new(sets: Vec<NodeSet>) -> Self {
         Self { sets }
-    }
-
-    /// The node sets along the path.
-    pub fn sets(&self) -> &[NodeSet] {
-        &self.sets
     }
 
     /// Number of node sets.
@@ -92,7 +87,7 @@ impl ConnectingPath {
     }
 
     /// Checks that this is a connecting path of `h`.
-    pub fn verify(&self, h: &Hypergraph) -> Result<(), ConnectionViolation> {
+    pub(crate) fn verify(&self, h: &Hypergraph) -> Result<(), ConnectionViolation> {
         if self.sets.len() < 2 {
             return Err(ConnectionViolation::TooShort);
         }
@@ -130,7 +125,7 @@ impl ConnectingPath {
     /// If this connecting path is independent, the index of a witnessing
     /// node set that is not wholly contained in the nodes of
     /// `CC(first ∪ last)`.
-    pub fn independence_witness(&self, h: &Hypergraph) -> Option<usize> {
+    pub(crate) fn independence_witness(&self, h: &Hypergraph) -> Option<usize> {
         if self.verify(h).is_err() {
             return None;
         }
@@ -167,18 +162,8 @@ impl ConnectingTree {
         Self { sets, edges }
     }
 
-    /// The node sets (tree vertices).
-    pub fn sets(&self) -> &[NodeSet] {
-        &self.sets
-    }
-
-    /// The tree edges, as index pairs into [`ConnectingTree::sets`].
-    pub fn edges(&self) -> &[(usize, usize)] {
-        &self.edges
-    }
-
     /// Indices of the leaf sets (degree ≤ 1 in the tree).
-    pub fn leaves(&self) -> Vec<usize> {
+    pub(crate) fn leaves(&self) -> Vec<usize> {
         (0..self.sets.len())
             .filter(|&i| {
                 self.edges
@@ -327,7 +312,7 @@ impl ConnectingTree {
 /// returned hypergraph is connected, has at least two edges, and has **no
 /// articulation set** (otherwise a smaller node set would already be
 /// cyclic, contradicting minimality).
-pub fn find_cyclic_core(h: &Hypergraph) -> Option<Hypergraph> {
+pub(crate) fn find_cyclic_core(h: &Hypergraph) -> Option<Hypergraph> {
     if h.is_acyclic() {
         return None;
     }
@@ -601,9 +586,7 @@ mod tests {
         // A subset of the canonical connection still connects A and F
         // (the paper's closing footnote): {A,B} and the big edge.
         let cc = canonical_connection(&h, &h.node_set(["A", "F"]).unwrap());
-        assert!(cc
-            .nodes()
-            .is_superset(&h.node_set(["A", "B", "F"]).unwrap()));
+        assert!(h.node_set(["A", "B", "F"]).unwrap().is_subset(&cc.nodes()));
     }
 
     #[test]

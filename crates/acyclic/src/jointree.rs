@@ -182,7 +182,7 @@ impl JoinTree {
     }
 
     /// The tree as an ordinary [`Graph`] whose nodes are edge indices.
-    pub fn as_graph(&self) -> Graph {
+    pub(crate) fn as_graph(&self) -> Graph {
         let mut g = Graph::new();
         for i in 0..self.len() {
             g.add_node(NodeId(i as u32));

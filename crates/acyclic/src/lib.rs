@@ -67,32 +67,22 @@ mod mcs;
 mod theorem;
 
 pub use acyclicity::{graham_reduction_fast, is_acyclic, AcyclicityExt};
-pub use confluence::{check_confluence, is_confluent, ConfluenceReport};
-pub use connection::{
-    canonical_connection, canonical_connection_with, graham_equals_tableau, ConnectionMethod,
-};
+pub use confluence::is_confluent;
+pub use connection::{canonical_connection, graham_equals_tableau};
 pub use graham::{
     graham_reduce, graham_reduction, gyo_reduction, GrahamReduction, GrahamStep, Strategy,
 };
-pub use hierarchy::{
-    degree, is_alpha_acyclic, is_berge_acyclic, is_beta_acyclic, Degree, BETA_EDGE_LIMIT,
-};
-pub use independent::{
-    find_cyclic_core, find_independent_path, ConnectingPath, ConnectingTree, ConnectionViolation,
-};
+pub use hierarchy::{degree, is_berge_acyclic, is_beta_acyclic, Degree, BETA_EDGE_LIMIT};
+pub use independent::{find_independent_path, ConnectingPath, ConnectingTree, ConnectionViolation};
 pub use jointree::{join_tree, join_tree_with_separators, JoinTree};
-pub use mcs::{
-    is_acyclic_mcs, is_chordal, is_conformal_chordal, maximal_cliques_chordal,
-    maximum_cardinality_search,
-};
+pub use mcs::is_acyclic_mcs;
 pub use theorem::{check_theorem_6_1, classify, Classification, TheoremReport};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::{
-        canonical_connection, canonical_connection_with, check_theorem_6_1, classify,
-        find_independent_path, graham_reduction, gyo_reduction, is_acyclic, is_acyclic_mcs,
-        join_tree, AcyclicityExt, Classification, ConnectingPath, ConnectingTree, ConnectionMethod,
-        JoinTree,
+        canonical_connection, check_theorem_6_1, classify, find_independent_path, graham_reduction,
+        gyo_reduction, is_acyclic, is_acyclic_mcs, join_tree, AcyclicityExt, Classification,
+        ConnectingPath, ConnectingTree, JoinTree,
     };
 }

@@ -23,7 +23,7 @@ use hypergraph::{Graph, Hypergraph, NodeId, NodeSet};
 /// is kept in `Vec`s indexed by [`NodeId`] rather than hash maps.  Each
 /// node enters a bucket once per weight increment, and total weight across
 /// all nodes is bounded by the edge count.
-pub fn maximum_cardinality_search(g: &Graph) -> Vec<NodeId> {
+pub(crate) fn maximum_cardinality_search(g: &Graph) -> Vec<NodeId> {
     let nodes = g.nodes();
     let n = id_capacity(nodes.iter());
     let mut weight = vec![0usize; n];
@@ -109,7 +109,7 @@ fn is_perfect_elimination(g: &Graph, order: &[NodeId]) -> bool {
 }
 
 /// True if the graph is chordal (every cycle of length ≥ 4 has a chord).
-pub fn is_chordal(g: &Graph) -> bool {
+pub(crate) fn is_chordal(g: &Graph) -> bool {
     let order = maximum_cardinality_search(g);
     is_perfect_elimination(g, &order)
 }
@@ -117,7 +117,7 @@ pub fn is_chordal(g: &Graph) -> bool {
 /// The maximal cliques of a chordal graph, read off an MCS ordering.
 ///
 /// Returns an empty vector if the graph is not chordal.
-pub fn maximal_cliques_chordal(g: &Graph) -> Vec<NodeSet> {
+pub(crate) fn maximal_cliques_chordal(g: &Graph) -> Vec<NodeSet> {
     let order = maximum_cardinality_search(g);
     if !is_perfect_elimination(g, &order) {
         return Vec::new();
@@ -147,21 +147,6 @@ pub fn maximal_cliques_chordal(g: &Graph) -> Vec<NodeSet> {
     }
     maximal.sort();
     maximal
-}
-
-/// True if every maximal clique of the (chordal) primal graph is contained
-/// in some hyperedge — the conformality half of the MCS acyclicity test.
-pub fn is_conformal_chordal(h: &Hypergraph) -> bool {
-    if h.is_empty() {
-        return true;
-    }
-    let g = h.primal_graph();
-    if !is_chordal(&g) {
-        return false;
-    }
-    maximal_cliques_chordal(&g)
-        .into_iter()
-        .all(|c| h.covers(&c))
 }
 
 /// MCS-based α-acyclicity test: chordal primal graph + conformality.
@@ -270,11 +255,5 @@ mod tests {
         assert!(is_acyclic_mcs(
             &Hypergraph::from_edges([vec!["A", "B", "C"]]).unwrap()
         ));
-    }
-
-    #[test]
-    fn conformality_helper_matches_full_test() {
-        let h = fig1();
-        assert_eq!(is_conformal_chordal(&h), is_acyclic_mcs(&h));
     }
 }

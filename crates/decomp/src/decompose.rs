@@ -93,11 +93,6 @@ impl Decomposition {
             - 1
     }
 
-    /// The elimination order behind the bags (heuristic, order, fill count).
-    pub fn order(&self) -> &EliminationOrder {
-        &self.order
-    }
-
     /// Number of fill edges the triangulation added.
     pub fn fill_edges(&self) -> usize {
         self.order.fill_edges
@@ -206,7 +201,7 @@ pub fn decompose(h: &Hypergraph, heuristic: Heuristic) -> Result<Decomposition, 
 /// Decomposes `h` from an already-computed elimination order — the entry
 /// point for callers that want to compare heuristics or supply a custom
 /// order.
-pub fn decompose_with_order(
+pub(crate) fn decompose_with_order(
     h: &Hypergraph,
     order: EliminationOrder,
 ) -> Result<Decomposition, DecompError> {

@@ -41,7 +41,7 @@ impl Heuristic {
 
 /// The result of running an elimination order to completion.
 #[derive(Debug, Clone)]
-pub struct EliminationOrder {
+pub(crate) struct EliminationOrder {
     /// The nodes in elimination order.
     pub order: Vec<NodeId>,
     /// The neighbourhood of each node at the moment it was eliminated —
@@ -49,13 +49,11 @@ pub struct EliminationOrder {
     pub bags: Vec<hypergraph::NodeSet>,
     /// Total number of fill edges the order added.
     pub fill_edges: usize,
-    /// The heuristic that produced the order.
-    pub heuristic: Heuristic,
 }
 
 /// Runs `heuristic` greedily over (a working copy of) `g` until every node
 /// is eliminated, recording the per-step neighbourhoods and the total fill.
-pub fn elimination_order(g: &Graph, heuristic: Heuristic) -> EliminationOrder {
+pub(crate) fn elimination_order(g: &Graph, heuristic: Heuristic) -> EliminationOrder {
     let mut work = g.clone();
     let n = work.node_count();
     let mut order = Vec::with_capacity(n);
@@ -82,7 +80,6 @@ pub fn elimination_order(g: &Graph, heuristic: Heuristic) -> EliminationOrder {
         order,
         bags,
         fill_edges,
-        heuristic,
     }
 }
 

@@ -52,10 +52,10 @@
 pub mod decompose;
 pub mod elimination;
 
-pub use decompose::{decompose, decompose_with_order, DecompError, Decomposition};
-pub use elimination::{elimination_order, EliminationOrder, Heuristic};
+pub use decompose::{decompose, DecompError, Decomposition};
+pub use elimination::Heuristic;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::{decompose, elimination_order, Decomposition, EliminationOrder, Heuristic};
+    pub use crate::{decompose, Decomposition, Heuristic};
 }

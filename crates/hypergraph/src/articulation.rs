@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 impl Hypergraph {
     /// All candidate articulation sets: the distinct nonempty pairwise
     /// intersections of edges.
-    pub fn edge_intersections(&self) -> Vec<NodeSet> {
+    pub(crate) fn edge_intersections(&self) -> Vec<NodeSet> {
         let mut seen = BTreeSet::new();
         let edges = self.edges();
         for i in 0..edges.len() {
@@ -55,7 +55,7 @@ impl Hypergraph {
 
     /// True if removing the node set `x` increases the number of connected
     /// components (regardless of whether `x` is an edge intersection).
-    pub fn removal_increases_components(&self, x: &NodeSet) -> bool {
+    pub(crate) fn removal_increases_components(&self, x: &NodeSet) -> bool {
         self.components_without(x).len() > self.component_count()
     }
 

@@ -28,7 +28,7 @@ impl Hypergraph {
 
     /// The component containing node `start` (the node itself if it appears
     /// in no edge of the hypergraph).
-    pub fn component_of(&self, start: NodeId) -> NodeSet {
+    pub(crate) fn component_of(&self, start: NodeId) -> NodeSet {
         let mut comp = NodeSet::from_ids([start]);
         let mut frontier = vec![start];
         let mut edge_used = vec![false; self.edge_count()];
@@ -59,38 +59,6 @@ impl Hypergraph {
         self.component_count() <= 1
     }
 
-    /// True if the node set `n` is connected *within this hypergraph*: every
-    /// pair of its nodes is linked by a chain of edges of `self`, each
-    /// consecutive pair of which intersects.
-    ///
-    /// This is connectivity of `n` through whole edges of `self`, which is
-    /// how the paper uses the term when defining articulation sets.  (To ask
-    /// whether `n` is connected as a node-generated hypergraph, use
-    /// [`Hypergraph::induced`] and then `is_connected`.)
-    pub fn is_node_set_connected(&self, n: &NodeSet) -> bool {
-        let Some(start) = n.first() else {
-            return true;
-        };
-        let reach = self.component_of(start);
-        n.is_subset(&reach)
-    }
-
-    /// Partition of the *edges* by component: each entry is the list of edge
-    /// ids whose nodes lie inside the corresponding component of
-    /// [`Hypergraph::components`].
-    pub fn edge_components(&self) -> Vec<Vec<crate::edge::EdgeId>> {
-        let comps = self.components();
-        comps
-            .iter()
-            .map(|c| {
-                self.edge_entries()
-                    .filter(|(_, e)| e.nodes.is_subset(c))
-                    .map(|(id, _)| id)
-                    .collect()
-            })
-            .collect()
-    }
-
     /// The components of the hypergraph obtained by deleting the node set
     /// `x` from every edge (dropping emptied edges).  This is the quantity
     /// articulation sets are defined in terms of.
@@ -101,7 +69,6 @@ impl Hypergraph {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::hypergraph::Hypergraph;
 
     fn fig1() -> Hypergraph {
@@ -147,14 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn node_set_connectivity() {
-        let h = Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"], vec!["D", "E"]]).unwrap();
-        assert!(h.is_node_set_connected(&h.node_set(["A", "C"]).unwrap()));
-        assert!(!h.is_node_set_connected(&h.node_set(["A", "D"]).unwrap()));
-        assert!(h.is_node_set_connected(&NodeSet::new()));
-    }
-
-    #[test]
     fn removing_articulation_nodes_splits_components() {
         // Removing {C, E} from Fig. 1 separates {A, B, F} from {D}.
         let h = fig1();
@@ -163,14 +122,5 @@ mod tests {
         assert_eq!(comps.len(), 2);
         assert!(comps.contains(&h.node_set(["A", "B", "F"]).unwrap()));
         assert!(comps.contains(&h.node_set(["D"]).unwrap()));
-    }
-
-    #[test]
-    fn edge_components_partition_edges() {
-        let h = Hypergraph::from_edges([vec!["A", "B"], vec!["C", "D"], vec!["B", "E"]]).unwrap();
-        let parts = h.edge_components();
-        assert_eq!(parts.len(), 2);
-        let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
-        assert!(sizes.contains(&2) && sizes.contains(&1));
     }
 }

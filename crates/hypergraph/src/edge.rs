@@ -1,6 +1,5 @@
 //! Hyperedges and partial edges.
 
-use crate::interner::Universe;
 use crate::nodeset::NodeSet;
 use std::fmt;
 
@@ -58,36 +57,6 @@ impl Edge {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// True if this edge's node set is a subset of `other`'s.
-    pub fn is_subsumed_by(&self, other: &Edge) -> bool {
-        self.nodes.is_subset(&other.nodes)
-    }
-
-    /// Renders the edge as `label{A, B, C}` using `universe` for node names.
-    pub fn display<'a>(&'a self, universe: &'a Universe) -> EdgeDisplay<'a> {
-        EdgeDisplay {
-            edge: self,
-            universe,
-        }
-    }
-}
-
-/// Helper returned by [`Edge::display`].
-pub struct EdgeDisplay<'a> {
-    edge: &'a Edge,
-    universe: &'a Universe,
-}
-
-impl fmt::Display for EdgeDisplay<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}{}",
-            self.edge.label,
-            self.edge.nodes.display(self.universe)
-        )
-    }
 }
 
 #[cfg(test)]
@@ -99,18 +68,10 @@ mod tests {
     fn subsumption() {
         let a = Edge::new("a", NodeSet::from_ids([NodeId(0), NodeId(1)]));
         let b = Edge::new("b", NodeSet::from_ids([NodeId(0), NodeId(1), NodeId(2)]));
-        assert!(a.is_subsumed_by(&b));
-        assert!(a.is_subsumed_by(&a.clone()));
-        assert!(!b.is_subsumed_by(&a));
+        assert!(a.nodes.is_subset(&b.nodes));
+        assert!(!b.nodes.is_subset(&a.nodes));
         assert_eq!(a.len(), 2);
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn display_includes_label_and_names() {
-        let u = Universe::from_names(["A", "B"]);
-        let e = Edge::new("R1", NodeSet::from_names(&u, ["A", "B"]).unwrap());
-        assert_eq!(format!("{}", e.display(&u)), "R1{A, B}");
     }
 
     #[test]

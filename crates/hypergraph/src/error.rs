@@ -9,18 +9,8 @@ pub enum HypergraphError {
     UnknownNode(String),
     /// A node id outside the universe was used.
     UnknownNodeId(u32),
-    /// An edge id outside the hypergraph was used.
-    UnknownEdge(u32),
     /// An edge with no nodes was supplied where a nonempty edge is required.
     EmptyEdge(String),
-    /// A hypergraph with no edges was supplied where at least one edge is
-    /// required.
-    EmptyHypergraph,
-    /// An operation that requires a connected hypergraph was applied to a
-    /// disconnected one.
-    Disconnected,
-    /// A candidate articulation set failed verification.
-    NotAnArticulationSet(String),
 }
 
 impl fmt::Display for HypergraphError {
@@ -28,13 +18,7 @@ impl fmt::Display for HypergraphError {
         match self {
             Self::UnknownNode(name) => write!(f, "unknown node name {name:?}"),
             Self::UnknownNodeId(id) => write!(f, "node id n{id} is not in the universe"),
-            Self::UnknownEdge(id) => write!(f, "edge id e{id} is not in the hypergraph"),
             Self::EmptyEdge(label) => write!(f, "edge {label:?} has no nodes"),
-            Self::EmptyHypergraph => write!(f, "the hypergraph has no edges"),
-            Self::Disconnected => write!(f, "the hypergraph is not connected"),
-            Self::NotAnArticulationSet(s) => {
-                write!(f, "{s} is not an articulation set of the hypergraph")
-            }
         }
     }
 }
@@ -54,14 +38,7 @@ mod tests {
             HypergraphError::UnknownNode("X".into()).to_string(),
             "unknown node name \"X\""
         );
-        assert!(HypergraphError::EmptyHypergraph
-            .to_string()
-            .contains("no edges"));
-        assert!(HypergraphError::UnknownEdge(7).to_string().contains("e7"));
         assert!(HypergraphError::UnknownNodeId(7).to_string().contains("n7"));
-        assert!(HypergraphError::Disconnected
-            .to_string()
-            .contains("not connected"));
     }
 
     #[test]

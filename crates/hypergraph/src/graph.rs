@@ -5,9 +5,9 @@
 //! no articulation point iff there are two edge-disjoint paths between every
 //! pair of nodes (equivalently, it is a single block / biconnected
 //! component).  This module supplies that classical machinery: articulation
-//! points, biconnected components, spanning trees, and path search — used
-//! both for the graph-vs-hypergraph comparison and as a substrate for primal
-//! graphs and join-tree verification.
+//! points, biconnected components, connected components and vertex
+//! elimination — used both for the graph-vs-hypergraph comparison and as a
+//! substrate for primal graphs, join-tree verification and decompositions.
 
 use crate::interner::NodeId;
 use crate::nodeset::NodeSet;
@@ -72,22 +72,8 @@ impl Graph {
         self.adjacency.values().map(|s| s.len()).sum::<usize>() / 2
     }
 
-    /// All edges as ordered pairs `(min, max)`.
-    pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
-        let mut out = Vec::new();
-        for (&a, nbrs) in &self.adjacency {
-            for b in nbrs.iter() {
-                if a < b {
-                    out.push((a, b));
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
     /// The connected components of the graph.
-    pub fn components(&self) -> Vec<NodeSet> {
+    pub(crate) fn components(&self) -> Vec<NodeSet> {
         let mut remaining = self.nodes();
         let mut out = Vec::new();
         while let Some(start) = remaining.first() {
@@ -100,7 +86,7 @@ impl Graph {
     }
 
     /// Nodes reachable from `start` (including `start` itself).
-    pub fn reachable_from(&self, start: NodeId) -> NodeSet {
+    pub(crate) fn reachable_from(&self, start: NodeId) -> NodeSet {
         let mut seen = NodeSet::from_ids([start]);
         let mut queue = VecDeque::from([start]);
         while let Some(n) = queue.pop_front() {
@@ -116,35 +102,6 @@ impl Graph {
     /// True if the graph has at most one connected component.
     pub fn is_connected(&self) -> bool {
         self.components().len() <= 1
-    }
-
-    /// A shortest path from `from` to `to` (inclusive), if one exists.
-    pub fn shortest_path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        if from == to {
-            return self.adjacency.contains_key(&from).then(|| vec![from]);
-        }
-        let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut seen = NodeSet::from_ids([from]);
-        let mut queue = VecDeque::from([from]);
-        while let Some(n) = queue.pop_front() {
-            for m in self.neighbors(n).iter() {
-                if seen.insert(m) {
-                    prev.insert(m, n);
-                    if m == to {
-                        let mut path = vec![to];
-                        let mut cur = to;
-                        while let Some(&p) = prev.get(&cur) {
-                            path.push(p);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(m);
-                }
-            }
-        }
-        None
     }
 
     /// The articulation points (cut vertices) of the graph, via Tarjan's
@@ -301,7 +258,7 @@ impl Graph {
 
     /// Removes a node and every edge incident to it (idempotent).  Costs
     /// `O(deg(n))`: only the former neighbours' adjacency sets are touched.
-    pub fn remove_node(&mut self, n: NodeId) {
+    pub(crate) fn remove_node(&mut self, n: NodeId) {
         if let Some(nbrs) = self.adjacency.remove(&n) {
             for m in nbrs.iter() {
                 if let Some(s) = self.adjacency.get_mut(&m) {
@@ -347,22 +304,6 @@ impl Graph {
         }
         self.remove_node(n);
         nbrs
-    }
-
-    /// A spanning tree of the component containing `root`, as parent links.
-    pub fn spanning_tree(&self, root: NodeId) -> HashMap<NodeId, NodeId> {
-        let mut parent = HashMap::new();
-        let mut seen = NodeSet::from_ids([root]);
-        let mut queue = VecDeque::from([root]);
-        while let Some(n) = queue.pop_front() {
-            for m in self.neighbors(n).iter() {
-                if seen.insert(m) {
-                    parent.insert(m, n);
-                    queue.push_back(m);
-                }
-            }
-        }
-        parent
     }
 
     /// True if the graph is acyclic when viewed as an undirected graph
@@ -415,7 +356,7 @@ mod tests {
         assert_eq!(g.edge_count(), 2);
         assert!(g.has_edge(n(1), n(0)));
         assert!(!g.has_edge(n(0), n(2)));
-        assert_eq!(g.edges(), vec![(n(0), n(1)), (n(1), n(2))]);
+        assert!(g.has_edge(n(1), n(2)));
     }
 
     #[test]
@@ -433,22 +374,6 @@ mod tests {
         assert!(!g.is_connected());
         assert_eq!(g.components().len(), 2);
         assert!(path(4).is_connected());
-    }
-
-    #[test]
-    fn shortest_paths() {
-        let g = cycle(6);
-        let p = g.shortest_path(n(0), n(3)).unwrap();
-        assert_eq!(p.len(), 4); // 0-1-2-3 or 0-5-4-3
-        assert_eq!(p[0], n(0));
-        assert_eq!(p[3], n(3));
-        assert_eq!(g.shortest_path(n(0), n(0)), Some(vec![n(0)]));
-        let disconnected = {
-            let mut g = path(2);
-            g.add_node(n(9));
-            g
-        };
-        assert_eq!(disconnected.shortest_path(n(0), n(9)), None);
     }
 
     #[test]
@@ -491,16 +416,6 @@ mod tests {
         let comps = g.biconnected_components();
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0], g.nodes());
-    }
-
-    #[test]
-    fn spanning_tree_reaches_component() {
-        let g = cycle(5);
-        let t = g.spanning_tree(n(0));
-        assert_eq!(t.len(), 4); // every node except the root has a parent
-        for (&child, &parent) in &t {
-            assert!(g.has_edge(child, parent));
-        }
     }
 
     #[test]

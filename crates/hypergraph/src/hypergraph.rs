@@ -101,13 +101,6 @@ impl Hypergraph {
         &self.edges
     }
 
-    /// The edge with id `id`.
-    pub fn edge(&self, id: EdgeId) -> Result<&Edge> {
-        self.edges
-            .get(id.index())
-            .ok_or(HypergraphError::UnknownEdge(id.0))
-    }
-
     /// Iterates over `(EdgeId, &Edge)` pairs.
     pub fn edge_entries(&self) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {
         self.edges
@@ -241,7 +234,7 @@ impl Hypergraph {
 
     /// Removes the nodes in `x` from every edge, dropping edges that become
     /// empty.  The result is *not* reduced automatically.
-    pub fn remove_nodes(&self, x: &NodeSet) -> Hypergraph {
+    pub(crate) fn remove_nodes(&self, x: &NodeSet) -> Hypergraph {
         let edges = self
             .edges
             .iter()
@@ -255,7 +248,7 @@ impl Hypergraph {
     /// node sets.  Two hypergraphs over the same universe are *equal as
     /// hypergraphs* iff their canonical forms agree (labels and edge order
     /// are ignored).
-    pub fn canonical_edge_sets(&self) -> BTreeSet<NodeSet> {
+    pub(crate) fn canonical_edge_sets(&self) -> BTreeSet<NodeSet> {
         self.edges.iter().map(|e| e.nodes.clone()).collect()
     }
 
@@ -505,7 +498,10 @@ mod tests {
 
     #[test]
     fn with_universe_validates_ids() {
-        let u = Universe::from_names(["A", "B"]);
+        let mut u = Universe::default();
+        u.intern("A");
+        u.intern("B");
+        let u = Arc::new(u);
         let bad = Edge::new("x", NodeSet::from_ids([NodeId(5)]));
         assert_eq!(
             Hypergraph::with_universe(Arc::clone(&u), vec![bad]).unwrap_err(),
@@ -513,15 +509,5 @@ mod tests {
         );
         let ok = Edge::new("x", NodeSet::from_ids([NodeId(0), NodeId(1)]));
         assert!(Hypergraph::with_universe(u, vec![ok]).is_ok());
-    }
-
-    #[test]
-    fn edge_lookup_errors_out_of_range() {
-        let h = fig1();
-        assert!(h.edge(EdgeId(0)).is_ok());
-        assert_eq!(
-            h.edge(EdgeId(99)).unwrap_err(),
-            HypergraphError::UnknownEdge(99)
-        );
     }
 }

@@ -9,7 +9,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifier of a node (an *attribute* in the database reading of the
 /// paper).  `NodeId`s index into the [`Universe`] they were created by.
@@ -34,7 +33,7 @@ impl fmt::Display for NodeId {
 ///
 /// A universe is created once (usually by
 /// [`HypergraphBuilder`](crate::hypergraph::HypergraphBuilder)) and then
-/// shared, via [`Arc`], by every hypergraph derived from the original.
+/// shared, via [`Arc`](std::sync::Arc), by every hypergraph derived from the original.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Universe {
     names: Vec<String>,
@@ -42,28 +41,8 @@ pub struct Universe {
 }
 
 impl Universe {
-    /// Creates an empty universe.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a universe containing the given names, in order.
-    ///
-    /// Duplicate names are collapsed to a single node.
-    pub fn from_names<I, S>(names: I) -> Arc<Self>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut u = Self::new();
-        for n in names {
-            u.intern(n.as_ref());
-        }
-        Arc::new(u)
-    }
-
     /// Interns `name`, returning its id.  Idempotent.
-    pub fn intern(&mut self, name: &str) -> NodeId {
+    pub(crate) fn intern(&mut self, name: &str) -> NodeId {
         if let Some(&id) = self.index.get(name) {
             return id;
         }
@@ -74,7 +53,7 @@ impl Universe {
     }
 
     /// Looks up a name without interning it.
-    pub fn get(&self, name: &str) -> Option<NodeId> {
+    pub(crate) fn get(&self, name: &str) -> Option<NodeId> {
         self.index.get(name).copied()
     }
 
@@ -87,7 +66,7 @@ impl Universe {
     }
 
     /// The name of `id`, if it belongs to this universe.
-    pub fn try_name(&self, id: NodeId) -> Option<&str> {
+    pub(crate) fn try_name(&self, id: NodeId) -> Option<&str> {
         self.names.get(id.index()).map(String::as_str)
     }
 
@@ -101,21 +80,8 @@ impl Universe {
         self.names.is_empty()
     }
 
-    /// Iterates over all node ids in this universe, in interning order.
-    pub fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.names.len() as u32).map(NodeId)
-    }
-
-    /// Iterates over `(id, name)` pairs in interning order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &str)> + '_ {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (NodeId(i as u32), n.as_str()))
-    }
-
     /// True if `id` is a valid node of this universe.
-    pub fn contains_id(&self, id: NodeId) -> bool {
+    pub(crate) fn contains_id(&self, id: NodeId) -> bool {
         id.index() < self.names.len()
     }
 }
@@ -124,9 +90,17 @@ impl Universe {
 mod tests {
     use super::*;
 
+    fn universe(names: &[&str]) -> Universe {
+        let mut u = Universe::default();
+        for name in names {
+            u.intern(name);
+        }
+        u
+    }
+
     #[test]
     fn intern_is_idempotent() {
-        let mut u = Universe::new();
+        let mut u = Universe::default();
         let a = u.intern("A");
         let b = u.intern("B");
         let a2 = u.intern("A");
@@ -137,7 +111,7 @@ mod tests {
 
     #[test]
     fn lookup_by_name_and_id() {
-        let u = Universe::from_names(["A", "B", "C"]);
+        let u = universe(&["A", "B", "C"]);
         assert_eq!(u.get("B"), Some(NodeId(1)));
         assert_eq!(u.name(NodeId(2)), "C");
         assert_eq!(u.get("Z"), None);
@@ -146,22 +120,20 @@ mod tests {
 
     #[test]
     fn from_names_dedups() {
-        let u = Universe::from_names(["A", "B", "A"]);
+        let u = universe(&["A", "B", "A"]);
         assert_eq!(u.len(), 2);
     }
 
     #[test]
     fn iteration_order_is_interning_order() {
-        let u = Universe::from_names(["X", "Y", "Z"]);
-        let names: Vec<&str> = u.iter().map(|(_, n)| n).collect();
+        let u = universe(&["X", "Y", "Z"]);
+        let names: Vec<&str> = (0..3).map(|i| u.name(NodeId(i))).collect();
         assert_eq!(names, vec!["X", "Y", "Z"]);
-        let ids: Vec<NodeId> = u.ids().collect();
-        assert_eq!(ids, vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
 
     #[test]
     fn contains_id_bounds() {
-        let u = Universe::from_names(["A"]);
+        let u = universe(&["A"]);
         assert!(u.contains_id(NodeId(0)));
         assert!(!u.contains_id(NodeId(1)));
     }

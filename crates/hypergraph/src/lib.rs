@@ -11,8 +11,8 @@
 //! * node-generated sets of edges (induced partial-edge hypergraphs),
 //! * articulation sets,
 //! * ordinary graphs ([`Graph`]) with articulation points and biconnected
-//!   components — the classical theory the paper generalizes — plus primal,
-//!   line and DOT views of hypergraphs.
+//!   components — the classical theory the paper generalizes — plus primal
+//!   and DOT views of hypergraphs.
 //!
 //! The algorithms of the paper itself (Graham reduction, tableau reduction,
 //! canonical connections, independent paths, Theorem 6.1) live in the
@@ -28,7 +28,7 @@
 //! | `induced` | node-generated partial-edge hypergraphs `H(X)` (§2) |
 //! | `articulation` | articulation sets — the hypergraph generalization of articulation points (§4) |
 //! | `graph` | ordinary graphs, articulation points, biconnected components — the classical theory being generalized |
-//! | `primal` | primal ("2-section") and line-graph views used by the MCS acyclicity test |
+//! | `primal` | the primal ("2-section") graph used by the MCS acyclicity test and by decompositions |
 //! | `dot` | Graphviz/ASCII rendering of the bipartite incidence structure (presentation only) |
 //! | `error` | shared error type for malformed inputs |
 //!
@@ -65,7 +65,7 @@ mod interner;
 mod nodeset;
 mod primal;
 
-pub use edge::{Edge, EdgeDisplay, EdgeId};
+pub use edge::{Edge, EdgeId};
 pub use error::{HypergraphError, Result};
 pub use graph::Graph;
 pub use hypergraph::{Hypergraph, HypergraphBuilder, HypergraphDisplay};

@@ -27,20 +27,10 @@ impl NodeSet {
 
     /// Creates an empty set with room for nodes `0..capacity` without
     /// reallocation.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
             words: vec![0; capacity.div_ceil(BITS)],
         }
-    }
-
-    /// Creates the set `{0, 1, …, n-1}`: every node of a universe with `n`
-    /// nodes.
-    pub fn full(n: usize) -> Self {
-        let mut s = Self::with_capacity(n);
-        for i in 0..n {
-            s.insert(NodeId(i as u32));
-        }
-        s
     }
 
     /// Builds a set from anything yielding node ids.
@@ -50,20 +40,6 @@ impl NodeSet {
             s.insert(id);
         }
         s
-    }
-
-    /// Builds a set by looking node names up in `universe`.
-    ///
-    /// Returns `None` if any name is unknown.
-    pub fn from_names<'a, I>(universe: &Universe, names: I) -> Option<Self>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        let mut s = Self::new();
-        for name in names {
-            s.insert(universe.get(name)?);
-        }
-        Some(s)
     }
 
     #[inline]
@@ -110,11 +86,6 @@ impl NodeSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Removes all nodes.
-    pub fn clear(&mut self) {
-        self.words.clear();
-    }
-
     /// Iterates over the node ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &word)| {
@@ -134,16 +105,6 @@ impl NodeSet {
     /// Smallest node id in the set, if any.
     pub fn first(&self) -> Option<NodeId> {
         self.iter().next()
-    }
-
-    /// The single element of a singleton set, or `None` if the set has zero
-    /// or more than one element.
-    pub fn as_singleton(&self) -> Option<NodeId> {
-        let mut it = self.iter();
-        match (it.next(), it.next()) {
-            (Some(id), None) => Some(id),
-            _ => None,
-        }
     }
 
     fn binary(&self, other: &Self, f: impl Fn(u64, u64) -> u64) -> Self {
@@ -209,22 +170,12 @@ impl NodeSet {
         self.is_subset(other) && self != other
     }
 
-    /// True if `self ⊇ other`.
-    pub fn is_superset(&self, other: &Self) -> bool {
-        other.is_subset(self)
-    }
-
     /// True if the two sets share no node.
     pub fn is_disjoint(&self, other: &Self) -> bool {
         self.words
             .iter()
             .zip(other.words.iter())
             .all(|(&a, &b)| a & b == 0)
-    }
-
-    /// True if the two sets share at least one node.
-    pub fn intersects(&self, other: &Self) -> bool {
-        !self.is_disjoint(other)
     }
 
     /// Renders the set using the node names of `universe`, e.g. `{A, C, E}`.
@@ -337,6 +288,7 @@ impl fmt::Display for NodeSetDisplay<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hypergraph::Hypergraph;
 
     fn set(ids: &[u32]) -> NodeSet {
         ids.iter().map(|&i| NodeId(i)).collect()
@@ -387,12 +339,11 @@ mod tests {
         let b = set(&[0, 1, 2, 3]);
         assert!(a.is_subset(&b));
         assert!(a.is_proper_subset(&b));
-        assert!(b.is_superset(&a));
         assert!(!b.is_subset(&a));
         assert!(!a.is_proper_subset(&a.clone()));
         assert!(a.is_subset(&a.clone()));
         assert!(set(&[5]).is_disjoint(&a));
-        assert!(a.intersects(&b));
+        assert!(!a.is_disjoint(&b));
     }
 
     #[test]
@@ -420,13 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn singleton_detection() {
-        assert_eq!(set(&[7]).as_singleton(), Some(NodeId(7)));
-        assert_eq!(set(&[]).as_singleton(), None);
-        assert_eq!(set(&[1, 2]).as_singleton(), None);
-    }
-
-    #[test]
     fn in_place_ops() {
         let mut a = set(&[0, 1, 2]);
         a.union_with(&set(&[3, 100]));
@@ -439,22 +383,17 @@ mod tests {
 
     #[test]
     fn full_and_from_names() {
-        let f = NodeSet::full(67);
-        assert_eq!(f.len(), 67);
-        assert!(f.contains(NodeId(66)));
-        assert!(!f.contains(NodeId(67)));
-
-        let u = Universe::from_names(["A", "B", "C"]);
-        let s = NodeSet::from_names(&u, ["A", "C"]).unwrap();
-        assert_eq!(s.names(&u), vec!["A", "C"]);
-        assert!(NodeSet::from_names(&u, ["A", "Z"]).is_none());
+        let h = Hypergraph::from_edges([vec!["A", "B", "C"]]).unwrap();
+        let s = h.node_set(["A", "C"]).unwrap();
+        assert_eq!(s.names(h.universe()), vec!["A", "C"]);
+        assert!(h.node_set(["A", "Z"]).is_err());
     }
 
     #[test]
     fn display_uses_names() {
-        let u = Universe::from_names(["A", "B", "C"]);
-        let s = NodeSet::from_names(&u, ["C", "A"]).unwrap();
-        assert_eq!(format!("{}", s.display(&u)), "{A, C}");
+        let h = Hypergraph::from_edges([vec!["A", "B", "C"]]).unwrap();
+        let s = h.node_set(["C", "A"]).unwrap();
+        assert_eq!(format!("{}", s.display(h.universe())), "{A, C}");
     }
 
     #[test]

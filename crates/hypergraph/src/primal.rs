@@ -1,15 +1,12 @@
-//! Primal (Gaifman), dual and line graphs of a hypergraph.
+//! The primal (Gaifman) graph of a hypergraph.
 //!
-//! These ordinary-graph views connect the hypergraph world of the paper back
+//! This ordinary-graph view connects the hypergraph world of the paper back
 //! to classical graph theory: the primal graph joins two nodes iff they
-//! co-occur in an edge; the line (intersection) graph joins two edges iff
-//! they share a node.
+//! co-occur in an edge.
 
-use crate::edge::EdgeId;
 use crate::graph::Graph;
 use crate::hypergraph::Hypergraph;
 use crate::interner::NodeId;
-use std::collections::HashMap;
 
 impl Hypergraph {
     /// The primal (Gaifman) graph: nodes of the hypergraph, with an edge
@@ -28,43 +25,6 @@ impl Hypergraph {
             }
         }
         g
-    }
-
-    /// The line (intersection) graph: one graph-node per hyperedge, adjacent
-    /// when the hyperedges intersect.  Returns the graph plus the mapping
-    /// from graph node ids (fresh, dense) to hyperedge ids.
-    pub fn line_graph(&self) -> (Graph, HashMap<NodeId, EdgeId>) {
-        let mut g = Graph::new();
-        let mut map = HashMap::new();
-        for (i, _) in self.edges().iter().enumerate() {
-            let gnode = NodeId(i as u32);
-            g.add_node(gnode);
-            map.insert(gnode, EdgeId(i as u32));
-        }
-        for i in 0..self.edge_count() {
-            for j in i + 1..self.edge_count() {
-                if self.edges()[i].nodes.intersects(&self.edges()[j].nodes) {
-                    g.add_edge(NodeId(i as u32), NodeId(j as u32));
-                }
-            }
-        }
-        (g, map)
-    }
-
-    /// True if every clique of the primal graph induced by a hyperedge is
-    /// maximal, i.e. the hypergraph is *conformal*… restricted to the cheap
-    /// direction we need: each hyperedge is a clique of the primal graph.
-    /// (Full conformality testing lives in the `acyclic` crate's hierarchy
-    /// module; this helper is used by its tests.)
-    pub fn edges_are_primal_cliques(&self) -> bool {
-        let g = self.primal_graph();
-        self.edges().iter().all(|e| {
-            let members: Vec<NodeId> = e.nodes.iter().collect();
-            members
-                .iter()
-                .enumerate()
-                .all(|(i, &a)| members[i + 1..].iter().all(|&b| g.has_edge(a, b)))
-        })
     }
 }
 
@@ -95,29 +55,6 @@ mod tests {
         assert!(g.has_edge(c, d));
         assert!(!g.has_edge(b, d));
         assert!(g.is_connected());
-    }
-
-    #[test]
-    fn line_graph_of_fig1_is_complete() {
-        let h = fig1();
-        let (g, map) = h.line_graph();
-        assert_eq!(g.node_count(), 4);
-        // Every pair of Fig. 1 edges intersects, so the line graph is K4.
-        assert_eq!(g.edge_count(), 6);
-        assert_eq!(map.len(), 4);
-    }
-
-    #[test]
-    fn line_graph_of_disjoint_edges_is_empty() {
-        let h = Hypergraph::from_edges([vec!["A", "B"], vec!["C", "D"]]).unwrap();
-        let (g, _) = h.line_graph();
-        assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.node_count(), 2);
-    }
-
-    #[test]
-    fn edges_are_cliques_of_primal_graph() {
-        assert!(fig1().edges_are_primal_cliques());
     }
 
     #[test]

@@ -424,7 +424,10 @@ fn bench_writes_json_and_guards_against_regressions() {
     }
     // Every row carries its dispersion: the median batch beside the fastest.
     for row in &rows {
-        let ns = |key| row.get(key).and_then(Json::as_i64);
+        let ns = |key| match row.get(key) {
+            Some(Json::Int(n)) => Some(*n),
+            _ => None,
+        };
         assert!(ns("ns_median") >= ns("ns_per_iter"), "row: {row}");
         assert!(ns("ns_per_iter").is_some(), "row: {row}");
     }

@@ -56,17 +56,9 @@ impl Json {
     }
 
     /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The integer payload, if this is an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -80,7 +72,7 @@ impl Json {
     }
 
     /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,

@@ -11,7 +11,7 @@
 //! | [`json`] | dependency-free JSON value, parser and serializer |
 //! | [`protocol`] | typed request/response frames, canonical (round-tripping) serialization, the engine vocabulary and the error-kind → exit-code contract, and the JSON document of `reldb`'s metrics report — every wire rendering |
 //! | [`load`] | the text schema/data parsers and snapshot loading, shared with the `hyperq` CLI |
-//! | [`stats`] | server telemetry: log-bucketed latency [`stats::Histogram`]s, the atomic [`stats::StatsRegistry`], canonical JSON snapshots and Prometheus-style exposition |
+//! | [`stats`] | server telemetry: log-bucketed latency [`stats::Histogram`]s, the server's atomic registry, canonical JSON snapshots and Prometheus-style exposition |
 //! | [`server`] | the TCP server: thread-per-connection, per-request [`reldb::QueryGovernor`]s, each query on its connection's thread, prepared queries, per-query trace ids, a slow-query log, graceful shutdown |
 //!
 //! The server is a library first (the differential soak and fault
@@ -33,4 +33,4 @@ pub use protocol::{
     Overrides, QuerySpec, Request, Response, Rows, WireError, MAX_LINE,
 };
 pub use server::{answer_frame, ServeStats, Server, ServerConfig, ServerHandle};
-pub use stats::{Histogram, StatsRegistry};
+pub use stats::Histogram;

@@ -189,7 +189,7 @@ pub fn render_database(db: &Database) -> String {
 
 /// Whether two schemas describe the same labeled edges over the same
 /// attribute names, irrespective of internal node numbering.
-pub fn same_schema(a: &Hypergraph, b: &Hypergraph) -> bool {
+pub(crate) fn same_schema(a: &Hypergraph, b: &Hypergraph) -> bool {
     a.edge_count() == b.edge_count()
         && a.edges().iter().zip(b.edges()).all(|(ea, eb)| {
             let names_a: Vec<&str> = ea.nodes.iter().map(|n| a.universe().name(n)).collect();
@@ -257,8 +257,7 @@ fn load_snapshot(path: &Path) -> Result<Database, EngineError> {
 
 /// Loads a database from a [`DbSource`].  Text data is parsed against the
 /// schema file; snapshot data streams through [`Database::load_snapshot`]
-/// and must carry the same labeled edges as the schema file
-/// ([`same_schema`]).
+/// and must carry the same labeled edges as the schema file.
 pub fn load_source(source: &DbSource) -> Result<Database, EngineError> {
     match source {
         DbSource::Snapshot(path) => {

@@ -113,13 +113,8 @@ pub struct Overrides {
 }
 
 impl Overrides {
-    /// True when no field is set.
-    pub fn is_empty(&self) -> bool {
-        *self == Overrides::default()
-    }
-
     /// Request-time overrides layered over prepared defaults.
-    pub fn layered_over(&self, base: &Overrides) -> Overrides {
+    pub(crate) fn layered_over(&self, base: &Overrides) -> Overrides {
         Overrides {
             timeout_ms: self.timeout_ms.or(base.timeout_ms),
             mem_budget_mb: self.mem_budget_mb.or(base.mem_budget_mb),
@@ -426,7 +421,7 @@ impl ErrorKind {
 
     /// The canonical wire name of this error kind — also the `outcome`
     /// label value in the server's stats registry.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ErrorKind::Proto => "proto",
             ErrorKind::UnknownDb => "unknown-db",
@@ -835,9 +830,9 @@ pub enum Response {
     /// Prometheus-style text exposition when the request asked for it.
     /// Exactly one of the two fields is set.
     Stats {
-        /// The JSON snapshot ([`crate::stats::StatsRegistry::snapshot_json`]).
+        /// The JSON snapshot of the server's counters and histogram.
         stats: Option<Json>,
-        /// The text exposition ([`crate::stats::StatsRegistry::prometheus`]).
+        /// The same figures as Prometheus-style text exposition.
         text: Option<String>,
     },
     /// A structured error; the connection stays usable afterwards (except

@@ -36,7 +36,7 @@
 //!
 //! Every query/run request is stamped with a trace id (`q-000001`, …) at
 //! admission and echoes it in its answer or error frame.  A process-wide
-//! [`StatsRegistry`] counts requests by op, queries by engine and outcome,
+//! stats registry counts requests by op, queries by engine and outcome,
 //! bytes in/out and in-flight queries, and buckets server-side latency;
 //! the `stats` op snapshots it.  When the slow-query log is armed
 //! ([`ServerConfig::slow_ms`]), every query runs metered, under the
@@ -254,7 +254,7 @@ impl Server {
     /// Arms the slow-query log at `ms` milliseconds (0 disarms it).  While
     /// armed, queries execute under a [`CollectingSink`] so logged lines
     /// carry their metrics; disarmed servers run the unmetered pipelines.
-    pub fn set_slow_ms(&self, ms: u64) {
+    pub(crate) fn set_slow_ms(&self, ms: u64) {
         self.state.slow_ms.store(ms, Ordering::Relaxed);
     }
 

@@ -5,11 +5,10 @@
 //!
 //! * [`Histogram`] — a plain-value log-bucketed latency histogram whose
 //!   arithmetic (bucketing, merge, quantiles) is pure and proptestable;
-//! * [`StatsRegistry`] — the server's lock-free aggregation point: atomic
+//! * the server's lock-free registry, its aggregation point: atomic
 //!   counters keyed by protocol op, engine and outcome, byte meters, an
 //!   in-flight gauge and an atomic edition of the histogram, snapshotted
-//!   into canonical JSON ([`StatsRegistry::snapshot_json`]) or
-//!   Prometheus-style text exposition ([`StatsRegistry::prometheus`]).
+//!   into canonical JSON or Prometheus-style text exposition.
 //!
 //! # Bucketing scheme
 //!
@@ -37,7 +36,7 @@ pub const BUCKETS: usize = 496;
 /// The bucket a value lands in.  Exact below 8; logarithmic with 3
 /// significant bits above.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < 8 {
         v as usize
     } else {
@@ -63,7 +62,7 @@ pub fn bucket_floor(idx: usize) -> u64 {
 /// The representative value a quantile reports for bucket `idx`: its floor
 /// plus half its width, which bounds the relative error at 1/16.
 #[inline]
-pub fn bucket_value(idx: usize) -> u64 {
+pub(crate) fn bucket_value(idx: usize) -> u64 {
     if idx < 8 {
         idx as u64
     } else {
@@ -188,7 +187,7 @@ impl Histogram {
 /// `fetch_add` plus one `fetch_max` per sample), snapshotted into the
 /// plain value for all arithmetic.
 #[derive(Debug)]
-pub struct AtomicHistogram {
+pub(crate) struct AtomicHistogram {
     counts: Vec<AtomicU64>,
     max: AtomicU64,
 }
@@ -204,7 +203,7 @@ impl Default for AtomicHistogram {
 
 impl AtomicHistogram {
     /// Records one sample.
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -212,7 +211,7 @@ impl AtomicHistogram {
     /// A point-in-time copy.  The total is derived from the bucket counts,
     /// so a snapshot is always internally consistent (count == Σ buckets)
     /// even while samples arrive concurrently.
-    pub fn snapshot(&self) -> Histogram {
+    pub(crate) fn snapshot(&self) -> Histogram {
         Histogram {
             counts: self
                 .counts
@@ -276,7 +275,7 @@ fn engine_index(engine: EngineKind) -> usize {
 /// latency histogram, all updated with relaxed atomics on the request
 /// path and snapshotted by the `stats` op.
 #[derive(Debug)]
-pub struct StatsRegistry {
+pub(crate) struct StatsRegistry {
     started: Instant,
     requests_by_op: [AtomicU64; 8],
     queries_by_engine: [AtomicU64; 3],
@@ -306,13 +305,13 @@ impl Default for StatsRegistry {
 
 impl StatsRegistry {
     /// A fresh registry; uptime counts from here.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Counts one request frame under its op label (an index into
     /// [`OP_LABELS`]; `"invalid"` for unframeable input).
-    pub fn record_request(&self, op_label: &str) {
+    pub(crate) fn record_request(&self, op_label: &str) {
         let idx = OP_LABELS
             .iter()
             .position(|&l| l == op_label)
@@ -323,7 +322,7 @@ impl StatsRegistry {
     /// Counts one executed query: which engine ran it (when execution was
     /// reached), how it ended, and its server-side latency in
     /// microseconds.
-    pub fn record_query(
+    pub(crate) fn record_query(
         &self,
         engine: Option<EngineKind>,
         outcome: Result<(), ErrorKind>,
@@ -337,27 +336,27 @@ impl StatsRegistry {
     }
 
     /// Meters bytes read off client sockets.
-    pub fn add_bytes_in(&self, n: u64) {
+    pub(crate) fn add_bytes_in(&self, n: u64) {
         self.bytes_in.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Meters bytes written to client sockets.
-    pub fn add_bytes_out(&self, n: u64) {
+    pub(crate) fn add_bytes_out(&self, n: u64) {
         self.bytes_out.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Raises the in-flight query gauge.
-    pub fn query_begin(&self) {
+    pub(crate) fn query_begin(&self) {
         self.in_flight.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Lowers the in-flight query gauge.
-    pub fn query_end(&self) {
+    pub(crate) fn query_end(&self) {
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Counts one slow-query-log line.
-    pub fn record_slow(&self) {
+    pub(crate) fn record_slow(&self) {
         self.slow_queries.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -366,7 +365,7 @@ impl StatsRegistry {
     /// snapshot time, so the invariant `queries_total == Σ by_outcome`
     /// holds by construction.  The histogram ships its raw non-empty
     /// buckets so clients can merge or diff snapshots exactly.
-    pub fn snapshot_json(&self) -> Json {
+    pub(crate) fn snapshot_json(&self) -> Json {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let by_op: Vec<(String, Json)> = OP_LABELS
             .iter()
@@ -422,7 +421,7 @@ impl StatsRegistry {
 
     /// Prometheus-style text exposition of the same snapshot (counters as
     /// `_total`, the gauge and quantiles as gauges).
-    pub fn prometheus(&self) -> String {
+    pub(crate) fn prometheus(&self) -> String {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut out = String::new();
         let mut metric = |help: &str, kind: &str, name: &str, lines: &[(String, u64)]| {

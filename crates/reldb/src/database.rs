@@ -205,7 +205,7 @@ impl Database {
     /// The natural join of *all* relations: the paper's universal-relation
     /// interpretation joins every object.  Exponential in the worst case —
     /// this is the naive baseline the canonical-connection and Yannakakis
-    /// query paths are compared against.  Runs [`ExecCtx::full_join`] with
+    /// query paths are compared against.  Runs the engine's full join with
     /// nobody watching.
     pub fn full_join(&self) -> Relation {
         unfail(ExecCtx::new().full_join(self))
@@ -217,7 +217,7 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// order: each binary join records into the metrics sink and is
     /// checkpointed against the governor with its output charged to the
     /// memory budget ([`ExecCtx::join`]).
-    pub fn full_join(&self, db: &Database) -> Result<Relation, EngineError> {
+    pub(crate) fn full_join(&self, db: &Database) -> Result<Relation, EngineError> {
         let mut it = db.relations.iter();
         let Some(first) = it.next() else {
             return Ok(Relation::new("∅", NodeSet::new()));

@@ -249,7 +249,7 @@ impl CancelToken {
     }
 
     /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.cancelled.load(Ordering::Relaxed)
     }
 }
@@ -362,11 +362,6 @@ impl QueryGovernor {
     /// The cancellation token governed queries observe.
     pub fn token(&self) -> CancelToken {
         self.inner.cancel.clone()
-    }
-
-    /// Wall-clock time since the governor's clock started.
-    pub fn elapsed(&self) -> Duration {
-        self.inner.start.elapsed()
     }
 
     /// Estimated bytes charged against the budget so far.
@@ -681,7 +676,6 @@ mod tests {
     fn generous_deadline_passes() {
         let gov = QueryGovernor::new().with_deadline(Duration::from_secs(3600));
         assert!(gov.checkpoint().is_ok());
-        assert!(gov.elapsed() < Duration::from_secs(3600));
     }
 
     #[test]

@@ -82,9 +82,7 @@ mod universal;
 mod value;
 mod yannakakis;
 
-pub use consistency::{
-    dangling_report, is_globally_consistent, is_pairwise_consistent, make_globally_consistent,
-};
+pub use consistency::{is_globally_consistent, is_pairwise_consistent, make_globally_consistent};
 pub use database::{Database, DbError};
 pub use exec::ExecCtx;
 pub use govern::{CancelToken, EngineError, Governor, NoopGovernor, QueryGovernor};

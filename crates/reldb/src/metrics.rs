@@ -77,17 +77,7 @@ pub enum Kernel {
     Enumerate,
 }
 
-impl Kernel {
-    /// The JSON/table spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            Kernel::Hash => "hash",
-            Kernel::SortMerge => "sort-merge",
-            Kernel::Dense => "dense",
-            Kernel::Enumerate => "enumerate",
-        }
-    }
-}
+impl Kernel {}
 
 /// One join or semijoin operation's counters, recorded by the kernel that
 /// executed it.

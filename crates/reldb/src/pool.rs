@@ -148,7 +148,7 @@ impl ValuePool {
 
     /// Interns a whole row of values under a single lock, appending the
     /// handles to `out`.
-    pub fn intern_row<'a, I>(&self, values: I, out: &mut Vec<u32>)
+    pub(crate) fn intern_row<'a, I>(&self, values: I, out: &mut Vec<u32>)
     where
         I: IntoIterator<Item = &'a Value>,
     {
@@ -180,7 +180,7 @@ impl ValuePool {
     }
 
     /// The handle of `v`, if it has been interned.
-    pub fn get(&self, v: &Value) -> Option<u32> {
+    pub(crate) fn get(&self, v: &Value) -> Option<u32> {
         let mut inner = self.inner.lock().expect("value pool lock");
         inner.catch_up();
         inner.index.get(v).copied()
@@ -190,7 +190,7 @@ impl ValuePool {
     ///
     /// # Panics
     /// Panics if `h` was not produced by this pool.
-    pub fn value(&self, h: u32) -> Value {
+    pub(crate) fn value(&self, h: u32) -> Value {
         self.inner.lock().expect("value pool lock").values[h as usize].clone()
     }
 

@@ -32,7 +32,7 @@ pub struct NaiveRelation {
 
 impl NaiveRelation {
     /// An empty reference relation over `attributes`.
-    pub fn new(attributes: NodeSet) -> Self {
+    pub(crate) fn new(attributes: NodeSet) -> Self {
         Self {
             attributes,
             tuples: BTreeSet::new(),

@@ -157,14 +157,14 @@ impl Tuple {
     }
 
     /// True if the two tuples agree on every attribute they share.
-    pub fn joinable(&self, other: &Tuple) -> bool {
+    pub(crate) fn joinable(&self, other: &Tuple) -> bool {
         self.pairs
             .iter()
             .all(|(a, v)| other.get(*a).is_none_or(|w| w == v))
     }
 
     /// The combined tuple, if the two agree on shared attributes.
-    pub fn join(&self, other: &Tuple) -> Option<Tuple> {
+    pub(crate) fn join(&self, other: &Tuple) -> Option<Tuple> {
         if !self.joinable(other) {
             return None;
         }
@@ -173,26 +173,6 @@ impl Tuple {
             out.set(a, v.clone());
         }
         Some(out)
-    }
-
-    /// Number of attributes assigned.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// True if the tuple assigns no attribute.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// Renders the tuple with attribute names from `universe`.
-    pub fn display(&self, universe: &Universe) -> String {
-        let parts: Vec<String> = self
-            .pairs
-            .iter()
-            .map(|(a, v)| format!("{}={}", universe.name(*a), v))
-            .collect();
-        format!("({})", parts.join(", "))
     }
 }
 
@@ -629,7 +609,7 @@ impl Relation {
     }
 
     /// Returns the relation renamed to `name`.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
+    pub(crate) fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
         self
     }
@@ -1596,9 +1576,9 @@ mod tests {
         assert!(t.joinable(&u));
         assert!(!t.joinable(&v));
         let joined = t.join(&u).unwrap();
-        assert_eq!(joined.len(), 3);
+        assert_eq!(joined.iter().count(), 3);
         assert_eq!(joined.get(c), Some(&Value::Int(5)));
-        assert_eq!(t.project(&h.node_set(["A"]).unwrap()).len(), 1);
+        assert_eq!(t.project(&h.node_set(["A"]).unwrap()).iter().count(), 1);
         assert!(t.join(&v).is_none());
     }
 
@@ -1607,7 +1587,7 @@ mod tests {
         let (h, _, _) = setup();
         let (a, b) = (h.node("A").unwrap(), h.node("B").unwrap());
         let mut t = Tuple::from_pairs([(b, 1), (a, 2), (b, 3)]);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.iter().count(), 2);
         assert_eq!(t.get(b), Some(&Value::Int(3)));
         t.set(a, 9);
         assert_eq!(t.get(a), Some(&Value::Int(9)));
@@ -1646,7 +1626,7 @@ mod tests {
         let p = r.project(&NodeSet::new());
         assert_eq!(p.len(), 1);
         assert!(p.attributes().is_empty());
-        assert!(p.tuples().next().unwrap().is_empty());
+        assert_eq!(p.tuples().next().unwrap().iter().count(), 0);
     }
 
     #[test]
@@ -1715,8 +1695,6 @@ mod tests {
         let s = r.display(h.universe());
         assert!(s.contains("R (A, B)"));
         assert!(s.lines().count() >= 4);
-        let t = r.tuples().next().unwrap();
-        assert!(t.display(h.universe()).starts_with('('));
     }
 
     #[test]

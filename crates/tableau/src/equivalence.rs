@@ -21,7 +21,7 @@ use hypergraph::NodeId;
 
 /// A homomorphism between the rows of two tableaux over the same universe.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableauHomomorphism {
+pub(crate) struct TableauHomomorphism {
     /// `images[i]` is the row of the target tableau that row `i` of the
     /// source tableau maps to.
     pub images: Vec<RowId>,
@@ -61,7 +61,7 @@ fn is_valid_assignment(source: &Tableau, target: &Tableau, images: &[RowId]) -> 
 
 /// Searches for a homomorphism from `source` to `target` (both over the same
 /// universe).  Returns `None` when no homomorphism exists.
-pub fn find_homomorphism(source: &Tableau, target: &Tableau) -> Option<TableauHomomorphism> {
+pub(crate) fn find_homomorphism(source: &Tableau, target: &Tableau) -> Option<TableauHomomorphism> {
     if source.row_count() == 0 {
         return Some(TableauHomomorphism { images: Vec::new() });
     }

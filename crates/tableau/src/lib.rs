@@ -50,17 +50,17 @@ mod reduce;
 mod symbol;
 mod tableau;
 
-pub use equivalence::{contains, equivalent, find_homomorphism, TableauHomomorphism};
+pub use equivalence::{contains, equivalent};
 pub use mapping::{MappingError, RowMapping};
 pub use minimize::{find_mapping_onto, minimize, Minimization};
-pub use reduce::{tableau_reduction, tableau_reduction_full, TableauReduction};
+pub use reduce::tableau_reduction;
 pub use symbol::{RowId, Symbol};
 pub use tableau::{Row, Tableau};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::{
-        find_mapping_onto, minimize, tableau_reduction, tableau_reduction_full, Minimization,
-        RowId, RowMapping, Symbol, Tableau,
+        find_mapping_onto, minimize, tableau_reduction, Minimization, RowId, RowMapping, Symbol,
+        Tableau,
     };
 }

@@ -9,7 +9,7 @@
 //! 3. a row holding a distinguished symbol maps to a row holding the same
 //!    distinguished symbol.
 
-use crate::symbol::{RowId, Symbol};
+use crate::symbol::RowId;
 use crate::tableau::Tableau;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -79,7 +79,7 @@ pub struct RowMapping {
 impl RowMapping {
     /// Creates a mapping from the vector of images (`images[i]` is the image
     /// of row `i`).
-    pub fn new(images: Vec<RowId>) -> Self {
+    pub(crate) fn new(images: Vec<RowId>) -> Self {
         Self { images }
     }
 
@@ -95,24 +95,9 @@ impl RowMapping {
         self.images[r.index()]
     }
 
-    /// Number of rows in the domain.
-    pub fn len(&self) -> usize {
-        self.images.len()
-    }
-
-    /// True if the mapping has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.images.is_empty()
-    }
-
     /// The image set (target subset) of the mapping.
     pub fn target(&self) -> BTreeSet<RowId> {
         self.images.iter().copied().collect()
-    }
-
-    /// True if every row maps to itself.
-    pub fn is_identity(&self) -> bool {
-        self.images.iter().enumerate().all(|(i, r)| r.index() == i)
     }
 
     /// Composition `other ∘ self` (apply `self` first).  Both mappings must
@@ -123,25 +108,9 @@ impl RowMapping {
         }
     }
 
-    /// The induced mapping on symbols: the symbol at `(r, c)` maps to the
-    /// symbol at `(h(r), c)`.
-    pub fn symbol_image(&self, t: &Tableau, sym: Symbol) -> Symbol {
-        match sym {
-            Symbol::Special(n) => {
-                // All rows containing n map to rows agreeing on column n;
-                // pick any such row to read the image symbol off.
-                match t.rows_with_special(n).first() {
-                    Some(&r) => t.symbol_at(self.image(r), n),
-                    None => sym,
-                }
-            }
-            Symbol::Unique(r, n) => t.symbol_at(self.image(r), n),
-        }
-    }
-
     /// Checks the mapping against tableau `t`, returning the first violated
     /// constraint if any.
-    pub fn validate(&self, t: &Tableau) -> Result<(), MappingError> {
+    pub(crate) fn validate(&self, t: &Tableau) -> Result<(), MappingError> {
         if self.images.len() != t.row_count() {
             return Err(MappingError::WrongArity {
                 got: self.images.len(),
@@ -201,6 +170,7 @@ impl RowMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbol::Symbol;
     use hypergraph::Hypergraph;
 
     fn fig1() -> Hypergraph {
@@ -227,7 +197,7 @@ mod tests {
     fn identity_is_always_valid() {
         let t = fig2();
         let id = RowMapping::identity(t.row_count());
-        assert!(id.is_identity());
+        assert_eq!(id, m(&[0, 1, 2, 3]));
         assert!(id.is_valid(&t));
         assert_eq!(id.target().len(), 4);
     }
@@ -313,16 +283,16 @@ mod tests {
         // Under the composed mapping the special symbol b of column B (held
         // only by row 0) maps to the unique symbol of row 3 in column B.
         let b = h.node("B").unwrap();
+        assert_eq!(t.rows_with_special(b), [RowId(0)]);
         assert_eq!(
-            composed.symbol_image(&t, Symbol::Special(b)),
+            t.symbol_at(composed.image(RowId(0)), b),
             Symbol::Unique(RowId(3), b)
         );
         // The distinguished a stays special.
         let a = h.node("A").unwrap();
-        assert_eq!(
-            composed.symbol_image(&t, Symbol::Special(a)),
-            Symbol::Special(a)
-        );
+        for r in t.rows_with_special(a) {
+            assert_eq!(t.symbol_at(composed.image(r), a), Symbol::Special(a));
+        }
     }
 
     #[test]

@@ -313,7 +313,7 @@ mod tests {
         let t = Tableau::new(&h, &h.nodes());
         let min = minimize(&t);
         assert_eq!(min.target.len(), 4);
-        assert!(min.mapping.is_identity());
+        assert_eq!(min.mapping, RowMapping::identity(t.row_count()));
     }
 
     #[test]
@@ -363,7 +363,7 @@ mod tests {
         let t = Tableau::new(&h, &h.node_set(["A"]).unwrap());
         let all: BTreeSet<RowId> = t.row_ids().collect();
         let m = find_mapping_onto(&t, &all).unwrap();
-        assert!(m.is_identity());
+        assert_eq!(m, RowMapping::identity(t.row_count()));
     }
 
     #[test]
@@ -402,7 +402,7 @@ mod tests {
         let t = Tableau::new(&h, &NodeSet::new());
         let min = minimize(&t);
         assert!(min.target.is_empty());
-        assert!(min.mapping.is_empty());
+        assert_eq!(min.mapping, RowMapping::identity(0));
     }
 
     #[test]

@@ -16,24 +16,31 @@
 //! convention used by the `acyclic` crate's Graham reduction, keeping
 //! Theorem 3.5 (`GR = TR` on acyclic hypergraphs) exact in code.
 
-use crate::minimize::{minimize, Minimization};
+use crate::minimize::minimize;
 use crate::tableau::Tableau;
 use hypergraph::{Edge, Hypergraph, NodeSet};
 
-/// The result of a tableau reduction, retaining the intermediate artifacts
-/// for inspection and testing.
-#[derive(Debug, Clone)]
-pub struct TableauReduction {
-    /// The tableau that was minimized.
-    pub tableau: Tableau,
-    /// The minimization (target rows and witnessing row mapping).
-    pub minimization: Minimization,
-    /// `TR(H, X)` as a hypergraph of partial edges over `H`'s universe.
-    pub hypergraph: Hypergraph,
-}
-
-/// Computes `TR(H, X)` together with its intermediate artifacts.
-pub fn tableau_reduction_full(h: &Hypergraph, sacred: &NodeSet) -> TableauReduction {
+/// Computes `TR(H, X)`: the canonical connection of `X` in `H`, as a
+/// hypergraph of partial edges.
+///
+/// ```
+/// use hypergraph::Hypergraph;
+/// use tableau::tableau_reduction;
+///
+/// // Fig. 1 with A and D sacred: TR is {C,D,E} and {A,C,E} (Example 3.3).
+/// let h = Hypergraph::from_edges([
+///     vec!["A", "B", "C"],
+///     vec!["C", "D", "E"],
+///     vec!["A", "E", "F"],
+///     vec!["A", "C", "E"],
+/// ]).unwrap();
+/// let x = h.node_set(["A", "D"]).unwrap();
+/// let tr = tableau_reduction(&h, &x);
+/// assert_eq!(tr.edge_count(), 2);
+/// assert!(tr.contains_edge_set(&h.node_set(["C", "D", "E"]).unwrap()));
+/// assert!(tr.contains_edge_set(&h.node_set(["A", "C", "E"]).unwrap()));
+/// ```
+pub fn tableau_reduction(h: &Hypergraph, sacred: &NodeSet) -> Hypergraph {
     let tableau = Tableau::new(h, sacred);
     let minimization = minimize(&tableau);
 
@@ -60,36 +67,7 @@ pub fn tableau_reduction_full(h: &Hypergraph, sacred: &NodeSet) -> TableauReduct
         .filter(|e| !e.nodes.is_empty())
         .collect();
 
-    let hypergraph = h.with_edges(edges);
-    TableauReduction {
-        tableau,
-        minimization,
-        hypergraph,
-    }
-}
-
-/// Computes `TR(H, X)`: the canonical connection of `X` in `H`, as a
-/// hypergraph of partial edges.
-///
-/// ```
-/// use hypergraph::Hypergraph;
-/// use tableau::tableau_reduction;
-///
-/// // Fig. 1 with A and D sacred: TR is {C,D,E} and {A,C,E} (Example 3.3).
-/// let h = Hypergraph::from_edges([
-///     vec!["A", "B", "C"],
-///     vec!["C", "D", "E"],
-///     vec!["A", "E", "F"],
-///     vec!["A", "C", "E"],
-/// ]).unwrap();
-/// let x = h.node_set(["A", "D"]).unwrap();
-/// let tr = tableau_reduction(&h, &x);
-/// assert_eq!(tr.edge_count(), 2);
-/// assert!(tr.contains_edge_set(&h.node_set(["C", "D", "E"]).unwrap()));
-/// assert!(tr.contains_edge_set(&h.node_set(["A", "C", "E"]).unwrap()));
-/// ```
-pub fn tableau_reduction(h: &Hypergraph, sacred: &NodeSet) -> Hypergraph {
-    tableau_reduction_full(h, sacred).hypergraph
+    h.with_edges(edges)
 }
 
 #[cfg(test)]
@@ -193,10 +171,11 @@ mod tests {
     fn reduction_artifacts_are_consistent() {
         let h = fig1();
         let x = h.node_set(["A", "D"]).unwrap();
-        let full = tableau_reduction_full(&h, &x);
-        assert_eq!(full.minimization.target.len(), 2);
-        assert!(full.minimization.mapping.is_valid(&full.tableau));
-        assert_eq!(full.hypergraph.edge_count(), 2);
+        let t = Tableau::new(&h, &x);
+        let min = minimize(&t);
+        assert_eq!(min.target.len(), 2);
+        assert!(min.mapping.is_valid(&t));
+        assert_eq!(tableau_reduction(&h, &x).edge_count(), 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub struct RowId(pub u32);
 impl RowId {
     /// Index of the row.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -37,20 +37,7 @@ pub enum Symbol {
     Unique(RowId, NodeId),
 }
 
-impl Symbol {
-    /// The column (node) this symbol belongs to.
-    pub fn column(&self) -> NodeId {
-        match *self {
-            Symbol::Special(n) => n,
-            Symbol::Unique(_, n) => n,
-        }
-    }
-
-    /// True if this is the column's special symbol.
-    pub fn is_special(&self) -> bool {
-        matches!(self, Symbol::Special(_))
-    }
-}
+impl Symbol {}
 
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -69,10 +56,8 @@ mod tests {
     fn column_and_kind() {
         let s = Symbol::Special(NodeId(2));
         let u = Symbol::Unique(RowId(1), NodeId(2));
-        assert_eq!(s.column(), NodeId(2));
-        assert_eq!(u.column(), NodeId(2));
-        assert!(s.is_special());
-        assert!(!u.is_special());
+        assert!(matches!(s, Symbol::Special(n) if n == NodeId(2)));
+        assert!(matches!(u, Symbol::Unique(_, n) if n == NodeId(2)));
         assert_ne!(s, u);
     }
 

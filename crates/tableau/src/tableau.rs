@@ -55,23 +55,18 @@ impl Tableau {
         }
     }
 
-    /// The shared universe naming the columns.
-    pub fn universe(&self) -> &Arc<Universe> {
-        &self.universe
-    }
-
     /// The columns (nodes) of the tableau.
     pub fn columns(&self) -> &NodeSet {
         &self.columns
     }
 
     /// The sacred (distinguished) nodes.
-    pub fn sacred(&self) -> &NodeSet {
+    pub(crate) fn sacred(&self) -> &NodeSet {
         &self.sacred
     }
 
     /// All rows in edge order.
-    pub fn rows(&self) -> &[Row] {
+    pub(crate) fn rows(&self) -> &[Row] {
         &self.rows
     }
 
@@ -131,7 +126,7 @@ impl Tableau {
     /// Renders the tableau like the paper's Fig. 2: one column per node, the
     /// summary between rules, special symbols shown as the lowercase node
     /// name, unique symbols as blanks, distinguished entries marked.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols: Vec<NodeId> = self.columns.iter().collect();
         let width = 4usize;
         let mut out = String::new();

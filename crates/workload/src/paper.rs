@@ -83,17 +83,6 @@ pub fn fig6_tree_sets(h: &Hypergraph) -> Vec<NodeSet> {
     ]
 }
 
-/// All named paper fixtures, for exhaustive sweeps in tests and benches.
-pub fn all_fixtures() -> Vec<(&'static str, Hypergraph)> {
-    let (counterexample, _) = counterexample_after_theorem_3_5();
-    vec![
-        ("fig1", fig1()),
-        ("fig1_ring", fig1_ring()),
-        ("counterexample_3_5", counterexample),
-        ("fig5_like", fig5_like()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,6 +102,5 @@ mod tests {
         assert_eq!(fig1_sacred_ad(&h).len(), 2);
         assert_eq!(fig1_expected_reduction(&h).len(), 2);
         assert_eq!(fig6_tree_sets(&fig1_ring()).len(), 3);
-        assert_eq!(all_fixtures().len(), 4);
     }
 }

@@ -6,9 +6,21 @@ use acyclic_hypergraphs::acyclic::{
     canonical_connection, check_theorem_6_1, classify, find_independent_path, graham_reduce,
     graham_reduction, AcyclicityExt, Classification, ConnectingTree, GrahamStep, Strategy,
 };
+use acyclic_hypergraphs::hypergraph::Hypergraph;
 use acyclic_hypergraphs::tableau::{minimize, tableau_reduction, RowId, Tableau};
 use acyclic_hypergraphs::workload::paper;
 use std::collections::BTreeSet;
+
+/// All named paper fixtures, for the sweeps below.
+fn all_fixtures() -> Vec<(&'static str, Hypergraph)> {
+    let (counterexample, _) = paper::counterexample_after_theorem_3_5();
+    vec![
+        ("fig1", paper::fig1()),
+        ("fig1_ring", paper::fig1_ring()),
+        ("counterexample_3_5", counterexample),
+        ("fig5_like", paper::fig5_like()),
+    ]
+}
 
 /// E1 — Example 2.2: `GR(H, {A, D})` removes F and B, then the edges
 /// {A,E} and {A,C}, leaving {A,C,E} and {C,D,E}.
@@ -130,7 +142,7 @@ fn theorem_3_5_and_its_counterexample() {
 /// preserved) on every paper fixture.
 #[test]
 fn lemma_3_6_and_corollary_3_7() {
-    for (name, h) in paper::all_fixtures() {
+    for (name, h) in all_fixtures() {
         let node_ids: Vec<_> = h.nodes().iter().collect();
         // Try every singleton and every adjacent pair as the sacred set.
         let mut sacred_sets = vec![];
@@ -187,7 +199,7 @@ fn example_5_1_independent_tree() {
 /// independent-path certificates.
 #[test]
 fn theorem_6_1_on_all_fixtures() {
-    for (name, h) in paper::all_fixtures() {
+    for (name, h) in all_fixtures() {
         let report = check_theorem_6_1(&h);
         assert!(
             report.consistent(),
@@ -213,7 +225,7 @@ fn theorem_6_1_on_all_fixtures() {
 /// every fixture — the ground-truth cross-check.
 #[test]
 fn definition_matches_gyo_on_fixtures() {
-    for (name, h) in paper::all_fixtures() {
+    for (name, h) in all_fixtures() {
         assert_eq!(
             h.is_acyclic(),
             h.is_acyclic_by_definition(),

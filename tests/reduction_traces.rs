@@ -205,5 +205,5 @@ fn traces_are_well_formed() {
             }
         }
     }
-    assert!(red.result.nodes().is_superset(&x));
+    assert!(x.is_subset(&red.result.nodes()));
 }
