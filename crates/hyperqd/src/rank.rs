@@ -5,7 +5,8 @@
 //! turns the distinct values behind those handles into the frame's cell
 //! list — each value's rendered token, in `Value` order — and rewrites
 //! every handle as its position in that list.  The distinct handles are
-//! marked in a direct-address bitmap ([`RankedBits`]) and taken in value
+//! marked in a direct-address bitmap ([`RankedBits`], the rank bitmap the
+//! engine's path expansion finds its runs with) and taken in value
 //! order along one path: in an ordered pool (a loaded snapshot's: handle
 //! order is value order, [`ValuePool::is_ordered`]) that is ascending
 //! handle order, so nothing is compared; in any other pool it is
@@ -13,55 +14,7 @@
 
 use crate::json::{write_escaped, write_int};
 use crate::protocol::Tokens;
-use reldb::{value_order, Value, ValuePool};
-
-/// A fixed bitmap that also answers "how many set bits lie below `i`":
-/// each 64-bit word sits next to the count of set bits in the words before
-/// it, so a rank is one block read and one popcount.
-struct RankedBits {
-    /// `(word, set bits in all earlier words)`.
-    blocks: Vec<(u64, u32)>,
-    /// How many bits are set.
-    count: usize,
-}
-
-impl RankedBits {
-    /// The bitmap over `0..bits` with exactly `marks` set.
-    fn marking(bits: usize, marks: impl Iterator<Item = usize>) -> RankedBits {
-        let mut blocks = vec![(0u64, 0u32); bits.div_ceil(64)];
-        for i in marks {
-            blocks[i / 64].0 |= 1 << (i % 64);
-        }
-        let mut before = 0;
-        for block in &mut blocks {
-            block.1 = before;
-            before += block.0.count_ones();
-        }
-        RankedBits {
-            blocks,
-            count: before as usize,
-        }
-    }
-
-    /// Number of set bits below `i`: the position of `i` among the marks,
-    /// if `i` is one.
-    #[inline]
-    fn rank(&self, i: usize) -> u32 {
-        let (word, before) = self.blocks[i / 64];
-        before + (word & ((1 << (i % 64)) - 1)).count_ones()
-    }
-
-    /// The marks, ascending.
-    fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.blocks.iter().enumerate().flat_map(|(b, &(word, _))| {
-            std::iter::successors((word != 0).then_some(word), |w| {
-                let rest = w & (w - 1);
-                (rest != 0).then_some(rest)
-            })
-            .map(move |w| b * 64 + w.trailing_zeros() as usize)
-        })
-    }
-}
+use reldb::{value_order, RankedBits, Value, ValuePool};
 
 /// The distinct values behind `handles` (handles of `pool`) as rendered
 /// tokens in [`Value`] order, and `handles` rewritten as positions in that
@@ -89,7 +42,7 @@ pub(crate) fn rank_cells(pool: &ValuePool, handles: &[u32]) -> (Tokens, Vec<u32>
         return (Tokens::with_capacity(0, 0), Vec::new());
     };
     let seen = RankedBits::marking(max_handle as usize + 1, handles.iter().map(|&h| h as usize));
-    let distinct = seen.count;
+    let distinct = seen.count();
     let marks = || seen.ones().map(|h| h as u32);
     // `by_value` is `None` where handle order is value order: the marks,
     // ascending, are then the handles in value order.
@@ -143,28 +96,3 @@ pub(crate) fn rank_cells(pool: &ValuePool, handles: &[u32]) -> (Tokens, Vec<u32>
 /// Bytes reserved per token before any is written: a comma and up to
 /// eleven digits or a nine-byte string, with its quotes, fit in twelve.
 const TOKEN_GUESS: usize = 12;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ranked_bits_rank_and_enumerate_across_word_boundaries() {
-        let marks = [0usize, 1, 63, 64, 65, 127, 128, 300, 319];
-        let bits = RankedBits::marking(320, marks.iter().copied());
-        assert_eq!(bits.ones().collect::<Vec<_>>(), marks);
-        for (position, &i) in marks.iter().enumerate() {
-            assert_eq!(bits.rank(i) as usize, position, "mark {i}");
-        }
-        // Unmarked bits rank as the number of marks below them.
-        assert_eq!(bits.rank(2), 2);
-        assert_eq!(bits.rank(299), 7);
-        assert!(RankedBits::marking(0, std::iter::empty())
-            .ones()
-            .next()
-            .is_none());
-        let full = RankedBits::marking(130, 0..130);
-        assert_eq!(full.ones().count(), 130);
-        assert_eq!(full.rank(129), 129);
-    }
-}

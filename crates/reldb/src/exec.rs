@@ -3,10 +3,13 @@
 //!
 //! A query's answer depends only on the schema, the data and the output
 //! attributes, so nothing a caller sets picks a plan or a kernel.  Every
-//! join runs one kernel: hash — build the smaller side, probe the larger.
-//! Semijoins — the full reducer's only operator — have two, and their
-//! inputs alone choose: a dense bitset where the packed key space fits and
-//! sort-merge otherwise (see [`Relation::semijoin`](crate::Relation::semijoin)).
+//! join of two relations runs one kernel: hash — build the smaller side,
+//! probe the larger; a Yannakakis answer whose inputs allow it skips the
+//! pairwise joins and walks or enumerates its join subtree instead (see
+//! [`ExecCtx::yannakakis_join`]).  Semijoins — the full reducer's only
+//! operator — have two, and their inputs alone choose: a dense bitset where
+//! the packed key space fits and sort-merge otherwise (see
+//! [`Relation::semijoin`](crate::Relation::semijoin)).
 //!
 //! What a caller does choose is who watches: [`ExecCtx`] is the two
 //! instrumentation sinks — metrics (counters and stage clocks alike) and

@@ -452,15 +452,14 @@ mod failpoints {
         fail_at_semijoin: Option<u64>,
         mode: FailMode,
         semijoins: AtomicU64,
-        slow_level: Option<(Phase, usize, Duration)>,
         alloc_fail_bag: Option<usize>,
         base: QueryGovernor,
     }
 
     /// A deterministic fault-injection governor for tests: fail at the
-    /// `n`-th semijoin, sleep at a chosen level, or refuse the allocation
-    /// for a chosen hypertree bag — all on top of a base [`QueryGovernor`]
-    /// whose deadline/budget/cancellation still apply.
+    /// `n`-th semijoin, or refuse the allocation for a chosen hypertree bag
+    /// — both on top of a base [`QueryGovernor`] whose
+    /// deadline/budget/cancellation still apply.
     ///
     /// # Examples
     ///
@@ -496,7 +495,6 @@ mod failpoints {
                     fail_at_semijoin: None,
                     mode: FailMode::Error,
                     semijoins: AtomicU64::new(0),
-                    slow_level: None,
                     alloc_fail_bag: None,
                     base,
                 }),
@@ -510,7 +508,6 @@ mod failpoints {
                     fail_at_semijoin: arc.fail_at_semijoin,
                     mode: arc.mode,
                     semijoins: AtomicU64::new(arc.semijoins.load(Ordering::Relaxed)),
-                    slow_level: arc.slow_level,
                     alloc_fail_bag: arc.alloc_fail_bag,
                     base: arc.base.clone(),
                 },
@@ -530,12 +527,6 @@ mod failpoints {
         /// default).
         pub fn fail_mode(self, mode: FailMode) -> Self {
             self.rebuild(|i| i.mode = mode)
-        }
-
-        /// Sleeps `by` before running level `level` of `phase` — long
-        /// enough to trip a deadline deterministically.
-        pub fn slow_level(self, phase: Phase, level: usize, by: Duration) -> Self {
-            self.rebuild(|i| i.slow_level = Some((phase, level, by)))
         }
 
         /// Refuses the allocation for hypertree bag `bag`.
@@ -574,11 +565,6 @@ mod failpoints {
         }
 
         fn at_level(&self, phase: Phase, level: usize) -> Result<(), EngineError> {
-            if let Some((p, l, by)) = self.inner.slow_level {
-                if p == phase && l == level {
-                    std::thread::sleep(by);
-                }
-            }
             self.inner.base.at_level(phase, level)
         }
 
@@ -774,21 +760,6 @@ mod tests {
             assert!(matches!(
                 gov.at_bag(1),
                 Err(EngineError::BudgetExceeded { .. })
-            ));
-        }
-
-        #[test]
-        fn slow_level_delays_then_defers_to_base() {
-            let base = QueryGovernor::new().with_deadline(Duration::from_millis(5));
-            let gov = FailpointGovernor::with_base(base).slow_level(
-                Phase::ReduceUp,
-                0,
-                Duration::from_millis(20),
-            );
-            // The injected sleep pushes the base governor past its deadline.
-            assert!(matches!(
-                gov.at_level(Phase::ReduceUp, 0),
-                Err(EngineError::DeadlineExceeded { .. })
             ));
         }
 

@@ -37,7 +37,8 @@
 //! | `relation` | one stored *object* (hyperedge) as a relation: flat interned rows, the hash join kernel and the dense and sort-merge semijoin kernels (§7), which see one pool (a cross-pool operand is brought into it at the kernel's door), and the LSD counting/radix id sorter they share with the server's answer frame ([`sort_ids_by_key`]) |
 //! | `database` | a database bound to a schema hypergraph — one relation per object (§7) — carrying its schema's plan ([`Database::is_acyclic`]) |
 //! | `universal` | universal-relation queries `π_X(⋈ CC(X))` over canonical connections (§5, §7): the connection engine (tableau reduction picks `CC(X)`'s objects, the Yannakakis engine answers over them) and the full-join baseline |
-//! | `yannakakis` | the Yannakakis full reducer, and queries answered from the join subtree covering `X` after the upward pass, level by level in every pass (§7's efficiency payoff), the subtree's whole join enumerated in order from sorted relations |
+//! | `yannakakis` | the Yannakakis full reducer, and queries answered from the join subtree covering `X` after the upward pass, level by level in every pass (§7's efficiency payoff), a two-attribute answer walked along a path of the subtree through run indexes, the subtree's whole join enumerated in order from sorted relations |
+//! | `rank` | [`RankedBits`], the rank bitmap over handles that the path expansion's run index and `hyperqd`'s answer frame share |
 //! | [`hypertree`] | cyclic schemas: bag materialization over a hypertree decomposition (`decomp` crate), the per-database plan (join tree or decompositions, built once from the schema) and the one Yannakakis entry point [`ExecCtx::query_yannakakis`], which routes by it |
 //! | [`snapshot`] | the versioned binary snapshot format behind [`Database::save_snapshot`] / [`Database::load_snapshot`] — scale-up loads in milliseconds instead of re-parsing text |
 //! | [`exec`] | [`ExecCtx`], the one execution context every pipeline entry point is a method of: the metrics and governance sinks, nothing else — the inputs pick every kernel and every query runs on its caller's thread, whoever calls |
@@ -75,6 +76,7 @@ mod harness;
 pub mod hypertree;
 pub mod metrics;
 mod pool;
+mod rank;
 pub mod reference;
 mod relation;
 pub mod snapshot;
@@ -94,6 +96,7 @@ pub use harness::{
 };
 pub use metrics::{CollectingSink, MetricsSink, NoopMetrics, Phase, QueryMetrics};
 pub use pool::{value_order, ValuePool};
+pub use rank::RankedBits;
 pub use relation::{sort_ids_by_key, Relation, Tuple};
 pub use snapshot::is_snapshot;
 pub use universal::{

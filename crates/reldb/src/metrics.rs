@@ -71,8 +71,10 @@ pub enum Kernel {
     /// whose key space fits; see
     /// [`Relation::semijoin`](crate::Relation::semijoin).
     Dense,
-    /// Nested loops over a join subtree's sorted, reduced relations — the
-    /// whole join of the subtree, emitted in order (see
+    /// A Yannakakis answer emitted in order without a pairwise join: a
+    /// two-attribute answer walked along a path of the join subtree through
+    /// per-relation run indexes, or the subtree's whole join by nested loops
+    /// over its sorted, reduced relations (see
     /// [`ExecCtx::yannakakis_join`](crate::ExecCtx::yannakakis_join)).
     Enumerate,
 }

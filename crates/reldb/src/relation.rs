@@ -36,14 +36,21 @@
 //!
 //! # Join kernels
 //!
-//! A join of two relations has one kernel, hash build + probe.  The one
-//! join that skips it is the Yannakakis answer of a join subtree `S` asked
-//! for all of `S`'s attributes, when `S`'s relations share a pool, each
-//! one's rows are strictly ascending ([`first_unordered_row`]) and a
-//! pre-order of `S` meets the attributes in ascending order: the answer is
-//! then enumerated by nested loops over the sorted relations, each parent
-//! row's matches in a child one run of its rows, and comes out already
-//! sorted (the rule and the loops are in `crate::yannakakis`).
+//! A join of two relations has one kernel, hash build + probe.  Two
+//! Yannakakis answers of a join subtree `S` skip it, and come out already
+//! sorted (the rules and the loops are in `crate::yannakakis`):
+//!
+//! - a two-attribute answer over a path `S` whose separators are single
+//!   attributes, in one pool, is walked hop by hop through one run index
+//!   per relation — its rows ordered by the looked-up column with
+//!   [`sort_ids_by_key`], the distinct keys in a [`RankedBits`];
+//! - an answer holding all of `S`'s attributes, when `S`'s relations share
+//!   a pool, each one's rows are strictly ascending
+//!   ([`first_unordered_row`]) and a pre-order of `S` meets the attributes
+//!   in ascending order, is enumerated by nested loops over the sorted
+//!   relations, each parent row's matches in a child one run of its rows.
+//!
+//! [`RankedBits`]: crate::RankedBits
 //!
 //! # Set semantics
 //!
@@ -398,14 +405,15 @@ fn pack_key(row: &[u32], pos: &[usize], radix: usize) -> usize {
 /// Before any of that, one neighbour scan (`first_unordered_row`) checks
 /// whether the keys are already non-decreasing; if they are, the identity is
 /// the answer and nothing is sorted.  Keys come in order more often than
-/// not: an answer enumerated from sorted relations, a sort-merge key on a
-/// sorted relation's leading column, a loaded snapshot being saved again.
+/// not: an answer enumerated or path-expanded from sorted relations, a
+/// sort-merge or run-index key on a sorted relation's leading column, a
+/// loaded snapshot being saved again.
 /// On unsorted keys the scan stops at the first descent.
 ///
 /// All paths return the same permutation, so no caller — the sort-merge
-/// semijoin kernel, `same_contents`, [`value_order`](crate::value_order),
-/// the snapshot saver, `hyperqd`'s canonical answer frame — can tell which
-/// ran.
+/// semijoin kernel, the Yannakakis path expansion's run index,
+/// `same_contents`, [`value_order`](crate::value_order), the snapshot
+/// saver, `hyperqd`'s canonical answer frame — can tell which ran.
 ///
 /// # Panics
 /// Panics unless `keys` holds exactly `n * k` entries and `n` fits `u32`.

@@ -22,19 +22,41 @@
 //! materialization already is the upward pass.  [`ExecCtx::full_reduce`]
 //! runs both passes over every edge with the same two pass helpers.
 //!
-//! The join inside `S` has two forms, and the input picks one.  When the
-//! output holds every attribute of `S`, `S`'s relations share a pool and
-//! each one's rows are strictly ascending (as a loaded snapshot stores them
-//! and semijoins keep them), and some pre-order of `S` meets the attributes
-//! in ascending order, the answer is enumerated by nested loops over the
-//! reduced relations: `S` is globally consistent, so no loop dead-ends, and
-//! the rows come out in the answer's lexicographic handle order, which in a
-//! loaded pool is value order (Bagan, Durand and Grandjean, CSL 2007, for
-//! enumerating full acyclic joins; Carmeli, Tziavelis, Gatterbauer,
-//! Kimelfeld and Riedewald, PODS 2021, for the orders this reaches).  Any
-//! other answer — a projection that drops a column, unsorted or cross-pool
-//! relations, a column order no pre-order meets — hash-joins bottom-up.
+//! The join inside `S` has three forms, and the input picks one.
 //!
+//! - **Path expansion.**  When the output is two attributes `x < y`, `S` is
+//!   a path of two edges or more whose every separator is one attribute
+//!   (with `|X| = 2` a many-edge `S` always is a path: each of its leaves
+//!   holds an output attribute no other member holds), and `S`'s relations
+//!   share a pool, the answer is a join-project shaped like a sparse
+//!   Boolean matrix product (Amossen and Pagh, ICDT 2009; Deep, Hu and
+//!   Koutris, SIGMOD 2020).  Each relation gets a run index — its rows
+//!   ordered by the column the walk looks them up by, the distinct keys
+//!   marked in a [`RankedBits`], one start offset per key and the column
+//!   handed on copied out — and then, for each value `a` of `x` in
+//!   ascending handle order, the walk hops from the end holding `x` to the
+//!   end holding `y`, gathering every value's run and deduplicating the
+//!   small list after each hop, and emits `(a, d)` for each distinct `d`.
+//!   The rows come out strictly ascending, with no hash table and no
+//!   intermediate relation.
+//! - **Enumeration.**  When the output holds every attribute of `S`, `S`'s
+//!   relations share a pool and each one's rows are strictly ascending (as
+//!   a loaded snapshot stores them and semijoins keep them), and some
+//!   pre-order of `S` meets the attributes in ascending order, the answer
+//!   is enumerated by nested loops over the reduced relations: `S` is
+//!   globally consistent, so no loop dead-ends, and the rows come out in
+//!   the answer's lexicographic handle order, which in a loaded pool is
+//!   value order (Bagan, Durand and Grandjean, CSL 2007, for enumerating
+//!   full acyclic joins; Carmeli, Tziavelis, Gatterbauer, Kimelfeld and
+//!   Riedewald, PODS 2021, for the orders this reaches).
+//! - **Bottom-up hash join.**  Every other answer with `S` of two edges or
+//!   more: an output of three attributes or more that is not all of a
+//!   sorted `S` met in order, a path with a separator of two attributes or
+//!   more, or relations in different pools.
+//!
+//! Both of the first two forms record one [`Kernel::Enumerate`] join op
+//! and time one [`Phase::Join`] level.
+
 //! Every pass walks the join tree level by level ([`JoinTree::levels`]) on
 //! the calling thread: the upward pass deepest level first, the downward
 //! pass and the join top-down and bottom-up, so every child is done before
@@ -50,6 +72,7 @@ use crate::exec::ExecCtx;
 use crate::govern::{unfail, EngineError, Governor, CHECK_BATCH};
 use crate::metrics::{timed, Kernel, MetricsSink, OpKind, OpMetrics, Phase};
 use crate::pool::NO_HANDLE;
+use crate::rank::RankedBits;
 use crate::relation::{first_unordered_row, sort_ids_by_key, Relation};
 use acyclic::JoinTree;
 use hypergraph::{EdgeId, Hypergraph, NodeId, NodeSet};
@@ -216,9 +239,10 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// the path from the root to `S`, the smallest connected subtree whose
     /// edges cover `output` ([`JoinTree::connection_subtree`]), and inside
     /// `S`, and the join only inside `S` — none at all when `S` is one edge,
-    /// whose reduced relation is then projected.  The join enumerates `S`'s
-    /// sorted relations where the output is all of `S`'s attributes and a
-    /// pre-order of `S` meets them in order (see the module docs), and
+    /// whose reduced relation is then projected.  The join expands a path
+    /// with one-attribute separators for a two-attribute output, enumerates
+    /// `S`'s sorted relations where the output is all of `S`'s attributes
+    /// and a pre-order of `S` meets them in order (see the module docs), and
     /// hashes bottom-up otherwise; the reducer's semijoins choose their
     /// kernel from their inputs.
     ///
@@ -255,9 +279,11 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
     /// root to `S` and inside `S` makes `S` globally consistent, and then
     /// `π_output` of the join of `S` alone is `π_output` of the full join
     /// (Beeri–Fagin–Maier–Yannakakis, JACM 1983).  With `|S| = 1` that is a
-    /// projection of one relation, with no join.  Where [`sorted_enumeration`]
-    /// finds a plan, `S`'s whole join is enumerated from its sorted
-    /// relations ([`ExecCtx::enumerate_join`]) as one [`Phase::Join`] entry;
+    /// projection of one relation, with no join.  Where [`path_expansion`]
+    /// finds a plan, the two-attribute answer is walked along the path
+    /// ([`ExecCtx::expand_path`]), and where [`sorted_enumeration`] finds
+    /// one, `S`'s whole join is enumerated from its sorted relations
+    /// ([`ExecCtx::enumerate_join`]), each as one [`Phase::Join`] entry;
     /// otherwise `S` joins bottom-up below its top, each edge's result
     /// projected onto the output attributes gathered so far plus the
     /// separator towards its parent, one [`Phase::Join`] entry per level of
@@ -293,6 +319,14 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
             .collect();
         if s_levels.len() == 1 && s_levels[0].len() == 1 {
             return Ok(into_project(relations.swap_remove(top.index()), output));
+        }
+        if let Some(hops) = path_expansion(tree, &member, &relations, output) {
+            return timed(self.metrics, Phase::Join, 0, || {
+                if G::ENABLED {
+                    self.gov.at_level(Phase::Join, 0)?;
+                }
+                self.expand_path(&hops, &relations, output)
+            });
         }
         if let Some(steps) = sorted_enumeration(tree, &member, &relations, output) {
             return timed(self.metrics, Phase::Join, 0, || {
@@ -337,6 +371,275 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         }
         let joined = slots[top.index()].take().expect("the top joins last");
         Ok(into_project(joined, output))
+    }
+}
+
+/// One relation of the path [`ExecCtx::expand_path`] walks, as column
+/// positions in its rows.
+struct Hop {
+    /// The edge's index (into the schema's edges and the relations).
+    edge: usize,
+    /// The column a run is looked up by: the first output attribute at the
+    /// start of the path, the separator towards the previous edge after it.
+    key: usize,
+    /// The column a run hands on: the separator towards the next edge, the
+    /// second output attribute at the far end.
+    value: usize,
+}
+
+/// The plan for answering `output` from `S` (the members of `tree` that
+/// `member` marks) by expansion along a path, or `None` when the rule does
+/// not hold:
+///
+/// - **(a)** `output` is two attributes, `x < y`;
+/// - **(b)** `S` is a path of two edges or more, walked from an end that
+///   holds `x` to one that holds `y`;
+/// - **(c)** every separator on the path is a single attribute;
+/// - **(d)** `S`'s relations share one pool.
+///
+/// With `|X| = 2`, (b) holds whenever `S` has two edges: each leaf of `S`
+/// holds an output attribute no other member holds
+/// ([`JoinTree::connection_subtree`]), so `S` has exactly two leaves.  Under
+/// (c) the join of the path is the chains of rows that agree with their
+/// neighbours on one attribute each — running intersection puts whatever
+/// two edges share on every separator between them — so `π_{x,y}` of it is
+/// what [`ExecCtx::expand_path`] reaches hop by hop.
+fn path_expansion(
+    tree: &JoinTree,
+    member: &[bool],
+    relations: &[Cow<'_, Relation>],
+    output: &NodeSet,
+) -> Option<Vec<Hop>> {
+    let mut attributes = output.iter();
+    let (x, y) = (attributes.next()?, attributes.next()?);
+    if attributes.next().is_some() {
+        return None;
+    }
+    let neighbours = |e: usize| {
+        let id = EdgeId(e as u32);
+        (tree.parent(id).into_iter())
+            .chain(tree.children(id).iter().copied())
+            .map(EdgeId::index)
+            .filter(|&n| member[n])
+    };
+    let start = (0..tree.len()).find(|&e| {
+        member[e] && neighbours(e).count() == 1 && relations[e].attributes().contains(x)
+    })?;
+    let pool = relations[start].pool();
+    let column = |e: usize, a: NodeId| relations[e].columns().binary_search(&a).ok();
+    let mut hops = Vec::new();
+    let (mut previous, mut edge, mut key) = (None, start, x);
+    loop {
+        let own = relations[edge].attributes();
+        if !relations[edge].pool().same_pool(pool) {
+            return None;
+        }
+        let mut next = neighbours(edge).filter(|&n| Some(n) != previous);
+        let (value, next) = match (next.next(), next.next()) {
+            (None, _) => (y, None),
+            (Some(n), None) => {
+                let separator = own.intersection(relations[n].attributes());
+                if separator.len() != 1 {
+                    return None;
+                }
+                (separator.first()?, Some(n))
+            }
+            (Some(_), Some(_)) => return None,
+        };
+        hops.push(Hop {
+            edge,
+            key: column(edge, key)?,
+            value: column(edge, value)?,
+        });
+        let Some(n) = next else { break };
+        (previous, edge, key) = (Some(edge), n, value);
+    }
+    (hops.len() >= 2 && hops.len() == member.iter().filter(|&&m| m).count()).then_some(hops)
+}
+
+/// One hop's relation as [`ExecCtx::expand_path`] reads it: for every
+/// distinct handle of the key column, the run of value-column handles on
+/// the rows that hold it.  The offsets and the values live in one buffer
+/// shared by the path's indexes ([`run_indexes`]).
+struct RunIndex<'c> {
+    /// The distinct key handles.
+    keys: RankedBits,
+    /// `starts[r]..starts[r + 1]`: the run of the `r`-th key in `values`.
+    starts: &'c [u32],
+    /// The value column, copied out grouped by key.
+    values: &'c [u32],
+}
+
+impl RunIndex<'_> {
+    /// The run of the `r`-th distinct key.
+    #[inline]
+    fn run_at(&self, r: usize) -> &[u32] {
+        &self.values[self.starts[r] as usize..self.starts[r + 1] as usize]
+    }
+
+    /// The run of `key`: empty when no row holds it.
+    #[inline]
+    fn run(&self, key: u32) -> &[u32] {
+        match self.keys.position(key as usize) {
+            Some(r) => self.run_at(r as usize),
+            None => &[],
+        }
+    }
+}
+
+/// The run index of each hop's relation, its offsets and values carved out
+/// of `cells`, which is sized once for all of them.
+///
+/// Each relation's distinct keys are marked first, which sizes its
+/// offsets.  Then its rows are ordered by the key column with
+/// [`sort_ids_by_key`] — the identity after one neighbour scan where that
+/// column leads rows stored sorted, as on a loaded snapshot, a radix sort
+/// anywhere else — and the value column is copied out in that order, one
+/// start offset per distinct key.  Nothing grows by doubling, and the
+/// sort's key copy and permutation, allocated after `cells`, are freed
+/// before the next relation's.  (Kept in six smaller buffers, the indexes
+/// stayed resident in a server thread's heap after each query: on a
+/// 2-vCPU box `scale-cold`'s `peak_rss_mb` read 87–92 MiB against the hash
+/// join's 85, and 85.6–85.8 from one buffer.)
+fn run_indexes<'c>(rels: &[&Relation], hops: &[Hop], cells: &'c mut Vec<u32>) -> Vec<RunIndex<'c>> {
+    fn columns(r: &Relation) -> std::slice::ChunksExact<'_, u32> {
+        r.raw_rows().chunks_exact(r.columns().len())
+    }
+    let marks: Vec<RankedBits> = (rels.iter().zip(hops))
+        .map(|(r, hop)| {
+            let keys = || columns(r).map(|row| row[hop.key] as usize);
+            RankedBits::marking(keys().max().map_or(0, |k| k + 1), keys())
+        })
+        .collect();
+    let sizes = (marks.iter().zip(rels)).map(|(m, r)| m.count() + 1 + r.len());
+    *cells = vec![0; sizes.sum()];
+    let mut free: &mut [u32] = cells;
+    let mut indexes = Vec::with_capacity(hops.len());
+    for ((keys, r), hop) in marks.into_iter().zip(rels).zip(hops) {
+        let (starts, rest) = std::mem::take(&mut free).split_at_mut(keys.count() + 1);
+        let (values, rest) = rest.split_at_mut(r.len());
+        free = rest;
+        let (rows, width) = (r.raw_rows(), r.columns().len());
+        let key_column: Vec<u32> = columns(r).map(|row| row[hop.key]).collect();
+        let order = sort_ids_by_key(&key_column, 1, key_column.len());
+        let (mut run, mut last) = (0, None);
+        for (i, &id) in order.iter().enumerate() {
+            let key = key_column[id as usize];
+            if last != Some(key) {
+                starts[run] = i as u32;
+                run += 1;
+                last = Some(key);
+            }
+            values[i] = rows[id as usize * width + hop.value];
+        }
+        starts[run] = order.len() as u32;
+        indexes.push(RunIndex {
+            keys,
+            starts,
+            values,
+        });
+    }
+    indexes
+}
+
+/// Sorts a gathered list of handles and drops its repeats.
+fn sort_dedup(values: &mut Vec<u32>) {
+    if values.len() > 1 {
+        values.sort_unstable();
+        values.dedup();
+    }
+}
+
+impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
+    /// `π_{x,y}` of the join of the path `hops` ([`path_expansion`] proved
+    /// it sound), `x` read at its start and `y` at its far end.
+    ///
+    /// Each relation gets a [`RunIndex`] first ([`run_indexes`]), charged
+    /// to the governor's budget as two words per row (its start offsets and
+    /// its gathered column).  Then, for each value `a` of `x` in ascending handle order,
+    /// the walk gathers `a`'s run at the start, and at every later hop the
+    /// runs of all the values in hand, sorting and deduplicating the small
+    /// list after each hop.  The distinct values at the far end are `a`'s
+    /// partners, emitted ascending, so the answer comes out strictly
+    /// ascending with no hash table and no intermediate relation.  The
+    /// governor is checkpointed every [`CHECK_BATCH`] gathered values, so a
+    /// hub value with a huge run cannot run unchecked, and every
+    /// [`CHECK_BATCH`] emitted rows, when that batch is charged to the
+    /// budget (the answer's size is not known in advance).  Records one
+    /// [`Kernel::Enumerate`] join op: the values gathered as `probed`, the
+    /// answer rows as `kept`, the distinct keys indexed as `built` and the
+    /// rows indexed as `build_rows`.
+    fn expand_path(
+        &self,
+        hops: &[Hop],
+        relations: &[Cow<'_, Relation>],
+        output: &NodeSet,
+    ) -> Result<Relation, EngineError> {
+        let rels: Vec<&Relation> = hops.iter().map(|h| &*relations[h.edge]).collect();
+        let build_rows: u64 = rels.iter().map(|r| r.len() as u64).sum();
+        if G::ENABLED {
+            self.gov.approve_alloc(build_rows, 2)?;
+        }
+        let mut cells = Vec::new();
+        let indexes = run_indexes(&rels, hops, &mut cells);
+        let (start, rest) = indexes.split_first().expect("the path has two hops");
+        let (mut cur, mut next) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
+        let (mut gathered, mut checked) = (0usize, 0usize);
+        let (mut len, mut charged) = (0usize, 0usize);
+        for (r, a) in start.keys.ones().enumerate() {
+            cur.clear();
+            cur.extend_from_slice(start.run_at(r));
+            gathered += cur.len();
+            for index in rest {
+                sort_dedup(&mut cur);
+                next.clear();
+                for &v in &cur {
+                    let run = index.run(v);
+                    next.extend_from_slice(run);
+                    gathered += run.len();
+                    if G::ENABLED && gathered - checked >= CHECK_BATCH {
+                        checked = gathered;
+                        self.gov.checkpoint()?;
+                    }
+                }
+                std::mem::swap(&mut cur, &mut next);
+            }
+            sort_dedup(&mut cur);
+            for &d in &cur {
+                out.extend_from_slice(&[a as u32, d]);
+                len += 1;
+                if G::ENABLED && len - charged == CHECK_BATCH {
+                    charged = len;
+                    self.gov.checkpoint()?;
+                    self.gov.approve_alloc(CHECK_BATCH as u64, 2)?;
+                }
+            }
+        }
+        if G::ENABLED && len > charged {
+            self.gov.approve_alloc((len - charged) as u64, 2)?;
+        }
+        assert!(len < NO_HANDLE as usize, "relation too large");
+        // Grown by doubling: drop the spare capacity, as the hash join does.
+        out.shrink_to_fit();
+        if M::ENABLED {
+            self.metrics.record_op(OpMetrics {
+                kind: OpKind::Join,
+                kernel: Kernel::Enumerate,
+                probed: gathered as u64,
+                kept: len as u64,
+                built: indexes.iter().map(|i| i.keys.count() as u64).sum(),
+                build_rows,
+            });
+        }
+        let names: Vec<&str> = rels.iter().map(|r| r.name()).collect();
+        Ok(Relation::from_distinct_rows(
+            format!("π({})", names.join("⋈")),
+            output.clone(),
+            rels[0].pool().clone(),
+            out,
+            len,
+        ))
     }
 }
 

@@ -7,9 +7,9 @@
 //! the safety net under the columnar rewrite: the reference is the
 //! pre-rewrite engine kept alive as an oracle.
 
-use acyclic_hypergraphs::acyclic::join_tree;
+use acyclic_hypergraphs::acyclic::{join_tree, JoinTree};
 use acyclic_hypergraphs::decomp::{decompose, Decomposition, Heuristic};
-use acyclic_hypergraphs::hypergraph::{Hypergraph, HypergraphBuilder, NodeSet};
+use acyclic_hypergraphs::hypergraph::{EdgeId, Hypergraph, HypergraphBuilder, NodeId, NodeSet};
 use acyclic_hypergraphs::reldb::reference::{
     naive_full_join, naive_full_reduce, naive_yannakakis_join, NaiveRelation,
 };
@@ -18,8 +18,8 @@ use acyclic_hypergraphs::reldb::{
     Relation, Tuple, Value,
 };
 use acyclic_hypergraphs::workload::{
-    chain, far_apart, hyper_ring, pair_clique, random_database, ring, snowflake, snowflake_tree,
-    star, DataParams,
+    chain, far_apart, hyper_ring, pair_clique, random_acyclic, random_database, ring, snowflake,
+    snowflake_tree, star, AcyclicParams, DataParams,
 };
 use proptest::prelude::*;
 use std::borrow::Cow;
@@ -827,6 +827,179 @@ fn the_enumeration_rule_accepts_and_rejects_exactly() {
     assert_eq!(answer_and_kernels(&split, &db.schema().nodes()).1, (2, 0));
 }
 
+/// Whether the path expansion answers `x` over `tree`, the join tree (or bag
+/// tree) of `h`: `x` is two attributes, the smallest subtree `S` covering it
+/// has two edges or more, and every separator inside `S` is one attribute.
+/// (Every database here keeps its relations in one pool, the rule's last
+/// part.)
+fn expands(tree: &JoinTree, h: &Hypergraph, x: &NodeSet) -> bool {
+    let member = tree.connection_subtree(h, x);
+    let nodes = |e: EdgeId| &h.edges()[e.index()].nodes;
+    x.len() == 2
+        && member.iter().filter(|&&m| m).count() >= 2
+        && (tree.tree_edges().into_iter())
+            .filter(|(c, p)| member[c.index()] && member[p.index()])
+            .all(|(c, p)| nodes(c).intersection(nodes(p)).len() == 1)
+}
+
+/// Every two-attribute subset of `h`'s attributes.
+fn attribute_pairs(h: &Hypergraph) -> Vec<NodeSet> {
+    let nodes: Vec<NodeId> = h.nodes().iter().collect();
+    let mut pairs = Vec::new();
+    for (i, &a) in nodes.iter().enumerate() {
+        for &b in &nodes[i + 1..] {
+            pairs.push(NodeSet::from_ids([a, b]));
+        }
+    }
+    pairs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every two-attribute query on a chain, star, snowflake or random
+    /// acyclic schema, built by insertion and loaded from a snapshot, is the
+    /// reference's answer, a set.  Exactly where the expansion rule holds
+    /// the join is one enumerated op and no hash join, and the rows come
+    /// out strictly ascending in handle order — value order, in the loaded
+    /// database's ordered pool.
+    #[test]
+    fn two_attribute_answers_expand_exactly_where_the_rule_holds(
+        family in 0usize..4,
+        shape in 0usize..4,
+        tuples in 1usize..16,
+        domain in 1i64..5,
+        seed in 0u64..1_000,
+    ) {
+        let schema = match family {
+            0 => chain(2 + shape % 4, 2 + shape % 2, 1),
+            1 => star(2 + shape % 4, 2),
+            2 => snowflake(2 + shape % 2, 2, 2),
+            _ => random_acyclic(
+                AcyclicParams { edges: 3 + shape, min_edge_size: 2, max_edge_size: 3, max_overlap: 2 },
+                seed,
+            ),
+        };
+        let params = DataParams { tuples_per_relation: tuples, domain, skew: 0.0, key_cap: 0 };
+        let inserted = random_database(&schema, params, seed);
+        for db in [reloaded(&inserted), inserted] {
+            let tree = join_tree(db.schema()).expect("generator schemas are acyclic");
+            for x in attribute_pairs(db.schema()) {
+                let (got, (hashed, enumerated)) = answer_and_kernels(&db, &x);
+                prop_assert!(rows_distinct(&got), "{x:?}: rows repeat");
+                let rule = expands(&tree, db.schema(), &x);
+                prop_assert_eq!(enumerated, u64::from(rule), "{:?}: rule {}", x, rule);
+                if rule {
+                    prop_assert_eq!(hashed, 0, "{:?}: expanded and hashed", x);
+                    prop_assert!(rows_ascend(&got), "{:?}: an expanded answer is in order", x);
+                }
+            }
+        }
+    }
+}
+
+/// The expansion gathers each distinct value once per hop: `R(A,B)` holds
+/// `(1,1), (1,2)`, `S(B,C)` holds `(1,5), (2,5)` and `T(C,D)` holds
+/// `(5,7), (5,8)`.  From `a = 1` the walk gathers `B ∈ {1, 2}`, then `C = 5`
+/// twice, deduplicated to one `5`, then `D ∈ {7, 8}`: six values in all
+/// (eight, were the repeated `5` walked twice), two answer rows, four
+/// distinct keys over six indexed rows.
+#[test]
+fn expansion_gathers_each_distinct_value_once() {
+    let h = Hypergraph::from_edges([vec!["A", "B"], vec!["B", "C"], vec!["C", "D"]]).unwrap();
+    let mut db = Database::empty(h);
+    for (e, rows) in [[[1, 1], [1, 2]], [[1, 5], [2, 5]], [[5, 7], [5, 8]]]
+        .iter()
+        .enumerate()
+    {
+        for row in rows {
+            db.insert_values(EdgeId(e as u32), *row);
+        }
+    }
+    let x = db.attributes(["A", "D"]).unwrap();
+    for db in [reloaded(&db), db] {
+        let tree = join_tree(db.schema()).unwrap();
+        let sink = CollectingSink::new();
+        let got = ExecCtx::new()
+            .metrics(&sink)
+            .yannakakis_join(&db, &tree, &x)
+            .unwrap();
+        assert!(naive_yannakakis_join(&db, &tree, &x).agrees_with(&got));
+        let joins = sink.snapshot().joins;
+        assert_eq!((joins.ops, joins.enumerate_ops), (1, 1));
+        let counts = (joins.probed, joins.kept, joins.built, joins.build_rows);
+        assert_eq!(counts, (6, 2, 4, 6));
+    }
+}
+
+/// Bag trees take the expansion too, where a path of bags with
+/// one-attribute separators is reached: a triangle `A, B, C` with a tail
+/// `C–D, D–E` decomposes into the bags `{A,B,C}`, `{C,D}` and `{D,E}`, so
+/// `{A, E}` walks all three.  Every two-attribute query of it and of the
+/// 5-ring (whose bags share two attributes, so it hashes), built by
+/// insertion and loaded from a snapshot, is the naive full join's
+/// projection, a set, and enumerated exactly where the rule holds on the
+/// engine's bag tree, with no hash join but those that built the bags.
+#[test]
+fn bag_paths_with_one_attribute_separators_expand() {
+    let tailed = Hypergraph::from_edges([
+        vec!["A", "B"],
+        vec!["B", "C"],
+        vec!["A", "C"],
+        vec!["C", "D"],
+        vec!["D", "E"],
+    ])
+    .unwrap();
+    let params = DataParams {
+        tuples_per_relation: 30,
+        domain: 4,
+        skew: 0.0,
+        key_cap: 0,
+    };
+    let mut expanded = [0, 0];
+    for (i, schema) in [tailed, ring(5)].iter().enumerate() {
+        for seed in 0..6 {
+            let inserted = random_database(schema, params, seed);
+            for db in [reloaded(&inserted), inserted] {
+                let full = naive_full_join(&db);
+                for x in attribute_pairs(db.schema()) {
+                    let sink = CollectingSink::new();
+                    let got = ExecCtx::new()
+                        .metrics(&sink)
+                        .query_yannakakis(&db, &x)
+                        .expect("nobody aborts");
+                    assert!(is_the_set(&full.project(&x), &got), "{x:?}");
+                    let report = sink.snapshot();
+                    let heuristic = match report.widths.map(|w| w.chosen) {
+                        Some("min-degree") => Heuristic::MinDegree,
+                        _ => Heuristic::MinFill,
+                    };
+                    let d = decompose(db.schema(), heuristic).expect("nonempty schema");
+                    let rule = expands(d.tree(), d.bags(), &x);
+                    assert_eq!(report.joins.enumerate_ops, u64::from(rule), "{x:?}");
+                    if rule {
+                        // Every hash join is one that built a bag.
+                        let built = CollectingSink::new();
+                        ExecCtx::new()
+                            .metrics(&built)
+                            .materialize_bags(&db, &d)
+                            .expect("nobody aborts");
+                        let bag_joins = built.snapshot().joins.hash_ops;
+                        assert_eq!(report.joins.hash_ops, bag_joins, "{x:?}");
+                        assert!(rows_ascend(&got), "{x:?}");
+                        expanded[i] += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        expanded[0] > 0,
+        "the tailed triangle reaches a path of bags"
+    );
+    assert_eq!(expanded[1], 0, "the ring's separators are two attributes");
+}
+
 /// The reference bags of `d`, built children-first along the bag tree: each
 /// is the join of its cover (assigned relations whole, extras trimmed to
 /// the bag) and, with `messages`, of every child bag projected onto the
@@ -891,7 +1064,6 @@ fn full_reduce_removed_counts_regression() {
         h.node("D").unwrap(),
     );
     let mut db = Database::empty(h);
-    use acyclic_hypergraphs::hypergraph::EdgeId;
     for i in 0..5i64 {
         db.insert(EdgeId(0), Tuple::from_pairs([(a, i), (b, i)]));
     }

@@ -28,7 +28,7 @@ use acyclic_hypergraphs::workload::{
 };
 use proptest::prelude::*;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -602,8 +602,11 @@ fn chain_reducer_cancelled_at_every_checkpoint_leaves_db_untouched() {
 
 /// Governance is unchanged by how the join kernel emits rows: the in-kernel
 /// checkpoint count and the words charged to the budget are the totals the
-/// parent commit (PR 13, per-row dedup on every emitted row) read on the same
-/// inputs — the numbers below were recorded there.
+/// hash join read on the same inputs when it still deduplicated every
+/// emitted row — the numbers below were recorded then.  The far-apart
+/// answer has since moved to the path expansion, whose totals were recorded
+/// when it was introduced; its charge is also checked against its rule, two
+/// words per indexed row and two per answer row.
 #[test]
 fn join_governance_totals_match_the_recorded_ones() {
     let db = two_big_relations();
@@ -616,26 +619,34 @@ fn join_governance_totals_match_the_recorded_ones() {
     let db = big_chain();
     let tree = join_tree(db.schema()).expect("chains are acyclic");
     let (all, ends) = (db.schema().nodes(), far_apart(db.schema()));
-    for (x, want_rows, want) in [
-        (&all, RECORDED_CHAIN_ALL_ROWS, RECORDED_CHAIN_ALL),
-        (&ends, RECORDED_CHAIN_ENDS_ROWS, RECORDED_CHAIN_ENDS),
+    for (x, want_rows, want, expands) in [
+        (&all, RECORDED_CHAIN_ALL_ROWS, RECORDED_CHAIN_ALL, false),
+        (&ends, RECORDED_CHAIN_ENDS_ROWS, RECORDED_CHAIN_ENDS, true),
     ] {
-        let gov = TripAtCheckpoint::never();
+        let (gov, sink) = (TripAtCheckpoint::never(), CollectingSink::new());
         let out = ExecCtx::new()
+            .metrics(&sink)
             .gov(&gov)
             .yannakakis_join(&db, &tree, x)
             .expect("nothing trips");
         assert_eq!(out.len(), want_rows);
         assert_eq!(gov.totals(), want);
+        let joins = sink.snapshot().joins;
+        assert_eq!(joins.enumerate_ops, u64::from(expands));
+        if expands {
+            assert_eq!(gov.totals().1, 2 * (joins.build_rows + joins.kept));
+        }
     }
 }
 
-/// `(in-kernel checkpoints, words charged)` read at the parent commit.
+/// `(in-kernel checkpoints, words charged)`: the hash join's read before its
+/// emit loop stopped deduplicating, the far-apart chain answer's when the
+/// path expansion took it over.
 const RECORDED_HASH_JOIN: (u64, u64) = (8, 81_104);
 const RECORDED_JOIN_ROWS: usize = 18_776;
 const RECORDED_CHAIN_ALL: (u64, u64) = (37, 118_000);
 const RECORDED_CHAIN_ALL_ROWS: usize = 9_000;
-const RECORDED_CHAIN_ENDS: (u64, u64) = (37, 91_000);
+const RECORDED_CHAIN_ENDS: (u64, u64) = (32, 46_000);
 const RECORDED_CHAIN_ENDS_ROWS: usize = 9_000;
 
 /// Cancelling at the n-th in-kernel checkpoint of a join — wherever in its
@@ -750,6 +761,193 @@ fn an_enumerated_answer_aborted_at_any_checkpoint_leaves_db_untouched() {
                 },
             };
             assert_eq!(got.err(), Some(want), "checkpoint {trip_at}");
+            assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
+            assert_eq!(snapshot(&db), before, "abort mutated the database");
+        }
+    }
+}
+
+/// The far-apart answer of [`big_chain`], built by insertion and loaded
+/// from a snapshot, takes the path expansion either way.  A cancellation or
+/// an expired deadline at any of its checkpoints — in the reducer, while a
+/// hop gathers, or while the answer fills — aborts on the spot, and a token
+/// cancelled or a deadline expired before the query starts aborts it at
+/// once; `db` is untouched every time.
+#[test]
+fn an_expanded_answer_aborted_at_any_checkpoint_leaves_db_untouched() {
+    for db in [big_chain(), loaded_big_chain()] {
+        let tree = join_tree(db.schema()).expect("chains are acyclic");
+        let ends = far_apart(db.schema());
+        let before = snapshot(&db);
+        let (gov, sink) = (TripAtCheckpoint::never(), CollectingSink::new());
+        let answer = ExecCtx::new()
+            .metrics(&sink)
+            .gov(&gov)
+            .yannakakis_join(&db, &tree, &ends)
+            .expect("nothing trips");
+        assert_eq!(sink.snapshot().joins.enumerate_ops, 1);
+        assert!(answer.len() > 2 * CHECK_BATCH, "the answer spans batches");
+        for trip_at in 0..gov.checkpoints_seen() {
+            for expire in [false, true] {
+                let gov = TripAtCheckpoint::new(trip_at).expiring(expire);
+                let got = ExecCtx::new().gov(&gov).yannakakis_join(&db, &tree, &ends);
+                let want = match expire {
+                    false => EngineError::Cancelled,
+                    true => EngineError::DeadlineExceeded {
+                        elapsed: Duration::ZERO,
+                    },
+                };
+                assert_eq!(got.err(), Some(want), "checkpoint {trip_at}");
+                assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
+                assert_eq!(snapshot(&db), before, "abort mutated the database");
+            }
+        }
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = QueryGovernor::with_token(token);
+        let got = ExecCtx::new()
+            .gov(&cancelled)
+            .yannakakis_join(&db, &tree, &ends);
+        assert_eq!(got.err(), Some(EngineError::Cancelled));
+        let expired = QueryGovernor::new().with_deadline(Duration::ZERO);
+        let got = ExecCtx::new()
+            .gov(&expired)
+            .yannakakis_join(&db, &tree, &ends);
+        assert!(matches!(got, Err(EngineError::DeadlineExceeded { .. })));
+        assert_untouched(&db, &before, &ends);
+    }
+}
+
+/// The expansion charges two words per indexed row before it builds its
+/// indexes, then two per answer row a batch at a time (the reducer's
+/// semijoins charge nothing).  A budget one byte short of the index charge
+/// fails at that first charge; one halfway through the answer's charges,
+/// or one byte short of the whole, fails while the answer fills; all fail typed and leave `db` untouched,
+/// and the exact total passes.
+#[test]
+fn an_expanded_answer_over_budget_fails_typed() {
+    for db in [big_chain(), loaded_big_chain()] {
+        let tree = join_tree(db.schema()).expect("chains are acyclic");
+        let ends = far_apart(db.schema());
+        let (probe, sink) = (
+            QueryGovernor::new().with_memory_budget(u64::MAX),
+            CollectingSink::new(),
+        );
+        let answer = ExecCtx::new()
+            .metrics(&sink)
+            .gov(&probe)
+            .yannakakis_join(&db, &tree, &ends)
+            .expect("an unbounded budget passes");
+        let joins = sink.snapshot().joins;
+        assert_eq!(joins.enumerate_ops, 1);
+        let total = probe.charged_bytes();
+        let indexes = joins.build_rows * 2 * 4;
+        assert_eq!(total, indexes + answer.len() as u64 * 2 * 4);
+
+        let before = snapshot(&db);
+        let halfway = indexes + (total - indexes) / 2;
+        for (limit, first_charge) in [(indexes - 1, true), (halfway, false), (total - 1, false)] {
+            let gov = QueryGovernor::new().with_memory_budget(limit);
+            let got = ExecCtx::new().gov(&gov).yannakakis_join(&db, &tree, &ends);
+            match got {
+                Err(EngineError::BudgetExceeded {
+                    estimated,
+                    limit: l,
+                }) => {
+                    assert_eq!(l, limit);
+                    assert!(estimated > limit && estimated <= total, "{estimated}");
+                    assert_eq!(estimated == indexes, first_charge, "limit {limit}");
+                }
+                other => panic!("limit {limit}: got {other:?}"),
+            }
+            assert_untouched(&db, &before, &ends);
+        }
+        let gov = QueryGovernor::new().with_memory_budget(total);
+        let got = ExecCtx::new().gov(&gov).yannakakis_join(&db, &tree, &ends);
+        assert!(got.expect("the exact total passes").same_contents(&answer));
+    }
+}
+
+/// A chain `A–B–C–D` whose one `A` value reaches every one of `BIG_ROWS`
+/// `B`s, each `B` one of seven `C`s and each `C` one `D`: a hub whose
+/// answer is seven rows, far below one batch.
+fn hub_chain() -> Database {
+    let mut db = Database::empty(chain(3, 2, 1));
+    for b in 0..BIG_ROWS as i64 {
+        db.insert_values(EdgeId(0), [0, b]);
+        db.insert_values(EdgeId(1), [b, b % 7]);
+    }
+    for c in 0..7 {
+        db.insert_values(EdgeId(2), [c, 100 + c]);
+    }
+    db
+}
+
+/// Counts the in-kernel checkpoints made after the governor was last told
+/// a [`Phase::Join`] level starts.
+#[derive(Default)]
+struct JoinCheckpoints {
+    in_join: AtomicBool,
+    seen: AtomicU64,
+}
+
+impl Governor for JoinCheckpoints {
+    const ENABLED: bool = true;
+
+    fn at_level(&self, phase: Phase, _level: usize) -> Result<(), EngineError> {
+        self.in_join.store(phase == Phase::Join, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn checkpoint(&self) -> Result<(), EngineError> {
+        if self.in_join.load(Ordering::Relaxed) {
+            self.seen.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+}
+
+/// A hub value cannot run unchecked: its one walk gathers `BIG_ROWS` `B`s
+/// and as many `C`s before it emits a row, and the join checkpoints while
+/// it does, though the seven-row answer never fills a batch.  A
+/// cancellation at each of those checkpoints aborts on the spot with `db`
+/// untouched.
+#[test]
+fn a_hub_value_trips_a_checkpoint_inside_a_hop() {
+    for db in [
+        hub_chain(),
+        Database::from_snapshot_bytes(&hub_chain().to_snapshot_bytes()).unwrap(),
+    ] {
+        let tree = join_tree(db.schema()).expect("chains are acyclic");
+        let ends = far_apart(db.schema());
+        let want = query_via_full_join(&db, &ends);
+        let (counter, sink) = (JoinCheckpoints::default(), CollectingSink::new());
+        let answer = ExecCtx::new()
+            .metrics(&sink)
+            .gov(&counter)
+            .yannakakis_join(&db, &tree, &ends)
+            .expect("nothing trips");
+        assert!(answer.same_contents(&want));
+        assert_eq!(answer.len(), 7);
+        assert_eq!(sink.snapshot().joins.enumerate_ops, 1);
+        let in_join = counter.seen.load(Ordering::Relaxed);
+        assert!(in_join >= 2, "the hub's hop checkpoints ({in_join})");
+
+        let all = TripAtCheckpoint::never();
+        ExecCtx::new()
+            .gov(&all)
+            .yannakakis_join(&db, &tree, &ends)
+            .expect("nothing trips");
+        let total = all.checkpoints_seen();
+        let before = snapshot(&db);
+        for trip_at in total - in_join..total {
+            let gov = TripAtCheckpoint::new(trip_at);
+            let got = ExecCtx::new().gov(&gov).yannakakis_join(&db, &tree, &ends);
+            assert_eq!(
+                got.err(),
+                Some(EngineError::Cancelled),
+                "checkpoint {trip_at}"
+            );
             assert_eq!(gov.checkpoints_seen(), trip_at + 1, "aborted on the spot");
             assert_eq!(snapshot(&db), before, "abort mutated the database");
         }

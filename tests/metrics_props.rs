@@ -21,7 +21,7 @@
 
 use acyclic_hypergraphs::acyclic::{join_tree, JoinTree};
 use acyclic_hypergraphs::decomp::{decompose, Heuristic};
-use acyclic_hypergraphs::hypergraph::{Hypergraph, NodeSet};
+use acyclic_hypergraphs::hypergraph::{EdgeId, Hypergraph, NodeSet};
 use acyclic_hypergraphs::reldb::{
     full_reduce, plan_connection, query_via_full_join, query_yannakakis, CollectingSink, Database,
     ExecCtx, Phase, QueryMetrics,
@@ -66,7 +66,9 @@ fn stages(m: &QueryMetrics) -> Vec<(Phase, usize)> {
 /// over `tree` (or the bag materialization that is one) answering `x`,
 /// computed from the tree's depths and `S = tree.connection_subtree(h, x)`:
 /// the downward pass from level 1 down to `S`'s deepest level, then — unless
-/// `S` is one edge — one join level per depth of `S`, deepest first.
+/// `S` is one edge — the join: one level when `x` is two attributes and
+/// every separator inside `S` is one (the path expansion), else one join
+/// level per depth of `S`, deepest first.
 fn after_upward_pass(tree: &JoinTree, h: &Hypergraph, x: &NodeSet) -> Vec<(Phase, usize)> {
     let member = tree.connection_subtree(h, x);
     let s_depths: Vec<usize> = tree
@@ -78,10 +80,14 @@ fn after_upward_pass(tree: &JoinTree, h: &Hypergraph, x: &NodeSet) -> Vec<(Phase
         .collect();
     let (top, bottom) = (s_depths[0], s_depths[s_depths.len() - 1]);
     let down = (1..=bottom).map(|l| (Phase::ReduceDown, l));
-    let joins = if member.iter().filter(|&&m| m).count() == 1 {
-        0
-    } else {
-        bottom - top + 1
+    let nodes = |e: EdgeId| &h.edges()[e.index()].nodes;
+    let single_separators = (tree.tree_edges().into_iter())
+        .filter(|(c, p)| member[c.index()] && member[p.index()])
+        .all(|(c, p)| nodes(c).intersection(nodes(p)).len() == 1);
+    let joins = match member.iter().filter(|&&m| m).count() {
+        1 => 0,
+        _ if x.len() == 2 && single_separators => 1,
+        _ => bottom - top + 1,
     };
     down.chain((0..joins).map(|l| (Phase::Join, l))).collect()
 }
