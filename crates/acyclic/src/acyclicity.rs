@@ -11,89 +11,8 @@
 //! * `mcs::is_acyclic_mcs` — chordality of the primal graph plus
 //!   conformality (Tarjan–Yannakakis style), in the sibling module.
 
-use hypergraph::{Edge, Hypergraph, NodeId, NodeSet};
-use std::collections::HashMap;
-
-/// Pass-based Graham reduction without trace recording.
-///
-/// Removes all currently-removable nodes per pass and prunes subsumed edges
-/// with a size-sorted sweep, which keeps large benchmark instances fast.
-///
-/// The result has the same edges, as node sets, as [`crate::graham_reduce`]
-/// (Lemma 2.1), but a partial edge may keep a different label.  Which of two
-/// edges that shrink to the same set survives depends on the order the
-/// rules run in: from `B-C`, `A-E`, `C-E` with `X = {E}` this keeps `C-E`
-/// and [`crate::graham_reduction`] keeps `A-E`.
-pub fn graham_reduction_fast(h: &Hypergraph, sacred: &NodeSet) -> Hypergraph {
-    let mut edges: Vec<Edge> = h.edges().to_vec();
-    loop {
-        let mut changed = false;
-
-        // Node-removal pass: delete every non-sacred node of degree one.
-        let mut degree: HashMap<NodeId, usize> = HashMap::new();
-        for e in &edges {
-            for n in e.nodes.iter() {
-                *degree.entry(n).or_insert(0) += 1;
-            }
-        }
-        let removable: NodeSet = degree
-            .iter()
-            .filter(|(n, &c)| c == 1 && !sacred.contains(**n))
-            .map(|(&n, _)| n)
-            .collect();
-        if !removable.is_empty() {
-            for e in &mut edges {
-                let before = e.nodes.len();
-                e.nodes.subtract(&removable);
-                if e.nodes.len() != before {
-                    changed = true;
-                }
-            }
-            edges.retain(|e| !e.nodes.is_empty());
-        }
-
-        // Edge-removal pass: drop edges subsumed by a larger (or equal,
-        // earlier) edge.  Sorting by descending size lets each edge only be
-        // checked against candidates that could subsume it.
-        let mut order: Vec<usize> = (0..edges.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(edges[i].nodes.len()));
-        let mut keep = vec![true; edges.len()];
-        for (pos, &i) in order.iter().enumerate() {
-            if !keep[i] {
-                continue;
-            }
-            for &j in &order[..pos] {
-                if !keep[j] || i == j {
-                    continue;
-                }
-                if edges[i].nodes.is_subset(&edges[j].nodes) {
-                    keep[i] = false;
-                    changed = true;
-                    break;
-                }
-            }
-            if keep[i] {
-                // Equal-sized duplicates: keep the earliest index.
-                for &j in &order[pos + 1..] {
-                    if keep[j] && j < i && edges[j].nodes == edges[i].nodes {
-                        keep[i] = false;
-                        changed = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if keep.iter().any(|k| !k) {
-            let mut it = keep.iter();
-            edges.retain(|_| *it.next().expect("keep mask aligned"));
-        }
-
-        if !changed {
-            break;
-        }
-    }
-    h.with_edges(edges)
-}
+use crate::graham::gyo_reduction;
+use hypergraph::Hypergraph;
 
 impl private::Sealed for Hypergraph {}
 
@@ -118,7 +37,7 @@ pub trait AcyclicityExt: private::Sealed {
 
 impl AcyclicityExt for Hypergraph {
     fn is_acyclic(&self) -> bool {
-        graham_reduction_fast(self, &NodeSet::new()).is_empty()
+        gyo_reduction(self).is_empty()
     }
 
     fn is_acyclic_by_definition(&self) -> bool {
@@ -140,7 +59,8 @@ pub fn is_acyclic(h: &Hypergraph) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graham::{graham_reduction, gyo_reduction};
+    use crate::graham::{graham_reduce, graham_reduction, Strategy};
+    use hypergraph::NodeSet;
 
     fn fig1() -> Hypergraph {
         Hypergraph::from_edges([
@@ -233,6 +153,8 @@ mod tests {
         assert!(disconnected.is_acyclic_by_definition());
     }
 
+    /// The pass-based reduction and the traced one, rule by rule, reach
+    /// the same edges.
     #[test]
     fn fast_reduction_matches_traced_reduction() {
         for (h, sacred_names) in [
@@ -252,8 +174,8 @@ mod tests {
             ),
         ] {
             let sacred = h.node_set(sacred_names.iter().copied()).unwrap();
-            let fast = graham_reduction_fast(&h, &sacred);
-            let slow = graham_reduction(&h, &sacred);
+            let fast = graham_reduction(&h, &sacred);
+            let slow = graham_reduce(&h, &sacred, Strategy::NodesFirst).result;
             assert!(
                 fast.same_edge_sets(&slow),
                 "fast {} != slow {}",
@@ -268,16 +190,23 @@ mod tests {
         for h in [fig1(), triangle()] {
             assert_eq!(
                 gyo_reduction(&h).is_empty(),
-                graham_reduction_fast(&h, &NodeSet::new()).is_empty()
+                graham_reduce(&h, &NodeSet::new(), Strategy::NodesFirst)
+                    .result
+                    .is_empty()
             );
         }
     }
 
+    /// Which of two edges that shrink to the same set keeps its label
+    /// depends on the rule order, so a partial edge's label names no
+    /// object: `reldb`'s tie rule reads only node sets, and maps `{E}` to
+    /// `A-E` from either result (`universal::tests`).
     #[test]
     fn fast_reduction_keeps_the_edges_but_not_always_the_labels() {
         let h = Hypergraph::from_edges([vec!["B", "C"], vec!["A", "E"], vec!["C", "E"]]).unwrap();
         let x = h.node_set(["E"]).unwrap();
-        let (fast, traced) = (graham_reduction_fast(&h, &x), graham_reduction(&h, &x));
+        let fast = graham_reduction(&h, &x);
+        let traced = graham_reduce(&h, &x, Strategy::NodesFirst).result;
         assert!(fast.same_edge_sets(&traced));
         assert_eq!(fast.edges()[0].label, "C-E");
         assert_eq!(traced.edges()[0].label, "A-E");

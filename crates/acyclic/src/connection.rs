@@ -3,8 +3,10 @@
 //! The *canonical connection* of a node set `X` in a hypergraph `H` is
 //! `CC_H(X) = TR(H, X)`: the natural set of partial edges linking the nodes
 //! of `X`.  By Theorem 3.5 it can equivalently be computed by Graham
-//! reduction when `H` is acyclic, which is how a database system would do it
-//! in practice; [`graham_equals_tableau`] states that equivalence for one
+//! reduction when `H` is acyclic: `reldb`'s connection planner reads it off
+//! [`crate::graham_reduction`] on an acyclic schema and runs tableau
+//! reduction only on a cyclic one.  [`canonical_connection`] stays the
+//! definition, and [`graham_equals_tableau`] states the equivalence for one
 //! input, so tests can check it.
 
 use crate::graham::graham_reduction;

@@ -11,6 +11,11 @@
 //! result is independent of the order of application; the `confluence`
 //! module exercises this empirically with randomized orders.
 //!
+//! There is one reduction: [`graham_reduction`] applies the rules in
+//! passes, and [`graham_reduce`] applies them one at a time in a chosen
+//! order, recording the trace.  The result's node sets do not depend on
+//! the order; the label a partial edge keeps does.
+//!
 //! **Convention.**  An edge whose last node is removed is deleted as well
 //! (it carries no information and is a subset of every other edge).  With
 //! this convention `GR(H, ∅)` of an acyclic hypergraph is the *empty*
@@ -18,6 +23,7 @@
 //! `tableau` crate and keeping Theorem 3.5 exact in code.
 
 use hypergraph::{Edge, Hypergraph, NodeId, NodeSet};
+use std::collections::HashMap;
 
 /// One application of a Graham-reduction rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,12 +86,13 @@ pub enum Strategy {
     Seeded(u64),
 }
 
-/// Computes `GR(H, X)` with the default ([`Strategy::NodesFirst`]) rule
-/// order, returning only the reduced hypergraph.
+/// Computes `GR(H, X)`, returning only the reduced hypergraph.
 ///
-/// [`crate::graham_reduction_fast`] reaches the same edges as node sets, but
-/// not always with the same labels: which of two edges that shrink to the
-/// same set survives depends on the rule order.
+/// Each pass deletes every non-sacred node of degree one, then every edge
+/// that another edge contains, until a pass changes nothing.  The edges
+/// left, as node sets, are [`graham_reduce`]'s under any [`Strategy`]
+/// (Lemma 2.1); which of two edges that shrink to the same set keeps its
+/// label depends on the order.
 ///
 /// ```
 /// use hypergraph::Hypergraph;
@@ -105,7 +112,53 @@ pub enum Strategy {
 /// assert!(gr.contains_edge_set(&h.node_set(["C", "D", "E"]).unwrap()));
 /// ```
 pub fn graham_reduction(h: &Hypergraph, sacred: &NodeSet) -> Hypergraph {
-    graham_reduce(h, sacred, Strategy::NodesFirst).result
+    let mut edges: Vec<Edge> = h.edges().to_vec();
+    loop {
+        let mut changed = false;
+
+        // Node-removal pass: delete every non-sacred node of degree one.
+        let mut degree: HashMap<NodeId, usize> = HashMap::new();
+        for e in &edges {
+            for n in e.nodes.iter() {
+                *degree.entry(n).or_insert(0) += 1;
+            }
+        }
+        let removable: NodeSet = degree
+            .iter()
+            .filter(|(n, &c)| c == 1 && !sacred.contains(**n))
+            .map(|(&n, _)| n)
+            .collect();
+        if !removable.is_empty() {
+            changed = true;
+            for e in &mut edges {
+                e.nodes.subtract(&removable);
+            }
+            edges.retain(|e| !e.nodes.is_empty());
+        }
+
+        // Edge-removal pass: drop every edge that a kept edge contains.
+        // Sorted stably by descending size, an edge need only be checked
+        // against the edges before it, and of equal edges the earliest
+        // stays.
+        let mut order: Vec<usize> = (0..edges.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(edges[i].nodes.len()));
+        let mut keep = vec![true; edges.len()];
+        for (pos, &i) in order.iter().enumerate() {
+            keep[i] = !order[..pos]
+                .iter()
+                .any(|&j| keep[j] && edges[i].nodes.is_subset(&edges[j].nodes));
+        }
+        if keep.contains(&false) {
+            changed = true;
+            let mut it = keep.iter();
+            edges.retain(|_| *it.next().expect("keep mask aligned"));
+        }
+
+        if !changed {
+            break;
+        }
+    }
+    h.with_edges(edges)
 }
 
 /// Computes `GR(H, ∅)`: the unrestricted GYO reduction.
@@ -194,8 +247,7 @@ fn collect_candidates(edges: &[Edge], sacred: &NodeSet, strategy: Strategy) -> V
     let mut edge_cands = Vec::new();
 
     // Node removals: non-sacred nodes of degree 1.
-    let mut degree: std::collections::HashMap<NodeId, (usize, usize)> =
-        std::collections::HashMap::new();
+    let mut degree: HashMap<NodeId, (usize, usize)> = HashMap::new();
     for (i, e) in edges.iter().enumerate() {
         for n in e.nodes.iter() {
             let entry = degree.entry(n).or_insert((0, i));

@@ -4,9 +4,9 @@
 //! This crate implements the paper's contribution on top of the
 //! [`hypergraph`] and [`tableau`] substrates:
 //!
-//! * **Graham reduction with sacred nodes** `GR(H, X)` (§2), with step
-//!   traces, alternative rule orders, and an empirical Church–Rosser
-//!   checker (Lemma 2.1);
+//! * **Graham reduction with sacred nodes** `GR(H, X)` (§2): one
+//!   pass-based fixed point, plus a traced form with alternative rule
+//!   orders and an empirical Church–Rosser checker (Lemma 2.1);
 //! * **acyclicity tests**: GYO reduction, the definition-based baseline,
 //!   and a maximum-cardinality-search (chordality + conformality) test;
 //! * **join trees** via ear decomposition, with running-intersection
@@ -24,7 +24,7 @@
 //!
 //! | Module | Paper concept |
 //! |---|---|
-//! | `graham` | Graham reduction with sacred nodes `GR(H, X)` and GYO reduction, with step traces (§2) |
+//! | `graham` | Graham reduction with sacred nodes `GR(H, X)` (`graham_reduction`, the one fixed point every caller uses) and GYO reduction; `graham_reduce` is the same reduction one rule at a time, with its step trace (§2) |
 //! | `confluence` | empirical Church–Rosser check for Graham reduction rule orders (Lemma 2.1) |
 //! | `acyclicity` | acyclicity tests: GYO-reduces-to-empty, plus the definition-based baseline (§2) |
 //! | `mcs` | maximum-cardinality-search test: chordality + conformality of the primal graph (the classical equivalent) |
@@ -66,7 +66,7 @@ mod jointree;
 mod mcs;
 mod theorem;
 
-pub use acyclicity::{graham_reduction_fast, is_acyclic, AcyclicityExt};
+pub use acyclicity::{is_acyclic, AcyclicityExt};
 pub use confluence::is_confluent;
 pub use connection::{canonical_connection, graham_equals_tableau};
 pub use graham::{

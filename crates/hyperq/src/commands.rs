@@ -162,7 +162,7 @@ pub fn run_query(
         .attributes(attrs.iter().copied())
         .map_err(|e| format!("bad --select: {e:?}"))?;
     let schema = db.schema();
-    let plan = plan_connection(schema, &x);
+    let plan = plan_connection(db, &x);
     let mut out = String::new();
     out.push_str(&format!(
         "query attributes: {}\n",

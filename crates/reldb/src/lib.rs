@@ -36,7 +36,7 @@
 //! | `value`, `pool` | attribute values and the interning dictionary behind the columnar `u32`-handle rows |
 //! | `relation` | one stored *object* (hyperedge) as a relation: flat interned rows, the hash join kernel and the dense and sort-merge semijoin kernels (§7), which see one pool (a cross-pool operand is brought into it at the kernel's door), and the LSD counting/radix id sorter they share with the server's answer frame ([`sort_ids_by_key`]) |
 //! | `database` | a database bound to a schema hypergraph — one relation per object (§7) — carrying its schema's plan ([`Database::is_acyclic`]) |
-//! | `universal` | universal-relation queries `π_X(⋈ CC(X))` over canonical connections (§5, §7): the connection engine (tableau reduction picks `CC(X)`'s objects, the Yannakakis engine answers over them) and the full-join baseline |
+//! | `universal` | universal-relation queries `π_X(⋈ CC(X))` over canonical connections (§5, §7): the connection engine (`CC(X)` by Graham reduction on an acyclic schema, tableau reduction on a cyclic one; one tie rule maps it to objects; the Yannakakis engine answers over them) and the full-join baseline |
 //! | `yannakakis` | the Yannakakis full reducer, and queries answered from the join subtree covering `X` after the upward pass, level by level in every pass (§7's efficiency payoff), a two-attribute answer walked along a path of the subtree through run indexes, the subtree's whole join enumerated in order from sorted relations |
 //! | `rank` | [`RankedBits`], the rank bitmap over handles that the path expansion's run index and `hyperqd`'s answer frame share |
 //! | [`hypertree`] | cyclic schemas: bag materialization over a hypertree decomposition (`decomp` crate), the per-database plan (join tree or decompositions, built once from the schema) and the one Yannakakis entry point [`ExecCtx::query_yannakakis`], which routes by it |

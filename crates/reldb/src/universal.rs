@@ -9,7 +9,7 @@
 //!
 //! Three query paths are provided and compared by tests and benchmark B4:
 //!
-//! * [`query_via_connection`] — tableau reduction picks the objects of
+//! * [`query_via_connection`] — [`plan_connection`] picks the objects of
 //!   `CC(X)`, and the Yannakakis engine answers over the sub-database they
 //!   form;
 //! * [`query_yannakakis`] — after the reducer's upward pass, reduce
@@ -24,47 +24,66 @@ use crate::exec::ExecCtx;
 use crate::govern::{contain_panics, unfail, EngineError, Governor};
 use crate::metrics::{timed, MetricsSink, Phase};
 use crate::relation::Relation;
-use acyclic::canonical_connection;
+use acyclic::{canonical_connection, graham_reduction};
 use hypergraph::{Hypergraph, NodeSet};
 
-/// The objects (schema edges, by label) chosen by the canonical connection
-/// of `x`, together with the connection itself.
+/// The objects (schema edges) chosen by the canonical connection of `x`,
+/// together with the connection itself.
 #[derive(Debug, Clone)]
 pub struct ConnectionPlan {
     /// The canonical connection `CC(X)` as a hypergraph of partial edges.
     pub connection: Hypergraph,
-    /// Indices (into the schema's edge list) of the objects to join.
+    /// Indices (into the schema's edge list) of the objects to join,
+    /// ascending and without repeats.  **Tie rule:** the object of a
+    /// partial edge is the lowest-indexed schema edge that contains it.
+    /// The rule reads node sets only, never the label a partial edge kept,
+    /// so the objects do not depend on which reduction computed `CC(X)` or
+    /// in what order its rules ran.  Several edges can contain one partial
+    /// edge (Fig. 1's `{A, C}` lies in `ABC` and `ACE`); on an inconsistent
+    /// database the rule's choice can change the answer.
     pub objects: Vec<usize>,
 }
 
 /// Plans a universal-relation query: computes `CC(X)` and maps its partial
-/// edges back to the schema objects that will be joined.
-pub fn plan_connection(schema: &Hypergraph, x: &NodeSet) -> ConnectionPlan {
-    let connection = canonical_connection(schema, x);
-    let mut objects = Vec::new();
-    for partial in connection.edges() {
-        // Each partial edge descends from an original edge; prefer the edge
-        // with the same label, falling back to any edge covering it.
-        let idx = schema
-            .edges()
-            .iter()
-            .position(|e| e.label == partial.label && partial.nodes.is_subset(&e.nodes))
-            .or_else(|| {
-                schema
-                    .edges()
-                    .iter()
-                    .position(|e| partial.nodes.is_subset(&e.nodes))
-            })
-            .expect("every partial edge of CC(X) is covered by a schema edge");
-        if !objects.contains(&idx) {
-            objects.push(idx);
-        }
-    }
-    objects.sort_unstable();
+/// edges to the schema objects that will be joined, by the tie rule
+/// documented on [`ConnectionPlan::objects`].
+///
+/// On an acyclic schema `CC(X)` is Graham reduction's `GR(H, X)`, which
+/// equals tableau reduction's `TR(H, X)` there (Theorem 3.5) and takes
+/// near-linear time.  Only a cyclic schema runs tableau reduction
+/// ([`canonical_connection`], the definition).  Whether the schema is
+/// acyclic is read from the plan `db` builds once
+/// ([`Database::is_acyclic`]), so no query reruns GYO.
+pub fn plan_connection(db: &Database, x: &NodeSet) -> ConnectionPlan {
+    let schema = db.schema();
+    let connection = if db.is_acyclic() {
+        graham_reduction(schema, x)
+    } else {
+        canonical_connection(schema, x)
+    };
     ConnectionPlan {
+        objects: objects_of(schema, &connection),
         connection,
-        objects,
     }
+}
+
+/// The tie rule: each partial edge of `connection` maps to the
+/// lowest-indexed edge of `schema` that contains it.
+fn objects_of(schema: &Hypergraph, connection: &Hypergraph) -> Vec<usize> {
+    let mut objects: Vec<usize> = connection
+        .edges()
+        .iter()
+        .map(|partial| {
+            schema
+                .edges()
+                .iter()
+                .position(|e| partial.nodes.is_subset(&e.nodes))
+                .expect("every partial edge of CC(X) is covered by a schema edge")
+        })
+        .collect();
+    objects.sort_unstable();
+    objects.dedup();
+    objects
 }
 
 /// Two of the three universal-relation query engines; the third,
@@ -73,8 +92,8 @@ pub fn plan_connection(schema: &Hypergraph, x: &NodeSet) -> ConnectionPlan {
 /// escaping the engine — a kernel bug, a sink — surfaces as
 /// [`EngineError::WorkerPanic`], never as an unwind through the caller.
 impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
-    /// Answers the query `π_X (⋈ of the objects in CC(X))`: tableau
-    /// reduction picks the objects ([`plan_connection`]), and
+    /// Answers the query `π_X (⋈ of the objects in CC(X))`:
+    /// [`plan_connection`] picks the objects, and
     /// [`ExecCtx::query_yannakakis`] answers over the sub-database they
     /// form, with every stage, sink and checkpoint it documents.  The
     /// sub-database has its own plan: a join tree, or decompositions when
@@ -88,7 +107,7 @@ impl<M: MetricsSink, G: Governor> ExecCtx<'_, M, G> {
         x: &NodeSet,
     ) -> Result<Relation, EngineError> {
         contain_panics(|| {
-            let objects = plan_connection(db.schema(), x).objects;
+            let objects = plan_connection(db, x).objects;
             if objects.is_empty() || objects.len() == db.relations().len() {
                 return self.query_yannakakis(db, x);
             }
@@ -129,6 +148,7 @@ pub fn query_yannakakis(db: &Database, x: &NodeSet) -> Result<Relation, EngineEr
 mod tests {
     use super::*;
     use crate::relation::Tuple;
+    use acyclic::{graham_reduce, Strategy};
     use hypergraph::EdgeId;
 
     /// Fig. 1 as a schema with a small *globally consistent* instance: the
@@ -180,7 +200,7 @@ mod tests {
     fn plan_for_a_d_joins_cde_and_ace() {
         let db = fig1_db();
         let x = db.attributes(["A", "D"]).unwrap();
-        let plan = plan_connection(db.schema(), &x);
+        let plan = plan_connection(&db, &x);
         assert_eq!(plan.connection.edge_count(), 2);
         assert_eq!(plan.objects, vec![1, 3]); // CDE and ACE
     }
@@ -189,8 +209,25 @@ mod tests {
     fn plan_for_a_c_joins_a_single_object() {
         let db = fig1_db();
         let x = db.attributes(["A", "C"]).unwrap();
-        let plan = plan_connection(db.schema(), &x);
+        let plan = plan_connection(&db, &x);
         assert_eq!(plan.objects.len(), 1);
+    }
+
+    /// `B-C`, `A-E`, `C-E` with `X = {E}`: the pass-based and the traced
+    /// Graham reduction keep the partial edge `{E}` under different labels,
+    /// and the tie rule maps it to `A-E`, the lowest edge holding `E`,
+    /// from either.
+    #[test]
+    fn the_tie_rule_ignores_the_label_a_reduction_keeps() {
+        let h = Hypergraph::from_edges([vec!["B", "C"], vec!["A", "E"], vec!["C", "E"]]).unwrap();
+        let x = h.node_set(["E"]).unwrap();
+        let db = Database::empty(h.clone());
+        let plan = plan_connection(&db, &x);
+        assert_eq!(plan.objects, [1]);
+        assert_eq!(plan.connection.edges()[0].label, "C-E");
+        let traced = graham_reduce(&h, &x, Strategy::NodesFirst).result;
+        assert_eq!(traced.edges()[0].label, "A-E");
+        assert_eq!(objects_of(&h, &traced), [1]);
     }
 
     #[test]

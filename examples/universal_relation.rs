@@ -53,7 +53,7 @@ fn main() {
         let x = db
             .attributes(attrs.iter().copied())
             .expect("known attributes");
-        let plan = plan_connection(db.schema(), &x);
+        let plan = plan_connection(&db, &x);
         let objects: Vec<&str> = plan
             .objects
             .iter()

@@ -4,9 +4,11 @@
 //! runs that engine over the sub-database of `CC(X)`'s objects.  This suite
 //! holds both to the `reldb::reference` oracle for *every* `X` of up to six
 //! attributes — not a sample — on data with dangling tuples, across the
-//! chain, star, snowflake, ring, hyper-ring and clique families; checks
-//! Theorem 3.5 on the subtree the engine picks; and pins the edge cases a
-//! pruned plan could get wrong.
+//! chain, star, snowflake, ring, hyper-ring and clique families; holds the
+//! planner's objects to tableau reduction's under the tie rule, so the
+//! Graham-reduction route is checked against the definition and not
+//! against itself; checks Theorem 3.5 on the subtree the engine picks; and
+//! pins the edge cases a pruned plan could get wrong.
 
 use acyclic_hypergraphs::acyclic::{canonical_connection, graham_reduction, join_tree};
 use acyclic_hypergraphs::hypergraph::{EdgeId, Hypergraph, NodeSet};
@@ -55,11 +57,33 @@ fn small_db(schema: &Hypergraph, seed: u64) -> Database {
 /// The six-attribute bound of the exhaustive sweeps.
 const MAX_X: usize = 6;
 
-/// The §7 answer by the reference engine: the naive join of the objects
-/// tableau reduction picks for `CC(X)`, projected onto `X`.  `X = ∅`
-/// names no object, and its answer is the full join's projection.
-fn connection_oracle(db: &Database, x: &NodeSet, everything: &NaiveRelation) -> NaiveRelation {
-    let objects = plan_connection(db.schema(), x).objects;
+/// `CC(X)`'s objects by the definition, independently of the engine's
+/// planner: tableau reduction, then the tie rule written out — each
+/// partial edge maps to the lowest-indexed schema edge that contains it.
+fn cc_objects(schema: &Hypergraph, x: &NodeSet) -> Vec<usize> {
+    let mut objects: Vec<usize> = canonical_connection(schema, x)
+        .edges()
+        .iter()
+        .map(|partial| {
+            (0..schema.edge_count())
+                .find(|&i| partial.nodes.is_subset(&schema.edges()[i].nodes))
+                .expect("a schema edge holds every partial edge")
+        })
+        .collect();
+    objects.sort_unstable();
+    objects.dedup();
+    objects
+}
+
+/// The §7 answer by the reference engine: the naive join of `objects`,
+/// projected onto `X`.  No object (`X = ∅`) answers the full join's
+/// projection.
+fn connection_oracle(
+    db: &Database,
+    objects: &[usize],
+    x: &NodeSet,
+    everything: &NaiveRelation,
+) -> NaiveRelation {
     let joined = objects
         .iter()
         .map(|&i| NaiveRelation::from_relation(&db.relations()[i]))
@@ -72,8 +96,10 @@ fn connection_oracle(db: &Database, x: &NodeSet, everything: &NaiveRelation) -> 
 /// from reduces to the canonical connection — `GR(S, X) = CC(H, X)`,
 /// compared as sets of node sets (several objects can hold `X`, like
 /// Fig. 1's `ACE` and `AEF` for `{A, E}`, so object indices are not
-/// compared).  `CC(X)`'s objects are acyclic, so a metered connection
-/// query reports no decomposition: it always runs over a join tree.
+/// compared).  The planner's objects, read off Graham reduction on these
+/// schemas, are tableau reduction's under the tie rule.  `CC(X)`'s objects
+/// are acyclic, so a metered connection query reports no decomposition:
+/// it always runs over a join tree.
 #[test]
 fn every_x_on_acyclic_families_matches_the_oracle_and_theorem_3_5() {
     let families = [
@@ -100,6 +126,7 @@ fn every_x_on_acyclic_families_matches_the_oracle_and_theorem_3_5() {
                 "{name}: GR(S, X) != CC(H, X) for X = {x:?}"
             );
         }
+        let cc: Vec<Vec<usize>> = xs.iter().map(|x| cc_objects(&schema, x)).collect();
         for seed in [3, 11] {
             let db = small_db(&schema, seed);
             assert!(
@@ -107,11 +134,16 @@ fn every_x_on_acyclic_families_matches_the_oracle_and_theorem_3_5() {
                 "{name} seed {seed}: the data must dangle"
             );
             let everything = naive_full_join(&db);
-            for x in &xs {
+            for (x, objects) in xs.iter().zip(&cc) {
                 let got = yannakakis_join(&db, &tree, x);
                 assert!(
                     everything.project(x).agrees_with(&got),
                     "{name} seed {seed}: answer diverged for X = {x:?}"
+                );
+                assert_eq!(
+                    plan_connection(&db, x).objects,
+                    *objects,
+                    "{name}: objects differ from TR's for X = {x:?}"
                 );
                 let sink = CollectingSink::new();
                 let got = ExecCtx::new()
@@ -119,7 +151,7 @@ fn every_x_on_acyclic_families_matches_the_oracle_and_theorem_3_5() {
                     .query_via_connection(&db, x)
                     .expect("nobody can abort");
                 assert!(
-                    connection_oracle(&db, x, &everything).agrees_with(&got),
+                    connection_oracle(&db, objects, x, &everything).agrees_with(&got),
                     "{name} seed {seed}: connection answer diverged for X = {x:?}"
                 );
                 assert_eq!(
@@ -145,6 +177,7 @@ fn every_x_on_cyclic_families_matches_the_oracle() {
     for (name, schema) in families {
         assert!(join_tree(&schema).is_none(), "{name} must be cyclic");
         let xs = subsets_up_to(&schema.nodes(), MAX_X);
+        let cc: Vec<Vec<usize>> = xs.iter().map(|x| cc_objects(&schema, x)).collect();
         for seed in [3, 11] {
             let db = small_db(&schema, seed);
             let everything = naive_full_join(&db);
@@ -155,15 +188,20 @@ fn every_x_on_cyclic_families_matches_the_oracle() {
                 .map(|r| everything.project(r.attributes()).len())
                 .sum();
             assert!(kept < total, "{name} seed {seed}: the data must dangle");
-            for x in &xs {
+            for (x, objects) in xs.iter().zip(&cc) {
                 let got = query_yannakakis(&db, x).expect("cyclic");
                 assert!(
                     everything.project(x).agrees_with(&got),
                     "{name} seed {seed}: answer diverged for X = {x:?}"
                 );
+                assert_eq!(
+                    plan_connection(&db, x).objects,
+                    *objects,
+                    "{name}: objects differ from TR's for X = {x:?}"
+                );
                 let got = query_via_connection(&db, x);
                 assert!(
-                    connection_oracle(&db, x, &everything).agrees_with(&got),
+                    connection_oracle(&db, objects, x, &everything).agrees_with(&got),
                     "{name} seed {seed}: connection answer diverged for X = {x:?}"
                 );
             }
@@ -252,10 +290,7 @@ fn the_connection_engine_answers_a_skewed_chain_within_a_budget() {
     };
     let db = random_database(&schema, params, 9);
     let ends = db.attributes(["N00000", "N00006"]).unwrap();
-    assert_eq!(
-        plan_connection(db.schema(), &ends).objects,
-        [0, 1, 2, 3, 4, 5]
-    );
+    assert_eq!(plan_connection(&db, &ends).objects, [0, 1, 2, 3, 4, 5]);
     let budget = || QueryGovernor::new().with_memory_budget(32 << 20);
     let want = ExecCtx::new()
         .gov(&budget())

@@ -68,12 +68,12 @@ fn localized_queries_touch_few_objects() {
     );
     // Region name with nation name: only REGION and NATION are needed.
     let x = db.attributes(["r_name", "n_name"]).unwrap();
-    let plan = plan_connection(db.schema(), &x);
+    let plan = plan_connection(&db, &x);
     assert!(plan.objects.len() <= 2, "plan used {:?}", plan.objects);
 
     // Part name with supplier name: goes through PARTSUPP.
     let x = db.attributes(["p_name", "s_name"]).unwrap();
-    let plan = plan_connection(db.schema(), &x);
+    let plan = plan_connection(&db, &x);
     assert!(plan.objects.len() < schema.edge_count());
 }
 

@@ -95,7 +95,7 @@ fn after_upward_pass(tree: &JoinTree, h: &Hypergraph, x: &NodeSet) -> Vec<(Phase
 /// The database the connection engine answers `x` over: the sub-database
 /// of `CC(x)`'s objects, or `db` itself when they are every edge or none.
 fn connection_db(db: &Database, x: &NodeSet) -> Database {
-    let objects = plan_connection(db.schema(), x).objects;
+    let objects = plan_connection(db, x).objects;
     if objects.is_empty() || objects.len() == db.relations().len() {
         return db.clone();
     }
